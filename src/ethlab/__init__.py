@@ -8,7 +8,6 @@ predictions, operator localizability, and seeded ensemble experiments with
 CSV dataset emission.
 """
 
-from ._accel import backend
 from .ansatz import (
     AnsatzKind,
     AnsatzModel,
@@ -103,6 +102,12 @@ from .scrambling import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend() -> str:
+    """Name of the kernel backend: the ensemble kernels are plain numpy."""
+    return "numpy"
+
 
 __all__ = [
     "__version__",

@@ -32,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonians import BipartiteSystem
-from .kernels import window_counts
 from .linalg import (
     GridFunction,
     cross_correlate,
@@ -124,6 +123,14 @@ def _squared_elements(
     return rotated**2
 
 
+def _window_counts(sorted_vals, lows, highs):
+    # Sorted values inside each closed window [lows[k], highs[k]]; windows
+    # with highs[k] < lows[k] count zero.
+    lo_idx = np.searchsorted(sorted_vals, lows, side="left")
+    hi_idx = np.searchsorted(sorted_vals, highs, side="right")
+    return np.maximum(hi_idx - lo_idx, 0)
+
+
 def f_microcanonical_exact(
     system: BipartiteSystem,
     op_a: Optional[np.ndarray],
@@ -159,7 +166,7 @@ def f_microcanonical_exact(
     e_b = system.spectrum_b.eigenvalues
     sums = np.sort(system.sum_energies().ravel())
     half = 0.5 * delta
-    z_a, z_b = window_counts(
+    z_a, z_b = _window_counts(
         sums,
         np.array([e_alpha - half, e_beta - half]),
         np.array([e_alpha + half, e_beta + half]),
@@ -172,7 +179,7 @@ def f_microcanonical_exact(
     # Intersection of the two B-side windows for every (i, j) pair.
     lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
     hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
-    counts = window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
+    counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
     m_sq = _squared_elements(system, op_a, o2bar)
     f2 = float((counts * m_sq).sum()) / (float(z_a) * float(z_b))
     return float(np.sqrt(f2))

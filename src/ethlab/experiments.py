@@ -7,7 +7,9 @@ band detection against subsystem spectral gaps.
 The ensemble loop is the hot path at desk scale: for every operator the
 matrix-element evaluation is restricted to the column blocks that intersect
 the requested mean-energy band, so the cost per operator scales with the band
-area rather than the full matrix.
+area rather than the full matrix.  Accumulation order is fixed (pairs in
+ascending order, per-bin sums merged in batch order), so the statistics are
+bitwise reproducible for any thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonians import BipartiteSystem, haar_orthogonal
-from .kernels import accumulate_grouped, accumulate_pairs
 from .linalg import Spectrum
 
 __all__ = [
@@ -166,6 +167,35 @@ class BinnedStatistics:
     @property
     def n_samples(self) -> int:
         return int(self.count.sum())
+
+
+def accumulate_pairs(block, rows, cols, bins, nbins):
+    """Accumulate squared matrix elements into omega bins.
+
+    Gathers ``block[rows[p], cols[p]]`` for every listed pair, squares it, and
+    returns per-bin sums of the squares and of their squares (for standard
+    errors).  Pairs accumulate in ascending ``p``.
+    """
+    v = block[rows, cols]
+    v = v * v
+    sums = np.bincount(bins, weights=v, minlength=nbins)
+    sumsqs = np.bincount(bins, weights=v * v, minlength=nbins)
+    return sums, sumsqs
+
+
+def accumulate_grouped(values, bins, nbins):
+    """Accumulate squared samples sharing a bin index per row.
+
+    ``values`` has one row per eigenstate pair and one column per ensemble
+    operator; every entry in row ``p`` lands in ``bins[p]``.  Returns per-bin
+    sums of the squares and of the fourth powers.  Each row is reduced over
+    operators first, then the row totals accumulate in ascending ``p``.
+    """
+    v = values * values
+    sums = np.bincount(bins, weights=v.sum(axis=1), minlength=nbins)
+    v *= v
+    sumsqs = np.bincount(bins, weights=v.sum(axis=1), minlength=nbins)
+    return sums, sumsqs
 
 
 class PairBand:

@@ -323,8 +323,6 @@ def _appb(config, out_dir, plot, threads, cache_dir, policy):
         config, system, kinds, out_dir, "appB", [0.0], plot, threads
     )
 
-    coeffs = compute_coefficients(system)
-    prof = profile(coeffs)
     gaps = subsystem_gap_omegas(system.spectrum_a.eigenvalues)
 
     # Near-diagonal triplets for the first operator, restricted to the window.
@@ -341,7 +339,7 @@ def _appb(config, out_dir, plot, threads, cache_dir, policy):
     ]
     files.append(emit_dataset(triplets, "banding", out_dir / "appB_banding.csv"))
 
-    report = detect_bands(binned[0], gaps, prof.sigma_s)
+    report = detect_bands(binned[0], gaps, info["sigma_s"])
     min_gap = float(np.min(np.diff(np.sort(system.spectrum_a.eigenvalues))))
     info.update(
         {

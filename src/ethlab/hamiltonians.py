@@ -139,7 +139,6 @@ class BipartiteSystem:
     spectrum_a: Spectrum
     spectrum_b: Spectrum
     spectrum_t: Spectrum
-    interaction_norm: float
 
     @property
     def total_dim(self) -> int:
@@ -148,25 +147,6 @@ class BipartiteSystem:
     def sum_energies(self) -> np.ndarray:
         """Noninteracting eigenvalues ``E_i^A + E_j^B`` as a (dim_a, dim_b) grid."""
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
-
-    def spectrum_0(self) -> Spectrum:
-        """Materialized eigendecomposition of the noninteracting part.
-
-        Eigenvalues are the sorted subsystem energy sums and eigenvectors the
-        matching product states.  Built on demand: at the largest supported
-        sizes the kron is as large as ``h_t`` itself.
-        """
-        sums = self.sum_energies().ravel()
-        order = np.argsort(sums, kind="stable")
-        vecs = np.kron(self.spectrum_a.eigenvectors, self.spectrum_b.eigenvectors)
-        return Spectrum(eigenvalues=sums[order], eigenvectors=vecs[:, order])
-
-
-def _spectral_norm(h: np.ndarray) -> float:
-    d = np.diag(np.diag(h))
-    if np.array_equal(h, d):
-        return float(np.max(np.abs(np.diag(h)))) if h.shape[0] else 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
 def make_bipartite(
@@ -202,7 +182,6 @@ def make_bipartite(
         spectrum_a=spec_a,
         spectrum_b=spec_b,
         spectrum_t=spec_t,
-        interaction_norm=_spectral_norm(h_i),
     )
 
 

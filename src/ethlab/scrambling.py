@@ -65,12 +65,6 @@ class ScramblingCoefficients:
         e_t = self.energies_total if alphas is None else self.energies_total[alphas]
         return e_t[:, None, None] - self.sum_energies()[None, :, :]
 
-    def to_sparse_triplets(self, threshold: float = 1e-12):
-        """Entries with ``|c| > threshold`` as ``(alpha, i, j, value)`` arrays."""
-        keep = np.abs(self.tensor) > threshold
-        alpha, i, j = np.nonzero(keep)
-        return alpha, i, j, self.tensor[alpha, i, j]
-
 
 def compute_coefficients(system: BipartiteSystem) -> ScramblingCoefficients:
     """Overlap tensor between interacting and product eigenstates.

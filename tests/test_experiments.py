@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ethlab.ansatz import _window_counts
 from ethlab.errors import (
     DimensionError,
     EmptyWindowError,
@@ -14,6 +15,8 @@ from ethlab.experiments import (
     BinnedStatistics,
     BinningParams,
     OperatorEnsembleSpec,
+    accumulate_grouped,
+    accumulate_pairs,
     bin_offdiagonal,
     default_bin_width,
     detect_bands,
@@ -24,14 +27,6 @@ from ethlab.experiments import (
 )
 from ethlab.figures import quantile_states
 from ethlab.hamiltonians import SpinChainParams, decompose_chain, make_bipartite
-from ethlab.kernels import (
-    accumulate_grouped_numba,
-    accumulate_grouped_numpy,
-    accumulate_pairs_numba,
-    accumulate_pairs_numpy,
-    window_counts_numba,
-    window_counts_numpy,
-)
 from ethlab.linalg import Spectrum
 
 
@@ -291,31 +286,47 @@ def test_run_ensemble_empty_window():
         run_ensemble(system, spec, [100.0], BinningParams())
 
 
-def test_kernel_backends_are_bitwise_equal():
+def test_kernels_match_per_row_loop_oracle():
     rng = np.random.default_rng(17)
+    # Bins 3 and 27 never receive a pair and must come back as zeros.
+    bins_used = np.setdiff1d(np.arange(30), [3, 27])
+
+    def oracle(rows_of_values, bins, nbins):
+        sums = [0.0] * nbins
+        sumsqs = [0.0] * nbins
+        for row, b in zip(rows_of_values, bins):
+            for x in row:
+                sums[b] += x**2
+                sumsqs[b] += x**4
+        return np.array(sums), np.array(sumsqs)
+
     block = rng.standard_normal((30, 40))
     rows = rng.integers(0, 30, 500).astype(np.int32)
     cols = rng.integers(0, 40, 500).astype(np.int32)
-    bins = np.sort(rng.integers(0, 25, 500))
-    s_np, q_np = accumulate_pairs_numpy(block, rows, cols, bins, 25)
-    s_nb, q_nb = accumulate_pairs_numba(block, rows, cols, bins, 25)
-    assert np.array_equal(s_np, s_nb)
-    assert np.array_equal(q_np, q_nb)
+    bins = np.sort(rng.choice(bins_used, 500))
+    got = accumulate_pairs(block, rows, cols, bins, 30)
+    want = oracle(block[rows, cols][:, None], bins, 30)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-13, atol=0.0)
+        assert g[3] == g[27] == 0.0
 
     values = rng.standard_normal((200, 16))
-    gbins = np.sort(rng.integers(0, 50, 200))
-    s_np, q_np = accumulate_grouped_numpy(values, gbins, 50)
-    s_nb, q_nb = accumulate_grouped_numba(values, gbins, 50)
-    assert np.array_equal(s_np, s_nb)
-    assert np.array_equal(q_np, q_nb)
+    gbins = np.sort(rng.choice(bins_used, 200))
+    got = accumulate_grouped(values, gbins, 30)
+    want = oracle(values, gbins, 30)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-13, atol=0.0)
+        assert g[3] == g[27] == 0.0
 
     vals = np.sort(rng.standard_normal(300))
     lows = rng.uniform(-2.0, 1.0, 40)
     highs = lows + rng.uniform(-0.5, 2.0, 40)
-    assert np.array_equal(
-        window_counts_numpy(vals, lows, highs),
-        window_counts_numba(vals, lows, highs),
-    )
+    counts = _window_counts(vals, lows, highs)
+    want = [int(np.sum((vals >= lo) & (vals <= hi))) for lo, hi in zip(lows, highs)]
+    assert np.array_equal(counts, want)
+    inverted = highs < lows
+    assert inverted.any()
+    assert np.all(counts[inverted] == 0)
 
 
 def test_subsystem_gap_omegas_oracle():

@@ -193,9 +193,6 @@ def test_random_system_interaction_fraction():
     h_0 = system.h_t - system.h_i
     ratio = np.linalg.norm(system.h_i, 2) / np.linalg.norm(h_0, 2)
     assert ratio == pytest.approx(0.05, rel=1e-10)
-    assert system.interaction_norm == pytest.approx(
-        np.linalg.norm(system.h_i, 2), rel=1e-10
-    )
 
 
 def test_random_system_determinism_and_a_scale():

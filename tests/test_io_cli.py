@@ -337,23 +337,6 @@ def test_cli_reproduce_thread_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_numba_flag_does_not_change_results(tmp_path):
-    cfg = tmp_path / "tiny.ini"
-    cfg.write_text(TINY_CHAIN)
-    blobs = []
-    for flag, name in (("0", "with"), ("1", "without")):
-        out = tmp_path / name
-        proc = run_cli(
-            "spin-chain",
-            "--config", str(cfg),
-            "--out", str(out),
-            env={"ETHLAB_DISABLE_NUMBA": flag},
-        )
-        assert proc.returncode == 0, proc.stderr
-        blobs.append((out / "run_binned.csv").read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_cli_env_output_dir(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(
@@ -384,3 +367,15 @@ def test_cli_seed_override_changes_dataset(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs.append((out / "run_binned.csv").read_bytes())
     assert blobs[0] != blobs[1]
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    import re
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+             for dep in project["dependencies"]}
+    assert names == {"numpy", "scipy"}

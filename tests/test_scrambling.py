@@ -72,15 +72,6 @@ def test_offsets_subset_selection():
     assert np.array_equal(offs, full[sel])
 
 
-def test_to_sparse_triplets_threshold():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(5), 2))
-    alpha, i, j, vals = coeffs.to_sparse_triplets(threshold=0.1)
-    assert np.all(np.abs(vals) > 0.1)
-    assert np.array_equal(vals, coeffs.tensor[alpha, i, j])
-    # Tightening the threshold can only grow the kept set.
-    assert alpha.size <= coeffs.to_sparse_triplets(threshold=1e-12)[0].size
-
-
 def test_profile_window_bookkeeping():
     coeffs = compute_coefficients(decompose_chain(SpinChainParams(6), 2))
     e_t = coeffs.energies_total
