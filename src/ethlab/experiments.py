@@ -4,12 +4,12 @@ Random local-operator ensembles, their matrix elements between interacting
 eigenstates, binned off-diagonal statistics over mean-energy windows, and
 band detection against subsystem spectral gaps.
 
-The ensemble loop is the hot path at desk scale: for every operator the
-matrix-element evaluation is restricted to the column blocks that intersect
-the requested mean-energy band, so the cost per operator scales with the band
-area rather than the full matrix.  Accumulation order is fixed (pairs in
-ascending order, per-bin sums merged in batch order), so the statistics are
-bitwise reproducible for any thread count.
+The ensemble loop is the hot path at desk scale: the matrix-element
+evaluation is restricted to tiles that follow the requested mean-energy band,
+so the cost per operator scales with the band area rather than the full
+matrix.  Accumulation order is fixed (pairs in ascending order, per-bin sums
+merged in tile order), so the statistics are bitwise reproducible for any
+thread count.
 """
 
 from __future__ import annotations
@@ -104,6 +104,16 @@ def _apply_a_factor(op_a: np.ndarray, vecs: np.ndarray, dim_a: int, dim_b: int):
     total = vecs.shape[1]
     v3 = vecs.reshape(dim_a, dim_b * total)
     return (op_a @ v3).reshape(dim_a * dim_b, total)
+
+
+def _vector_stack(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    # w[j, alpha * dim_a + p] = vecs[p * dim_b + j, alpha], shape
+    # (dim_b, total * dim_a): the grouped engine's transfer panels for any
+    # alpha or beta range are column slices of this one array.
+    total = vecs.shape[1]
+    return np.ascontiguousarray(
+        vecs.reshape(dim_a, dim_b, total).transpose(1, 2, 0)
+    ).reshape(dim_b, total * dim_a)
 
 
 def matrix_elements_total_basis(
@@ -203,16 +213,20 @@ class PairBand:
 
     For sorted eigenvalues the partners of a given ``alpha`` form a contiguous
     index range, so the band is stored as flat (row, col, bin) arrays ordered
-    alpha-major.  Two evaluation engines share the structure:
+    alpha-major.  Both evaluation engines walk the band in tiles: a tile is a
+    batch of consecutive alphas times the contiguous beta range its pairs
+    span, and its pairs are exactly one slice ``s0:s1`` of the flat arrays.
+    Because the window fixes the mean energy, the tiles follow the
+    anti-diagonal band instead of covering it with rectangles.
 
     - the grouped engine precomputes, per pair, the operator-independent
       transfer matrix ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` so
       matrix elements of every ensemble operator follow from one small matrix
       product (worthwhile when ``dim_a <= dim_b``);
-    - the direct engine evaluates elements per operator with blocked matrix
-      products over the band (used when the A factor is the larger one).
+    - the direct engine evaluates elements per operator with one matrix
+      product per tile (used when the A factor is the larger one).
 
-    Pair order, batch boundaries, and accumulation order are fixed, so the
+    Pair order, tile boundaries, and accumulation order are fixed, so the
     results are bit-reproducible for any thread count.
     """
 
@@ -250,17 +264,16 @@ class PairBand:
         self.bins = bins
         self.n_bins = int(bins.max()) + 1
         self.pair_counts = np.bincount(bins, minlength=self.n_bins)
-        # Pair-slice boundaries per alpha, for batch scheduling.
+        # Pair-slice boundaries per alpha, for tile scheduling.
         self._alpha_start = np.concatenate(([0], np.cumsum(lens)))
-        self._alpha_lo = lo
-        self._alpha_hi = hi
         self._direct_blocks = None
 
-    # -- grouped engine ----------------------------------------------------
+    def _alpha_batches(self, batch: int):
+        """Band tiles ``(a0, a1, b0, b1, s0, s1)`` of ``batch`` alphas each.
 
-    def _alpha_batches(self, dim_a: int):
-        """Contiguous alpha batches sized so the transfer panels stay small."""
-        batch = max(4, 512 // dim_a)
+        Tile pairs are ``rows/cols/bins[s0:s1]``; they lie inside
+        ``[a0, a1) x [b0, b1)``.  Tiles without pairs are skipped.
+        """
         n = self.energies.size
         out = []
         for a0 in range(0, n, batch):
@@ -268,26 +281,26 @@ class PairBand:
             s0 = int(self._alpha_start[a0])
             s1 = int(self._alpha_start[a1])
             if s1 > s0:
-                out.append((a0, a1, s0, s1))
+                cols = self.cols[s0:s1]
+                out.append((a0, a1, int(cols.min()), int(cols.max()) + 1, s0, s1))
         return out
 
-    def accumulate_grouped_batch(self, v3, ops_flat, batch, chunk: int = 8192):
-        """Accumulate one alpha batch of pairs for all operators at once.
+    # -- grouped engine ----------------------------------------------------
 
-        ``v3`` is the eigenvector stack shaped ``(total, dim_a, dim_b)``;
-        ``ops_flat`` holds one flattened operator per column.
+    def accumulate_grouped_batch(self, w, ops_flat, tile, chunk: int = 8192):
+        """Accumulate one band tile of pairs for all operators at once.
+
+        ``w`` is the transposed eigenvector stack from :func:`_vector_stack`,
+        ``w[j, alpha * dim_a + p] = V3[alpha, p, j]``; both transfer panels
+        are views of it.  ``ops_flat`` holds one flattened operator per
+        column.
         """
-        a0, a1, s0, s1 = batch
-        dim_a = v3.shape[1]
-        cols = self.cols[s0:s1]
-        blo = int(cols.min())
-        bhi = int(cols.max()) + 1
-        a_panel = v3[a0:a1].reshape((a1 - a0) * dim_a, v3.shape[2])
-        b_panel = np.ascontiguousarray(v3[blo:bhi].transpose(2, 0, 1)).reshape(
-            v3.shape[2], (bhi - blo) * dim_a
-        )
-        rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, bhi - blo, dim_a)
-        transfer = rect[self.rows[s0:s1] - a0, :, cols - blo, :].reshape(
+        a0, a1, b0, b1, s0, s1 = tile
+        dim_a = w.shape[1] // self.energies.size
+        a_panel = w[:, a0 * dim_a : a1 * dim_a].T
+        b_panel = w[:, b0 * dim_a : b1 * dim_a]
+        rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
+        transfer = rect[self.rows[s0:s1] - a0, :, self.cols[s0:s1] - b0, :].reshape(
             s1 - s0, dim_a * dim_a
         )
         sums = np.zeros(self.n_bins)
@@ -302,25 +315,25 @@ class PairBand:
             sumsqs += q
         return sums, sumsqs
 
-    def accumulate_grouped_all(self, v3, ops_flat, *, threads: int = 1):
+    def accumulate_grouped_all(self, w, ops_flat, *, threads: int = 1):
         """Grouped-engine accumulation over the whole band.
 
-        Per-batch partial sums merge in batch order, so the result is
-        identical for any ``threads``.
+        Tiles hold ``max(4, 512 // dim_a)`` alphas so the transfer panels
+        stay small.  Per-tile partial sums merge in tile order, so the result
+        is identical for any ``threads``.
         """
-        batches = self._alpha_batches(v3.shape[1])
+        dim_a = w.shape[1] // self.energies.size
+        tiles = self._alpha_batches(max(4, 512 // dim_a))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 partials = list(
                     pool.map(
-                        lambda b: self.accumulate_grouped_batch(v3, ops_flat, b),
-                        batches,
+                        lambda t: self.accumulate_grouped_batch(w, ops_flat, t),
+                        tiles,
                     )
                 )
         else:
-            partials = [
-                self.accumulate_grouped_batch(v3, ops_flat, b) for b in batches
-            ]
+            partials = [self.accumulate_grouped_batch(w, ops_flat, t) for t in tiles]
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
         for s, q in partials:
@@ -330,58 +343,25 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
-    def _build_direct_blocks(self, max_cols: int = 256):
-        """Column blocks capped in both size and energy span.
+    def _build_direct_blocks(self, batch: int = 64):
+        """Band tiles of ``batch`` alphas as ``(a0, a1, b0, b1, rows, cols, bins)``.
 
-        The energy cap keeps the intersecting row range tight where the
-        spectrum is sparse, which is where index-only blocking wastes work.
+        ``rows`` and ``cols`` are local to the tile's ``[a0, a1) x [b0, b1)``
+        rectangle.  Built once per band and cached.
         """
-        if self._direct_blocks is not None:
-            return self._direct_blocks
-        energies = self.energies
-        n = energies.size
-        span_cap = 4.0 * self.ebar_halfwidth
-        lo, hi = self._alpha_lo, self._alpha_hi
-        blocks = []
-        b0 = int(self.cols.min())
-        last = int(self.cols.max()) + 1
-        while b0 < last:
-            b1 = min(b0 + max_cols, last)
-            cut = np.searchsorted(energies, energies[b0] + span_cap, side="right")
-            b1 = max(b0 + 1, min(b1, int(cut)))
-            touch = np.nonzero((lo < b1) & (hi > b0))[0]
-            if touch.size:
-                a0, a1 = int(touch[0]), int(touch[-1]) + 1
-                alphas = np.arange(a0, a1)
-                starts = np.maximum(lo[alphas], b0)
-                ends = np.minimum(hi[alphas], b1)
-                lens = np.maximum(ends - starts, 0)
-                keep = lens > 0
-                alphas, starts, lens = alphas[keep], starts[keep], lens[keep]
-                if alphas.size:
-                    rows = np.repeat(alphas - a0, lens).astype(np.int32)
-                    base = np.repeat(starts, lens)
-                    within = np.arange(lens.sum()) - np.repeat(
-                        np.cumsum(lens) - lens, lens
-                    )
-                    cols_global = base + within
-                    inv = 1.0 / (2.0 * self.bin_width)
-                    bins = (
-                        (energies[cols_global] - energies[rows + a0]) * inv
-                    ).astype(np.int64)
-                    blocks.append(
-                        (a0, a1, b0, b1, rows,
-                         (cols_global - b0).astype(np.int32), bins)
-                    )
-            b0 = b1
-        self._direct_blocks = blocks
-        return blocks
+        if self._direct_blocks is None:
+            self._direct_blocks = [
+                (a0, a1, b0, b1, self.rows[s0:s1] - a0, self.cols[s0:s1] - b0,
+                 self.bins[s0:s1])
+                for a0, a1, b0, b1, s0, s1 in self._alpha_batches(batch)
+            ]
+        return self._direct_blocks
 
     def accumulate_from_factors(self, vecs, applied):
         """Per-bin sums of squares and fourth powers for one operator.
 
-        ``applied`` is ``(op (x) 1) @ vecs``; elements are evaluated blockwise
-        as ``vecs[:, rows].T @ applied[:, cols]``.
+        ``applied`` is ``(op (x) 1) @ vecs``; elements are evaluated per band
+        tile as ``vecs[:, a0:a1].T @ applied[:, b0:b1]``.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
@@ -470,12 +450,15 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Binned off-diagonal statistics pooled over the operator ensemble.
 
+    Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
-    band evaluation over all operators at once; otherwise elements are
-    evaluated per operator.  Partial sums always merge in a fixed order, so
-    results are identical for any thread count.  ``keep_sum_rule``
-    additionally records per-row total squares from full element matrices
-    (small systems only) and forces the per-operator path.
+    band evaluation over all operators at once, reading its panels from one
+    transposed eigenvector stack built per call; otherwise elements are
+    evaluated per operator, one matrix product per band tile.  Partial sums
+    always merge in a fixed order, so results are identical for any thread
+    count.  ``keep_sum_rule`` additionally records per-row total squares from
+    full element matrices (small systems only) and forces the per-operator
+    path.
     """
     if ens.dim_a != system.dim_a:
         raise DimensionError(
@@ -500,9 +483,11 @@ def run_ensemble(
             system.total_dim, system.dim_a * system.dim_a
         )
         diagonals = np.ascontiguousarray((t_diag @ ops_flat).T)
+        del v3, t_diag  # freed before the stack so peak memory does not grow
+        w = _vector_stack(vecs, system.dim_a, system.dim_b)
         binned = tuple(
             band.statistics(
-                *band.accumulate_grouped_all(v3, ops_flat, threads=threads),
+                *band.accumulate_grouped_all(w, ops_flat, threads=threads),
                 ens.count,
             )
             for band in bands
@@ -512,7 +497,7 @@ def run_ensemble(
     def one_operator(index: int):
         op = ops[index]
         applied = _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
-        diag = np.einsum("ij,ij->j", vecs, applied, optimize=True)
+        diag = np.einsum("ij,ij->j", vecs, applied)
         partials = [band.accumulate_from_factors(vecs, applied) for band in bands]
         rows = None
         if keep_sum_rule:

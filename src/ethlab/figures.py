@@ -281,13 +281,19 @@ def _fig2(config, out_dir, plot, threads, cache_dir, policy):
     cuts = [c for c in (1, 3, 5, 7) if c < config.chain.sites]
     manifest = {"cuts": cuts, "systems": {}}
     files = []
+    spectrum_t = None
     for cut in cuts:
         sub = replace(
             config,
             cut=cut,
             ensemble=replace(config.ensemble, dim_a=2**cut),
         )
-        system = build_system(sub, cache_dir=cache_dir, policy=policy)
+        if spectrum_t is None:
+            system = build_system(sub, cache_dir=cache_dir, policy=policy)
+            spectrum_t = system.spectrum_t
+        else:
+            # Every cut splits the same total Hamiltonian: reuse its spectrum.
+            system = decompose_chain(sub.chain, cut, spectrum_t=spectrum_t)
         e_min = float(system.spectrum_t.eigenvalues[0])
         centers = _window_centers(e_min, (0.0, 0.5))
         info, new_files, _ = _ensemble_windows(

@@ -15,6 +15,9 @@ from ethlab.experiments import (
     BinnedStatistics,
     BinningParams,
     OperatorEnsembleSpec,
+    PairBand,
+    _apply_a_factor,
+    _vector_stack,
     accumulate_grouped,
     accumulate_pairs,
     bin_offdiagonal,
@@ -215,19 +218,98 @@ def test_run_ensemble_thread_count_is_bitwise_invisible():
     assert np.array_equal(r1.diagonals, r2.diagonals)
 
 
-def test_run_ensemble_engines_agree():
-    # keep_sum_rule forces the per-operator engine; the grouped engine must
-    # produce the same statistics up to summation-order roundoff.
-    system = decompose_chain(SpinChainParams(8), 3)
-    spec = OperatorEnsembleSpec(dim_a=8, count=6, seed=2)
-    grouped = run_ensemble(system, spec, [0.0], BinningParams())
-    direct = run_ensemble(
-        system, spec, [0.0], BinningParams(), keep_sum_rule=True
-    )
-    sg, sd = grouped.binned[0], direct.binned[0]
-    assert np.array_equal(sg.count, sd.count)
-    assert np.abs(sg.mean_sq - sd.mean_sq).max() < 1e-12 * sg.mean_sq.max()
-    assert np.allclose(sg.std_err, sd.std_err, rtol=1e-8, atol=1e-18)
+def test_direct_engine_thread_count_is_bitwise_invisible():
+    # dim_a > dim_b selects the per-operator engine on the thread pool.
+    system = decompose_chain(SpinChainParams(8), 5)
+    spec = OperatorEnsembleSpec(dim_a=32, count=6, seed=1)
+    centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
+    r1 = run_ensemble(system, spec, centers, BinningParams(), threads=1)
+    r2 = run_ensemble(system, spec, centers, BinningParams(), threads=3)
+    for s1, s2 in zip(r1.binned, r2.binned):
+        assert np.array_equal(s1.mean_sq, s2.mean_sq)
+        assert np.array_equal(s1.std_err, s2.std_err)
+        assert np.array_equal(s1.count, s2.count)
+    assert np.array_equal(r1.diagonals, r2.diagonals)
+
+
+def _center_band(system, center=0.0):
+    width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
+    return PairBand(system.spectrum_t.eigenvalues, center, 0.5, width)
+
+
+def test_band_tiles_cover_the_band_in_order(chain10):
+    for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
+        band = _center_band(chain10, center)
+        blocks = band._build_direct_blocks()
+        for a0, a1, b0, b1, rows, cols, _ in blocks:
+            assert rows.min() >= 0 and rows.max() < a1 - a0
+            assert cols.min() >= 0 and cols.max() < b1 - b0
+        assert np.array_equal(
+            np.concatenate([b[4] + b[0] for b in blocks]), band.rows
+        )
+        assert np.array_equal(
+            np.concatenate([b[5] + b[2] for b in blocks]), band.cols
+        )
+        assert np.array_equal(np.concatenate([b[6] for b in blocks]), band.bins)
+        # Grouped-engine tiles: consecutive pair slices inside their rectangle.
+        tiles = band._alpha_batches(5)
+        assert [t[4] for t in tiles[1:]] == [t[5] for t in tiles[:-1]]
+        assert tiles[0][4] == 0 and tiles[-1][5] == band.n_pairs
+        for a0, a1, b0, b1, s0, s1 in tiles:
+            assert a0 <= band.rows[s0:s1].min() and band.rows[s0:s1].max() < a1
+            assert b0 <= band.cols[s0:s1].min() and band.cols[s0:s1].max() < b1
+
+
+def test_band_tiles_follow_the_band(chain10):
+    # Tiles follow the anti-diagonal band: most computed elements are used.
+    band = _center_band(chain10)
+    area = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, *_ in
+               band._build_direct_blocks())
+    assert band.n_pairs / area >= 0.5
+
+
+def test_ensemble_engines_match_dense_oracle(chain10):
+    # Both engines against dense matrix_elements_total_basis accumulation.
+    system = chain10
+    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=3, seed=2)
+    ops = [sample_local_operator(spec, k) for k in range(spec.count)]
+    vecs = system.spectrum_t.eigenvectors
+    w = _vector_stack(vecs, system.dim_a, system.dim_b)
+    ops_flat = np.stack([op.ravel() for op in ops], axis=1)
+    for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
+        band = _center_band(system, center)
+        dense = [band.accumulate_dense(matrix_elements_total_basis(system, op))
+                 for op in ops]
+        per_op = [
+            band.accumulate_from_factors(
+                vecs, _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
+            )
+            for op in ops
+        ]
+        want = band.statistics(
+            sum(s for s, _ in dense), sum(q for _, q in dense), spec.count
+        )
+        grouped = band.statistics(
+            *band.accumulate_grouped_all(w, ops_flat), spec.count
+        )
+        direct = band.statistics(
+            sum(s for s, _ in per_op), sum(q for _, q in per_op), spec.count
+        )
+        # The grouped engine contracts through transfer matrices, which
+        # leaves roundoff of about eps * sqrt(max / mean_sq) relative on a
+        # bin (3.5e-11 at 1e-12 * max); the direct engine evaluates the same
+        # dot products as the dense oracle.
+        for got, floor in ((grouped, 1e-8), (direct, 1e-12)):
+            assert np.array_equal(got.count, want.count)
+            big = want.mean_sq > floor * want.mean_sq.max()
+            assert np.allclose(
+                got.mean_sq[big], want.mean_sq[big], rtol=1e-12, atol=0.0
+            )
+            assert (
+                np.abs(got.mean_sq - want.mean_sq).max()
+                < 1e-12 * want.mean_sq.max()
+            )
+            assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
 
 
 def test_run_ensemble_sum_rule_and_diagonals():

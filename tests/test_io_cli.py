@@ -197,6 +197,29 @@ def test_cached_spectrum_policies(tmp_path):
         cached_spectrum("key", tmp_path, "maybe", compute)
 
 
+def test_fig2_loads_one_spectrum_for_all_cuts(tmp_path, monkeypatch):
+    # The cache key omits the cut, so the four cuts share one spectrum.
+    import ethlab.figures
+
+    config = parse_config(
+        None, text="[system]\nkind = spin_chain\nsites = 8\n\n[ensemble]\ncount = 2\n"
+    )
+    calls = []
+    real = ethlab.figures.cached_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ethlab.figures, "cached_spectrum", counted)
+    with pytest.raises(CacheMissError):
+        ethlab.figures.run_figure("fig2", config, tmp_path / "a", cache_policy="forbid")
+    calls.clear()
+    manifest = ethlab.figures.run_figure("fig2", config, tmp_path / "b")
+    assert manifest["cuts"] == [1, 3, 5, 7]
+    assert len(calls) == 1
+
+
 # -- dataset emission ---------------------------------------------------------
 
 
