@@ -532,8 +532,8 @@ class AnsatzModel:
 
     Exact-sum kinds require the literal subsystem spectra (and optionally a
     concrete operator via ``sq_elements``); continuum kinds require the
-    densities listed for them.  ``sigma_a`` defaults to the spectral range of
-    ``energies_a`` or of the ``n_a`` support.
+    densities listed for them.  ``sigma_a`` defaults to the width of the
+    ``n_a`` support, else to the A spectral range of ``system``.
     """
 
     kind: AnsatzKind
@@ -542,8 +542,6 @@ class AnsatzModel:
     n_a: Optional[GridFunction] = None
     n_b: Optional[GridFunction] = None
     n_0: Optional[GridFunction] = None
-    energies_a: Optional[np.ndarray] = None
-    energies_b: Optional[np.ndarray] = None
     sigma_a: Optional[float] = None
     system: Optional[BipartiteSystem] = None
     op_a: Optional[np.ndarray] = None
@@ -557,9 +555,7 @@ class AnsatzModel:
         object.__setattr__(self, "kind", kind)
         if self.sigma_a is None:
             sigma_a = None
-            if self.energies_a is not None:
-                sigma_a = float(np.max(self.energies_a) - np.min(self.energies_a))
-            elif self.n_a is not None:
+            if self.n_a is not None:
                 lo, hi = self.n_a.support
                 sigma_a = hi - lo
             elif self.system is not None:

@@ -163,8 +163,7 @@ def _run_predict(args) -> int:
     out_dir = resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     system = build_system(config, cache_dir=out_dir / "cache", policy=args.cache)
-    coeffs = compute_coefficients(system)
-    prof = profile(coeffs)
+    prof = profile(compute_coefficients(system))
     dens = _Densities(system)
     kinds = config.predict_kinds or _AUTO_KINDS["run"]
     sigma_a = system.spectrum_a.spectral_range

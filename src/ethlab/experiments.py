@@ -430,13 +430,11 @@ class EnsembleResult:
 
     ``binned`` holds one :class:`BinnedStatistics` per requested window;
     ``diagonals[k]`` is the full diagonal of operator ``k`` in the eigenbasis
-    (cheap to carry, used by the Gibbs comparisons); ``sum_sq_rows[k]`` is
-    ``sum_beta |O_ab|^2`` per alpha for the global sum rule.
+    (cheap to carry, used by the Gibbs comparisons).
     """
 
     binned: tuple[BinnedStatistics, ...]
     diagonals: np.ndarray
-    sum_sq_rows: Optional[np.ndarray]
 
 
 def run_ensemble(
@@ -446,7 +444,6 @@ def run_ensemble(
     params: BinningParams = BinningParams(),
     *,
     threads: int = 1,
-    keep_sum_rule: bool = False,
 ) -> EnsembleResult:
     """Binned off-diagonal statistics pooled over the operator ensemble.
 
@@ -456,9 +453,7 @@ def run_ensemble(
     transposed eigenvector stack built per call; otherwise elements are
     evaluated per operator, one matrix product per band tile.  Partial sums
     always merge in a fixed order, so results are identical for any thread
-    count.  ``keep_sum_rule`` additionally records per-row total squares from
-    full element matrices (small systems only) and forces the per-operator
-    path.
+    count.
     """
     if ens.dim_a != system.dim_a:
         raise DimensionError(
@@ -472,7 +467,7 @@ def run_ensemble(
     ]
     ops = [sample_local_operator(ens, k) for k in range(ens.count)]
 
-    if system.dim_a <= system.dim_b and not keep_sum_rule:
+    if system.dim_a <= system.dim_b:
         v3 = np.ascontiguousarray(
             vecs.T.reshape(system.total_dim, system.dim_a, system.dim_b)
         )
@@ -492,18 +487,14 @@ def run_ensemble(
             )
             for band in bands
         )
-        return EnsembleResult(binned=binned, diagonals=diagonals, sum_sq_rows=None)
+        return EnsembleResult(binned=binned, diagonals=diagonals)
 
     def one_operator(index: int):
         op = ops[index]
         applied = _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
         diag = np.einsum("ij,ij->j", vecs, applied)
         partials = [band.accumulate_from_factors(vecs, applied) for band in bands]
-        rows = None
-        if keep_sum_rule:
-            g = vecs.T @ applied
-            rows = (g**2).sum(axis=1)
-        return partials, diag, rows
+        return partials, diag
 
     results = [None] * ens.count
     if threads > 1:
@@ -517,19 +508,16 @@ def run_ensemble(
     sums = [np.zeros(band.n_bins) for band in bands]
     sumsqs = [np.zeros(band.n_bins) for band in bands]
     diagonals = np.empty((ens.count, system.total_dim))
-    sum_sq_rows = np.empty((ens.count, system.total_dim)) if keep_sum_rule else None
-    for index, (partials, diag, rows) in enumerate(results):
+    for index, (partials, diag) in enumerate(results):
         for k, (s, q) in enumerate(partials):
             sums[k] += s
             sumsqs[k] += q
         diagonals[index] = diag
-        if keep_sum_rule:
-            sum_sq_rows[index] = rows
     binned = tuple(
         band.statistics(sums[k], sumsqs[k], ens.count)
         for k, band in enumerate(bands)
     )
-    return EnsembleResult(binned=binned, diagonals=diagonals, sum_sq_rows=sum_sq_rows)
+    return EnsembleResult(binned=binned, diagonals=diagonals)
 
 
 def subsystem_gap_omegas(energies_a: np.ndarray) -> np.ndarray:

@@ -94,8 +94,6 @@ class _Densities:
     def __init__(self, system):
         e_a = system.spectrum_a.eigenvalues
         e_b = system.spectrum_b.eigenvalues
-        self.energies_a = e_a
-        self.energies_b = e_b
         self.n_a = density_of_states(e_a, bins=_density_bins(e_a.size))
         self.n_b = density_of_states(e_b, bins=_density_bins(e_b.size))
         sums = system.sum_energies().ravel()
@@ -119,8 +117,6 @@ def _make_model(
         n_a=dens.n_a,
         n_b=dens.n_b,
         n_0=dens.n_0,
-        energies_a=dens.energies_a,
-        energies_b=dens.energies_b,
         system=system,
     )
 
@@ -226,8 +222,8 @@ def _window_centers(e_min: float, fractions) -> list[float]:
 
 def _ensemble_windows(config, system, kinds, out_dir, stem, centers, plot, threads):
     """Shared measurement + prediction flow for the figure scans."""
-    coeffs = compute_coefficients(system)
-    prof = profile(coeffs)
+    # The coefficient tensor is freed before the ensemble run.
+    prof = profile(compute_coefficients(system))
     dens = _Densities(system)
     result = run_ensemble(
         system, config.ensemble, centers, config.binning, threads=threads

@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 # Dense diagonalization guard: 2^13 x 2^13 is the largest total dimension the
-# desk-scale memory budget tolerates.
+# desk-scale memory budget tolerates.  The one dim x dim array a system holds
+# is its total eigenvector matrix: 8 * 4^13 bytes = 512 MiB at 13 sites.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -124,18 +125,16 @@ def build_spin_chain(params: SpinChainParams) -> np.ndarray:
 class BipartiteSystem:
     """A total Hamiltonian split across a bipartition cut.
 
-    ``h_i`` and ``h_t`` live on the full product space; ``h_t`` always equals
-    ``kron(h_a, 1) + kron(1, h_b) + h_i`` to machine precision by
-    construction.  Eigenvector matrices follow the sign convention of
-    :func:`ethlab.linalg.eig_sym`.
+    Holds the subsystem Hamiltonians and the three spectra every measurement
+    reads; the total and interaction Hamiltonians on the full product space
+    are built only to be diagonalized and are not kept.  Eigenvector matrices
+    follow the sign convention of :func:`ethlab.linalg.eig_sym`.
     """
 
     dim_a: int
     dim_b: int
     h_a: np.ndarray
     h_b: np.ndarray
-    h_i: np.ndarray
-    h_t: np.ndarray
     spectrum_a: Spectrum
     spectrum_b: Spectrum
     spectrum_t: Spectrum
@@ -149,6 +148,20 @@ class BipartiteSystem:
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
 
 
+def _split_system(
+    h_a: np.ndarray, h_b: np.ndarray, spectrum_t: Spectrum
+) -> BipartiteSystem:
+    return BipartiteSystem(
+        dim_a=h_a.shape[0],
+        dim_b=h_b.shape[0],
+        h_a=h_a,
+        h_b=h_b,
+        spectrum_a=eig_sym(h_a),
+        spectrum_b=eig_sym(h_b),
+        spectrum_t=spectrum_t,
+    )
+
+
 def make_bipartite(
     h_a: np.ndarray,
     h_b: np.ndarray,
@@ -156,10 +169,12 @@ def make_bipartite(
     *,
     spectrum_t: Optional[Spectrum] = None,
 ) -> BipartiteSystem:
-    """Assemble and diagonalize a bipartite system from its three pieces.
+    """Diagonalize a bipartite system given as its three pieces.
 
-    ``spectrum_t`` may carry a precomputed (e.g. cached) eigendecomposition of
-    the total Hamiltonian; it is trusted as-is.
+    ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is assembled only when it must
+    be diagonalized and is freed right after.  ``spectrum_t`` may carry a
+    precomputed (e.g. cached) eigendecomposition of ``H_T``; it is trusted
+    as-is.
     """
     dim_a = h_a.shape[0]
     dim_b = h_b.shape[0]
@@ -168,21 +183,12 @@ def make_bipartite(
         raise DimensionError(
             f"interaction shape {h_i.shape} does not match product dim {total}"
         )
-    h_t = np.kron(h_a, np.eye(dim_b)) + np.kron(np.eye(dim_a), h_b) + h_i
-    spec_a = eig_sym(h_a)
-    spec_b = eig_sym(h_b)
-    spec_t = spectrum_t if spectrum_t is not None else eig_sym(h_t, check=False)
-    return BipartiteSystem(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        h_a=h_a,
-        h_b=h_b,
-        h_i=h_i,
-        h_t=h_t,
-        spectrum_a=spec_a,
-        spectrum_b=spec_b,
-        spectrum_t=spec_t,
-    )
+    if spectrum_t is None:
+        spectrum_t = eig_sym(
+            np.kron(h_a, np.eye(dim_b)) + np.kron(np.eye(dim_a), h_b) + h_i,
+            check=False,
+        )
+    return _split_system(h_a, h_b, spectrum_t)
 
 
 def decompose_chain(
@@ -191,11 +197,14 @@ def decompose_chain(
     *,
     spectrum_t: Optional[Spectrum] = None,
 ) -> BipartiteSystem:
-    """Split the chain after site ``cut`` into subsystems plus the cut bond.
+    """Split the chain after site ``cut`` into two fragment Hamiltonians.
 
     ``H_A`` and ``H_B`` are the chain Hamiltonians of the two fragments
-    (bonds interior to each side, all fields); ``H_I`` is the single coupling
-    term across the cut.  The reassembled total is the full chain.
+    (bonds interior to each side, all fields); the interaction is the single
+    coupling ``J sz_cut sz_{cut+1}`` across the cut, which no measurement
+    reads, so it is never built.  Without ``spectrum_t`` the full chain
+    ``build_spin_chain(params)`` is diagonalized: the cut only splits it, so
+    the total spectrum is the same for every cut.
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
@@ -213,14 +222,11 @@ def decompose_chain(
         field_z=params.field_z,
         max_sites=params.max_sites,
     )
-    h_a = build_spin_chain(a_params)
-    h_b = build_spin_chain(b_params)
-    # Cut bond J sz_{cut} sz_{cut+1}: kron of two diagonal sz embeddings.
-    sz_a_last = np.kron(np.ones(2 ** (cut - 1)), np.array([1.0, -1.0]))
-    sz_b_first = np.kron(np.array([1.0, -1.0]), np.ones(2 ** (params.sites - cut - 1)))
-    diag = params.coupling * np.kron(sz_a_last, sz_b_first)
-    h_i = np.diag(diag)
-    return make_bipartite(h_a, h_b, h_i, spectrum_t=spectrum_t)
+    if spectrum_t is None:
+        spectrum_t = eig_sym(build_spin_chain(params), check=False)
+    return _split_system(
+        build_spin_chain(a_params), build_spin_chain(b_params), spectrum_t
+    )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -248,8 +249,8 @@ def default_config() -> RunConfig:
 def config_cache_key(config: RunConfig) -> str:
     """Stable cache key from the exact numeric system parameters.
 
-    Chain keys deliberately omit the cut: the assembled total Hamiltonian is
-    the same operator for every cut position, so one eigendecomposition
+    Chain keys deliberately omit the cut: on a miss the full chain
+    Hamiltonian is diagonalized whatever the cut, so one eigendecomposition
     serves all of them.
     """
     if config.chain is not None:
@@ -280,60 +281,67 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return Path(cache_dir) / f"{digest}.eig"
 
 
+def _key_header(key: str) -> bytes:
+    # Everything before the dimension field: magic, key length, key.
+    key_bytes = key.encode()
+    return _CACHE_MAGIC + struct.pack("<I", len(key_bytes)) + key_bytes
+
+
 def save_spectrum(spectrum: Spectrum, key: str, cache_dir: str | Path) -> Path:
-    """Write a spectrum to the cache; atomic via rename."""
+    """Write a spectrum to the cache; atomic via rename of a private temp file.
+
+    Each call writes its own temp file, so concurrent writers of one key
+    never touch each other's partial file; the last rename wins.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache_dir, key)
-    key_bytes = key.encode()
-    payload = spectrum.eigenvalues.astype("<f8").tobytes() + (
-        np.ascontiguousarray(spectrum.eigenvectors).astype("<f8").tobytes()
+    header = _key_header(key) + struct.pack("<Q", spectrum.dim)
+    payload = (
+        np.ascontiguousarray(spectrum.eigenvalues, dtype="<f8"),
+        np.ascontiguousarray(spectrum.eigenvectors, dtype="<f8"),
     )
-    blob = (
-        _CACHE_MAGIC
-        + struct.pack("<I", len(key_bytes))
-        + key_bytes
-        + struct.pack("<Q", spectrum.dim)
-        + payload
-        + hashlib.sha256(payload).digest()
-    )
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    checksum = hashlib.sha256()
+    tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            for array in payload:
+                checksum.update(array)
+                fh.write(array)
+            fh.write(checksum.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_spectrum(key: str, cache_dir: str | Path) -> Optional[Spectrum]:
     """Read a spectrum back; any validation failure reads as a miss."""
     path = _cache_path(Path(cache_dir), key)
+    expected = _key_header(key)
+    header_len = len(expected) + 8
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(header_len)
+            if len(header) != header_len or header[:-8] != expected:
+                return None
+            (dim,) = struct.unpack("<Q", header[-8:])
+            # Checked before reading so a corrupt dim cannot size an allocation.
+            n_payload = dim + dim * dim
+            if os.fstat(fh.fileno()).st_size != header_len + 8 * n_payload + 32:
+                return None
+            payload = np.fromfile(fh, dtype="<f8", count=n_payload)
+            checksum = fh.read(32)
     except OSError:
         return None
-    try:
-        if blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-            return None
-        off = len(_CACHE_MAGIC)
-        (key_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if blob[off : off + key_len].decode() != key:
-            return None
-        off += key_len
-        (dim,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        n_payload = 8 * (dim + dim * dim)
-        payload = blob[off : off + n_payload]
-        checksum = blob[off + n_payload : off + n_payload + 32]
-        if len(payload) != n_payload or len(checksum) != 32:
-            return None
-        if hashlib.sha256(payload).digest() != checksum:
-            return None
-    except (struct.error, UnicodeDecodeError):
+    if payload.size != n_payload or hashlib.sha256(payload).digest() != checksum:
         return None
-    flat = np.frombuffer(payload, dtype="<f8")
-    eigenvalues = flat[:dim].astype(float)
-    eigenvectors = flat[dim:].reshape(dim, dim).astype(float)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    payload = payload.astype(float, copy=False)
+    return Spectrum(
+        eigenvalues=payload[:dim], eigenvectors=payload[dim:].reshape(dim, dim)
+    )
 
 
 def cache_roundtrip(spectrum: Spectrum, key: str, cache_dir: str | Path) -> Spectrum:

@@ -95,14 +95,13 @@ class ScramblingProfile:
     """Fitted energy profile of the squared scrambling coefficients.
 
     ``sigma_S`` is the ``c**2``-weighted standard deviation of the energy
-    offsets over eigenstates in the central spectral window.  ``fit_form``
-    selects the normalized profile shape ``h``: ``"exponential"`` for
-    ``exp(-sqrt(2) |E| / sigma_S)`` or ``"flat_window"`` for an indicator of
-    half-width ``sqrt(3) sigma_S`` (both carrying the same second moment).
+    offsets over the ``states_in_window`` eigenstates whose energies lie in
+    the central spectral ``window``.  ``fit_form`` selects the normalized
+    profile shape ``h``: ``"exponential"`` for ``exp(-sqrt(2) |E| / sigma_S)``
+    or ``"flat_window"`` for an indicator of half-width ``sqrt(3) sigma_S``
+    (both carrying the same second moment).
     """
 
-    offsets: np.ndarray  # bin centers
-    mean_sq: np.ndarray  # mean of c**2 per offset bin (NaN where empty)
     sigma_s: float
     fit_form: str
     window: tuple[float, float]
@@ -156,9 +155,8 @@ def profile(
     center_fraction: float = 0.5,
     *,
     fit_form: str = "exponential",
-    bins: int = 201,
 ) -> ScramblingProfile:
-    """Scrambling width and binned coefficient profile.
+    """Scrambling width of the coefficients in the central spectral window.
 
     Parameters
     ----------
@@ -167,9 +165,6 @@ def profile(
         Fraction of the total spectral range (centered) whose eigenstates
         enter the statistics; in (0, 1].
     fit_form : {"exponential", "flat_window"}
-    bins : int
-        Offset bins for the diagnostic ``mean_sq`` curve, spanning plus/minus
-        six sigma (or the full offset range if smaller).
     """
     if not 0 < center_fraction <= 1:
         raise ValidationError("center_fraction must be in (0, 1]")
@@ -189,22 +184,7 @@ def profile(
     total_weight = float(weights.sum())  # = number of selected states
     second = float((weights * offs**2).sum())
     sigma_s = float(np.sqrt(second / total_weight))
-
-    span = 6.0 * sigma_s if sigma_s > 0 else 1.0
-    span = min(span, float(np.max(np.abs(offs)))) or 1.0
-    edges = np.linspace(-span, span, bins + 1)
-    flat_offs = offs.ravel()
-    flat_w = weights.ravel()
-    idx = np.clip(np.searchsorted(edges, flat_offs, side="right") - 1, 0, bins - 1)
-    inside = (flat_offs >= edges[0]) & (flat_offs <= edges[-1])
-    sums = np.bincount(idx[inside], weights=flat_w[inside], minlength=bins)
-    counts = np.bincount(idx[inside], minlength=bins)
-    with np.errstate(invalid="ignore"):
-        mean_sq = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     return ScramblingProfile(
-        offsets=centers,
-        mean_sq=mean_sq,
         sigma_s=sigma_s,
         fit_form=fit_form,
         window=window,

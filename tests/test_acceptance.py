@@ -30,16 +30,18 @@ from ethlab.experiments import (
     OperatorEnsembleSpec,
     detect_bands,
     matrix_elements_total_basis,
-    run_ensemble,
     sample_local_operator,
     subsystem_gap_omegas,
 )
 from ethlab.figures import _Densities
 from ethlab.hamiltonians import (
     SpinChainParams,
+    build_spin_chain,
     decompose_chain,
     make_bipartite,
+    pauli,
     sample_goe,
+    site_operator,
 )
 from ethlab.linalg import GridFunction, integrate_adaptive
 from ethlab.localize import localizability, localizing_basis
@@ -163,23 +165,29 @@ def test_a03_exact_identities(coeffs12, chain12, chain10, profile12):
     per_pair = np.abs(sq.reshape(sq.shape[0], -1).sum(axis=0) - 1.0).max()
 
     spec = OperatorEnsembleSpec(dim_a=8, count=20, seed=0)
-    res = run_ensemble(chain10, spec, [0.0], keep_sum_rule=True)
     sum_rule = 0.0
     for k in range(spec.count):
         op = sample_local_operator(spec, k)
+        rows = (matrix_elements_total_basis(chain10, op) ** 2).sum(axis=1)
         exact = np.diag(matrix_elements_total_basis(chain10, op @ op))
-        sum_rule = max(sum_rule, np.abs(res.sum_sq_rows[k] - exact).max())
+        sum_rule = max(sum_rule, np.abs(rows - exact).max())
 
+    # kron(H_A, 1) + kron(1, H_B) + J sz_3 sz_4 against the full chain (both
+    # systems are cut after site 3).
     reassembly = 0.0
-    for system in (chain12, chain10):
+    for system, sites in ((chain12, 12), (chain10, 10)):
+        params = SpinChainParams(sites)
+        bond = params.coupling * np.kron(
+            site_operator(pauli("z"), 3, 3), site_operator(pauli("z"), 1, sites - 3)
+        )
         total = (
             np.kron(system.h_a, np.eye(system.dim_b))
             + np.kron(np.eye(system.dim_a), system.h_b)
-            + system.h_i
+            + bond
         )
-        scale = np.abs(system.h_t).max()
+        full = build_spin_chain(params)
         reassembly = max(
-            reassembly, np.abs(total - system.h_t).max() / scale
+            reassembly, np.abs(total - full).max() / np.abs(full).max()
         )
 
     sigma_s = profile12.sigma_s

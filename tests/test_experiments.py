@@ -313,21 +313,19 @@ def test_ensemble_engines_match_dense_oracle(chain10):
 
 
 def test_run_ensemble_sum_rule_and_diagonals():
-    system = decompose_chain(SpinChainParams(8), 3)
-    spec = OperatorEnsembleSpec(dim_a=8, count=4, seed=5)
-    res = run_ensemble(
-        system, spec, [0.0], BinningParams(), keep_sum_rule=True
-    )
-    assert res.sum_sq_rows.shape == (4, 256)
-    assert res.diagonals.shape == (4, 256)
-    for k in range(spec.count):
-        op = sample_local_operator(spec, k)
-        el = matrix_elements_total_basis(system, op)
-        # Global sum rule: row sums of squares equal the diagonal of O^2.
-        sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
-        assert np.abs(res.sum_sq_rows[k] - sq_diag).max() < 1e-8
-        assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
-        assert np.abs(res.diagonals[k] - np.diag(el)).max() < 1e-12
+    # Cut 3 runs the grouped engine (dim_a < dim_b), cut 5 the direct one.
+    for cut in (3, 5):
+        system = decompose_chain(SpinChainParams(8), cut)
+        spec = OperatorEnsembleSpec(dim_a=2**cut, count=4, seed=5)
+        res = run_ensemble(system, spec, [0.0], BinningParams())
+        assert res.diagonals.shape == (4, 256)
+        for k in range(spec.count):
+            op = sample_local_operator(spec, k)
+            el = matrix_elements_total_basis(system, op)
+            # Global sum rule: row sums of squares equal the diagonal of O^2.
+            sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
+            assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
+            assert np.abs(res.diagonals[k] - np.diag(el)).max() < 1e-12
 
 
 def test_run_ensemble_signed_means_are_unbiased():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ethlab import hamiltonians
 from ethlab.errors import DimensionError, ValidationError
 from ethlab.hamiltonians import (
     RandomSystemParams,
@@ -34,6 +35,33 @@ def _chain_by_hand(params):
         zz = site_operator(pauli("z"), r, n) @ site_operator(pauli("z"), r + 1, n)
         h += params.coupling * zz
     return h
+
+
+def _reassembled(system, params, cut):
+    # kron(H_A, 1) + kron(1, H_B) + J sz_cut sz_{cut+1}, the bond built from
+    # site operators on each fragment.
+    bond = params.coupling * np.kron(
+        site_operator(pauli("z"), cut, cut),
+        site_operator(pauli("z"), 1, params.sites - cut),
+    )
+    return (
+        np.kron(system.h_a, np.eye(system.dim_b))
+        + np.kron(np.eye(system.dim_a), system.h_b)
+        + bond
+    )
+
+
+@pytest.fixture
+def make_bipartite_args(monkeypatch):
+    """Arguments of every ``make_bipartite`` call the random builder makes."""
+    calls = []
+
+    def spy(h_a, h_b, h_i, **kwargs):
+        calls.append((h_a, h_b, h_i))
+        return make_bipartite(h_a, h_b, h_i, **kwargs)
+
+    monkeypatch.setattr(hamiltonians, "make_bipartite", spy)
+    return calls
 
 
 def test_chain_matches_kronecker_construction():
@@ -88,20 +116,29 @@ def test_chain12_frozen_spectrum_endpoints(chain12):
 
 
 def test_reassembly_identity_chain(chain12, chain10):
-    # kron(H_A, 1) + kron(1, H_B) + H_I reproduces H_T to machine precision.
-    for system in (chain12, chain10):
-        total = (
-            np.kron(system.h_a, np.eye(system.dim_b))
-            + np.kron(np.eye(system.dim_a), system.h_b)
-            + system.h_i
-        )
-        scale = np.abs(system.h_t).max()
-        assert np.abs(total - system.h_t).max() <= 1e-12 * scale
+    # kron(H_A, 1) + kron(1, H_B) + H_I reproduces the full chain to machine
+    # precision (both fixtures are cut after site 3).
+    for system, sites in ((chain12, 12), (chain10, 10)):
+        params = SpinChainParams(sites)
+        full = build_spin_chain(params)
+        total = _reassembled(system, params, 3)
+        assert np.abs(total - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_chain_total_spectrum_is_cut_independent():
+    # The cut only splits the chain: at couplings whose kron assembly differs
+    # from the full chain at roundoff, every cut still gets the same spectrum.
+    params = SpinChainParams(8, coupling=0.7, field_x=0.3, field_z=-1.3)
+    ref = decompose_chain(params, 1).spectrum_t
+    for cut in range(2, params.sites):
+        spec = decompose_chain(params, cut).spectrum_t
+        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, ref.eigenvectors)
 
 
 def test_decompose_chain_fragments_are_chains():
     # Each fragment of the cut chain is itself an open chain at the same
-    # couplings; the interaction is the single cut bond.
+    # couplings; adding the single cut bond gives back the full chain.
     params = SpinChainParams(6)
     system = decompose_chain(params, 2)
     assert np.array_equal(
@@ -110,10 +147,7 @@ def test_decompose_chain_fragments_are_chains():
     assert np.array_equal(
         system.h_b, build_spin_chain(SpinChainParams(4))
     )
-    bond = params.coupling * np.kron(
-        site_operator(pauli("z"), 2, 2), site_operator(pauli("z"), 1, 4)
-    )
-    assert np.array_equal(system.h_i, bond)
+    assert np.array_equal(_reassembled(system, params, 2), build_spin_chain(params))
 
 
 def test_decompose_chain_cut_validation():
@@ -121,13 +155,6 @@ def test_decompose_chain_cut_validation():
         decompose_chain(SpinChainParams(6), 0)
     with pytest.raises(ValidationError):
         decompose_chain(SpinChainParams(6), 6)
-
-
-def test_cut_bond_squared_is_identity():
-    # The cut-bond interaction squares to J^2 times the identity.
-    system = decompose_chain(SpinChainParams(8), 3)
-    sq = system.h_i @ system.h_i
-    assert np.abs(sq - np.eye(system.total_dim)).max() < 1e-14
 
 
 def test_make_bipartite_validation():
@@ -185,23 +212,26 @@ def test_haar_orthogonal_column_statistics():
     assert np.allclose(acc / draws, 1.0 / dim, atol=0.01)
 
 
-def test_random_system_interaction_fraction():
+def test_random_system_interaction_fraction(make_bipartite_args):
     params = RandomSystemParams(
         sites_a=2, sites_b=5, sites_i=3, interaction_fraction=0.05, seed=3
     )
-    system = build_random_system(params)
-    h_0 = system.h_t - system.h_i
-    ratio = np.linalg.norm(system.h_i, 2) / np.linalg.norm(h_0, 2)
+    build_random_system(params)
+    [(h_a, h_b, h_i)] = make_bipartite_args
+    h_0 = np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
+    ratio = np.linalg.norm(h_i, 2) / np.linalg.norm(h_0, 2)
     assert ratio == pytest.approx(0.05, rel=1e-10)
 
 
-def test_random_system_determinism_and_a_scale():
+def test_random_system_determinism_and_a_scale(make_bipartite_args):
     params = RandomSystemParams(
         sites_a=2, sites_b=4, sites_i=2, interaction_fraction=0.02, seed=11
     )
     s1 = build_random_system(params)
     s2 = build_random_system(params)
-    assert np.array_equal(s1.h_t, s2.h_t)
+    assert np.array_equal(make_bipartite_args[0][2], make_bipartite_args[1][2])
+    assert np.array_equal(s1.spectrum_t.eigenvalues, s2.spectrum_t.eigenvalues)
+    assert np.array_equal(s1.spectrum_t.eigenvectors, s2.spectrum_t.eigenvectors)
     wide = build_random_system(
         RandomSystemParams(
             sites_a=2,

@@ -172,6 +172,40 @@ def test_cache_rejects_truncation_and_bad_magic(tmp_path):
     assert load_spectrum("never-written", tmp_path) is None
 
 
+_SAVE_LOOP = """
+import sys
+import numpy as np
+from ethlab.hamiltonians import sample_goe
+from ethlab.io import save_spectrum
+from ethlab.linalg import eig_sym
+
+spec = eig_sym(sample_goe(16, np.random.default_rng(3)))
+for _ in range(300):
+    save_spectrum(spec, "shared-key", sys.argv[1])
+"""
+
+
+def test_cache_concurrent_writers_of_one_key(tmp_path):
+    # Two processes racing on one key must both finish and leave a valid
+    # entry behind (and no partial files).
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SAVE_LOOP, str(tmp_path)],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    back = load_spectrum("shared-key", tmp_path)
+    spec = eig_sym(sample_goe(16, np.random.default_rng(3)))
+    assert back is not None
+    assert np.array_equal(back.eigenvectors, spec.eigenvectors)
+    assert [p.suffix for p in tmp_path.iterdir()] == [".eig"]
+
+
 def test_cached_spectrum_policies(tmp_path):
     spec = _spectrum()
     calls = []

@@ -117,16 +117,6 @@ def test_profile_shapes_carry_matched_second_moment():
     assert np.sqrt(second) == pytest.approx(ss, rel=1e-5)
 
 
-def test_profile_binned_curve_is_finite_where_counted():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(6), 3))
-    prof = profile(coeffs, bins=51)
-    assert prof.offsets.shape == (51,)
-    assert prof.mean_sq.shape == (51,)
-    filled = ~np.isnan(prof.mean_sq)
-    assert filled.any()
-    assert np.all(prof.mean_sq[filled] >= 0.0)
-
-
 def test_profile_validation():
     coeffs = compute_coefficients(decompose_chain(SpinChainParams(4), 2))
     with pytest.raises(ValidationError):
