@@ -9,6 +9,11 @@ Subcommands map one-to-one onto the package's artifact surfaces:
 - ``localize``: operator localizability report.
 - ``reproduce {fig1,fig2,fig3,appB}``: the bundled datasets.
 
+Every subcommand but ``localize`` is one :func:`ethlab.figures.run_figure`
+call, which builds the system, writes the datasets and
+``<stem>_manifest.json``; this module parses the arguments, prints the
+summary lines and maps errors to exit codes.
+
 Exit codes: 0 success, 2 configuration error, 3 compute error, 4 cache
 policy failure.
 """
@@ -22,31 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzKind
 from .errors import CacheMissError, EthlabError, ValidationError
-from .figures import (
-    FIGURES,
-    _AUTO_KINDS,
-    _Densities,
-    _ensemble_windows,
-    _config_echo,
-    _fig1,
-    _make_model,
-    build_system,
-)
-from .io import (
-    RunConfig,
-    emit_dataset,
-    parse_config,
-    prediction_rows,
-    resolve_out_dir,
-    write_manifest,
-)
-from .figures import run_figure
-from .hamiltonians import PAULI, pauli, site_operator
+from .figures import FIGURES, run_figure
+from .io import RunConfig, parse_config, resolve_out_dir, write_manifest
+from .hamiltonians import PAULI, pauli
 from .localize import localizability, localizing_basis
 from .linalg import eig_sym
-from .scrambling import compute_coefficients, profile
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -73,13 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     spin = sub.add_parser("spin-chain", parents=[common],
                           help="binned statistics for the configured chain")
-    spin.add_argument("--ebar", type=float, action="append",
-                      help="mean-energy window center (repeatable; default 0)")
+    spin.add_argument("--ebar", dest="centers", metavar="EBAR", type=float,
+                      action="append", help="mean-energy window center (repeatable; default 0)")
 
     rand = sub.add_parser("random-system", parents=[common],
                           help="binned statistics for the random family")
-    rand.add_argument("--ebar", type=float, action="append",
-                      help="mean-energy window center (repeatable; default 0)")
+    rand.add_argument("--ebar", dest="centers", metavar="EBAR", type=float,
+                      action="append", help="mean-energy window center (repeatable; default 0)")
 
     sub.add_parser("coeffs", parents=[common],
                    help="scrambling coefficients for representative states")
@@ -116,78 +102,6 @@ def _load_config(args, force_kind=None) -> RunConfig:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     return config
-
-
-def _run_system(args, force_kind: str) -> int:
-    config = _load_config(args, force_kind=force_kind)
-    out_dir = resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    system = build_system(config, cache_dir=out_dir / "cache", policy=args.cache)
-    centers = args.ebar if args.ebar else [0.0]
-    kinds = config.predict_kinds or _AUTO_KINDS["run"]
-    stem = "run"
-    info, files, _ = _ensemble_windows(
-        config, system, kinds, out_dir, stem, centers, args.plot, args.threads
-    )
-    manifest = {
-        "experiment": force_kind,
-        "config": _config_echo(config, kinds),
-        "files": sorted(str(Path(f).name) for f in files),
-        **info,
-    }
-    write_manifest(manifest, out_dir / f"{stem}_manifest.json")
-    print(f"wrote {len(files)} dataset file(s) to {out_dir}")
-    print(f"sigma_S = {info['sigma_s']:.6g}")
-    return 0
-
-
-def _run_coeffs(args) -> int:
-    config = _load_config(args)
-    out_dir = resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    system = build_system(config, cache_dir=out_dir / "cache", policy=args.cache)
-    manifest, files = _fig1(
-        config, system, out_dir, args.plot, args.threads, stem="coeffs"
-    )
-    manifest["experiment"] = "coeffs"
-    manifest["config"] = _config_echo(config, ())
-    manifest["files"] = sorted(str(Path(f).name) for f in files)
-    write_manifest(manifest, out_dir / "coeffs_manifest.json")
-    print(f"wrote {len(files)} dataset file(s) to {out_dir}")
-    print(f"sigma_S = {manifest['sigma_s']:.6g}")
-    return 0
-
-
-def _run_predict(args) -> int:
-    config = _load_config(args)
-    out_dir = resolve_out_dir(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    system = build_system(config, cache_dir=out_dir / "cache", policy=args.cache)
-    prof = profile(compute_coefficients(system))
-    dens = _Densities(system)
-    kinds = config.predict_kinds or _AUTO_KINDS["run"]
-    sigma_a = system.spectrum_a.spectral_range
-    omega_max = args.omega_max if args.omega_max else 0.75 * sigma_a
-    width = config.binning.resolve_width(system.spectrum_t.spectral_range)
-    omegas = np.arange(0.5 * width, omega_max, width)
-    preds = []
-    for kind in kinds:
-        model = _make_model(kind, system, prof.sigma_s, config.o2bar, dens)
-        preds.append(model.evaluate(args.ebar, omegas))
-    path = emit_dataset(prediction_rows(preds), "prediction",
-                        out_dir / "predict.csv")
-    manifest = {
-        "experiment": "predict",
-        "config": _config_echo(config, kinds),
-        "ebar": args.ebar,
-        "sigma_s": prof.sigma_s,
-        "sigma_a": sigma_a,
-        "files": [path.name],
-    }
-    write_manifest(manifest, out_dir / "predict_manifest.json")
-    print(f"wrote {path}")
-    print(f"sigma_S = {prof.sigma_s:.6g}")
-    return 0
 
 
 def _operator_from_args(args) -> np.ndarray:
@@ -241,19 +155,38 @@ def _run_localize(args) -> int:
     return 0
 
 
-def _run_reproduce(args) -> int:
-    force = "random" if args.figure == "appB" else "spin_chain"
-    config = _load_config(args, force_kind=force)
+# Compute subcommand -> (run_figure experiment, forced system kind).
+_COMPUTE = {
+    "spin-chain": ("spin_chain", "spin_chain"),
+    "random-system": ("random", "random"),
+    "coeffs": ("coeffs", None),
+    "predict": ("predict", None),
+}
+
+
+def _run(args) -> int:
+    if args.command == "reproduce":
+        experiment = args.figure
+        force_kind = "random" if experiment == "appB" else "spin_chain"
+    else:
+        experiment, force_kind = _COMPUTE[args.command]
+    config = _load_config(args, force_kind=force_kind)
     out_dir = resolve_out_dir(args.out)
+    # The subcommand's own flags are run_figure's per-experiment keywords.
+    options = {key: getattr(args, key) for key in ("centers", "ebar", "omega_max")
+               if hasattr(args, key)}
     manifest = run_figure(
-        args.figure,
+        experiment,
         config,
         out_dir,
         threads=args.threads,
         cache_policy=args.cache,
         plot=args.plot,
+        **options,
     )
     print(f"wrote {len(manifest['files'])} dataset file(s) to {out_dir}")
+    if "sigma_s" in manifest:
+        print(f"sigma_S = {manifest['sigma_s']:.6g}")
     return 0
 
 
@@ -261,19 +194,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "spin-chain":
-            return _run_system(args, "spin_chain")
-        if args.command == "random-system":
-            return _run_system(args, "random")
-        if args.command == "coeffs":
-            return _run_coeffs(args)
-        if args.command == "predict":
-            return _run_predict(args)
         if args.command == "localize":
             return _run_localize(args)
-        if args.command == "reproduce":
-            return _run_reproduce(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _run(args)
     except ValidationError as exc:
         print(f"ethlab: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -283,7 +206,6 @@ def main(argv=None) -> int:
     except EthlabError as exc:
         print(f"ethlab: compute error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 def entry() -> None:

@@ -64,7 +64,6 @@ class OperatorEnsembleSpec:
     dim_a: int
     count: int = 250
     seed: int = 0
-    spectrum_law: str = "flat_pm1"
     normalize: bool = True
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class OperatorEnsembleSpec:
             raise ValidationError("count must be >= 1")
         if self.dim_a < 1:
             raise ValidationError("dim_a must be >= 1")
-        if self.spectrum_law != "flat_pm1":
-            raise ValidationError(f"unknown spectrum_law {self.spectrum_law!r}")
         if self.dim_a == 1 and self.normalize:
             raise ValidationError(
                 "dim_a=1 with normalization is degenerate: the single "

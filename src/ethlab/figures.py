@@ -1,22 +1,23 @@
-"""Bundled dataset reproductions.
+"""Every computing run, from one experiment table.
 
-Each runner builds the configured system, measures scrambling and binned
-off-diagonal statistics, evaluates the configured ansatz curves on the same
-omega grid, and writes CSV datasets plus a JSON manifest into the output
-directory.  Dataset bytes depend only on the configuration and seeds, never
+``run_figure`` runs one entry of ``_EXPERIMENTS`` in a :class:`_RunContext`:
+the runner builds the configured system, measures and predicts, and writes
+its CSV datasets (and SVG plots); ``run_figure`` then writes the JSON
+manifest.  Dataset bytes depend only on the configuration and seeds, never
 on thread count, cache state, or wall-clock.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .ansatz import AnsatzKind, AnsatzModel, _EXACT_KINDS
+from .ansatz import AnsatzModel
 from .errors import ValidationError
 from .experiments import (
     matrix_elements_total_basis,
@@ -43,24 +44,8 @@ __all__ = ["FIGURES", "run_figure", "build_system", "quantile_states"]
 
 FIGURES = ("fig1", "fig2", "fig3", "appB")
 
-_ALIASES = {
-    "fig1": "fig1",
-    "fig1_coeffs": "fig1",
-    "fig2": "fig2",
-    "fig2_scan_la": "fig2",
-    "fig3": "fig3",
-    "fig3_scan_e": "fig3",
-    "appb": "appB",
-    "appb_banding": "appB",
-}
-
-# Curves drawn when the config leaves predict.kinds on "auto".
-_AUTO_KINDS = {
-    "fig2": ("smooth_general_sums", "exp_decay_flat_A"),
-    "fig3": ("exp_decay_flat_A", "narrow_scrambling"),
-    "appB": (),
-    "run": ("smooth_general_sums", "exp_decay_flat_A"),
-}
+# Curves the scans draw when the config leaves predict.kinds on "auto".
+_SCAN_KINDS = ("smooth_general_sums", "exp_decay_flat_A")
 
 
 def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use"):
@@ -84,6 +69,20 @@ def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use
     return build_random_system(config.random, spectrum_t=spectrum)
 
 
+@dataclass(frozen=True)
+class _RunContext:
+    """Where one run writes, how it caches, and how it computes."""
+
+    out_dir: Path
+    cache_dir: Path
+    cache_policy: str
+    threads: int
+    plot: bool
+
+    def system(self, config: RunConfig):
+        return build_system(config, cache_dir=self.cache_dir, policy=self.cache_policy)
+
+
 def _density_bins(n: int) -> int:
     return max(4, min(64, int(round(np.sqrt(n)))))
 
@@ -100,33 +99,13 @@ class _Densities:
         self.n_0 = density_of_states(sums, bins=_density_bins(sums.size))
 
 
-def _make_model(
-    kind: str,
-    system,
-    sigma_s: float,
-    o2bar: float,
-    dens: _Densities,
-) -> AnsatzModel:
-    if AnsatzKind(kind) in _EXACT_KINDS:
-        return AnsatzModel(kind=AnsatzKind(kind), sigma_s=sigma_s, o2bar=o2bar,
-                           system=system)
-    return AnsatzModel(
-        kind=AnsatzKind(kind),
-        sigma_s=sigma_s,
-        o2bar=o2bar,
-        n_a=dens.n_a,
-        n_b=dens.n_b,
-        n_0=dens.n_0,
-        system=system,
-    )
-
-
-def _predictions_for(kinds, system, sigma_s, o2bar, dens, ebar, omegas):
-    preds = []
-    for kind in kinds:
-        model = _make_model(kind, system, sigma_s, o2bar, dens)
-        preds.append(model.evaluate(ebar, omegas))
-    return preds
+def _predictions(kinds, system, sigma_s, o2bar, dens, ebar, omegas):
+    # Exact-sum kinds ignore the densities; continuum kinds need them.
+    return [
+        AnsatzModel(kind=kind, sigma_s=sigma_s, o2bar=o2bar, n_a=dens.n_a,
+                    n_b=dens.n_b, n_0=dens.n_0, system=system).evaluate(ebar, omegas)
+        for kind in kinds
+    ]
 
 
 def _config_echo(config: RunConfig, kinds) -> dict:
@@ -171,7 +150,8 @@ def quantile_states(total_dim: int, count: int = 7) -> np.ndarray:
     return np.unique(np.round(fractions * (total_dim - 1)).astype(int))
 
 
-def _fig1(config, system, out_dir, plot, threads, stem="fig1_coeffs"):
+def _coefficients(config, kinds, ctx, *, stem):
+    system = ctx.system(config)
     coeffs = compute_coefficients(system)
     prof = profile(coeffs)
     states = quantile_states(system.total_dim)
@@ -184,8 +164,8 @@ def _fig1(config, system, out_dir, plot, threads, stem="fig1_coeffs"):
         rows.extend(
             (e_alpha, s, w) for s, w in zip(sums, weights)
         )
-    files = [emit_dataset(rows, "coeffs", out_dir / f"{stem}.csv")]
-    if plot:
+    files = [emit_dataset(rows, "coeffs", ctx.out_dir / f"{stem}.csv")]
+    if ctx.plot:
         curves = []
         for alpha in states:
             weights = np.abs(coeffs.tensor[alpha]).ravel() ** 2
@@ -200,7 +180,7 @@ def _fig1(config, system, out_dir, plot, threads, stem="fig1_coeffs"):
         files.append(
             write_svg(
                 curves,
-                out_dir / f"{stem}.svg",
+                ctx.out_dir / f"{stem}.svg",
                 title="eigenstate scrambling weights",
                 xlabel="E_i + E_j",
                 ylabel="squared coefficient",
@@ -216,35 +196,48 @@ def _fig1(config, system, out_dir, plot, threads, stem="fig1_coeffs"):
     return manifest, files
 
 
+def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
+    system = ctx.system(config)
+    prof = profile(compute_coefficients(system))
+    sigma_a = system.spectrum_a.spectral_range
+    width = config.binning.resolve_width(system.spectrum_t.spectral_range)
+    omegas = np.arange(0.5 * width, omega_max or 0.75 * sigma_a, width)
+    preds = _predictions(kinds, system, prof.sigma_s, config.o2bar,
+                         _Densities(system), ebar, omegas)
+    path = emit_dataset(prediction_rows(preds), "prediction",
+                        ctx.out_dir / "predict.csv")
+    return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, [path]
+
+
 def _window_centers(e_min: float, fractions) -> list[float]:
     return [float(f * e_min) + 0.0 for f in fractions]
 
 
-def _ensemble_windows(config, system, kinds, out_dir, stem, centers, plot, threads):
-    """Shared measurement + prediction flow for the figure scans."""
+def _ensemble_windows(config, system, kinds, ctx, stem, centers):
+    """Shared measurement + prediction flow for the scans."""
     # The coefficient tensor is freed before the ensemble run.
     prof = profile(compute_coefficients(system))
     dens = _Densities(system)
     result = run_ensemble(
-        system, config.ensemble, centers, config.binning, threads=threads
+        system, config.ensemble, centers, config.binning, threads=ctx.threads
     )
     files = []
     all_binned = []
     all_preds = []
     for stats in result.binned:
         all_binned.extend(binned_rows(stats))
-    files.append(emit_dataset(all_binned, "binned", out_dir / f"{stem}_binned.csv"))
+    files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
     for center, stats in zip(centers, result.binned):
-        preds = _predictions_for(
+        preds = _predictions(
             kinds, system, prof.sigma_s, config.o2bar, dens, center,
             stats.omega_mid,
         )
         all_preds.extend(preds)
-        if plot:
+        if ctx.plot:
             tag = f"{center:.4g}".replace("-", "m")
             files.append(
                 _plot_window(
-                    out_dir / f"{stem}_E{tag}.svg",
+                    ctx.out_dir / f"{stem}_E{tag}.svg",
                     stats,
                     preds,
                     f"{stem} at Ebar={center:.4g}",
@@ -254,7 +247,7 @@ def _ensemble_windows(config, system, kinds, out_dir, stem, centers, plot, threa
         files.append(
             emit_dataset(
                 prediction_rows(all_preds), "prediction",
-                out_dir / f"{stem}_predict.csv",
+                ctx.out_dir / f"{stem}_predict.csv",
             )
         )
     info = {
@@ -270,10 +263,17 @@ def _ensemble_windows(config, system, kinds, out_dir, stem, centers, plot, threa
     return info, files, result.binned
 
 
-def _fig2(config, out_dir, plot, threads, cache_dir, policy):
+def _scan(config, kinds, ctx, *, centers=None):
+    centers = list(centers) if centers else [0.0]
+    info, files, _ = _ensemble_windows(
+        config, ctx.system(config), kinds, ctx, "run", centers
+    )
+    return info, files
+
+
+def _fig2(config, kinds, ctx):
     if config.chain is None:
         raise ValidationError("fig2 requires a spin-chain system")
-    kinds = config.predict_kinds or _AUTO_KINDS["fig2"]
     cuts = [c for c in (1, 3, 5, 7) if c < config.chain.sites]
     manifest = {"cuts": cuts, "systems": {}}
     files = []
@@ -285,7 +285,7 @@ def _fig2(config, out_dir, plot, threads, cache_dir, policy):
             ensemble=replace(config.ensemble, dim_a=2**cut),
         )
         if spectrum_t is None:
-            system = build_system(sub, cache_dir=cache_dir, policy=policy)
+            system = ctx.system(sub)
             spectrum_t = system.spectrum_t
         else:
             # Every cut splits the same total Hamiltonian: reuse its spectrum.
@@ -293,7 +293,7 @@ def _fig2(config, out_dir, plot, threads, cache_dir, policy):
         e_min = float(system.spectrum_t.eigenvalues[0])
         centers = _window_centers(e_min, (0.0, 0.5))
         info, new_files, _ = _ensemble_windows(
-            sub, system, kinds, out_dir, f"fig2_LA{cut}", centers, plot, threads
+            sub, system, kinds, ctx, f"fig2_LA{cut}", centers
         )
         info["e_min"] = e_min
         manifest["systems"][f"LA{cut}"] = info
@@ -301,28 +301,25 @@ def _fig2(config, out_dir, plot, threads, cache_dir, policy):
     return manifest, files
 
 
-def _fig3(config, out_dir, plot, threads, cache_dir, policy):
+def _fig3(config, kinds, ctx):
     if config.chain is None:
         raise ValidationError("fig3 requires a spin-chain system")
-    kinds = config.predict_kinds or _AUTO_KINDS["fig3"]
-    system = build_system(config, cache_dir=cache_dir, policy=policy)
+    system = ctx.system(config)
     e_min = float(system.spectrum_t.eigenvalues[0])
     centers = _window_centers(e_min, (0.0, 0.25, 0.5))
     info, files, _ = _ensemble_windows(
-        config, system, kinds, out_dir, f"fig3_LA{config.cut}", centers, plot,
-        threads,
+        config, system, kinds, ctx, f"fig3_LA{config.cut}", centers
     )
     info["e_min"] = e_min
     return {"systems": {f"LA{config.cut}": info}}, files
 
 
-def _appb(config, out_dir, plot, threads, cache_dir, policy):
+def _appb(config, kinds, ctx):
     if config.random is None:
         raise ValidationError("appB requires a random system")
-    kinds = config.predict_kinds or _AUTO_KINDS["appB"]
-    system = build_system(config, cache_dir=cache_dir, policy=policy)
+    system = ctx.system(config)
     info, files, binned = _ensemble_windows(
-        config, system, kinds, out_dir, "appB", [0.0], plot, threads
+        config, system, kinds, ctx, "appB", [0.0]
     )
 
     gaps = subsystem_gap_omegas(system.spectrum_a.eigenvalues)
@@ -339,7 +336,7 @@ def _appb(config, out_dir, plot, threads, cache_dir, policy):
         (e_t[a], e_t[b], abs(elements[a, b]))
         for a, b in zip(rows_idx, cols_idx)
     ]
-    files.append(emit_dataset(triplets, "banding", out_dir / "appB_banding.csv"))
+    files.append(emit_dataset(triplets, "banding", ctx.out_dir / "appB_banding.csv"))
 
     report = detect_bands(binned[0], gaps, info["sigma_s"])
     min_gap = float(np.min(np.diff(np.sort(system.spectrum_a.eigenvalues))))
@@ -356,6 +353,21 @@ def _appb(config, out_dir, plot, threads, cache_dir, policy):
     return {"systems": {"appB": info}}, files
 
 
+# name: (runner, manifest stem, curves drawn when predict.kinds is "auto",
+# None for an experiment that draws none).  runner(config, kinds, ctx,
+# **options) returns the experiment's manifest fields and the files it wrote.
+_EXPERIMENTS = {
+    "spin_chain": (_scan, "run", _SCAN_KINDS),
+    "random": (_scan, "run", _SCAN_KINDS),
+    "coeffs": (partial(_coefficients, stem="coeffs"), "coeffs", None),
+    "predict": (_predict, "predict", _SCAN_KINDS),
+    "fig1": (partial(_coefficients, stem="fig1_coeffs"), "fig1", None),
+    "fig2": (_fig2, "fig2", _SCAN_KINDS),
+    "fig3": (_fig3, "fig3", ("exp_decay_flat_A", "narrow_scrambling")),
+    "appB": (_appb, "appB", ()),
+}
+
+
 def run_figure(
     experiment: str,
     config: RunConfig,
@@ -365,37 +377,44 @@ def run_figure(
     cache_policy: str = "use",
     cache_dir: Optional[str | Path] = None,
     plot: bool = False,
+    **options,
 ) -> dict:
-    """Produce one bundled dataset; returns the manifest dictionary."""
-    name = _ALIASES.get(experiment.strip().lower())
-    if name is None:
+    """Run one experiment and write its datasets; returns the manifest.
+
+    Experiments and the manifest stem each writes (``<stem>_manifest.json``):
+
+    - ``spin_chain`` / ``random`` (stem ``run``): binned statistics and
+      prediction curves; keyword ``centers``, the mean-energy window centers
+      (default ``[0.0]``);
+    - ``coeffs``: scrambling coefficients of representative states;
+    - ``predict``: prediction curves alone; keywords ``ebar`` (default 0)
+      and ``omega_max`` (default 0.75 of the A spectral range);
+    - ``fig1``, ``fig2``, ``fig3``, ``appB``: the bundled datasets.
+
+    The cache lives in ``cache_dir``, by default ``out_dir/cache``.  The
+    manifest holds the experiment's own fields plus ``experiment``,
+    ``config``, ``files`` and ``timing_seconds``.
+    """
+    if experiment not in _EXPERIMENTS:
         raise ValidationError(
-            f"unknown experiment {experiment!r} (valid: {', '.join(FIGURES)})"
+            f"unknown experiment {experiment!r} (valid: {', '.join(_EXPERIMENTS)})"
         )
+    runner, stem, auto_kinds = _EXPERIMENTS[experiment]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cache_dir is None:
-        cache_dir = out_dir / "cache"
+    ctx = _RunContext(
+        out_dir=out_dir,
+        cache_dir=Path(cache_dir) if cache_dir is not None else out_dir / "cache",
+        cache_policy=cache_policy,
+        threads=threads,
+        plot=plot,
+    )
+    kinds = () if auto_kinds is None else config.predict_kinds or auto_kinds
     start = time.perf_counter()
-    if name == "fig1":
-        system = build_system(config, cache_dir=cache_dir, policy=cache_policy)
-        manifest, files = _fig1(config, system, out_dir, plot, threads)
-        kinds = ()
-    elif name == "fig2":
-        kinds = config.predict_kinds or _AUTO_KINDS["fig2"]
-        manifest, files = _fig2(config, out_dir, plot, threads, cache_dir,
-                                cache_policy)
-    elif name == "fig3":
-        kinds = config.predict_kinds or _AUTO_KINDS["fig3"]
-        manifest, files = _fig3(config, out_dir, plot, threads, cache_dir,
-                                cache_policy)
-    else:
-        kinds = config.predict_kinds or _AUTO_KINDS["appB"]
-        manifest, files = _appb(config, out_dir, plot, threads, cache_dir,
-                                cache_policy)
-    manifest["experiment"] = name
+    manifest, files = runner(config, kinds, ctx, **options)
+    manifest["experiment"] = experiment
     manifest["config"] = _config_echo(config, kinds)
-    manifest["files"] = sorted(str(Path(f).name) for f in files)
+    manifest["files"] = sorted(Path(f).name for f in files)
     manifest["timing_seconds"] = time.perf_counter() - start
-    write_manifest(manifest, out_dir / f"{name}_manifest.json")
+    write_manifest(manifest, out_dir / f"{stem}_manifest.json")
     return manifest

@@ -392,17 +392,14 @@ _SCHEMAS = {
 
 
 def emit_dataset(rows, schema: str, path: str | Path) -> Path:
-    """Write rows as CSV under a named schema (or a JSON manifest).
+    """Write rows as CSV under a named schema.
 
     Row order is preserved; floats print with 9 significant digits; lines end
     with a bare newline on every platform.
     """
-    if schema == "manifest":
-        return write_manifest(rows, path)
     if schema not in _SCHEMAS:
         raise ValidationError(
-            f"unknown dataset schema {schema!r} (valid: "
-            f"{', '.join([*_SCHEMAS, 'manifest'])})"
+            f"unknown dataset schema {schema!r} (valid: {', '.join(_SCHEMAS)})"
         )
     path = Path(path)
     header = _SCHEMAS[schema]

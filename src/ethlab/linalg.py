@@ -108,7 +108,11 @@ class SpectralDensity(GridFunction):
         return GridFunction(self.grid, self.values / self.total)
 
 
-def eig_sym(matrix: np.ndarray, *, check: bool = True, sym_tol: float = 1e-12) -> Spectrum:
+# Largest asymmetry max|A - A.T| eig_sym accepts, relative to max(1, max|A|).
+_SYM_TOL = 1e-12
+
+
+def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
     """Eigendecomposition of a real symmetric matrix.
 
     Parameters
@@ -117,9 +121,7 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True, sym_tol: float = 1e-12) -
         Real symmetric, all entries finite.
     check : bool
         Validate symmetry and finiteness first (skip only on data already
-        validated upstream).
-    sym_tol : float
-        Maximum allowed asymmetry ``max|A - A.T|`` relative to ``max(1, max|A|)``.
+        validated upstream); the allowed asymmetry is ``_SYM_TOL``.
 
     Returns
     -------
@@ -134,10 +136,10 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True, sym_tol: float = 1e-12) -
             raise ValidationError("matrix contains non-finite entries")
         scale = max(1.0, float(np.max(np.abs(a))))
         asym = float(np.max(np.abs(a - a.T)))
-        if asym > sym_tol * scale:
+        if asym > _SYM_TOL * scale:
             raise ValidationError(
                 f"matrix is not symmetric: max|A - A.T| = {asym:.3e} "
-                f"exceeds {sym_tol:.1e} * {scale:.3e}"
+                f"exceeds {_SYM_TOL:.1e} * {scale:.3e}"
             )
     vals, vecs = np.linalg.eigh(a)
     _fix_signs(vecs)

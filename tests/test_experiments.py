@@ -64,8 +64,6 @@ def test_sample_local_operator_validation():
         OperatorEnsembleSpec(dim_a=4, count=0)
     with pytest.raises(ValidationError):
         OperatorEnsembleSpec(dim_a=1, count=2)
-    with pytest.raises(ValidationError):
-        OperatorEnsembleSpec(dim_a=4, count=2, spectrum_law="gue")
 
 
 def test_matrix_elements_identity_and_invariants():

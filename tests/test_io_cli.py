@@ -377,6 +377,45 @@ def test_cli_spin_chain_outputs(tmp_path):
     assert (out / "cache").is_dir()
 
 
+TINY_RANDOM = """
+[system]
+kind = random
+sites_a = 2
+sites_b = 4
+sites_i = 2
+
+[ensemble]
+count = 4
+seed = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, config, stem",
+    [
+        (("spin-chain",), TINY_CHAIN, "run"),
+        (("random-system",), TINY_RANDOM, "run"),
+        (("coeffs",), TINY_CHAIN, "coeffs"),
+        (("predict",), TINY_CHAIN, "predict"),
+        (("reproduce", "fig1"), TINY_CHAIN, "fig1"),
+    ],
+    ids=["spin-chain", "random-system", "coeffs", "predict", "reproduce-fig1"],
+)
+def test_cli_compute_subcommand_manifest_lists_its_files(tmp_path, argv, config, stem):
+    # The manifest's `files` is the contract readers use to find the datasets.
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", str(cfg), "--out", str(out), "--plot")
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / f"{stem}_manifest.json").read_text())
+    assert "experiment" in manifest
+    assert "config" in manifest
+    written = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".svg"))
+    assert written
+    assert manifest["files"] == written
+
+
 def test_cli_reproduce_thread_determinism(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_CHAIN)
