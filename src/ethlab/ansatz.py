@@ -14,6 +14,14 @@ spectrum.  The flat scrambling window equivalent to a width ``sigma_s`` is
 amplitude ``f`` with the entropic factor ``(sigma_s n_0(Ebar))**-1/2``
 reported separately; exact-sum kinds absorb the suppression into their
 normalization and report an entropic factor of one.
+
+Each continuum rung has a grid form that evaluates a whole omega grid with
+one batched quadrature (:func:`~ethlab.linalg.integrate_adaptive` over all
+omegas); the public scalar functions (``f_narrow``, ``f_small_a``, ...) are
+that grid form at a single omega.  :meth:`AnsatzModel.evaluate` calls the
+grid form once per mean energy and drops the omegas outside a density's
+support through a mask, where the scalar ``f_narrow`` raises
+:class:`~ethlab.errors.OutOfSupportError`.
 """
 
 from __future__ import annotations
@@ -217,12 +225,63 @@ def f_smooth_sums(
     return float(np.sqrt(max(f2, 0.0)))
 
 
-def _scaled_tol(fn, lo: float, hi: float, tol: float) -> float:
-    # Absolute quadrature tolerance scaled to a coarse estimate of the
-    # integral's magnitude, so tol acts relatively for large densities.
-    xs = np.linspace(lo, hi, 33)
-    scale = float(np.max(np.abs(fn(xs)))) * (hi - lo)
-    return tol * max(scale, 1.0)
+def _scaled_tol(fn, lo, hi, tol: float) -> np.ndarray:
+    # Absolute quadrature tolerance per integral, scaled to a coarse estimate
+    # of the integral's magnitude, so tol acts relatively for large densities.
+    # Every row needs hi > lo: np.linspace changes its formula for all rows
+    # once any step is zero.
+    xs = np.linspace(lo, hi, 33, axis=1)
+    rows = np.repeat(np.arange(xs.shape[0]), 33)
+    vals = fn(xs.ravel(), rows).reshape(xs.shape)
+    scale = np.max(np.abs(vals), axis=1) * (hi - lo)
+    return tol * np.maximum(scale, 1.0)
+
+
+def _one(grid_form, omega, *args, **kwargs):
+    # Scalar value of a grid form at one omega.
+    return float(grid_form(*args, np.array([float(omega)]), **kwargs)[0])
+
+
+def _narrow_grid(n_a, n_b, n_0, o2bar, sigma_s, ebar, omegas, tol=1e-8):
+    # Narrow-scrambling f on an omega grid, and the mask of omegas whose pair
+    # energies Ebar +/- omega lie where n_0 is positive (f is 0 elsewhere).
+    e_alpha = ebar + omegas
+    e_beta = ebar - omegas
+    lo0, hi0 = n_0.support
+    kept = np.ones(omegas.shape, dtype=bool)
+    for e in (e_alpha, e_beta):
+        kept &= (lo0 <= e) & (e <= hi0) & (n_0(e) > 0)
+    lo_a, hi_a = n_a.support
+    lo_b, hi_b = n_b.support
+    w = np.abs(omegas)
+    lo = np.maximum(lo_a + w, ebar - hi_b)
+    hi = np.minimum(hi_a - w, ebar - lo_b)
+    live = kept & (hi > lo)
+    om, lo, hi = omegas[live], lo[live], hi[live]
+
+    def integrand(e, rows):
+        # Arguments clipped to the supports: at e = lo_a + |omega| the value
+        # e - omega can round just below lo_a, where n_a would drop to 0.
+        x = om[rows]
+        return (
+            n_a(np.clip(e + x, lo_a, hi_a))
+            * n_a(np.clip(e - x, lo_a, hi_a))
+            * n_b(np.clip(ebar - e, lo_b, hi_b))
+        )
+
+    abs_tol = _scaled_tol(integrand, lo, hi, tol)
+    val = integrate_adaptive(integrand, lo, hi, tol=abs_tol)
+    f2 = (
+        o2bar
+        / n_a.total
+        * sigma_s
+        * float(n_0(ebar))
+        / (n_0(e_alpha[live]) * n_0(e_beta[live]))
+        * val
+    )
+    f = np.zeros(omegas.shape)
+    f[live] = np.sqrt(np.maximum(f2, 0.0))
+    return f, kept
 
 
 def f_narrow(
@@ -243,37 +302,20 @@ def f_narrow(
     the exact support intersection.  ``n_a`` must be a
     :class:`~ethlab.linalg.SpectralDensity` (its ``total`` supplies
     ``|H_A|``); ``n_b`` and ``n_0`` need only be callables with ``support``.
+    Raises :class:`OutOfSupportError` when ``Ebar +/- omega`` leaves the
+    support of ``n_0``; :meth:`AnsatzModel.evaluate` drops such omegas from
+    its grid instead.
     """
-    e_alpha = ebar + omega
-    e_beta = ebar - omega
-    lo0, hi0 = n_0.support
-    for e in (e_alpha, e_beta):
-        if not lo0 <= e <= hi0 or n_0(e) <= 0:
-            raise OutOfSupportError(
-                f"E={e} outside the support of the sum density [{lo0}, {hi0}]"
-            )
-    lo_a, hi_a = n_a.support
-    lo_b, hi_b = n_b.support
-    w = abs(omega)
-    lo = max(lo_a + w, ebar - hi_b)
-    hi = min(hi_a - w, ebar - lo_b)
-    if hi <= lo:
-        return 0.0
-
-    def integrand(e):
-        return n_a(e + omega) * n_a(e - omega) * n_b(ebar - e)
-
-    abs_tol = _scaled_tol(integrand, lo, hi, tol)
-    val = integrate_adaptive(integrand, lo, hi, tol=abs_tol)
-    f2 = (
-        o2bar
-        / n_a.total
-        * sigma_s
-        * float(n_0(ebar))
-        / (float(n_0(e_alpha)) * float(n_0(e_beta)))
-        * val
+    f, kept = _narrow_grid(
+        n_a, n_b, n_0, o2bar, sigma_s, ebar, np.array([float(omega)]), tol=tol
     )
-    return float(np.sqrt(max(f2, 0.0)))
+    if not kept[0]:
+        lo0, hi0 = n_0.support
+        raise OutOfSupportError(
+            f"E={ebar} +/- {abs(omega)} outside the support of the sum density "
+            f"[{lo0}, {hi0}]"
+        )
+    return float(f[0])
 
 
 def _check_normalized(rho) -> None:
@@ -283,6 +325,27 @@ def _check_normalized(rho) -> None:
             f"rho_a must be normalized to unit integral (got {total:.6g}); "
             "use SpectralDensity.normalized()"
         )
+
+
+def _small_a_grid(rho_a, o2bar, sigma_s, autocorr, omegas, tol=1e-8):
+    if autocorr is not None:
+        val = autocorr(2.0 * omegas)
+    else:
+        _check_normalized(rho_a)
+        lo, hi = rho_a.support
+        x = 2.0 * omegas
+        ylo = np.maximum(lo, lo - x)
+        yhi = np.minimum(hi, hi - x)
+        live = yhi > ylo
+        x, ylo, yhi = x[live], ylo[live], yhi[live]
+
+        def integrand(y, rows):
+            return rho_a(y) * rho_a(x[rows] + y)
+
+        abs_tol = _scaled_tol(integrand, ylo, yhi, tol)
+        val = np.zeros(omegas.shape)
+        val[live] = integrate_adaptive(integrand, ylo, yhi, tol=abs_tol)
+    return np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0))
 
 
 def f_small_a(
@@ -301,24 +364,17 @@ def f_small_a(
     tabulated autocorrelation; otherwise the single required value is
     integrated directly.
     """
-    if autocorr is not None:
-        val = float(autocorr(2.0 * omega))
-    else:
-        _check_normalized(rho_a)
-        lo, hi = rho_a.support
-        x = 2.0 * omega
-        ylo = max(lo, lo - x)
-        yhi = min(hi, hi - x)
-        if yhi <= ylo:
-            val = 0.0
-        else:
+    return _one(_small_a_grid, omega, rho_a, o2bar, sigma_s, autocorr, tol=tol)
 
-            def integrand(y):
-                return rho_a(y) * rho_a(x + y)
 
-            abs_tol = _scaled_tol(integrand, ylo, yhi, tol)
-            val = integrate_adaptive(integrand, ylo, yhi, tol=abs_tol)
-    return float(np.sqrt(max(o2bar * sigma_s * val, 0.0)))
+def _flat_a_grid(sigma_a, o2bar, sigma_s, omegas):
+    if sigma_a <= 0:
+        raise ValidationError("sigma_a must be positive")
+    x = 1.0 - 2.0 * np.abs(omegas) / sigma_a
+    inside = x > 0.0
+    f = np.zeros(omegas.shape)
+    f[inside] = np.sqrt(o2bar * sigma_s / sigma_a * x[inside])
+    return f
 
 
 def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega: float) -> float:
@@ -327,12 +383,28 @@ def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega: float) -> floa
     ``f**2 = o2bar (sigma_s / sigma_a) (1 - 2|omega|/sigma_a)`` inside
     ``|omega| <= sigma_a / 2`` and zero outside.
     """
-    if sigma_a <= 0:
-        raise ValidationError("sigma_a must be positive")
-    x = 1.0 - 2.0 * abs(omega) / sigma_a
-    if x <= 0.0:
-        return 0.0
-    return float(np.sqrt(o2bar * sigma_s / sigma_a * x))
+    return _one(_flat_a_grid, omega, sigma_a, o2bar, sigma_s)
+
+
+def _smooth_small_a_grid(rho_a, o2bar, sigma_s, autocorr, omegas, tol=1e-8):
+    if autocorr is None:
+        _check_normalized(rho_a)
+        autocorr = density_autocorrelation(rho_a)
+    hh = exp_autocorrelation(sigma_s)
+    n_h = SQRT2 * sigma_s
+    lo, hi = autocorr.support  # support of [rho*rho](2w') in 2w'
+
+    def integrand(wp, rows):
+        return autocorr(2.0 * wp) * hh(2.0 * (omegas[rows] - wp))
+
+    lo_w = np.full(omegas.shape, 0.5 * lo)
+    hi_w = np.full(omegas.shape, 0.5 * hi)
+    abs_tol = _scaled_tol(integrand, lo_w, hi_w, tol)
+    val = integrate_adaptive(
+        integrand, lo_w, hi_w, tol=abs_tol, kinks=omegas[:, None]
+    )
+    f2 = 2.0 * o2bar * sigma_s / n_h**2 * val
+    return np.sqrt(np.maximum(f2, 0.0))
 
 
 def f_smooth_small_a(
@@ -350,22 +422,24 @@ def f_smooth_small_a(
     [h * h](2(omega - w'))`` with the exponential profile's closed-form
     autocorrelation.
     """
-    if autocorr is None:
-        _check_normalized(rho_a)
-        autocorr = density_autocorrelation(rho_a)
-    hh = exp_autocorrelation(sigma_s)
-    n_h = SQRT2 * sigma_s
-    lo, hi = autocorr.support  # support of [rho*rho](2w') in 2w'
+    return _one(
+        _smooth_small_a_grid, omega, rho_a, o2bar, sigma_s, autocorr, tol=tol
+    )
 
-    def integrand(wp):
-        return autocorr(2.0 * wp) * hh(2.0 * (omega - wp))
 
-    lo_w, hi_w = 0.5 * lo, 0.5 * hi
-    kinks = [omega] if lo_w < omega < hi_w else []
-    abs_tol = _scaled_tol(integrand, lo_w, hi_w, tol)
-    val = integrate_adaptive(integrand, lo_w, hi_w, tol=abs_tol, kinks=kinks)
-    f2 = 2.0 * o2bar * sigma_s / n_h**2 * val
-    return float(np.sqrt(max(f2, 0.0)))
+def _exp_decay_grid(sigma_a, sigma_s, o2bar, omegas, tol=1e-8):
+    if sigma_a <= 0 or sigma_s <= 0:
+        raise ValidationError("sigma_a and sigma_s must be positive")
+    rate = SQRT2 / sigma_s
+
+    def integrand(x, rows):
+        u = np.abs(2.0 * omegas[rows] - x * sigma_a)
+        return (1.0 - np.abs(x)) * (1.0 + rate * u) * np.exp(-rate * u)
+
+    ends = np.ones(omegas.shape)
+    kinks = np.column_stack((np.zeros(omegas.shape), 2.0 * omegas / sigma_a))
+    val = integrate_adaptive(integrand, -ends, ends, tol=tol, kinks=kinks)
+    return np.sqrt(np.maximum(o2bar / (2.0 * SQRT2) * val, 0.0))
 
 
 def f_exp_decay(
@@ -382,17 +456,31 @@ def f_exp_decay(
     (1 + sqrt(2)|2 omega - x sigma_a| / sigma_s)
     exp(-sqrt(2)|2 omega - x sigma_a| / sigma_s)``.
     """
+    return _one(_exp_decay_grid, omega, sigma_a, sigma_s, o2bar, tol=tol)
+
+
+def _mc_finite_width_grid(rho_a, o2bar, sigma_a, sigma_s, autocorr, omegas, tol=1e-8):
     if sigma_a <= 0 or sigma_s <= 0:
         raise ValidationError("sigma_a and sigma_s must be positive")
-    rate = SQRT2 / sigma_s
+    if autocorr is None:
+        _check_normalized(rho_a)
+        autocorr = density_autocorrelation(rho_a)
+    width = SQRT3 * sigma_s
 
-    def integrand(x):
-        u = abs(2.0 * omega - x * sigma_a)
-        return (1.0 - abs(x)) * (1.0 + rate * u) * np.exp(-rate * u)
+    def integrand(x, rows):
+        tri = np.maximum(1.0 - np.abs(omegas[rows] - x * sigma_a / 2.0) / width, 0.0)
+        return autocorr(x * sigma_a) * tri
 
-    kinks = [0.0, 2.0 * omega / sigma_a]
-    val = integrate_adaptive(integrand, -1.0, 1.0, tol=tol, kinks=kinks)
-    return float(np.sqrt(max(o2bar / (2.0 * SQRT2) * val, 0.0)))
+    kinks = np.column_stack((
+        2.0 * omegas / sigma_a,
+        2.0 * (omegas - width) / sigma_a,
+        2.0 * (omegas + width) / sigma_a,
+        np.zeros(omegas.shape),
+    ))
+    ends = np.ones(omegas.shape)
+    abs_tol = _scaled_tol(integrand, -ends, ends, tol)
+    val = integrate_adaptive(integrand, -ends, ends, tol=abs_tol, kinks=kinks)
+    return np.sqrt(np.maximum(o2bar * sigma_a / (2.0 * SQRT3) * val, 0.0))
 
 
 def f_mc_finite_width(
@@ -411,26 +499,9 @@ def f_mc_finite_width(
     [rho_a * rho_a](x sigma_a) ramp(1 - |omega - x sigma_a / 2| /
     (sqrt(3) sigma_s))`` where ``ramp`` clips at zero.
     """
-    if sigma_a <= 0 or sigma_s <= 0:
-        raise ValidationError("sigma_a and sigma_s must be positive")
-    if autocorr is None:
-        _check_normalized(rho_a)
-        autocorr = density_autocorrelation(rho_a)
-    width = SQRT3 * sigma_s
-
-    def integrand(x):
-        tri = np.maximum(1.0 - np.abs(omega - x * sigma_a / 2.0) / width, 0.0)
-        return autocorr(x * sigma_a) * tri
-
-    kinks = (
-        2.0 * omega / sigma_a,
-        2.0 * (omega - width) / sigma_a,
-        2.0 * (omega + width) / sigma_a,
-        0.0,
+    return _one(
+        _mc_finite_width_grid, omega, rho_a, o2bar, sigma_a, sigma_s, autocorr, tol=tol
     )
-    abs_tol = _scaled_tol(integrand, -1.0, 1.0, tol)
-    val = integrate_adaptive(integrand, -1.0, 1.0, tol=abs_tol, kinks=kinks)
-    return float(np.sqrt(max(o2bar * sigma_a / (2.0 * SQRT3) * val, 0.0)))
 
 
 def inverse_temperature(n_b, energy: float, step: float) -> float:
@@ -566,91 +637,83 @@ class AnsatzModel:
                 raise ValidationError(f"{kind.value} requires {name}")
 
     def evaluate(self, ebar: float, omegas: np.ndarray) -> Prediction:
-        """Evaluate the model on an omega grid at fixed mean energy."""
+        """Evaluate the model on an omega grid at fixed mean energy.
+
+        Continuum kinds integrate every omega of the grid in one batched
+        quadrature.  Omegas whose pair energies ``Ebar +/- omega`` leave the
+        support of ``n_0`` (where the scalar ``f_narrow`` raises
+        :class:`OutOfSupportError`) are dropped from the returned grid.
+        """
         omegas = np.asarray(omegas, dtype=float)
         kind = self.kind
         if kind in _EXACT_KINDS:
             ent = 1.0
-            if kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-                delta = 2.0 * SQRT3 * self.sigma_s
-
-                def one(w):
-                    return f_microcanonical_exact(
-                        self.system, self.op_a, delta, ebar + w, ebar - w,
-                        o2bar=self.o2bar,
-                    )
-
-            else:
-                h = exp_profile(self.sigma_s)
-
-                def one(w):
-                    return f_smooth_sums(
-                        self.system, self.op_a, h, ebar + w, ebar - w,
-                        o2bar=self.o2bar,
-                    )
-
-            f_vals = np.array([one(float(w)) for w in omegas])
         else:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
-            rho = self.n_a.normalized() if hasattr(self.n_a, "normalized") else self.n_a
-            if kind in (AnsatzKind.SMALL_A_NARROW, AnsatzKind.SMOOTH_SMALL_A,
-                        AnsatzKind.MC_FINITE_WIDTH_FLAT_A):
-                autocorr = density_autocorrelation(rho)
-            if kind is AnsatzKind.NARROW_SCRAMBLING:
-
-                def one(w):
-                    return f_narrow(
-                        self.n_a, self.n_b, self.n_0, self.o2bar, self.sigma_s,
-                        ebar, w,
-                    )
-
-            elif kind is AnsatzKind.SMALL_A_NARROW:
-
-                def one(w):
-                    return f_small_a(
-                        rho, self.o2bar, self.sigma_s, w, autocorr=autocorr
-                    )
-
-            elif kind is AnsatzKind.FLAT_A_NARROW:
-
-                def one(w):
-                    return f_flat_a(self.sigma_a, self.o2bar, self.sigma_s, w)
-
-            elif kind is AnsatzKind.SMOOTH_SMALL_A:
-
-                def one(w):
-                    return f_smooth_small_a(
-                        rho, self.o2bar, self.sigma_s, w, autocorr=autocorr
-                    )
-
-            elif kind is AnsatzKind.EXP_DECAY_FLAT_A:
-
-                def one(w):
-                    return f_exp_decay(self.sigma_a, self.sigma_s, self.o2bar, w)
-
-            else:
-
-                def one(w):
-                    return f_mc_finite_width(
-                        rho, self.o2bar, self.sigma_a, self.sigma_s, w,
-                        autocorr=autocorr,
-                    )
-
-            kept = []
-            vals = []
-            for w in omegas:
-                try:
-                    vals.append(one(float(w)))
-                except OutOfSupportError:
-                    continue
-                kept.append(float(w))
-            omegas = np.array(kept)
-            f_vals = np.array(vals)
+        f_vals, kept = _GRID_FORMS[kind](self, ebar, omegas)
+        f_vals = f_vals[kept]
         return Prediction(
             kind=kind.value,
             ebar=float(ebar),
-            omega=omegas,
+            omega=omegas[kept],
             f=f_vals,
             entropic_factor=float(ent),
             variance=(float(ent) * f_vals) ** 2,
         )
+
+
+def _all_kept(f):
+    return f, np.ones(f.shape, dtype=bool)
+
+
+def _autocorr(model):
+    rho = model.n_a.normalized() if hasattr(model.n_a, "normalized") else model.n_a
+    return density_autocorrelation(rho)
+
+
+def _exact_sums(model, ebar, omegas):
+    # The exact-sum kinds stay per omega: each value is one dense sum.
+    if model.kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
+        delta = 2.0 * SQRT3 * model.sigma_s
+
+        def one(w):
+            return f_microcanonical_exact(
+                model.system, model.op_a, delta, ebar + w, ebar - w,
+                o2bar=model.o2bar,
+            )
+
+    else:
+        h = exp_profile(model.sigma_s)
+
+        def one(w):
+            return f_smooth_sums(
+                model.system, model.op_a, h, ebar + w, ebar - w, o2bar=model.o2bar
+            )
+
+    return _all_kept(np.array([one(w) for w in omegas.tolist()]))
+
+
+# Kind -> grid form (model, ebar, omegas) -> (f on the whole grid, mask of
+# the omegas the kind can evaluate).
+_GRID_FORMS = {
+    AnsatzKind.MICROCANONICAL_EXACT_SUMS: _exact_sums,
+    AnsatzKind.SMOOTH_GENERAL_SUMS: _exact_sums,
+    AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: _narrow_grid(
+        m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
+    ),
+    AnsatzKind.SMALL_A_NARROW: lambda m, ebar, w: _all_kept(
+        _small_a_grid(None, m.o2bar, m.sigma_s, _autocorr(m), w)
+    ),
+    AnsatzKind.FLAT_A_NARROW: lambda m, ebar, w: _all_kept(
+        _flat_a_grid(m.sigma_a, m.o2bar, m.sigma_s, w)
+    ),
+    AnsatzKind.SMOOTH_SMALL_A: lambda m, ebar, w: _all_kept(
+        _smooth_small_a_grid(None, m.o2bar, m.sigma_s, _autocorr(m), w)
+    ),
+    AnsatzKind.EXP_DECAY_FLAT_A: lambda m, ebar, w: _all_kept(
+        _exp_decay_grid(m.sigma_a, m.sigma_s, m.o2bar, w)
+    ),
+    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda m, ebar, w: _all_kept(
+        _mc_finite_width_grid(None, m.o2bar, m.sigma_a, m.sigma_s, _autocorr(m), w)
+    ),
+}

@@ -2,8 +2,11 @@
 
 Symmetric eigendecompositions with a fixed sign convention, interpolated
 densities of states, cross-correlations of compactly supported functions, and
-adaptive quadrature that knows about kinks.  Everything downstream (scrambling
-statistics, ansatz predictions) is built on these four primitives.
+adaptive quadrature that knows about kinks.  The quadrature advances many
+integrals together, breadth first, with one vectorized integrand call per
+subdivision level, and is bitwise equal to the depth-first recursive Simpson
+rule it replaced.  Everything downstream (scrambling statistics, ansatz
+predictions) is built on these four primitives.
 """
 
 from __future__ import annotations
@@ -205,90 +208,173 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Callable,
+    a,
+    b,
     *,
-    tol: float = 1e-8,
-    kinks: Sequence[float] = (),
+    tol=1e-8,
+    kinks=(),
     max_depth: int = 48,
-) -> float:
-    """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
+):
+    """Adaptive Simpson quadrature of one integral or of many at once.
 
-    The interval is split at every kink strictly inside ``(a, b)`` before the
-    adaptive recursion starts, so integrands with isolated slope
-    discontinuities converge at the smooth-integrand rate.
+    Every interval is split at each distinct kink strictly inside ``(a, b)``
+    before the adaptive subdivision starts, so integrands with isolated slope
+    discontinuities converge at the smooth-integrand rate.  The subdivision
+    runs breadth first over all integrals together: each level evaluates the
+    integrand once, on the quarter points of every unconverged panel.  The
+    subdivision tree, the tolerances and the order of every addition are
+    those of the depth-first recursion (children summed as ``left + right``
+    bottom-up, segments summed in kink order from ``0.0``), so the results
+    are bitwise equal to it.
 
     Parameters
     ----------
     f : callable
-        Scalar integrand.
-    a, b : float
-        Integration limits, ``a <= b``.
-    tol : float
-        Absolute tolerance for the whole integral, shared across segments in
-        proportion to their width.
-    kinks : sequence of float
-        Abscissae where ``f`` is continuous but not smooth.
+        With scalar limits, ``f(x)`` maps a 1-d array of abscissae to the
+        integrand values.  With array limits, ``f(x, rows)`` does the same for
+        abscissae ``x`` that belong to integrals ``rows`` (an index array).
+    a, b : float or 1-d array
+        Integration limits, finite, ``a <= b`` elementwise.
+    tol : float or 1-d array
+        Absolute tolerance for each whole integral, shared across its
+        segments in proportion to their width.
+    kinks : sequence of float, or one such sequence per integral
+        Abscissae where the integrand is continuous but not smooth; values
+        outside ``(a, b)`` and repeats are ignored.
     max_depth : int
-        Recursion limit per segment; exceeding it raises
-        :class:`QuadratureError` carrying the best estimate accumulated so far.
+        Subdivision limit per segment; exceeding it raises
+        :class:`QuadratureError` carrying the best estimates accumulated so
+        far (a float, or an array for array limits).
 
     Returns
     -------
-    float
+    float, or ndarray of the shape of ``a`` for array limits
     """
-    a = float(a)
-    b = float(b)
-    if not np.isfinite(a) or not np.isfinite(b):
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DimensionError("integration limits must be 1-d arrays of equal length")
+    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise ValidationError("integration limits must be finite")
-    if b < a:
+    if np.any(b < a):
         raise ValidationError("integration limits must satisfy a <= b")
-    if a == b:
-        return 0.0
-    cuts = [a] + sorted(k for k in set(float(k) for k in kinks) if a < k < b) + [b]
-    total = 0.0
-    failed = False
-    width = b - a
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        seg_tol = max(tol * (right - left) / width, 1e-300)
-        value, ok = _adaptive_segment(f, left, right, seg_tol, max_depth)
-        total += value
-        failed = failed or not ok
-    if failed:
-        raise QuadratureError(
-            f"adaptive quadrature did not reach tol={tol:.1e} within depth {max_depth}",
-            best_estimate=total,
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    if scalar:
+        totals, ok = _adaptive_simpson(
+            lambda x, rows: f(x), a, b, tol, [kinks], max_depth
         )
-    return total
+    else:
+        if len(kinks) == 0:
+            kinks = [()] * a.size
+        if len(kinks) != a.size:
+            raise DimensionError("kinks must hold one sequence per integral")
+        totals, ok = _adaptive_simpson(f, a, b, tol, kinks, max_depth)
+    if not ok.all():
+        raise QuadratureError(
+            f"adaptive quadrature did not reach tol within depth {max_depth} "
+            f"for {int((~ok).sum())} of {ok.size} integrals",
+            best_estimate=float(totals[0]) if scalar else totals,
+        )
+    return float(totals[0]) if scalar else totals
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_segment(f, a, b, tol, max_depth):
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
+def _adaptive_simpson(f, a, b, tol, kinks, max_depth):
+    # Breadth-first adaptive Simpson over every segment of every integral.
+    # Returns the per-integral totals and a per-integral convergence flag.
+    seg_row, seg_l, seg_r, seg_idx = [], [], [], []
+    for i, (ai, bi, ki) in enumerate(zip(a.tolist(), b.tolist(), kinks)):
+        if ai == bi:
+            continue
+        cuts = [ai] + sorted(k for k in set(float(k) for k in ki) if ai < k < bi)
+        cuts.append(bi)
+        seg_row.extend([i] * (len(cuts) - 1))
+        seg_l.extend(cuts[:-1])
+        seg_r.extend(cuts[1:])
+        seg_idx.extend(range(len(cuts) - 1))
+    totals = np.zeros(a.size)
+    ok = np.ones(a.size, dtype=bool)
+    if not seg_row:
+        return totals, ok
+    row = np.array(seg_row)
+    lo = np.array(seg_l)
+    hi = np.array(seg_r)
+    width = b[row] - a[row]
+    seg_tol = np.maximum(tol[row] * (hi - lo) / width, 1e-300)
+
+    mid = 0.5 * (lo + hi)
+    k = row.size
+    fvals = f(np.concatenate((lo, mid, hi)), np.concatenate((row, row, row)))
+    fa, fm, fb = fvals[:k], fvals[k : 2 * k], fvals[2 * k :]
+    whole = _simpson(fa, fm, fb, hi - lo)
+
+    # One entry per level: node values (leaves filled now, split nodes when
+    # folding) and the mask of split nodes, whose children sit interleaved
+    # (left, right) on the next level.
+    levels = []
+    nodes = (lo, hi, fa, fm, fb, whole, seg_tol, row)
+    depth = max_depth
+    while True:
+        l, r, fa, fm, fb, whole, t, rw = nodes
+        m = 0.5 * (l + r)
+        lm = 0.5 * (l + m)
+        rm = 0.5 * (m + r)
+        k = rw.size
+        fq = f(np.concatenate((lm, rm)), np.concatenate((rw, rw)))
+        flm, frm = fq[:k], fq[k:]
+        left = _simpson(fa, flm, fm, m - l)
+        right = _simpson(fm, frm, fb, r - m)
+        delta = left + right - whole
+        done = np.abs(delta) <= 15.0 * t
+        values = left + right + delta / 15.0
+        if depth <= 0:
+            ok[rw[~done]] = False
+            levels.append((values, None))
+            break
+        split = ~done
+        levels.append((values, split))
+        if not split.any():
+            break
+        s = np.flatnonzero(split)
+        half = 0.5 * t[s]
+        nodes = tuple(
+            _interleave(x, y)
+            for x, y in (
+                (l[s], m[s]),
+                (m[s], r[s]),
+                (fa[s], fm[s]),
+                (flm[s], frm[s]),
+                (fm[s], fb[s]),
+                (left[s], right[s]),
+                (half, half),
+                (rw[s], rw[s]),
+            )
+        )
+        depth -= 1
+
+    values = levels[-1][0]
+    for parent, split in reversed(levels[:-1]):
+        parent[split] = values[0::2] + values[1::2]
+        values = parent
+
+    # Segments in kink order per integral, summed from 0.0 as a running total.
+    seg_idx = np.array(seg_idx)
+    for j in range(int(seg_idx.max()) + 1):
+        pick = seg_idx == j
+        totals[row[pick]] += values[pick]
+    return totals, ok
 
 
-def _adaptive_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth <= 0:
-        return left + right + delta / 15.0, False
-    lval, lok = _adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rval, rok = _adaptive_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lval + rval, lok and rok
+def _interleave(x, y):
+    out = np.empty(2 * x.size, dtype=x.dtype)
+    out[0::2] = x
+    out[1::2] = y
+    return out
 
 
 def cross_correlate(
@@ -305,7 +391,8 @@ def cross_correlate(
     Both inputs must be compactly supported callables exposing ``support``
     (as :class:`GridFunction` does).  The result is tabulated on ``n_grid``
     points covering the exact support ``[lo2 - hi1, hi2 - lo1]`` of the
-    correlation and returned as a :class:`GridFunction`.
+    correlation and returned as a :class:`GridFunction`; all points are
+    integrated in one batched :func:`integrate_adaptive` call.
 
     Parameters
     ----------
@@ -327,18 +414,21 @@ def cross_correlate(
     if n_grid < 3:
         raise ValidationError("n_grid must be at least 3")
     xs = np.linspace(lo2 - hi1, hi2 - lo1, n_grid)
+    ylo = np.maximum(lo1, lo2 - xs)
+    yhi = np.minimum(hi1, hi2 - xs)
+    live = yhi > ylo
+    x = xs[live]
+    k1 = np.array(sorted(set(float(k) for k in kinks1)))
+    k2 = np.array(sorted(set(float(k) for k in kinks2)))
+    kinks = np.column_stack(
+        (np.broadcast_to(k1, (x.size, k1.size)), k2[None, :] - x[:, None])
+    )
+
+    def integrand(y, rows):
+        return g1(y) * g2(x[rows] + y)
+
     out = np.zeros_like(xs)
-    k1 = sorted(set(float(k) for k in kinks1))
-    k2 = sorted(set(float(k) for k in kinks2))
-    for idx, x in enumerate(xs):
-        ylo = max(lo1, lo2 - x)
-        yhi = min(hi1, hi2 - x)
-        if yhi <= ylo:
-            continue
-        kk = k1 + [k - x for k in k2]
-
-        def integrand(y, _x=x):
-            return g1(y) * g2(_x + y)
-
-        out[idx] = integrate_adaptive(integrand, ylo, yhi, tol=tol, kinks=kk)
+    out[live] = integrate_adaptive(
+        integrand, ylo[live], yhi[live], tol=tol, kinks=kinks
+    )
     return GridFunction(grid=xs, values=out)

@@ -26,9 +26,16 @@ from ethlab.errors import (
     OutOfSupportError,
     ValidationError,
 )
-from ethlab.hamiltonians import make_bipartite, sample_goe
+from ethlab.experiments import BinningParams, OperatorEnsembleSpec, run_ensemble
+from ethlab.figures import _Densities
+from ethlab.hamiltonians import (
+    SpinChainParams,
+    decompose_chain,
+    make_bipartite,
+    sample_goe,
+)
 from ethlab.linalg import GridFunction, SpectralDensity, integrate_adaptive
-from ethlab.scrambling import exp_profile, flat_profile
+from ethlab.scrambling import compute_coefficients, exp_profile, flat_profile, profile
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -415,3 +422,75 @@ def test_ansatz_model_validation():
         )
     with pytest.raises(ValueError):
         AnsatzModel(kind="no_such_rung", sigma_s=0.5)
+
+
+def _chain_model_inputs(sites, cut):
+    system = decompose_chain(SpinChainParams(sites), cut)
+    sigma_s = profile(compute_coefficients(system)).sigma_s
+    return system, sigma_s, _Densities(system)
+
+
+def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
+    # evaluate integrates the whole omega grid at once; every value must be
+    # bitwise the scalar form's, and the same out-of-support omegas dropped.
+    system, sigma_s, dens = _chain_model_inputs(8, 3)
+    o2bar = 1.3
+    sigma_a = dens.n_a.support[1] - dens.n_a.support[0]
+    rho = dens.n_a.normalized()
+    auto = density_autocorrelation(rho)
+    scalar = {
+        AnsatzKind.NARROW_SCRAMBLING: lambda e, w: f_narrow(
+            dens.n_a, dens.n_b, dens.n_0, o2bar, sigma_s, e, w
+        ),
+        AnsatzKind.SMALL_A_NARROW: lambda e, w: f_small_a(
+            rho, o2bar, sigma_s, w, autocorr=auto
+        ),
+        AnsatzKind.FLAT_A_NARROW: lambda e, w: f_flat_a(sigma_a, o2bar, sigma_s, w),
+        AnsatzKind.SMOOTH_SMALL_A: lambda e, w: f_smooth_small_a(
+            rho, o2bar, sigma_s, w, autocorr=auto
+        ),
+        AnsatzKind.EXP_DECAY_FLAT_A: lambda e, w: f_exp_decay(
+            sigma_a, sigma_s, o2bar, w
+        ),
+        AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda e, w: f_mc_finite_width(
+            rho, o2bar, sigma_a, sigma_s, w, autocorr=auto
+        ),
+    }
+    e_min = float(system.spectrum_t.eigenvalues[0])
+    omegas = np.linspace(0.0, 0.6 * abs(e_min), 41)
+    dropped = 0
+    for ebar in (0.0, 0.5 * e_min):
+        for kind, one in scalar.items():
+            pred = AnsatzModel(
+                kind=kind, sigma_s=sigma_s, o2bar=o2bar, n_a=dens.n_a,
+                n_b=dens.n_b, n_0=dens.n_0,
+            ).evaluate(ebar, omegas)
+            kept, vals = [], []
+            for w in omegas.tolist():
+                try:
+                    vals.append(one(ebar, w))
+                except OutOfSupportError:
+                    continue
+                kept.append(w)
+            assert np.array_equal(pred.omega, kept), kind
+            assert np.array_equal(pred.f, vals), kind
+            dropped += omegas.size - len(kept)
+    assert dropped > 0
+
+
+def test_narrow_scrambling_survives_rounding_at_the_support_edge():
+    # At e = lo_a + |omega| the argument e - omega of n_a can round just below
+    # the support edge; the integrand then jumped to zero there and the
+    # quadrature never converged (QuadratureError for a handful of omegas).
+    system, sigma_s, dens = _chain_model_inputs(6, 2)
+    spec = OperatorEnsembleSpec(dim_a=4, count=2, seed=0)
+    e_min = float(system.spectrum_t.eigenvalues[0])
+    model = AnsatzModel(
+        kind=AnsatzKind.NARROW_SCRAMBLING, sigma_s=sigma_s, n_a=dens.n_a,
+        n_b=dens.n_b, n_0=dens.n_0,
+    )
+    for center in (0.0, 0.25 * e_min):
+        stats = run_ensemble(system, spec, [center], BinningParams()).binned[0]
+        pred = model.evaluate(center, stats.omega_mid)
+        assert pred.omega.size > 0
+        assert np.all(np.isfinite(pred.f)) and np.all(pred.f >= 0.0)

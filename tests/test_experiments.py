@@ -407,6 +407,23 @@ def test_kernels_match_per_row_loop_oracle():
     assert np.all(counts[inverted] == 0)
 
 
+def test_accumulate_grouped_blocks_are_bitwise_whole_chunk():
+    # Blocked squares reduce each row exactly as one whole-chunk pass does,
+    # across several block boundaries and a ragged last block.
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((1000, 250))
+    before = values.copy()
+    bins = np.sort(rng.integers(0, 40, 1000))
+    v = values * values
+    want_sums = np.bincount(bins, weights=v.sum(axis=1), minlength=40)
+    v *= v
+    want_sumsqs = np.bincount(bins, weights=v.sum(axis=1), minlength=40)
+    sums, sumsqs = accumulate_grouped(values, bins, 40)
+    assert np.array_equal(sums, want_sums)
+    assert np.array_equal(sumsqs, want_sumsqs)
+    assert np.array_equal(values, before)
+
+
 def test_subsystem_gap_omegas_oracle():
     gaps = subsystem_gap_omegas(np.array([0.0, 1.0, 3.0]))
     assert np.allclose(gaps, [0.5, 1.0, 1.5])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ethlab.errors import DimensionError, ValidationError
+from ethlab.errors import DimensionError, QuadratureError, ValidationError
 from ethlab.linalg import (
     GridFunction,
     Spectrum,
@@ -132,6 +132,95 @@ def test_integrate_adaptive_kinked_integrand():
 def test_integrate_adaptive_validation():
     with pytest.raises(ValidationError):
         integrate_adaptive(np.sin, 1.0, 0.0)
+    with pytest.raises(ValidationError):
+        integrate_adaptive(lambda x, rows: x, np.zeros(2), np.array([1.0, -1.0]))
+    with pytest.raises(DimensionError):
+        integrate_adaptive(
+            lambda x, rows: x, np.zeros(2), np.ones(2), kinks=[(0.5,)]
+        )
+
+
+def _recursive_simpson(f, a, b, tol, kinks, max_depth=48):
+    # Depth-first adaptive Simpson: the oracle for the breadth-first core.
+    def step(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol or depth <= 0:
+            return left + right + delta / 15.0, abs(delta) <= 15.0 * tol
+        lval, lok = step(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+        rval, rok = step(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+        return lval + rval, lok and rok
+
+    cuts = [a] + sorted(k for k in set(kinks) if a < k < b) + [b]
+    total, ok = 0.0, True
+    for lo, hi in zip(cuts[:-1], cuts[1:]) if a < b else ():
+        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        seg_tol = max(tol * (hi - lo) / (b - a), 1e-300)
+        value, seg_ok = step(lo, hi, fa, fm, fb, whole, seg_tol, max_depth)
+        total += value
+        ok = ok and seg_ok
+    return total, ok
+
+
+def _kinked(x, c):
+    # Kink at c, square-root cusp at -c; only correctly rounded operations,
+    # so scalar and array evaluation agree bit for bit.
+    return np.abs(x - c) * (1.0 + x * x) / (1.0 + 0.5 * x * x) + np.sqrt(
+        np.abs(x + c)
+    )
+
+
+def test_integrate_adaptive_batch_is_bitwise_the_recursion():
+    rng = np.random.default_rng(17)
+    n = 120
+    a = rng.uniform(-2.0, 1.0, n)
+    b = a + rng.uniform(0.0, 3.0, n)
+    b[:8] = a[:8]  # zero-width intervals
+    c = rng.uniform(-2.0, 3.0, n)
+    tol = 10.0 ** rng.uniform(-12.0, -4.0, n)
+    # Each row repeats its kink and adds kinks that may fall outside (a, b).
+    kinks = np.column_stack((c, c, rng.uniform(-3.0, 4.0, (n, 3))))
+    want = [
+        _recursive_simpson(
+            lambda x, ci=ci: float(_kinked(x, ci)), a[i], b[i], tol[i], list(kinks[i])
+        )
+        for i, ci in enumerate(c.tolist())
+    ]
+    values = np.array([v for v, _ in want])
+    converged = np.array([ok for _, ok in want])
+    assert not converged.all()  # the tightest tolerances exhaust the depth
+    with pytest.raises(QuadratureError) as err:
+        integrate_adaptive(
+            lambda x, rows: _kinked(x, c[rows]), a, b, tol=tol, kinks=kinks
+        )
+    assert np.array_equal(err.value.best_estimate, values)
+    c_ok = c[converged]
+    got = integrate_adaptive(
+        lambda x, rows: _kinked(x, c_ok[rows]),
+        a[converged], b[converged], tol=tol[converged], kinks=kinks[converged],
+    )
+    assert np.array_equal(got, values[converged])
+    for i in np.flatnonzero(converged):  # the scalar call runs the same core
+        got = integrate_adaptive(
+            lambda x: _kinked(x, c[i]), a[i], b[i], tol=tol[i], kinks=kinks[i]
+        )
+        assert got == values[i]
+
+
+def test_integrate_adaptive_depth_exhaustion_keeps_best_estimate():
+    # A jump never converges: every level keeps one failing panel.
+    def jump(x):
+        return np.where(x < 0.3, 0.0, 1.0)
+
+    want, ok = _recursive_simpson(lambda x: float(jump(x)), 0.0, 1.0, 1e-10, (), 12)
+    assert not ok
+    with pytest.raises(QuadratureError) as err:
+        integrate_adaptive(jump, 0.0, 1.0, tol=1e-10, max_depth=12)
+    assert err.value.best_estimate == want
 
 
 def test_cross_correlate_boxes_gives_triangle():
