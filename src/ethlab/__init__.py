@@ -61,7 +61,6 @@ from .hamiltonians import (
     SpinChainParams,
     build_random_system,
     build_spin_chain,
-    chain_reference_params,
     decompose_chain,
     haar_orthogonal,
     make_bipartite,
@@ -71,7 +70,6 @@ from .hamiltonians import (
 )
 from .io import (
     RunConfig,
-    cache_roundtrip,
     cached_spectrum,
     config_cache_key,
     default_config,
@@ -140,7 +138,6 @@ __all__ = [
     "decompose_chain",
     "make_bipartite",
     "build_random_system",
-    "chain_reference_params",
     "pauli",
     "site_operator",
     "sample_goe",
@@ -197,7 +194,6 @@ __all__ = [
     "config_cache_key",
     "save_spectrum",
     "load_spectrum",
-    "cache_roundtrip",
     "cached_spectrum",
     "emit_dataset",
     "write_manifest",

@@ -15,20 +15,22 @@ amplitude ``f`` with the entropic factor ``(sigma_s n_0(Ebar))**-1/2``
 reported separately; exact-sum kinds absorb the suppression into their
 normalization and report an entropic factor of one.
 
-Each continuum rung has a grid form that evaluates a whole omega grid with
-one batched quadrature (:func:`~ethlab.linalg.integrate_adaptive` over all
-omegas); the public scalar functions (``f_narrow``, ``f_small_a``, ...) are
-that grid form at a single omega.  :meth:`AnsatzModel.evaluate` calls the
-grid form once per mean energy and drops the omegas outside a density's
-support through a mask, where the scalar ``f_narrow`` raises
-:class:`~ethlab.errors.OutOfSupportError`.
+Each continuum rung is one function (``f_narrow``, ``f_small_a``, ...) that
+takes a scalar omega or a 1-d omega grid: a scalar returns a float, a grid
+returns an array, and a grid is integrated in one batched quadrature
+(:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
+bitwise those of the one-omega calls.  The small-A rungs take the tabulated
+autocorrelation :func:`density_autocorrelation` of the normalized subsystem
+density.  :meth:`AnsatzModel.evaluate` calls the rung of its kind through one
+kind-keyed table, once per mean energy; for the narrow rung it first drops
+the omegas whose pair energies leave the support of ``n_0``, where
+``f_narrow`` raises :class:`~ethlab.errors.OutOfSupportError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,13 +107,19 @@ def exp_autocorrelation(sigma_s: float) -> Callable:
     return hh
 
 
-@lru_cache(maxsize=32)
 def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFunction:
-    """Tabulated autocorrelation ``[rho * rho]`` of a compactly supported density.
+    """Tabulated autocorrelation ``[rho * rho]`` of a normalized density.
 
-    Cached by object identity: models evaluating many omega points reuse one
-    tabulation.
+    This is the density input of the small-A rungs.  ``rho`` must have unit
+    integral (to 1%); :meth:`~ethlab.linalg.SpectralDensity.normalized` gives
+    one.
     """
+    total = rho.integral()
+    if abs(total - 1.0) > 0.01:
+        raise ValidationError(
+            f"rho must be normalized to unit integral (got {total:.6g}); "
+            "use SpectralDensity.normalized()"
+        )
     return cross_correlate(rho, rho, n_grid=n_grid)
 
 
@@ -237,26 +245,64 @@ def _scaled_tol(fn, lo, hi, tol: float) -> np.ndarray:
     return tol * np.maximum(scale, 1.0)
 
 
-def _one(grid_form, omega, *args, **kwargs):
-    # Scalar value of a grid form at one omega.
-    return float(grid_form(*args, np.array([float(omega)]), **kwargs)[0])
+def _omegas(omega) -> np.ndarray:
+    # Every rung computes on a 1-d grid; a scalar omega is a one-point grid.
+    return np.atleast_1d(np.asarray(omega, dtype=float))
 
 
-def _narrow_grid(n_a, n_b, n_0, o2bar, sigma_s, ebar, omegas, tol=1e-8):
-    # Narrow-scrambling f on an omega grid, and the mask of omegas whose pair
-    # energies Ebar +/- omega lie where n_0 is positive (f is 0 elsewhere).
+def _like(omega, f: np.ndarray):
+    # A float for a scalar omega, the array for an omega grid.
+    return float(f[0]) if np.ndim(omega) == 0 else f
+
+
+def _pair_support(n_0, ebar: float, omegas: np.ndarray) -> np.ndarray:
+    # Mask of the omegas whose pair energies Ebar +/- omega lie where n_0 is
+    # positive.
+    lo, hi = n_0.support
+    kept = np.ones(omegas.shape, dtype=bool)
+    for e in (ebar + omegas, ebar - omegas):
+        kept &= (lo <= e) & (e <= hi) & (n_0(e) > 0)
+    return kept
+
+
+def f_narrow(
+    n_a,
+    n_b,
+    n_0,
+    o2bar: float,
+    sigma_s: float,
+    ebar: float,
+    omega,
+    *,
+    tol: float = 1e-8,
+):
+    """Narrow-scrambling continuum prediction.
+
+    ``f**2 = (o2bar / |H_A|) sigma_s n_0(Ebar) / (n_0(Ebar+w) n_0(Ebar-w)) *
+    integral de n_a(e+w) n_a(e-w) n_b(Ebar-e)`` with the integral taken over
+    the exact support intersection; ``f`` is zero where that intersection is
+    empty.  ``n_a`` must be a :class:`~ethlab.linalg.SpectralDensity` (its
+    ``total`` supplies ``|H_A|``); ``n_b`` and ``n_0`` need only be callables
+    with ``support``.  Raises :class:`OutOfSupportError` when ``Ebar +/-
+    omega`` leaves the support of ``n_0`` for any omega given;
+    :meth:`AnsatzModel.evaluate` drops such omegas from its grid first.
+    """
+    omegas = _omegas(omega)
+    kept = _pair_support(n_0, ebar, omegas)
+    if not kept.all():
+        lo0, hi0 = n_0.support
+        raise OutOfSupportError(
+            f"E={ebar} +/- {abs(omegas[~kept][0])} outside the support of the "
+            f"sum density [{lo0}, {hi0}]"
+        )
     e_alpha = ebar + omegas
     e_beta = ebar - omegas
-    lo0, hi0 = n_0.support
-    kept = np.ones(omegas.shape, dtype=bool)
-    for e in (e_alpha, e_beta):
-        kept &= (lo0 <= e) & (e <= hi0) & (n_0(e) > 0)
     lo_a, hi_a = n_a.support
     lo_b, hi_b = n_b.support
     w = np.abs(omegas)
     lo = np.maximum(lo_a + w, ebar - hi_b)
     hi = np.minimum(hi_a - w, ebar - lo_b)
-    live = kept & (hi > lo)
+    live = hi > lo
     om, lo, hi = omegas[live], lo[live], hi[live]
 
     def integrand(e, rows):
@@ -281,121 +327,52 @@ def _narrow_grid(n_a, n_b, n_0, o2bar, sigma_s, ebar, omegas, tol=1e-8):
     )
     f = np.zeros(omegas.shape)
     f[live] = np.sqrt(np.maximum(f2, 0.0))
-    return f, kept
+    return _like(omega, f)
 
 
-def f_narrow(
-    n_a,
-    n_b,
-    n_0,
-    o2bar: float,
-    sigma_s: float,
-    ebar: float,
-    omega: float,
-    *,
-    tol: float = 1e-8,
-) -> float:
-    """Narrow-scrambling continuum prediction.
-
-    ``f**2 = (o2bar / |H_A|) sigma_s n_0(Ebar) / (n_0(Ebar+w) n_0(Ebar-w)) *
-    integral de n_a(e+w) n_a(e-w) n_b(Ebar-e)`` with the integral taken over
-    the exact support intersection.  ``n_a`` must be a
-    :class:`~ethlab.linalg.SpectralDensity` (its ``total`` supplies
-    ``|H_A|``); ``n_b`` and ``n_0`` need only be callables with ``support``.
-    Raises :class:`OutOfSupportError` when ``Ebar +/- omega`` leaves the
-    support of ``n_0``; :meth:`AnsatzModel.evaluate` drops such omegas from
-    its grid instead.
-    """
-    f, kept = _narrow_grid(
-        n_a, n_b, n_0, o2bar, sigma_s, ebar, np.array([float(omega)]), tol=tol
-    )
-    if not kept[0]:
-        lo0, hi0 = n_0.support
-        raise OutOfSupportError(
-            f"E={ebar} +/- {abs(omega)} outside the support of the sum density "
-            f"[{lo0}, {hi0}]"
-        )
-    return float(f[0])
-
-
-def _check_normalized(rho) -> None:
-    total = rho.integral()
-    if abs(total - 1.0) > 0.01:
-        raise ValidationError(
-            f"rho_a must be normalized to unit integral (got {total:.6g}); "
-            "use SpectralDensity.normalized()"
-        )
-
-
-def _small_a_grid(rho_a, o2bar, sigma_s, autocorr, omegas, tol=1e-8):
-    if autocorr is not None:
-        val = autocorr(2.0 * omegas)
-    else:
-        _check_normalized(rho_a)
-        lo, hi = rho_a.support
-        x = 2.0 * omegas
-        ylo = np.maximum(lo, lo - x)
-        yhi = np.minimum(hi, hi - x)
-        live = yhi > ylo
-        x, ylo, yhi = x[live], ylo[live], yhi[live]
-
-        def integrand(y, rows):
-            return rho_a(y) * rho_a(x[rows] + y)
-
-        abs_tol = _scaled_tol(integrand, ylo, yhi, tol)
-        val = np.zeros(omegas.shape)
-        val[live] = integrate_adaptive(integrand, ylo, yhi, tol=abs_tol)
-    return np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0))
-
-
-def f_small_a(
-    rho_a,
-    o2bar: float,
-    sigma_s: float,
-    omega: float,
-    *,
-    autocorr=None,
-    tol: float = 1e-8,
-) -> float:
+def f_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
     """Small-subsystem narrow-scrambling form.
 
-    ``f = sqrt(o2bar * sigma_s * [rho_a * rho_a](2 omega))`` with ``rho_a``
-    the normalized subsystem density of states.  ``autocorr`` may carry a
-    tabulated autocorrelation; otherwise the single required value is
-    integrated directly.
+    ``f = sqrt(o2bar * sigma_s * [rho_a * rho_a](2 omega))`` with
+    ``rho_rho`` the tabulated autocorrelation of the normalized subsystem
+    density of states, as :func:`density_autocorrelation` returns it.
     """
-    return _one(_small_a_grid, omega, rho_a, o2bar, sigma_s, autocorr, tol=tol)
+    val = rho_rho(2.0 * _omegas(omega))
+    return _like(omega, np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0)))
 
 
-def _flat_a_grid(sigma_a, o2bar, sigma_s, omegas):
-    if sigma_a <= 0:
-        raise ValidationError("sigma_a must be positive")
-    x = 1.0 - 2.0 * np.abs(omegas) / sigma_a
-    inside = x > 0.0
-    f = np.zeros(omegas.shape)
-    f[inside] = np.sqrt(o2bar * sigma_s / sigma_a * x[inside])
-    return f
-
-
-def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega: float) -> float:
+def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
     """Closed-form small-A prediction for a flat subsystem spectrum.
 
     ``f**2 = o2bar (sigma_s / sigma_a) (1 - 2|omega|/sigma_a)`` inside
     ``|omega| <= sigma_a / 2`` and zero outside.
     """
-    return _one(_flat_a_grid, omega, sigma_a, o2bar, sigma_s)
+    if sigma_a <= 0:
+        raise ValidationError("sigma_a must be positive")
+    x = 1.0 - 2.0 * np.abs(_omegas(omega)) / sigma_a
+    inside = x > 0.0
+    f = np.zeros(x.shape)
+    f[inside] = np.sqrt(o2bar * sigma_s / sigma_a * x[inside])
+    return _like(omega, f)
 
 
-def _smooth_small_a_grid(rho_a, o2bar, sigma_s, autocorr, omegas, tol=1e-8):
-    if autocorr is None:
-        _check_normalized(rho_a)
-        autocorr = density_autocorrelation(rho_a)
+def f_smooth_small_a(
+    rho_rho, o2bar: float, sigma_s: float, omega, *, tol: float = 1e-8
+):
+    """Small-subsystem form with the finite-width exponential profile.
+
+    ``f**2 = 2 o2bar sigma_s / N_h**2 * integral dw' [rho_a * rho_a](2w')
+    [h * h](2(omega - w'))`` with ``rho_rho`` the tabulated
+    ``[rho_a * rho_a]`` (:func:`density_autocorrelation`) and the
+    exponential profile's closed-form autocorrelation.
+    """
+    omegas = _omegas(omega)
     hh = exp_autocorrelation(sigma_s)
     n_h = SQRT2 * sigma_s
-    lo, hi = autocorr.support  # support of [rho*rho](2w') in 2w'
+    lo, hi = rho_rho.support  # support of [rho*rho](2w') in 2w'
 
     def integrand(wp, rows):
-        return autocorr(2.0 * wp) * hh(2.0 * (omegas[rows] - wp))
+        return rho_rho(2.0 * wp) * hh(2.0 * (omegas[rows] - wp))
 
     lo_w = np.full(omegas.shape, 0.5 * lo)
     hi_w = np.full(omegas.shape, 0.5 * hi)
@@ -404,32 +381,21 @@ def _smooth_small_a_grid(rho_a, o2bar, sigma_s, autocorr, omegas, tol=1e-8):
         integrand, lo_w, hi_w, tol=abs_tol, kinks=omegas[:, None]
     )
     f2 = 2.0 * o2bar * sigma_s / n_h**2 * val
-    return np.sqrt(np.maximum(f2, 0.0))
+    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
 
 
-def f_smooth_small_a(
-    rho_a,
-    o2bar: float,
-    sigma_s: float,
-    omega: float,
-    *,
-    autocorr=None,
-    tol: float = 1e-8,
-) -> float:
-    """Small-subsystem form with the finite-width exponential profile.
+def f_exp_decay(
+    sigma_a: float, sigma_s: float, o2bar: float, omega, *, tol: float = 1e-8
+):
+    """Closed-form prediction: flat subsystem spectrum, exponential profile.
 
-    ``f**2 = 2 o2bar sigma_s / N_h**2 * integral dw' [rho_a * rho_a](2w')
-    [h * h](2(omega - w'))`` with the exponential profile's closed-form
-    autocorrelation.
+    ``f**2 = o2bar / (2 sqrt(2)) * integral_{-1}^{1} dx (1 - |x|)
+    (1 + sqrt(2)|2 omega - x sigma_a| / sigma_s)
+    exp(-sqrt(2)|2 omega - x sigma_a| / sigma_s)``.
     """
-    return _one(
-        _smooth_small_a_grid, omega, rho_a, o2bar, sigma_s, autocorr, tol=tol
-    )
-
-
-def _exp_decay_grid(sigma_a, sigma_s, o2bar, omegas, tol=1e-8):
     if sigma_a <= 0 or sigma_s <= 0:
         raise ValidationError("sigma_a and sigma_s must be positive")
+    omegas = _omegas(omega)
     rate = SQRT2 / sigma_s
 
     def integrand(x, rows):
@@ -439,37 +405,34 @@ def _exp_decay_grid(sigma_a, sigma_s, o2bar, omegas, tol=1e-8):
     ends = np.ones(omegas.shape)
     kinks = np.column_stack((np.zeros(omegas.shape), 2.0 * omegas / sigma_a))
     val = integrate_adaptive(integrand, -ends, ends, tol=tol, kinks=kinks)
-    return np.sqrt(np.maximum(o2bar / (2.0 * SQRT2) * val, 0.0))
+    f2 = o2bar / (2.0 * SQRT2) * val
+    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
 
 
-def f_exp_decay(
+def f_mc_finite_width(
+    rho_rho,
+    o2bar: float,
     sigma_a: float,
     sigma_s: float,
-    o2bar: float,
-    omega: float,
+    omega,
     *,
     tol: float = 1e-8,
-) -> float:
-    """Closed-form prediction: flat subsystem spectrum, exponential profile.
+):
+    """Finite-width flat-window prediction with a general subsystem density.
 
-    ``f**2 = o2bar / (2 sqrt(2)) * integral_{-1}^{1} dx (1 - |x|)
-    (1 + sqrt(2)|2 omega - x sigma_a| / sigma_s)
-    exp(-sqrt(2)|2 omega - x sigma_a| / sigma_s)``.
+    ``f**2 = o2bar sigma_a / (2 sqrt(3)) * integral_{-1}^{1} dx
+    [rho_a * rho_a](x sigma_a) ramp(1 - |omega - x sigma_a / 2| /
+    (sqrt(3) sigma_s))`` where ``ramp`` clips at zero and ``rho_rho`` is the
+    tabulated ``[rho_a * rho_a]`` (:func:`density_autocorrelation`).
     """
-    return _one(_exp_decay_grid, omega, sigma_a, sigma_s, o2bar, tol=tol)
-
-
-def _mc_finite_width_grid(rho_a, o2bar, sigma_a, sigma_s, autocorr, omegas, tol=1e-8):
     if sigma_a <= 0 or sigma_s <= 0:
         raise ValidationError("sigma_a and sigma_s must be positive")
-    if autocorr is None:
-        _check_normalized(rho_a)
-        autocorr = density_autocorrelation(rho_a)
+    omegas = _omegas(omega)
     width = SQRT3 * sigma_s
 
     def integrand(x, rows):
         tri = np.maximum(1.0 - np.abs(omegas[rows] - x * sigma_a / 2.0) / width, 0.0)
-        return autocorr(x * sigma_a) * tri
+        return rho_rho(x * sigma_a) * tri
 
     kinks = np.column_stack((
         2.0 * omegas / sigma_a,
@@ -480,28 +443,8 @@ def _mc_finite_width_grid(rho_a, o2bar, sigma_a, sigma_s, autocorr, omegas, tol=
     ends = np.ones(omegas.shape)
     abs_tol = _scaled_tol(integrand, -ends, ends, tol)
     val = integrate_adaptive(integrand, -ends, ends, tol=abs_tol, kinks=kinks)
-    return np.sqrt(np.maximum(o2bar * sigma_a / (2.0 * SQRT3) * val, 0.0))
-
-
-def f_mc_finite_width(
-    rho_a,
-    o2bar: float,
-    sigma_a: float,
-    sigma_s: float,
-    omega: float,
-    *,
-    autocorr=None,
-    tol: float = 1e-8,
-) -> float:
-    """Finite-width flat-window prediction with a general subsystem density.
-
-    ``f**2 = o2bar sigma_a / (2 sqrt(3)) * integral_{-1}^{1} dx
-    [rho_a * rho_a](x sigma_a) ramp(1 - |omega - x sigma_a / 2| /
-    (sqrt(3) sigma_s))`` where ``ramp`` clips at zero.
-    """
-    return _one(
-        _mc_finite_width_grid, omega, rho_a, o2bar, sigma_a, sigma_s, autocorr, tol=tol
-    )
+    f2 = o2bar * sigma_a / (2.0 * SQRT3) * val
+    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
 
 
 def inverse_temperature(n_b, energy: float, step: float) -> float:
@@ -568,23 +511,6 @@ class AnsatzKind(str, Enum):
     MC_FINITE_WIDTH_FLAT_A = "mc_finite_width_flat_A"
 
 
-# Continuum kinds report the entropic factor separately and need n_0 for it;
-# exact-sum kinds fold it into their normalization and need the system.
-_EXACT_KINDS = frozenset(
-    {AnsatzKind.MICROCANONICAL_EXACT_SUMS, AnsatzKind.SMOOTH_GENERAL_SUMS}
-)
-_NEEDS = {
-    AnsatzKind.MICROCANONICAL_EXACT_SUMS: ("system",),
-    AnsatzKind.SMOOTH_GENERAL_SUMS: ("system",),
-    AnsatzKind.NARROW_SCRAMBLING: ("n_a", "n_b", "n_0"),
-    AnsatzKind.SMALL_A_NARROW: ("n_a", "n_0"),
-    AnsatzKind.FLAT_A_NARROW: ("sigma_a", "n_0"),
-    AnsatzKind.SMOOTH_SMALL_A: ("n_a", "n_0"),
-    AnsatzKind.EXP_DECAY_FLAT_A: ("sigma_a", "n_0"),
-    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: ("n_a", "sigma_a", "n_0"),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """One evaluated prediction curve at fixed ``Ebar``."""
@@ -601,10 +527,11 @@ class Prediction:
 class AnsatzModel:
     """Data bundle for evaluating one rung of the ladder.
 
-    Exact-sum kinds require the literal subsystem spectra (and optionally a
-    concrete operator via ``sq_elements``); continuum kinds require the
-    densities listed for them.  ``sigma_a`` defaults to the width of the
-    ``n_a`` support, else to the A spectral range of ``system``.
+    Exact-sum kinds require the literal subsystem spectra in ``system`` and
+    use the typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``;
+    continuum kinds require the densities listed for them.  ``sigma_a``
+    defaults to the width of the ``n_a`` support, else to the A spectral
+    range of ``system``.
     """
 
     kind: AnsatzKind
@@ -615,7 +542,6 @@ class AnsatzModel:
     n_0: Optional[GridFunction] = None
     sigma_a: Optional[float] = None
     system: Optional[BipartiteSystem] = None
-    op_a: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.sigma_s <= 0:
@@ -632,7 +558,7 @@ class AnsatzModel:
             elif self.system is not None:
                 sigma_a = self.system.spectrum_a.spectral_range
             object.__setattr__(self, "sigma_a", sigma_a)
-        for name in _NEEDS[kind]:
+        for name in _RUNGS[kind][0]:
             if getattr(self, name) is None:
                 raise ValidationError(f"{kind.value} requires {name}")
 
@@ -641,29 +567,26 @@ class AnsatzModel:
 
         Continuum kinds integrate every omega of the grid in one batched
         quadrature.  Omegas whose pair energies ``Ebar +/- omega`` leave the
-        support of ``n_0`` (where the scalar ``f_narrow`` raises
-        :class:`OutOfSupportError`) are dropped from the returned grid.
+        support of ``n_0`` (where ``f_narrow`` raises
+        :class:`OutOfSupportError`) are dropped from the narrow kind's grid.
         """
-        omegas = np.asarray(omegas, dtype=float)
+        omegas = np.array(omegas, dtype=float)
         kind = self.kind
-        if kind in _EXACT_KINDS:
-            ent = 1.0
-        else:
+        fields, rung = _RUNGS[kind]
+        ent = 1.0
+        if "n_0" in fields:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
-        f_vals, kept = _GRID_FORMS[kind](self, ebar, omegas)
-        f_vals = f_vals[kept]
+        if kind is AnsatzKind.NARROW_SCRAMBLING:
+            omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
+        f_vals = rung(self, ebar, omegas)
         return Prediction(
             kind=kind.value,
             ebar=float(ebar),
-            omega=omegas[kept],
+            omega=omegas,
             f=f_vals,
             entropic_factor=float(ent),
             variance=(float(ent) * f_vals) ** 2,
         )
-
-
-def _all_kept(f):
-    return f, np.ones(f.shape, dtype=bool)
 
 
 def _autocorr(model):
@@ -678,8 +601,7 @@ def _exact_sums(model, ebar, omegas):
 
         def one(w):
             return f_microcanonical_exact(
-                model.system, model.op_a, delta, ebar + w, ebar - w,
-                o2bar=model.o2bar,
+                model.system, None, delta, ebar + w, ebar - w, o2bar=model.o2bar
             )
 
     else:
@@ -687,33 +609,42 @@ def _exact_sums(model, ebar, omegas):
 
         def one(w):
             return f_smooth_sums(
-                model.system, model.op_a, h, ebar + w, ebar - w, o2bar=model.o2bar
+                model.system, None, h, ebar + w, ebar - w, o2bar=model.o2bar
             )
 
-    return _all_kept(np.array([one(w) for w in omegas.tolist()]))
+    return np.array([one(w) for w in omegas.tolist()])
 
 
-# Kind -> grid form (model, ebar, omegas) -> (f on the whole grid, mask of
-# the omegas the kind can evaluate).
-_GRID_FORMS = {
-    AnsatzKind.MICROCANONICAL_EXACT_SUMS: _exact_sums,
-    AnsatzKind.SMOOTH_GENERAL_SUMS: _exact_sums,
-    AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: _narrow_grid(
-        m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
+# Kind -> (model fields the rung reads, rung (model, ebar, omegas) -> f on the
+# grid).  The continuum rungs read n_0 for the entropic factor they report
+# separately; the exact-sum rungs fold it into their normalization.
+_RUNGS = {
+    AnsatzKind.MICROCANONICAL_EXACT_SUMS: (("system",), _exact_sums),
+    AnsatzKind.SMOOTH_GENERAL_SUMS: (("system",), _exact_sums),
+    AnsatzKind.NARROW_SCRAMBLING: (
+        ("n_a", "n_b", "n_0"),
+        lambda m, ebar, w: f_narrow(m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w),
     ),
-    AnsatzKind.SMALL_A_NARROW: lambda m, ebar, w: _all_kept(
-        _small_a_grid(None, m.o2bar, m.sigma_s, _autocorr(m), w)
+    AnsatzKind.SMALL_A_NARROW: (
+        ("n_a", "n_0"),
+        lambda m, ebar, w: f_small_a(_autocorr(m), m.o2bar, m.sigma_s, w),
     ),
-    AnsatzKind.FLAT_A_NARROW: lambda m, ebar, w: _all_kept(
-        _flat_a_grid(m.sigma_a, m.o2bar, m.sigma_s, w)
+    AnsatzKind.FLAT_A_NARROW: (
+        ("sigma_a", "n_0"),
+        lambda m, ebar, w: f_flat_a(m.sigma_a, m.o2bar, m.sigma_s, w),
     ),
-    AnsatzKind.SMOOTH_SMALL_A: lambda m, ebar, w: _all_kept(
-        _smooth_small_a_grid(None, m.o2bar, m.sigma_s, _autocorr(m), w)
+    AnsatzKind.SMOOTH_SMALL_A: (
+        ("n_a", "n_0"),
+        lambda m, ebar, w: f_smooth_small_a(_autocorr(m), m.o2bar, m.sigma_s, w),
     ),
-    AnsatzKind.EXP_DECAY_FLAT_A: lambda m, ebar, w: _all_kept(
-        _exp_decay_grid(m.sigma_a, m.sigma_s, m.o2bar, w)
+    AnsatzKind.EXP_DECAY_FLAT_A: (
+        ("sigma_a", "n_0"),
+        lambda m, ebar, w: f_exp_decay(m.sigma_a, m.sigma_s, m.o2bar, w),
     ),
-    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda m, ebar, w: _all_kept(
-        _mc_finite_width_grid(None, m.o2bar, m.sigma_a, m.sigma_s, _autocorr(m), w)
+    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: (
+        ("n_a", "sigma_a", "n_0"),
+        lambda m, ebar, w: f_mc_finite_width(
+            _autocorr(m), m.o2bar, m.sigma_a, m.sigma_s, w
+        ),
     ),
 }

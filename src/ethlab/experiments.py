@@ -64,18 +64,14 @@ class OperatorEnsembleSpec:
     dim_a: int
     count: int = 250
     seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError("count must be >= 1")
-        if self.dim_a < 1:
-            raise ValidationError("dim_a must be >= 1")
-        if self.dim_a == 1 and self.normalize:
+        if self.dim_a < 2:
             raise ValidationError(
-                "dim_a=1 with normalization is degenerate: the single "
-                "eigenvalue becomes 0 after mean subtraction and cannot have "
-                "mean square 1"
+                f"dim_a must be >= 2, got {self.dim_a}: a single eigenvalue "
+                "becomes 0 after mean subtraction and cannot have mean square 1"
             )
 
 
@@ -85,12 +81,11 @@ def sample_local_operator(spec: OperatorEnsembleSpec, index: int) -> np.ndarray:
         raise ValidationError(f"index {index} outside 0..{spec.count - 1}")
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
     vals = rng.uniform(-1.0, 1.0, spec.dim_a)
-    if spec.normalize:
-        vals = vals - vals.mean()
-        ms = float((vals**2).mean())
-        if ms == 0.0:
-            raise ValidationError("degenerate draw: zero spectrum after centering")
-        vals = vals / np.sqrt(ms)
+    vals = vals - vals.mean()
+    ms = float((vals**2).mean())
+    if ms == 0.0:
+        raise ValidationError("degenerate draw: zero spectrum after centering")
+    vals = vals / np.sqrt(ms)
     basis = haar_orthogonal(spec.dim_a, rng)
     op = (basis * vals) @ basis.T
     return 0.5 * (op + op.T)
@@ -547,8 +542,6 @@ class BandReport:
     """Detected off-diagonal banding peaks matched against subsystem gaps."""
 
     peak_omegas: np.ndarray
-    peak_values: np.ndarray
-    prominences: np.ndarray
     gaps: np.ndarray
     matched: np.ndarray  # per peak: within 2 sigma_s of some gap
     gap_matched: np.ndarray  # per gap: some peak within 2 sigma_s
@@ -597,7 +590,7 @@ def detect_bands(
             f"need at least 3 bins to detect bands, got {omega_mid.size}"
         )
     threshold = 2.0 * float(np.median(std_err))
-    idx, props = find_peaks(mean_sq, prominence=max(threshold, 1e-300))
+    idx, _ = find_peaks(mean_sq, prominence=max(threshold, 1e-300))
     omegas = omega_mid[idx]
     if gaps.size and omegas.size:
         sep = np.abs(omegas[:, None] - gaps[None, :])
@@ -608,8 +601,6 @@ def detect_bands(
         gap_matched = np.zeros(gaps.size, dtype=bool)
     return BandReport(
         peak_omegas=omegas,
-        peak_values=mean_sq[idx],
-        prominences=props["prominences"],
         gaps=gaps,
         matched=matched,
         gap_matched=gap_matched,

@@ -78,15 +78,14 @@ class SpinChainParams:
     coupling: float = 1.0
     field_x: float = 1.05
     field_z: float = 0.5
-    max_sites: int = MAX_CHAIN_SITES
 
     def __post_init__(self):
         if self.sites < 1:
             raise ValidationError("chain needs at least one site")
-        if self.sites > self.max_sites:
+        if self.sites > MAX_CHAIN_SITES:
             raise ValidationError(
                 f"sites={self.sites} exceeds the dense-diagonalization guard "
-                f"({self.max_sites}); raise max_sites explicitly to override"
+                f"({MAX_CHAIN_SITES})"
             )
         for name in ("coupling", "field_x", "field_z"):
             if not np.isfinite(getattr(self, name)):
@@ -213,14 +212,12 @@ def decompose_chain(
         coupling=params.coupling,
         field_x=params.field_x,
         field_z=params.field_z,
-        max_sites=params.max_sites,
     )
     b_params = SpinChainParams(
         sites=params.sites - cut,
         coupling=params.coupling,
         field_x=params.field_x,
         field_z=params.field_z,
-        max_sites=params.max_sites,
     )
     if spectrum_t is None:
         spectrum_t = eig_sym(build_spin_chain(params), check=False)
@@ -332,8 +329,3 @@ def build_random_system(
     h_i = (rot * (scale * mid)) @ rot.T
     h_i = 0.5 * (h_i + h_i.T)
     return make_bipartite(h_a, h_b, h_i, spectrum_t=spectrum_t)
-
-
-def chain_reference_params() -> SpinChainParams:
-    """The 12-site chain at the default couplings (the desk-scale reference)."""
-    return SpinChainParams(sites=12)

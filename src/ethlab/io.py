@@ -36,7 +36,6 @@ __all__ = [
     "config_cache_key",
     "save_spectrum",
     "load_spectrum",
-    "cache_roundtrip",
     "cached_spectrum",
     "emit_dataset",
     "write_manifest",
@@ -67,12 +66,6 @@ class RunConfig:
     predict_kinds: tuple[str, ...]
     o2bar: float = 1.0
 
-    @property
-    def dim_a(self) -> int:
-        if self.chain is not None:
-            return 2**self.cut
-        return 2**self.random.sites_a
-
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=seed))
 
@@ -92,7 +85,7 @@ _DEFAULTS = {
         "a_scale": "1",
         "system_seed": "7",
     },
-    "ensemble": {"count": "250", "seed": "0", "normalize": "true"},
+    "ensemble": {"count": "250", "seed": "0"},
     "binning": {"ebar_halfwidth": "0.5", "omega_bin_width": "auto"},
     "predict": {"kinds": "auto", "o2bar": "1"},
     "output": {},
@@ -116,15 +109,6 @@ def _get_int(section, key) -> int:
         return int(raw)
     except ValueError:
         raise ValidationError(f"{section.name}.{key}: not an integer: {raw!r}") from None
-
-
-def _get_bool(section, key) -> bool:
-    raw = section[key].strip().lower()
-    if raw in ("true", "yes", "1", "on"):
-        return True
-    if raw in ("false", "no", "0", "off"):
-        return False
-    raise ValidationError(f"{section.name}.{key}: not a boolean: {raw!r}")
 
 
 def parse_config(
@@ -199,7 +183,6 @@ def parse_config(
         dim_a=dim_a,
         count=_get_int(ens_section, "count"),
         seed=_get_int(ens_section, "seed"),
-        normalize=_get_bool(ens_section, "normalize"),
     )
 
     binning_section = merged["binning"]
@@ -344,15 +327,6 @@ def load_spectrum(key: str, cache_dir: str | Path) -> Optional[Spectrum]:
     )
 
 
-def cache_roundtrip(spectrum: Spectrum, key: str, cache_dir: str | Path) -> Spectrum:
-    """Write then reload a spectrum; the result is bit-identical."""
-    save_spectrum(spectrum, key, cache_dir)
-    loaded = load_spectrum(key, cache_dir)
-    if loaded is None:
-        raise CacheMissError(f"roundtrip failed for key {key!r}")
-    return loaded
-
-
 def cached_spectrum(key: str, cache_dir: str | Path, policy: str, compute):
     """Fetch a spectrum under a cache policy.
 
@@ -472,13 +446,6 @@ def resolve_out_dir(arg: Optional[str]) -> Path:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
-
-
 def write_svg(
     curves,
     path: str | Path,
@@ -486,13 +453,12 @@ def write_svg(
     title: str = "",
     xlabel: str = "omega",
     ylabel: str = "mean squared element",
-    logy: bool = True,
 ) -> Path:
     """Minimal deterministic SVG scatter/line plot.
 
     ``curves`` is a sequence of dicts with keys ``x``, ``y``, ``label`` and
-    optional ``line`` (bool, default scatter).  Non-positive y values are
-    dropped when ``logy``.  Output contains no timestamps so identical data
+    optional ``line`` (bool, default scatter).  The y axis is logarithmic and
+    non-positive y values are dropped.  Output contains no timestamps so identical data
     gives identical bytes.
     """
     width, height = 720.0, 480.0
@@ -504,12 +470,8 @@ def write_svg(
     for curve in curves:
         x = np.asarray(curve["x"], dtype=float)
         y = np.asarray(curve["y"], dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if logy:
-            keep &= y > 0
-        x, y = x[keep], y[keep]
-        if logy:
-            y = np.log10(y)
+        keep = np.isfinite(x) & np.isfinite(y) & (y > 0)
+        x, y = x[keep], np.log10(y[keep])
         if x.size:
             xs.append(x)
             ys.append(y)
@@ -544,7 +506,7 @@ def write_svg(
         f'L {ml + pw:.1f} {mt + ph:.1f}" stroke="black" fill="none"/>'
     )
     parts.append(axis)
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         px = sx(tx)
         parts.append(
             f'<line x1="{px:.1f}" y1="{mt + ph:.1f}" x2="{px:.1f}" '
@@ -554,9 +516,9 @@ def write_svg(
             f'<text x="{px:.1f}" y="{mt + ph + 18:.1f}" '
             f'text-anchor="middle">{tx:.3g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         py = sy(ty)
-        label = f"1e{ty:.2g}" if logy else f"{ty:.3g}"
+        label = f"1e{ty:.2g}"
         parts.append(
             f'<line x1="{ml - 5:.1f}" y1="{py:.1f}" x2="{ml:.1f}" '
             f'y2="{py:.1f}" stroke="black"/>'

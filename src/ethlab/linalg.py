@@ -103,8 +103,6 @@ class SpectralDensity(GridFunction):
     """
 
     total: float = 0.0
-    spectral_min: float = 0.0
-    spectral_max: float = 0.0
 
     def normalized(self) -> GridFunction:
         """The same shape rescaled to unit integral (a probability density)."""
@@ -202,8 +200,6 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
         grid=grid,
         values=values,
         total=float(e.size),
-        spectral_min=lo,
-        spectral_max=hi,
     )
 
 

@@ -47,10 +47,6 @@ class ScramblingCoefficients:
     def total_dim(self) -> int:
         return self.tensor.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.tensor.shape[1], self.tensor.shape[2]
-
     def sum_energies(self) -> np.ndarray:
         """Product-state energies ``E_i^A + E_j^B`` on the (i, j) grid."""
         return np.add.outer(self.energies_a, self.energies_b)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ethlab.ansatz import (
+    density_autocorrelation,
     entropic_factor,
     exp_autocorrelation,
     f_exp_decay,
@@ -275,11 +276,12 @@ def test_a06_model_ladder_agreement():
         np.array([-sigma_a / 2, sigma_a / 2]),
         np.array([1.0 / sigma_a, 1.0 / sigma_a]),
     )
+    auto = density_autocorrelation(flat)
     worst_exp = worst_mc = 0.0
     for w in np.linspace(0.0, 0.45 * sigma_a, 24):
-        ref = f_small_a(flat, 1.0, sigma_s, float(w))
+        ref = f_small_a(auto, 1.0, sigma_s, float(w))
         fe = f_exp_decay(sigma_a, sigma_s, 1.0, float(w))
-        fm = f_mc_finite_width(flat, 1.0, sigma_a, sigma_s, float(w))
+        fm = f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, float(w))
         worst_exp = max(worst_exp, abs(fe / ref - 1.0))
         worst_mc = max(worst_mc, abs(fm / ref - 1.0))
     ok = worst_exp <= 0.02 and worst_mc <= 0.02

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ethlab.ansatz import (
     AnsatzKind,
@@ -153,32 +154,41 @@ def test_f_small_a_flat_density_closed_form():
     # Flat subsystem density: the general small-A form reduces to the
     # closed-form triangle, f(0) = sqrt(sigma_s / sigma_a).
     sigma_a, sigma_s = 4.0, 1.0
-    rho = flat_density(sigma_a)
-    assert f_small_a(rho, 1.0, sigma_s, 0.0) == pytest.approx(0.5, abs=1e-9)
+    auto = density_autocorrelation(flat_density(sigma_a))
+    assert f_small_a(auto, 1.0, sigma_s, 0.0) == pytest.approx(0.5, abs=1e-9)
     for omega in np.linspace(-2.4, 2.4, 25):
         closed = f_flat_a(sigma_a, 1.0, sigma_s, float(omega))
-        general = f_small_a(rho, 1.0, sigma_s, float(omega))
+        general = f_small_a(auto, 1.0, sigma_s, float(omega))
         assert general == pytest.approx(closed, abs=1e-8)
 
 
-def test_f_small_a_autocorr_path_and_cache():
-    rho = flat_density(3.0)
+@pytest.mark.parametrize(
+    "values, rel",
+    [((1.0 / 3.0, 1.0 / 3.0), 1e-12), ((0.5 / 3.0, 1.5 / 3.0), 1e-5)],
+    ids=["flat", "tilted"],
+)
+def test_f_small_a_matches_independent_quadrature(values, rel):
+    # f**2 = o2bar sigma_s integral dy rho(y) rho(2 omega + y), here by scipy
+    # quad on the density itself rather than on its tabulated autocorrelation.
+    # The tilted density's autocorrelation is cubic, so its linear
+    # interpolation between the 1025 tabulation points costs about 1e-6.
+    rho = GridFunction(np.array([-1.5, 1.5]), np.array(values))
     auto = density_autocorrelation(rho)
-    assert density_autocorrelation(rho) is auto
-    for omega in (0.0, 0.4, 1.2):
-        direct = f_small_a(rho, 1.0, 0.7, omega)
-        tabulated = f_small_a(rho, 1.0, 0.7, omega, autocorr=auto)
-        assert tabulated == pytest.approx(direct, abs=1e-6)
+    o2bar, sigma_s = 1.3, 0.7
+    for omega in (0.0, 0.4, -0.9, 1.2, 1.45):
+        x = 2.0 * omega
+        lo, hi = max(-1.5, -1.5 - x), min(1.5, 1.5 - x)
+        val, _ = quad(lambda y: rho(y) * rho(x + y), lo, hi, epsabs=0.0, epsrel=1e-13)
+        expected = np.sqrt(o2bar * sigma_s * val)
+        assert f_small_a(auto, o2bar, sigma_s, omega) == pytest.approx(
+            expected, rel=rel
+        )
 
 
 def test_unnormalized_density_is_rejected():
     bad = GridFunction(np.array([-1.0, 1.0]), np.array([3.0, 3.0]))
     with pytest.raises(ValidationError):
-        f_small_a(bad, 1.0, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        f_smooth_small_a(bad, 1.0, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        f_mc_finite_width(bad, 1.0, 2.0, 1.0, 0.0)
+        density_autocorrelation(bad)
 
 
 def test_f_flat_a_support_edge():
@@ -191,22 +201,16 @@ def test_f_flat_a_support_edge():
 
 def test_continuum_forms_are_even_in_omega():
     sigma_a, sigma_s = 3.0, 0.4
-    rho = flat_density(sigma_a)
-    auto = density_autocorrelation(rho)
+    auto = density_autocorrelation(flat_density(sigma_a))
     for w in (0.1, 0.7, 1.3):
         assert f_exp_decay(sigma_a, sigma_s, 1.0, w) == pytest.approx(
             f_exp_decay(sigma_a, sigma_s, 1.0, -w), rel=1e-10
         )
-        assert f_mc_finite_width(
-            rho, 1.0, sigma_a, sigma_s, w, autocorr=auto
-        ) == pytest.approx(
-            f_mc_finite_width(rho, 1.0, sigma_a, sigma_s, -w, autocorr=auto),
-            rel=1e-8,
+        assert f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, w) == pytest.approx(
+            f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, -w), rel=1e-8
         )
-        assert f_smooth_small_a(
-            rho, 1.0, sigma_s, w, autocorr=auto
-        ) == pytest.approx(
-            f_smooth_small_a(rho, 1.0, sigma_s, -w, autocorr=auto), rel=1e-8
+        assert f_smooth_small_a(auto, 1.0, sigma_s, w) == pytest.approx(
+            f_smooth_small_a(auto, 1.0, sigma_s, -w), rel=1e-8
         )
 
 
@@ -239,24 +243,22 @@ def test_approximation_ladder_converges_to_small_a():
     # scrambling width is far below the subsystem bandwidth.
     sigma_a = 4.0
     sigma_s = sigma_a / 100.0
-    rho = flat_density(sigma_a)
-    auto = density_autocorrelation(rho)
+    auto = density_autocorrelation(flat_density(sigma_a))
     for omega in np.linspace(0.0, 0.45 * sigma_a, 12):
-        ref = f_small_a(rho, 1.0, sigma_s, float(omega), autocorr=auto)
+        ref = f_small_a(auto, 1.0, sigma_s, float(omega))
         assert f_exp_decay(sigma_a, sigma_s, 1.0, float(omega)) == pytest.approx(
             ref, rel=0.02
         )
         assert f_mc_finite_width(
-            rho, 1.0, sigma_a, sigma_s, float(omega), autocorr=auto
+            auto, 1.0, sigma_a, sigma_s, float(omega)
         ) == pytest.approx(ref, rel=0.02)
 
 
 def test_f_smooth_small_a_matches_exp_decay_for_flat_density():
     sigma_a, sigma_s = 4.0, 0.5
-    rho = flat_density(sigma_a)
-    auto = density_autocorrelation(rho, n_grid=4097)
+    auto = density_autocorrelation(flat_density(sigma_a), n_grid=4097)
     for omega in (0.0, 0.6, 1.4, 2.2):
-        a = f_smooth_small_a(rho, 1.0, sigma_s, omega, autocorr=auto)
+        a = f_smooth_small_a(auto, 1.0, sigma_s, omega)
         b = f_exp_decay(sigma_a, sigma_s, 1.0, omega)
         assert a == pytest.approx(b, rel=1e-4)
 
@@ -265,8 +267,7 @@ def test_f_narrow_flat_density_oracle():
     # Flat n_a (2 states per unit on [-1, 1], 4 states), flat n_b, flat n_0:
     # f^2 = 2 o2bar sigma_s c_b (1 - |omega|) / c_0.
     n_a = SpectralDensity(
-        np.array([-1.0, 1.0]), np.array([2.0, 2.0]),
-        total=4.0, spectral_min=-1.0, spectral_max=1.0,
+        np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0
     )
     c_b, c_0 = 12.0, 50.0
     n_b = GridFunction(np.array([-20.0, 20.0]), np.array([c_b, c_b]))
@@ -282,14 +283,16 @@ def test_f_narrow_flat_density_oracle():
 
 def test_f_narrow_out_of_support():
     n_a = SpectralDensity(
-        np.array([-1.0, 1.0]), np.array([2.0, 2.0]),
-        total=4.0, spectral_min=-1.0, spectral_max=1.0,
+        np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0
     )
     n_b = GridFunction(np.array([-2.0, 2.0]), np.array([1.0, 1.0]))
     n_0 = GridFunction(np.array([-3.0, 3.0]), np.array([1.0, 1.0]))
     with pytest.raises(OutOfSupportError):
         # E_alpha = ebar + omega leaves the sum-density support.
         f_narrow(n_a, n_b, n_0, 1.0, 0.5, 2.0, 1.5)
+    with pytest.raises(OutOfSupportError):
+        # One such omega in a grid is enough.
+        f_narrow(n_a, n_b, n_0, 1.0, 0.5, 2.0, np.array([0.0, 0.5, 1.5]))
 
 
 def test_entropic_factor_value_and_errors():
@@ -396,8 +399,7 @@ def test_ansatz_model_skips_out_of_support_grid_points():
     # The narrow form refuses pair energies beyond the sum-density support;
     # the model simply drops those grid points rather than failing the scan.
     n_a = SpectralDensity(
-        np.array([-1.0, 1.0]), np.array([2.0, 2.0]),
-        total=4.0, spectral_min=-1.0, spectral_max=1.0,
+        np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0
     )
     n_b = GridFunction(np.array([-2.0, 2.0]), np.array([1.0, 1.0]))
     n_0 = GridFunction(np.array([-3.0, 3.0]), np.array([1.0, 1.0]))
@@ -436,24 +438,21 @@ def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
     system, sigma_s, dens = _chain_model_inputs(8, 3)
     o2bar = 1.3
     sigma_a = dens.n_a.support[1] - dens.n_a.support[0]
-    rho = dens.n_a.normalized()
-    auto = density_autocorrelation(rho)
+    auto = density_autocorrelation(dens.n_a.normalized())
     scalar = {
         AnsatzKind.NARROW_SCRAMBLING: lambda e, w: f_narrow(
             dens.n_a, dens.n_b, dens.n_0, o2bar, sigma_s, e, w
         ),
-        AnsatzKind.SMALL_A_NARROW: lambda e, w: f_small_a(
-            rho, o2bar, sigma_s, w, autocorr=auto
-        ),
+        AnsatzKind.SMALL_A_NARROW: lambda e, w: f_small_a(auto, o2bar, sigma_s, w),
         AnsatzKind.FLAT_A_NARROW: lambda e, w: f_flat_a(sigma_a, o2bar, sigma_s, w),
         AnsatzKind.SMOOTH_SMALL_A: lambda e, w: f_smooth_small_a(
-            rho, o2bar, sigma_s, w, autocorr=auto
+            auto, o2bar, sigma_s, w
         ),
         AnsatzKind.EXP_DECAY_FLAT_A: lambda e, w: f_exp_decay(
             sigma_a, sigma_s, o2bar, w
         ),
         AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda e, w: f_mc_finite_width(
-            rho, o2bar, sigma_a, sigma_s, w, autocorr=auto
+            auto, o2bar, sigma_a, sigma_s, w
         ),
     }
     e_min = float(system.spectrum_t.eigenvalues[0])
@@ -494,3 +493,34 @@ def test_narrow_scrambling_survives_rounding_at_the_support_edge():
         pred = model.evaluate(center, stats.omega_mid)
         assert pred.omega.size > 0
         assert np.all(np.isfinite(pred.f)) and np.all(pred.f >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "rung",
+    ["narrow", "small_a", "flat_a", "smooth_small_a", "exp_decay", "mc_finite_width"],
+)
+def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
+    # One function per rung: a grid returns an array whose every value is
+    # bitwise the scalar call's, and a scalar returns a float.
+    system, sigma_s, dens = _chain_model_inputs(8, 3)
+    o2bar = 1.3
+    sigma_a = dens.n_a.support[1] - dens.n_a.support[0]
+    auto = density_autocorrelation(dens.n_a.normalized())
+    one = {
+        "narrow": lambda w: f_narrow(
+            dens.n_a, dens.n_b, dens.n_0, o2bar, sigma_s, 0.0, w
+        ),
+        "small_a": lambda w: f_small_a(auto, o2bar, sigma_s, w),
+        "flat_a": lambda w: f_flat_a(sigma_a, o2bar, sigma_s, w),
+        "smooth_small_a": lambda w: f_smooth_small_a(auto, o2bar, sigma_s, w),
+        "exp_decay": lambda w: f_exp_decay(sigma_a, sigma_s, o2bar, w),
+        "mc_finite_width": lambda w: f_mc_finite_width(
+            auto, o2bar, sigma_a, sigma_s, w
+        ),
+    }[rung]
+    omegas = np.linspace(-0.6 * sigma_a, 0.6 * sigma_a, 23)
+    grid = one(omegas)
+    scalars = [one(w) for w in omegas.tolist()]
+    assert isinstance(grid, np.ndarray) and grid.shape == omegas.shape
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(grid, scalars)

@@ -6,6 +6,7 @@ import pytest
 from ethlab import hamiltonians
 from ethlab.errors import DimensionError, ValidationError
 from ethlab.hamiltonians import (
+    MAX_CHAIN_SITES,
     RandomSystemParams,
     SpinChainParams,
     build_random_system,
@@ -94,8 +95,8 @@ def test_chain_params_validation():
         SpinChainParams(20)
     with pytest.raises(ValidationError):
         SpinChainParams(4, field_x=np.inf)
-    # The guard is explicit, not absolute.
-    assert SpinChainParams(14, max_sites=14).dim == 2**14
+    with pytest.raises(ValidationError):
+        SpinChainParams(MAX_CHAIN_SITES + 1)
 
 
 def test_site_operator_bounds():

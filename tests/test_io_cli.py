@@ -11,7 +11,6 @@ from ethlab.ansatz import Prediction
 from ethlab.errors import CacheMissError, ValidationError
 from ethlab.hamiltonians import sample_goe
 from ethlab.io import (
-    cache_roundtrip,
     cached_spectrum,
     config_cache_key,
     default_config,
@@ -97,7 +96,7 @@ def test_config_random_kind():
     assert config.random.sites_i == 4
     assert config.random.interaction_fraction == 0.01
     assert config.random.seed == 7
-    assert config.dim_a == 4
+    assert config.ensemble.dim_a == 4
     forced = parse_config(None, text="", force_kind="random")
     assert forced.random is not None and forced.chain is None
 
@@ -111,6 +110,9 @@ def test_config_validation_errors():
         parse_config(None, text="[nonsense]\nx = 1\n")
     with pytest.raises(ValidationError, match="unknown key"):
         parse_config(None, text="[system]\nspins = 12\n")
+    with pytest.raises(ValidationError, match="unknown key"):
+        # Operators are always centred and scaled to unit mean square.
+        parse_config(None, text="[ensemble]\nnormalize = true\n")
     with pytest.raises(ValidationError, match="not an integer"):
         parse_config(None, text="[system]\nsites = twelve\n")
     with pytest.raises(ValidationError, match="malformed config"):
@@ -147,7 +149,8 @@ def _spectrum(dim=48, seed=21):
 
 def test_cache_roundtrip_is_bitwise(tmp_path):
     spec = _spectrum()
-    back = cache_roundtrip(spec, "roundtrip-key", tmp_path)
+    save_spectrum(spec, "roundtrip-key", tmp_path)
+    back = load_spectrum("roundtrip-key", tmp_path)
     assert spec.eigenvalues.tobytes() == back.eigenvalues.tobytes()
     assert spec.eigenvectors.tobytes() == back.eigenvectors.tobytes()
 
@@ -475,3 +478,16 @@ def test_runtime_dependencies_are_numpy_and_scipy():
     names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
              for dep in project["dependencies"]}
     assert names == {"numpy", "scipy"}
+
+
+def test_every_public_name_resolves():
+    import importlib
+
+    modules = [importlib.import_module("ethlab")] + [
+        importlib.import_module(f"ethlab.{name}")
+        for name in ("ansatz", "cli", "experiments", "figures", "hamiltonians",
+                     "io", "linalg", "localize", "scrambling")
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
