@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (
     DimensionError,
@@ -560,6 +559,41 @@ class BandReport:
         return float(self.gap_matched.mean())
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Local maxima of ``x`` whose prominence is at least ``min_prominence``.
+
+    The rules of ``scipy.signal.find_peaks(x, prominence=min_prominence)``:
+    the end samples are never peaks; a flat top counts once, at its middle
+    sample (rounded down); a peak's prominence is its height above the
+    higher of the two minima reached walking out from it, on each side,
+    until the first strictly higher sample (NaN counts as higher) or the end.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    peaks = []
+    i = 1
+    while i < n - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < n - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                peaks.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+    keep = []
+    for p in peaks:
+        higher = np.flatnonzero(~(x <= x[p]))
+        left = higher[higher < p]
+        right = higher[higher > p]
+        lo = left[-1] + 1 if left.size else 0
+        hi = right[0] if right.size else n
+        base = max(x[lo : p + 1].min(), x[p:hi].min())
+        if x[p] - base >= min_prominence:
+            keep.append(p)
+    return np.array(keep, dtype=np.intp)
+
+
 def detect_bands(
     binned: BinnedStatistics, gaps: np.ndarray, sigma_s: float
 ) -> BandReport:
@@ -590,7 +624,7 @@ def detect_bands(
             f"need at least 3 bins to detect bands, got {omega_mid.size}"
         )
     threshold = 2.0 * float(np.median(std_err))
-    idx, _ = find_peaks(mean_sq, prominence=max(threshold, 1e-300))
+    idx = _prominent_peaks(mean_sq, max(threshold, 1e-300))
     omegas = omega_mid[idx]
     if gaps.size and omegas.size:
         sep = np.abs(omegas[:, None] - gaps[None, :])

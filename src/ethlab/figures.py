@@ -153,7 +153,7 @@ def quantile_states(total_dim: int, count: int = 7) -> np.ndarray:
 def _coefficients(config, kinds, ctx, *, stem):
     system = ctx.system(config)
     coeffs = compute_coefficients(system)
-    prof = profile(coeffs)
+    prof = profile(system)
     states = quantile_states(system.total_dim)
     sums = system.sum_energies().ravel()
     e_t = coeffs.energies_total
@@ -198,7 +198,7 @@ def _coefficients(config, kinds, ctx, *, stem):
 
 def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
     system = ctx.system(config)
-    prof = profile(compute_coefficients(system))
+    prof = profile(system)
     sigma_a = system.spectrum_a.spectral_range
     width = config.binning.resolve_width(system.spectrum_t.spectral_range)
     omegas = np.arange(0.5 * width, omega_max or 0.75 * sigma_a, width)
@@ -215,8 +215,7 @@ def _window_centers(e_min: float, fractions) -> list[float]:
 
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """Shared measurement + prediction flow for the scans."""
-    # The coefficient tensor is freed before the ensemble run.
-    prof = profile(compute_coefficients(system))
+    prof = profile(system)
     dens = _Densities(system)
     result = run_ensemble(
         system, config.ensemble, centers, config.binning, threads=ctx.threads

@@ -124,10 +124,12 @@ def build_spin_chain(params: SpinChainParams) -> np.ndarray:
 class BipartiteSystem:
     """A total Hamiltonian split across a bipartition cut.
 
-    Holds the subsystem Hamiltonians and the three spectra every measurement
-    reads; the total and interaction Hamiltonians on the full product space
-    are built only to be diagonalized and are not kept.  Eigenvector matrices
-    follow the sign convention of :func:`ethlab.linalg.eig_sym`.
+    Holds the subsystem Hamiltonians, the three spectra every measurement
+    reads, and ``interaction_sq[alpha] = <alpha|H_I^2|alpha>`` for every
+    total eigenstate (the scrambling width's only input).  The total and
+    interaction Hamiltonians on the full product space are built only to be
+    diagonalized and are not kept.  Eigenvector matrices follow the sign
+    convention of :func:`ethlab.linalg.eig_sym`.
     """
 
     dim_a: int
@@ -137,6 +139,7 @@ class BipartiteSystem:
     spectrum_a: Spectrum
     spectrum_b: Spectrum
     spectrum_t: Spectrum
+    interaction_sq: np.ndarray
 
     @property
     def total_dim(self) -> int:
@@ -148,7 +151,10 @@ class BipartiteSystem:
 
 
 def _split_system(
-    h_a: np.ndarray, h_b: np.ndarray, spectrum_t: Spectrum
+    h_a: np.ndarray,
+    h_b: np.ndarray,
+    spectrum_t: Spectrum,
+    interaction_sq: np.ndarray,
 ) -> BipartiteSystem:
     return BipartiteSystem(
         dim_a=h_a.shape[0],
@@ -158,6 +164,7 @@ def _split_system(
         spectrum_a=eig_sym(h_a),
         spectrum_b=eig_sym(h_b),
         spectrum_t=spectrum_t,
+        interaction_sq=interaction_sq,
     )
 
 
@@ -174,6 +181,11 @@ def make_bipartite(
     be diagonalized and is freed right after.  ``spectrum_t`` may carry a
     precomputed (e.g. cached) eigendecomposition of ``H_T``; it is trusted
     as-is.
+
+    ``<alpha|H_I^2|alpha>`` is the squared norm of ``H_I|alpha> = (E_alpha -
+    H_0)|alpha>``, with ``H_0`` applied factor-wise to each eigenvector
+    reshaped to ``(dim_a, dim_b)``: ``2 total^2 (dim_a + dim_b)`` flops
+    instead of the ``2 total^3`` of ``h_i @ V``.
     """
     dim_a = h_a.shape[0]
     dim_b = h_b.shape[0]
@@ -187,7 +199,13 @@ def make_bipartite(
             np.kron(h_a, np.eye(dim_b)) + np.kron(np.eye(dim_a), h_b) + h_i,
             check=False,
         )
-    return _split_system(h_a, h_b, spectrum_t)
+    vecs = spectrum_t.eigenvectors.reshape(dim_a, dim_b, total)
+    applied = vecs * spectrum_t.eigenvalues
+    applied -= np.tensordot(h_a, vecs, axes=(1, 0))
+    applied -= np.matmul(h_b, vecs)
+    return _split_system(
+        h_a, h_b, spectrum_t, np.einsum("abn,abn->n", applied, applied)
+    )
 
 
 def decompose_chain(
@@ -200,10 +218,12 @@ def decompose_chain(
 
     ``H_A`` and ``H_B`` are the chain Hamiltonians of the two fragments
     (bonds interior to each side, all fields); the interaction is the single
-    coupling ``J sz_cut sz_{cut+1}`` across the cut, which no measurement
-    reads, so it is never built.  Without ``spectrum_t`` the full chain
-    ``build_spin_chain(params)`` is diagonalized: the cut only splits it, so
-    the total spectrum is the same for every cut.
+    coupling ``J sz_cut sz_{cut+1}`` across the cut.  It squares to ``J^2``
+    times the identity, so ``<alpha|H_I^2|alpha>`` is ``J^2`` times each
+    eigenvector's squared norm and the interaction is never built.  Without
+    ``spectrum_t`` the full chain ``build_spin_chain(params)`` is
+    diagonalized: the cut only splits it, so the total spectrum is the same
+    for every cut.
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
@@ -221,8 +241,12 @@ def decompose_chain(
     )
     if spectrum_t is None:
         spectrum_t = eig_sym(build_spin_chain(params), check=False)
+    vecs = spectrum_t.eigenvectors
     return _split_system(
-        build_spin_chain(a_params), build_spin_chain(b_params), spectrum_t
+        build_spin_chain(a_params),
+        build_spin_chain(b_params),
+        spectrum_t,
+        params.coupling**2 * np.einsum("ij,ij->j", vecs, vecs),
     )
 
 

@@ -351,17 +351,15 @@ def cached_spectrum(key: str, cache_dir: str | Path, policy: str, compute):
     return spectrum
 
 
-def _fmt(value, precision: int = 9) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.{precision}g}"
-
-
+# Header and row template of each dataset schema: floats print with 9
+# significant digits, counts as integers.
 _SCHEMAS = {
-    "binned": "Ebar_center,omega_mid,mean_sq,count,std_err",
-    "prediction": "model,Ebar,omega,f,entropic_factor,variance",
-    "coeffs": "E_alpha,E_sum_ij,abs_c",
-    "banding": "E_alpha,E_beta,abs_O",
+    "binned": ("Ebar_center,omega_mid,mean_sq,count,std_err",
+               "%.9g,%.9g,%.9g,%d,%.9g\n"),
+    "prediction": ("model,Ebar,omega,f,entropic_factor,variance",
+                   "%s,%.9g,%.9g,%.9g,%.9g,%.9g\n"),
+    "coeffs": ("E_alpha,E_sum_ij,abs_c", "%.9g,%.9g,%.9g\n"),
+    "banding": ("E_alpha,E_beta,abs_O", "%.9g,%.9g,%.9g\n"),
 }
 
 
@@ -376,7 +374,7 @@ def emit_dataset(rows, schema: str, path: str | Path) -> Path:
             f"unknown dataset schema {schema!r} (valid: {', '.join(_SCHEMAS)})"
         )
     path = Path(path)
-    header = _SCHEMAS[schema]
+    header, template = _SCHEMAS[schema]
     n_cols = header.count(",") + 1
     try:
         with open(path, "w", newline="") as fh:
@@ -387,12 +385,7 @@ def emit_dataset(rows, schema: str, path: str | Path) -> Path:
                         f"schema {schema!r} expects {n_cols} columns, "
                         f"got row of length {len(row)}"
                     )
-                fh.write(
-                    ",".join(
-                        str(v) if isinstance(v, str) else _fmt(v) for v in row
-                    )
-                    + "\n"
-                )
+                fh.write(template % tuple(row))
     except OSError as exc:
         raise ValidationError(f"cannot write dataset {path}: {exc}") from exc
     return path

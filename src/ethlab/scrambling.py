@@ -5,6 +5,13 @@ interacting eigenstates of a bipartite system and the product eigenstates of
 its noninteracting part.  Squared overlaps form a doubly stochastic matrix;
 their spread in the energy offset ``E_alpha - E_i - E_j`` defines the
 scrambling width ``sigma_S`` that parametrizes every prediction downstream.
+That spread needs no tensor: since ``(E_alpha - H_0)|alpha> = H_I|alpha>``,
+
+    sum_ij c[alpha, i, j]**2 (E_alpha - E_i - E_j)**2 = <alpha|H_I^2|alpha>,
+
+which every :class:`~ethlab.hamiltonians.BipartiteSystem` carries as
+``interaction_sq``.  The tensor itself is built only for the coefficient
+datasets.
 """
 
 from __future__ import annotations
@@ -40,26 +47,10 @@ class ScramblingCoefficients:
 
     tensor: np.ndarray
     energies_total: np.ndarray
-    energies_a: np.ndarray
-    energies_b: np.ndarray
 
     @property
     def total_dim(self) -> int:
         return self.tensor.shape[0]
-
-    def sum_energies(self) -> np.ndarray:
-        """Product-state energies ``E_i^A + E_j^B`` on the (i, j) grid."""
-        return np.add.outer(self.energies_a, self.energies_b)
-
-    def offsets(self, alphas=None) -> np.ndarray:
-        """Energy offsets ``E_alpha - (E_i^A + E_j^B)``.
-
-        The subtraction keeps the product-state sum parenthesized so systems
-        whose total Hamiltonian is exactly noninteracting produce exact zeros
-        where ``c`` is nonzero.
-        """
-        e_t = self.energies_total if alphas is None else self.energies_total[alphas]
-        return e_t[:, None, None] - self.sum_energies()[None, :, :]
 
 
 def compute_coefficients(system: BipartiteSystem) -> ScramblingCoefficients:
@@ -81,8 +72,6 @@ def compute_coefficients(system: BipartiteSystem) -> ScramblingCoefficients:
     return ScramblingCoefficients(
         tensor=np.ascontiguousarray(y),
         energies_total=system.spectrum_t.eigenvalues,
-        energies_a=system.spectrum_a.eigenvalues,
-        energies_b=system.spectrum_b.eigenvalues,
     )
 
 
@@ -92,7 +81,8 @@ class ScramblingProfile:
 
     ``sigma_S`` is the ``c**2``-weighted standard deviation of the energy
     offsets over the ``states_in_window`` eigenstates whose energies lie in
-    the central spectral ``window``.  ``fit_form`` selects the normalized
+    the central spectral ``window``, i.e. the root of their mean
+    ``<alpha|H_I^2|alpha>``.  ``fit_form`` selects the normalized
     profile shape ``h``: ``"exponential"`` for ``exp(-sqrt(2) |E| / sigma_S)``
     or ``"flat_window"`` for an indicator of half-width ``sqrt(3) sigma_S``
     (both carrying the same second moment).
@@ -147,16 +137,21 @@ def flat_profile(delta: float):
 
 
 def profile(
-    coeffs: ScramblingCoefficients,
+    system: BipartiteSystem,
     center_fraction: float = 0.5,
     *,
     fit_form: str = "exponential",
 ) -> ScramblingProfile:
-    """Scrambling width of the coefficients in the central spectral window.
+    """Scrambling width of a system in its central spectral window.
+
+    ``sigma_S**2`` is the window mean of ``system.interaction_sq``: by
+    ``(E_alpha - H_0)|alpha> = H_I|alpha>``, each eigenstate's
+    ``c**2``-weighted second moment of ``E_alpha - E_i - E_j`` equals
+    ``<alpha|H_I^2|alpha>``, and its weights sum to 1.
 
     Parameters
     ----------
-    coeffs : ScramblingCoefficients
+    system : BipartiteSystem
     center_fraction : float
         Fraction of the total spectral range (centered) whose eigenstates
         enter the statistics; in (0, 1].
@@ -166,7 +161,7 @@ def profile(
         raise ValidationError("center_fraction must be in (0, 1]")
     if fit_form not in ("exponential", "flat_window"):
         raise ValidationError(f"unknown fit_form {fit_form!r}")
-    e_t = coeffs.energies_total
+    e_t = system.spectrum_t.eigenvalues
     lo_e, hi_e = float(e_t[0]), float(e_t[-1])
     margin = 0.5 * (1.0 - center_fraction) * (hi_e - lo_e)
     window = (lo_e + margin, hi_e - margin)
@@ -175,11 +170,7 @@ def profile(
         raise EmptyWindowError(
             f"no eigenstates inside the central window {window}"
         )
-    offs = coeffs.offsets(sel)
-    weights = coeffs.tensor[sel] ** 2
-    total_weight = float(weights.sum())  # = number of selected states
-    second = float((weights * offs**2).sum())
-    sigma_s = float(np.sqrt(second / total_weight))
+    sigma_s = float(np.sqrt(system.interaction_sq[sel].mean()))
     return ScramblingProfile(
         sigma_s=sigma_s,
         fit_form=fit_form,

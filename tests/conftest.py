@@ -61,13 +61,13 @@ def coeffs12(chain12):
 
 
 @pytest.fixture(scope="session")
-def profile12(coeffs12):
-    return profile(coeffs12)
+def profile12(chain12):
+    return profile(chain12)
 
 
 @pytest.fixture(scope="session")
 def profile12_cut5(chain12_cut5):
-    return profile(compute_coefficients(chain12_cut5))
+    return profile(chain12_cut5)
 
 
 @pytest.fixture(scope="session")

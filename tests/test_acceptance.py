@@ -46,7 +46,7 @@ from ethlab.hamiltonians import (
 )
 from ethlab.linalg import GridFunction, integrate_adaptive
 from ethlab.localize import localizability, localizing_basis
-from ethlab.scrambling import compute_coefficients, exp_profile, profile
+from ethlab.scrambling import exp_profile, profile
 
 
 def verdict(name, ok, detail):
@@ -57,19 +57,19 @@ def verdict(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def profile10(chain10):
-    return profile(compute_coefficients(chain10))
+    return profile(chain10)
 
 
 @pytest.fixture(scope="module")
 def appb_profile(appb_system):
-    return profile(compute_coefficients(appb_system))
+    return profile(appb_system)
 
 
 def test_a01_scrambling_width(profile12, profile10, chain10):
     s12 = profile12.sigma_s
     s10 = profile10.sigma_s
     free = decompose_chain(SpinChainParams(10, coupling=0.0), 3)
-    s_free = profile(compute_coefficients(free)).sigma_s
+    s_free = profile(free).sigma_s
     ok = 0.86 <= s12 <= 1.06 and 0.5 <= s10 <= 1.5 and s_free <= 1e-10
     verdict(
         "A1 scrambling width",
@@ -244,7 +244,7 @@ def test_a05_hard_support_cutoff(chain10, profile10, appb_system, appb_profile):
     toy = make_bipartite(
         sample_goe(6, rng), sample_goe(48, rng), 0.3 * sample_goe(288, rng)
     )
-    toy_prof = profile(compute_coefficients(toy))
+    toy_prof = profile(toy)
     worst = 0.0
     for system, prof in (
         (chain10, profile10),

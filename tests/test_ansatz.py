@@ -36,7 +36,7 @@ from ethlab.hamiltonians import (
     sample_goe,
 )
 from ethlab.linalg import GridFunction, SpectralDensity, integrate_adaptive
-from ethlab.scrambling import compute_coefficients, exp_profile, flat_profile, profile
+from ethlab.scrambling import exp_profile, flat_profile, profile
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -428,7 +428,7 @@ def test_ansatz_model_validation():
 
 def _chain_model_inputs(sites, cut):
     system = decompose_chain(SpinChainParams(sites), cut)
-    sigma_s = profile(compute_coefficients(system)).sigma_s
+    sigma_s = profile(system).sigma_s
     return system, sigma_s, _Densities(system)
 
 

@@ -17,6 +17,7 @@ from ethlab.experiments import (
     OperatorEnsembleSpec,
     PairBand,
     _apply_a_factor,
+    _prominent_peaks,
     _vector_stack,
     accumulate_grouped,
     accumulate_pairs,
@@ -484,6 +485,28 @@ def test_detect_bands_ignores_noise_beyond_gap_range():
     binned = _synthetic_binned(omega, base + bump, np.full(omega.size, 1e-4))
     report = detect_bands(binned, np.array([1.0]), 0.1)
     assert report.peak_omegas.size == 0
+
+
+def test_prominent_peaks_match_scipy_find_peaks():
+    # Oracle: scipy's find_peaks with a prominence floor, as detect_bands used
+    # it, on noisy, integer-plateau and NaN-holed curves of every short length.
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    rng = np.random.default_rng(0)
+    for trial in range(1500):
+        n = int(rng.integers(0, 40))
+        kind = trial % 3
+        if kind == 0:
+            x = rng.standard_normal(n)
+        elif kind == 1:
+            x = rng.integers(0, 4, n).astype(float)
+        else:
+            x = rng.random(n)
+            x[rng.random(n) < 0.15] = np.nan
+        for floor in (1e-300, 0.3, 1.0, 2.0):
+            expected, _ = find_peaks(x, prominence=floor)
+            got = _prominent_peaks(x, floor)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (trial, floor, x)
 
 
 def test_detect_bands_insufficient_data():

@@ -468,7 +468,7 @@ def test_cli_seed_override_changes_dataset(tmp_path):
     assert blobs[0] != blobs[1]
 
 
-def test_runtime_dependencies_are_numpy_and_scipy():
+def test_runtime_dependency_is_numpy():
     import re
     from pathlib import Path
 
@@ -477,7 +477,43 @@ def test_runtime_dependencies_are_numpy_and_scipy():
     project = tomllib.loads(pyproject.read_text())["project"]
     names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
              for dep in project["dependencies"]}
-    assert names == {"numpy", "scipy"}
+    assert names == {"numpy"}
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ethlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_scans_and_predict_never_build_the_coefficient_tensor(tmp_path, monkeypatch):
+    # sigma_S comes from <alpha|H_I^2|alpha>; only fig1/coeffs need the
+    # overlap tensor, for their coefficient datasets.
+    import ethlab.figures
+    from ethlab.cli import main
+
+    calls = []
+    real = ethlab.figures.compute_coefficients
+
+    def spy(system):
+        calls.append(system.total_dim)
+        return real(system)
+
+    monkeypatch.setattr(ethlab.figures, "compute_coefficients", spy)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nsites = 8\nsites_b = 6\n\n[ensemble]\ncount = 2\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    for argv in (["reproduce", "fig2"], ["reproduce", "fig3"],
+                 ["reproduce", "appB"], ["predict"]):
+        assert main([*argv, *common]) == 0, argv
+    assert calls == []
+    assert main(["coeffs", *common]) == 0
+    assert calls == [256]
 
 
 def test_every_public_name_resolves():

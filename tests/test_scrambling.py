@@ -5,11 +5,15 @@ import pytest
 
 from ethlab.errors import EmptyWindowError, ValidationError
 from ethlab.hamiltonians import (
+    RandomSystemParams,
     SpinChainParams,
+    build_random_system,
+    build_spin_chain,
     decompose_chain,
     make_bipartite,
     sample_goe,
 )
+from ethlab.linalg import eig_sym
 from ethlab.scrambling import (
     compute_coefficients,
     exp_profile,
@@ -19,6 +23,17 @@ from ethlab.scrambling import (
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT3 = float(np.sqrt(3.0))
+
+
+def tensor_width(system, center_fraction=0.5):
+    """Oracle: c**2-weighted rms energy offset from the full overlap tensor."""
+    coeffs = compute_coefficients(system)
+    e_t = coeffs.energies_total
+    margin = 0.5 * (1.0 - center_fraction) * (e_t[-1] - e_t[0])
+    sel = np.nonzero((e_t >= e_t[0] + margin) & (e_t <= e_t[-1] - margin))[0]
+    offs = e_t[sel, None, None] - system.sum_energies()[None, :, :]
+    weights = coeffs.tensor[sel] ** 2
+    return float(np.sqrt((weights * offs**2).sum() / weights.sum()))
 
 
 def test_double_stochasticity_small_chains():
@@ -41,10 +56,10 @@ def test_noninteracting_system_has_zero_width():
     h_b = sample_goe(16, rng)
     system = make_bipartite(h_a, h_b, np.zeros((64, 64)))
     coeffs = compute_coefficients(system)
-    offs = coeffs.offsets()
+    offs = coeffs.energies_total[:, None, None] - system.sum_energies()[None]
     live = np.abs(coeffs.tensor) > 1e-12
     assert np.abs(offs[live]).max() < 1e-10
-    prof = profile(coeffs, center_fraction=1.0)
+    prof = profile(system, center_fraction=1.0)
     assert prof.sigma_s < 1e-10
 
 
@@ -59,27 +74,55 @@ def test_cut_bond_width_equals_coupling():
         (8, 3, 2.0, 1.0),
     ):
         system = decompose_chain(SpinChainParams(sites, coupling=coupling), cut)
-        prof = profile(compute_coefficients(system), center_fraction=fraction)
+        prof = profile(system, center_fraction=fraction)
         assert prof.sigma_s == pytest.approx(abs(coupling), abs=1e-8)
+        assert tensor_width(system, fraction) == pytest.approx(abs(coupling), abs=1e-8)
 
 
-def test_offsets_subset_selection():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(5), 2))
-    sel = np.array([0, 7, 31])
-    offs = coeffs.offsets(sel)
-    assert offs.shape == (3, 4, 8)
-    full = coeffs.offsets()
-    assert np.array_equal(offs, full[sel])
+@pytest.mark.parametrize(
+    "params",
+    [SpinChainParams(8), SpinChainParams(10),
+     SpinChainParams(8, coupling=0.7, field_x=0.3, field_z=-1.3),
+     SpinChainParams(10, coupling=0.7, field_x=0.3, field_z=-1.3)],
+    ids=["8", "10", "8-tilted", "10-tilted"],
+)
+def test_chain_width_matches_tensor_second_moment_at_every_cut(params):
+    spectrum = eig_sym(build_spin_chain(params), check=False)
+    for cut in range(1, params.sites):
+        system = decompose_chain(params, cut, spectrum_t=spectrum)
+        for fraction in (1.0, 0.5):
+            assert profile(system, fraction).sigma_s == pytest.approx(
+                tensor_width(system, fraction), rel=1e-12
+            )
+
+
+def test_general_width_matches_tensor_second_moment():
+    # Dense subsystem Hamiltonians (the A5 toy) and the diagonal random family:
+    # <alpha|H_I^2|alpha> from (E_alpha - H_0)|alpha> against the tensor.
+    rng = np.random.default_rng(1)
+    toy = make_bipartite(
+        sample_goe(6, rng), sample_goe(48, rng), 0.3 * sample_goe(288, rng)
+    )
+    random = build_random_system(
+        RandomSystemParams(
+            sites_a=2, sites_b=6, sites_i=4, interaction_fraction=0.01, seed=7
+        )
+    )
+    for system in (toy, random):
+        for fraction in (1.0, 0.5):
+            assert profile(system, fraction).sigma_s == pytest.approx(
+                tensor_width(system, fraction), rel=1e-12
+            )
 
 
 def test_profile_window_bookkeeping():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(6), 2))
-    e_t = coeffs.energies_total
+    system = decompose_chain(SpinChainParams(6), 2)
+    e_t = system.spectrum_t.eigenvalues
     spread = e_t[-1] - e_t[0]
-    prof_full = profile(coeffs, center_fraction=1.0)
+    prof_full = profile(system, center_fraction=1.0)
     assert prof_full.states_in_window == 64
     assert prof_full.window == (e_t[0], e_t[-1])
-    prof_half = profile(coeffs, center_fraction=0.5)
+    prof_half = profile(system, center_fraction=0.5)
     lo = e_t[0] + 0.25 * spread
     hi = e_t[-1] - 0.25 * spread
     assert prof_half.window == pytest.approx((lo, hi))
@@ -89,14 +132,14 @@ def test_profile_window_bookkeeping():
 
 
 def test_profile_moment_matched_shapes():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(6), 3))
-    prof = profile(coeffs)
+    system = decompose_chain(SpinChainParams(6), 3)
+    prof = profile(system)
     ss = prof.sigma_s
     assert prof.delta == pytest.approx(2.0 * SQRT3 * ss, rel=1e-12)
     assert prof.normalization == pytest.approx(SQRT2 * ss, rel=1e-12)
     assert prof.h(0.0) == 1.0
     assert prof.h(ss) == pytest.approx(np.exp(-SQRT2), rel=1e-12)
-    flat = profile(coeffs, fit_form="flat_window")
+    flat = profile(system, fit_form="flat_window")
     assert flat.normalization == pytest.approx(flat.delta, rel=1e-12)
     half = 0.5 * flat.delta
     assert flat.h(half - 1e-12) == 1.0
@@ -118,13 +161,13 @@ def test_profile_shapes_carry_matched_second_moment():
 
 
 def test_profile_validation():
-    coeffs = compute_coefficients(decompose_chain(SpinChainParams(4), 2))
+    system = decompose_chain(SpinChainParams(4), 2)
     with pytest.raises(ValidationError):
-        profile(coeffs, center_fraction=0.0)
+        profile(system, center_fraction=0.0)
     with pytest.raises(ValidationError):
-        profile(coeffs, center_fraction=1.5)
+        profile(system, center_fraction=1.5)
     with pytest.raises(ValidationError):
-        profile(coeffs, fit_form="gaussian")
+        profile(system, fit_form="gaussian")
     with pytest.raises(ValidationError):
         exp_profile(0.0)
     with pytest.raises(ValidationError):
@@ -137,6 +180,5 @@ def test_empty_window_error():
     h_a = np.diag([-1.0, 1.0])
     h_b = np.diag([-10.0, 10.0])
     system = make_bipartite(h_a, h_b, 1e-3 * sample_goe(4, rng))
-    coeffs = compute_coefficients(system)
     with pytest.raises(EmptyWindowError):
-        profile(coeffs, center_fraction=1e-9)
+        profile(system, center_fraction=1e-9)
