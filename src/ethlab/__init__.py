@@ -50,6 +50,7 @@ from .experiments import (
     default_bin_width,
     detect_bands,
     matrix_elements_total_basis,
+    operator_diagonals,
     run_ensemble,
     sample_local_operator,
     subsystem_gap_omegas,
@@ -181,6 +182,7 @@ __all__ = [
     "matrix_elements_total_basis",
     "bin_offdiagonal",
     "run_ensemble",
+    "operator_diagonals",
     "detect_bands",
     "subsystem_gap_omegas",
     "default_bin_width",

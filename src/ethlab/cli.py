@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default $ETHLAB_OUT or ./ethlab-out)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the operator ensemble")
+                        help="accepted and ignored: the BLAS library's threads "
+                             "are the only parallelism")
     common.add_argument("--cache", choices=("use", "recompute", "forbid"),
                         default="use", help="eigendecomposition cache policy")
     common.add_argument("--plot", action="store_true",
@@ -179,7 +180,6 @@ def _run(args) -> int:
         experiment,
         config,
         out_dir,
-        threads=args.threads,
         cache_policy=args.cache,
         plot=args.plot,
         **options,

@@ -7,14 +7,14 @@ band detection against subsystem spectral gaps.
 The ensemble loop is the hot path at desk scale: the matrix-element
 evaluation is restricted to tiles that follow the requested mean-energy band,
 so the cost per operator scales with the band area rather than the full
-matrix.  Accumulation order is fixed (pairs in ascending order, per-bin sums
-merged in tile order), so the statistics are bitwise reproducible for any
-thread count.
+matrix.  Its one level of parallelism is the BLAS library's threads under
+the matrix products: tiles and operators run in a fixed order on the calling
+thread (pairs in ascending order, per-bin sums merged in tile order), so the
+statistics are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +41,7 @@ __all__ = [
     "matrix_elements_total_basis",
     "bin_offdiagonal",
     "run_ensemble",
+    "operator_diagonals",
     "detect_bands",
     "subsystem_gap_omegas",
     "default_bin_width",
@@ -188,6 +189,10 @@ def accumulate_pairs(block, rows, cols, bins, nbins):
 # take 0.5 MB, so the squares are still in cache when they are summed.
 _BLOCK_ROWS = 256
 
+# Bytes of gathered transfer rows per streamed block of the grouped engine,
+# so each block is still in cache for its product with the operators.
+_STREAM_BYTES = 256 * 1024
+
 
 def accumulate_grouped(values, bins, nbins):
     """Accumulate squared samples sharing a bin index per row.
@@ -224,15 +229,16 @@ class PairBand:
     Because the window fixes the mean energy, the tiles follow the
     anti-diagonal band instead of covering it with rectangles.
 
-    - the grouped engine precomputes, per pair, the operator-independent
-      transfer matrix ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` so
-      matrix elements of every ensemble operator follow from one small matrix
-      product (worthwhile when ``dim_a <= dim_b``);
+    - the grouped engine forms, per tile, the operator-independent transfer
+      matrices ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its
+      pairs in one matrix product, then streams the pairs through cache:
+      one matrix product per block gives the elements of every ensemble
+      operator (worthwhile when ``dim_a <= dim_b``);
     - the direct engine evaluates elements per operator with one matrix
       product per tile (used when the A factor is the larger one).
 
-    Pair order, tile boundaries, and accumulation order are fixed, so the
-    results are bit-reproducible for any thread count.
+    Tiles and blocks run in a fixed order on the calling thread, and per-bin
+    sums merge in that order, so the results are bit-reproducible.
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
@@ -298,50 +304,47 @@ class PairBand:
         ``w`` is the transposed eigenvector stack from :func:`_vector_stack`,
         ``w[j, alpha * dim_a + p] = V3[alpha, p, j]``; both transfer panels
         are views of it.  ``ops_flat`` holds one flattened operator per
-        column.
+        column.  One panel product gives the transfer matrices of the whole
+        tile; its pairs then stream through cache ``_STREAM_BYTES`` of
+        transfer rows at a time, each block gathered and multiplied by
+        ``ops_flat`` into the values of its ``chunk`` of pairs.
         """
         a0, a1, b0, b1, s0, s1 = tile
         dim_a = w.shape[1] // self.energies.size
         a_panel = w[:, a0 * dim_a : a1 * dim_a].T
         b_panel = w[:, b0 * dim_a : b1 * dim_a]
         rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-        transfer = rect[self.rows[s0:s1] - a0, :, self.cols[s0:s1] - b0, :].reshape(
-            s1 - s0, dim_a * dim_a
-        )
+        rows = self.rows[s0:s1] - a0
+        cols = self.cols[s0:s1] - b0
+        block = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
+        values = np.empty((min(chunk, s1 - s0), ops_flat.shape[1]))
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
         for c0 in range(0, s1 - s0, chunk):
             c1 = min(c0 + chunk, s1 - s0)
-            values = transfer[c0:c1] @ ops_flat
+            for d0 in range(c0, c1, block):
+                d1 = min(d0 + block, c1)
+                transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
+                np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat,
+                          out=values[d0 - c0 : d1 - c0])
             s, q = accumulate_grouped(
-                values, self.bins[s0 + c0 : s0 + c1], self.n_bins
+                values[: c1 - c0], self.bins[s0 + c0 : s0 + c1], self.n_bins
             )
             sums += s
             sumsqs += q
         return sums, sumsqs
 
-    def accumulate_grouped_all(self, w, ops_flat, *, threads: int = 1):
+    def accumulate_grouped_all(self, w, ops_flat):
         """Grouped-engine accumulation over the whole band.
 
         Tiles hold ``max(4, 512 // dim_a)`` alphas so the transfer panels
-        stay small.  Per-tile partial sums merge in tile order, so the result
-        is identical for any ``threads``.
+        stay small.  Per-tile partial sums merge in tile order.
         """
         dim_a = w.shape[1] // self.energies.size
-        tiles = self._alpha_batches(max(4, 512 // dim_a))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(
-                    pool.map(
-                        lambda t: self.accumulate_grouped_batch(w, ops_flat, t),
-                        tiles,
-                    )
-                )
-        else:
-            partials = [self.accumulate_grouped_batch(w, ops_flat, t) for t in tiles]
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for s, q in partials:
+        for tile in self._alpha_batches(max(4, 512 // dim_a)):
+            s, q = self.accumulate_grouped_batch(w, ops_flat, tile)
             sums += s
             sumsqs += q
         return sums, sumsqs
@@ -431,15 +434,16 @@ def bin_offdiagonal(
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Pooled ensemble statistics.
-
-    ``binned`` holds one :class:`BinnedStatistics` per requested window;
-    ``diagonals[k]`` is the full diagonal of operator ``k`` in the eigenbasis
-    (cheap to carry, used by the Gibbs comparisons).
-    """
+    """Pooled ensemble statistics: one :class:`BinnedStatistics` per window."""
 
     binned: tuple[BinnedStatistics, ...]
-    diagonals: np.ndarray
+
+
+def _check_dim_a(system: BipartiteSystem, ens: OperatorEnsembleSpec) -> None:
+    if ens.dim_a != system.dim_a:
+        raise DimensionError(
+            f"ensemble dim_a={ens.dim_a} does not match system dim_a={system.dim_a}"
+        )
 
 
 def run_ensemble(
@@ -447,8 +451,6 @@ def run_ensemble(
     ens: OperatorEnsembleSpec,
     ebar_centers: Sequence[float],
     params: BinningParams = BinningParams(),
-    *,
-    threads: int = 1,
 ) -> EnsembleResult:
     """Binned off-diagonal statistics pooled over the operator ensemble.
 
@@ -456,14 +458,12 @@ def run_ensemble(
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
     band evaluation over all operators at once, reading its panels from one
     transposed eigenvector stack built per call; otherwise elements are
-    evaluated per operator, one matrix product per band tile.  Partial sums
-    always merge in a fixed order, so results are identical for any thread
-    count.
+    evaluated per operator, one matrix product per band tile.  The BLAS
+    library's threads are the only parallelism: tiles and operators run in a
+    fixed order on the calling thread, so the results are bitwise
+    reproducible.
     """
-    if ens.dim_a != system.dim_a:
-        raise DimensionError(
-            f"ensemble dim_a={ens.dim_a} does not match system dim_a={system.dim_a}"
-        )
+    _check_dim_a(system, ens)
     vecs = system.spectrum_t.eigenvectors
     width = params.resolve_width(system.spectrum_t.spectral_range)
     bands = [
@@ -473,56 +473,52 @@ def run_ensemble(
     ops = [sample_local_operator(ens, k) for k in range(ens.count)]
 
     if system.dim_a <= system.dim_b:
-        v3 = np.ascontiguousarray(
-            vecs.T.reshape(system.total_dim, system.dim_a, system.dim_b)
-        )
         ops_flat = np.stack([op.ravel() for op in ops], axis=1)
-        # Diagonals for every operator in one shot via the same transfer
-        # matrices evaluated at alpha = beta.
-        t_diag = np.matmul(v3, v3.transpose(0, 2, 1)).reshape(
-            system.total_dim, system.dim_a * system.dim_a
-        )
-        diagonals = np.ascontiguousarray((t_diag @ ops_flat).T)
-        del v3, t_diag  # freed before the stack so peak memory does not grow
         w = _vector_stack(vecs, system.dim_a, system.dim_b)
-        binned = tuple(
-            band.statistics(
-                *band.accumulate_grouped_all(w, ops_flat, threads=threads),
-                ens.count,
-            )
-            for band in bands
-        )
-        return EnsembleResult(binned=binned, diagonals=diagonals)
-
-    def one_operator(index: int):
-        op = ops[index]
-        applied = _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
-        diag = np.einsum("ij,ij->j", vecs, applied)
-        partials = [band.accumulate_from_factors(vecs, applied) for band in bands]
-        return partials, diag
-
-    results = [None] * ens.count
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for index, res in enumerate(pool.map(one_operator, range(ens.count))):
-                results[index] = res
+        partials = [band.accumulate_grouped_all(w, ops_flat) for band in bands]
     else:
-        for index in range(ens.count):
-            results[index] = one_operator(index)
-
-    sums = [np.zeros(band.n_bins) for band in bands]
-    sumsqs = [np.zeros(band.n_bins) for band in bands]
-    diagonals = np.empty((ens.count, system.total_dim))
-    for index, (partials, diag) in enumerate(results):
-        for k, (s, q) in enumerate(partials):
-            sums[k] += s
-            sumsqs[k] += q
-        diagonals[index] = diag
-    binned = tuple(
-        band.statistics(sums[k], sumsqs[k], ens.count)
-        for k, band in enumerate(bands)
+        partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]
+        for op in ops:
+            applied = _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
+            for band, (sums, sumsqs) in zip(bands, partials):
+                s, q = band.accumulate_from_factors(vecs, applied)
+                sums += s
+                sumsqs += q
+    return EnsembleResult(
+        binned=tuple(
+            band.statistics(sums, sumsqs, ens.count)
+            for band, (sums, sumsqs) in zip(bands, partials)
+        )
     )
-    return EnsembleResult(binned=binned, diagonals=diagonals)
+
+
+# Transfer-matrix elements per alpha block of operator_diagonals (32 MB).
+_DIAGONAL_BLOCK = 1 << 22
+
+
+def operator_diagonals(
+    system: BipartiteSystem, ens: OperatorEnsembleSpec
+) -> np.ndarray:
+    """Diagonal of every ensemble operator in the eigenbasis, ``(count, total)``.
+
+    ``O[alpha, alpha] = sum_pq O_pq T_alpha[p, q]`` with the transfer matrix
+    ``T_alpha = V3[alpha] V3[alpha]^T`` of :class:`PairBand` at
+    ``alpha = beta``, formed for at most ``_DIAGONAL_BLOCK`` elements' worth
+    of alphas at a time.
+    """
+    _check_dim_a(system, ens)
+    dim_a, total = system.dim_a, system.total_dim
+    vecs = system.spectrum_t.eigenvectors
+    ops_flat = np.stack(
+        [sample_local_operator(ens, k).ravel() for k in range(ens.count)], axis=1
+    )
+    out = np.empty((ens.count, total))
+    step = max(1, _DIAGONAL_BLOCK // (dim_a * dim_a))
+    for a0 in range(0, total, step):
+        v3 = vecs[:, a0 : a0 + step].T.reshape(-1, dim_a, system.dim_b)
+        transfer = np.matmul(v3, v3.transpose(0, 2, 1)).reshape(-1, dim_a * dim_a)
+        out[:, a0 : a0 + step] = (transfer @ ops_flat).T
+    return out
 
 
 def subsystem_gap_omegas(energies_a: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 ``run_figure`` runs one entry of ``_EXPERIMENTS`` in a :class:`_RunContext`:
 the runner builds the configured system, measures and predicts, and writes
 its CSV datasets (and SVG plots); ``run_figure`` then writes the JSON
-manifest.  Dataset bytes depend only on the configuration and seeds, never
-on thread count, cache state, or wall-clock.
+manifest.  Dataset bytes depend only on the configuration and seeds (and,
+at roundoff, on the BLAS build and its thread count), never on
+``--threads``, cache state, or wall-clock.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -71,12 +73,11 @@ def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use
 
 @dataclass(frozen=True)
 class _RunContext:
-    """Where one run writes, how it caches, and how it computes."""
+    """Where one run writes, how it caches, and whether it plots."""
 
     out_dir: Path
     cache_dir: Path
     cache_policy: str
-    threads: int
     plot: bool
 
     def system(self, config: RunConfig):
@@ -152,31 +153,19 @@ def quantile_states(total_dim: int, count: int = 7) -> np.ndarray:
 
 def _coefficients(config, kinds, ctx, *, stem):
     system = ctx.system(config)
-    coeffs = compute_coefficients(system)
-    prof = profile(system)
     states = quantile_states(system.total_dim)
+    coeffs = compute_coefficients(system, states)
+    prof = profile(system)
     sums = system.sum_energies().ravel()
     e_t = coeffs.energies_total
-    rows = []
-    for alpha in states:
-        weights = np.abs(coeffs.tensor[alpha]).ravel()
-        e_alpha = e_t[alpha]
-        rows.extend(
-            (e_alpha, s, w) for s, w in zip(sums, weights)
-        )
+    weights = np.abs(coeffs.tensor).reshape(states.size, -1)
+    rows = [(e, s, w) for e, row in zip(e_t, weights) for s, w in zip(sums, row)]
     files = [emit_dataset(rows, "coeffs", ctx.out_dir / f"{stem}.csv")]
     if ctx.plot:
         curves = []
-        for alpha in states:
-            weights = np.abs(coeffs.tensor[alpha]).ravel() ** 2
-            keep = weights > 1e-12
-            curves.append(
-                {
-                    "x": sums[keep],
-                    "y": weights[keep],
-                    "label": f"E_alpha={e_t[alpha]:.3g}",
-                }
-            )
+        for e, sq in zip(e_t, weights**2):
+            keep = sq > 1e-12
+            curves.append({"x": sums[keep], "y": sq[keep], "label": f"E_alpha={e:.3g}"})
         files.append(
             write_svg(
                 curves,
@@ -191,7 +180,7 @@ def _coefficients(config, kinds, ctx, *, stem):
         "delta": prof.delta,
         "profile_normalization": prof.normalization,
         "states": [int(a) for a in states],
-        "state_energies": [float(e_t[a]) for a in states],
+        "state_energies": [float(e) for e in e_t],
     }
     return manifest, files
 
@@ -217,9 +206,7 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """Shared measurement + prediction flow for the scans."""
     prof = profile(system)
     dens = _Densities(system)
-    result = run_ensemble(
-        system, config.ensemble, centers, config.binning, threads=ctx.threads
-    )
+    result = run_ensemble(system, config.ensemble, centers, config.binning)
     files = []
     all_binned = []
     all_preds = []
@@ -367,12 +354,20 @@ _EXPERIMENTS = {
 }
 
 
+def _provenance() -> dict:
+    """numpy and BLAS versions, core count and the BLAS thread variables set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {v: os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+           if v in os.environ}
+    return {"numpy": np.__version__, "cpu_count": os.cpu_count(),
+            "blas": {"name": blas["name"], "version": blas["version"]}, **env}
+
+
 def run_figure(
     experiment: str,
     config: RunConfig,
     out_dir: str | Path,
     *,
-    threads: int = 1,
     cache_policy: str = "use",
     cache_dir: Optional[str | Path] = None,
     plot: bool = False,
@@ -392,7 +387,9 @@ def run_figure(
 
     The cache lives in ``cache_dir``, by default ``out_dir/cache``.  The
     manifest holds the experiment's own fields plus ``experiment``,
-    ``config``, ``files`` and ``timing_seconds``.
+    ``config``, ``files``, ``timing_seconds`` and ``provenance`` (numpy and
+    BLAS versions, ``os.cpu_count()`` and the BLAS thread variables that are
+    set: the BLAS library's threads are the only parallelism).
     """
     if experiment not in _EXPERIMENTS:
         raise ValidationError(
@@ -405,7 +402,6 @@ def run_figure(
         out_dir=out_dir,
         cache_dir=Path(cache_dir) if cache_dir is not None else out_dir / "cache",
         cache_policy=cache_policy,
-        threads=threads,
         plot=plot,
     )
     kinds = () if auto_kinds is None else config.predict_kinds or auto_kinds
@@ -415,5 +411,6 @@ def run_figure(
     manifest["config"] = _config_echo(config, kinds)
     manifest["files"] = sorted(Path(f).name for f in files)
     manifest["timing_seconds"] = time.perf_counter() - start
+    manifest["provenance"] = _provenance()
     write_manifest(manifest, out_dir / f"{stem}_manifest.json")
     return manifest

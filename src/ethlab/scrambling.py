@@ -40,9 +40,10 @@ SQRT3 = float(np.sqrt(3.0))
 class ScramblingCoefficients:
     """Overlaps ``c[alpha, i, j] = <E_i^A, E_j^B | E_alpha>``.
 
-    ``tensor`` has shape ``(total_dim, dim_a, dim_b)``; slices over ``alpha``
-    are unit-norm, and summing ``c**2`` over ``alpha`` gives 1 for every
-    ``(i, j)`` as well (double stochasticity).
+    ``tensor`` has shape ``(total_dim, dim_a, dim_b)``, or one slice per
+    selected state; slices over ``alpha`` are unit-norm, and summing ``c**2``
+    over all ``alpha`` gives 1 for every ``(i, j)`` as well (double
+    stochasticity).
     """
 
     tensor: np.ndarray
@@ -53,25 +54,26 @@ class ScramblingCoefficients:
         return self.tensor.shape[0]
 
 
-def compute_coefficients(system: BipartiteSystem) -> ScramblingCoefficients:
+def compute_coefficients(
+    system: BipartiteSystem, states=slice(None)
+) -> ScramblingCoefficients:
     """Overlap tensor between interacting and product eigenstates.
 
     Contracts the subsystem eigenvector matrices against the total ones
-    factor-by-factor, which costs ``O(dim_a * dim_b**2 * total)`` instead of
-    materializing the ``total x total`` Kronecker product.
+    factor-by-factor, which costs ``O(dim_a * dim_b**2)`` per eigenstate
+    instead of materializing the ``total x total`` Kronecker product.
+    ``states`` indexes the total eigenstates to contract (all by default).
     """
-    v_t = system.spectrum_t.eigenvectors
+    v_t = system.spectrum_t.eigenvectors[:, states]
     v_a = system.spectrum_a.eigenvectors
     v_b = system.spectrum_b.eigenvectors
-    dim_a, dim_b = system.dim_a, system.dim_b
-    total = system.total_dim
     # v_t rows are product-basis indices (a-major); peel the two factors.
-    vt3 = v_t.reshape(dim_a, dim_b, total)
+    vt3 = v_t.reshape(system.dim_a, system.dim_b, v_t.shape[1])
     x = np.tensordot(v_a.T, vt3, axes=(1, 0))  # (i, b_raw, alpha)
     y = np.einsum("qj,iqa->aij", v_b, x, optimize=True)
     return ScramblingCoefficients(
         tensor=np.ascontiguousarray(y),
-        energies_total=system.spectrum_t.eigenvalues,
+        energies_total=system.spectrum_t.eigenvalues[states],
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ethlab.experiments
 from ethlab.ansatz import _window_counts
 from ethlab.errors import (
     DimensionError,
@@ -25,6 +26,7 @@ from ethlab.experiments import (
     default_bin_width,
     detect_bands,
     matrix_elements_total_basis,
+    operator_diagonals,
     run_ensemble,
     sample_local_operator,
     subsystem_gap_omegas,
@@ -205,32 +207,6 @@ def test_bin_offdiagonal_shape_mismatch():
         bin_offdiagonal(np.eye(3), spectrum, 0.0)
 
 
-def test_run_ensemble_thread_count_is_bitwise_invisible():
-    system = decompose_chain(SpinChainParams(8), 3)
-    spec = OperatorEnsembleSpec(dim_a=8, count=8, seed=0)
-    r1 = run_ensemble(system, spec, [0.0], BinningParams(), threads=1)
-    r2 = run_ensemble(system, spec, [0.0], BinningParams(), threads=3)
-    for s1, s2 in zip(r1.binned, r2.binned):
-        assert np.array_equal(s1.mean_sq, s2.mean_sq)
-        assert np.array_equal(s1.std_err, s2.std_err)
-        assert np.array_equal(s1.count, s2.count)
-    assert np.array_equal(r1.diagonals, r2.diagonals)
-
-
-def test_direct_engine_thread_count_is_bitwise_invisible():
-    # dim_a > dim_b selects the per-operator engine on the thread pool.
-    system = decompose_chain(SpinChainParams(8), 5)
-    spec = OperatorEnsembleSpec(dim_a=32, count=6, seed=1)
-    centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
-    r1 = run_ensemble(system, spec, centers, BinningParams(), threads=1)
-    r2 = run_ensemble(system, spec, centers, BinningParams(), threads=3)
-    for s1, s2 in zip(r1.binned, r2.binned):
-        assert np.array_equal(s1.mean_sq, s2.mean_sq)
-        assert np.array_equal(s1.std_err, s2.std_err)
-        assert np.array_equal(s1.count, s2.count)
-    assert np.array_equal(r1.diagonals, r2.diagonals)
-
-
 def _center_band(system, center=0.0):
     width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
     return PairBand(system.spectrum_t.eigenvalues, center, 0.5, width)
@@ -311,20 +287,84 @@ def test_ensemble_engines_match_dense_oracle(chain10):
             assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
 
 
-def test_run_ensemble_sum_rule_and_diagonals():
-    # Cut 3 runs the grouped engine (dim_a < dim_b), cut 5 the direct one.
+def _tile_wide_batch(band, w, ops_flat, tile, chunk):
+    # The grouped engine before streaming: gather every transfer row of the
+    # tile at once, then one product and one accumulate_grouped per chunk.
+    a0, a1, b0, b1, s0, s1 = tile
+    dim_a = w.shape[1] // band.energies.size
+    a_panel = w[:, a0 * dim_a : a1 * dim_a].T
+    b_panel = w[:, b0 * dim_a : b1 * dim_a]
+    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
+    transfer = rect[band.rows[s0:s1] - a0, :, band.cols[s0:s1] - b0, :].reshape(
+        s1 - s0, dim_a * dim_a
+    )
+    sums = np.zeros(band.n_bins)
+    sumsqs = np.zeros(band.n_bins)
+    for c0 in range(0, s1 - s0, chunk):
+        c1 = min(c0 + chunk, s1 - s0)
+        s, q = accumulate_grouped(
+            transfer[c0:c1] @ ops_flat, band.bins[s0 + c0 : s0 + c1], band.n_bins
+        )
+        sums += s
+        sumsqs += q
+    return sums, sumsqs
+
+
+@pytest.mark.parametrize("cut, count", [(3, 250), (5, 4)])
+def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
+    # The streamed blocks multiply fewer rows per matrix product than the
+    # oracle's chunks, and BLAS picks its kernels by shape, so the elements
+    # agree to roundoff rather than bitwise (3.5e-15 relative at 12 sites).
+    # Chunks of 8192 pairs (the default) and of 1000, which blocks straddle.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=count, seed=0)
+    vecs = system.spectrum_t.eigenvectors
+    w = _vector_stack(vecs, system.dim_a, system.dim_b)
+    ops_flat = np.stack(
+        [sample_local_operator(spec, k).ravel() for k in range(count)], axis=1
+    )
+    for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
+        band = _center_band(system, center)
+        tiles = band._alpha_batches(max(4, 512 // system.dim_a))
+        for chunk in (8192, 1000):
+            want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
+            got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
+            for tile in tiles:
+                for acc, part in (
+                    (want, _tile_wide_batch(band, w, ops_flat, tile, chunk)),
+                    (got, band.accumulate_grouped_batch(w, ops_flat, tile, chunk)),
+                ):
+                    acc[0] += part[0]
+                    acc[1] += part[1]
+            want = band.statistics(*want, count)
+            got = band.statistics(*got, count)
+            assert np.array_equal(got.count, want.count)
+            assert np.allclose(got.mean_sq, want.mean_sq, rtol=1e-13, atol=0.0)
+            assert np.allclose(got.std_err, want.std_err, rtol=1e-13, atol=0.0)
+            if chunk == 8192:
+                whole = run_ensemble(system, spec, [center], BinningParams())
+                assert np.array_equal(whole.binned[0].mean_sq, got.mean_sq)
+                assert np.array_equal(whole.binned[0].std_err, got.std_err)
+
+
+def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
+    # operator_diagonals takes alphas in small blocks: 37 at cut 3 (the last
+    # one ragged) and 2 at cut 5.
+    monkeypatch.setattr(ethlab.experiments, "_DIAGONAL_BLOCK", 37 * 64)
     for cut in (3, 5):
         system = decompose_chain(SpinChainParams(8), cut)
         spec = OperatorEnsembleSpec(dim_a=2**cut, count=4, seed=5)
-        res = run_ensemble(system, spec, [0.0], BinningParams())
-        assert res.diagonals.shape == (4, 256)
+        diagonals = operator_diagonals(system, spec)
+        assert diagonals.shape == (4, 256)
         for k in range(spec.count):
             op = sample_local_operator(spec, k)
             el = matrix_elements_total_basis(system, op)
             # Global sum rule: row sums of squares equal the diagonal of O^2.
             sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
             assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
-            assert np.abs(res.diagonals[k] - np.diag(el)).max() < 1e-12
+            assert np.abs(diagonals[k] - np.diag(el)).max() < 1e-12
+    with pytest.raises(DimensionError):
+        operator_diagonals(system, OperatorEnsembleSpec(dim_a=4, count=2))
 
 
 def test_run_ensemble_signed_means_are_unbiased():

@@ -248,6 +248,25 @@ def test_random_system_determinism_and_a_scale(make_bipartite_args):
     )
 
 
+def test_random_system_warm_build_equals_cold(make_bipartite_args):
+    # A cached total spectrum skips the interaction: the warm build neither
+    # draws nor builds it, and still reproduces every spectrum and
+    # <alpha|H_I^2|alpha> bit for bit.
+    params = RandomSystemParams(
+        sites_a=2, sites_b=5, sites_i=4, interaction_fraction=0.05, seed=5
+    )
+    cold = build_random_system(params)
+    warm = build_random_system(params, spectrum_t=cold.spectrum_t)
+    assert len(make_bipartite_args) == 1
+    for name in ("spectrum_a", "spectrum_b", "spectrum_t"):
+        a, b = getattr(cold, name), getattr(warm, name)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues), name
+        assert np.array_equal(a.eigenvectors, b.eigenvectors), name
+    assert np.array_equal(cold.interaction_sq, warm.interaction_sq)
+    assert np.array_equal(cold.h_a, warm.h_a)
+    assert np.array_equal(cold.h_b, warm.h_b)
+
+
 def test_random_system_validation():
     with pytest.raises(ValidationError):
         RandomSystemParams(

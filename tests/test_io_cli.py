@@ -436,6 +436,23 @@ def test_cli_reproduce_thread_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_manifest_records_what_sets_the_parallelism(tmp_path):
+    # --threads is ignored; the manifest names the BLAS build, the cores and
+    # the BLAS thread variables that are set.
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    out = tmp_path / "out"
+    proc = run_cli("spin-chain", "--config", str(cfg), "--out", str(out),
+                   "--threads", "3", env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    prov = json.loads((out / "run_manifest.json").read_text())["provenance"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert prov["numpy"] == np.__version__
+    assert prov["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert isinstance(prov["cpu_count"], int) and prov["cpu_count"] >= 1
+    assert prov["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_cli_env_output_dir(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(
@@ -500,9 +517,10 @@ def test_scans_and_predict_never_build_the_coefficient_tensor(tmp_path, monkeypa
     calls = []
     real = ethlab.figures.compute_coefficients
 
-    def spy(system):
+    def spy(system, states=None):
         calls.append(system.total_dim)
-        return real(system)
+        assert states is not None and states.size == 7
+        return real(system, states)
 
     monkeypatch.setattr(ethlab.figures, "compute_coefficients", spy)
     cfg = tmp_path / "run.ini"

@@ -36,6 +36,22 @@ def tensor_width(system, center_fraction=0.5):
     return float(np.sqrt((weights * offs**2).sum() / weights.sum()))
 
 
+def test_selected_states_equal_full_tensor_slices():
+    # The coefficient datasets contract only the states they print; the
+    # selection must reproduce the full tensor's slices bit for bit.
+    from ethlab.figures import quantile_states
+
+    full = decompose_chain(SpinChainParams(10), 3)
+    for cut in (1, 3, 5, 8):
+        system = decompose_chain(SpinChainParams(10), cut, spectrum_t=full.spectrum_t)
+        states = quantile_states(system.total_dim)
+        whole = compute_coefficients(system)
+        some = compute_coefficients(system, states)
+        assert some.tensor.shape == (states.size, system.dim_a, system.dim_b)
+        assert np.array_equal(some.tensor, whole.tensor[states])
+        assert np.array_equal(some.energies_total, whole.energies_total[states])
+
+
 def test_double_stochasticity_small_chains():
     for sites, cut in ((4, 1), (6, 3), (8, 3)):
         coeffs = compute_coefficients(decompose_chain(SpinChainParams(sites), cut))
