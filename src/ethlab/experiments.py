@@ -298,22 +298,26 @@ class PairBand:
 
     # -- grouped engine ----------------------------------------------------
 
-    def accumulate_grouped_batch(self, w, ops_flat, tile, chunk: int = 8192):
+    def accumulate_grouped_batch(self, w, ops_flat, tile, buf, chunk: int = 8192):
         """Accumulate one band tile of pairs for all operators at once.
 
         ``w`` is the transposed eigenvector stack from :func:`_vector_stack`,
         ``w[j, alpha * dim_a + p] = V3[alpha, p, j]``; both transfer panels
         are views of it.  ``ops_flat`` holds one flattened operator per
-        column.  One panel product gives the transfer matrices of the whole
-        tile; its pairs then stream through cache ``_STREAM_BYTES`` of
-        transfer rows at a time, each block gathered and multiplied by
-        ``ops_flat`` into the values of its ``chunk`` of pairs.
+        column.  One panel product, written into the 1-d float scratch
+        ``buf`` (at least ``(a1 - a0) * (b1 - b0) * dim_a**2`` long), gives
+        the transfer matrices of the whole tile; its pairs then stream
+        through cache ``_STREAM_BYTES`` of transfer rows at a time, each
+        block gathered and multiplied by ``ops_flat`` into the values of its
+        ``chunk`` of pairs.
         """
         a0, a1, b0, b1, s0, s1 = tile
         dim_a = w.shape[1] // self.energies.size
         a_panel = w[:, a0 * dim_a : a1 * dim_a].T
         b_panel = w[:, b0 * dim_a : b1 * dim_a]
-        rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
+        rect = buf[: a_panel.shape[0] * b_panel.shape[1]].reshape(a_panel.shape[0], -1)
+        np.matmul(a_panel, b_panel, out=rect)
+        rect = rect.reshape(a1 - a0, dim_a, b1 - b0, dim_a)
         rows = self.rows[s0:s1] - a0
         cols = self.cols[s0:s1] - b0
         block = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
@@ -338,13 +342,20 @@ class PairBand:
         """Grouped-engine accumulation over the whole band.
 
         Tiles hold ``max(4, 512 // dim_a)`` alphas so the transfer panels
-        stay small.  Per-tile partial sums merge in tile order.
+        stay small.  Every tile product goes into one buffer sized for the
+        largest tile, so large products do not each map fresh pages.
+        Per-tile partial sums merge in tile order.
         """
         dim_a = w.shape[1] // self.energies.size
+        tiles = self._alpha_batches(max(4, 512 // dim_a))
+        buf = np.empty(
+            max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, _, _ in tiles)
+            * dim_a * dim_a
+        )
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for tile in self._alpha_batches(max(4, 512 // dim_a)):
-            s, q = self.accumulate_grouped_batch(w, ops_flat, tile)
+        for tile in tiles:
+            s, q = self.accumulate_grouped_batch(w, ops_flat, tile, buf)
             sums += s
             sumsqs += q
         return sums, sumsqs

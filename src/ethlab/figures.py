@@ -11,6 +11,7 @@ at roundoff, on the BLAS build and its thread count), never on
 from __future__ import annotations
 
 import os
+import resource
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -318,10 +319,9 @@ def _appb(config, kinds, ctx):
     hw = config.binning.ebar_halfwidth
     mask = np.triu(np.abs(ebar) <= hw, k=1)
     rows_idx, cols_idx = np.nonzero(mask)
-    triplets = [
-        (e_t[a], e_t[b], abs(elements[a, b]))
-        for a, b in zip(rows_idx, cols_idx)
-    ]
+    triplets = np.column_stack(
+        (e_t[rows_idx], e_t[cols_idx], np.abs(elements[rows_idx, cols_idx]))
+    ).tolist()
     files.append(emit_dataset(triplets, "banding", ctx.out_dir / "appB_banding.csv"))
 
     report = detect_bands(binned[0], gaps, info["sigma_s"])
@@ -387,9 +387,11 @@ def run_figure(
 
     The cache lives in ``cache_dir``, by default ``out_dir/cache``.  The
     manifest holds the experiment's own fields plus ``experiment``,
-    ``config``, ``files``, ``timing_seconds`` and ``provenance`` (numpy and
-    BLAS versions, ``os.cpu_count()`` and the BLAS thread variables that are
-    set: the BLAS library's threads are the only parallelism).
+    ``config``, ``files``, ``timing_seconds``, ``peak_rss_mb`` (the
+    process's maximum resident set so far, from ``getrusage``) and
+    ``provenance`` (numpy and BLAS versions, ``os.cpu_count()`` and the BLAS
+    thread variables that are set: the BLAS library's threads are the only
+    parallelism).
     """
     if experiment not in _EXPERIMENTS:
         raise ValidationError(
@@ -411,6 +413,8 @@ def run_figure(
     manifest["config"] = _config_echo(config, kinds)
     manifest["files"] = sorted(Path(f).name for f in files)
     manifest["timing_seconds"] = time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux.
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     manifest["provenance"] = _provenance()
     write_manifest(manifest, out_dir / f"{stem}_manifest.json")
     return manifest

@@ -421,7 +421,9 @@ def cross_correlate(
     )
 
     def integrand(y, rows):
-        return g1(y) * g2(x[rows] + y)
+        # Clipped to the support: at y = hi2 - x the sum x + y can round
+        # above hi2, where g2 reads 0 and the last panel never converges.
+        return g1(y) * g2(np.clip(x[rows] + y, lo2, hi2))
 
     out = np.zeros_like(xs)
     out[live] = integrate_adaptive(

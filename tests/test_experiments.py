@@ -326,13 +326,15 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
         tiles = band._alpha_batches(max(4, 512 // system.dim_a))
+        buf = np.empty(max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
+                       * system.dim_a**2)
         for chunk in (8192, 1000):
             want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
             got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
             for tile in tiles:
                 for acc, part in (
                     (want, _tile_wide_batch(band, w, ops_flat, tile, chunk)),
-                    (got, band.accumulate_grouped_batch(w, ops_flat, tile, chunk)),
+                    (got, band.accumulate_grouped_batch(w, ops_flat, tile, buf, chunk)),
                 ):
                     acc[0] += part[0]
                     acc[1] += part[1]
@@ -345,6 +347,56 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
                 whole = run_ensemble(system, spec, [center], BinningParams())
                 assert np.array_equal(whole.binned[0].mean_sq, got.mean_sq)
                 assert np.array_equal(whole.binned[0].std_err, got.std_err)
+
+
+def _fresh_tile_batch(band, w, ops_flat, tile, chunk=8192):
+    # The streamed grouped engine with a freshly allocated tile product.
+    a0, a1, b0, b1, s0, s1 = tile
+    dim_a = w.shape[1] // band.energies.size
+    a_panel = w[:, a0 * dim_a : a1 * dim_a].T
+    b_panel = w[:, b0 * dim_a : b1 * dim_a]
+    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
+    rows = band.rows[s0:s1] - a0
+    cols = band.cols[s0:s1] - b0
+    block = max(1, ethlab.experiments._STREAM_BYTES // (8 * dim_a * dim_a))
+    values = np.empty((min(chunk, s1 - s0), ops_flat.shape[1]))
+    sums = np.zeros(band.n_bins)
+    sumsqs = np.zeros(band.n_bins)
+    for c0 in range(0, s1 - s0, chunk):
+        c1 = min(c0 + chunk, s1 - s0)
+        for d0 in range(c0, c1, block):
+            d1 = min(d0 + block, c1)
+            transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
+            np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat,
+                      out=values[d0 - c0 : d1 - c0])
+        s, q = accumulate_grouped(
+            values[: c1 - c0], band.bins[s0 + c0 : s0 + c1], band.n_bins
+        )
+        sums += s
+        sumsqs += q
+    return sums, sumsqs
+
+
+@pytest.mark.parametrize("cut", [3, 5])
+def test_grouped_engine_reused_buffer_is_bitwise_fresh_products(chain10, cut):
+    # Tile products written into one reused buffer equal, bit for bit, the
+    # same products each allocated afresh.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=4, seed=0)
+    w = _vector_stack(system.spectrum_t.eigenvectors, system.dim_a, system.dim_b)
+    ops_flat = np.stack(
+        [sample_local_operator(spec, k).ravel() for k in range(spec.count)], axis=1
+    )
+    for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
+        band = _center_band(system, center)
+        want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
+        for tile in band._alpha_batches(max(4, 512 // system.dim_a)):
+            s, q = _fresh_tile_batch(band, w, ops_flat, tile)
+            want[0] += s
+            want[1] += q
+        got = band.accumulate_grouped_all(w, ops_flat)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):

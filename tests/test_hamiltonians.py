@@ -1,5 +1,7 @@
 """Chain construction, bipartite assembly, random-matrix sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ethlab.hamiltonians import (
     sample_goe,
     site_operator,
 )
+from ethlab.linalg import eig_sym
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
 # diagonalization (independent builds agree to every printed digit).
@@ -265,6 +268,39 @@ def test_random_system_warm_build_equals_cold(make_bipartite_args):
     assert np.array_equal(cold.interaction_sq, warm.interaction_sq)
     assert np.array_equal(cold.h_a, warm.h_a)
     assert np.array_equal(cold.h_b, warm.h_b)
+
+
+def test_random_system_cold_build_is_bitwise_the_plain_sum(make_bipartite_args):
+    # H_T is summed in place; the oracle diagonalizes the plain expression
+    # of the same draw, and <alpha|H_I^2|alpha> follows from its spectrum.
+    params = RandomSystemParams(
+        sites_a=2, sites_b=5, sites_i=3, interaction_fraction=0.05, seed=3
+    )
+    system = build_random_system(params)
+    [(h_a, h_b, h_i)] = make_bipartite_args
+    ident_a = np.eye(h_a.shape[0])
+    ident_b = np.eye(h_b.shape[0])
+    want = eig_sym(np.kron(h_a, ident_b) + np.kron(ident_a, h_b) + h_i)
+    assert np.array_equal(system.spectrum_t.eigenvalues, want.eigenvalues)
+    assert np.array_equal(system.spectrum_t.eigenvectors, want.eigenvectors)
+    oracle = make_bipartite(h_a, h_b, h_i, spectrum_t=want)
+    assert np.array_equal(system.interaction_sq, oracle.interaction_sq)
+
+
+def test_random_system_cold_build_array_peak():
+    # While eig_sym runs, a cold build holds H_T and no dense rotation or
+    # H_I besides it, so its traced array peak (about four dense 512 x 512
+    # arrays) stays under five; each array kept alive would add one.
+    params = RandomSystemParams(
+        sites_a=2, sites_b=7, sites_i=4, interaction_fraction=0.05, seed=1
+    )
+    tracemalloc.start()
+    try:
+        build_random_system(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * 512**2
 
 
 def test_random_system_validation():

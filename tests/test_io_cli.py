@@ -414,6 +414,7 @@ def test_cli_compute_subcommand_manifest_lists_its_files(tmp_path, argv, config,
     manifest = json.loads((out / f"{stem}_manifest.json").read_text())
     assert "experiment" in manifest
     assert "config" in manifest
+    assert manifest["peak_rss_mb"] > 0
     written = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".svg"))
     assert written
     assert manifest["files"] == written

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ethlab.errors import DimensionError, QuadratureError, ValidationError
+from ethlab.hamiltonians import SpinChainParams, build_spin_chain
 from ethlab.linalg import (
     GridFunction,
     Spectrum,
@@ -247,3 +248,17 @@ def test_cross_correlate_total_mass():
     g2 = GridFunction(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
     c = cross_correlate(g1, g2, n_grid=2049)
     assert c.integral() == pytest.approx(g1.integral() * g2.integral(), rel=1e-5)
+
+
+def test_cross_correlate_converges_on_ulp_moved_spectra():
+    # The autocorrelation of the 3-site chain's density, its levels moved by
+    # at most 8 ulp each: without clipping g2's argument to its support,
+    # x + y rounds past the edge at y = hi2 - x and 17 of these 40 spectra
+    # end in a QuadratureError.
+    levels = eig_sym(build_spin_chain(SpinChainParams(3))).eigenvalues
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        moved = levels + rng.integers(-8, 9, size=levels.size) * np.spacing(levels)
+        rho = density_of_states(moved, bins=4).normalized()
+        corr = cross_correlate(rho, rho, n_grid=1025)
+        assert corr.integral() == pytest.approx(1.0, rel=1e-3)
