@@ -91,21 +91,11 @@ def sample_local_operator(spec: OperatorEnsembleSpec, index: int) -> np.ndarray:
     return 0.5 * (op + op.T)
 
 
-def _apply_a_factor(op_a: np.ndarray, vecs: np.ndarray, dim_a: int, dim_b: int):
-    # (op_a (x) identity_B) @ vecs without materializing the Kronecker product.
-    total = vecs.shape[1]
-    v3 = vecs.reshape(dim_a, dim_b * total)
-    return (op_a @ v3).reshape(dim_a * dim_b, total)
-
-
-def _vector_stack(vecs: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    # w[j, alpha * dim_a + p] = vecs[p * dim_b + j, alpha], shape
-    # (dim_b, total * dim_a): the grouped engine's transfer panels for any
-    # alpha or beta range are column slices of this one array.
-    total = vecs.shape[1]
-    return np.ascontiguousarray(
-        vecs.reshape(dim_a, dim_b, total).transpose(1, 2, 0)
-    ).reshape(dim_b, total * dim_a)
+def _apply_a_factor(op_a: np.ndarray, rows: np.ndarray, dim_a: int, dim_b: int):
+    # (op_a (x) identity_B) applied to every eigenvector row, without the
+    # Kronecker product: row beta of the result is (op_a (x) 1)|beta>.
+    v3 = rows.reshape(-1, dim_a, dim_b)
+    return np.matmul(op_a, v3).reshape(rows.shape)
 
 
 def matrix_elements_total_basis(
@@ -116,9 +106,9 @@ def matrix_elements_total_basis(
         raise DimensionError(
             f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
         )
-    vecs = system.spectrum_t.eigenvectors
-    w = _apply_a_factor(op_a, vecs, system.dim_a, system.dim_b)
-    return vecs.T @ w
+    rows = system.spectrum_t.rows
+    applied = _apply_a_factor(op_a, rows, system.dim_a, system.dim_b)
+    return rows @ applied.T
 
 
 @dataclass(frozen=True)
@@ -193,6 +183,10 @@ _BLOCK_ROWS = 256
 # so each block is still in cache for its product with the operators.
 _STREAM_BYTES = 256 * 1024
 
+# Budget of the grouped engine's one tile-product buffer: tiles shrink until
+# the band's largest fits (unless a single alpha's tile is larger).
+_TILE_BYTES = 32 * 1024 * 1024
+
 
 def accumulate_grouped(values, bins, nbins):
     """Accumulate squared samples sharing a bin index per row.
@@ -201,21 +195,27 @@ def accumulate_grouped(values, bins, nbins):
     operator; every entry in row ``p`` lands in ``bins[p]``.  Returns per-bin
     sums of the squares and of the fourth powers.  Each row is reduced over
     operators first, then the row totals accumulate in ascending ``p``.  The
-    squares are formed ``_BLOCK_ROWS`` rows at a time so they stay in cache;
-    each row's reduction does not depend on the blocking.  ``values`` is not
-    written.
+    squares are formed ``_BLOCK_ROWS`` rows at a time so they stay in cache,
+    and both row reductions are products summed in one pass (three passes
+    over a block in all); each row's reduction does not depend on the
+    blocking.  ``values`` is not written.
     """
     r2 = np.empty(values.shape[0])
     r4 = np.empty(values.shape[0])
     for d0 in range(0, values.shape[0], _BLOCK_ROWS):
         d1 = d0 + _BLOCK_ROWS
-        v = values[d0:d1] * values[d0:d1]
-        v.sum(axis=1, out=r2[d0:d1])
-        v *= v
-        v.sum(axis=1, out=r4[d0:d1])
+        x = values[d0:d1]
+        np.einsum("ij,ij->i", x, x, out=r2[d0:d1])
+        v = x * x
+        np.einsum("ij,ij->i", v, v, out=r4[d0:d1])
     sums = np.bincount(bins, weights=r2, minlength=nbins)
     sumsqs = np.bincount(bins, weights=r4, minlength=nbins)
     return sums, sumsqs
+
+
+def _largest_tile(tiles) -> int:
+    # Most (alpha, beta) cells in one band tile (a0, a1, b0, b1, s0, s1).
+    return max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, _, _ in tiles)
 
 
 class PairBand:
@@ -233,7 +233,10 @@ class PairBand:
       matrices ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its
       pairs in one matrix product, then streams the pairs through cache:
       one matrix product per block gives the elements of every ensemble
-      operator (worthwhile when ``dim_a <= dim_b``);
+      operator (worthwhile when ``dim_a <= dim_b``).  ``V3`` is the
+      eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of an
+      eigenstate-major spectrum, and both panels of a tile are views of it;
+      the one tile-product buffer stays within ``_TILE_BYTES``;
     - the direct engine evaluates elements per operator with one matrix
       product per tile (used when the A factor is the larger one).
 
@@ -298,23 +301,37 @@ class PairBand:
 
     # -- grouped engine ----------------------------------------------------
 
-    def accumulate_grouped_batch(self, w, ops_flat, tile, buf, chunk: int = 8192):
+    def _grouped_tiles(self, dim_a: int):
+        """Band tiles of the grouped engine for an A factor of ``dim_a``.
+
+        ``max(4, 512 // dim_a)`` alphas per tile so the transfer panels stay
+        small, halved until the largest tile product fits ``_TILE_BYTES``
+        (a one-alpha tile is used whatever its size).
+        """
+        batch = max(4, 512 // dim_a)
+        tiles = self._alpha_batches(batch)
+        while batch > 1 and 8 * dim_a * dim_a * _largest_tile(tiles) > _TILE_BYTES:
+            batch //= 2
+            tiles = self._alpha_batches(batch)
+        return tiles
+
+    def accumulate_grouped_batch(self, v3, ops_flat, tile, buf, chunk: int = 8192):
         """Accumulate one band tile of pairs for all operators at once.
 
-        ``w`` is the transposed eigenvector stack from :func:`_vector_stack`,
-        ``w[j, alpha * dim_a + p] = V3[alpha, p, j]``; both transfer panels
-        are views of it.  ``ops_flat`` holds one flattened operator per
-        column.  One panel product, written into the 1-d float scratch
-        ``buf`` (at least ``(a1 - a0) * (b1 - b0) * dim_a**2`` long), gives
-        the transfer matrices of the whole tile; its pairs then stream
+        ``v3`` holds the eigenvectors as rows reshaped to
+        ``(total, dim_a, dim_b)``, ``v3[alpha, p, j] = V3[alpha, p, j]``; both
+        transfer panels are views of it.  ``ops_flat`` holds one flattened
+        operator per column.  One panel product, written into the 1-d float
+        scratch ``buf`` (at least ``(a1 - a0) * (b1 - b0) * dim_a**2`` long),
+        gives the transfer matrices of the whole tile; its pairs then stream
         through cache ``_STREAM_BYTES`` of transfer rows at a time, each
         block gathered and multiplied by ``ops_flat`` into the values of its
         ``chunk`` of pairs.
         """
         a0, a1, b0, b1, s0, s1 = tile
-        dim_a = w.shape[1] // self.energies.size
-        a_panel = w[:, a0 * dim_a : a1 * dim_a].T
-        b_panel = w[:, b0 * dim_a : b1 * dim_a]
+        dim_a, dim_b = v3.shape[1:]
+        a_panel = v3[a0:a1].reshape(-1, dim_b)
+        b_panel = v3[b0:b1].reshape(-1, dim_b).T
         rect = buf[: a_panel.shape[0] * b_panel.shape[1]].reshape(a_panel.shape[0], -1)
         np.matmul(a_panel, b_panel, out=rect)
         rect = rect.reshape(a1 - a0, dim_a, b1 - b0, dim_a)
@@ -338,24 +355,21 @@ class PairBand:
             sumsqs += q
         return sums, sumsqs
 
-    def accumulate_grouped_all(self, w, ops_flat):
+    def accumulate_grouped_all(self, v3, ops_flat):
         """Grouped-engine accumulation over the whole band.
 
-        Tiles hold ``max(4, 512 // dim_a)`` alphas so the transfer panels
-        stay small.  Every tile product goes into one buffer sized for the
-        largest tile, so large products do not each map fresh pages.
-        Per-tile partial sums merge in tile order.
+        ``v3`` is as in :meth:`accumulate_grouped_batch`; the tiles are
+        :meth:`_grouped_tiles`.  Every tile product goes into one buffer
+        sized for the largest tile, so large products do not each map fresh
+        pages.  Per-tile partial sums merge in tile order.
         """
-        dim_a = w.shape[1] // self.energies.size
-        tiles = self._alpha_batches(max(4, 512 // dim_a))
-        buf = np.empty(
-            max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, _, _ in tiles)
-            * dim_a * dim_a
-        )
+        dim_a = v3.shape[1]
+        tiles = self._grouped_tiles(dim_a)
+        buf = np.empty(_largest_tile(tiles) * dim_a * dim_a)
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
         for tile in tiles:
-            s, q = self.accumulate_grouped_batch(w, ops_flat, tile, buf)
+            s, q = self.accumulate_grouped_batch(v3, ops_flat, tile, buf)
             sums += s
             sumsqs += q
         return sums, sumsqs
@@ -379,13 +393,14 @@ class PairBand:
     def accumulate_from_factors(self, vecs, applied):
         """Per-bin sums of squares and fourth powers for one operator.
 
-        ``applied`` is ``(op (x) 1) @ vecs``; elements are evaluated per band
-        tile as ``vecs[:, a0:a1].T @ applied[:, b0:b1]``.
+        ``vecs`` holds the eigenvectors as rows and row ``beta`` of
+        ``applied`` is ``(op (x) 1)|beta>``; elements are evaluated per band
+        tile as ``vecs[a0:a1] @ applied[b0:b1].T``.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
         for a0, a1, b0, b1, rows, cols, bins in self._build_direct_blocks():
-            sub = vecs[:, a0:a1].T @ applied[:, b0:b1]
+            sub = vecs[a0:a1] @ applied[b0:b1].T
             s, q = accumulate_pairs(sub, rows, cols, bins, self.n_bins)
             sums += s
             sumsqs += q
@@ -467,15 +482,20 @@ def run_ensemble(
 
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
-    band evaluation over all operators at once, reading its panels from one
-    transposed eigenvector stack built per call; otherwise elements are
-    evaluated per operator, one matrix product per band tile.  The BLAS
-    library's threads are the only parallelism: tiles and operators run in a
-    fixed order on the calling thread, so the results are bitwise
-    reproducible.
+    band evaluation over all operators at once, reading its panels as views
+    of the eigenvector rows; otherwise elements are evaluated per operator,
+    one matrix product per band tile.  The BLAS library's threads are the
+    only parallelism: tiles and operators run in a fixed order on the
+    calling thread, so the results are bitwise reproducible.
+
+    Memory beyond the system's eigenvectors (for an eigenstate-major
+    spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return): the
+    grouped engine holds one tile-product buffer of at most ``_TILE_BYTES``
+    (more only when one alpha's tile exceeds it) plus streamed blocks; the
+    direct engine holds one ``total x total`` applied operator at a time.
     """
     _check_dim_a(system, ens)
-    vecs = system.spectrum_t.eigenvectors
+    rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
     bands = [
         PairBand(system.spectrum_t.eigenvalues, c, params.ebar_halfwidth, width)
@@ -485,16 +505,19 @@ def run_ensemble(
 
     if system.dim_a <= system.dim_b:
         ops_flat = np.stack([op.ravel() for op in ops], axis=1)
-        w = _vector_stack(vecs, system.dim_a, system.dim_b)
-        partials = [band.accumulate_grouped_all(w, ops_flat) for band in bands]
+        v3 = rows.reshape(-1, system.dim_a, system.dim_b)
+        partials = [band.accumulate_grouped_all(v3, ops_flat) for band in bands]
     else:
         partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]
         for op in ops:
-            applied = _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
+            applied = _apply_a_factor(op, rows, system.dim_a, system.dim_b)
             for band, (sums, sumsqs) in zip(bands, partials):
-                s, q = band.accumulate_from_factors(vecs, applied)
+                s, q = band.accumulate_from_factors(rows, applied)
                 sums += s
                 sumsqs += q
+            # Dropped before the next operator's is formed, so only one
+            # total x total applied operator is ever alive.
+            del applied
     return EnsembleResult(
         binned=tuple(
             band.statistics(sums, sumsqs, ens.count)
@@ -519,14 +542,14 @@ def operator_diagonals(
     """
     _check_dim_a(system, ens)
     dim_a, total = system.dim_a, system.total_dim
-    vecs = system.spectrum_t.eigenvectors
+    rows = system.spectrum_t.rows
     ops_flat = np.stack(
         [sample_local_operator(ens, k).ravel() for k in range(ens.count)], axis=1
     )
     out = np.empty((ens.count, total))
     step = max(1, _DIAGONAL_BLOCK // (dim_a * dim_a))
     for a0 in range(0, total, step):
-        v3 = vecs[:, a0 : a0 + step].T.reshape(-1, dim_a, system.dim_b)
+        v3 = rows[a0 : a0 + step].reshape(-1, dim_a, system.dim_b)
         transfer = np.matmul(v3, v3.transpose(0, 2, 1)).reshape(-1, dim_a * dim_a)
         out[:, a0 : a0 + step] = (transfer @ ops_flat).T
     return out

@@ -301,6 +301,26 @@ def _fig3(config, kinds, ctx):
     return {"systems": {f"LA{config.cut}": info}}, files
 
 
+# Rows of the pair grid _window_pairs masks at a time.
+_MASK_ROWS = 256
+
+
+def _window_pairs(e_t, halfwidth):
+    """Pairs ``alpha < beta`` with ``|E_alpha + E_beta| / 2 <= halfwidth``.
+
+    Row-major order, as ``np.nonzero`` of the whole upper-triangle mask,
+    built ``_MASK_ROWS`` rows at a time so no ``total x total`` array forms.
+    """
+    found = []
+    for r0 in range(0, e_t.size, _MASK_ROWS):
+        r1 = min(r0 + _MASK_ROWS, e_t.size)
+        mask = np.abs(0.5 * np.add.outer(e_t[r0:r1], e_t)) <= halfwidth
+        mask &= np.arange(e_t.size) > np.arange(r0, r1)[:, None]
+        rows, cols = np.nonzero(mask)
+        found.append((rows + r0, cols))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
 def _appb(config, kinds, ctx):
     if config.random is None:
         raise ValidationError("appB requires a random system")
@@ -315,10 +335,7 @@ def _appb(config, kinds, ctx):
     op0 = sample_local_operator(config.ensemble, 0)
     elements = matrix_elements_total_basis(system, op0)
     e_t = system.spectrum_t.eigenvalues
-    ebar = 0.5 * np.add.outer(e_t, e_t)
-    hw = config.binning.ebar_halfwidth
-    mask = np.triu(np.abs(ebar) <= hw, k=1)
-    rows_idx, cols_idx = np.nonzero(mask)
+    rows_idx, cols_idx = _window_pairs(e_t, config.binning.ebar_halfwidth)
     triplets = np.column_stack(
         (e_t[rows_idx], e_t[cols_idx], np.abs(elements[rows_idx, cols_idx]))
     ).tolist()

@@ -38,11 +38,15 @@ __all__ = [
 
 # Dense diagonalization guard: 2^13 x 2^13 is the largest total dimension the
 # desk-scale memory budget tolerates.  The one dim x dim array a system holds
-# is its total eigenvector matrix: 8 * 4^13 bytes = 512 MiB at 13 sites.  The
-# build peaks inside eigh, which holds H_T, its working copy, the eigenvectors
-# and 2 dim^2 of workspace: measured peak RSS at 13 sites is 2.6 GB for the
-# chain (2607 MB) and 2.7 GB for the random family (2656 MB at sites_a=2,
-# sites_b=11), provided nothing else holds a dense array during eigh.
+# is its total eigenvector matrix, stored eigenstate-major (see
+# linalg.Spectrum): 8 * 4^13 bytes = 512 MiB at 13 sites.  The build peaks
+# inside eigh, which holds H_T, its working copy, the eigenvectors and 2 dim^2
+# of workspace: measured peak RSS at 13 sites is 2.6 GB for the chain
+# (2607 MB) and 2.7 GB for the random family (2656 MB at sites_a=2,
+# sites_b=11), provided nothing else holds a dense array during eigh.  The
+# eigenvector rows are copied out of eigh's result only after its workspace
+# is freed, below that peak.  The ensemble reads the rows in place and adds
+# at most one more dim x dim array (the direct engine's applied operator).
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -162,13 +166,17 @@ def _split_system(
 ) -> BipartiteSystem:
     if interaction_sq is None:
         # <alpha|H_I^2|alpha> = |(E_alpha - H_0)|alpha>|^2 needs no H_I: H_0
-        # acts factor-wise on each eigenvector reshaped to (dim_a, dim_b),
+        # acts factor-wise on each eigenvector row reshaped to (dim_a, dim_b),
         # 2 total^2 (dim_a + dim_b) flops instead of 2 total^3 for h_i @ V.
-        vecs = spectrum_t.eigenvectors.reshape(h_a.shape[0], h_b.shape[0], -1)
-        applied = vecs * spectrum_t.eigenvalues
-        applied -= np.tensordot(h_a, vecs, axes=(1, 0))
-        applied -= np.matmul(h_b, vecs)
-        interaction_sq = np.einsum("abn,abn->n", applied, applied)
+        # H_B (symmetric) acts on the last axis, so one product covers every
+        # row; H_A acts on the middle axis, one small product per row.
+        dim_a, dim_b = h_a.shape[0], h_b.shape[0]
+        rows = spectrum_t.rows
+        v3 = rows.reshape(-1, dim_a, dim_b)
+        applied = v3 * spectrum_t.eigenvalues[:, None, None]
+        applied -= np.matmul(h_a, v3)
+        applied -= (rows.reshape(-1, dim_b) @ h_b).reshape(v3.shape)
+        interaction_sq = np.einsum("nab,nab->n", applied, applied)
     return BipartiteSystem(
         dim_a=h_a.shape[0],
         dim_b=h_b.shape[0],
@@ -250,12 +258,12 @@ def decompose_chain(
     )
     if spectrum_t is None:
         spectrum_t = eig_sym(build_spin_chain(params), check=False)
-    vecs = spectrum_t.eigenvectors
+    rows = spectrum_t.rows
     return _split_system(
         build_spin_chain(a_params),
         build_spin_chain(b_params),
         spectrum_t,
-        params.coupling**2 * np.einsum("ij,ij->j", vecs, vecs),
+        params.coupling**2 * np.einsum("ij,ij->i", rows, rows),
     )
 
 

@@ -5,6 +5,9 @@ Config files are INI-style with sections [system], [ensemble], [binning],
 before any heavy compute.  The cache stores eigendecompositions in a small
 binary format (versioned magic, key echo, little-endian float64 payload,
 SHA-256 checksum); anything that fails validation is treated as absent.
+Format v2 stores the eigenvectors eigenstate-major (one eigenvector after
+another, as ``Spectrum.rows``), so a load hands them out without a copy; a
+v1 file (eigenvector columns) fails the magic check and reads as a miss.
 Datasets are CSV with fixed headers and 9-significant-digit floats, plus a
 JSON manifest per run.
 """
@@ -46,7 +49,7 @@ __all__ = [
 # Output directory fallback when --out is not given; documented in README.
 OUT_DIR_ENV = "ETHLAB_OUT"
 
-_CACHE_MAGIC = b"ETHSPEC\x01"
+_CACHE_MAGIC = b"ETHSPEC\x02"
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ def save_spectrum(spectrum: Spectrum, key: str, cache_dir: str | Path) -> Path:
     header = _key_header(key) + struct.pack("<Q", spectrum.dim)
     payload = (
         np.ascontiguousarray(spectrum.eigenvalues, dtype="<f8"),
-        np.ascontiguousarray(spectrum.eigenvectors, dtype="<f8"),
+        np.ascontiguousarray(spectrum.rows, dtype="<f8"),
     )
     checksum = hashlib.sha256()
     tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
@@ -301,7 +304,11 @@ def save_spectrum(spectrum: Spectrum, key: str, cache_dir: str | Path) -> Path:
 
 
 def load_spectrum(key: str, cache_dir: str | Path) -> Optional[Spectrum]:
-    """Read a spectrum back; any validation failure reads as a miss."""
+    """Read a spectrum back; any validation failure reads as a miss.
+
+    The eigenvectors come back eigenstate-major, as a transposed view of the
+    payload.
+    """
     path = _cache_path(Path(cache_dir), key)
     expected = _key_header(key)
     header_len = len(expected) + 8
@@ -323,7 +330,7 @@ def load_spectrum(key: str, cache_dir: str | Path) -> Optional[Spectrum]:
         return None
     payload = payload.astype(float, copy=False)
     return Spectrum(
-        eigenvalues=payload[:dim], eigenvectors=payload[dim:].reshape(dim, dim)
+        eigenvalues=payload[:dim], eigenvectors=payload[dim:].reshape(dim, dim).T
     )
 
 

@@ -46,7 +46,9 @@ class Spectrum:
         Orthonormal columns; column ``k`` belongs to ``eigenvalues[k]``.  Each
         column is normalized so its largest-magnitude component is positive
         (first such component on ties), which makes decompositions
-        reproducible across LAPACK builds.
+        reproducible across LAPACK builds.  Spectra from :func:`eig_sym` and
+        the cache are stored eigenstate-major: ``eigenvectors.T`` is
+        C-contiguous, so each eigenvector is one contiguous row of it.
     """
 
     eigenvalues: np.ndarray
@@ -59,6 +61,15 @@ class Spectrum:
     @property
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Eigenvectors as C-contiguous rows, ``rows[k]`` = column ``k``.
+
+        A view for an eigenstate-major spectrum; a spectrum given in another
+        layout pays one copy per call.
+        """
+        return np.ascontiguousarray(self.eigenvectors.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +138,8 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
     Returns
     -------
     Spectrum
-        Ascending eigenvalues and sign-fixed orthonormal eigenvectors.
+        Ascending eigenvalues and sign-fixed orthonormal eigenvectors, stored
+        eigenstate-major (``eigenvectors.T`` is C-contiguous).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -143,16 +155,21 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
                 f"exceeds {_SYM_TOL:.1e} * {scale:.3e}"
             )
     vals, vecs = np.linalg.eigh(a)
-    _fix_signs(vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    # eigh's workspace is freed by now, so the transposed copy does not
+    # raise the peak; the eigenvectors then live as contiguous rows.
+    rows = np.ascontiguousarray(vecs.T)
+    del vecs
+    _fix_signs(rows)
+    return Spectrum(eigenvalues=vals, eigenvectors=rows.T)
 
 
-def _fix_signs(vecs: np.ndarray) -> None:
-    # Largest-magnitude component of each column made positive, in place.
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
+def _fix_signs(rows: np.ndarray) -> None:
+    # Largest-magnitude component of each row (eigenvector) made positive,
+    # first such component on ties, in place.
+    lead = np.argmax(np.abs(rows), axis=1)
+    signs = np.sign(rows[np.arange(rows.shape[0]), lead])
     signs[signs == 0] = 1.0
-    vecs *= signs
+    rows *= signs[:, None]
 
 
 def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensity:

@@ -1,5 +1,7 @@
 """Operator ensembles, off-diagonal binning, band detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from ethlab.experiments import (
     OperatorEnsembleSpec,
     PairBand,
     _apply_a_factor,
+    _largest_tile,
     _prominent_peaks,
-    _vector_stack,
     accumulate_grouped,
     accumulate_pairs,
     bin_offdiagonal,
@@ -248,8 +250,8 @@ def test_ensemble_engines_match_dense_oracle(chain10):
     system = chain10
     spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=3, seed=2)
     ops = [sample_local_operator(spec, k) for k in range(spec.count)]
-    vecs = system.spectrum_t.eigenvectors
-    w = _vector_stack(vecs, system.dim_a, system.dim_b)
+    rows = system.spectrum_t.rows
+    v3 = rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
@@ -257,7 +259,7 @@ def test_ensemble_engines_match_dense_oracle(chain10):
                  for op in ops]
         per_op = [
             band.accumulate_from_factors(
-                vecs, _apply_a_factor(op, vecs, system.dim_a, system.dim_b)
+                rows, _apply_a_factor(op, rows, system.dim_a, system.dim_b)
             )
             for op in ops
         ]
@@ -265,7 +267,7 @@ def test_ensemble_engines_match_dense_oracle(chain10):
             sum(s for s, _ in dense), sum(q for _, q in dense), spec.count
         )
         grouped = band.statistics(
-            *band.accumulate_grouped_all(w, ops_flat), spec.count
+            *band.accumulate_grouped_all(v3, ops_flat), spec.count
         )
         direct = band.statistics(
             sum(s for s, _ in per_op), sum(q for _, q in per_op), spec.count
@@ -287,13 +289,19 @@ def test_ensemble_engines_match_dense_oracle(chain10):
             assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
 
 
-def _tile_wide_batch(band, w, ops_flat, tile, chunk):
+def _panels(v3, tile):
+    # Transfer panels of a tile as views of the (total, dim_a, dim_b) rows.
+    a0, a1, b0, b1, _, _ = tile
+    dim_b = v3.shape[2]
+    return v3[a0:a1].reshape(-1, dim_b), v3[b0:b1].reshape(-1, dim_b).T
+
+
+def _tile_wide_batch(band, v3, ops_flat, tile, chunk):
     # The grouped engine before streaming: gather every transfer row of the
     # tile at once, then one product and one accumulate_grouped per chunk.
     a0, a1, b0, b1, s0, s1 = tile
-    dim_a = w.shape[1] // band.energies.size
-    a_panel = w[:, a0 * dim_a : a1 * dim_a].T
-    b_panel = w[:, b0 * dim_a : b1 * dim_a]
+    dim_a = v3.shape[1]
+    a_panel, b_panel = _panels(v3, tile)
     rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
     transfer = rect[band.rows[s0:s1] - a0, :, band.cols[s0:s1] - b0, :].reshape(
         s1 - s0, dim_a * dim_a
@@ -318,23 +326,21 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
     # Chunks of 8192 pairs (the default) and of 1000, which blocks straddle.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=count, seed=0)
-    vecs = system.spectrum_t.eigenvectors
-    w = _vector_stack(vecs, system.dim_a, system.dim_b)
+    v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack(
         [sample_local_operator(spec, k).ravel() for k in range(count)], axis=1
     )
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
-        tiles = band._alpha_batches(max(4, 512 // system.dim_a))
-        buf = np.empty(max((t[1] - t[0]) * (t[3] - t[2]) for t in tiles)
-                       * system.dim_a**2)
+        tiles = band._grouped_tiles(system.dim_a)
+        buf = np.empty(_largest_tile(tiles) * system.dim_a**2)
         for chunk in (8192, 1000):
             want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
             got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
             for tile in tiles:
                 for acc, part in (
-                    (want, _tile_wide_batch(band, w, ops_flat, tile, chunk)),
-                    (got, band.accumulate_grouped_batch(w, ops_flat, tile, buf, chunk)),
+                    (want, _tile_wide_batch(band, v3, ops_flat, tile, chunk)),
+                    (got, band.accumulate_grouped_batch(v3, ops_flat, tile, buf, chunk)),
                 ):
                     acc[0] += part[0]
                     acc[1] += part[1]
@@ -349,12 +355,11 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
                 assert np.array_equal(whole.binned[0].std_err, got.std_err)
 
 
-def _fresh_tile_batch(band, w, ops_flat, tile, chunk=8192):
+def _fresh_tile_batch(band, v3, ops_flat, tile, chunk=8192):
     # The streamed grouped engine with a freshly allocated tile product.
     a0, a1, b0, b1, s0, s1 = tile
-    dim_a = w.shape[1] // band.energies.size
-    a_panel = w[:, a0 * dim_a : a1 * dim_a].T
-    b_panel = w[:, b0 * dim_a : b1 * dim_a]
+    dim_a = v3.shape[1]
+    a_panel, b_panel = _panels(v3, tile)
     rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
     rows = band.rows[s0:s1] - a0
     cols = band.cols[s0:s1] - b0
@@ -383,20 +388,102 @@ def test_grouped_engine_reused_buffer_is_bitwise_fresh_products(chain10, cut):
     # same products each allocated afresh.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=4, seed=0)
-    w = _vector_stack(system.spectrum_t.eigenvectors, system.dim_a, system.dim_b)
+    v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack(
         [sample_local_operator(spec, k).ravel() for k in range(spec.count)], axis=1
     )
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
         want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-        for tile in band._alpha_batches(max(4, 512 // system.dim_a)):
-            s, q = _fresh_tile_batch(band, w, ops_flat, tile)
+        for tile in band._grouped_tiles(system.dim_a):
+            s, q = _fresh_tile_batch(band, v3, ops_flat, tile)
             want[0] += s
             want[1] += q
-        got = band.accumulate_grouped_all(w, ops_flat)
+        got = band.accumulate_grouped_all(v3, ops_flat)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("cut", [3, 5])
+def test_grouped_panels_are_views_of_the_transposed_stack(chain10, cut):
+    # The panels read in place equal those of an explicit transposed copy
+    # w[j, alpha * dim_a + p] = V3[alpha, p, j], and so do the tile products.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    dim_a, dim_b = system.dim_a, system.dim_b
+    rows = system.spectrum_t.rows
+    v3 = rows.reshape(-1, dim_a, dim_b)
+    w = np.ascontiguousarray(v3.transpose(2, 0, 1)).reshape(dim_b, -1)
+    for tile in _center_band(system)._grouped_tiles(dim_a):
+        a0, a1, b0, b1, _, _ = tile
+        a_panel, b_panel = _panels(v3, tile)
+        assert np.shares_memory(a_panel, rows) and np.shares_memory(b_panel, rows)
+        assert np.array_equal(a_panel, w[:, a0 * dim_a : a1 * dim_a].T)
+        assert np.array_equal(b_panel, w[:, b0 * dim_a : b1 * dim_a])
+        want = w[:, a0 * dim_a : a1 * dim_a].T @ w[:, b0 * dim_a : b1 * dim_a]
+        assert np.allclose(a_panel @ b_panel, want, rtol=0.0, atol=1e-15)
+
+
+def test_grouped_tile_budget(chain10, monkeypatch):
+    # A small _TILE_BYTES halves the alpha batch until the largest tile
+    # product fits; the buffer stays within it and the statistics agree
+    # with the default tiles to 1e-13.
+    system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(dim_a=32, count=4, seed=0)
+    centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
+    want = run_ensemble(system, spec, centers, BinningParams())
+    budget = 4 << 20
+    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
+    for center in centers:
+        band = _center_band(system, center)
+        tiles = band._grouped_tiles(32)
+        assert len(tiles) > len(band._alpha_batches(16))
+        assert 8 * 32 * 32 * _largest_tile(tiles) <= budget
+    buffers = []
+    batch = PairBand.accumulate_grouped_batch
+
+    def recorded(self, v3, ops_flat, tile, buf, *args):
+        buffers.append(buf.nbytes)
+        return batch(self, v3, ops_flat, tile, buf, *args)
+
+    monkeypatch.setattr(PairBand, "accumulate_grouped_batch", recorded)
+    got = run_ensemble(system, spec, centers, BinningParams())
+    assert buffers and max(buffers) <= budget
+    for g, w in zip(got.binned, want.binned):
+        assert np.array_equal(g.count, w.count)
+        assert np.allclose(g.mean_sq, w.mean_sq, rtol=1e-13, atol=0.0)
+        assert np.allclose(g.std_err, w.std_err, rtol=1e-13, atol=0.0)
+
+
+def _traced_peak(fn):
+    # Peak bytes traced while fn runs, after one untraced warm-up call.
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grouped_engine_copies_no_eigenvectors(chain10):
+    # The grouped engine reads its panels from the eigenvector rows in
+    # place: its whole traced peak stays below the eigenvectors' 8.4 MB.  The
+    # window half-width 0.25 keeps the band's largest tile product at 4.6 MB.
+    spec = OperatorEnsembleSpec(dim_a=8, count=4, seed=0)
+    params = BinningParams(ebar_halfwidth=0.25)
+    peak = _traced_peak(lambda: run_ensemble(chain10, spec, [0.0], params))
+    assert peak < chain10.spectrum_t.eigenvectors.nbytes
+
+
+def test_direct_engine_holds_one_applied_operator(chain10):
+    # At cut 7 (dim_a > dim_b) each operator's (O (x) 1) applied to every
+    # eigenvector is a total x total array (8.4 MB); the next operator's is
+    # formed only after it is dropped.  Bands, tiles and operators add
+    # about 2 MB, so two applied operators alive at once cannot fit.
+    system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(dim_a=128, count=3, seed=0)
+    peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
+    assert peak < 1.5 * system.spectrum_t.eigenvectors.nbytes
 
 
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
@@ -507,10 +594,10 @@ def test_accumulate_grouped_blocks_are_bitwise_whole_chunk():
     values = rng.standard_normal((1000, 250))
     before = values.copy()
     bins = np.sort(rng.integers(0, 40, 1000))
+    r2 = np.einsum("ij,ij->i", values, values)
     v = values * values
-    want_sums = np.bincount(bins, weights=v.sum(axis=1), minlength=40)
-    v *= v
-    want_sumsqs = np.bincount(bins, weights=v.sum(axis=1), minlength=40)
+    want_sums = np.bincount(bins, weights=r2, minlength=40)
+    want_sumsqs = np.bincount(bins, weights=np.einsum("ij,ij->i", v, v), minlength=40)
     sums, sumsqs = accumulate_grouped(values, bins, 40)
     assert np.array_equal(sums, want_sums)
     assert np.array_equal(sumsqs, want_sumsqs)

@@ -1,6 +1,8 @@
 """Config parsing, spectrum cache, dataset emission, CLI surface."""
 
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from ethlab.ansatz import Prediction
 from ethlab.errors import CacheMissError, ValidationError
 from ethlab.hamiltonians import sample_goe
 from ethlab.io import (
+    _cache_path,
     cached_spectrum,
     config_cache_key,
     default_config,
@@ -153,6 +156,55 @@ def test_cache_roundtrip_is_bitwise(tmp_path):
     back = load_spectrum("roundtrip-key", tmp_path)
     assert spec.eigenvalues.tobytes() == back.eigenvalues.tobytes()
     assert spec.eigenvectors.tobytes() == back.eigenvectors.tobytes()
+
+
+def test_cache_loads_eigenstate_major_views(tmp_path):
+    # The payload holds one eigenvector after another: a load hands out the
+    # eigenvectors as a transposed view of it, bitwise eig_sym's.
+    spec = _spectrum()
+    vals, vecs = np.linalg.eigh(sample_goe(48, np.random.default_rng(21)))
+    save_spectrum(spec, "rows-key", tmp_path)
+    back = load_spectrum("rows-key", tmp_path)
+    assert back.eigenvectors.T.flags.c_contiguous
+    assert np.array_equal(back.eigenvalues, vals)
+    lead = np.argmax(np.abs(vecs), axis=0)
+    assert np.array_equal(
+        back.eigenvectors, vecs * np.sign(vecs[lead, np.arange(48)])
+    )
+
+
+def _write_v1(spec, key, cache_dir):
+    # A cache file in format v1: magic ETHSPEC\x01 and the eigenvector
+    # matrix stored column-major by eigenstate, i.e. as C-ordered columns.
+    path = _cache_path(cache_dir, key)
+    payload = (spec.eigenvalues, np.ascontiguousarray(spec.eigenvectors))
+    header = (
+        b"ETHSPEC\x01" + struct.pack("<I", len(key)) + key.encode()
+        + struct.pack("<Q", spec.dim)
+    )
+    digest = hashlib.sha256()
+    for array in payload:
+        digest.update(array)
+    path.write_bytes(header + b"".join(a.tobytes() for a in payload) + digest.digest())
+
+
+def test_cache_v1_file_is_a_miss(tmp_path):
+    spec = _spectrum()
+    _write_v1(spec, "old-key", tmp_path)
+    assert load_spectrum("old-key", tmp_path) is None
+    with pytest.raises(CacheMissError):
+        cached_spectrum("old-key", tmp_path, "forbid", lambda: spec)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return spec
+
+    got = cached_spectrum("old-key", tmp_path, "use", compute)
+    assert calls == [1]
+    assert np.array_equal(got.eigenvectors, spec.eigenvectors)
+    # The miss rewrote the entry in the current format.
+    assert load_spectrum("old-key", tmp_path) is not None
 
 
 def test_cache_detects_corruption(tmp_path):

@@ -50,6 +50,48 @@ def test_eig_sym_sign_convention():
         assert np.all(v[lead, np.arange(8)] > 0)
 
 
+def _column_sign_oracle(vecs):
+    # The sign rule applied column by column to eigh's own output: the
+    # largest-magnitude component of each column made positive, first such
+    # component on ties.
+    vecs = vecs.copy()
+    lead = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
+    signs[signs == 0] = 1.0
+    return vecs * signs
+
+
+def test_eig_sym_is_eigenstate_major_and_bitwise_the_column_rule():
+    # Exact ties: the all-ones direction of J - I, the (1, 1)/sqrt(2) and
+    # (1, -1)/sqrt(2) pair of sigma_x, a reflection-symmetric chain (each
+    # component k has a partner R(k) of equal magnitude), and degenerate
+    # identity blocks whose eigenvectors are unit vectors.
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 40))
+    for matrix in (
+        np.ones((5, 5)) - np.eye(5),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        build_spin_chain(SpinChainParams(6)),
+        np.kron(np.eye(3), np.diag([2.0, -1.0])),
+        0.5 * (g + g.T),
+    ):
+        spec = eig_sym(matrix)
+        assert spec.eigenvectors.T.flags.c_contiguous
+        assert np.shares_memory(spec.rows, spec.eigenvectors)
+        vals, vecs = np.linalg.eigh(matrix)
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(spec.eigenvectors, _column_sign_oracle(vecs))
+
+
+def test_spectrum_rows_in_any_layout():
+    # A spectrum given in another layout reads its rows through one copy.
+    vecs = np.arange(9.0).reshape(3, 3)
+    spec = Spectrum(eigenvalues=np.zeros(3), eigenvectors=vecs)
+    assert spec.rows.flags.c_contiguous
+    assert np.array_equal(spec.rows, vecs.T)
+    assert not np.shares_memory(spec.rows, vecs)
+
+
 def test_eig_sym_rejects_bad_input():
     with pytest.raises(DimensionError):
         eig_sym(np.zeros((2, 3)))
