@@ -44,7 +44,6 @@ from .experiments import (
     BandReport,
     BinnedStatistics,
     BinningParams,
-    EnsembleResult,
     OperatorEnsembleSpec,
     bin_offdiagonal,
     default_bin_width,
@@ -176,7 +175,6 @@ __all__ = [
     "OperatorEnsembleSpec",
     "BinningParams",
     "BinnedStatistics",
-    "EnsembleResult",
     "BandReport",
     "sample_local_operator",
     "matrix_elements_total_basis",

@@ -34,11 +34,11 @@ __all__ = [
     "BinningParams",
     "BinnedStatistics",
     "PairBand",
-    "EnsembleResult",
     "BandReport",
     "REFERENCE_SPECTRAL_RANGE",
     "sample_local_operator",
     "matrix_elements_total_basis",
+    "band_matrix_elements",
     "bin_offdiagonal",
     "run_ensemble",
     "operator_diagonals",
@@ -98,17 +98,36 @@ def _apply_a_factor(op_a: np.ndarray, rows: np.ndarray, dim_a: int, dim_b: int):
     return np.matmul(op_a, v3).reshape(rows.shape)
 
 
-def matrix_elements_total_basis(
-    system: BipartiteSystem, op_a: np.ndarray
-) -> np.ndarray:
-    """All matrix elements of ``op_a (x) identity`` between total eigenstates."""
+def _applied(system: BipartiteSystem, op_a: np.ndarray):
+    # The eigenvector rows and (op_a (x) 1) applied to each of them.
     if op_a.shape != (system.dim_a, system.dim_a):
         raise DimensionError(
             f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
         )
     rows = system.spectrum_t.rows
-    applied = _apply_a_factor(op_a, rows, system.dim_a, system.dim_b)
+    return rows, _apply_a_factor(op_a, rows, system.dim_a, system.dim_b)
+
+
+def matrix_elements_total_basis(
+    system: BipartiteSystem, op_a: np.ndarray
+) -> np.ndarray:
+    """All matrix elements of ``op_a (x) identity`` between total eigenstates."""
+    rows, applied = _applied(system, op_a)
     return rows @ applied.T
+
+
+def band_matrix_elements(
+    system: BipartiteSystem, op_a: np.ndarray, band: PairBand
+) -> np.ndarray:
+    """Elements of ``op_a (x) identity`` for the pairs of ``band``, in band order.
+
+    Entry ``p`` is ``O[band.rows[p], band.cols[p]]``; only the band's tiles
+    are evaluated, one matrix product per tile as in the direct engine.
+    """
+    rows, applied = _applied(system, op_a)
+    return np.concatenate(
+        [sub[r, c] for sub, r, c, _ in band._direct_products(rows, applied)]
+    )
 
 
 @dataclass(frozen=True)
@@ -175,42 +194,32 @@ def accumulate_pairs(block, rows, cols, bins, nbins):
     return sums, sumsqs
 
 
-# Rows per block of squares in accumulate_grouped: 256 rows of 250 operators
-# take 0.5 MB, so the squares are still in cache when they are summed.
-_BLOCK_ROWS = 256
-
-# Bytes of gathered transfer rows per streamed block of the grouped engine,
-# so each block is still in cache for its product with the operators.
+# Bytes of gathered transfer rows per streamed block of the grouped engine
+# and of operator_diagonals, so each block is still in cache for its product
+# with the operators.
 _STREAM_BYTES = 256 * 1024
 
 # Budget of the grouped engine's one tile-product buffer: tiles shrink until
 # the band's largest fits (unless a single alpha's tile is larger).
 _TILE_BYTES = 32 * 1024 * 1024
 
+# Alphas per band tile of the direct engine.
+_DIRECT_BATCH = 64
 
-def accumulate_grouped(values, bins, nbins):
-    """Accumulate squared samples sharing a bin index per row.
+
+def accumulate_grouped(values, r2, r4):
+    """Per-pair moments of one block of ensemble samples.
 
     ``values`` has one row per eigenstate pair and one column per ensemble
-    operator; every entry in row ``p`` lands in ``bins[p]``.  Returns per-bin
-    sums of the squares and of the fourth powers.  Each row is reduced over
-    operators first, then the row totals accumulate in ascending ``p``.  The
-    squares are formed ``_BLOCK_ROWS`` rows at a time so they stay in cache,
-    and both row reductions are products summed in one pass (three passes
-    over a block in all); each row's reduction does not depend on the
-    blocking.  ``values`` is not written.
+    operator.  Writes each row's sum of squares into ``r2`` and its sum of
+    fourth powers into ``r4``, squaring ``values`` in place on the way
+    (three passes over the block).  Each row is reduced on its own, as a
+    product summed in one pass, so a row's moments do not depend on the
+    block it arrives in.
     """
-    r2 = np.empty(values.shape[0])
-    r4 = np.empty(values.shape[0])
-    for d0 in range(0, values.shape[0], _BLOCK_ROWS):
-        d1 = d0 + _BLOCK_ROWS
-        x = values[d0:d1]
-        np.einsum("ij,ij->i", x, x, out=r2[d0:d1])
-        v = x * x
-        np.einsum("ij,ij->i", v, v, out=r4[d0:d1])
-    sums = np.bincount(bins, weights=r2, minlength=nbins)
-    sumsqs = np.bincount(bins, weights=r4, minlength=nbins)
-    return sums, sumsqs
+    np.einsum("ij,ij->i", values, values, out=r2)
+    np.multiply(values, values, out=values)
+    np.einsum("ij,ij->i", values, values, out=r4)
 
 
 def _largest_tile(tiles) -> int:
@@ -231,17 +240,20 @@ class PairBand:
 
     - the grouped engine forms, per tile, the operator-independent transfer
       matrices ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its
-      pairs in one matrix product, then streams the pairs through cache:
-      one matrix product per block gives the elements of every ensemble
-      operator (worthwhile when ``dim_a <= dim_b``).  ``V3`` is the
-      eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of an
-      eigenstate-major spectrum, and both panels of a tile are views of it;
-      the one tile-product buffer stays within ``_TILE_BYTES``;
+      pairs in one matrix product, then streams the pairs through cache in
+      blocks of ``_STREAM_BYTES`` of transfer rows: one matrix product per
+      block gives the elements of every ensemble operator, reduced at once
+      to per-pair moments (worthwhile when ``dim_a <= dim_b``).  ``V3`` is
+      the eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of
+      an eigenstate-major spectrum, and both panels of a tile are views of
+      it.  Beyond the eigenvectors it holds one tile-product buffer of at
+      most ``_TILE_BYTES``, one block of values and two floats per pair of
+      the current tile;
     - the direct engine evaluates elements per operator with one matrix
       product per tile (used when the A factor is the larger one).
 
     Tiles and blocks run in a fixed order on the calling thread, and per-bin
-    sums merge in that order, so the results are bit-reproducible.
+    sums merge in tile order, so the results are bit-reproducible.
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
@@ -315,18 +327,21 @@ class PairBand:
             tiles = self._alpha_batches(batch)
         return tiles
 
-    def accumulate_grouped_batch(self, v3, ops_flat, tile, buf, chunk: int = 8192):
-        """Accumulate one band tile of pairs for all operators at once.
+    def accumulate_grouped_batch(self, v3, ops_flat, tile, buf):
+        """Per-bin sums of squares and fourth powers of one band tile.
 
         ``v3`` holds the eigenvectors as rows reshaped to
         ``(total, dim_a, dim_b)``, ``v3[alpha, p, j] = V3[alpha, p, j]``; both
         transfer panels are views of it.  ``ops_flat`` holds one flattened
         operator per column.  One panel product, written into the 1-d float
         scratch ``buf`` (at least ``(a1 - a0) * (b1 - b0) * dim_a**2`` long),
-        gives the transfer matrices of the whole tile; its pairs then stream
-        through cache ``_STREAM_BYTES`` of transfer rows at a time, each
-        block gathered and multiplied by ``ops_flat`` into the values of its
-        ``chunk`` of pairs.
+        gives the transfer matrices of the whole tile.  Its pairs then stream
+        through cache ``_STREAM_BYTES // (8 * dim_a**2)`` at a time: each
+        block is gathered, multiplied by ``ops_flat`` into one block of
+        values and reduced by :func:`accumulate_grouped` to per-pair moments
+        (two floats per pair of the tile), which one ``bincount`` per moment
+        sums into bins.  Besides ``buf``, one block of values and those two
+        per-pair arrays are all the memory it holds.
         """
         a0, a1, b0, b1, s0, s1 = tile
         dim_a, dim_b = v3.shape[1:]
@@ -337,23 +352,22 @@ class PairBand:
         rect = rect.reshape(a1 - a0, dim_a, b1 - b0, dim_a)
         rows = self.rows[s0:s1] - a0
         cols = self.cols[s0:s1] - b0
+        n = s1 - s0
         block = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
-        values = np.empty((min(chunk, s1 - s0), ops_flat.shape[1]))
-        sums = np.zeros(self.n_bins)
-        sumsqs = np.zeros(self.n_bins)
-        for c0 in range(0, s1 - s0, chunk):
-            c1 = min(c0 + chunk, s1 - s0)
-            for d0 in range(c0, c1, block):
-                d1 = min(d0 + block, c1)
-                transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
-                np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat,
-                          out=values[d0 - c0 : d1 - c0])
-            s, q = accumulate_grouped(
-                values[: c1 - c0], self.bins[s0 + c0 : s0 + c1], self.n_bins
-            )
-            sums += s
-            sumsqs += q
-        return sums, sumsqs
+        values = np.empty((min(block, n), ops_flat.shape[1]))
+        r2 = np.empty(n)
+        r4 = np.empty(n)
+        for d0 in range(0, n, block):
+            d1 = min(d0 + block, n)
+            transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
+            out = values[: d1 - d0]
+            np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat, out=out)
+            accumulate_grouped(out, r2[d0:d1], r4[d0:d1])
+        bins = self.bins[s0:s1]
+        return (
+            np.bincount(bins, weights=r2, minlength=self.n_bins),
+            np.bincount(bins, weights=r4, minlength=self.n_bins),
+        )
 
     def accumulate_grouped_all(self, v3, ops_flat):
         """Grouped-engine accumulation over the whole band.
@@ -376,19 +390,26 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
-    def _build_direct_blocks(self, batch: int = 64):
-        """Band tiles of ``batch`` alphas as ``(a0, a1, b0, b1, rows, cols, bins)``.
+    def _build_direct_blocks(self):
+        """Direct-engine tiles ``(a0, a1, b0, b1, rows, cols, bins)``.
 
-        ``rows`` and ``cols`` are local to the tile's ``[a0, a1) x [b0, b1)``
-        rectangle.  Built once per band and cached.
+        Each covers ``_DIRECT_BATCH`` alphas; ``rows`` and ``cols`` are local
+        to the tile's ``[a0, a1) x [b0, b1)`` rectangle.  Built once per band
+        and cached.
         """
         if self._direct_blocks is None:
             self._direct_blocks = [
                 (a0, a1, b0, b1, self.rows[s0:s1] - a0, self.cols[s0:s1] - b0,
                  self.bins[s0:s1])
-                for a0, a1, b0, b1, s0, s1 in self._alpha_batches(batch)
+                for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH)
             ]
         return self._direct_blocks
+
+    def _direct_products(self, vecs, applied):
+        # Per direct tile: its elements vecs[a0:a1] @ applied[b0:b1].T and
+        # its local (rows, cols, bins), in band order.
+        for a0, a1, b0, b1, rows, cols, bins in self._build_direct_blocks():
+            yield vecs[a0:a1] @ applied[b0:b1].T, rows, cols, bins
 
     def accumulate_from_factors(self, vecs, applied):
         """Per-bin sums of squares and fourth powers for one operator.
@@ -399,8 +420,7 @@ class PairBand:
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for a0, a1, b0, b1, rows, cols, bins in self._build_direct_blocks():
-            sub = vecs[a0:a1] @ applied[b0:b1].T
+        for sub, rows, cols, bins in self._direct_products(vecs, applied):
             s, q = accumulate_pairs(sub, rows, cols, bins, self.n_bins)
             sums += s
             sumsqs += q
@@ -458,13 +478,6 @@ def bin_offdiagonal(
     return band.statistics(sums, sumsqs, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
-    """Pooled ensemble statistics: one :class:`BinnedStatistics` per window."""
-
-    binned: tuple[BinnedStatistics, ...]
-
-
 def _check_dim_a(system: BipartiteSystem, ens: OperatorEnsembleSpec) -> None:
     if ens.dim_a != system.dim_a:
         raise DimensionError(
@@ -477,8 +490,10 @@ def run_ensemble(
     ens: OperatorEnsembleSpec,
     ebar_centers: Sequence[float],
     params: BinningParams = BinningParams(),
-) -> EnsembleResult:
+) -> tuple[BinnedStatistics, ...]:
     """Binned off-diagonal statistics pooled over the operator ensemble.
+
+    Returns one :class:`BinnedStatistics` per window center, in order.
 
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
@@ -491,8 +506,10 @@ def run_ensemble(
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return): the
     grouped engine holds one tile-product buffer of at most ``_TILE_BYTES``
-    (more only when one alpha's tile exceeds it) plus streamed blocks; the
-    direct engine holds one ``total x total`` applied operator at a time.
+    (more only when one alpha's tile exceeds it), one streamed block of
+    values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
+    operators) and two floats per pair of the current tile; the direct
+    engine holds one ``total x total`` applied operator at a time.
     """
     _check_dim_a(system, ens)
     rows = system.spectrum_t.rows
@@ -518,16 +535,10 @@ def run_ensemble(
             # Dropped before the next operator's is formed, so only one
             # total x total applied operator is ever alive.
             del applied
-    return EnsembleResult(
-        binned=tuple(
-            band.statistics(sums, sumsqs, ens.count)
-            for band, (sums, sumsqs) in zip(bands, partials)
-        )
+    return tuple(
+        band.statistics(sums, sumsqs, ens.count)
+        for band, (sums, sumsqs) in zip(bands, partials)
     )
-
-
-# Transfer-matrix elements per alpha block of operator_diagonals (32 MB).
-_DIAGONAL_BLOCK = 1 << 22
 
 
 def operator_diagonals(
@@ -537,8 +548,8 @@ def operator_diagonals(
 
     ``O[alpha, alpha] = sum_pq O_pq T_alpha[p, q]`` with the transfer matrix
     ``T_alpha = V3[alpha] V3[alpha]^T`` of :class:`PairBand` at
-    ``alpha = beta``, formed for at most ``_DIAGONAL_BLOCK`` elements' worth
-    of alphas at a time.
+    ``alpha = beta``, streamed ``_STREAM_BYTES`` of transfer matrices at a
+    time.
     """
     _check_dim_a(system, ens)
     dim_a, total = system.dim_a, system.total_dim
@@ -547,7 +558,7 @@ def operator_diagonals(
         [sample_local_operator(ens, k).ravel() for k in range(ens.count)], axis=1
     )
     out = np.empty((ens.count, total))
-    step = max(1, _DIAGONAL_BLOCK // (dim_a * dim_a))
+    step = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
     for a0 in range(0, total, step):
         v3 = rows[a0 : a0 + step].reshape(-1, dim_a, system.dim_b)
         transfer = np.matmul(v3, v3.transpose(0, 2, 1)).reshape(-1, dim_a * dim_a)

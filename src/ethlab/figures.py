@@ -23,7 +23,8 @@ import numpy as np
 from .ansatz import AnsatzModel
 from .errors import ValidationError
 from .experiments import (
-    matrix_elements_total_basis,
+    PairBand,
+    band_matrix_elements,
     run_ensemble,
     sample_local_operator,
     detect_bands,
@@ -207,14 +208,14 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """Shared measurement + prediction flow for the scans."""
     prof = profile(system)
     dens = _Densities(system)
-    result = run_ensemble(system, config.ensemble, centers, config.binning)
+    binned = run_ensemble(system, config.ensemble, centers, config.binning)
     files = []
     all_binned = []
     all_preds = []
-    for stats in result.binned:
+    for stats in binned:
         all_binned.extend(binned_rows(stats))
     files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
-    for center, stats in zip(centers, result.binned):
+    for center, stats in zip(centers, binned):
         preds = _predictions(
             kinds, system, prof.sigma_s, config.o2bar, dens, center,
             stats.omega_mid,
@@ -244,10 +245,10 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
         "windows": [
             {"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
              "pairs": stats.n_samples}
-            for stats in result.binned
+            for stats in binned
         ],
     }
-    return info, files, result.binned
+    return info, files, binned
 
 
 def _scan(config, kinds, ctx, *, centers=None):
@@ -301,26 +302,6 @@ def _fig3(config, kinds, ctx):
     return {"systems": {f"LA{config.cut}": info}}, files
 
 
-# Rows of the pair grid _window_pairs masks at a time.
-_MASK_ROWS = 256
-
-
-def _window_pairs(e_t, halfwidth):
-    """Pairs ``alpha < beta`` with ``|E_alpha + E_beta| / 2 <= halfwidth``.
-
-    Row-major order, as ``np.nonzero`` of the whole upper-triangle mask,
-    built ``_MASK_ROWS`` rows at a time so no ``total x total`` array forms.
-    """
-    found = []
-    for r0 in range(0, e_t.size, _MASK_ROWS):
-        r1 = min(r0 + _MASK_ROWS, e_t.size)
-        mask = np.abs(0.5 * np.add.outer(e_t[r0:r1], e_t)) <= halfwidth
-        mask &= np.arange(e_t.size) > np.arange(r0, r1)[:, None]
-        rows, cols = np.nonzero(mask)
-        found.append((rows + r0, cols))
-    return tuple(np.concatenate(part) for part in zip(*found))
-
-
 def _appb(config, kinds, ctx):
     if config.random is None:
         raise ValidationError("appB requires a random system")
@@ -331,13 +312,15 @@ def _appb(config, kinds, ctx):
 
     gaps = subsystem_gap_omegas(system.spectrum_a.eigenvalues)
 
-    # Near-diagonal triplets for the first operator, restricted to the window.
+    # Near-diagonal triplets for the first operator over the window's pairs
+    # (alpha < beta, alpha-major), evaluated on the band's tiles only.
     op0 = sample_local_operator(config.ensemble, 0)
-    elements = matrix_elements_total_basis(system, op0)
     e_t = system.spectrum_t.eigenvalues
-    rows_idx, cols_idx = _window_pairs(e_t, config.binning.ebar_halfwidth)
+    width = config.binning.resolve_width(system.spectrum_t.spectral_range)
+    band = PairBand(e_t, 0.0, config.binning.ebar_halfwidth, width)
+    elements = band_matrix_elements(system, op0, band)
     triplets = np.column_stack(
-        (e_t[rows_idx], e_t[cols_idx], np.abs(elements[rows_idx, cols_idx]))
+        (e_t[band.rows], e_t[band.cols], np.abs(elements))
     ).tolist()
     files.append(emit_dataset(triplets, "banding", ctx.out_dir / "appB_banding.csv"))
 

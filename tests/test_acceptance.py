@@ -94,7 +94,7 @@ def test_a02_offdiagonal_exp_decay_envelope(
         (chain12_cut5, profile12_cut5, ens12_cut5, "cut5"),
     )
     for system, prof, ens, label in cases:
-        stats = ens.binned[0]
+        stats = ens[0]
         sigma_a = system.spectrum_a.spectral_range
         ent = entropic_factor(_Densities(system).n_0, 0.0, prof.sigma_s)
         x = 2.0 * stats.omega_mid / sigma_a
@@ -132,7 +132,7 @@ def test_offdiagonal_exact_sums_pipeline(
         (chain12_cut5, profile12_cut5, ens12_cut5),
     )
     for system, prof, ens in cases:
-        stats = ens.binned[0]
+        stats = ens[0]
         sigma_a = system.spectrum_a.spectral_range
         h = exp_profile(prof.sigma_s)
         x = 2.0 * stats.omega_mid / sigma_a
@@ -389,7 +389,7 @@ def test_a08_diagonal_gibbs_match(chain12, config12):
 def test_a09_band_detection(appb_system, appb_profile, appb_ensemble):
     gaps = subsystem_gap_omegas(appb_system.spectrum_a.eigenvalues)
     report = detect_bands(
-        appb_ensemble.binned[0], gaps, appb_profile.sigma_s
+        appb_ensemble[0], gaps, appb_profile.sigma_s
     )
     frac = report.matched_fraction
     ok = report.peak_omegas.size >= 1 and frac >= 0.5

@@ -489,7 +489,7 @@ def test_narrow_scrambling_survives_rounding_at_the_support_edge():
         n_b=dens.n_b, n_0=dens.n_0,
     )
     for center in (0.0, 0.25 * e_min):
-        stats = run_ensemble(system, spec, [center], BinningParams()).binned[0]
+        stats = run_ensemble(system, spec, [center], BinningParams())[0]
         pred = model.evaluate(center, stats.omega_mid)
         assert pred.omega.size > 0
         assert np.all(np.isfinite(pred.f)) and np.all(pred.f >= 0.0)

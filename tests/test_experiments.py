@@ -24,6 +24,7 @@ from ethlab.experiments import (
     _prominent_peaks,
     accumulate_grouped,
     accumulate_pairs,
+    band_matrix_elements,
     bin_offdiagonal,
     default_bin_width,
     detect_bands,
@@ -289,6 +290,21 @@ def test_ensemble_engines_match_dense_oracle(chain10):
             assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
 
 
+def test_band_matrix_elements_match_dense(chain10):
+    # The band's elements, evaluated on its direct tiles, are the dense
+    # matrix's entries at (band.rows, band.cols), in band order.
+    spec = OperatorEnsembleSpec(dim_a=chain10.dim_a, count=1, seed=3)
+    op = sample_local_operator(spec, 0)
+    dense = matrix_elements_total_basis(chain10, op)
+    for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
+        band = _center_band(chain10, center)
+        got = band_matrix_elements(chain10, op, band)
+        assert got.shape == (band.n_pairs,)
+        assert np.abs(got - dense[band.rows, band.cols]).max() < 1e-13
+    with pytest.raises(DimensionError):
+        band_matrix_elements(chain10, np.eye(3), band)
+
+
 def _panels(v3, tile):
     # Transfer panels of a tile as views of the (total, dim_a, dim_b) rows.
     a0, a1, b0, b1, _, _ = tile
@@ -296,9 +312,18 @@ def _panels(v3, tile):
     return v3[a0:a1].reshape(-1, dim_b), v3[b0:b1].reshape(-1, dim_b).T
 
 
-def _tile_wide_batch(band, v3, ops_flat, tile, chunk):
+def _binned_moments(band, tile, r2, r4):
+    # Per-bin sums of a tile's per-pair moments.
+    bins = band.bins[tile[4] : tile[5]]
+    return (
+        np.bincount(bins, weights=r2, minlength=band.n_bins),
+        np.bincount(bins, weights=r4, minlength=band.n_bins),
+    )
+
+
+def _tile_wide_batch(band, v3, ops_flat, tile):
     # The grouped engine before streaming: gather every transfer row of the
-    # tile at once, then one product and one accumulate_grouped per chunk.
+    # tile at once, then one product and one accumulate_grouped for all pairs.
     a0, a1, b0, b1, s0, s1 = tile
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
@@ -306,24 +331,18 @@ def _tile_wide_batch(band, v3, ops_flat, tile, chunk):
     transfer = rect[band.rows[s0:s1] - a0, :, band.cols[s0:s1] - b0, :].reshape(
         s1 - s0, dim_a * dim_a
     )
-    sums = np.zeros(band.n_bins)
-    sumsqs = np.zeros(band.n_bins)
-    for c0 in range(0, s1 - s0, chunk):
-        c1 = min(c0 + chunk, s1 - s0)
-        s, q = accumulate_grouped(
-            transfer[c0:c1] @ ops_flat, band.bins[s0 + c0 : s0 + c1], band.n_bins
-        )
-        sums += s
-        sumsqs += q
-    return sums, sumsqs
+    r2 = np.empty(s1 - s0)
+    r4 = np.empty(s1 - s0)
+    accumulate_grouped(transfer @ ops_flat, r2, r4)
+    return _binned_moments(band, tile, r2, r4)
 
 
 @pytest.mark.parametrize("cut, count", [(3, 250), (5, 4)])
 def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
     # The streamed blocks multiply fewer rows per matrix product than the
-    # oracle's chunks, and BLAS picks its kernels by shape, so the elements
-    # agree to roundoff rather than bitwise (3.5e-15 relative at 12 sites).
-    # Chunks of 8192 pairs (the default) and of 1000, which blocks straddle.
+    # oracle's one product per tile, and BLAS picks its kernels by shape, so
+    # the elements agree to roundoff rather than bitwise (3.5e-15 relative
+    # at 12 sites).
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=count, seed=0)
     v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
@@ -334,29 +353,28 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
         band = _center_band(system, center)
         tiles = band._grouped_tiles(system.dim_a)
         buf = np.empty(_largest_tile(tiles) * system.dim_a**2)
-        for chunk in (8192, 1000):
-            want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-            got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-            for tile in tiles:
-                for acc, part in (
-                    (want, _tile_wide_batch(band, v3, ops_flat, tile, chunk)),
-                    (got, band.accumulate_grouped_batch(v3, ops_flat, tile, buf, chunk)),
-                ):
-                    acc[0] += part[0]
-                    acc[1] += part[1]
-            want = band.statistics(*want, count)
-            got = band.statistics(*got, count)
-            assert np.array_equal(got.count, want.count)
-            assert np.allclose(got.mean_sq, want.mean_sq, rtol=1e-13, atol=0.0)
-            assert np.allclose(got.std_err, want.std_err, rtol=1e-13, atol=0.0)
-            if chunk == 8192:
-                whole = run_ensemble(system, spec, [center], BinningParams())
-                assert np.array_equal(whole.binned[0].mean_sq, got.mean_sq)
-                assert np.array_equal(whole.binned[0].std_err, got.std_err)
+        want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
+        got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
+        for tile in tiles:
+            for acc, part in (
+                (want, _tile_wide_batch(band, v3, ops_flat, tile)),
+                (got, band.accumulate_grouped_batch(v3, ops_flat, tile, buf)),
+            ):
+                acc[0] += part[0]
+                acc[1] += part[1]
+        want = band.statistics(*want, count)
+        got = band.statistics(*got, count)
+        assert np.array_equal(got.count, want.count)
+        assert np.allclose(got.mean_sq, want.mean_sq, rtol=1e-13, atol=0.0)
+        assert np.allclose(got.std_err, want.std_err, rtol=1e-13, atol=0.0)
+        whole = run_ensemble(system, spec, [center], BinningParams())[0]
+        assert np.array_equal(whole.mean_sq, got.mean_sq)
+        assert np.array_equal(whole.std_err, got.std_err)
 
 
-def _fresh_tile_batch(band, v3, ops_flat, tile, chunk=8192):
-    # The streamed grouped engine with a freshly allocated tile product.
+def _fresh_tile_batch(band, v3, ops_flat, tile):
+    # The streamed grouped engine with a freshly allocated tile product and
+    # fresh values per block.
     a0, a1, b0, b1, s0, s1 = tile
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
@@ -364,22 +382,14 @@ def _fresh_tile_batch(band, v3, ops_flat, tile, chunk=8192):
     rows = band.rows[s0:s1] - a0
     cols = band.cols[s0:s1] - b0
     block = max(1, ethlab.experiments._STREAM_BYTES // (8 * dim_a * dim_a))
-    values = np.empty((min(chunk, s1 - s0), ops_flat.shape[1]))
-    sums = np.zeros(band.n_bins)
-    sumsqs = np.zeros(band.n_bins)
-    for c0 in range(0, s1 - s0, chunk):
-        c1 = min(c0 + chunk, s1 - s0)
-        for d0 in range(c0, c1, block):
-            d1 = min(d0 + block, c1)
-            transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
-            np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat,
-                      out=values[d0 - c0 : d1 - c0])
-        s, q = accumulate_grouped(
-            values[: c1 - c0], band.bins[s0 + c0 : s0 + c1], band.n_bins
-        )
-        sums += s
-        sumsqs += q
-    return sums, sumsqs
+    r2 = np.empty(s1 - s0)
+    r4 = np.empty(s1 - s0)
+    for d0 in range(0, s1 - s0, block):
+        d1 = min(d0 + block, s1 - s0)
+        transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
+        values = transfer.reshape(d1 - d0, dim_a * dim_a) @ ops_flat
+        accumulate_grouped(values, r2[d0:d1], r4[d0:d1])
+    return _binned_moments(band, tile, r2, r4)
 
 
 @pytest.mark.parametrize("cut", [3, 5])
@@ -448,7 +458,7 @@ def test_grouped_tile_budget(chain10, monkeypatch):
     monkeypatch.setattr(PairBand, "accumulate_grouped_batch", recorded)
     got = run_ensemble(system, spec, centers, BinningParams())
     assert buffers and max(buffers) <= budget
-    for g, w in zip(got.binned, want.binned):
+    for g, w in zip(got, want):
         assert np.array_equal(g.count, w.count)
         assert np.allclose(g.mean_sq, w.mean_sq, rtol=1e-13, atol=0.0)
         assert np.allclose(g.std_err, w.std_err, rtol=1e-13, atol=0.0)
@@ -468,8 +478,9 @@ def _traced_peak(fn):
 def test_grouped_engine_copies_no_eigenvectors(chain10):
     # The grouped engine reads its panels from the eigenvector rows in
     # place: its whole traced peak stays below the eigenvectors' 8.4 MB.  The
-    # window half-width 0.25 keeps the band's largest tile product at 4.6 MB.
-    spec = OperatorEnsembleSpec(dim_a=8, count=4, seed=0)
+    # window half-width 0.25 keeps the band's largest tile product at 4.6 MB;
+    # with 250 operators one streamed block of values is 1 MB.
+    spec = OperatorEnsembleSpec(dim_a=8, count=250, seed=0)
     params = BinningParams(ebar_halfwidth=0.25)
     peak = _traced_peak(lambda: run_ensemble(chain10, spec, [0.0], params))
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
@@ -489,7 +500,7 @@ def test_direct_engine_holds_one_applied_operator(chain10):
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
     # operator_diagonals takes alphas in small blocks: 37 at cut 3 (the last
     # one ragged) and 2 at cut 5.
-    monkeypatch.setattr(ethlab.experiments, "_DIAGONAL_BLOCK", 37 * 64)
+    monkeypatch.setattr(ethlab.experiments, "_STREAM_BYTES", 37 * 8 * 64)
     for cut in (3, 5):
         system = decompose_chain(SpinChainParams(8), cut)
         spec = OperatorEnsembleSpec(dim_a=2**cut, count=4, seed=5)
@@ -568,13 +579,13 @@ def test_kernels_match_per_row_loop_oracle():
         assert np.allclose(g, w, rtol=1e-13, atol=0.0)
         assert g[3] == g[27] == 0.0
 
+    # accumulate_grouped: per-row moments, as the oracle with one bin a row.
     values = rng.standard_normal((200, 16))
-    gbins = np.sort(rng.choice(bins_used, 200))
-    got = accumulate_grouped(values, gbins, 30)
-    want = oracle(values, gbins, 30)
+    got = (np.empty(200), np.empty(200))
+    accumulate_grouped(values.copy(), *got)
+    want = oracle(values, np.arange(200), 200)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-13, atol=0.0)
-        assert g[3] == g[27] == 0.0
 
     vals = np.sort(rng.standard_normal(300))
     lows = rng.uniform(-2.0, 1.0, 40)
@@ -588,20 +599,25 @@ def test_kernels_match_per_row_loop_oracle():
 
 
 def test_accumulate_grouped_blocks_are_bitwise_whole_chunk():
-    # Blocked squares reduce each row exactly as one whole-chunk pass does,
-    # across several block boundaries and a ragged last block.
+    # Per-row moments taken block by block through one reused block buffer,
+    # as the grouped engine streams them (ragged blocks included), equal
+    # one whole-array pass bit for bit; each block is squared in place.
     rng = np.random.default_rng(23)
     values = rng.standard_normal((1000, 250))
-    before = values.copy()
-    bins = np.sort(rng.integers(0, 40, 1000))
-    r2 = np.einsum("ij,ij->i", values, values)
+    want2 = np.einsum("ij,ij->i", values, values)
     v = values * values
-    want_sums = np.bincount(bins, weights=r2, minlength=40)
-    want_sumsqs = np.bincount(bins, weights=np.einsum("ij,ij->i", v, v), minlength=40)
-    sums, sumsqs = accumulate_grouped(values, bins, 40)
-    assert np.array_equal(sums, want_sums)
-    assert np.array_equal(sumsqs, want_sumsqs)
-    assert np.array_equal(values, before)
+    want4 = np.einsum("ij,ij->i", v, v)
+    r2 = np.empty(1000)
+    r4 = np.empty(1000)
+    buf = np.empty((512, 250))
+    edges = [0, 1, 33, 512, 999, 1000]
+    for d0, d1 in zip(edges[:-1], edges[1:]):
+        block = buf[: d1 - d0]
+        block[...] = values[d0:d1]
+        accumulate_grouped(block, r2[d0:d1], r4[d0:d1])
+        assert np.array_equal(block, v[d0:d1])
+    assert np.array_equal(r2, want2)
+    assert np.array_equal(r4, want4)
 
 
 def test_subsystem_gap_omegas_oracle():
