@@ -120,11 +120,14 @@ def _operator_from_args(args) -> np.ndarray:
     path = Path(args.matrix)
     if not path.is_file():
         raise ValidationError(f"operator file not found: {path}")
-    if path.suffix == ".npy":
-        op = np.load(path)
-    else:
-        op = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(op, dtype=float)
+    try:
+        if path.suffix == ".npy":
+            op = np.load(path)
+        else:
+            op = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.asarray(op, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"cannot read operator file {path}: {exc}") from None
 
 
 def _run_localize(args) -> int:

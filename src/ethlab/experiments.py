@@ -7,10 +7,12 @@ band detection against subsystem spectral gaps.
 The ensemble loop is the hot path at desk scale: the matrix-element
 evaluation is restricted to tiles that follow the requested mean-energy band,
 so the cost per operator scales with the band area rather than the full
-matrix.  Its one level of parallelism is the BLAS library's threads under
-the matrix products: tiles and operators run in a fixed order on the calling
-thread (pairs in ascending order, per-bin sums merged in tile order), so the
-statistics are bitwise reproducible run to run.
+matrix.  Every path bins through one reducer, :meth:`PairBand.bin_sums`:
+the grouped engine per tile, the direct engine and :func:`bin_offdiagonal`
+over the whole band's elements in band order.  Its one level of parallelism
+is the BLAS library's threads under the matrix products: tiles and operators
+run in a fixed order on the calling thread, so the statistics are bitwise
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -122,12 +124,9 @@ def band_matrix_elements(
     """Elements of ``op_a (x) identity`` for the pairs of ``band``, in band order.
 
     Entry ``p`` is ``O[band.rows[p], band.cols[p]]``; only the band's tiles
-    are evaluated, one matrix product per tile as in the direct engine.
+    are evaluated, as in the direct engine (:meth:`PairBand.elements`).
     """
-    rows, applied = _applied(system, op_a)
-    return np.concatenate(
-        [sub[r, c] for sub, r, c, _ in band._direct_products(rows, applied)]
-    )
+    return band.elements(*_applied(system, op_a))
 
 
 @dataclass(frozen=True)
@@ -178,20 +177,6 @@ class BinnedStatistics:
     @property
     def n_samples(self) -> int:
         return int(self.count.sum())
-
-
-def accumulate_pairs(block, rows, cols, bins, nbins):
-    """Accumulate squared matrix elements into omega bins.
-
-    Gathers ``block[rows[p], cols[p]]`` for every listed pair, squares it, and
-    returns per-bin sums of the squares and of their squares (for standard
-    errors).  Pairs accumulate in ascending ``p``.
-    """
-    v = block[rows, cols]
-    v = v * v
-    sums = np.bincount(bins, weights=v, minlength=nbins)
-    sumsqs = np.bincount(bins, weights=v * v, minlength=nbins)
-    return sums, sumsqs
 
 
 # Bytes of gathered transfer rows per streamed block of the grouped engine
@@ -249,11 +234,14 @@ class PairBand:
       it.  Beyond the eigenvectors it holds one tile-product buffer of at
       most ``_TILE_BYTES``, one block of values and two floats per pair of
       the current tile;
-    - the direct engine evaluates elements per operator with one matrix
-      product per tile (used when the A factor is the larger one).
+    - the direct engine writes one operator's elements, in band order, into
+      one band-length array with one matrix product per tile of
+      ``_DIRECT_BATCH`` alphas (:meth:`elements`), then bins their squares
+      and fourth powers over the whole band at once (used when the A factor
+      is the larger one).
 
-    Tiles and blocks run in a fixed order on the calling thread, and per-bin
-    sums merge in tile order, so the results are bit-reproducible.
+    Both engines bin through :meth:`bin_sums`.  Tiles and blocks run in a
+    fixed order on the calling thread, so the results are bit-reproducible.
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
@@ -292,7 +280,6 @@ class PairBand:
         self.pair_counts = np.bincount(bins, minlength=self.n_bins)
         # Pair-slice boundaries per alpha, for tile scheduling.
         self._alpha_start = np.concatenate(([0], np.cumsum(lens)))
-        self._direct_blocks = None
 
     def _alpha_batches(self, batch: int):
         """Band tiles ``(a0, a1, b0, b1, s0, s1)`` of ``batch`` alphas each.
@@ -310,6 +297,10 @@ class PairBand:
                 cols = self.cols[s0:s1]
                 out.append((a0, a1, int(cols.min()), int(cols.max()) + 1, s0, s1))
         return out
+
+    def bin_sums(self, values, s0=0, s1=None):
+        """Per-bin sums of ``values``, one value per pair of the slice ``s0:s1``."""
+        return np.bincount(self.bins[s0:s1], weights=values, minlength=self.n_bins)
 
     # -- grouped engine ----------------------------------------------------
 
@@ -363,11 +354,7 @@ class PairBand:
             out = values[: d1 - d0]
             np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat, out=out)
             accumulate_grouped(out, r2[d0:d1], r4[d0:d1])
-        bins = self.bins[s0:s1]
-        return (
-            np.bincount(bins, weights=r2, minlength=self.n_bins),
-            np.bincount(bins, weights=r4, minlength=self.n_bins),
-        )
+        return self.bin_sums(r2, s0, s1), self.bin_sums(r4, s0, s1)
 
     def accumulate_grouped_all(self, v3, ops_flat):
         """Grouped-engine accumulation over the whole band.
@@ -390,48 +377,34 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
-    def _build_direct_blocks(self):
-        """Direct-engine tiles ``(a0, a1, b0, b1, rows, cols, bins)``.
-
-        Each covers ``_DIRECT_BATCH`` alphas; ``rows`` and ``cols`` are local
-        to the tile's ``[a0, a1) x [b0, b1)`` rectangle.  Built once per band
-        and cached.
-        """
-        if self._direct_blocks is None:
-            self._direct_blocks = [
-                (a0, a1, b0, b1, self.rows[s0:s1] - a0, self.cols[s0:s1] - b0,
-                 self.bins[s0:s1])
-                for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH)
-            ]
-        return self._direct_blocks
-
-    def _direct_products(self, vecs, applied):
-        # Per direct tile: its elements vecs[a0:a1] @ applied[b0:b1].T and
-        # its local (rows, cols, bins), in band order.
-        for a0, a1, b0, b1, rows, cols, bins in self._build_direct_blocks():
-            yield vecs[a0:a1] @ applied[b0:b1].T, rows, cols, bins
-
-    def accumulate_from_factors(self, vecs, applied):
-        """Per-bin sums of squares and fourth powers for one operator.
+    def elements(self, vecs, applied):
+        """One operator's elements for every pair of the band, in band order.
 
         ``vecs`` holds the eigenvectors as rows and row ``beta`` of
-        ``applied`` is ``(op (x) 1)|beta>``; elements are evaluated per band
-        tile as ``vecs[a0:a1] @ applied[b0:b1].T``.
+        ``applied`` is ``(op (x) 1)|beta>``.  Each tile of ``_DIRECT_BATCH``
+        alphas is one product ``vecs[a0:a1] @ applied[b0:b1].T``, from which
+        the tile's pairs fill their slice ``s0:s1`` of the result.
         """
-        sums = np.zeros(self.n_bins)
-        sumsqs = np.zeros(self.n_bins)
-        for sub, rows, cols, bins in self._direct_products(vecs, applied):
-            s, q = accumulate_pairs(sub, rows, cols, bins, self.n_bins)
-            sums += s
-            sumsqs += q
-        return sums, sumsqs
+        out = np.empty(self.n_pairs)
+        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
+            sub = vecs[a0:a1] @ applied[b0:b1].T
+            out[s0:s1] = sub[self.rows[s0:s1] - a0, self.cols[s0:s1] - b0]
+        return out
 
-    def accumulate_dense(self, elements):
-        """Same accumulation from a precomputed dense element matrix."""
-        return accumulate_pairs(
-            np.ascontiguousarray(elements), self.rows, self.cols, self.bins,
-            self.n_bins,
-        )
+    def element_moments(self, elements):
+        """Per-bin sums of squares and fourth powers of band-order elements.
+
+        ``elements`` (one per pair, as :meth:`elements` returns) is squared
+        in place twice, and binned after each squaring.
+        """
+        np.multiply(elements, elements, out=elements)
+        sums = self.bin_sums(elements)
+        np.multiply(elements, elements, out=elements)
+        return sums, self.bin_sums(elements)
+
+    def accumulate_from_factors(self, vecs, applied):
+        """Direct engine: :meth:`element_moments` of one operator's elements."""
+        return self.element_moments(self.elements(vecs, applied))
 
     def statistics(self, sums, sumsqs, n_ops: int) -> BinnedStatistics:
         """Pooled mean/std-err statistics from accumulated sums."""
@@ -474,7 +447,7 @@ def bin_offdiagonal(
         )
     width = params.resolve_width(spectrum.spectral_range)
     band = PairBand(spectrum.eigenvalues, ebar_center, params.ebar_halfwidth, width)
-    sums, sumsqs = band.accumulate_dense(elements)
+    sums, sumsqs = band.element_moments(elements[band.rows, band.cols])
     return band.statistics(sums, sumsqs, 1)
 
 
@@ -498,10 +471,11 @@ def run_ensemble(
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
     band evaluation over all operators at once, reading its panels as views
-    of the eigenvector rows; otherwise elements are evaluated per operator,
-    one matrix product per band tile.  The BLAS library's threads are the
-    only parallelism: tiles and operators run in a fixed order on the
-    calling thread, so the results are bitwise reproducible.
+    of the eigenvector rows; otherwise each operator's elements are written
+    in band order into one band-length array (one matrix product per band
+    tile) and binned over the whole band at once.  The BLAS library's
+    threads are the only parallelism: tiles and operators run in a fixed
+    order on the calling thread, so the results are bitwise reproducible.
 
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return): the
@@ -509,7 +483,8 @@ def run_ensemble(
     (more only when one alpha's tile exceeds it), one streamed block of
     values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
     operators) and two floats per pair of the current tile; the direct
-    engine holds one ``total x total`` applied operator at a time.
+    engine holds one ``total x total`` applied operator and one float per
+    pair of the current band at a time.
     """
     _check_dim_a(system, ens)
     rows = system.spectrum_t.rows

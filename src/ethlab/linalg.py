@@ -46,13 +46,18 @@ class Spectrum:
         Orthonormal columns; column ``k`` belongs to ``eigenvalues[k]``.  Each
         column is normalized so its largest-magnitude component is positive
         (first such component on ties), which makes decompositions
-        reproducible across LAPACK builds.  Spectra from :func:`eig_sym` and
-        the cache are stored eigenstate-major: ``eigenvectors.T`` is
-        C-contiguous, so each eigenvector is one contiguous row of it.
+        reproducible across LAPACK builds.  Stored eigenstate-major:
+        ``eigenvectors.T`` is C-contiguous, so each eigenvector is one
+        contiguous row of it.  Spectra from :func:`eig_sym` and the cache
+        already are; a matrix in another layout is copied once here.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        vecs = np.ascontiguousarray(self.eigenvectors.T).T
+        object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def dim(self) -> int:
@@ -64,12 +69,8 @@ class Spectrum:
 
     @property
     def rows(self) -> np.ndarray:
-        """Eigenvectors as C-contiguous rows, ``rows[k]`` = column ``k``.
-
-        A view for an eigenstate-major spectrum; a spectrum given in another
-        layout pays one copy per call.
-        """
-        return np.ascontiguousarray(self.eigenvectors.T)
+        """Eigenvectors as C-contiguous rows, ``rows[k]`` = column ``k`` (a view)."""
+        return self.eigenvectors.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from ethlab.experiments import (
     _largest_tile,
     _prominent_peaks,
     accumulate_grouped,
-    accumulate_pairs,
     band_matrix_elements,
     bin_offdiagonal,
     default_bin_width,
@@ -216,33 +215,24 @@ def _center_band(system, center=0.0):
 
 
 def test_band_tiles_cover_the_band_in_order(chain10):
+    # Direct-engine and grouped-engine tiles: consecutive pair slices that
+    # cover the band in order, each inside its rectangle.
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
-        blocks = band._build_direct_blocks()
-        for a0, a1, b0, b1, rows, cols, _ in blocks:
-            assert rows.min() >= 0 and rows.max() < a1 - a0
-            assert cols.min() >= 0 and cols.max() < b1 - b0
-        assert np.array_equal(
-            np.concatenate([b[4] + b[0] for b in blocks]), band.rows
-        )
-        assert np.array_equal(
-            np.concatenate([b[5] + b[2] for b in blocks]), band.cols
-        )
-        assert np.array_equal(np.concatenate([b[6] for b in blocks]), band.bins)
-        # Grouped-engine tiles: consecutive pair slices inside their rectangle.
-        tiles = band._alpha_batches(5)
-        assert [t[4] for t in tiles[1:]] == [t[5] for t in tiles[:-1]]
-        assert tiles[0][4] == 0 and tiles[-1][5] == band.n_pairs
-        for a0, a1, b0, b1, s0, s1 in tiles:
-            assert a0 <= band.rows[s0:s1].min() and band.rows[s0:s1].max() < a1
-            assert b0 <= band.cols[s0:s1].min() and band.cols[s0:s1].max() < b1
+        for batch in (ethlab.experiments._DIRECT_BATCH, 5):
+            tiles = band._alpha_batches(batch)
+            assert [t[4] for t in tiles[1:]] == [t[5] for t in tiles[:-1]]
+            assert tiles[0][4] == 0 and tiles[-1][5] == band.n_pairs
+            for a0, a1, b0, b1, s0, s1 in tiles:
+                assert a0 <= band.rows[s0:s1].min() and band.rows[s0:s1].max() < a1
+                assert b0 <= band.cols[s0:s1].min() and band.cols[s0:s1].max() < b1
 
 
 def test_band_tiles_follow_the_band(chain10):
     # Tiles follow the anti-diagonal band: most computed elements are used.
     band = _center_band(chain10)
     area = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, *_ in
-               band._build_direct_blocks())
+               band._alpha_batches(ethlab.experiments._DIRECT_BATCH))
     assert band.n_pairs / area >= 0.5
 
 
@@ -256,8 +246,12 @@ def test_ensemble_engines_match_dense_oracle(chain10):
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
-        dense = [band.accumulate_dense(matrix_elements_total_basis(system, op))
-                 for op in ops]
+        dense = [
+            band.element_moments(
+                matrix_elements_total_basis(system, op)[band.rows, band.cols]
+            )
+            for op in ops
+        ]
         per_op = [
             band.accumulate_from_factors(
                 rows, _apply_a_factor(op, rows, system.dim_a, system.dim_b)
@@ -303,6 +297,32 @@ def test_band_matrix_elements_match_dense(chain10):
         assert np.abs(got - dense[band.rows, band.cols]).max() < 1e-13
     with pytest.raises(DimensionError):
         band_matrix_elements(chain10, np.eye(3), band)
+
+
+@pytest.mark.parametrize("cut", [6, 7])
+def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
+    # The direct engine's statistics are the one reducer applied to each
+    # operator's band elements, bit for bit: its bins add over the whole
+    # band at once, not tile by tile.  Evaluating elements caches nothing.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=3, seed=0)
+    ops = [sample_local_operator(spec, k) for k in range(spec.count)]
+    centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
+    got = run_ensemble(system, spec, centers, BinningParams())
+    for center, stats in zip(centers, got):
+        band = _center_band(system, center)
+        attributes = set(vars(band))
+        sums = np.zeros(band.n_bins)
+        sumsqs = np.zeros(band.n_bins)
+        for op in ops:
+            s, q = band.element_moments(band_matrix_elements(system, op, band))
+            sums += s
+            sumsqs += q
+        want = band.statistics(sums, sumsqs, spec.count)
+        assert set(vars(band)) == attributes
+        assert np.array_equal(stats.count, want.count)
+        assert np.array_equal(stats.mean_sq, want.mean_sq)
+        assert np.array_equal(stats.std_err, want.std_err)
 
 
 def _panels(v3, tile):
@@ -557,8 +577,6 @@ def test_run_ensemble_empty_window():
 
 def test_kernels_match_per_row_loop_oracle():
     rng = np.random.default_rng(17)
-    # Bins 3 and 27 never receive a pair and must come back as zeros.
-    bins_used = np.setdiff1d(np.arange(30), [3, 27])
 
     def oracle(rows_of_values, bins, nbins):
         sums = [0.0] * nbins
@@ -569,15 +587,26 @@ def test_kernels_match_per_row_loop_oracle():
                 sumsqs[b] += x**4
         return np.array(sums), np.array(sumsqs)
 
-    block = rng.standard_normal((30, 40))
-    rows = rng.integers(0, 30, 500).astype(np.int32)
-    cols = rng.integers(0, 40, 500).astype(np.int32)
-    bins = np.sort(rng.choice(bins_used, 500))
-    got = accumulate_pairs(block, rows, cols, bins, 30)
-    want = oracle(block[rows, cols][:, None], bins, 30)
+    # The band's one reducer on a band of two level clusters: omega bins 0-2
+    # (pairs inside a cluster) and 12-17 (across), so bins 3-11 stay empty.
+    energies = np.sort(
+        np.concatenate([rng.uniform(0.0, 0.5, 20), rng.uniform(3.0, 3.5, 20)])
+    )
+    band = PairBand(energies, 1.75, 2.0, 0.1)
+    assert band.n_pairs == 780
+    values = rng.standard_normal(band.n_pairs)
+    got = band.element_moments(values.copy())
+    want = oracle(values[:, None], band.bins, band.n_bins)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-13, atol=0.0)
-        assert g[3] == g[27] == 0.0
+        assert np.all(g[3:12] == 0.0)
+    # Over a pair slice, as the grouped engine bins one tile.
+    s0, s1 = 100, 400
+    want = np.zeros(band.n_bins)
+    for x, b in zip(values[s0:s1], band.bins[s0:s1]):
+        want[b] += x
+    got = band.bin_sums(values[s0:s1], s0, s1)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     # accumulate_grouped: per-row moments, as the oracle with one bin a row.
     values = rng.standard_normal((200, 16))

@@ -379,6 +379,22 @@ def test_cli_localize_rejects_bad_letters():
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [("bad.csv", b"a,b\n1,2\n"), ("bad.npy", b"not an npy file\n")],
+)
+def test_cli_localize_rejects_malformed_matrix_file(tmp_path, name, content):
+    # A non-numeric CSV cell, or a .npy that numpy reads as pickled data, is
+    # a configuration error naming the file, not a traceback.
+    path = tmp_path / name
+    path.write_bytes(content)
+    proc = run_cli("localize", "--matrix", str(path))
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert name in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\nspins = 12\n")

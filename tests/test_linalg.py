@@ -84,12 +84,22 @@ def test_eig_sym_is_eigenstate_major_and_bitwise_the_column_rule():
 
 
 def test_spectrum_rows_in_any_layout():
-    # A spectrum given in another layout reads its rows through one copy.
+    # A spectrum settles its layout once, at construction: eigenvectors given
+    # as C-ordered columns are copied eigenstate-major there, and every
+    # .rows call is then a view of that one buffer.
     vecs = np.arange(9.0).reshape(3, 3)
     spec = Spectrum(eigenvalues=np.zeros(3), eigenvectors=vecs)
-    assert spec.rows.flags.c_contiguous
-    assert np.array_equal(spec.rows, vecs.T)
-    assert not np.shares_memory(spec.rows, vecs)
+    rows = spec.rows
+    assert rows.flags.c_contiguous
+    assert np.shares_memory(rows, spec.eigenvectors)
+    assert np.array_equal(spec.eigenvectors, vecs)
+    assert np.array_equal(rows, vecs.T)
+    again = spec.rows
+    assert again.__array_interface__["data"] == rows.__array_interface__["data"]
+    # An eigenstate-major input is kept as it is, without a copy.
+    fortran = np.asfortranarray(vecs)
+    major = Spectrum(eigenvalues=np.zeros(3), eigenvectors=fortran)
+    assert np.shares_memory(major.rows, fortran)
 
 
 def test_eig_sym_rejects_bad_input():
