@@ -84,7 +84,6 @@ from .linalg import (
     GridFunction,
     SpectralDensity,
     Spectrum,
-    cross_correlate,
     density_of_states,
     eig_sym,
     integrate_adaptive,
@@ -129,7 +128,6 @@ __all__ = [
     "eig_sym",
     "density_of_states",
     "integrate_adaptive",
-    "cross_correlate",
     # systems
     "SpinChainParams",
     "RandomSystemParams",

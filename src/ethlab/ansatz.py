@@ -21,7 +21,9 @@ returns an array, and a grid is integrated in one batched quadrature
 (:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
 bitwise those of the one-omega calls.  The small-A rungs take the tabulated
 autocorrelation :func:`density_autocorrelation` of the normalized subsystem
-density.  :meth:`AnsatzModel.evaluate` calls the rung of its kind through one
+density, itself one batched quadrature over its tabulation grid.  Every
+quadrature of the ladder works to the one tolerance ``_TOL``.
+:meth:`AnsatzModel.evaluate` calls the rung of its kind through one
 kind-keyed table, once per mean energy; for the narrow rung it first drops
 the omegas whose pair energies leave the support of ``n_0``, where
 ``f_narrow`` raises :class:`~ethlab.errors.OutOfSupportError`.
@@ -42,12 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonians import BipartiteSystem
-from .linalg import (
-    GridFunction,
-    cross_correlate,
-    density_of_states,
-    integrate_adaptive,
-)
+from .linalg import GridFunction, density_of_states, integrate_adaptive
 from .scrambling import SQRT2, SQRT3, exp_profile
 
 __all__ = [
@@ -69,6 +66,11 @@ __all__ = [
     "inverse_temperature",
     "rmt_variance",
 ]
+
+# The ladder's one quadrature tolerance: absolute in f_exp_decay and
+# density_autocorrelation, scaled by a coarse estimate of each integral
+# (_scaled_tol) in the other quadrature rungs.
+_TOL = 1e-8
 
 
 def entropic_factor(n_0, ebar: float, sigma_s: float) -> float:
@@ -108,11 +110,15 @@ def exp_autocorrelation(sigma_s: float) -> Callable:
 
 
 def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFunction:
-    """Tabulated autocorrelation ``[rho * rho]`` of a normalized density.
+    """Tabulated autocorrelation ``[rho * rho](x) = integral dy rho(y) rho(x + y)``.
 
     This is the density input of the small-A rungs.  ``rho`` must have unit
     integral (to 1%); :meth:`~ethlab.linalg.SpectralDensity.normalized` gives
-    one.
+    one.  The result is tabulated on ``n_grid`` points (at least 3) covering
+    its exact support ``[lo - hi, hi - lo]``; every point is integrated over
+    the overlap of the two supports in one batched
+    :func:`~ethlab.linalg.integrate_adaptive` call at absolute tolerance
+    ``_TOL``.
     """
     total = rho.integral()
     if abs(total - 1.0) > 0.01:
@@ -120,7 +126,23 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
             f"rho must be normalized to unit integral (got {total:.6g}); "
             "use SpectralDensity.normalized()"
         )
-    return cross_correlate(rho, rho, n_grid=n_grid)
+    if n_grid < 3:
+        raise ValidationError("n_grid must be at least 3")
+    lo, hi = rho.support
+    xs = np.linspace(lo - hi, hi - lo, n_grid)
+    ylo = np.maximum(lo, lo - xs)
+    yhi = np.minimum(hi, hi - xs)
+    live = yhi > ylo
+    x = xs[live]
+
+    def integrand(y, rows):
+        # Clipped to the support: at y = hi - x the sum x + y can round above
+        # hi, where rho reads 0 and the last panel never converges.
+        return rho(y) * rho(np.clip(x[rows] + y, lo, hi))
+
+    out = np.zeros_like(xs)
+    out[live] = integrate_adaptive(integrand, ylo[live], yhi[live], tol=_TOL)
+    return GridFunction(grid=xs, values=out)
 
 
 def _squared_elements(
@@ -233,16 +255,16 @@ def f_smooth_sums(
     return float(np.sqrt(max(f2, 0.0)))
 
 
-def _scaled_tol(fn, lo, hi, tol: float) -> np.ndarray:
+def _scaled_tol(fn, lo, hi) -> np.ndarray:
     # Absolute quadrature tolerance per integral, scaled to a coarse estimate
-    # of the integral's magnitude, so tol acts relatively for large densities.
+    # of the integral's magnitude, so _TOL acts relatively for large densities.
     # Every row needs hi > lo: np.linspace changes its formula for all rows
     # once any step is zero.
     xs = np.linspace(lo, hi, 33, axis=1)
     rows = np.repeat(np.arange(xs.shape[0]), 33)
     vals = fn(xs.ravel(), rows).reshape(xs.shape)
     scale = np.max(np.abs(vals), axis=1) * (hi - lo)
-    return tol * np.maximum(scale, 1.0)
+    return _TOL * np.maximum(scale, 1.0)
 
 
 def _omegas(omega) -> np.ndarray:
@@ -265,17 +287,7 @@ def _pair_support(n_0, ebar: float, omegas: np.ndarray) -> np.ndarray:
     return kept
 
 
-def f_narrow(
-    n_a,
-    n_b,
-    n_0,
-    o2bar: float,
-    sigma_s: float,
-    ebar: float,
-    omega,
-    *,
-    tol: float = 1e-8,
-):
+def f_narrow(n_a, n_b, n_0, o2bar: float, sigma_s: float, ebar: float, omega):
     """Narrow-scrambling continuum prediction.
 
     ``f**2 = (o2bar / |H_A|) sigma_s n_0(Ebar) / (n_0(Ebar+w) n_0(Ebar-w)) *
@@ -315,8 +327,7 @@ def f_narrow(
             * n_b(np.clip(ebar - e, lo_b, hi_b))
         )
 
-    abs_tol = _scaled_tol(integrand, lo, hi, tol)
-    val = integrate_adaptive(integrand, lo, hi, tol=abs_tol)
+    val = integrate_adaptive(integrand, lo, hi, tol=_scaled_tol(integrand, lo, hi))
     f2 = (
         o2bar
         / n_a.total
@@ -356,9 +367,7 @@ def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
     return _like(omega, f)
 
 
-def f_smooth_small_a(
-    rho_rho, o2bar: float, sigma_s: float, omega, *, tol: float = 1e-8
-):
+def f_smooth_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
     """Small-subsystem form with the finite-width exponential profile.
 
     ``f**2 = 2 o2bar sigma_s / N_h**2 * integral dw' [rho_a * rho_a](2w')
@@ -376,7 +385,7 @@ def f_smooth_small_a(
 
     lo_w = np.full(omegas.shape, 0.5 * lo)
     hi_w = np.full(omegas.shape, 0.5 * hi)
-    abs_tol = _scaled_tol(integrand, lo_w, hi_w, tol)
+    abs_tol = _scaled_tol(integrand, lo_w, hi_w)
     val = integrate_adaptive(
         integrand, lo_w, hi_w, tol=abs_tol, kinks=omegas[:, None]
     )
@@ -384,9 +393,7 @@ def f_smooth_small_a(
     return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
 
 
-def f_exp_decay(
-    sigma_a: float, sigma_s: float, o2bar: float, omega, *, tol: float = 1e-8
-):
+def f_exp_decay(sigma_a: float, sigma_s: float, o2bar: float, omega):
     """Closed-form prediction: flat subsystem spectrum, exponential profile.
 
     ``f**2 = o2bar / (2 sqrt(2)) * integral_{-1}^{1} dx (1 - |x|)
@@ -404,20 +411,12 @@ def f_exp_decay(
 
     ends = np.ones(omegas.shape)
     kinks = np.column_stack((np.zeros(omegas.shape), 2.0 * omegas / sigma_a))
-    val = integrate_adaptive(integrand, -ends, ends, tol=tol, kinks=kinks)
+    val = integrate_adaptive(integrand, -ends, ends, tol=_TOL, kinks=kinks)
     f2 = o2bar / (2.0 * SQRT2) * val
     return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
 
 
-def f_mc_finite_width(
-    rho_rho,
-    o2bar: float,
-    sigma_a: float,
-    sigma_s: float,
-    omega,
-    *,
-    tol: float = 1e-8,
-):
+def f_mc_finite_width(rho_rho, o2bar: float, sigma_a: float, sigma_s: float, omega):
     """Finite-width flat-window prediction with a general subsystem density.
 
     ``f**2 = o2bar sigma_a / (2 sqrt(3)) * integral_{-1}^{1} dx
@@ -441,7 +440,7 @@ def f_mc_finite_width(
         np.zeros(omegas.shape),
     ))
     ends = np.ones(omegas.shape)
-    abs_tol = _scaled_tol(integrand, -ends, ends, tol)
+    abs_tol = _scaled_tol(integrand, -ends, ends)
     val = integrate_adaptive(integrand, -ends, ends, tol=abs_tol, kinks=kinks)
     f2 = o2bar * sigma_a / (2.0 * SQRT3) * val
     return _like(omega, np.sqrt(np.maximum(f2, 0.0)))

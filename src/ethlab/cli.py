@@ -31,7 +31,7 @@ from .errors import CacheMissError, EthlabError, ValidationError
 from .figures import FIGURES, run_figure
 from .io import RunConfig, parse_config, resolve_out_dir, write_manifest
 from .hamiltonians import PAULI, pauli
-from .localize import localizability, localizing_basis
+from .localize import localizability
 from .linalg import eig_sym
 
 __all__ = ["main", "entry", "build_parser"]
@@ -134,9 +134,7 @@ def _run_localize(args) -> int:
     op = _operator_from_args(args)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValidationError(f"operator must be square, got shape {op.shape}")
-    spectrum = eig_sym(op)
-    report = localizability(spectrum.eigenvalues)
-    basis, block = localizing_basis(op)
+    report = localizability(eig_sym(op).eigenvalues)
     print(f"total_dim     = {report.total_dim}")
     print(f"local_dim     = {report.local_dim}")
     print(f"gcd           = {report.multiplicity_gcd}")
@@ -152,7 +150,13 @@ def _run_localize(args) -> int:
             "local_dim": report.local_dim,
             "gcd": report.multiplicity_gcd,
             "classes": [[float(v), int(m)] for v, m in report.classes],
-            "local_block_diag": [float(v) for v in np.diag(block)],
+            # The diagonal of localizing_basis(op)'s block, without a second
+            # diagonalization: each class value, multiplicity / gcd times.
+            "local_block_diag": [
+                value
+                for value, mult in report.classes
+                for _ in range(mult // report.multiplicity_gcd)
+            ],
         }
         write_manifest(manifest, out_dir / "localize_manifest.json")
         print(f"wrote {out_dir / 'localize_manifest.json'}")

@@ -24,11 +24,11 @@ class ZeroWidthSpectrumError(EthlabError):
 class QuadratureError(EthlabError):
     """Adaptive quadrature failed to converge.
 
-    Carries the best available estimate so callers can inspect how far the
-    integrator got before giving up.
+    Carries the array of best available estimates, one per integral, so
+    callers can inspect how far the integrator got before giving up.
     """
 
-    def __init__(self, message: str, best_estimate: float):
+    def __init__(self, message: str, best_estimate):
         super().__init__(message)
         self.best_estimate = best_estimate
 

@@ -70,6 +70,8 @@ class OperatorEnsembleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError("count must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.dim_a < 2:
             raise ValidationError(
                 f"dim_a must be >= 2, got {self.dim_a}: a single eigenvalue "

@@ -192,7 +192,14 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
     prof = profile(system)
     sigma_a = system.spectrum_a.spectral_range
     width = config.binning.resolve_width(system.spectrum_t.spectral_range)
-    omegas = np.arange(0.5 * width, omega_max or 0.75 * sigma_a, width)
+    if omega_max is None:
+        omega_max = 0.75 * sigma_a
+    if not (np.isfinite(omega_max) and omega_max > 0.5 * width):
+        raise ValidationError(
+            f"omega_max must be finite and exceed half the bin width "
+            f"({0.5 * width:g}) to leave a grid point, got {omega_max:g}"
+        )
+    omegas = np.arange(0.5 * width, omega_max, width)
     preds = _predictions(kinds, system, prof.sigma_s, config.o2bar,
                          _Densities(system), ebar, omegas)
     path = emit_dataset(prediction_rows(preds), "prediction",

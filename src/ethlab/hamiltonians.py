@@ -290,6 +290,8 @@ class RandomSystemParams:
     def __post_init__(self):
         if min(self.sites_a, self.sites_b, self.sites_i) < 1:
             raise ValidationError("sites_a, sites_b, sites_i must all be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.sites_a + self.sites_b > MAX_CHAIN_SITES:
             raise ValidationError(
                 f"total sites {self.sites_a + self.sites_b} exceeds the "

@@ -1,18 +1,18 @@
 """Dense spectral primitives.
 
 Symmetric eigendecompositions with a fixed sign convention, interpolated
-densities of states, cross-correlations of compactly supported functions, and
-adaptive quadrature that knows about kinks.  The quadrature advances many
-integrals together, breadth first, with one vectorized integrand call per
-subdivision level, and is bitwise equal to the depth-first recursive Simpson
-rule it replaced.  Everything downstream (scrambling statistics, ansatz
-predictions) is built on these four primitives.
+densities of states, and adaptive quadrature that knows about kinks.  The
+quadrature advances many integrals together, breadth first, with one
+vectorized integrand call per subdivision level, and is bitwise equal to the
+depth-first recursive Simpson rule it replaced.  Everything downstream
+(scrambling statistics, ansatz predictions) is built on these three
+primitives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "SpectralDensity",
     "eig_sym",
     "density_of_states",
-    "cross_correlate",
     "integrate_adaptive",
 ]
 
@@ -221,16 +220,12 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
     )
 
 
-def integrate_adaptive(
-    f: Callable,
-    a,
-    b,
-    *,
-    tol=1e-8,
-    kinks=(),
-    max_depth: int = 48,
-):
-    """Adaptive Simpson quadrature of one integral or of many at once.
+# Subdivision limit per segment of integrate_adaptive.
+_MAX_DEPTH = 48
+
+
+def integrate_adaptive(f: Callable, a, b, *, tol, kinks=()) -> np.ndarray:
+    """Adaptive Simpson quadrature of many integrals at once.
 
     Every interval is split at each distinct kink strictly inside ``(a, b)``
     before the adaptive subdivision starts, so integrands with isolated slope
@@ -245,29 +240,29 @@ def integrate_adaptive(
     Parameters
     ----------
     f : callable
-        With scalar limits, ``f(x)`` maps a 1-d array of abscissae to the
-        integrand values.  With array limits, ``f(x, rows)`` does the same for
-        abscissae ``x`` that belong to integrals ``rows`` (an index array).
-    a, b : float or 1-d array
+        ``f(x, rows)`` maps a 1-d array of abscissae ``x``, which belong to
+        the integrals ``rows`` (an index array), to the integrand values.
+    a, b : 1-d array
         Integration limits, finite, ``a <= b`` elementwise.
     tol : float or 1-d array
         Absolute tolerance for each whole integral, shared across its
         segments in proportion to their width.
-    kinks : sequence of float, or one such sequence per integral
+    kinks : one sequence of float per integral, or empty
         Abscissae where the integrand is continuous but not smooth; values
         outside ``(a, b)`` and repeats are ignored.
-    max_depth : int
-        Subdivision limit per segment; exceeding it raises
-        :class:`QuadratureError` carrying the best estimates accumulated so
-        far (a float, or an array for array limits).
 
     Returns
     -------
-    float, or ndarray of the shape of ``a`` for array limits
+    ndarray of the shape of ``a``
+
+    Raises
+    ------
+    QuadratureError
+        When a segment does not converge within ``_MAX_DEPTH`` subdivisions;
+        it carries the array of best estimates accumulated so far.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise DimensionError("integration limits must be 1-d arrays of equal length")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
@@ -275,30 +270,25 @@ def integrate_adaptive(
     if np.any(b < a):
         raise ValidationError("integration limits must satisfy a <= b")
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    if scalar:
-        totals, ok = _adaptive_simpson(
-            lambda x, rows: f(x), a, b, tol, [kinks], max_depth
-        )
-    else:
-        if len(kinks) == 0:
-            kinks = [()] * a.size
-        if len(kinks) != a.size:
-            raise DimensionError("kinks must hold one sequence per integral")
-        totals, ok = _adaptive_simpson(f, a, b, tol, kinks, max_depth)
+    if len(kinks) == 0:
+        kinks = [()] * a.size
+    if len(kinks) != a.size:
+        raise DimensionError("kinks must hold one sequence per integral")
+    totals, ok = _adaptive_simpson(f, a, b, tol, kinks)
     if not ok.all():
         raise QuadratureError(
-            f"adaptive quadrature did not reach tol within depth {max_depth} "
+            f"adaptive quadrature did not reach tol within depth {_MAX_DEPTH} "
             f"for {int((~ok).sum())} of {ok.size} integrals",
-            best_estimate=float(totals[0]) if scalar else totals,
+            best_estimate=totals,
         )
-    return float(totals[0]) if scalar else totals
+    return totals
 
 
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_simpson(f, a, b, tol, kinks, max_depth):
+def _adaptive_simpson(f, a, b, tol, kinks):
     # Breadth-first adaptive Simpson over every segment of every integral.
     # Returns the per-integral totals and a per-integral convergence flag.
     seg_row, seg_l, seg_r, seg_idx = [], [], [], []
@@ -332,7 +322,7 @@ def _adaptive_simpson(f, a, b, tol, kinks, max_depth):
     # (left, right) on the next level.
     levels = []
     nodes = (lo, hi, fa, fm, fb, whole, seg_tol, row)
-    depth = max_depth
+    depth = _MAX_DEPTH
     while True:
         l, r, fa, fm, fb, whole, t, rw = nodes
         m = 0.5 * (l + r)
@@ -390,61 +380,3 @@ def _interleave(x, y):
     out[1::2] = y
     return out
 
-
-def cross_correlate(
-    g1,
-    g2,
-    *,
-    tol: float = 1e-8,
-    n_grid: int = 513,
-    kinks1: Sequence[float] = (),
-    kinks2: Sequence[float] = (),
-) -> GridFunction:
-    """Cross-correlation ``[g1 * g2](x) = integral dy g1(y) g2(x + y)``.
-
-    Both inputs must be compactly supported callables exposing ``support``
-    (as :class:`GridFunction` does).  The result is tabulated on ``n_grid``
-    points covering the exact support ``[lo2 - hi1, hi2 - lo1]`` of the
-    correlation and returned as a :class:`GridFunction`; all points are
-    integrated in one batched :func:`integrate_adaptive` call.
-
-    Parameters
-    ----------
-    g1, g2 : callable with ``support``
-    tol : float
-        Quadrature tolerance per evaluation point.
-    n_grid : int
-        Output tabulation size (at least 3).
-    kinks1, kinks2 : sequence of float
-        Kink abscissae of ``g1`` and ``g2``; the integrator splits at the
-        induced ``y`` locations for every evaluation point.
-
-    Returns
-    -------
-    GridFunction
-    """
-    lo1, hi1 = g1.support
-    lo2, hi2 = g2.support
-    if n_grid < 3:
-        raise ValidationError("n_grid must be at least 3")
-    xs = np.linspace(lo2 - hi1, hi2 - lo1, n_grid)
-    ylo = np.maximum(lo1, lo2 - xs)
-    yhi = np.minimum(hi1, hi2 - xs)
-    live = yhi > ylo
-    x = xs[live]
-    k1 = np.array(sorted(set(float(k) for k in kinks1)))
-    k2 = np.array(sorted(set(float(k) for k in kinks2)))
-    kinks = np.column_stack(
-        (np.broadcast_to(k1, (x.size, k1.size)), k2[None, :] - x[:, None])
-    )
-
-    def integrand(y, rows):
-        # Clipped to the support: at y = hi2 - x the sum x + y can round
-        # above hi2, where g2 reads 0 and the last panel never converges.
-        return g1(y) * g2(np.clip(x[rows] + y, lo2, hi2))
-
-    out = np.zeros_like(xs)
-    out[live] = integrate_adaptive(
-        integrand, ylo[live], yhi[live], tol=tol, kinks=kinks
-    )
-    return GridFunction(grid=xs, values=out)

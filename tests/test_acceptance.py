@@ -198,8 +198,9 @@ def test_a03_exact_identities(coeffs12, chain12, chain10, profile12):
     cut = 30.0 * sigma_s
     overlap = 0.0
     for e in (0.0, 0.6 * sigma_s, 2.2 * sigma_s):
-        numeric = integrate_adaptive(
-            lambda y: h(y) * h(e + y), -cut, cut, tol=1e-10, kinks=[0.0, -e]
+        (numeric,) = integrate_adaptive(
+            lambda y, rows: h(y) * h(e + y),
+            np.array([-cut]), np.array([cut]), tol=1e-10, kinks=[(0.0, -e)],
         )
         overlap = max(overlap, abs(hh(e) - numeric))
 

@@ -62,9 +62,9 @@ def test_exp_autocorrelation_closed_form_vs_quadrature():
         hh = exp_autocorrelation(sigma_s)
         cut = 30.0 * sigma_s
         for e in (0.0, 0.3 * sigma_s, sigma_s, 2.7 * sigma_s, -1.4 * sigma_s):
-            numeric = integrate_adaptive(
-                lambda y: h(y) * h(e + y), -cut, cut, tol=1e-10,
-                kinks=[0.0, -e],
+            (numeric,) = integrate_adaptive(
+                lambda y, rows: h(y) * h(e + y),
+                np.array([-cut]), np.array([cut]), tol=1e-10, kinks=[(0.0, -e)],
             )
             assert abs(hh(e) - numeric) < 1e-6
 

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import math
 import struct
 import subprocess
 import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +398,71 @@ def test_cli_localize_rejects_malformed_matrix_file(tmp_path, name, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
+    # The report and the manifest's local block both come from one eig_sym.
+    import ethlab.cli
+    import ethlab.localize
+    from ethlab.hamiltonians import pauli
+    from ethlab.localize import localizing_basis
+
+    shapes = []
+    real = ethlab.cli.eig_sym
+
+    def counting(matrix, **kwargs):
+        shapes.append(np.shape(matrix))
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(ethlab.cli, "eig_sym", counting)
+    monkeypatch.setattr(ethlab.localize, "eig_sym", counting)
+    letters = "zxizxizxi"
+    assert ethlab.cli.main(["localize", "--pauli", letters, "--out", str(tmp_path)]) == 0
+    assert shapes == [(512, 512)]
+    manifest = json.loads((tmp_path / "localize_manifest.json").read_text())
+    op = np.array([[1.0]])
+    for letter in letters:
+        op = np.kron(op, pauli(letter))
+    _, block = localizing_basis(op)
+    assert manifest["local_block_diag"] == np.diag(block).tolist()
+
+
+NEGATIVE_SYSTEM_SEED = """
+[system]
+kind = random
+sites_a = 2
+sites_b = 4
+sites_i = 2
+system_seed = -3
+"""
+TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("spin-chain", "--seed", "-1"), TINY_CHAIN),
+        (("spin-chain",), TINY_CHAIN.replace("seed = 0", "seed = -1")),
+        (("random-system",), NEGATIVE_SYSTEM_SEED),
+        (("predict", "--omega-max", "0"), TINY_WIDTH),
+        (("predict", "--omega-max", "-1"), TINY_WIDTH),
+        (("predict", "--omega-max", "0.05"), TINY_WIDTH),
+        (("predict", "--omega-max", "nan"), TINY_WIDTH),
+    ],
+    ids=["seed-flag", "seed-key", "system-seed", "omega-max-0", "omega-max-neg",
+         "omega-max-half-bin", "omega-max-nan"],
+)
+def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
+    # A negative seed, or an omega_max that leaves an empty or undefined
+    # grid (0.05 is half the 0.1 bin width), is a configuration error.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "predict.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\nspins = 12\n")
@@ -614,3 +682,125 @@ def test_every_public_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# -- printed output of the ladder and across BLAS thread counts ---------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+ALL_KINDS = """
+[system]
+kind = spin_chain
+sites = 8
+cut = 3
+
+[binning]
+omega_bin_width = 0.1
+
+[predict]
+kinds = microcanonical_exact_sums, narrow_scrambling, small_A_narrow,
+    flat_A_narrow, smooth_general_sums, smooth_small_A, exp_decay_flat_A,
+    mc_finite_width_flat_A
+"""
+
+
+def _read_rows(text):
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return header, rows
+
+
+def _same_in_last_digit(a, b):
+    # Less than one unit apart in the 8th significant digit of the larger.
+    if a == b:
+        return True
+    scale = max(abs(a), abs(b))
+    return abs(a - b) < 10.0 ** (math.floor(math.log10(scale)) - 7)
+
+
+def test_predict_all_kinds_matches_recorded_output(tmp_path):
+    """``ethlab predict`` prints every rung of the ladder as recorded.
+
+    The record is ``tests/data/predict_8site_cut3_all_kinds.csv``: all eight
+    kinds on the 8-site chain at cut 3, 0.1-wide bins, seed 0.  Labels and
+    the row count must match exactly, and every float to within one unit of
+    its 8th significant digit.  To re-record it on purpose, run ``ethlab
+    predict --config RUN.ini --out DIR`` with ``ALL_KINDS`` as ``RUN.ini``
+    and copy ``DIR/predict.csv`` over the record; CHANGES.md must then state
+    the largest relative change of each column.
+    """
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ALL_KINDS)
+    out = tmp_path / "out"
+    proc = run_cli("predict", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    header, rows = _read_rows((out / "predict.csv").read_text())
+    want_header, want = _read_rows(
+        (DATA / "predict_8site_cut3_all_kinds.csv").read_text()
+    )
+    assert header == want_header
+    assert len(rows) == len(want)
+    label = header.index("model")
+    moved = [
+        (n, header[j], row[j], ref[j])
+        for n, (row, ref) in enumerate(zip(rows, want), 2)
+        for j in range(len(header))
+        if j != label and not _same_in_last_digit(float(row[j]), float(ref[j]))
+    ]
+    assert [row[label] for row in rows] == [ref[label] for ref in want]
+    assert moved == []
+
+
+def _close_across_threads(text_a, text_b, window):
+    # Cells of two CSVs that differ by more than 1e-8 relative plus 1e-12 of
+    # the column's peak within its window (rows sharing the `window` labels);
+    # labels and counts must match exactly.
+    header, rows_a = _read_rows(text_a)
+    header_b, rows_b = _read_rows(text_b)
+    assert header == header_b and len(rows_a) == len(rows_b)
+    exact = [j for j, col in enumerate(header) if col in ("model", "count")]
+    floats = [j for j in range(len(header)) if j not in exact]
+    keys = [tuple(row[header.index(c)] for c in window) for row in rows_a]
+    peak = defaultdict(float)
+    for key, ra, rb in zip(keys, rows_a, rows_b):
+        for j in floats:
+            peak[key, j] = max(peak[key, j], abs(float(ra[j])), abs(float(rb[j])))
+    bad = []
+    for n, (key, ra, rb) in enumerate(zip(keys, rows_a, rows_b), 2):
+        assert [ra[j] for j in exact] == [rb[j] for j in exact], n
+        for j in floats:
+            a, b = float(ra[j]), float(rb[j])
+            if abs(a - b) > 1e-8 * max(abs(a), abs(b)) + 1e-12 * peak[key, j]:
+                bad.append((n, header[j], ra[j], rb[j]))
+    return bad
+
+
+def test_reproduce_across_blas_thread_counts(tmp_path):
+    # The BLAS library's threads are the only parallelism.  At one thread
+    # count a rerun writes the same bytes; across counts the summation order
+    # may move the last bits, bounded by 1e-8 relative plus 1e-12 of the
+    # column's peak within its mean-energy window.  With OpenBLAS the 10-site
+    # binned CSV differs between 1 and 2 threads (72 mean_sq cells, all under
+    # 1e-18 of the window peak), so the bound is exercised, not vacuous.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[system]\nkind = spin_chain\nsites = 10\ncut = 3\n"
+        "[ensemble]\ncount = 8\n"
+    )
+    files = ("fig3_LA3_binned.csv", "fig3_LA3_predict.csv")
+    texts = {}
+    for threads in ("1", "2"):
+        runs = []
+        for repeat in range(2):
+            out = tmp_path / f"t{threads}-{repeat}"
+            proc = run_cli(
+                "reproduce", "fig3", "--config", str(cfg), "--out", str(out),
+                env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append([(out / name).read_bytes() for name in files])
+        assert runs[0] == runs[1], f"reruns at {threads} BLAS threads differ"
+        texts[threads] = [blob.decode() for blob in runs[0]]
+    binned = _close_across_threads(texts["1"][0], texts["2"][0], ["Ebar_center"])
+    predict = _close_across_threads(texts["1"][1], texts["2"][1], ["model", "Ebar"])
+    assert binned == []
+    assert predict == []
