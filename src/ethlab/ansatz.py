@@ -23,16 +23,19 @@ bitwise those of the one-omega calls.  The small-A rungs take the tabulated
 autocorrelation :func:`density_autocorrelation` of the normalized subsystem
 density, itself one batched quadrature over its tabulation grid.  Every
 quadrature of the ladder works to the one tolerance ``_TOL``.
-:meth:`AnsatzModel.evaluate` calls the rung of its kind through one
-kind-keyed table, once per mean energy; for the narrow rung it first drops
-the omegas whose pair energies leave the support of ``n_0``, where
-``f_narrow`` raises :class:`~ethlab.errors.OutOfSupportError`.
+:class:`AnsatzModel` builds one rung from a system and its scrambling width
+alone: it derives the subsystem densities and ``sigma_a`` from the spectra
+the system carries.  :meth:`AnsatzModel.evaluate` calls the rung of its kind
+through one kind-keyed table, once per mean energy; it first drops the omegas
+the rung cannot evaluate (pair energies outside the support of ``n_0`` for
+the narrow rung, an empty window for the microcanonical one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonians import BipartiteSystem
-from .linalg import GridFunction, density_of_states, integrate_adaptive
+from .linalg import GridFunction, SpectralDensity, density_of_states, integrate_adaptive
 from .scrambling import SQRT2, SQRT3, exp_profile
 
 __all__ = [
@@ -522,61 +525,89 @@ class Prediction:
     variance: np.ndarray
 
 
+def _density(levels: np.ndarray) -> SpectralDensity:
+    # Histogram density of a level set, round(sqrt(n)) bins clipped to 4..64.
+    bins = max(4, min(64, int(round(np.sqrt(levels.size)))))
+    return density_of_states(levels, bins=bins)
+
+
+def _filled_windows(system: BipartiteSystem, delta: float, ebar: float,
+                    omegas: np.ndarray) -> np.ndarray:
+    # Mask of the omegas whose noninteracting windows [E - delta/2,
+    # E + delta/2] at both E = Ebar +/- omega hold a level, the windows
+    # f_microcanonical_exact counts (it raises DegenerateWindowError on an
+    # empty one).
+    sums = np.sort(system.sum_energies().ravel())
+    half = 0.5 * delta
+    energies = np.concatenate((ebar + omegas, ebar - omegas))
+    counts = _window_counts(sums, energies - half, energies + half)
+    return (counts > 0).reshape(2, -1).all(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class AnsatzModel:
-    """Data bundle for evaluating one rung of the ladder.
+    """One rung of the ladder for one system and scrambling width.
 
-    Exact-sum kinds require the literal subsystem spectra in ``system`` and
-    use the typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``;
-    continuum kinds require the densities listed for them.  ``sigma_a``
-    defaults to the width of the ``n_a`` support, else to the A spectral
-    range of ``system``.
+    Every input of a rung derives from ``system`` and ``sigma_s``.  The
+    exact-sum kinds read the literal subsystem spectra and use the
+    typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``.  The
+    continuum kinds read the histogram densities ``n_a``, ``n_b`` (the A and
+    B spectra) and ``n_0`` (the noninteracting sums ``E_i + E_j``), each
+    with ``round(sqrt(n))`` bins for ``n`` levels, clipped to 4..64, and
+    ``sigma_a``, the A spectral range.  A density is built on first read,
+    so a model builds only those its kind reads.
     """
 
     kind: AnsatzKind
+    system: BipartiteSystem
     sigma_s: float
     o2bar: float = 1.0
-    n_a: Optional[GridFunction] = None
-    n_b: Optional[GridFunction] = None
-    n_0: Optional[GridFunction] = None
-    sigma_a: Optional[float] = None
-    system: Optional[BipartiteSystem] = None
 
     def __post_init__(self):
-        if self.sigma_s <= 0:
-            raise ValidationError("sigma_s must be positive")
-        if self.o2bar <= 0:
-            raise ValidationError("o2bar must be positive")
-        kind = AnsatzKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if self.sigma_a is None:
-            sigma_a = None
-            if self.n_a is not None:
-                lo, hi = self.n_a.support
-                sigma_a = hi - lo
-            elif self.system is not None:
-                sigma_a = self.system.spectrum_a.spectral_range
-            object.__setattr__(self, "sigma_a", sigma_a)
-        for name in _RUNGS[kind][0]:
-            if getattr(self, name) is None:
-                raise ValidationError(f"{kind.value} requires {name}")
+        for name in ("sigma_s", "o2bar"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive: {value}")
+        object.__setattr__(self, "kind", AnsatzKind(self.kind))
+
+    @cached_property
+    def n_a(self) -> SpectralDensity:
+        return _density(self.system.spectrum_a.eigenvalues)
+
+    @cached_property
+    def n_b(self) -> SpectralDensity:
+        return _density(self.system.spectrum_b.eigenvalues)
+
+    @cached_property
+    def n_0(self) -> SpectralDensity:
+        return _density(self.system.sum_energies().ravel())
+
+    @property
+    def sigma_a(self) -> float:
+        return self.system.spectrum_a.spectral_range
 
     def evaluate(self, ebar: float, omegas: np.ndarray) -> Prediction:
         """Evaluate the model on an omega grid at fixed mean energy.
 
         Continuum kinds integrate every omega of the grid in one batched
-        quadrature.  Omegas whose pair energies ``Ebar +/- omega`` leave the
+        quadrature.  Two kinds drop the omegas their rung cannot evaluate:
+        the narrow kind those whose pair energies ``Ebar +/- omega`` leave the
         support of ``n_0`` (where ``f_narrow`` raises
-        :class:`OutOfSupportError`) are dropped from the narrow kind's grid.
+        :class:`OutOfSupportError`), the microcanonical kind those with an
+        empty noninteracting window at either pair energy (where
+        ``f_microcanonical_exact`` raises :class:`DegenerateWindowError`).
         """
         omegas = np.array(omegas, dtype=float)
         kind = self.kind
-        fields, rung = _RUNGS[kind]
+        rung = _RUNGS[kind]
         ent = 1.0
-        if "n_0" in fields:
+        if rung is not _exact_sums:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
         if kind is AnsatzKind.NARROW_SCRAMBLING:
             omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
+        elif kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
+            delta = 2.0 * SQRT3 * self.sigma_s
+            omegas = omegas[_filled_windows(self.system, delta, ebar, omegas)]
         f_vals = rung(self, ebar, omegas)
         return Prediction(
             kind=kind.value,
@@ -589,8 +620,7 @@ class AnsatzModel:
 
 
 def _autocorr(model):
-    rho = model.n_a.normalized() if hasattr(model.n_a, "normalized") else model.n_a
-    return density_autocorrelation(rho)
+    return density_autocorrelation(model.n_a.normalized())
 
 
 def _exact_sums(model, ebar, omegas):
@@ -614,36 +644,28 @@ def _exact_sums(model, ebar, omegas):
     return np.array([one(w) for w in omegas.tolist()])
 
 
-# Kind -> (model fields the rung reads, rung (model, ebar, omegas) -> f on the
-# grid).  The continuum rungs read n_0 for the entropic factor they report
-# separately; the exact-sum rungs fold it into their normalization.
+# Kind -> rung (model, ebar, omegas) -> f on the grid.  The continuum rungs
+# report the entropic factor separately; the exact-sum rungs fold it into
+# their normalization.
 _RUNGS = {
-    AnsatzKind.MICROCANONICAL_EXACT_SUMS: (("system",), _exact_sums),
-    AnsatzKind.SMOOTH_GENERAL_SUMS: (("system",), _exact_sums),
-    AnsatzKind.NARROW_SCRAMBLING: (
-        ("n_a", "n_b", "n_0"),
-        lambda m, ebar, w: f_narrow(m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w),
+    AnsatzKind.MICROCANONICAL_EXACT_SUMS: _exact_sums,
+    AnsatzKind.SMOOTH_GENERAL_SUMS: _exact_sums,
+    AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: f_narrow(
+        m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
     ),
-    AnsatzKind.SMALL_A_NARROW: (
-        ("n_a", "n_0"),
-        lambda m, ebar, w: f_small_a(_autocorr(m), m.o2bar, m.sigma_s, w),
+    AnsatzKind.SMALL_A_NARROW: lambda m, ebar, w: f_small_a(
+        _autocorr(m), m.o2bar, m.sigma_s, w
     ),
-    AnsatzKind.FLAT_A_NARROW: (
-        ("sigma_a", "n_0"),
-        lambda m, ebar, w: f_flat_a(m.sigma_a, m.o2bar, m.sigma_s, w),
+    AnsatzKind.FLAT_A_NARROW: lambda m, ebar, w: f_flat_a(
+        m.sigma_a, m.o2bar, m.sigma_s, w
     ),
-    AnsatzKind.SMOOTH_SMALL_A: (
-        ("n_a", "n_0"),
-        lambda m, ebar, w: f_smooth_small_a(_autocorr(m), m.o2bar, m.sigma_s, w),
+    AnsatzKind.SMOOTH_SMALL_A: lambda m, ebar, w: f_smooth_small_a(
+        _autocorr(m), m.o2bar, m.sigma_s, w
     ),
-    AnsatzKind.EXP_DECAY_FLAT_A: (
-        ("sigma_a", "n_0"),
-        lambda m, ebar, w: f_exp_decay(m.sigma_a, m.sigma_s, m.o2bar, w),
+    AnsatzKind.EXP_DECAY_FLAT_A: lambda m, ebar, w: f_exp_decay(
+        m.sigma_a, m.sigma_s, m.o2bar, w
     ),
-    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: (
-        ("n_a", "sigma_a", "n_0"),
-        lambda m, ebar, w: f_mc_finite_width(
-            _autocorr(m), m.o2bar, m.sigma_a, m.sigma_s, w
-        ),
+    AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda m, ebar, w: f_mc_finite_width(
+        _autocorr(m), m.o2bar, m.sigma_a, m.sigma_s, w
     ),
 }

@@ -143,10 +143,11 @@ class BinningParams:
     omega_bin_width: Optional[float] = None
 
     def __post_init__(self):
-        if self.ebar_halfwidth <= 0:
-            raise ValidationError("ebar_halfwidth must be positive")
-        if self.omega_bin_width is not None and self.omega_bin_width <= 0:
-            raise ValidationError("omega_bin_width must be positive")
+        if not (np.isfinite(self.ebar_halfwidth) and self.ebar_halfwidth > 0):
+            raise ValidationError("ebar_halfwidth must be finite and positive")
+        width = self.omega_bin_width
+        if width is not None and not (np.isfinite(width) and width > 0):
+            raise ValidationError("omega_bin_width must be finite and positive")
 
     def resolve_width(self, spectral_range: float) -> float:
         if self.omega_bin_width is not None:
@@ -169,8 +170,6 @@ class BinnedStatistics:
     """
 
     ebar_center: float
-    ebar_halfwidth: float
-    omega_bin_width: float
     omega_mid: np.ndarray
     mean_sq: np.ndarray
     count: np.ndarray
@@ -265,7 +264,6 @@ class PairBand:
             )
         self.energies = energies
         self.ebar_center = float(ebar_center)
-        self.ebar_halfwidth = float(ebar_halfwidth)
         self.bin_width = float(bin_width)
         self.n_pairs = total_pairs
 
@@ -421,8 +419,6 @@ class PairBand:
         mids = (np.nonzero(keep)[0] + 0.5) * self.bin_width
         return BinnedStatistics(
             ebar_center=self.ebar_center,
-            ebar_halfwidth=self.ebar_halfwidth,
-            omega_bin_width=self.bin_width,
             omega_mid=mids,
             mean_sq=mean,
             count=counts[keep],
@@ -562,7 +558,6 @@ class BandReport:
     gaps: np.ndarray
     matched: np.ndarray  # per peak: within 2 sigma_s of some gap
     gap_matched: np.ndarray  # per gap: some peak within 2 sigma_s
-    sigma_s: float
 
     @property
     def matched_fraction(self) -> float:
@@ -656,5 +651,4 @@ def detect_bands(
         gaps=gaps,
         matched=matched,
         gap_matched=gap_matched,
-        sigma_s=float(sigma_s),
     )

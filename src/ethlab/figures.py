@@ -16,7 +16,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .io import (
     write_manifest,
     write_svg,
 )
-from .linalg import density_of_states
 from .scrambling import compute_coefficients, profile
 
 __all__ = ["FIGURES", "run_figure", "build_system", "quantile_states"]
@@ -84,31 +82,6 @@ class _RunContext:
 
     def system(self, config: RunConfig):
         return build_system(config, cache_dir=self.cache_dir, policy=self.cache_policy)
-
-
-def _density_bins(n: int) -> int:
-    return max(4, min(64, int(round(np.sqrt(n)))))
-
-
-class _Densities:
-    """Interpolated state densities for one system (shared by the models)."""
-
-    def __init__(self, system):
-        e_a = system.spectrum_a.eigenvalues
-        e_b = system.spectrum_b.eigenvalues
-        self.n_a = density_of_states(e_a, bins=_density_bins(e_a.size))
-        self.n_b = density_of_states(e_b, bins=_density_bins(e_b.size))
-        sums = system.sum_energies().ravel()
-        self.n_0 = density_of_states(sums, bins=_density_bins(sums.size))
-
-
-def _predictions(kinds, system, sigma_s, o2bar, dens, ebar, omegas):
-    # Exact-sum kinds ignore the densities; continuum kinds need them.
-    return [
-        AnsatzModel(kind=kind, sigma_s=sigma_s, o2bar=o2bar, n_a=dens.n_a,
-                    n_b=dens.n_b, n_0=dens.n_0, system=system).evaluate(ebar, omegas)
-        for kind in kinds
-    ]
 
 
 def _config_echo(config: RunConfig, kinds) -> dict:
@@ -188,20 +161,22 @@ def _coefficients(config, kinds, ctx, *, stem):
 
 
 def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
+    if omega_max is not None and not omega_max > 0:
+        raise ValidationError(f"omega_max must be positive, got {omega_max:g}")
     system = ctx.system(config)
     prof = profile(system)
     sigma_a = system.spectrum_a.spectral_range
     width = config.binning.resolve_width(system.spectrum_t.spectral_range)
     if omega_max is None:
         omega_max = 0.75 * sigma_a
-    if not (np.isfinite(omega_max) and omega_max > 0.5 * width):
+    if not omega_max > 0.5 * width:
         raise ValidationError(
-            f"omega_max must be finite and exceed half the bin width "
+            f"omega_max must exceed half the bin width "
             f"({0.5 * width:g}) to leave a grid point, got {omega_max:g}"
         )
     omegas = np.arange(0.5 * width, omega_max, width)
-    preds = _predictions(kinds, system, prof.sigma_s, config.o2bar,
-                         _Densities(system), ebar, omegas)
+    models = [AnsatzModel(kind, system, prof.sigma_s, config.o2bar) for kind in kinds]
+    preds = [model.evaluate(ebar, omegas) for model in models]
     path = emit_dataset(prediction_rows(preds), "prediction",
                         ctx.out_dir / "predict.csv")
     return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, [path]
@@ -214,7 +189,7 @@ def _window_centers(e_min: float, fractions) -> list[float]:
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """Shared measurement + prediction flow for the scans."""
     prof = profile(system)
-    dens = _Densities(system)
+    models = [AnsatzModel(kind, system, prof.sigma_s, config.o2bar) for kind in kinds]
     binned = run_ensemble(system, config.ensemble, centers, config.binning)
     files = []
     all_binned = []
@@ -223,10 +198,7 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
         all_binned.extend(binned_rows(stats))
     files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
     for center, stats in zip(centers, binned):
-        preds = _predictions(
-            kinds, system, prof.sigma_s, config.o2bar, dens, center,
-            stats.omega_mid,
-        )
+        preds = [model.evaluate(center, stats.omega_mid) for model in models]
         all_preds.extend(preds)
         if ctx.plot:
             tag = f"{center:.4g}".replace("-", "m")
@@ -376,7 +348,6 @@ def run_figure(
     out_dir: str | Path,
     *,
     cache_policy: str = "use",
-    cache_dir: Optional[str | Path] = None,
     plot: bool = False,
     **options,
 ) -> dict:
@@ -392,24 +363,27 @@ def run_figure(
       and ``omega_max`` (default 0.75 of the A spectral range);
     - ``fig1``, ``fig2``, ``fig3``, ``appB``: the bundled datasets.
 
-    The cache lives in ``cache_dir``, by default ``out_dir/cache``.  The
-    manifest holds the experiment's own fields plus ``experiment``,
-    ``config``, ``files``, ``timing_seconds``, ``peak_rss_mb`` (the
-    process's maximum resident set so far, from ``getrusage``) and
-    ``provenance`` (numpy and BLAS versions, ``os.cpu_count()`` and the BLAS
-    thread variables that are set: the BLAS library's threads are the only
-    parallelism).
+    The keyword values must be finite.  The spectrum cache lives in
+    ``out_dir/cache``.  The manifest holds the experiment's own fields plus
+    ``experiment``, ``config``, ``files``, ``timing_seconds``,
+    ``peak_rss_mb`` (the process's maximum resident set so far, from
+    ``getrusage``) and ``provenance`` (numpy and BLAS versions,
+    ``os.cpu_count()`` and the BLAS thread variables that are set: the BLAS
+    library's threads are the only parallelism).
     """
     if experiment not in _EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {experiment!r} (valid: {', '.join(_EXPERIMENTS)})"
         )
+    for key, value in options.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{key} must be finite, got {value}")
     runner, stem, auto_kinds = _EXPERIMENTS[experiment]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = _RunContext(
         out_dir=out_dir,
-        cache_dir=Path(cache_dir) if cache_dir is not None else out_dir / "cache",
+        cache_dir=out_dir / "cache",
         cache_policy=cache_policy,
         plot=plot,
     )

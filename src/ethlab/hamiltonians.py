@@ -132,18 +132,15 @@ def build_spin_chain(params: SpinChainParams) -> np.ndarray:
 class BipartiteSystem:
     """A total Hamiltonian split across a bipartition cut.
 
-    Holds the subsystem Hamiltonians, the three spectra every measurement
-    reads, and ``interaction_sq[alpha] = <alpha|H_I^2|alpha>`` for every
-    total eigenstate (the scrambling width's only input).  The total and
-    interaction Hamiltonians on the full product space are built only to be
-    diagonalized and are not kept.  Eigenvector matrices follow the sign
-    convention of :func:`ethlab.linalg.eig_sym`.
+    Holds the three spectra every measurement reads and
+    ``interaction_sq[alpha] = <alpha|H_I^2|alpha>`` for every total
+    eigenstate (the scrambling width's only input).  The Hamiltonians are
+    built only to be diagonalized and are not kept.  Eigenvector matrices
+    follow the sign convention of :func:`ethlab.linalg.eig_sym`.
     """
 
     dim_a: int
     dim_b: int
-    h_a: np.ndarray
-    h_b: np.ndarray
     spectrum_a: Spectrum
     spectrum_b: Spectrum
     spectrum_t: Spectrum
@@ -180,8 +177,6 @@ def _split_system(
     return BipartiteSystem(
         dim_a=h_a.shape[0],
         dim_b=h_b.shape[0],
-        h_a=h_a,
-        h_b=h_b,
         spectrum_a=eig_sym(h_a),
         spectrum_b=eig_sym(h_b),
         spectrum_t=spectrum_t,
@@ -190,20 +185,14 @@ def _split_system(
 
 
 def make_bipartite(
-    h_a: np.ndarray,
-    h_b: np.ndarray,
-    h_i: np.ndarray,
-    *,
-    spectrum_t: Optional[Spectrum] = None,
+    h_a: np.ndarray, h_b: np.ndarray, h_i: np.ndarray
 ) -> BipartiteSystem:
     """Diagonalize a bipartite system given as its three pieces.
 
-    ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is assembled only when it must
-    be diagonalized and is freed right after.  An ``h_i`` passed as a
-    temporary (no other reference to it) is freed before the
-    diagonalization.  ``spectrum_t`` may carry a precomputed (e.g. cached)
-    eigendecomposition of ``H_T``; it is trusted as-is.
-    ``<alpha|H_I^2|alpha>`` then follows without ``H_I``.
+    ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is assembled, diagonalized
+    and freed.  An ``h_i`` passed as a temporary (no other reference to it)
+    is freed before the diagonalization.  ``<alpha|H_I^2|alpha>`` follows
+    from the eigenvectors without ``H_I``.
     """
     dim_a = h_a.shape[0]
     dim_b = h_b.shape[0]
@@ -212,16 +201,14 @@ def make_bipartite(
         raise DimensionError(
             f"interaction shape {h_i.shape} does not match product dim {total}"
         )
-    if spectrum_t is None:
-        # Summed in place in the order kron(H_A, 1) + kron(1, H_B) + H_I; with
-        # this frame's H_I reference dropped, eig_sym holds no dense input
-        # but H_T.
-        h_t = np.kron(h_a, np.eye(dim_b))
-        h_t += np.kron(np.eye(dim_a), h_b)
-        h_t += h_i
-        del h_i
-        spectrum_t = eig_sym(h_t, check=False)
-        del h_t
+    # Summed in place in the order kron(H_A, 1) + kron(1, H_B) + H_I; with
+    # this frame's H_I reference dropped, eig_sym holds no dense input but H_T.
+    h_t = np.kron(h_a, np.eye(dim_b))
+    h_t += np.kron(np.eye(dim_a), h_b)
+    h_t += h_i
+    del h_i
+    spectrum_t = eig_sym(h_t, check=False)
+    del h_t
     return _split_system(h_a, h_b, spectrum_t)
 
 

@@ -1,10 +1,11 @@
 """Configuration, eigendecomposition cache, and dataset emission.
 
-Config files are INI-style with sections [system], [ensemble], [binning],
-[predict], [output]; unknown sections or keys are errors so typos fail loudly
-before any heavy compute.  The cache stores eigendecompositions in a small
-binary format (versioned magic, key echo, little-endian float64 payload,
-SHA-256 checksum); anything that fails validation is treated as absent.
+Config files are INI-style with sections [system], [ensemble], [binning] and
+[predict]; unknown sections or keys are errors so typos fail loudly before
+any heavy compute, and so are numbers that are not finite.  The cache stores
+eigendecompositions in a small binary format (versioned magic, key echo,
+little-endian float64 payload, SHA-256 checksum); anything that fails
+validation is treated as absent.
 Format v2 stores the eigenvectors eigenstate-major (one eigenvector after
 another, as ``Spectrum.rows``), so a load hands them out without a copy; a
 v1 file (eigenvector columns) fails the magic check and reads as a miss.
@@ -91,7 +92,6 @@ _DEFAULTS = {
     "ensemble": {"count": "250", "seed": "0"},
     "binning": {"ebar_halfwidth": "0.5", "omega_bin_width": "auto"},
     "predict": {"kinds": "auto", "o2bar": "1"},
-    "output": {},
 }
 
 
@@ -101,6 +101,8 @@ def _get_float(section, key, *, positive=False) -> float:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"{section.name}.{key}: not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise ValidationError(f"{section.name}.{key} must be finite, got {raw}")
     if positive and value <= 0:
         raise ValidationError(f"{section.name}.{key} must be positive, got {raw}")
     return value

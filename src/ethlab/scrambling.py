@@ -49,10 +49,6 @@ class ScramblingCoefficients:
     tensor: np.ndarray
     energies_total: np.ndarray
 
-    @property
-    def total_dim(self) -> int:
-        return self.tensor.shape[0]
-
 
 def compute_coefficients(
     system: BipartiteSystem, states=slice(None)
@@ -79,21 +75,17 @@ def compute_coefficients(
 
 @dataclass(frozen=True, eq=False)
 class ScramblingProfile:
-    """Fitted energy profile of the squared scrambling coefficients.
+    """Energy profile of the squared scrambling coefficients.
 
     ``sigma_S`` is the ``c**2``-weighted standard deviation of the energy
-    offsets over the ``states_in_window`` eigenstates whose energies lie in
-    the central spectral ``window``, i.e. the root of their mean
-    ``<alpha|H_I^2|alpha>``.  ``fit_form`` selects the normalized
-    profile shape ``h``: ``"exponential"`` for ``exp(-sqrt(2) |E| / sigma_S)``
-    or ``"flat_window"`` for an indicator of half-width ``sqrt(3) sigma_S``
-    (both carrying the same second moment).
+    offsets over the eigenstates of the central spectral window, i.e. the
+    root of their mean ``<alpha|H_I^2|alpha>``.  The profile carrying that
+    second moment is the exponential ``exp(-sqrt(2) |E| / sigma_S)``
+    (:func:`exp_profile`); the flat window of width :attr:`delta` carries the
+    same one.
     """
 
     sigma_s: float
-    fit_form: str
-    window: tuple[float, float]
-    states_in_window: int
 
     @property
     def delta(self) -> float:
@@ -102,16 +94,8 @@ class ScramblingProfile:
 
     @property
     def normalization(self) -> float:
-        """Integral ``N_h`` of the fitted profile."""
-        if self.fit_form == "exponential":
-            return SQRT2 * self.sigma_s
-        return self.delta
-
-    def h(self, energy):
-        """Fitted profile, ``h(0) = 1``."""
-        if self.fit_form == "exponential":
-            return exp_profile(self.sigma_s)(energy)
-        return flat_profile(self.delta)(energy)
+        """Integral ``N_h = sqrt(2) sigma_S`` of the exponential profile."""
+        return SQRT2 * self.sigma_s
 
 
 def exp_profile(sigma_s: float):
@@ -138,12 +122,7 @@ def flat_profile(delta: float):
     return h
 
 
-def profile(
-    system: BipartiteSystem,
-    center_fraction: float = 0.5,
-    *,
-    fit_form: str = "exponential",
-) -> ScramblingProfile:
+def profile(system: BipartiteSystem, center_fraction: float = 0.5) -> ScramblingProfile:
     """Scrambling width of a system in its central spectral window.
 
     ``sigma_S**2`` is the window mean of ``system.interaction_sq``: by
@@ -157,25 +136,15 @@ def profile(
     center_fraction : float
         Fraction of the total spectral range (centered) whose eigenstates
         enter the statistics; in (0, 1].
-    fit_form : {"exponential", "flat_window"}
     """
     if not 0 < center_fraction <= 1:
         raise ValidationError("center_fraction must be in (0, 1]")
-    if fit_form not in ("exponential", "flat_window"):
-        raise ValidationError(f"unknown fit_form {fit_form!r}")
     e_t = system.spectrum_t.eigenvalues
     lo_e, hi_e = float(e_t[0]), float(e_t[-1])
     margin = 0.5 * (1.0 - center_fraction) * (hi_e - lo_e)
     window = (lo_e + margin, hi_e - margin)
-    sel = np.nonzero((e_t >= window[0]) & (e_t <= window[1]))[0]
-    if sel.size == 0:
-        raise EmptyWindowError(
-            f"no eigenstates inside the central window {window}"
-        )
-    sigma_s = float(np.sqrt(system.interaction_sq[sel].mean()))
-    return ScramblingProfile(
-        sigma_s=sigma_s,
-        fit_form=fit_form,
-        window=window,
-        states_in_window=int(sel.size),
-    )
+    inside = (e_t >= window[0]) & (e_t <= window[1])
+    if not inside.any():
+        raise EmptyWindowError(f"no eigenstates inside the central window {window}")
+    sigma_s = float(np.sqrt(system.interaction_sq[inside].mean()))
+    return ScramblingProfile(sigma_s=sigma_s)

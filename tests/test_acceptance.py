@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from ethlab.ansatz import (
+    AnsatzKind,
+    AnsatzModel,
     density_autocorrelation,
     entropic_factor,
     exp_autocorrelation,
@@ -35,7 +37,6 @@ from ethlab.experiments import (
     sample_local_operator,
     subsystem_gap_omegas,
 )
-from ethlab.figures import _Densities
 from ethlab.hamiltonians import (
     SpinChainParams,
     build_spin_chain,
@@ -96,7 +97,8 @@ def test_a02_offdiagonal_exp_decay_envelope(
     for system, prof, ens, label in cases:
         stats = ens[0]
         sigma_a = system.spectrum_a.spectral_range
-        ent = entropic_factor(_Densities(system).n_0, 0.0, prof.sigma_s)
+        model = AnsatzModel(AnsatzKind.EXP_DECAY_FLAT_A, system, prof.sigma_s)
+        ent = entropic_factor(model.n_0, 0.0, prof.sigma_s)
         x = 2.0 * stats.omega_mid / sigma_a
         band = (x >= 0.5) & (x <= 1.2)
         pred = np.array(
@@ -161,7 +163,7 @@ def test_offdiagonal_exact_sums_pipeline(
         assert int((inc > 2.0 * comb).sum()) <= 2
 
 
-def test_a03_exact_identities(coeffs12, chain12, chain10, profile12):
+def test_a03_exact_identities(coeffs12, chain10, profile12):
     sq = coeffs12.tensor**2
     per_alpha = np.abs(sq.reshape(sq.shape[0], -1).sum(axis=1) - 1.0).max()
     per_pair = np.abs(sq.reshape(sq.shape[0], -1).sum(axis=0) - 1.0).max()
@@ -174,19 +176,18 @@ def test_a03_exact_identities(coeffs12, chain12, chain10, profile12):
         exact = np.diag(matrix_elements_total_basis(chain10, op @ op))
         sum_rule = max(sum_rule, np.abs(rows - exact).max())
 
-    # kron(H_A, 1) + kron(1, H_B) + J sz_3 sz_4 against the full chain (both
-    # systems are cut after site 3).
+    # kron(H_A, 1) + kron(1, H_B) + J sz_3 sz_4 against the full chain, with
+    # H_A and H_B the chain fragments decompose_chain splits off at cut 3.
     reassembly = 0.0
-    for system, sites in ((chain12, 12), (chain10, 10)):
+    for sites in (12, 10):
         params = SpinChainParams(sites)
+        h_a = build_spin_chain(SpinChainParams(3))
+        h_b = build_spin_chain(SpinChainParams(sites - 3))
         bond = params.coupling * np.kron(
             site_operator(pauli("z"), 3, 3), site_operator(pauli("z"), 1, sites - 3)
         )
-        total = (
-            np.kron(system.h_a, np.eye(system.dim_b))
-            + np.kron(np.eye(system.dim_a), system.h_b)
-            + bond
-        )
+        h_0 = np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
+        total = h_0 + bond
         full = build_spin_chain(params)
         reassembly = max(
             reassembly, np.abs(total - full).max() / np.abs(full).max()

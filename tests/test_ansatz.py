@@ -28,14 +28,18 @@ from ethlab.errors import (
     ValidationError,
 )
 from ethlab.experiments import BinningParams, OperatorEnsembleSpec, run_ensemble
-from ethlab.figures import _Densities
 from ethlab.hamiltonians import (
     SpinChainParams,
     decompose_chain,
     make_bipartite,
     sample_goe,
 )
-from ethlab.linalg import GridFunction, SpectralDensity, integrate_adaptive
+from ethlab.linalg import (
+    GridFunction,
+    SpectralDensity,
+    density_of_states,
+    integrate_adaptive,
+)
 from ethlab.scrambling import exp_profile, flat_profile, profile
 
 SQRT2 = float(np.sqrt(2.0))
@@ -379,14 +383,17 @@ def test_ansatz_model_exact_kinds_carry_no_entropic_factor():
 
 
 def test_ansatz_model_continuum_evaluation():
-    sigma_a, sigma_s = 4.0, 0.5
-    n_0 = GridFunction(np.array([-6.0, 0.0, 6.0]), np.array([0.0, 10.0, 0.0]))
-    model = AnsatzModel(
-        kind=AnsatzKind.EXP_DECAY_FLAT_A, sigma_s=sigma_s, sigma_a=sigma_a,
-        n_0=n_0,
-    )
+    # The model derives its inputs from the system: sigma_a is the A spectral
+    # range, and n_0 the histogram of the 64 sums E_i + E_j in round(sqrt(64))
+    # = 8 bins, which the entropic factor reads.
+    system = decompose_chain(SpinChainParams(6), 2)
+    sigma_s = 0.5
+    model = AnsatzModel(AnsatzKind.EXP_DECAY_FLAT_A, system, sigma_s)
+    sigma_a = system.spectrum_a.spectral_range
+    assert model.sigma_a == sigma_a
     omegas = np.array([0.0, 1.0, 2.0])
     pred = model.evaluate(0.0, omegas)
+    n_0 = density_of_states(system.sum_energies(), bins=8)
     ent = entropic_factor(n_0, 0.0, sigma_s)
     assert pred.entropic_factor == pytest.approx(ent, rel=1e-12)
     for i, w in enumerate(omegas):
@@ -396,48 +403,66 @@ def test_ansatz_model_continuum_evaluation():
 
 
 def test_ansatz_model_skips_out_of_support_grid_points():
-    # The narrow form refuses pair energies beyond the sum-density support;
-    # the model simply drops those grid points rather than failing the scan.
-    n_a = SpectralDensity(
-        np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0
-    )
-    n_b = GridFunction(np.array([-2.0, 2.0]), np.array([1.0, 1.0]))
-    n_0 = GridFunction(np.array([-3.0, 3.0]), np.array([1.0, 1.0]))
-    model = AnsatzModel(
-        kind=AnsatzKind.NARROW_SCRAMBLING, sigma_s=0.2,
-        n_a=n_a, n_b=n_b, n_0=n_0,
-    )
-    pred = model.evaluate(0.0, np.array([0.0, 1.0, 2.5, 3.5]))
-    assert pred.omega.tolist() == [0.0, 1.0, 2.5]
-    assert pred.f.shape == (3,)
+    # The narrow form refuses pair energies beyond the sum-density support
+    # (here [-7.48, 8.91]); the model simply drops those grid points rather
+    # than failing the scan.
+    system = decompose_chain(SpinChainParams(6), 2)
+    model = AnsatzModel(AnsatzKind.NARROW_SCRAMBLING, system, 0.2)
+    lo, hi = model.n_0.support
+    assert -7.6 < lo < -7.0 and 7.6 < hi < 9.0
+    pred = model.evaluate(0.0, np.array([0.0, 1.0, 5.0, 7.0, 7.6, 9.0]))
+    assert pred.omega.tolist() == [0.0, 1.0, 5.0, 7.0]
+    assert pred.f.shape == (4,)
+
+
+def test_microcanonical_model_drops_empty_windows():
+    # An omega whose window at Ebar + omega or Ebar - omega holds no level
+    # (f_microcanonical_exact raises there) is dropped from the scan; every
+    # other value is the single call's.
+    system = decompose_chain(SpinChainParams(6), 2)
+    sigma_s = 0.2
+    delta = 2.0 * np.sqrt(3.0) * sigma_s
+    omegas = np.linspace(0.0, 9.0, 37)
+    kept, vals = [], []
+    for w in omegas.tolist():
+        try:
+            vals.append(f_microcanonical_exact(system, None, delta, w, -w))
+        except DegenerateWindowError:
+            continue
+        kept.append(w)
+    assert 0 < len(kept) < omegas.size
+    model = AnsatzModel(AnsatzKind.MICROCANONICAL_EXACT_SUMS, system, sigma_s)
+    pred = model.evaluate(0.0, omegas)
+    assert pred.omega.tolist() == kept
+    assert np.array_equal(pred.f, vals)
 
 
 def test_ansatz_model_validation():
-    with pytest.raises(ValidationError):
-        AnsatzModel(kind=AnsatzKind.SMOOTH_GENERAL_SUMS, sigma_s=0.5)
-    with pytest.raises(ValidationError):
-        AnsatzModel(kind=AnsatzKind.FLAT_A_NARROW, sigma_s=0.5, sigma_a=2.0)
-    with pytest.raises(ValidationError):
-        AnsatzModel(
-            kind=AnsatzKind.EXP_DECAY_FLAT_A, sigma_s=-1.0, sigma_a=2.0,
-            n_0=GridFunction(np.array([-1.0, 1.0]), np.array([1.0, 1.0])),
-        )
+    system = toy_system(seed=1)
+    kind = AnsatzKind.EXP_DECAY_FLAT_A
+    for sigma_s, o2bar in ((-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                           (0.5, 0.0), (0.5, -2.0), (0.5, np.nan)):
+        with pytest.raises(ValidationError):
+            AnsatzModel(kind, system, sigma_s, o2bar)
     with pytest.raises(ValueError):
-        AnsatzModel(kind="no_such_rung", sigma_s=0.5)
+        AnsatzModel("no_such_rung", system, 0.5)
 
 
-def _chain_model_inputs(sites, cut):
+def _chain_model_inputs(sites, cut, o2bar=1.0):
+    # A chain, its scrambling width, and a model whose derived inputs
+    # (n_a, n_b, n_0, sigma_a) the scalar forms take.
     system = decompose_chain(SpinChainParams(sites), cut)
     sigma_s = profile(system).sigma_s
-    return system, sigma_s, _Densities(system)
+    model = AnsatzModel(AnsatzKind.NARROW_SCRAMBLING, system, sigma_s, o2bar)
+    return system, sigma_s, model
 
 
 def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
     # evaluate integrates the whole omega grid at once; every value must be
     # bitwise the scalar form's, and the same out-of-support omegas dropped.
-    system, sigma_s, dens = _chain_model_inputs(8, 3)
     o2bar = 1.3
-    sigma_a = dens.n_a.support[1] - dens.n_a.support[0]
+    system, sigma_s, dens = _chain_model_inputs(8, 3, o2bar)
+    sigma_a = dens.sigma_a
     auto = density_autocorrelation(dens.n_a.normalized())
     scalar = {
         AnsatzKind.NARROW_SCRAMBLING: lambda e, w: f_narrow(
@@ -460,10 +485,7 @@ def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
     dropped = 0
     for ebar in (0.0, 0.5 * e_min):
         for kind, one in scalar.items():
-            pred = AnsatzModel(
-                kind=kind, sigma_s=sigma_s, o2bar=o2bar, n_a=dens.n_a,
-                n_b=dens.n_b, n_0=dens.n_0,
-            ).evaluate(ebar, omegas)
+            pred = AnsatzModel(kind, system, sigma_s, o2bar).evaluate(ebar, omegas)
             kept, vals = [], []
             for w in omegas.tolist():
                 try:
@@ -481,13 +503,9 @@ def test_narrow_scrambling_survives_rounding_at_the_support_edge():
     # At e = lo_a + |omega| the argument e - omega of n_a can round just below
     # the support edge; the integrand then jumped to zero there and the
     # quadrature never converged (QuadratureError for a handful of omegas).
-    system, sigma_s, dens = _chain_model_inputs(6, 2)
+    system, sigma_s, model = _chain_model_inputs(6, 2)
     spec = OperatorEnsembleSpec(dim_a=4, count=2, seed=0)
     e_min = float(system.spectrum_t.eigenvalues[0])
-    model = AnsatzModel(
-        kind=AnsatzKind.NARROW_SCRAMBLING, sigma_s=sigma_s, n_a=dens.n_a,
-        n_b=dens.n_b, n_0=dens.n_0,
-    )
     for center in (0.0, 0.25 * e_min):
         stats = run_ensemble(system, spec, [center], BinningParams())[0]
         pred = model.evaluate(center, stats.omega_mid)
@@ -502,9 +520,9 @@ def test_narrow_scrambling_survives_rounding_at_the_support_edge():
 def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
     # One function per rung: a grid returns an array whose every value is
     # bitwise the scalar call's, and a scalar returns a float.
-    system, sigma_s, dens = _chain_model_inputs(8, 3)
     o2bar = 1.3
-    sigma_a = dens.n_a.support[1] - dens.n_a.support[0]
+    system, sigma_s, dens = _chain_model_inputs(8, 3, o2bar)
+    sigma_a = dens.sigma_a
     auto = density_autocorrelation(dens.n_a.normalized())
     one = {
         "narrow": lambda w: f_narrow(

@@ -119,6 +119,11 @@ def test_binning_params_validation():
         BinningParams(ebar_halfwidth=0.0)
     with pytest.raises(ValidationError):
         BinningParams(omega_bin_width=-0.015)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            BinningParams(ebar_halfwidth=bad)
+        with pytest.raises(ValidationError):
+            BinningParams(omega_bin_width=bad)
 
 
 def test_bin_offdiagonal_identity_elements_are_zero():
@@ -661,8 +666,6 @@ def _synthetic_binned(omega, mean_sq, std_err):
     omega = np.asarray(omega, dtype=float)
     return BinnedStatistics(
         ebar_center=0.0,
-        ebar_halfwidth=0.5,
-        omega_bin_width=float(omega[1] - omega[0]),
         omega_mid=omega,
         mean_sq=np.asarray(mean_sq, dtype=float),
         count=np.full(omega.size, 1000),

@@ -446,13 +446,26 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
         (("predict", "--omega-max", "-1"), TINY_WIDTH),
         (("predict", "--omega-max", "0.05"), TINY_WIDTH),
         (("predict", "--omega-max", "nan"), TINY_WIDTH),
+        # Checked before the system is asked for: no cache, and forbidden.
+        (("predict", "--omega-max", "0", "--cache", "forbid"), TINY_WIDTH),
+        (("predict", "--omega-max", "nan", "--cache", "forbid"), TINY_WIDTH),
+        (("spin-chain",), TINY_CHAIN + "[binning]\nomega_bin_width = nan\n"),
+        (("spin-chain",), TINY_CHAIN + "[binning]\nomega_bin_width = inf\n"),
+        (("spin-chain",), TINY_CHAIN + "[binning]\nebar_halfwidth = nan\n"),
+        (("spin-chain",), TINY_CHAIN + "[binning]\nebar_halfwidth = inf\n"),
+        (("predict",), TINY_CHAIN + "[predict]\no2bar = nan\n"),
+        (("spin-chain", "--ebar", "nan"), TINY_CHAIN),
+        (("predict", "--ebar", "nan"), TINY_CHAIN),
     ],
     ids=["seed-flag", "seed-key", "system-seed", "omega-max-0", "omega-max-neg",
-         "omega-max-half-bin", "omega-max-nan"],
+         "omega-max-half-bin", "omega-max-nan", "omega-max-0-forbid",
+         "omega-max-nan-forbid", "bin-width-nan", "bin-width-inf", "halfwidth-nan",
+         "halfwidth-inf", "o2bar-nan", "spin-chain-ebar-nan", "predict-ebar-nan"],
 )
 def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
-    # A negative seed, or an omega_max that leaves an empty or undefined
-    # grid (0.05 is half the 0.1 bin width), is a configuration error.
+    # A negative seed, an omega_max that leaves an empty or undefined grid
+    # (0.05 is half the 0.1 bin width), or a number that is not finite (NaN
+    # passes a "<= 0" test) is a configuration error.
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)
     out = tmp_path / "out"
@@ -460,7 +473,23 @@ def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (out / "predict.csv").exists()
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_random_microcanonical_scan_drops_empty_windows(tmp_path):
+    # On the default random system two bins of the window at 0 have an
+    # empty noninteracting window (omega >= 32.19); they are dropped instead
+    # of failing the scan.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[predict]\nkinds = microcanonical_exact_sums\n")
+    out = tmp_path / "out"
+    proc = run_cli("random-system", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    binned = (out / "run_binned.csv").read_text().splitlines()[1:]
+    rows = (out / "run_predict.csv").read_text().splitlines()[1:]
+    assert len(binned) == 1172
+    assert len(rows) == 1170
+    assert all(r.startswith("microcanonical_exact_sums,") for r in rows)
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -56,7 +56,7 @@ def test_double_stochasticity_small_chains():
     for sites, cut in ((4, 1), (6, 3), (8, 3)):
         coeffs = compute_coefficients(decompose_chain(SpinChainParams(sites), cut))
         sq = coeffs.tensor**2
-        per_alpha = sq.reshape(coeffs.total_dim, -1).sum(axis=1)
+        per_alpha = sq.reshape(coeffs.tensor.shape[0], -1).sum(axis=1)
         per_pair = sq.sum(axis=0)
         assert np.abs(per_alpha - 1.0).max() < 1e-9
         assert np.abs(per_pair - 1.0).max() < 1e-9
@@ -132,19 +132,29 @@ def test_general_width_matches_tensor_second_moment():
 
 
 def test_profile_window_bookkeeping():
-    system = decompose_chain(SpinChainParams(6), 2)
+    # sigma_S is the root mean of <alpha|H_I^2|alpha> over the window's
+    # states.  A random system, because a chain cut has <alpha|H_I^2|alpha>
+    # = J^2 for every state and no window would show.
+    system = build_random_system(
+        RandomSystemParams(
+            sites_a=2, sites_b=4, sites_i=2, interaction_fraction=0.1, seed=0
+        )
+    )
     e_t = system.spectrum_t.eigenvalues
     spread = e_t[-1] - e_t[0]
     prof_full = profile(system, center_fraction=1.0)
-    assert prof_full.states_in_window == 64
-    assert prof_full.window == (e_t[0], e_t[-1])
+    assert prof_full.sigma_s == pytest.approx(
+        np.sqrt(system.interaction_sq.mean()), rel=1e-12
+    )
     prof_half = profile(system, center_fraction=0.5)
     lo = e_t[0] + 0.25 * spread
     hi = e_t[-1] - 0.25 * spread
-    assert prof_half.window == pytest.approx((lo, hi))
-    assert prof_half.states_in_window == int(
-        np.count_nonzero((e_t >= lo) & (e_t <= hi))
+    inside = (e_t >= lo) & (e_t <= hi)
+    assert 0 < inside.sum() < e_t.size
+    assert prof_half.sigma_s == pytest.approx(
+        np.sqrt(system.interaction_sq[inside].mean()), rel=1e-12
     )
+    assert prof_half.sigma_s != prof_full.sigma_s
 
 
 def test_profile_moment_matched_shapes():
@@ -153,13 +163,6 @@ def test_profile_moment_matched_shapes():
     ss = prof.sigma_s
     assert prof.delta == pytest.approx(2.0 * SQRT3 * ss, rel=1e-12)
     assert prof.normalization == pytest.approx(SQRT2 * ss, rel=1e-12)
-    assert prof.h(0.0) == 1.0
-    assert prof.h(ss) == pytest.approx(np.exp(-SQRT2), rel=1e-12)
-    flat = profile(system, fit_form="flat_window")
-    assert flat.normalization == pytest.approx(flat.delta, rel=1e-12)
-    half = 0.5 * flat.delta
-    assert flat.h(half - 1e-12) == 1.0
-    assert flat.h(half + 1e-9) == 0.0
 
 
 def test_profile_shapes_carry_matched_second_moment():
@@ -182,8 +185,6 @@ def test_profile_validation():
         profile(system, center_fraction=0.0)
     with pytest.raises(ValidationError):
         profile(system, center_fraction=1.5)
-    with pytest.raises(ValidationError):
-        profile(system, fit_form="gaussian")
     with pytest.raises(ValidationError):
         exp_profile(0.0)
     with pytest.raises(ValidationError):
