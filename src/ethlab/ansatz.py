@@ -554,8 +554,10 @@ class AnsatzModel:
     continuum kinds read the histogram densities ``n_a``, ``n_b`` (the A and
     B spectra) and ``n_0`` (the noninteracting sums ``E_i + E_j``), each
     with ``round(sqrt(n))`` bins for ``n`` levels, clipped to 4..64, and
-    ``sigma_a``, the A spectral range.  A density is built on first read,
-    so a model builds only those its kind reads.
+    ``sigma_a``, the A spectral range; the small-A kinds also read
+    ``rho_rho``, the autocorrelation of the normalized ``n_a``.  A density
+    is built on first read and kept, so a model builds only those its kind
+    reads, once for every window it evaluates.
     """
 
     kind: AnsatzKind
@@ -581,6 +583,10 @@ class AnsatzModel:
     @cached_property
     def n_0(self) -> SpectralDensity:
         return _density(self.system.sum_energies().ravel())
+
+    @cached_property
+    def rho_rho(self) -> GridFunction:
+        return density_autocorrelation(self.n_a.normalized())
 
     @property
     def sigma_a(self) -> float:
@@ -619,10 +625,6 @@ class AnsatzModel:
         )
 
 
-def _autocorr(model):
-    return density_autocorrelation(model.n_a.normalized())
-
-
 def _exact_sums(model, ebar, omegas):
     # The exact-sum kinds stay per omega: each value is one dense sum.
     if model.kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
@@ -654,18 +656,18 @@ _RUNGS = {
         m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
     ),
     AnsatzKind.SMALL_A_NARROW: lambda m, ebar, w: f_small_a(
-        _autocorr(m), m.o2bar, m.sigma_s, w
+        m.rho_rho, m.o2bar, m.sigma_s, w
     ),
     AnsatzKind.FLAT_A_NARROW: lambda m, ebar, w: f_flat_a(
         m.sigma_a, m.o2bar, m.sigma_s, w
     ),
     AnsatzKind.SMOOTH_SMALL_A: lambda m, ebar, w: f_smooth_small_a(
-        _autocorr(m), m.o2bar, m.sigma_s, w
+        m.rho_rho, m.o2bar, m.sigma_s, w
     ),
     AnsatzKind.EXP_DECAY_FLAT_A: lambda m, ebar, w: f_exp_decay(
         m.sigma_a, m.sigma_s, m.o2bar, w
     ),
     AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda m, ebar, w: f_mc_finite_width(
-        _autocorr(m), m.o2bar, m.sigma_a, m.sigma_s, w
+        m.rho_rho, m.o2bar, m.sigma_a, m.sigma_s, w
     ),
 }

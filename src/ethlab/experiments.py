@@ -58,12 +58,12 @@ REFERENCE_SPECTRAL_RANGE = 35.6541
 class OperatorEnsembleSpec:
     """Random operator ensemble on the A factor.
 
-    Operators draw ``dim_a`` eigenvalues uniformly on [-1, 1], normalize to
-    zero mean and unit mean square, and conjugate the diagonal by a Haar
+    Each operator acts on the A factor of the system it is applied to: it
+    draws ``dim_a`` eigenvalues uniformly on [-1, 1], normalizes them to
+    zero mean and unit mean square, and conjugates the diagonal by a Haar
     orthogonal.  Streams derive deterministically from ``(seed, index)``.
     """
 
-    dim_a: int
     count: int = 250
     seed: int = 0
 
@@ -72,25 +72,27 @@ class OperatorEnsembleSpec:
             raise ValidationError("count must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.dim_a < 2:
-            raise ValidationError(
-                f"dim_a must be >= 2, got {self.dim_a}: a single eigenvalue "
-                "becomes 0 after mean subtraction and cannot have mean square 1"
-            )
 
 
-def sample_local_operator(spec: OperatorEnsembleSpec, index: int) -> np.ndarray:
-    """Draw operator ``index`` of the ensemble (a dense symmetric matrix)."""
+def sample_local_operator(
+    spec: OperatorEnsembleSpec, dim_a: int, index: int
+) -> np.ndarray:
+    """Draw operator ``index`` of the ensemble, a symmetric ``dim_a x dim_a`` matrix."""
     if not 0 <= index < spec.count:
         raise ValidationError(f"index {index} outside 0..{spec.count - 1}")
+    if dim_a < 2:
+        raise ValidationError(
+            f"dim_a must be >= 2, got {dim_a}: a single eigenvalue "
+            "becomes 0 after mean subtraction and cannot have mean square 1"
+        )
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-    vals = rng.uniform(-1.0, 1.0, spec.dim_a)
+    vals = rng.uniform(-1.0, 1.0, dim_a)
     vals = vals - vals.mean()
     ms = float((vals**2).mean())
     if ms == 0.0:
         raise ValidationError("degenerate draw: zero spectrum after centering")
     vals = vals / np.sqrt(ms)
-    basis = haar_orthogonal(spec.dim_a, rng)
+    basis = haar_orthogonal(dim_a, rng)
     op = (basis * vals) @ basis.T
     return 0.5 * (op + op.T)
 
@@ -449,13 +451,6 @@ def bin_offdiagonal(
     return band.statistics(sums, sumsqs, 1)
 
 
-def _check_dim_a(system: BipartiteSystem, ens: OperatorEnsembleSpec) -> None:
-    if ens.dim_a != system.dim_a:
-        raise DimensionError(
-            f"ensemble dim_a={ens.dim_a} does not match system dim_a={system.dim_a}"
-        )
-
-
 def run_ensemble(
     system: BipartiteSystem,
     ens: OperatorEnsembleSpec,
@@ -484,14 +479,13 @@ def run_ensemble(
     engine holds one ``total x total`` applied operator and one float per
     pair of the current band at a time.
     """
-    _check_dim_a(system, ens)
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
     bands = [
         PairBand(system.spectrum_t.eigenvalues, c, params.ebar_halfwidth, width)
         for c in ebar_centers
     ]
-    ops = [sample_local_operator(ens, k) for k in range(ens.count)]
+    ops = [sample_local_operator(ens, system.dim_a, k) for k in range(ens.count)]
 
     if system.dim_a <= system.dim_b:
         ops_flat = np.stack([op.ravel() for op in ops], axis=1)
@@ -524,11 +518,11 @@ def operator_diagonals(
     ``alpha = beta``, streamed ``_STREAM_BYTES`` of transfer matrices at a
     time.
     """
-    _check_dim_a(system, ens)
     dim_a, total = system.dim_a, system.total_dim
     rows = system.spectrum_t.rows
     ops_flat = np.stack(
-        [sample_local_operator(ens, k).ravel() for k in range(ens.count)], axis=1
+        [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)],
+        axis=1,
     )
     out = np.empty((ens.count, total))
     step = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))

@@ -13,7 +13,7 @@ the +1 eigenstate of the local sigma_z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -134,21 +134,28 @@ class BipartiteSystem:
 
     Holds the three spectra every measurement reads and
     ``interaction_sq[alpha] = <alpha|H_I^2|alpha>`` for every total
-    eigenstate (the scrambling width's only input).  The Hamiltonians are
-    built only to be diagonalized and are not kept.  Eigenvector matrices
+    eigenstate (the scrambling width's only input).  The dimensions are
+    those of the spectra.  The Hamiltonians are built only to be
+    diagonalized and are not kept.  Eigenvector matrices
     follow the sign convention of :func:`ethlab.linalg.eig_sym`.
     """
 
-    dim_a: int
-    dim_b: int
     spectrum_a: Spectrum
     spectrum_b: Spectrum
     spectrum_t: Spectrum
     interaction_sq: np.ndarray
 
     @property
+    def dim_a(self) -> int:
+        return self.spectrum_a.dim
+
+    @property
+    def dim_b(self) -> int:
+        return self.spectrum_b.dim
+
+    @property
     def total_dim(self) -> int:
-        return self.dim_a * self.dim_b
+        return self.spectrum_t.dim
 
     def sum_energies(self) -> np.ndarray:
         """Noninteracting eigenvalues ``E_i^A + E_j^B`` as a (dim_a, dim_b) grid."""
@@ -156,31 +163,24 @@ class BipartiteSystem:
 
 
 def _split_system(
-    h_a: np.ndarray,
-    h_b: np.ndarray,
-    spectrum_t: Spectrum,
-    interaction_sq: Optional[np.ndarray] = None,
+    h_a: np.ndarray, h_b: np.ndarray, spectrum_t: Spectrum
 ) -> BipartiteSystem:
-    if interaction_sq is None:
-        # <alpha|H_I^2|alpha> = |(E_alpha - H_0)|alpha>|^2 needs no H_I: H_0
-        # acts factor-wise on each eigenvector row reshaped to (dim_a, dim_b),
-        # 2 total^2 (dim_a + dim_b) flops instead of 2 total^3 for h_i @ V.
-        # H_B (symmetric) acts on the last axis, so one product covers every
-        # row; H_A acts on the middle axis, one small product per row.
-        dim_a, dim_b = h_a.shape[0], h_b.shape[0]
-        rows = spectrum_t.rows
-        v3 = rows.reshape(-1, dim_a, dim_b)
-        applied = v3 * spectrum_t.eigenvalues[:, None, None]
-        applied -= np.matmul(h_a, v3)
-        applied -= (rows.reshape(-1, dim_b) @ h_b).reshape(v3.shape)
-        interaction_sq = np.einsum("nab,nab->n", applied, applied)
+    # <alpha|H_I^2|alpha> = |(E_alpha - H_0)|alpha>|^2 needs no H_I: H_0
+    # acts factor-wise on each eigenvector row reshaped to (dim_a, dim_b),
+    # 2 total^2 (dim_a + dim_b) flops instead of 2 total^3 for h_i @ V.
+    # H_B (symmetric) acts on the last axis, so one product covers every
+    # row; H_A acts on the middle axis, one small product per row.
+    dim_a, dim_b = h_a.shape[0], h_b.shape[0]
+    rows = spectrum_t.rows
+    v3 = rows.reshape(-1, dim_a, dim_b)
+    applied = v3 * spectrum_t.eigenvalues[:, None, None]
+    applied -= np.matmul(h_a, v3)
+    applied -= (rows.reshape(-1, dim_b) @ h_b).reshape(v3.shape)
     return BipartiteSystem(
-        dim_a=h_a.shape[0],
-        dim_b=h_b.shape[0],
         spectrum_a=eig_sym(h_a),
         spectrum_b=eig_sym(h_b),
         spectrum_t=spectrum_t,
-        interaction_sq=interaction_sq,
+        interaction_sq=np.einsum("nab,nab->n", applied, applied),
     )
 
 
@@ -231,26 +231,14 @@ def decompose_chain(
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
-    a_params = SpinChainParams(
-        sites=cut,
-        coupling=params.coupling,
-        field_x=params.field_x,
-        field_z=params.field_z,
-    )
-    b_params = SpinChainParams(
-        sites=params.sites - cut,
-        coupling=params.coupling,
-        field_x=params.field_x,
-        field_z=params.field_z,
-    )
     if spectrum_t is None:
         spectrum_t = eig_sym(build_spin_chain(params), check=False)
     rows = spectrum_t.rows
-    return _split_system(
-        build_spin_chain(a_params),
-        build_spin_chain(b_params),
-        spectrum_t,
-        params.coupling**2 * np.einsum("ij,ij->i", rows, rows),
+    return BipartiteSystem(
+        spectrum_a=eig_sym(build_spin_chain(replace(params, sites=cut))),
+        spectrum_b=eig_sym(build_spin_chain(replace(params, sites=params.sites - cut))),
+        spectrum_t=spectrum_t,
+        interaction_sq=params.coupling**2 * np.einsum("ij,ij->i", rows, rows),
     )
 
 

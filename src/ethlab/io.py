@@ -168,7 +168,6 @@ def parse_config(
             raise ValidationError(
                 f"system.cut must be in 1..{chain.sites - 1}, got {cut}"
             )
-        dim_a = 2**cut
     elif kind == "random":
         random = RandomSystemParams(
             sites_a=_get_int(system, "sites_a"),
@@ -179,13 +178,11 @@ def parse_config(
             a_scale=_get_float(system, "a_scale"),
         )
         cut = random.sites_a
-        dim_a = 2**random.sites_a
     else:
         raise ValidationError(f"system.kind must be spin_chain or random, got {kind!r}")
 
     ens_section = merged["ensemble"]
     ensemble = OperatorEnsembleSpec(
-        dim_a=dim_a,
         count=_get_int(ens_section, "count"),
         seed=_get_int(ens_section, "seed"),
     )

@@ -291,7 +291,7 @@ def _simpson(fa, fm, fb, h):
 def _adaptive_simpson(f, a, b, tol, kinks):
     # Breadth-first adaptive Simpson over every segment of every integral.
     # Returns the per-integral totals and a per-integral convergence flag.
-    seg_row, seg_l, seg_r, seg_idx = [], [], [], []
+    seg_row, seg_l, seg_r = [], [], []
     for i, (ai, bi, ki) in enumerate(zip(a.tolist(), b.tolist(), kinks)):
         if ai == bi:
             continue
@@ -300,11 +300,9 @@ def _adaptive_simpson(f, a, b, tol, kinks):
         seg_row.extend([i] * (len(cuts) - 1))
         seg_l.extend(cuts[:-1])
         seg_r.extend(cuts[1:])
-        seg_idx.extend(range(len(cuts) - 1))
-    totals = np.zeros(a.size)
     ok = np.ones(a.size, dtype=bool)
     if not seg_row:
-        return totals, ok
+        return np.zeros(a.size), ok
     row = np.array(seg_row)
     lo = np.array(seg_l)
     hi = np.array(seg_r)
@@ -367,11 +365,7 @@ def _adaptive_simpson(f, a, b, tol, kinks):
         values = parent
 
     # Segments in kink order per integral, summed from 0.0 as a running total.
-    seg_idx = np.array(seg_idx)
-    for j in range(int(seg_idx.max()) + 1):
-        pick = seg_idx == j
-        totals[row[pick]] += values[pick]
-    return totals, ok
+    return np.bincount(row, weights=values, minlength=a.size), ok
 
 
 def _interleave(x, y):

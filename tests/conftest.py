@@ -44,9 +44,7 @@ def chain12(config12, cache_dir):
 
 @pytest.fixture(scope="session")
 def config12_cut5(config12):
-    return replace(
-        config12, cut=5, ensemble=replace(config12.ensemble, dim_a=32)
-    )
+    return replace(config12, cut=5)
 
 
 @pytest.fixture(scope="session")
@@ -101,7 +99,7 @@ def appb_system():
 
 @pytest.fixture(scope="session")
 def appb_ensemble(appb_system):
-    spec = OperatorEnsembleSpec(dim_a=4, count=250, seed=0)
+    spec = OperatorEnsembleSpec(count=250, seed=0)
     return run_ensemble(appb_system, spec, [0.0], BinningParams())
 
 

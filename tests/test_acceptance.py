@@ -168,10 +168,10 @@ def test_a03_exact_identities(coeffs12, chain10, profile12):
     per_alpha = np.abs(sq.reshape(sq.shape[0], -1).sum(axis=1) - 1.0).max()
     per_pair = np.abs(sq.reshape(sq.shape[0], -1).sum(axis=0) - 1.0).max()
 
-    spec = OperatorEnsembleSpec(dim_a=8, count=20, seed=0)
+    spec = OperatorEnsembleSpec(count=20, seed=0)
     sum_rule = 0.0
     for k in range(spec.count):
-        op = sample_local_operator(spec, k)
+        op = sample_local_operator(spec, chain10.dim_a, k)
         rows = (matrix_elements_total_basis(chain10, op) ** 2).sum(axis=1)
         exact = np.diag(matrix_elements_total_basis(chain10, op @ op))
         sum_rule = max(sum_rule, np.abs(rows - exact).max())
@@ -224,11 +224,11 @@ def test_a03_exact_identities(coeffs12, chain10, profile12):
 
 def test_a04_rmt_limit(goe256):
     dim = 256
-    spec = OperatorEnsembleSpec(dim_a=dim, count=50, seed=3)
+    spec = OperatorEnsembleSpec(count=50, seed=3)
     off = ~np.eye(dim, dtype=bool)
     total, n = 0.0, 0
     for k in range(spec.count):
-        op = sample_local_operator(spec, k)
+        op = sample_local_operator(spec, dim, k)
         g = goe256.eigenvectors.T @ op @ goe256.eigenvectors
         total += float((g[off] ** 2).sum())
         n += int(off.sum())
@@ -255,7 +255,7 @@ def test_a05_hard_support_cutoff(chain10, profile10, appb_system, appb_profile):
         (toy, toy_prof),
     ):
         op = sample_local_operator(
-            OperatorEnsembleSpec(dim_a=system.dim_a, count=1, seed=5), 0
+            OperatorEnsembleSpec(count=1, seed=5), system.dim_a, 0
         )
         edge = prof.delta + system.spectrum_a.spectral_range
         for extra in (1e-9, 0.5, 3.0):
@@ -350,7 +350,7 @@ def test_a07_localizability():
 
 def test_a08_diagonal_gibbs_match(chain12, config12):
     spec = config12.ensemble
-    ops = [sample_local_operator(spec, k) for k in range(spec.count)]
+    ops = [sample_local_operator(spec, chain12.dim_a, k) for k in range(spec.count)]
     diagonals = operator_diagonals(chain12, spec)
     e_t = chain12.spectrum_t.eigenvalues
     parts = []

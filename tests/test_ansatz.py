@@ -504,13 +504,34 @@ def test_narrow_scrambling_survives_rounding_at_the_support_edge():
     # the support edge; the integrand then jumped to zero there and the
     # quadrature never converged (QuadratureError for a handful of omegas).
     system, sigma_s, model = _chain_model_inputs(6, 2)
-    spec = OperatorEnsembleSpec(dim_a=4, count=2, seed=0)
+    spec = OperatorEnsembleSpec(count=2, seed=0)
     e_min = float(system.spectrum_t.eigenvalues[0])
     for center in (0.0, 0.25 * e_min):
         stats = run_ensemble(system, spec, [center], BinningParams())[0]
         pred = model.evaluate(center, stats.omega_mid)
         assert pred.omega.size > 0
         assert np.all(np.isfinite(pred.f)) and np.all(pred.f >= 0.0)
+
+
+def test_small_a_model_derives_its_autocorrelation_once(monkeypatch):
+    # The 1025-point [rho_a * rho_a] quadrature depends only on the system,
+    # so a model evaluated at two windows builds it once.
+    import ethlab.ansatz
+
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return density_autocorrelation(rho)
+
+    monkeypatch.setattr(ethlab.ansatz, "density_autocorrelation", counted)
+    system, sigma_s, _ = _chain_model_inputs(6, 2)
+    model = AnsatzModel(AnsatzKind.SMALL_A_NARROW, system, sigma_s)
+    omegas = np.linspace(0.1, 2.0, 5)
+    first = model.evaluate(0.0, omegas)
+    second = model.evaluate(-1.0, omegas)
+    assert len(calls) == 1
+    assert np.array_equal(first.f, second.f)
 
 
 @pytest.mark.parametrize(

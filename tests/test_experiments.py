@@ -39,9 +39,9 @@ from ethlab.linalg import Spectrum
 
 
 def test_sample_local_operator_normalization():
-    spec = OperatorEnsembleSpec(dim_a=8, count=10, seed=4)
+    spec = OperatorEnsembleSpec(count=10, seed=4)
     for k in range(spec.count):
-        op = sample_local_operator(spec, k)
+        op = sample_local_operator(spec, 8, k)
         assert np.array_equal(op, op.T)
         vals = np.linalg.eigvalsh(op)
         assert abs(vals.mean()) < 1e-12
@@ -50,25 +50,25 @@ def test_sample_local_operator_normalization():
 
 
 def test_sample_local_operator_determinism_and_streams():
-    spec = OperatorEnsembleSpec(dim_a=4, count=5, seed=1)
-    a = sample_local_operator(spec, 2)
-    b = sample_local_operator(spec, 2)
+    spec = OperatorEnsembleSpec(count=5, seed=1)
+    a = sample_local_operator(spec, 4, 2)
+    b = sample_local_operator(spec, 4, 2)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_local_operator(spec, 3))
-    other_seed = OperatorEnsembleSpec(dim_a=4, count=5, seed=2)
-    assert not np.array_equal(a, sample_local_operator(other_seed, 2))
+    assert not np.array_equal(a, sample_local_operator(spec, 4, 3))
+    other_seed = OperatorEnsembleSpec(count=5, seed=2)
+    assert not np.array_equal(a, sample_local_operator(other_seed, 4, 2))
 
 
 def test_sample_local_operator_validation():
-    spec = OperatorEnsembleSpec(dim_a=4, count=3, seed=0)
+    spec = OperatorEnsembleSpec(count=3, seed=0)
     with pytest.raises(ValidationError):
-        sample_local_operator(spec, 3)
+        sample_local_operator(spec, 4, 3)
     with pytest.raises(ValidationError):
-        sample_local_operator(spec, -1)
+        sample_local_operator(spec, 4, -1)
     with pytest.raises(ValidationError):
-        OperatorEnsembleSpec(dim_a=4, count=0)
+        OperatorEnsembleSpec(count=0)
     with pytest.raises(ValidationError):
-        OperatorEnsembleSpec(dim_a=1, count=2)
+        sample_local_operator(spec, 1, 0)
 
 
 def test_matrix_elements_identity_and_invariants():
@@ -244,8 +244,8 @@ def test_band_tiles_follow_the_band(chain10):
 def test_ensemble_engines_match_dense_oracle(chain10):
     # Both engines against dense matrix_elements_total_basis accumulation.
     system = chain10
-    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=3, seed=2)
-    ops = [sample_local_operator(spec, k) for k in range(spec.count)]
+    spec = OperatorEnsembleSpec(count=3, seed=2)
+    ops = [sample_local_operator(spec, system.dim_a, k) for k in range(spec.count)]
     rows = system.spectrum_t.rows
     v3 = rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
@@ -292,8 +292,8 @@ def test_ensemble_engines_match_dense_oracle(chain10):
 def test_band_matrix_elements_match_dense(chain10):
     # The band's elements, evaluated on its direct tiles, are the dense
     # matrix's entries at (band.rows, band.cols), in band order.
-    spec = OperatorEnsembleSpec(dim_a=chain10.dim_a, count=1, seed=3)
-    op = sample_local_operator(spec, 0)
+    spec = OperatorEnsembleSpec(count=1, seed=3)
+    op = sample_local_operator(spec, chain10.dim_a, 0)
     dense = matrix_elements_total_basis(chain10, op)
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
@@ -310,8 +310,8 @@ def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
     # operator's band elements, bit for bit: its bins add over the whole
     # band at once, not tile by tile.  Evaluating elements caches nothing.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=3, seed=0)
-    ops = [sample_local_operator(spec, k) for k in range(spec.count)]
+    spec = OperatorEnsembleSpec(count=3, seed=0)
+    ops = [sample_local_operator(spec, system.dim_a, k) for k in range(spec.count)]
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
     got = run_ensemble(system, spec, centers, BinningParams())
     for center, stats in zip(centers, got):
@@ -369,10 +369,11 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
     # the elements agree to roundoff rather than bitwise (3.5e-15 relative
     # at 12 sites).
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=count, seed=0)
+    spec = OperatorEnsembleSpec(count=count, seed=0)
     v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack(
-        [sample_local_operator(spec, k).ravel() for k in range(count)], axis=1
+        [sample_local_operator(spec, system.dim_a, k).ravel() for k in range(count)],
+        axis=1,
     )
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
@@ -422,10 +423,14 @@ def test_grouped_engine_reused_buffer_is_bitwise_fresh_products(chain10, cut):
     # Tile products written into one reused buffer equal, bit for bit, the
     # same products each allocated afresh.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(dim_a=system.dim_a, count=4, seed=0)
+    spec = OperatorEnsembleSpec(count=4, seed=0)
     v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack(
-        [sample_local_operator(spec, k).ravel() for k in range(spec.count)], axis=1
+        [
+            sample_local_operator(spec, system.dim_a, k).ravel()
+            for k in range(spec.count)
+        ],
+        axis=1,
     )
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
@@ -463,7 +468,7 @@ def test_grouped_tile_budget(chain10, monkeypatch):
     # product fits; the buffer stays within it and the statistics agree
     # with the default tiles to 1e-13.
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(dim_a=32, count=4, seed=0)
+    spec = OperatorEnsembleSpec(count=4, seed=0)
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
     want = run_ensemble(system, spec, centers, BinningParams())
     budget = 4 << 20
@@ -505,7 +510,7 @@ def test_grouped_engine_copies_no_eigenvectors(chain10):
     # place: its whole traced peak stays below the eigenvectors' 8.4 MB.  The
     # window half-width 0.25 keeps the band's largest tile product at 4.6 MB;
     # with 250 operators one streamed block of values is 1 MB.
-    spec = OperatorEnsembleSpec(dim_a=8, count=250, seed=0)
+    spec = OperatorEnsembleSpec(count=250, seed=0)
     params = BinningParams(ebar_halfwidth=0.25)
     peak = _traced_peak(lambda: run_ensemble(chain10, spec, [0.0], params))
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
@@ -517,29 +522,40 @@ def test_direct_engine_holds_one_applied_operator(chain10):
     # formed only after it is dropped.  Bands, tiles and operators add
     # about 2 MB, so two applied operators alive at once cannot fit.
     system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(dim_a=128, count=3, seed=0)
+    spec = OperatorEnsembleSpec(count=3, seed=0)
     peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
     assert peak < 1.5 * system.spectrum_t.eigenvectors.nbytes
 
 
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
-    # operator_diagonals takes alphas in small blocks: 37 at cut 3 (the last
-    # one ragged) and 2 at cut 5.
+    # One spec serves every cut: each operator is drawn at the dim_a of the
+    # system it is applied to.  operator_diagonals takes alphas in small
+    # blocks: 592 at cut 1, 37 at cut 3 (the last one ragged), 2 at cut 5
+    # and 1 at cut 7, where dim_a > dim_b and run_ensemble takes the direct
+    # engine.
     monkeypatch.setattr(ethlab.experiments, "_STREAM_BYTES", 37 * 8 * 64)
-    for cut in (3, 5):
+    spec = OperatorEnsembleSpec(count=4, seed=5)
+    for cut in (1, 3, 5, 7):
         system = decompose_chain(SpinChainParams(8), cut)
-        spec = OperatorEnsembleSpec(dim_a=2**cut, count=4, seed=5)
+        band = _center_band(system)
+        stats = run_ensemble(system, spec, [0.0], BinningParams())[0]
         diagonals = operator_diagonals(system, spec)
         assert diagonals.shape == (4, 256)
+        sums = sumsqs = 0.0
         for k in range(spec.count):
-            op = sample_local_operator(spec, k)
+            op = sample_local_operator(spec, system.dim_a, k)
             el = matrix_elements_total_basis(system, op)
             # Global sum rule: row sums of squares equal the diagonal of O^2.
             sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
             assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
             assert np.abs(diagonals[k] - np.diag(el)).max() < 1e-12
-    with pytest.raises(DimensionError):
-        operator_diagonals(system, OperatorEnsembleSpec(dim_a=4, count=2))
+            s, q = band.element_moments(el[band.rows, band.cols])
+            sums, sumsqs = sums + s, sumsqs + q
+        want = band.statistics(sums, sumsqs, spec.count)
+        assert np.array_equal(stats.count, want.count)
+        assert (
+            np.abs(stats.mean_sq - want.mean_sq).max() < 1e-12 * want.mean_sq.max()
+        )
 
 
 def test_run_ensemble_signed_means_are_unbiased():
@@ -547,7 +563,7 @@ def test_run_ensemble_signed_means_are_unbiased():
     # with >= 100 pooled samples per bin, at most the expected statistical
     # tail exceeds 3 standard errors and nothing approaches 5.
     system = decompose_chain(SpinChainParams(10), 3)
-    spec = OperatorEnsembleSpec(dim_a=8, count=20, seed=0)
+    spec = OperatorEnsembleSpec(count=20, seed=0)
     params = BinningParams()
     e = system.spectrum_t.eigenvalues
     width = params.resolve_width(system.spectrum_t.spectral_range)
@@ -559,7 +575,8 @@ def test_run_ensemble_signed_means_are_unbiased():
     ssq = np.zeros(nb)
     cnt = np.zeros(nb)
     for k in range(spec.count):
-        el = matrix_elements_total_basis(system, sample_local_operator(spec, k))
+        op = sample_local_operator(spec, system.dim_a, k)
+        el = matrix_elements_total_basis(system, op)
         v = el[a_idx, b_idx]
         ssum += np.bincount(bins, weights=v, minlength=nb)
         ssq += np.bincount(bins, weights=v * v, minlength=nb)
@@ -575,7 +592,7 @@ def test_run_ensemble_signed_means_are_unbiased():
 
 def test_run_ensemble_empty_window():
     system = decompose_chain(SpinChainParams(6), 2)
-    spec = OperatorEnsembleSpec(dim_a=4, count=2, seed=0)
+    spec = OperatorEnsembleSpec(count=2, seed=0)
     with pytest.raises(EmptyWindowError):
         run_ensemble(system, spec, [100.0], BinningParams())
 

@@ -70,7 +70,6 @@ def test_empty_config_gives_reference_defaults():
     assert config.chain.field_z == 0.5
     assert config.cut == 3
     assert config.ensemble.count == 250
-    assert config.ensemble.dim_a == 8
     assert config.binning.ebar_halfwidth == 0.5
     assert config.binning.omega_bin_width is None
     assert config.o2bar == 1.0
@@ -87,7 +86,6 @@ def test_config_overrides(tmp_path):
     assert config.chain.sites == 10
     assert config.chain.field_z == 0.3
     assert config.cut == 4
-    assert config.ensemble.dim_a == 16
     assert config.ensemble.count == 31
     assert config.ensemble.seed == 9
     assert config.binning.omega_bin_width == 0.02
@@ -102,7 +100,6 @@ def test_config_random_kind():
     assert config.random.sites_i == 4
     assert config.random.interaction_fraction == 0.01
     assert config.random.seed == 7
-    assert config.ensemble.dim_a == 4
     forced = parse_config(None, text="", force_kind="random")
     assert forced.random is not None and forced.chain is None
 
@@ -133,7 +130,7 @@ def test_cache_key_ignores_cut_and_tracks_parameters():
     from dataclasses import replace
 
     config = default_config()
-    cut5 = replace(config, cut=5, ensemble=replace(config.ensemble, dim_a=32))
+    cut5 = replace(config, cut=5)
     # One total Hamiltonian serves every cut position.
     assert config_cache_key(config) == config_cache_key(cut5)
     stiff = replace(config, chain=replace(config.chain, coupling=1.5))
@@ -661,6 +658,10 @@ def test_runtime_dependency_is_numpy():
     names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
              for dep in project["dependencies"]}
     assert names == {"numpy"}
+    # np.trapezoid (every density integral) arrived in numpy 2.0.
+    (numpy,) = project["dependencies"]
+    floor = re.search(r">=\s*(\d+)\.(\d+)", numpy)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0), numpy
 
 
 def test_cli_import_loads_no_scipy():
