@@ -7,12 +7,14 @@ band detection against subsystem spectral gaps.
 The ensemble loop is the hot path at desk scale: the matrix-element
 evaluation is restricted to tiles that follow the requested mean-energy band,
 so the cost per operator scales with the band area rather than the full
-matrix.  Every path bins through one reducer, :meth:`PairBand.bin_sums`:
-the grouped engine per tile, the direct engine and :func:`bin_offdiagonal`
-over the whole band's elements in band order.  Its one level of parallelism
-is the BLAS library's threads under the matrix products: tiles and operators
-run in a fixed order on the calling thread, so the statistics are bitwise
-reproducible run to run.
+matrix, and a band holds only per-eigenstate arrays: each tile derives its
+pairs when it runs.  The grouped engine bins each tile with one
+``bincount`` per moment; the direct engine adds each tile into bins carried
+across the band in band order, bitwise the one ``bincount`` over the whole
+band's elements that :func:`bin_offdiagonal` makes.  Its one level of
+parallelism is the BLAS library's threads under the matrix products: tiles
+and operators run in a fixed order on the calling thread, so the statistics
+are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ def band_matrix_elements(
 ) -> np.ndarray:
     """Elements of ``op_a (x) identity`` for the pairs of ``band``, in band order.
 
-    Entry ``p`` is ``O[band.rows[p], band.cols[p]]``; only the band's tiles
-    are evaluated, as in the direct engine (:meth:`PairBand.elements`).
+    Entry ``p`` is ``O[rows[p], cols[p]]`` for ``rows, cols, _ =
+    band.pairs()``; only the band's tiles are evaluated, as in the direct
+    engine (:meth:`PairBand.elements`).
     """
     return band.elements(*_applied(system, op_a))
 
@@ -216,15 +219,19 @@ def _largest_tile(tiles) -> int:
 
 
 class PairBand:
-    """Precomputed unordered-pair structure for one mean-energy window.
+    """Unordered-pair structure for one mean-energy window.
 
     For sorted eigenvalues the partners of a given ``alpha`` form a contiguous
-    index range, so the band is stored as flat (row, col, bin) arrays ordered
-    alpha-major.  Both evaluation engines walk the band in tiles: a tile is a
-    batch of consecutive alphas times the contiguous beta range its pairs
-    span, and its pairs are exactly one slice ``s0:s1`` of the flat arrays.
-    Because the window fixes the mean energy, the tiles follow the
-    anti-diagonal band instead of covering it with rectangles.
+    index range ``lo[alpha] .. lo[alpha] + lens[alpha]``, so the band keeps
+    only per-eigenstate arrays (that range and each alpha's offset into the
+    alpha-major pair order) plus the per-bin pair counts: its memory is
+    ``O(total + n_bins)`` whatever the number of pairs.  Both evaluation
+    engines walk the band in tiles: a tile is a batch of consecutive alphas
+    times the contiguous beta range their pairs span, and its pairs, one
+    slice ``s0:s1`` of the band order, are derived on the fly
+    (:meth:`pairs`) and dropped with the tile.  Because the window fixes the
+    mean energy, the tiles follow the anti-diagonal band instead of covering
+    it with rectangles.
 
     - the grouped engine forms, per tile, the operator-independent transfer
       matrices ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its
@@ -235,16 +242,16 @@ class PairBand:
       the eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of
       an eigenstate-major spectrum, and both panels of a tile are views of
       it.  Beyond the eigenvectors it holds one tile-product buffer of at
-      most ``_TILE_BYTES``, one block of values and two floats per pair of
-      the current tile;
-    - the direct engine writes one operator's elements, in band order, into
-      one band-length array with one matrix product per tile of
-      ``_DIRECT_BATCH`` alphas (:meth:`elements`), then bins their squares
-      and fourth powers over the whole band at once (used when the A factor
-      is the larger one).
+      most ``_TILE_BYTES``, one block of values and the indices, bins and
+      two floats per pair of the current tile;
+    - the direct engine evaluates one operator's elements with one matrix
+      product per tile of ``_DIRECT_BATCH`` alphas and adds their squares
+      and fourth powers into the bins tile after tile, in band order
+      (:meth:`accumulate_from_factors`; used when the A factor is the
+      larger one).
 
-    Both engines bin through :meth:`bin_sums`.  Tiles and blocks run in a
-    fixed order on the calling thread, so the results are bit-reproducible.
+    Tiles and blocks run in a fixed order on the calling thread, so the
+    results are bit-reproducible.
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
@@ -254,10 +261,8 @@ class PairBand:
         hi_sum = 2.0 * (ebar_center + ebar_halfwidth)
         lo = np.searchsorted(energies, lo_sum - energies, side="left")
         hi = np.searchsorted(energies, hi_sum - energies, side="right")
-        ar = np.arange(n)
-        lo = np.maximum(lo, ar + 1)  # unordered pairs once: beta > alpha
-        hi = np.maximum(hi, lo)
-        lens = hi - lo
+        lo = np.maximum(lo, np.arange(1, n + 1))  # unordered pairs once: beta > alpha
+        lens = np.maximum(hi, lo) - lo
         total_pairs = int(lens.sum())
         if total_pairs == 0:
             raise EmptyWindowError(
@@ -268,26 +273,58 @@ class PairBand:
         self.ebar_center = float(ebar_center)
         self.bin_width = float(bin_width)
         self.n_pairs = total_pairs
-
-        rows = np.repeat(ar, lens)
-        base = np.repeat(lo, lens)
-        within = np.arange(total_pairs) - np.repeat(np.cumsum(lens) - lens, lens)
-        cols = base + within
-        inv = 1.0 / (2.0 * bin_width)
-        bins = ((energies[cols] - energies[rows]) * inv).astype(np.int64)
-        self.rows = rows.astype(np.int32)
-        self.cols = cols.astype(np.int32)
-        self.bins = bins
-        self.n_bins = int(bins.max()) + 1
-        self.pair_counts = np.bincount(bins, minlength=self.n_bins)
+        self._inv = 1.0 / (2.0 * bin_width)
+        self._lo = lo
+        self._lens = lens
         # Pair-slice boundaries per alpha, for tile scheduling.
         self._alpha_start = np.concatenate(([0], np.cumsum(lens)))
+
+        # An alpha's widest pair is its last partner (omega grows with beta),
+        # so the largest bin is known before any per-pair array exists.
+        some = lens > 0
+        top = float(
+            ((energies[(lo + lens - 1)[some]] - energies[some]) * self._inv).max()
+        )
+        if not top < float(n) * n:
+            raise ValidationError(
+                f"binning.omega_bin_width = {bin_width} gives "
+                f"{top + 1:.4g} omega bins, more than the {n * n} entries of "
+                "the eigenvector matrix"
+            )
+        self.n_bins = int(top) + 1
+        self.pair_counts = np.zeros(self.n_bins, dtype=np.int64)
+        for a0, a1, *_ in self._alpha_batches(_DIRECT_BATCH):
+            bins = self._partners(a0, a1)[2]
+            self.pair_counts += np.bincount(bins, minlength=self.n_bins)
+
+    def _partners(self, a0: int, a1: int):
+        # Per-alpha pair counts, then the partners and omega bins of alphas
+        # a0..a1 in band order: alpha's pairs are one run of consecutive betas.
+        lens = self._lens[a0:a1]
+        s0 = self._alpha_start[a0]
+        shift = self._lo[a0:a1] - (self._alpha_start[a0:a1] - s0)
+        cols = np.arange(self._alpha_start[a1] - s0) + np.repeat(shift, lens)
+        e = self.energies
+        bins = ((e[cols] - np.repeat(e[a0:a1], lens)) * self._inv).astype(np.int64)
+        return lens, cols, bins
+
+    def pairs(self, a0: int = 0, a1: Optional[int] = None):
+        """``(rows, cols, bins)`` of the pairs of alphas ``a0 .. a1``, in band order.
+
+        ``rows`` and ``cols`` are the eigenstate indices ``alpha < beta`` and
+        ``bins`` their omega bins; the default is the whole band.  Derived on
+        each call, so the caller holds them only while it needs them.
+        """
+        a1 = self.energies.size if a1 is None else a1
+        lens, cols, bins = self._partners(a0, a1)
+        return np.repeat(np.arange(a0, a1), lens), cols, bins
 
     def _alpha_batches(self, batch: int):
         """Band tiles ``(a0, a1, b0, b1, s0, s1)`` of ``batch`` alphas each.
 
-        Tile pairs are ``rows/cols/bins[s0:s1]``; they lie inside
-        ``[a0, a1) x [b0, b1)``.  Tiles without pairs are skipped.
+        A tile's pairs are ``pairs(a0, a1)``, the slice ``s0:s1`` of the band
+        order; they lie inside ``[a0, a1) x [b0, b1)``.  Tiles without pairs
+        are skipped.
         """
         n = self.energies.size
         out = []
@@ -296,13 +333,15 @@ class PairBand:
             s0 = int(self._alpha_start[a0])
             s1 = int(self._alpha_start[a1])
             if s1 > s0:
-                cols = self.cols[s0:s1]
-                out.append((a0, a1, int(cols.min()), int(cols.max()) + 1, s0, s1))
+                some = self._lens[a0:a1] > 0
+                lo = self._lo[a0:a1][some]
+                hi = lo + self._lens[a0:a1][some]
+                out.append((a0, a1, int(lo.min()), int(hi.max()), s0, s1))
         return out
 
-    def bin_sums(self, values, s0=0, s1=None):
-        """Per-bin sums of ``values``, one value per pair of the slice ``s0:s1``."""
-        return np.bincount(self.bins[s0:s1], weights=values, minlength=self.n_bins)
+    def bin_sums(self, values, bins):
+        """Per-bin sums of ``values``, one value per pair with omega bin ``bins``."""
+        return np.bincount(bins, weights=values, minlength=self.n_bins)
 
     # -- grouped engine ----------------------------------------------------
 
@@ -333,8 +372,8 @@ class PairBand:
         block is gathered, multiplied by ``ops_flat`` into one block of
         values and reduced by :func:`accumulate_grouped` to per-pair moments
         (two floats per pair of the tile), which one ``bincount`` per moment
-        sums into bins.  Besides ``buf``, one block of values and those two
-        per-pair arrays are all the memory it holds.
+        sums into bins.  Besides ``buf``, one block of values, the tile's
+        pairs and those two per-pair arrays are all the memory it holds.
         """
         a0, a1, b0, b1, s0, s1 = tile
         dim_a, dim_b = v3.shape[1:]
@@ -343,8 +382,9 @@ class PairBand:
         rect = buf[: a_panel.shape[0] * b_panel.shape[1]].reshape(a_panel.shape[0], -1)
         np.matmul(a_panel, b_panel, out=rect)
         rect = rect.reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-        rows = self.rows[s0:s1] - a0
-        cols = self.cols[s0:s1] - b0
+        rows, cols, bins = self.pairs(a0, a1)
+        rows -= a0
+        cols -= b0
         n = s1 - s0
         block = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
         values = np.empty((min(block, n), ops_flat.shape[1]))
@@ -356,7 +396,7 @@ class PairBand:
             out = values[: d1 - d0]
             np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat, out=out)
             accumulate_grouped(out, r2[d0:d1], r4[d0:d1])
-        return self.bin_sums(r2, s0, s1), self.bin_sums(r4, s0, s1)
+        return self.bin_sums(r2, bins), self.bin_sums(r4, bins)
 
     def accumulate_grouped_all(self, v3, ops_flat):
         """Grouped-engine accumulation over the whole band.
@@ -379,6 +419,18 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
+    def _direct_tiles(self, vecs, applied):
+        # Per tile of _DIRECT_BATCH alphas: the slice s0:s1 of the band
+        # order, one operator's elements of its pairs from one product
+        # vecs[a0:a1] @ applied[b0:b1].T, and their bins.
+        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
+            lens, cols, bins = self._partners(a0, a1)
+            sub = vecs[a0:a1] @ applied[b0:b1].T
+            # Flat offset of pair (alpha, beta) in sub: alpha's row start,
+            # then beta - b0.
+            starts = np.arange(a1 - a0) * (b1 - b0) - b0
+            yield s0, s1, sub.ravel()[cols + np.repeat(starts, lens)], bins
+
     def elements(self, vecs, applied):
         """One operator's elements for every pair of the band, in band order.
 
@@ -388,9 +440,8 @@ class PairBand:
         the tile's pairs fill their slice ``s0:s1`` of the result.
         """
         out = np.empty(self.n_pairs)
-        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
-            sub = vecs[a0:a1] @ applied[b0:b1].T
-            out[s0:s1] = sub[self.rows[s0:s1] - a0, self.cols[s0:s1] - b0]
+        for s0, s1, values, _ in self._direct_tiles(vecs, applied):
+            out[s0:s1] = values
         return out
 
     def element_moments(self, elements):
@@ -399,14 +450,30 @@ class PairBand:
         ``elements`` (one per pair, as :meth:`elements` returns) is squared
         in place twice, and binned after each squaring.
         """
+        bins = self._partners(0, self.energies.size)[2]
         np.multiply(elements, elements, out=elements)
-        sums = self.bin_sums(elements)
+        sums = self.bin_sums(elements, bins)
         np.multiply(elements, elements, out=elements)
-        return sums, self.bin_sums(elements)
+        return sums, self.bin_sums(elements, bins)
 
     def accumulate_from_factors(self, vecs, applied):
-        """Direct engine: :meth:`element_moments` of one operator's elements."""
-        return self.element_moments(self.elements(vecs, applied))
+        """Direct engine: per-bin sums of squares and fourth powers of one operator.
+
+        ``vecs`` and ``applied`` are as in :meth:`elements`.  Each tile's
+        elements are squared in place twice and added into the bins after
+        each squaring with one ``np.add.at``, carried across the tiles in band
+        order: the same additions in the same order as one ``bincount`` over
+        the whole band, so the sums are bitwise :meth:`element_moments` of
+        :meth:`elements`, without a band-length buffer.
+        """
+        sums = np.zeros(self.n_bins)
+        sumsqs = np.zeros(self.n_bins)
+        for _, _, values, bins in self._direct_tiles(vecs, applied):
+            np.multiply(values, values, out=values)
+            np.add.at(sums, bins, values)
+            np.multiply(values, values, out=values)
+            np.add.at(sumsqs, bins, values)
+        return sums, sumsqs
 
     def statistics(self, sums, sumsqs, n_ops: int) -> BinnedStatistics:
         """Pooled mean/std-err statistics from accumulated sums."""
@@ -447,7 +514,8 @@ def bin_offdiagonal(
         )
     width = params.resolve_width(spectrum.spectral_range)
     band = PairBand(spectrum.eigenvalues, ebar_center, params.ebar_halfwidth, width)
-    sums, sumsqs = band.element_moments(elements[band.rows, band.cols])
+    rows, cols, _ = band.pairs()
+    sums, sumsqs = band.element_moments(elements[rows, cols])
     return band.statistics(sums, sumsqs, 1)
 
 
@@ -464,20 +532,23 @@ def run_ensemble(
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
     band evaluation over all operators at once, reading its panels as views
-    of the eigenvector rows; otherwise each operator's elements are written
-    in band order into one band-length array (one matrix product per band
-    tile) and binned over the whole band at once.  The BLAS library's
+    of the eigenvector rows; otherwise each operator's elements are
+    evaluated with one matrix product per band tile and added into the bins
+    tile after tile, in band order.  The BLAS library's
     threads are the only parallelism: tiles and operators run in a fixed
     order on the calling thread, so the results are bitwise reproducible.
 
     Memory beyond the system's eigenvectors (for an eigenstate-major
-    spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return): the
-    grouped engine holds one tile-product buffer of at most ``_TILE_BYTES``
-    (more only when one alpha's tile exceeds it), one streamed block of
-    values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
-    operators) and two floats per pair of the current tile; the direct
-    engine holds one ``total x total`` applied operator and one float per
-    pair of the current band at a time.
+    spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return):
+    every window's band holds a few integers per eigenstate and per omega
+    bin, not per pair.  The grouped engine holds one tile-product buffer of
+    at most ``_TILE_BYTES`` (more only when one alpha's tile exceeds it),
+    one streamed block of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs
+    by ``count`` operators) and the indices, bin and two floats of each
+    pair of the current tile; the direct engine holds one ``total x total``
+    applied operator, one product of ``_DIRECT_BATCH`` eigenstates by the
+    tile's partners, and the indices, bin and element of each pair of the
+    current tile.
     """
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)

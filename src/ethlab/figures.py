@@ -295,8 +295,9 @@ def _appb(config, kinds, ctx):
     width = config.binning.resolve_width(system.spectrum_t.spectral_range)
     band = PairBand(e_t, 0.0, config.binning.ebar_halfwidth, width)
     elements = band_matrix_elements(system, op0, band)
+    rows, cols, _ = band.pairs()
     triplets = np.column_stack(
-        (e_t[band.rows], e_t[band.cols], np.abs(elements))
+        (e_t[rows], e_t[cols], np.abs(elements))
     ).tolist()
     files.append(emit_dataset(triplets, "banding", ctx.out_dir / "appB_banding.csv"))
 

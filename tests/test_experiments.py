@@ -224,13 +224,14 @@ def test_band_tiles_cover_the_band_in_order(chain10):
     # cover the band in order, each inside its rectangle.
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
+        rows, cols, _ = band.pairs()
         for batch in (ethlab.experiments._DIRECT_BATCH, 5):
             tiles = band._alpha_batches(batch)
             assert [t[4] for t in tiles[1:]] == [t[5] for t in tiles[:-1]]
             assert tiles[0][4] == 0 and tiles[-1][5] == band.n_pairs
             for a0, a1, b0, b1, s0, s1 in tiles:
-                assert a0 <= band.rows[s0:s1].min() and band.rows[s0:s1].max() < a1
-                assert b0 <= band.cols[s0:s1].min() and band.cols[s0:s1].max() < b1
+                assert a0 <= rows[s0:s1].min() and rows[s0:s1].max() < a1
+                assert b0 <= cols[s0:s1].min() and cols[s0:s1].max() < b1
 
 
 def test_band_tiles_follow_the_band(chain10):
@@ -251,9 +252,10 @@ def test_ensemble_engines_match_dense_oracle(chain10):
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
+        band_rows, band_cols, _ = band.pairs()
         dense = [
             band.element_moments(
-                matrix_elements_total_basis(system, op)[band.rows, band.cols]
+                matrix_elements_total_basis(system, op)[band_rows, band_cols]
             )
             for op in ops
         ]
@@ -291,24 +293,26 @@ def test_ensemble_engines_match_dense_oracle(chain10):
 
 def test_band_matrix_elements_match_dense(chain10):
     # The band's elements, evaluated on its direct tiles, are the dense
-    # matrix's entries at (band.rows, band.cols), in band order.
+    # matrix's entries at the band's (rows, cols), in band order.
     spec = OperatorEnsembleSpec(count=1, seed=3)
     op = sample_local_operator(spec, chain10.dim_a, 0)
     dense = matrix_elements_total_basis(chain10, op)
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
         got = band_matrix_elements(chain10, op, band)
+        rows, cols, _ = band.pairs()
         assert got.shape == (band.n_pairs,)
-        assert np.abs(got - dense[band.rows, band.cols]).max() < 1e-13
+        assert np.abs(got - dense[rows, cols]).max() < 1e-13
     with pytest.raises(DimensionError):
         band_matrix_elements(chain10, np.eye(3), band)
 
 
 @pytest.mark.parametrize("cut", [6, 7])
 def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
-    # The direct engine's statistics are the one reducer applied to each
-    # operator's band elements, bit for bit: its bins add over the whole
-    # band at once, not tile by tile.  Evaluating elements caches nothing.
+    # The direct engine's statistics are one bincount over each operator's
+    # band elements, bit for bit: its bins carry across the tiles in band
+    # order instead of summing per-tile partials.  Evaluating elements
+    # caches nothing.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=3, seed=0)
     ops = [sample_local_operator(spec, system.dim_a, k) for k in range(spec.count)]
@@ -330,6 +334,106 @@ def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
         assert np.array_equal(stats.std_err, want.std_err)
 
 
+def _flat_band_oracle(energies, ebar_center, ebar_halfwidth, bin_width):
+    # Whole-band flat (rows, cols, bins), n_bins and pair counts, built at
+    # once from the partner ranges as a band stored them when it kept one
+    # row, column and bin per pair.
+    n = energies.size
+    lo_sum = 2.0 * (ebar_center - ebar_halfwidth)
+    hi_sum = 2.0 * (ebar_center + ebar_halfwidth)
+    lo = np.searchsorted(energies, lo_sum - energies, side="left")
+    hi = np.searchsorted(energies, hi_sum - energies, side="right")
+    ar = np.arange(n)
+    lo = np.maximum(lo, ar + 1)
+    hi = np.maximum(hi, lo)
+    lens = hi - lo
+    total_pairs = int(lens.sum())
+    rows = np.repeat(ar, lens)
+    base = np.repeat(lo, lens)
+    within = np.arange(total_pairs) - np.repeat(np.cumsum(lens) - lens, lens)
+    cols = base + within
+    inv = 1.0 / (2.0 * bin_width)
+    bins = ((energies[cols] - energies[rows]) * inv).astype(np.int64)
+    n_bins = int(bins.max()) + 1
+    return (
+        rows.astype(np.int32),
+        cols.astype(np.int32),
+        bins,
+        n_bins,
+        np.bincount(bins, minlength=n_bins),
+    )
+
+
+@pytest.mark.parametrize("cut", [3, 5, 7])
+def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
+    # Each tile derives its pairs on the fly; concatenated in tile order
+    # they are the whole-band flat arrays, bit for bit, for both engines'
+    # tilings and fig3's three windows.  The tile-wise direct engine equals
+    # one bincount over the band's elements, bit for bit.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    energies = system.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
+    op = sample_local_operator(OperatorEnsembleSpec(count=1, seed=0), system.dim_a, 0)
+    rows = system.spectrum_t.rows
+    applied = _apply_a_factor(op, rows, system.dim_a, system.dim_b)
+    for fraction in (0.0, 0.25, 0.5):
+        center = float(fraction * energies[0]) + 0.0
+        band = PairBand(energies, center, 0.5, width)
+        want = _flat_band_oracle(energies, center, 0.5, width)
+        assert band.n_bins == want[3]
+        assert np.array_equal(band.pair_counts, want[4])
+        for tiles in (
+            band._alpha_batches(ethlab.experiments._DIRECT_BATCH),
+            band._grouped_tiles(system.dim_a),
+        ):
+            parts = [band.pairs(a0, a1) for a0, a1, *_ in tiles]
+            for k in range(3):
+                assert np.array_equal(np.concatenate([p[k] for p in parts]), want[k])
+        for got, whole in zip(band.pairs(), want):
+            assert np.array_equal(got, whole)
+        direct = band.accumulate_from_factors(rows, applied)
+        oracle = band.element_moments(band_matrix_elements(system, op, band))
+        for got, whole in zip(direct, oracle):
+            assert np.array_equal(got, whole)
+
+
+def test_band_memory_is_independent_of_the_pair_count(chain10):
+    # A band keeps per-eigenstate and per-bin arrays only: its bytes do not
+    # grow with the pairs, which grow more than 7-fold across these widths.
+    energies = chain10.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(chain10.spectrum_t.spectral_range)
+    pairs = []
+    for halfwidth in (0.25, 0.5, 2.0):
+        band = PairBand(energies, 0.0, halfwidth, width)
+        held = sum(
+            v.nbytes for v in vars(band).values() if isinstance(v, np.ndarray)
+        )
+        assert held <= 8 * (4 * (energies.size + 1) + band.n_bins)
+        pairs.append(band.n_pairs)
+    assert pairs[-1] > 7 * pairs[0]
+
+
+def test_tiny_bin_width_is_a_validation_error():
+    # Too many omega bins is refused before any per-pair or per-bin array
+    # is allocated; the message names the setting and the bin count.
+    system = decompose_chain(SpinChainParams(8), 3)
+    energies = system.spectrum_t.eigenvalues
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"binning\.omega_bin_width.*bins"):
+            PairBand(energies, 0.0, 0.5, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValidationError, match=r"binning\.omega_bin_width"):
+        run_ensemble(
+            system,
+            OperatorEnsembleSpec(count=2, seed=0),
+            [0.0],
+            BinningParams(omega_bin_width=1e-12),
+        )
+
 def _panels(v3, tile):
     # Transfer panels of a tile as views of the (total, dim_a, dim_b) rows.
     a0, a1, b0, b1, _, _ = tile
@@ -339,7 +443,7 @@ def _panels(v3, tile):
 
 def _binned_moments(band, tile, r2, r4):
     # Per-bin sums of a tile's per-pair moments.
-    bins = band.bins[tile[4] : tile[5]]
+    bins = band.pairs(tile[0], tile[1])[2]
     return (
         np.bincount(bins, weights=r2, minlength=band.n_bins),
         np.bincount(bins, weights=r4, minlength=band.n_bins),
@@ -353,7 +457,8 @@ def _tile_wide_batch(band, v3, ops_flat, tile):
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
     rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-    transfer = rect[band.rows[s0:s1] - a0, :, band.cols[s0:s1] - b0, :].reshape(
+    rows, cols, _ = band.pairs(a0, a1)
+    transfer = rect[rows - a0, :, cols - b0, :].reshape(
         s1 - s0, dim_a * dim_a
     )
     r2 = np.empty(s1 - s0)
@@ -405,8 +510,9 @@ def _fresh_tile_batch(band, v3, ops_flat, tile):
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
     rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-    rows = band.rows[s0:s1] - a0
-    cols = band.cols[s0:s1] - b0
+    rows, cols, _ = band.pairs(a0, a1)
+    rows = rows - a0
+    cols = cols - b0
     block = max(1, ethlab.experiments._STREAM_BYTES // (8 * dim_a * dim_a))
     r2 = np.empty(s1 - s0)
     r4 = np.empty(s1 - s0)
@@ -549,7 +655,8 @@ def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
             sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
             assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
             assert np.abs(diagonals[k] - np.diag(el)).max() < 1e-12
-            s, q = band.element_moments(el[band.rows, band.cols])
+            rows, cols, _ = band.pairs()
+            s, q = band.element_moments(el[rows, cols])
             sums, sumsqs = sums + s, sumsqs + q
         want = band.statistics(sums, sumsqs, spec.count)
         assert np.array_equal(stats.count, want.count)
@@ -618,16 +725,17 @@ def test_kernels_match_per_row_loop_oracle():
     assert band.n_pairs == 780
     values = rng.standard_normal(band.n_pairs)
     got = band.element_moments(values.copy())
-    want = oracle(values[:, None], band.bins, band.n_bins)
+    bins = band.pairs()[2]
+    want = oracle(values[:, None], bins, band.n_bins)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-13, atol=0.0)
         assert np.all(g[3:12] == 0.0)
     # Over a pair slice, as the grouped engine bins one tile.
     s0, s1 = 100, 400
     want = np.zeros(band.n_bins)
-    for x, b in zip(values[s0:s1], band.bins[s0:s1]):
+    for x, b in zip(values[s0:s1], bins[s0:s1]):
         want[b] += x
-    got = band.bin_sums(values[s0:s1], s0, s1)
+    got = band.bin_sums(values[s0:s1], bins[s0:s1])
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     # accumulate_grouped: per-row moments, as the oracle with one bin a row.

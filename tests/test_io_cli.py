@@ -499,6 +499,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "unknown key" in proc.stderr
 
 
+
+def test_cli_tiny_bin_width_is_a_config_error(tmp_path):
+    # A bin width that would need more omega bins than the eigenvector
+    # matrix has entries exits 2 with a message, not a numpy traceback.
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN + "\n[binning]\nomega_bin_width = 1e-12\n")
+    proc = run_cli(
+        "spin-chain", "--config", str(cfg), "--out", str(tmp_path / "out")
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "binning.omega_bin_width" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 def test_cli_cache_forbid_exit_code(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_CHAIN)
