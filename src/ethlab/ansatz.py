@@ -15,14 +15,17 @@ amplitude ``f`` with the entropic factor ``(sigma_s n_0(Ebar))**-1/2``
 reported separately; exact-sum kinds absorb the suppression into their
 normalization and report an entropic factor of one.
 
-Each continuum rung is one function (``f_narrow``, ``f_small_a``, ...) that
-takes a scalar omega or a 1-d omega grid: a scalar returns a float, a grid
-returns an array, and a grid is integrated in one batched quadrature
-(:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
-bitwise those of the one-omega calls.  The small-A rungs take the tabulated
-autocorrelation :func:`density_autocorrelation` of the normalized subsystem
-density, itself one batched quadrature over its tabulation grid.  Every
-quadrature of the ladder works to the one tolerance ``_TOL``.
+Each rung is one function (``f_microcanonical_exact``, ``f_narrow``, ...)
+that takes ``(..., ebar, omega)`` (``ebar`` only where the rung depends on
+it), ``omega`` a scalar or a 1-d grid, and returns a 1-d array of ``f`` over
+the grid.  The exact-sum rungs do their omega-independent work once per call
+(the level sums, ``|O_ij|^2``, the window sizes of every omega) and one dense
+sum per omega; the continuum rungs integrate the whole grid in one batched
+quadrature (:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose
+values are bitwise those of one-omega calls.  The small-A rungs take the
+tabulated autocorrelation :func:`density_autocorrelation` of the normalized
+subsystem density, itself one batched quadrature over its tabulation grid.
+Every quadrature of the ladder works to the one tolerance ``_TOL``.
 :class:`AnsatzModel` builds one rung from a system and its scrambling width
 alone: it derives the subsystem densities and ``sigma_a`` from the spectra
 the system carries.  :meth:`AnsatzModel.evaluate` calls the rung of its kind
@@ -172,15 +175,25 @@ def _window_counts(sorted_vals, lows, highs):
     return np.maximum(hi_idx - lo_idx, 0)
 
 
+def _window_sizes(system: BipartiteSystem, delta: float, ebar: float,
+                  omegas: np.ndarray) -> np.ndarray:
+    # Levels E_i + E_j in the noninteracting windows [E - delta/2,
+    # E + delta/2] at E = Ebar + omega (row 0) and E = Ebar - omega (row 1).
+    sums = np.sort(system.sum_energies().ravel())
+    half = 0.5 * delta
+    energies = np.concatenate((ebar + omegas, ebar - omegas))
+    return _window_counts(sums, energies - half, energies + half).reshape(2, -1)
+
+
 def f_microcanonical_exact(
     system: BipartiteSystem,
     op_a: Optional[np.ndarray],
     delta: float,
-    e_alpha: float,
-    e_beta: float,
+    ebar: float,
+    omega,
     *,
     o2bar: float = 1.0,
-) -> float:
+) -> np.ndarray:
     """Off-diagonal standard deviation from literal microcanonical counts.
 
     Every microcanonical window is a closed interval ``[E - delta/2,
@@ -196,66 +209,75 @@ def f_microcanonical_exact(
         typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``.
     delta : float
         Scrambling window full width, positive.
-    e_alpha, e_beta : float
-        Total-system eigenenergies of the pair.
+    ebar : float
+    omega : float or 1-d array
+        The pair energies are ``Ebar +/- omega``.  An empty window at any of
+        them raises :class:`DegenerateWindowError`;
+        :meth:`AnsatzModel.evaluate` drops such omegas from its grid first.
     o2bar : float
         Mean squared operator spectrum for the typical mode.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
+    omegas = _omegas(omega)
+    z_a, z_b = _window_sizes(system, delta, ebar, omegas)
+    empty = (z_a == 0) | (z_b == 0)
+    if empty.any():
+        raise DegenerateWindowError(
+            f"empty noninteracting window at E={ebar} +/- "
+            f"{abs(omegas[empty][0])} (delta={delta})"
+        )
     e_a = system.spectrum_a.eigenvalues
     e_b = system.spectrum_b.eigenvalues
-    sums = np.sort(system.sum_energies().ravel())
     half = 0.5 * delta
-    z_a, z_b = _window_counts(
-        sums,
-        np.array([e_alpha - half, e_beta - half]),
-        np.array([e_alpha + half, e_beta + half]),
-    )
-    if z_a == 0 or z_b == 0:
-        raise DegenerateWindowError(
-            f"empty noninteracting window at E={e_alpha if z_a == 0 else e_beta}"
-            f" (delta={delta})"
-        )
-    # Intersection of the two B-side windows for every (i, j) pair.
-    lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
-    hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
-    counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
     m_sq = _squared_elements(system, op_a, o2bar)
-    f2 = float((counts * m_sq).sum()) / (float(z_a) * float(z_b))
-    return float(np.sqrt(f2))
+    f = np.empty(omegas.shape)
+    for k, w in enumerate(omegas):
+        e_alpha, e_beta = ebar + w, ebar - w
+        # Intersection of the two B-side windows for every (i, j) pair.
+        lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
+        hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
+        counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
+        f2 = float((counts * m_sq).sum()) / (float(z_a[k]) * float(z_b[k]))
+        f[k] = np.sqrt(f2)
+    return f
 
 
 def f_smooth_sums(
     system: BipartiteSystem,
     op_a: Optional[np.ndarray],
     h: Callable,
-    e_alpha: float,
-    e_beta: float,
+    ebar: float,
+    omega,
     *,
     o2bar: float = 1.0,
-) -> float:
+) -> np.ndarray:
     """Off-diagonal standard deviation from exact profile-weighted sums.
 
     Evaluates ``sum_ijk h(Ea - E_i - E_k) h(Eb - E_j - E_k) |O_ij|^2 /
     (Z(Ea) Z(Eb))`` with ``Z(E) = sum_ij h(E - E_i - E_j)`` over the literal
-    subsystem spectra, and returns the square root.  Entropic suppression is
-    implicit, as in :func:`f_microcanonical_exact`.
+    subsystem spectra at ``Ea, Eb = Ebar +/- omega`` for every omega given,
+    and returns the square root.  Entropic suppression is implicit, as in
+    :func:`f_microcanonical_exact`.
     """
+    omegas = _omegas(omega)
     sums = system.sum_energies()  # (dim_a, dim_b)
-    p = np.asarray(h(e_alpha - sums), dtype=float)
-    q = np.asarray(h(e_beta - sums), dtype=float)
-    z_a = float(p.sum())
-    z_b = float(q.sum())
-    if z_a <= 0.0 or z_b <= 0.0:
-        raise DegenerateWindowError(
-            "profile normalization underflowed to zero; energies are too far "
-            "outside the spectrum for this profile"
-        )
-    kernel = p @ q.T  # (i, j) sums over the B factor
     m_sq = _squared_elements(system, op_a, o2bar)
-    f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
-    return float(np.sqrt(max(f2, 0.0)))
+    f = np.empty(omegas.shape)
+    for k, w in enumerate(omegas):
+        p = np.asarray(h(ebar + w - sums), dtype=float)
+        q = np.asarray(h(ebar - w - sums), dtype=float)
+        z_a = float(p.sum())
+        z_b = float(q.sum())
+        if z_a <= 0.0 or z_b <= 0.0:
+            raise DegenerateWindowError(
+                "profile normalization underflowed to zero; energies are too "
+                "far outside the spectrum for this profile"
+            )
+        kernel = p @ q.T  # (i, j) sums over the B factor
+        f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
+        f[k] = np.sqrt(max(f2, 0.0))
+    return f
 
 
 def _scaled_tol(fn, lo, hi) -> np.ndarray:
@@ -273,11 +295,6 @@ def _scaled_tol(fn, lo, hi) -> np.ndarray:
 def _omegas(omega) -> np.ndarray:
     # Every rung computes on a 1-d grid; a scalar omega is a one-point grid.
     return np.atleast_1d(np.asarray(omega, dtype=float))
-
-
-def _like(omega, f: np.ndarray):
-    # A float for a scalar omega, the array for an omega grid.
-    return float(f[0]) if np.ndim(omega) == 0 else f
 
 
 def _pair_support(n_0, ebar: float, omegas: np.ndarray) -> np.ndarray:
@@ -341,7 +358,7 @@ def f_narrow(n_a, n_b, n_0, o2bar: float, sigma_s: float, ebar: float, omega):
     )
     f = np.zeros(omegas.shape)
     f[live] = np.sqrt(np.maximum(f2, 0.0))
-    return _like(omega, f)
+    return f
 
 
 def f_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
@@ -352,7 +369,7 @@ def f_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
     density of states, as :func:`density_autocorrelation` returns it.
     """
     val = rho_rho(2.0 * _omegas(omega))
-    return _like(omega, np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0)))
+    return np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0))
 
 
 def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
@@ -367,7 +384,7 @@ def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
     inside = x > 0.0
     f = np.zeros(x.shape)
     f[inside] = np.sqrt(o2bar * sigma_s / sigma_a * x[inside])
-    return _like(omega, f)
+    return f
 
 
 def f_smooth_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
@@ -393,7 +410,7 @@ def f_smooth_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
         integrand, lo_w, hi_w, tol=abs_tol, kinks=omegas[:, None]
     )
     f2 = 2.0 * o2bar * sigma_s / n_h**2 * val
-    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
+    return np.sqrt(np.maximum(f2, 0.0))
 
 
 def f_exp_decay(sigma_a: float, sigma_s: float, o2bar: float, omega):
@@ -416,7 +433,7 @@ def f_exp_decay(sigma_a: float, sigma_s: float, o2bar: float, omega):
     kinks = np.column_stack((np.zeros(omegas.shape), 2.0 * omegas / sigma_a))
     val = integrate_adaptive(integrand, -ends, ends, tol=_TOL, kinks=kinks)
     f2 = o2bar / (2.0 * SQRT2) * val
-    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
+    return np.sqrt(np.maximum(f2, 0.0))
 
 
 def f_mc_finite_width(rho_rho, o2bar: float, sigma_a: float, sigma_s: float, omega):
@@ -446,7 +463,7 @@ def f_mc_finite_width(rho_rho, o2bar: float, sigma_a: float, sigma_s: float, ome
     abs_tol = _scaled_tol(integrand, -ends, ends)
     val = integrate_adaptive(integrand, -ends, ends, tol=abs_tol, kinks=kinks)
     f2 = o2bar * sigma_a / (2.0 * SQRT3) * val
-    return _like(omega, np.sqrt(np.maximum(f2, 0.0)))
+    return np.sqrt(np.maximum(f2, 0.0))
 
 
 def inverse_temperature(n_b, energy: float, step: float) -> float:
@@ -531,19 +548,6 @@ def _density(levels: np.ndarray) -> SpectralDensity:
     return density_of_states(levels, bins=bins)
 
 
-def _filled_windows(system: BipartiteSystem, delta: float, ebar: float,
-                    omegas: np.ndarray) -> np.ndarray:
-    # Mask of the omegas whose noninteracting windows [E - delta/2,
-    # E + delta/2] at both E = Ebar +/- omega hold a level, the windows
-    # f_microcanonical_exact counts (it raises DegenerateWindowError on an
-    # empty one).
-    sums = np.sort(system.sum_energies().ravel())
-    half = 0.5 * delta
-    energies = np.concatenate((ebar + omegas, ebar - omegas))
-    counts = _window_counts(sums, energies - half, energies + half)
-    return (counts > 0).reshape(2, -1).all(axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class AnsatzModel:
     """One rung of the ladder for one system and scrambling width.
@@ -592,6 +596,10 @@ class AnsatzModel:
     def sigma_a(self) -> float:
         return self.system.spectrum_a.spectral_range
 
+    @property
+    def delta(self) -> float:
+        return 2.0 * SQRT3 * self.sigma_s
+
     def evaluate(self, ebar: float, omegas: np.ndarray) -> Prediction:
         """Evaluate the model on an omega grid at fixed mean energy.
 
@@ -605,16 +613,15 @@ class AnsatzModel:
         """
         omegas = np.array(omegas, dtype=float)
         kind = self.kind
-        rung = _RUNGS[kind]
         ent = 1.0
-        if rung is not _exact_sums:
+        if kind not in _EXACT_SUMS:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
         if kind is AnsatzKind.NARROW_SCRAMBLING:
             omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
         elif kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-            delta = 2.0 * SQRT3 * self.sigma_s
-            omegas = omegas[_filled_windows(self.system, delta, ebar, omegas)]
-        f_vals = rung(self, ebar, omegas)
+            sizes = _window_sizes(self.system, self.delta, ebar, omegas)
+            omegas = omegas[(sizes > 0).all(axis=0)]
+        f_vals = _RUNGS[kind](self, ebar, omegas)
         return Prediction(
             kind=kind.value,
             ebar=float(ebar),
@@ -625,33 +632,18 @@ class AnsatzModel:
         )
 
 
-def _exact_sums(model, ebar, omegas):
-    # The exact-sum kinds stay per omega: each value is one dense sum.
-    if model.kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-        delta = 2.0 * SQRT3 * model.sigma_s
+# The kinds whose rung folds the entropic factor into its normalization;
+# every other rung reports it separately.
+_EXACT_SUMS = (AnsatzKind.MICROCANONICAL_EXACT_SUMS, AnsatzKind.SMOOTH_GENERAL_SUMS)
 
-        def one(w):
-            return f_microcanonical_exact(
-                model.system, None, delta, ebar + w, ebar - w, o2bar=model.o2bar
-            )
-
-    else:
-        h = exp_profile(model.sigma_s)
-
-        def one(w):
-            return f_smooth_sums(
-                model.system, None, h, ebar + w, ebar - w, o2bar=model.o2bar
-            )
-
-    return np.array([one(w) for w in omegas.tolist()])
-
-
-# Kind -> rung (model, ebar, omegas) -> f on the grid.  The continuum rungs
-# report the entropic factor separately; the exact-sum rungs fold it into
-# their normalization.
+# Kind -> rung (model, ebar, omegas) -> f on the grid.
 _RUNGS = {
-    AnsatzKind.MICROCANONICAL_EXACT_SUMS: _exact_sums,
-    AnsatzKind.SMOOTH_GENERAL_SUMS: _exact_sums,
+    AnsatzKind.MICROCANONICAL_EXACT_SUMS: lambda m, ebar, w: f_microcanonical_exact(
+        m.system, None, m.delta, ebar, w, o2bar=m.o2bar
+    ),
+    AnsatzKind.SMOOTH_GENERAL_SUMS: lambda m, ebar, w: f_smooth_sums(
+        m.system, None, exp_profile(m.sigma_s), ebar, w, o2bar=m.o2bar
+    ),
     AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: f_narrow(
         m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
     ),

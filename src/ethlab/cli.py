@@ -106,8 +106,10 @@ def _load_config(args, force_kind=None) -> RunConfig:
 
 
 def _operator_from_args(args) -> np.ndarray:
-    if args.pauli:
+    if args.pauli is not None:
         letters = args.pauli.strip().lower()
+        if not letters:
+            raise ValidationError("--pauli needs at least one letter of i, x, z")
         bad = set(letters) - set(PAULI)
         if bad:
             raise ValidationError(

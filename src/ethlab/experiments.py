@@ -130,10 +130,11 @@ def band_matrix_elements(
     """Elements of ``op_a (x) identity`` for the pairs of ``band``, in band order.
 
     Entry ``p`` is ``O[rows[p], cols[p]]`` for ``rows, cols, _ =
-    band.pairs()``; only the band's tiles are evaluated, as in the direct
-    engine (:meth:`PairBand.elements`).
+    band.pairs()``; only the band's tiles are evaluated, one product per
+    tile as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
-    return band.elements(*_applied(system, op_a))
+    tiles = band._direct_tiles(*_applied(system, op_a))
+    return np.concatenate([values for _, _, values, _ in tiles])
 
 
 @dataclass(frozen=True)
@@ -431,24 +432,11 @@ class PairBand:
             starts = np.arange(a1 - a0) * (b1 - b0) - b0
             yield s0, s1, sub.ravel()[cols + np.repeat(starts, lens)], bins
 
-    def elements(self, vecs, applied):
-        """One operator's elements for every pair of the band, in band order.
-
-        ``vecs`` holds the eigenvectors as rows and row ``beta`` of
-        ``applied`` is ``(op (x) 1)|beta>``.  Each tile of ``_DIRECT_BATCH``
-        alphas is one product ``vecs[a0:a1] @ applied[b0:b1].T``, from which
-        the tile's pairs fill their slice ``s0:s1`` of the result.
-        """
-        out = np.empty(self.n_pairs)
-        for s0, s1, values, _ in self._direct_tiles(vecs, applied):
-            out[s0:s1] = values
-        return out
-
     def element_moments(self, elements):
         """Per-bin sums of squares and fourth powers of band-order elements.
 
-        ``elements`` (one per pair, as :meth:`elements` returns) is squared
-        in place twice, and binned after each squaring.
+        ``elements`` (one per pair, as :func:`band_matrix_elements` returns)
+        is squared in place twice, and binned after each squaring.
         """
         bins = self._partners(0, self.energies.size)[2]
         np.multiply(elements, elements, out=elements)
@@ -459,12 +447,14 @@ class PairBand:
     def accumulate_from_factors(self, vecs, applied):
         """Direct engine: per-bin sums of squares and fourth powers of one operator.
 
-        ``vecs`` and ``applied`` are as in :meth:`elements`.  Each tile's
+        ``vecs`` holds the eigenvectors as rows and row ``beta`` of
+        ``applied`` is ``(op (x) 1)|beta>``.  Each tile of ``_DIRECT_BATCH``
+        alphas is one product ``vecs[a0:a1] @ applied[b0:b1].T``.  Its
         elements are squared in place twice and added into the bins after
         each squaring with one ``np.add.at``, carried across the tiles in band
         order: the same additions in the same order as one ``bincount`` over
         the whole band, so the sums are bitwise :meth:`element_moments` of
-        :meth:`elements`, without a band-length buffer.
+        :func:`band_matrix_elements`, without a band-length buffer.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
@@ -545,10 +535,10 @@ def run_ensemble(
     at most ``_TILE_BYTES`` (more only when one alpha's tile exceeds it),
     one streamed block of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs
     by ``count`` operators) and the indices, bin and two floats of each
-    pair of the current tile; the direct engine holds one ``total x total``
-    applied operator, one product of ``_DIRECT_BATCH`` eigenstates by the
-    tile's partners, and the indices, bin and element of each pair of the
-    current tile.
+    pair of the current tile; the direct engine holds one operator (drawn
+    when it is applied), its ``total x total`` applied form, one product of
+    ``_DIRECT_BATCH`` eigenstates by the tile's partners, and the indices,
+    bin and element of each pair of the current tile.
     """
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
@@ -556,16 +546,20 @@ def run_ensemble(
         PairBand(system.spectrum_t.eigenvalues, c, params.ebar_halfwidth, width)
         for c in ebar_centers
     ]
-    ops = [sample_local_operator(ens, system.dim_a, k) for k in range(ens.count)]
-
-    if system.dim_a <= system.dim_b:
-        ops_flat = np.stack([op.ravel() for op in ops], axis=1)
-        v3 = rows.reshape(-1, system.dim_a, system.dim_b)
+    dim_a = system.dim_a
+    if dim_a <= system.dim_b:
+        ops_flat = np.stack(
+            [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)],
+            axis=1,
+        )
+        v3 = rows.reshape(-1, dim_a, system.dim_b)
         partials = [band.accumulate_grouped_all(v3, ops_flat) for band in bands]
     else:
         partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]
-        for op in ops:
-            applied = _apply_a_factor(op, rows, system.dim_a, system.dim_b)
+        for k in range(ens.count):
+            # Drawn only when applied: one operator is alive at a time.
+            op = sample_local_operator(ens, dim_a, k)
+            applied = _apply_a_factor(op, rows, dim_a, system.dim_b)
             for band, (sums, sumsqs) in zip(bands, partials):
                 s, q = band.accumulate_from_factors(rows, applied)
                 sums += s

@@ -175,6 +175,13 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
             f"omega_max must exceed half the bin width "
             f"({0.5 * width:g}) to leave a grid point, got {omega_max:g}"
         )
+    # Sized before it is allocated, by the rule PairBand applies to bins.
+    points = np.ceil((omega_max - 0.5 * width) / width)
+    if not points <= system.total_dim**2:
+        raise ValidationError(
+            f"binning.omega_bin_width = {width:g} and omega_max = {omega_max:g} give "
+            f"{points:.4g} omega points, more than total_dim**2 = {system.total_dim**2}"
+        )
     omegas = np.arange(0.5 * width, omega_max, width)
     models = [AnsatzModel(kind, system, prof.sigma_s, config.o2bar) for kind in kinds]
     preds = [model.evaluate(ebar, omegas) for model in models]

@@ -101,12 +101,8 @@ def test_a02_offdiagonal_exp_decay_envelope(
         ent = entropic_factor(model.n_0, 0.0, prof.sigma_s)
         x = 2.0 * stats.omega_mid / sigma_a
         band = (x >= 0.5) & (x <= 1.2)
-        pred = np.array(
-            [
-                (ent * f_exp_decay(sigma_a, prof.sigma_s, 1.0, w)) ** 2
-                for w in stats.omega_mid[band]
-            ]
-        )
+        w = stats.omega_mid[band]
+        pred = (ent * f_exp_decay(sigma_a, prof.sigma_s, 1.0, w)) ** 2
         ratio = stats.mean_sq[band] / pred
         in_band = ratio.min() >= 0.5 and ratio.max() <= 2.0
         peak = int(np.argmax(stats.mean_sq))
@@ -143,7 +139,7 @@ def test_offdiagonal_exact_sums_pipeline(
             w = float(stats.omega_mid[i])
             # The window sums carry the state-density suppression
             # implicitly, so they predict the mean square directly.
-            pred = f_smooth_sums(system, None, h, w, -w) ** 2
+            pred = f_smooth_sums(system, None, h, 0.0, w).item() ** 2
             ratio = stats.mean_sq[i] / pred
             assert 0.5 <= ratio <= 2.0, (w, ratio)
         # coarse-grain 20 bins together, weighted by pair counts
@@ -260,9 +256,7 @@ def test_a05_hard_support_cutoff(chain10, profile10, appb_system, appb_profile):
         edge = prof.delta + system.spectrum_a.spectral_range
         for extra in (1e-9, 0.5, 3.0):
             diff = edge + extra
-            val = f_microcanonical_exact(
-                system, op, prof.delta, diff / 2.0, -diff / 2.0
-            )
+            val = f_microcanonical_exact(system, op, prof.delta, 0.0, diff / 2.0).item()
             worst = max(worst, abs(val))
     verdict(
         "A5 hard support cutoff",
@@ -280,13 +274,12 @@ def test_a06_model_ladder_agreement():
         np.array([1.0 / sigma_a, 1.0 / sigma_a]),
     )
     auto = density_autocorrelation(flat)
-    worst_exp = worst_mc = 0.0
-    for w in np.linspace(0.0, 0.45 * sigma_a, 24):
-        ref = f_small_a(auto, 1.0, sigma_s, float(w))
-        fe = f_exp_decay(sigma_a, sigma_s, 1.0, float(w))
-        fm = f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, float(w))
-        worst_exp = max(worst_exp, abs(fe / ref - 1.0))
-        worst_mc = max(worst_mc, abs(fm / ref - 1.0))
+    w = np.linspace(0.0, 0.45 * sigma_a, 24)
+    ref = f_small_a(auto, 1.0, sigma_s, w)
+    fe = f_exp_decay(sigma_a, sigma_s, 1.0, w)
+    fm = f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, w)
+    worst_exp = float(np.abs(fe / ref - 1.0).max())
+    worst_mc = float(np.abs(fm / ref - 1.0).max())
     ok = worst_exp <= 0.02 and worst_mc <= 0.02
     verdict(
         "A6 narrow-profile model ladder",

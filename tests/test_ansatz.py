@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from ethlab.ansatz import (
     AnsatzKind,
     AnsatzModel,
+    _window_counts,
     density_autocorrelation,
     entropic_factor,
     exp_autocorrelation,
@@ -100,7 +101,8 @@ def test_f_microcanonical_exact_matches_brute_force():
         z_a = np.count_nonzero(np.abs(e_alpha - sums) <= half)
         z_b = np.count_nonzero(np.abs(e_beta - sums) <= half)
         expected = np.sqrt(num / (z_a * z_b))
-        got = f_microcanonical_exact(system, op, delta, e_alpha, e_beta)
+        ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
+        (got,) = f_microcanonical_exact(system, op, delta, ebar, omega)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -122,7 +124,8 @@ def test_f_smooth_sums_matches_brute_force():
     z_a = h(e_alpha - sums).sum()
     z_b = h(e_beta - sums).sum()
     expected = np.sqrt(num / (z_a * z_b))
-    got = f_smooth_sums(system, None, h, e_alpha, e_beta, o2bar=2.0)
+    ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
+    (got,) = f_smooth_sums(system, None, h, ebar, omega, o2bar=2.0)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -136,22 +139,29 @@ def test_flat_profile_sums_equal_microcanonical():
     delta = 1.7
     h = flat_profile(delta)
     for e_alpha, e_beta in ((0.2, -0.4), (1.1, 0.9), (-0.8, -0.8)):
-        a = f_microcanonical_exact(system, op, delta, e_alpha, e_beta)
-        b = f_smooth_sums(system, op, h, e_alpha, e_beta)
+        ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
+        (a,) = f_microcanonical_exact(system, op, delta, ebar, omega)
+        (b,) = f_smooth_sums(system, op, h, ebar, omega)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_exact_sums_o2bar_scaling_and_errors():
+    # Pair energies (0.1, -0.3), (200, 0) and (300, 0), given as (Ebar, omega).
     system = toy_system(seed=3)
-    base = f_microcanonical_exact(system, None, 1.5, 0.1, -0.3)
-    quad = f_microcanonical_exact(system, None, 1.5, 0.1, -0.3, o2bar=4.0)
+    (base,) = f_microcanonical_exact(system, None, 1.5, -0.1, 0.2)
+    (quad,) = f_microcanonical_exact(system, None, 1.5, -0.1, 0.2, o2bar=4.0)
     assert quad == pytest.approx(2.0 * base, rel=1e-12)
     with pytest.raises(ValidationError):
-        f_microcanonical_exact(system, None, 0.0, 0.1, -0.3)
+        f_microcanonical_exact(system, None, 0.0, -0.1, 0.2)
     with pytest.raises(DegenerateWindowError):
-        f_microcanonical_exact(system, None, 0.1, 200.0, 0.0)
+        f_microcanonical_exact(system, None, 0.1, 100.0, 100.0)
     with pytest.raises(DegenerateWindowError):
-        f_smooth_sums(system, None, flat_profile(0.5), 300.0, 0.0)
+        f_smooth_sums(system, None, flat_profile(0.5), 150.0, 150.0)
+    # One such omega in a grid is enough.
+    with pytest.raises(DegenerateWindowError):
+        f_microcanonical_exact(system, None, 1.5, 0.0, np.array([0.2, 200.0]))
+    with pytest.raises(DegenerateWindowError):
+        f_smooth_sums(system, None, flat_profile(0.5), 0.0, np.array([0.2, 300.0]))
 
 
 def test_f_small_a_flat_density_closed_form():
@@ -426,7 +436,7 @@ def test_microcanonical_model_drops_empty_windows():
     kept, vals = [], []
     for w in omegas.tolist():
         try:
-            vals.append(f_microcanonical_exact(system, None, delta, w, -w))
+            vals.append(f_microcanonical_exact(system, None, delta, 0.0, w).item())
         except DegenerateWindowError:
             continue
         kept.append(w)
@@ -489,7 +499,7 @@ def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
             kept, vals = [], []
             for w in omegas.tolist():
                 try:
-                    vals.append(one(ebar, w))
+                    vals.append(one(ebar, w).item())
                 except OutOfSupportError:
                     continue
                 kept.append(w)
@@ -540,7 +550,7 @@ def test_small_a_model_derives_its_autocorrelation_once(monkeypatch):
 )
 def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
     # One function per rung: a grid returns an array whose every value is
-    # bitwise the scalar call's, and a scalar returns a float.
+    # bitwise the scalar call's, and a scalar returns a one-value array.
     o2bar = 1.3
     system, sigma_s, dens = _chain_model_inputs(8, 3, o2bar)
     sigma_a = dens.sigma_a
@@ -561,5 +571,66 @@ def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
     grid = one(omegas)
     scalars = [one(w) for w in omegas.tolist()]
     assert isinstance(grid, np.ndarray) and grid.shape == omegas.shape
-    assert all(type(v) is float for v in scalars)
-    assert np.array_equal(grid, scalars)
+    assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in scalars)
+    assert np.array_equal(grid, np.concatenate(scalars))
+
+
+def _per_omega_exact_sums(kind, system, sigma_s, o2bar, ebar, omegas):
+    # The exact sums one (E_alpha, E_beta) = (Ebar + w, Ebar - w) at a time,
+    # omitting the omegas with an empty microcanonical window.
+    e_a = system.spectrum_a.eigenvalues
+    e_b = system.spectrum_b.eigenvalues
+    m_sq = np.full((system.dim_a, system.dim_a), float(o2bar) / system.dim_a)
+    delta = 2.0 * np.sqrt(3.0) * sigma_s
+    half = 0.5 * delta
+    h = exp_profile(sigma_s)
+    kept, vals = [], []
+    for w in omegas.tolist():
+        e_alpha, e_beta = ebar + w, ebar - w
+        if kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
+            sums = np.sort(system.sum_energies().ravel())
+            z_a, z_b = _window_counts(
+                sums,
+                np.array([e_alpha - half, e_beta - half]),
+                np.array([e_alpha + half, e_beta + half]),
+            )
+            if z_a == 0 or z_b == 0:
+                continue
+            lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
+            hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
+            counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
+            f2 = float((counts * m_sq).sum()) / (float(z_a) * float(z_b))
+            vals.append(float(np.sqrt(f2)))
+        else:
+            sums = system.sum_energies()
+            p = np.asarray(h(e_alpha - sums), dtype=float)
+            q = np.asarray(h(e_beta - sums), dtype=float)
+            z_a = float(p.sum())
+            z_b = float(q.sum())
+            f2 = float(((p @ q.T) * m_sq).sum()) / (z_a * z_b)
+            vals.append(float(np.sqrt(max(f2, 0.0))))
+        kept.append(w)
+    return kept, vals
+
+
+@pytest.mark.parametrize("cut", [3, 7])
+def test_exact_sum_grid_rungs_are_the_per_omega_sums(chain10, cut):
+    # The exact-sum rungs take the whole omega grid; every value must be
+    # bitwise the one-pair sum, and the same empty-window omegas dropped.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    sigma_s = profile(system).sigma_s
+    o2bar = 1.3
+    e_min = float(system.spectrum_t.eigenvalues[0])
+    omegas = np.linspace(0.0, 0.8 * abs(e_min), 61)
+    dropped = 0
+    for ebar in (0.0, 0.5 * e_min):
+        for kind in (AnsatzKind.MICROCANONICAL_EXACT_SUMS,
+                     AnsatzKind.SMOOTH_GENERAL_SUMS):
+            pred = AnsatzModel(kind, system, sigma_s, o2bar).evaluate(ebar, omegas)
+            kept, vals = _per_omega_exact_sums(
+                kind, system, sigma_s, o2bar, ebar, omegas
+            )
+            assert np.array_equal(pred.omega, kept), kind
+            assert np.array_equal(pred.f, vals), kind
+            dropped += omegas.size - len(kept)
+    assert dropped > 0

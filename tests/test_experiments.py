@@ -622,13 +622,15 @@ def test_grouped_engine_copies_no_eigenvectors(chain10):
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
 
 
-def test_direct_engine_holds_one_applied_operator(chain10):
+@pytest.mark.parametrize("count", [3, 32])
+def test_direct_engine_holds_one_applied_operator(chain10, count):
     # At cut 7 (dim_a > dim_b) each operator's (O (x) 1) applied to every
     # eigenvector is a total x total array (8.4 MB); the next operator's is
-    # formed only after it is dropped.  Bands, tiles and operators add
-    # about 2 MB, so two applied operators alive at once cannot fit.
+    # formed only after it is dropped.  Bands, tiles and one operator add
+    # about 2 MB, so two applied operators alive at once cannot fit, and
+    # neither can 32 operators (131 kB each) drawn up front.
     system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
-    spec = OperatorEnsembleSpec(count=3, seed=0)
+    spec = OperatorEnsembleSpec(count=count, seed=0)
     peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
     assert peak < 1.5 * system.spectrum_t.eigenvectors.nbytes
 

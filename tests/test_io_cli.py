@@ -373,8 +373,10 @@ def test_cli_localize_pauli():
     assert "total_dim     = 8" in proc.stdout
 
 
-def test_cli_localize_rejects_bad_letters():
-    proc = run_cli("localize", "--pauli", "zyx")
+@pytest.mark.parametrize("letters", ["zyx", "", "  "])
+def test_cli_localize_rejects_bad_letters(letters):
+    # An unknown letter, or no letter at all, is a configuration error.
+    proc = run_cli("localize", "--pauli", letters)
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
 
@@ -453,11 +455,15 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
         (("predict",), TINY_CHAIN + "[predict]\no2bar = nan\n"),
         (("spin-chain", "--ebar", "nan"), TINY_CHAIN),
         (("predict", "--ebar", "nan"), TINY_CHAIN),
+        # More omega points than the 256**2 eigenvector entries.
+        (("predict",), TINY_CHAIN + "[binning]\nomega_bin_width = 1e-12\n"),
+        (("predict", "--omega-max", "1e13"), TINY_CHAIN),
     ],
     ids=["seed-flag", "seed-key", "system-seed", "omega-max-0", "omega-max-neg",
          "omega-max-half-bin", "omega-max-nan", "omega-max-0-forbid",
          "omega-max-nan-forbid", "bin-width-nan", "bin-width-inf", "halfwidth-nan",
-         "halfwidth-inf", "o2bar-nan", "spin-chain-ebar-nan", "predict-ebar-nan"],
+         "halfwidth-inf", "o2bar-nan", "spin-chain-ebar-nan", "predict-ebar-nan",
+         "predict-bin-width-tiny", "predict-omega-max-huge"],
 )
 def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
     # A negative seed, an omega_max that leaves an empty or undefined grid
