@@ -9,9 +9,10 @@ evaluation is restricted to tiles that follow the requested mean-energy band,
 so the cost per operator scales with the band area rather than the full
 matrix, and a band holds only per-eigenstate arrays: each tile derives its
 pairs when it runs.  The grouped engine bins each tile with one
-``bincount`` per moment; the direct engine adds each tile into bins carried
-across the band in band order, bitwise the one ``bincount`` over the whole
-band's elements that :func:`bin_offdiagonal` makes.  Its one level of
+``bincount`` per moment; the direct engine applies each operator only to
+the eigenvector rows its band's tiles read and adds each tile into bins
+carried across the band in band order, bitwise the one ``bincount`` over the
+whole band's elements that :func:`bin_offdiagonal` makes.  Its one level of
 parallelism is the BLAS library's threads under the matrix products: tiles
 and operators run in a fixed order on the calling thread, so the statistics
 are bitwise reproducible run to run.
@@ -99,29 +100,29 @@ def sample_local_operator(
     return 0.5 * (op + op.T)
 
 
-def _apply_a_factor(op_a: np.ndarray, rows: np.ndarray, dim_a: int, dim_b: int):
-    # (op_a (x) identity_B) applied to every eigenvector row, without the
-    # Kronecker product: row beta of the result is (op_a (x) 1)|beta>.
-    v3 = rows.reshape(-1, dim_a, dim_b)
+def _apply_a_factor(op_a: np.ndarray, rows: np.ndarray):
+    # (op_a (x) identity_B) applied to each eigenvector row, without the
+    # Kronecker product: row beta of the result is (op_a (x) 1)|beta>.  One
+    # small product per row, so a row's result does not depend on which
+    # other rows are applied with it.
+    v3 = rows.reshape(len(rows), op_a.shape[0], -1)
     return np.matmul(op_a, v3).reshape(rows.shape)
 
 
-def _applied(system: BipartiteSystem, op_a: np.ndarray):
-    # The eigenvector rows and (op_a (x) 1) applied to each of them.
+def _check_operator(system: BipartiteSystem, op_a: np.ndarray):
     if op_a.shape != (system.dim_a, system.dim_a):
         raise DimensionError(
             f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
         )
-    rows = system.spectrum_t.rows
-    return rows, _apply_a_factor(op_a, rows, system.dim_a, system.dim_b)
 
 
 def matrix_elements_total_basis(
     system: BipartiteSystem, op_a: np.ndarray
 ) -> np.ndarray:
     """All matrix elements of ``op_a (x) identity`` between total eigenstates."""
-    rows, applied = _applied(system, op_a)
-    return rows @ applied.T
+    _check_operator(system, op_a)
+    rows = system.spectrum_t.rows
+    return rows @ _apply_a_factor(op_a, rows).T
 
 
 def band_matrix_elements(
@@ -133,7 +134,8 @@ def band_matrix_elements(
     band.pairs()``; only the band's tiles are evaluated, one product per
     tile as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
-    tiles = band._direct_tiles(*_applied(system, op_a))
+    _check_operator(system, op_a)
+    tiles = band._direct_tiles(system.spectrum_t.rows, op_a)
     return np.concatenate([values for _, _, values, _ in tiles])
 
 
@@ -245,11 +247,14 @@ class PairBand:
       it.  Beyond the eigenvectors it holds one tile-product buffer of at
       most ``_TILE_BYTES``, one block of values and the indices, bins and
       two floats per pair of the current tile;
-    - the direct engine evaluates one operator's elements with one matrix
-      product per tile of ``_DIRECT_BATCH`` alphas and adds their squares
-      and fourth powers into the bins tile after tile, in band order
-      (:meth:`accumulate_from_factors`; used when the A factor is the
-      larger one).
+    - the direct engine applies one operator to the rows ``[min b0, max
+      b1)`` its tiles read, evaluates the operator's elements with one
+      matrix product per tile of ``_DIRECT_BATCH`` alphas and adds their
+      squares and fourth powers into the bins tile after tile, in band
+      order (:meth:`accumulate_from_factors`; used when the A factor is the
+      larger one).  Beyond the eigenvectors it holds that applied span,
+      one tile product and the indices, bin and element of each pair of
+      the current tile.
 
     Tiles and blocks run in a fixed order on the calling thread, so the
     results are bit-reproducible.
@@ -420,13 +425,19 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
-    def _direct_tiles(self, vecs, applied):
+    def _direct_tiles(self, vecs, op_a):
         # Per tile of _DIRECT_BATCH alphas: the slice s0:s1 of the band
         # order, one operator's elements of its pairs from one product
-        # vecs[a0:a1] @ applied[b0:b1].T, and their bins.
-        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
+        # vecs[a0:a1] @ applied[b0:b1].T, and their bins.  (op_a (x) 1) is
+        # applied once, only to the rows u0:u1 the tiles read; row beta of
+        # that span is row beta of the whole applied array, bit for bit.
+        tiles = self._alpha_batches(_DIRECT_BATCH)
+        u0 = min(b0 for _, _, b0, *_ in tiles)
+        u1 = max(b1 for _, _, _, b1, *_ in tiles)
+        applied = _apply_a_factor(op_a, vecs[u0:u1])
+        for a0, a1, b0, b1, s0, s1 in tiles:
             lens, cols, bins = self._partners(a0, a1)
-            sub = vecs[a0:a1] @ applied[b0:b1].T
+            sub = vecs[a0:a1] @ applied[b0 - u0 : b1 - u0].T
             # Flat offset of pair (alpha, beta) in sub: alpha's row start,
             # then beta - b0.
             starts = np.arange(a1 - a0) * (b1 - b0) - b0
@@ -444,21 +455,23 @@ class PairBand:
         np.multiply(elements, elements, out=elements)
         return sums, self.bin_sums(elements, bins)
 
-    def accumulate_from_factors(self, vecs, applied):
+    def accumulate_from_factors(self, vecs, op_a):
         """Direct engine: per-bin sums of squares and fourth powers of one operator.
 
-        ``vecs`` holds the eigenvectors as rows and row ``beta`` of
-        ``applied`` is ``(op (x) 1)|beta>``.  Each tile of ``_DIRECT_BATCH``
-        alphas is one product ``vecs[a0:a1] @ applied[b0:b1].T``.  Its
-        elements are squared in place twice and added into the bins after
-        each squaring with one ``np.add.at``, carried across the tiles in band
-        order: the same additions in the same order as one ``bincount`` over
-        the whole band, so the sums are bitwise :meth:`element_moments` of
-        :func:`band_matrix_elements`, without a band-length buffer.
+        ``vecs`` holds the eigenvectors as rows and ``op_a`` is the operator
+        on the A factor.  ``(op_a (x) 1)`` is applied once, to the rows
+        ``[min b0, max b1)`` the tiles read, and each tile of
+        ``_DIRECT_BATCH`` alphas is one product ``vecs[a0:a1] @
+        applied[b0:b1].T``.  Its elements are squared in place twice and
+        added into the bins after each squaring with one ``np.add.at``,
+        carried across the tiles in band order: the same additions in the
+        same order as one ``bincount`` over the whole band, so the sums are
+        bitwise :meth:`element_moments` of :func:`band_matrix_elements`,
+        without a band-length buffer.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for _, _, values, bins in self._direct_tiles(vecs, applied):
+        for _, _, values, bins in self._direct_tiles(vecs, op_a):
             np.multiply(values, values, out=values)
             np.add.at(sums, bins, values)
             np.multiply(values, values, out=values)
@@ -522,9 +535,10 @@ def run_ensemble(
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
     band evaluation over all operators at once, reading its panels as views
-    of the eigenvector rows; otherwise each operator's elements are
-    evaluated with one matrix product per band tile and added into the bins
-    tile after tile, in band order.  The BLAS library's
+    of the eigenvector rows; otherwise each operator is applied, once per
+    window, to the eigenvector rows that window's tiles read, and its
+    elements are evaluated with one matrix product per band tile and added
+    into the bins tile after tile, in band order.  The BLAS library's
     threads are the only parallelism: tiles and operators run in a fixed
     order on the calling thread, so the results are bitwise reproducible.
 
@@ -536,9 +550,11 @@ def run_ensemble(
     one streamed block of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs
     by ``count`` operators) and the indices, bin and two floats of each
     pair of the current tile; the direct engine holds one operator (drawn
-    when it is applied), its ``total x total`` applied form, one product of
-    ``_DIRECT_BATCH`` eigenstates by the tile's partners, and the indices,
-    bin and element of each pair of the current tile.
+    when it is applied), its applied form on one band's span of rows
+    ``[min b0, max b1)`` (about half of ``total x total`` for the fig2
+    windows), one product of ``_DIRECT_BATCH`` eigenstates by the tile's
+    partners, and the indices, bin and element of each pair of the current
+    tile.
     """
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
@@ -559,14 +575,10 @@ def run_ensemble(
         for k in range(ens.count):
             # Drawn only when applied: one operator is alive at a time.
             op = sample_local_operator(ens, dim_a, k)
-            applied = _apply_a_factor(op, rows, dim_a, system.dim_b)
             for band, (sums, sumsqs) in zip(bands, partials):
-                s, q = band.accumulate_from_factors(rows, applied)
+                s, q = band.accumulate_from_factors(rows, op)
                 sums += s
                 sumsqs += q
-            # Dropped before the next operator's is formed, so only one
-            # total x total applied operator is ever alive.
-            del applied
     return tuple(
         band.statistics(sums, sumsqs, ens.count)
         for band, (sums, sumsqs) in zip(bands, partials)

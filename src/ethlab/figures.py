@@ -52,23 +52,25 @@ _SCAN_KINDS = ("smooth_general_sums", "exp_decay_flat_A")
 
 
 def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use"):
-    """Construct the configured system, caching the total diagonalization."""
+    """Construct the configured system, caching the total diagonalization.
+
+    A chain's fragments are diagonalized before its total spectrum is loaded
+    or computed (see :func:`ethlab.hamiltonians.decompose_chain`).
+    """
     key = config_cache_key(config)
+    if config.chain is not None:
+        fetch = partial(cached_spectrum, key, cache_dir, policy)
+        return decompose_chain(config.chain, config.cut, spectrum_t=fetch)
     built = None
 
     def compute():
         nonlocal built
-        if config.chain is not None:
-            built = decompose_chain(config.chain, config.cut)
-        else:
-            built = build_random_system(config.random)
+        built = build_random_system(config.random)
         return built.spectrum_t
 
     spectrum = cached_spectrum(key, cache_dir, policy, compute)
     if built is not None:
         return built
-    if config.chain is not None:
-        return decompose_chain(config.chain, config.cut, spectrum_t=spectrum)
     return build_random_system(config.random, spectrum_t=spectrum)
 
 

@@ -14,7 +14,7 @@ the +1 eigenstate of the local sigma_z.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,14 +42,21 @@ __all__ = [
 # linalg.Spectrum): 8 * 4^13 bytes = 512 MiB at 13 sites.  The build peaks
 # inside eigh, which holds H_T, its working copy, the eigenvectors and 2 dim^2
 # of workspace: measured peak RSS at 13 sites is 2.6 GB for the chain
-# (2607 MB) and 2.7 GB for the random family (2656 MB at sites_a=2,
-# sites_b=11), provided nothing else holds a dense array during eigh.  The
-# eigenvector rows are copied out of eigh's result only after its workspace
-# is freed, below that peak.  The ensemble reads the rows in place and adds
-# at most one more dim x dim array (the direct engine's applied operator);
-# each window's pair band holds a few integers per eigenstate and per omega
-# bin, and per-pair indices live only for one band tile.  A warm 13-site
-# `reproduce fig3` measured 594 MB peak RSS and 14-16 s on 2 cores.
+# (2607 MB at cut 3) and 2.7 GB for the random family (2656 MB at sites_a=2,
+# sites_b=11).  A chain diagonalizes its two fragments before it loads or
+# computes the total, so a cold chain build also holds the larger fragment's
+# eigenvectors during eigh, dim^2/4 at cut 1 (a cold 12-site fig2 peaked at
+# 716 MB against 683 MB with the total diagonalized first; 128 MB more at 13
+# sites, derived), while a warm build never runs a fragment's eigh beside
+# the loaded eigenvectors.  The eigenvector rows are copied out of eigh's
+# result only after its workspace is freed, below that peak.  The ensemble
+# reads the rows in place; the direct engine adds one operator applied to
+# the rows one window's tiles read (53% of them in the 13-site fig2
+# windows).  Each window's pair band holds a few integers per eigenstate
+# and per omega bin, and per-pair indices live only for one band tile.
+# Warm at 13 sites on 2 cores, `reproduce fig3` measured 594 MB peak RSS
+# and 14-16 s, and `reproduce fig2` with 4 operators 856 MB (at cut 7) and
+# 75 s.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -219,7 +226,7 @@ def decompose_chain(
     params: SpinChainParams,
     cut: int,
     *,
-    spectrum_t: Optional[Spectrum] = None,
+    spectrum_t: Optional[Spectrum | Callable] = None,
 ) -> BipartiteSystem:
     """Split the chain after site ``cut`` into two fragment Hamiltonians.
 
@@ -227,19 +234,32 @@ def decompose_chain(
     (bonds interior to each side, all fields); the interaction is the single
     coupling ``J sz_cut sz_{cut+1}`` across the cut.  It squares to ``J^2``
     times the identity, so ``<alpha|H_I^2|alpha>`` is ``J^2`` times each
-    eigenvector's squared norm and the interaction is never built.  Without
-    ``spectrum_t`` the full chain ``build_spin_chain(params)`` is
-    diagonalized: the cut only splits it, so the total spectrum is the same
-    for every cut.
+    eigenvector's squared norm and the interaction is never built.
+
+    The cut only splits the full chain ``build_spin_chain(params)``, so the
+    total spectrum is the same for every cut.  ``spectrum_t`` is that
+    spectrum; or a function ``fetch(compute)`` that returns it, given the
+    function that diagonalizes the full chain (a cache lookup bound to its
+    key, say); or ``None`` to diagonalize the full chain here.  Both
+    fragments are diagonalized first, so their diagonalizations never run
+    beside a total spectrum fetched or computed here.
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
+    spectrum_a = eig_sym(build_spin_chain(replace(params, sites=cut)))
+    spectrum_b = eig_sym(build_spin_chain(replace(params, sites=params.sites - cut)))
+
+    def compute():
+        return eig_sym(build_spin_chain(params), check=False)
+
     if spectrum_t is None:
-        spectrum_t = eig_sym(build_spin_chain(params), check=False)
+        spectrum_t = compute()
+    elif callable(spectrum_t):
+        spectrum_t = spectrum_t(compute)
     rows = spectrum_t.rows
     return BipartiteSystem(
-        spectrum_a=eig_sym(build_spin_chain(replace(params, sites=cut))),
-        spectrum_b=eig_sym(build_spin_chain(replace(params, sites=params.sites - cut))),
+        spectrum_a=spectrum_a,
+        spectrum_b=spectrum_b,
         spectrum_t=spectrum_t,
         interaction_sq=params.coupling**2 * np.einsum("ij,ij->i", rows, rows),
     )

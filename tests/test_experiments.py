@@ -19,7 +19,6 @@ from ethlab.experiments import (
     BinningParams,
     OperatorEnsembleSpec,
     PairBand,
-    _apply_a_factor,
     _largest_tile,
     _prominent_peaks,
     accumulate_grouped,
@@ -259,12 +258,7 @@ def test_ensemble_engines_match_dense_oracle(chain10):
             )
             for op in ops
         ]
-        per_op = [
-            band.accumulate_from_factors(
-                rows, _apply_a_factor(op, rows, system.dim_a, system.dim_b)
-            )
-            for op in ops
-        ]
+        per_op = [band.accumulate_from_factors(rows, op) for op in ops]
         want = band.statistics(
             sum(s for s, _ in dense), sum(q for _, q in dense), spec.count
         )
@@ -375,7 +369,6 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
     width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
     op = sample_local_operator(OperatorEnsembleSpec(count=1, seed=0), system.dim_a, 0)
     rows = system.spectrum_t.rows
-    applied = _apply_a_factor(op, rows, system.dim_a, system.dim_b)
     for fraction in (0.0, 0.25, 0.5):
         center = float(fraction * energies[0]) + 0.0
         band = PairBand(energies, center, 0.5, width)
@@ -391,7 +384,7 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
                 assert np.array_equal(np.concatenate([p[k] for p in parts]), want[k])
         for got, whole in zip(band.pairs(), want):
             assert np.array_equal(got, whole)
-        direct = band.accumulate_from_factors(rows, applied)
+        direct = band.accumulate_from_factors(rows, op)
         oracle = band.element_moments(band_matrix_elements(system, op, band))
         for got, whole in zip(direct, oracle):
             assert np.array_equal(got, whole)
@@ -622,17 +615,65 @@ def test_grouped_engine_copies_no_eigenvectors(chain10):
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
 
 
+def _band_span(band):
+    # Rows [min b0, max b1) the band's direct tiles read.
+    tiles = band._alpha_batches(ethlab.experiments._DIRECT_BATCH)
+    return min(t[2] for t in tiles), max(t[3] for t in tiles)
+
+
 @pytest.mark.parametrize("count", [3, 32])
-def test_direct_engine_holds_one_applied_operator(chain10, count):
-    # At cut 7 (dim_a > dim_b) each operator's (O (x) 1) applied to every
-    # eigenvector is a total x total array (8.4 MB); the next operator's is
-    # formed only after it is dropped.  Bands, tiles and one operator add
-    # about 2 MB, so two applied operators alive at once cannot fit, and
-    # neither can 32 operators (131 kB each) drawn up front.
+def test_direct_engine_applies_one_operator_to_its_band_span(chain10, count):
+    # At cut 7 (dim_a > dim_b) each operator is applied only to the rows
+    # its band's tiles read: 545 of 1024 eigenvector rows (4.5 MB) in the
+    # centre window, where applying it to every row takes 8.4 MB.  Bands,
+    # tiles and one operator add about 1 MB, so neither the whole applied
+    # array, nor two operators' spans alive at once, nor 32 operators
+    # (131 kB each) drawn up front fit under the span plus a quarter of
+    # the eigenvectors.
     system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=count, seed=0)
+    u0, u1 = _band_span(_center_band(system))
+    span_bytes = 8 * (u1 - u0) * system.total_dim
     peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
-    assert peak < 1.5 * system.spectrum_t.eigenvectors.nbytes
+    assert peak < span_bytes + 0.25 * system.spectrum_t.eigenvectors.nbytes
+
+
+@pytest.mark.parametrize("cut", [6, 7, 8, 9])
+def test_span_apply_is_the_full_apply_bitwise(chain10, cut):
+    # Applying each operator to the band's span of rows gives the elements
+    # and sums of applying it to every row, bit for bit: each row is its own
+    # small product, and every tile product keeps its shape and layout.
+    # The oracle applies the operator to all rows in one stacked matmul and
+    # evaluates each tile as rows[a0:a1] @ applied[b0:b1].T.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    assert system.dim_a > system.dim_b
+    rows = system.spectrum_t.rows
+    energies = system.spectrum_t.eigenvalues
+    op = sample_local_operator(OperatorEnsembleSpec(count=1, seed=4), system.dim_a, 0)
+    applied = np.matmul(
+        op, rows.reshape(-1, system.dim_a, system.dim_b)
+    ).reshape(rows.shape)
+    for fraction in (0.0, 0.25, 0.5):
+        band = _center_band(system, float(fraction * energies[0]) + 0.0)
+        assert _band_span(band) != (0, system.total_dim)
+        elements = []
+        sums = np.zeros(band.n_bins)
+        sumsqs = np.zeros(band.n_bins)
+        for a0, a1, b0, b1, *_ in band._alpha_batches(
+            ethlab.experiments._DIRECT_BATCH
+        ):
+            alphas, betas, bins = band.pairs(a0, a1)
+            values = (rows[a0:a1] @ applied[b0:b1].T)[alphas - a0, betas - b0]
+            elements.append(values.copy())
+            np.multiply(values, values, out=values)
+            np.add.at(sums, bins, values)
+            np.multiply(values, values, out=values)
+            np.add.at(sumsqs, bins, values)
+        got = band_matrix_elements(system, op, band)
+        assert np.array_equal(got, np.concatenate(elements))
+        got_sums, got_sumsqs = band.accumulate_from_factors(rows, op)
+        assert np.array_equal(got_sums, sums)
+        assert np.array_equal(got_sumsqs, sumsqs)
 
 
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):

@@ -424,6 +424,46 @@ def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
     assert manifest["local_block_diag"] == np.diag(block).tolist()
 
 
+def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monkeypatch):
+    # A chain build diagonalizes both fragments before it reads the total
+    # spectrum from the cache, so a fragment's eigh never runs beside the
+    # loaded eigenvectors.  A cold build diagonalizes each matrix once; a
+    # forbidden miss still exits 4 before any dataset is written.
+    import ethlab.cli
+    import ethlab.hamiltonians
+    import ethlab.io
+
+    events = []
+    real_eig, real_load = ethlab.hamiltonians.eig_sym, ethlab.io.load_spectrum
+
+    def eig(matrix, **kwargs):
+        events.append(("eig", np.shape(matrix)[0]))
+        return real_eig(matrix, **kwargs)
+
+    def load(*args):
+        hit = real_load(*args)
+        events.append(("load", hit is not None))
+        return hit
+
+    monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
+    monkeypatch.setattr(ethlab.io, "load_spectrum", load)
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    out = tmp_path / "out"
+
+    def run(policy):
+        events.clear()
+        argv = ["spin-chain", "--config", str(cfg), "--out", str(out), "--cache", policy]
+        return ethlab.cli.main(argv)
+
+    assert run("forbid") == 4
+    assert not list(out.glob("*.csv"))
+    assert run("use") == 0
+    assert events == [("eig", 8), ("eig", 32), ("load", False), ("eig", 256)]
+    assert run("use") == 0
+    assert events == [("eig", 8), ("eig", 32), ("load", True)]
+
+
 NEGATIVE_SYSTEM_SEED = """
 [system]
 kind = random
