@@ -54,8 +54,8 @@ _SCAN_KINDS = ("smooth_general_sums", "exp_decay_flat_A")
 def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use"):
     """Construct the configured system, caching the total diagonalization.
 
-    A chain's fragments are diagonalized before its total spectrum is loaded
-    or computed (see :func:`ethlab.hamiltonians.decompose_chain`).
+    A chain's fragment eigenvalues are solved before its total spectrum is
+    loaded or computed (see :func:`ethlab.hamiltonians.decompose_chain`).
     """
     key = config_cache_key(config)
     if config.chain is not None:

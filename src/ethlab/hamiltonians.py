@@ -14,12 +14,13 @@ the +1 eigenstate of the local sigma_z.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import Spectrum, eig_sym
+from .linalg import Spectrum, eig_sym, eigvals_sym
 
 __all__ = [
     "MAX_CHAIN_SITES",
@@ -43,20 +44,22 @@ __all__ = [
 # inside eigh, which holds H_T, its working copy, the eigenvectors and 2 dim^2
 # of workspace: measured peak RSS at 13 sites is 2.6 GB for the chain
 # (2607 MB at cut 3) and 2.7 GB for the random family (2656 MB at sites_a=2,
-# sites_b=11).  A chain diagonalizes its two fragments before it loads or
-# computes the total, so a cold chain build also holds the larger fragment's
-# eigenvectors during eigh, dim^2/4 at cut 1 (a cold 12-site fig2 peaked at
-# 716 MB against 683 MB with the total diagonalized first; 128 MB more at 13
-# sites, derived), while a warm build never runs a fragment's eigh beside
-# the loaded eigenvectors.  The eigenvector rows are copied out of eigh's
-# result only after its workspace is freed, below that peak.  The ensemble
-# reads the rows in place; the direct engine adds one operator applied to
-# the rows one window's tiles read (53% of them in the 13-site fig2
-# windows).  Each window's pair band holds a few integers per eigenstate
-# and per omega bin, and per-pair indices live only for one band tile.
-# Warm at 13 sites on 2 cores, `reproduce fig3` measured 594 MB peak RSS
-# and 14-16 s, and `reproduce fig2` with 4 operators 856 MB (at cut 7) and
-# 75 s.
+# sites_b=11).  A chain solves its two fragments for their eigenvalues alone
+# before it loads or computes the total, and a fragment's eigenvectors only
+# when they are read (see decompose_chain), so a cold build holds no
+# fragment eigenvectors through the total's eigh: a cold 12-site fig2 peaked
+# at 684 MB, against 716 MB when the 11-site fragment's were kept.  The
+# eigenvector rows are copied out of eigh's result only after its workspace
+# is freed, below that peak.  The ensemble reads the rows in place; the
+# direct engine adds one operator applied to the rows one window's tiles
+# read (53% of them in the 13-site fig2 windows).  Each window's pair band
+# holds a few integers per eigenstate and per omega bin, and per-pair
+# indices live only for one band tile.  Warm at 13 sites on 2 cores,
+# `reproduce fig3` measured 594 MB peak RSS and 14-16 s, and `reproduce
+# fig2` with 4 operators 852 MB (at cut 7) and 70 s.  Its cut-1 build, the
+# 12-site fragment's eigenvalue solve and then the load, took 7.3 s and
+# reached 549 MB in-process, against 13.0 s and 683 MB when that fragment
+# ran a full eig_sym.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -147,7 +150,9 @@ class BipartiteSystem:
     eigenstate (the scrambling width's only input).  The dimensions are
     those of the spectra.  The Hamiltonians are built only to be
     diagonalized and are not kept.  Eigenvector matrices
-    follow the sign convention of :func:`ethlab.linalg.eig_sym`.
+    follow the sign convention of :func:`ethlab.linalg.eig_sym`; the
+    subsystem spectra solve for theirs on first read (see
+    :func:`decompose_chain`).
     """
 
     spectrum_a: Spectrum
@@ -172,26 +177,57 @@ class BipartiteSystem:
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
 
 
+def _fragment(build: Callable[[], np.ndarray]) -> Spectrum:
+    # Spectrum of the fragment Hamiltonian ``build()``: eigenvalues from one
+    # eigenvalue-only solve now, eigenvectors from eig_sym of a fresh build
+    # on first read.  Until then it holds neither them nor the matrix.
+    return Spectrum(eigvals_sym(build()), solve=lambda: eig_sym(build()).eigenvectors)
+
+
 def _split_system(
-    h_a: np.ndarray, h_b: np.ndarray, spectrum_t: Spectrum
+    build_a: Callable[[], np.ndarray],
+    build_b: Callable[[], np.ndarray],
+    spectrum_t: Spectrum,
 ) -> BipartiteSystem:
+    # ``build_a`` and ``build_b`` return the subsystem Hamiltonians afresh.
     # <alpha|H_I^2|alpha> = |(E_alpha - H_0)|alpha>|^2 needs no H_I: H_0
     # acts factor-wise on each eigenvector row reshaped to (dim_a, dim_b),
     # 2 total^2 (dim_a + dim_b) flops instead of 2 total^3 for h_i @ V.
     # H_B (symmetric) acts on the last axis, so one product covers every
     # row; H_A acts on the middle axis, one small product per row.
-    dim_a, dim_b = h_a.shape[0], h_b.shape[0]
+    spectrum_a, spectrum_b = _fragment(build_a), _fragment(build_b)
+    h_a, h_b = build_a(), build_b()
     rows = spectrum_t.rows
-    v3 = rows.reshape(-1, dim_a, dim_b)
+    v3 = rows.reshape(-1, spectrum_a.dim, spectrum_b.dim)
     applied = v3 * spectrum_t.eigenvalues[:, None, None]
     applied -= np.matmul(h_a, v3)
-    applied -= (rows.reshape(-1, dim_b) @ h_b).reshape(v3.shape)
+    applied -= (rows.reshape(-1, spectrum_b.dim) @ h_b).reshape(v3.shape)
     return BipartiteSystem(
-        spectrum_a=eig_sym(h_a),
-        spectrum_b=eig_sym(h_b),
+        spectrum_a=spectrum_a,
+        spectrum_b=spectrum_b,
         spectrum_t=spectrum_t,
         interaction_sq=np.einsum("nab,nab->n", applied, applied),
     )
+
+
+def _diagonalize(h_a: np.ndarray, h_b: np.ndarray, h_i: np.ndarray) -> Spectrum:
+    # Spectrum of H_T = kron(H_A, 1) + kron(1, H_B) + H_I, summed in place in
+    # that order; an h_i passed as a temporary is freed before eig_sym, so it
+    # holds no dense input but H_T.
+    dim_a = h_a.shape[0]
+    dim_b = h_b.shape[0]
+    total = dim_a * dim_b
+    if h_i.shape != (total, total):
+        raise DimensionError(
+            f"interaction shape {h_i.shape} does not match product dim {total}"
+        )
+    h_t = np.kron(h_a, np.eye(dim_b))
+    h_t += np.kron(np.eye(dim_a), h_b)
+    h_t += h_i
+    del h_i
+    spectrum_t = eig_sym(h_t, check=False)
+    del h_t
+    return spectrum_t
 
 
 def make_bipartite(
@@ -200,26 +236,11 @@ def make_bipartite(
     """Diagonalize a bipartite system given as its three pieces.
 
     ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is assembled, diagonalized
-    and freed.  An ``h_i`` passed as a temporary (no other reference to it)
-    is freed before the diagonalization.  ``<alpha|H_I^2|alpha>`` follows
-    from the eigenvectors without ``H_I``.
+    and freed.  ``<alpha|H_I^2|alpha>`` follows from the eigenvectors
+    without ``H_I``.  The subsystem spectra keep ``h_a`` and ``h_b`` to
+    solve for their eigenvectors on first read (see :func:`decompose_chain`).
     """
-    dim_a = h_a.shape[0]
-    dim_b = h_b.shape[0]
-    total = dim_a * dim_b
-    if h_i.shape != (total, total):
-        raise DimensionError(
-            f"interaction shape {h_i.shape} does not match product dim {total}"
-        )
-    # Summed in place in the order kron(H_A, 1) + kron(1, H_B) + H_I; with
-    # this frame's H_I reference dropped, eig_sym holds no dense input but H_T.
-    h_t = np.kron(h_a, np.eye(dim_b))
-    h_t += np.kron(np.eye(dim_a), h_b)
-    h_t += h_i
-    del h_i
-    spectrum_t = eig_sym(h_t, check=False)
-    del h_t
-    return _split_system(h_a, h_b, spectrum_t)
+    return _split_system(lambda: h_a, lambda: h_b, _diagonalize(h_a, h_b, h_i))
 
 
 def decompose_chain(
@@ -236,18 +257,28 @@ def decompose_chain(
     times the identity, so ``<alpha|H_I^2|alpha>`` is ``J^2`` times each
     eigenvector's squared norm and the interaction is never built.
 
+    Each fragment's eigenvalues come from one eigenvalue-only solve
+    (:func:`ethlab.linalg.eigvals_sym`), whether or not its eigenvectors
+    are ever read.  Those are solved with :func:`ethlab.linalg.eig_sym` of
+    a freshly built fragment on the first read of ``eigenvectors`` or
+    ``rows`` and then kept; eigenvector ``k`` belongs to eigenvalue ``k``
+    up to the two solvers' roundoff (at most 3.5e-13 at 11 sites).  Only
+    the scrambling coefficients and the specific-operator rungs read them.
+
     The cut only splits the full chain ``build_spin_chain(params)``, so the
     total spectrum is the same for every cut.  ``spectrum_t`` is that
     spectrum; or a function ``fetch(compute)`` that returns it, given the
     function that diagonalizes the full chain (a cache lookup bound to its
     key, say); or ``None`` to diagonalize the full chain here.  Both
-    fragments are diagonalized first, so their diagonalizations never run
+    fragments' eigenvalues are solved first, so their solves never run
     beside a total spectrum fetched or computed here.
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
-    spectrum_a = eig_sym(build_spin_chain(replace(params, sites=cut)))
-    spectrum_b = eig_sym(build_spin_chain(replace(params, sites=params.sites - cut)))
+    spectrum_a = _fragment(partial(build_spin_chain, replace(params, sites=cut)))
+    spectrum_b = _fragment(
+        partial(build_spin_chain, replace(params, sites=params.sites - cut))
+    )
 
     def compute():
         return eig_sym(build_spin_chain(params), check=False)
@@ -351,13 +382,17 @@ def build_random_system(
     dim_b = 2**params.sites_b
     spec_a = params.a_scale * np.sort(np.linalg.eigvalsh(sample_goe(dim_a, rng)))
     spec_b = np.sort(np.linalg.eigvalsh(sample_goe(dim_b, rng)))
-    h_a = np.diag(spec_a)
-    h_b = np.diag(spec_b)
-    if spectrum_t is not None:
-        return _split_system(h_a, h_b, spectrum_t)
-    # The interaction is passed on as a temporary: make_bipartite frees it
-    # before the diagonalization.
-    return make_bipartite(h_a, h_b, _random_interaction(params, spec_a, spec_b, rng))
+    # The subsystem Hamiltonians are rebuilt from their sorted diagonals,
+    # whose eigenvalue-only solve gives the diagonal back bit for bit.
+    build_a = partial(np.diag, spec_a)
+    build_b = partial(np.diag, spec_b)
+    if spectrum_t is None:
+        # The interaction is passed on as a temporary: _diagonalize frees it
+        # before the diagonalization.
+        spectrum_t = _diagonalize(
+            build_a(), build_b(), _random_interaction(params, spec_a, spec_b, rng)
+        )
+    return _split_system(build_a, build_b, spectrum_t)
 
 
 def _random_interaction(params, spec_a, spec_b, rng) -> np.ndarray:

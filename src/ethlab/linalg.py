@@ -28,12 +28,12 @@ __all__ = [
     "GridFunction",
     "SpectralDensity",
     "eig_sym",
+    "eigvals_sym",
     "density_of_states",
     "integrate_adaptive",
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -48,15 +48,30 @@ class Spectrum:
         reproducible across LAPACK builds.  Stored eigenstate-major:
         ``eigenvectors.T`` is C-contiguous, so each eigenvector is one
         contiguous row of it.  Spectra from :func:`eig_sym` and the cache
-        already are; a matrix in another layout is copied once here.
+        already are; a matrix in another layout is copied once.
+
+    A spectrum made with ``solve`` instead of ``eigenvectors`` holds only its
+    eigenvalues until ``eigenvectors`` or ``rows`` is first read; that read
+    takes the eigenvector matrix from ``solve()`` and keeps it.  The
+    eigenvalues never change, so when they come from another solver than
+    the eigenvectors (:func:`eigvals_sym` against :func:`eig_sym`), column
+    ``k`` belongs to ``eigenvalues[k]`` up to the two solvers' roundoff
+    (at most 3.5e-13 for the 11-site chain).
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors=None, *, solve=None):
+        if (eigenvectors is None) == (solve is None):
+            raise ValidationError("a spectrum takes eigenvectors or solve, exactly one")
+        self.eigenvalues = eigenvalues
+        self._solve = solve
+        self._vectors = None if eigenvectors is None else _eigenstate_major(eigenvectors)
 
-    def __post_init__(self):
-        vecs = np.ascontiguousarray(self.eigenvectors.T).T
-        object.__setattr__(self, "eigenvectors", vecs)
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._vectors is None:
+            self._vectors = _eigenstate_major(self._solve())
+            self._solve = None
+        return self._vectors
 
     @property
     def dim(self) -> int:
@@ -70,6 +85,12 @@ class Spectrum:
     def rows(self) -> np.ndarray:
         """Eigenvectors as C-contiguous rows, ``rows[k]`` = column ``k`` (a view)."""
         return self.eigenvectors.T
+
+
+def _eigenstate_major(vecs: np.ndarray) -> np.ndarray:
+    # The same matrix with C-contiguous rows of its transpose (no copy when
+    # it already is).
+    return np.ascontiguousarray(vecs.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +162,29 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
         Ascending eigenvalues and sign-fixed orthonormal eigenvectors, stored
         eigenstate-major (``eigenvectors.T`` is C-contiguous).
     """
+    vals, vecs = np.linalg.eigh(_symmetric(matrix, check))
+    # eigh's workspace is freed by now, so the transposed copy does not
+    # raise the peak; the eigenvectors then live as contiguous rows.
+    rows = np.ascontiguousarray(vecs.T)
+    del vecs
+    _fix_signs(rows)
+    return Spectrum(eigenvalues=vals, eigenvectors=rows.T)
+
+
+def eigvals_sym(matrix: np.ndarray, *, check: bool = True) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix, without eigenvectors.
+
+    Takes the input :func:`eig_sym` takes, and solves for the eigenvalues
+    alone (LAPACK's eigenvalue-only driver), with no ``dim x dim`` result:
+    on the 11-site chain (2048 x 2048, 2 cores) 0.68-0.77 s against
+    1.3-2.0 s for :func:`eig_sym`.  The values agree with
+    :func:`eig_sym`'s to roundoff, not bitwise.
+    """
+    return np.linalg.eigvalsh(_symmetric(matrix, check))
+
+
+def _symmetric(matrix, check: bool) -> np.ndarray:
+    # The input as a square float array, validated when ``check`` is set.
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -154,13 +198,7 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
                 f"matrix is not symmetric: max|A - A.T| = {asym:.3e} "
                 f"exceeds {_SYM_TOL:.1e} * {scale:.3e}"
             )
-    vals, vecs = np.linalg.eigh(a)
-    # eigh's workspace is freed by now, so the transposed copy does not
-    # raise the peak; the eigenvectors then live as contiguous rows.
-    rows = np.ascontiguousarray(vecs.T)
-    del vecs
-    _fix_signs(rows)
-    return Spectrum(eigenvalues=vals, eigenvectors=rows.T)
+    return a
 
 
 def _fix_signs(rows: np.ndarray) -> None:
@@ -172,6 +210,11 @@ def _fix_signs(rows: np.ndarray) -> None:
     rows *= signs[:, None]
 
 
+# Distance below an interior bin edge, relative to the spectral range, within
+# which density_of_states counts a level in the bin above the edge.
+_EDGE_TOL = 1e-12
+
+
 def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensity:
     """Histogram density of states, linearly interpolated.
 
@@ -181,6 +224,12 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
     the trapezoidal integral of the interpolant reproduces the eigenvalue
     count exactly.  The tabulation grid refines every knot interval four-fold,
     giving at least ``4 * bins`` points.
+
+    A level on an interior bin edge counts in the bin above it, and so does
+    a level less than ``_EDGE_TOL`` times the spectral range below one: a
+    level that lies on an edge in exact arithmetic (the sum of the lowest
+    and highest level of two equal spectra, say) keeps its bin whatever the
+    roundoff of the solver that produced it.
 
     Parameters
     ----------
@@ -203,7 +252,12 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
     lo, hi = float(e[0]), float(e[-1])
     if hi == lo:
         raise ZeroWidthSpectrumError("spectrum has zero width; density undefined")
-    counts, edges = np.histogram(e, bins=bins, range=(lo, hi))
+    edges = np.histogram_bin_edges(e, bins=bins, range=(lo, hi))
+    # Every interior edge moves down by tol, the outer two stay: bin k holds
+    # the levels from its lower edge up to, not including, its upper one
+    # (the last bin closed).  With tol = 0 these are np.histogram's bins.
+    shifted = edges[1:-1] - _EDGE_TOL * (hi - lo)
+    counts = np.bincount(np.searchsorted(shifted, e, side="right"), minlength=bins)
     width = (hi - lo) / bins
     centers = 0.5 * (edges[:-1] + edges[1:])
     knots = np.concatenate(([lo], centers, [hi]))

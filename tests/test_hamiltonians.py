@@ -21,7 +21,7 @@ from ethlab.hamiltonians import (
     sample_goe,
     site_operator,
 )
-from ethlab.linalg import eig_sym
+from ethlab.linalg import eig_sym, eigvals_sym
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
 # diagonalization (independent builds agree to every printed digit).
@@ -61,24 +61,31 @@ def _reassembled(params, cut):
 
 
 def _assert_fragment_spectra(system, params, cut):
-    # The subsystem spectra are bitwise those of the fragment chains.
+    # The subsystem eigenvalues are bitwise the fragment chains' eigenvalue-
+    # only solve, and eig_sym's to roundoff; the eigenvectors, solved on
+    # first read (which may have come before: the fixtures are shared), are
+    # bitwise eig_sym's and then kept.
     spectra = (system.spectrum_a, system.spectrum_b)
     for spectrum, h in zip(spectra, _fragments(params, cut)):
         want = eig_sym(h)
-        assert np.array_equal(spectrum.eigenvalues, want.eigenvalues)
+        assert np.array_equal(spectrum.eigenvalues, eigvals_sym(h))
+        gap = np.abs(spectrum.eigenvalues - want.eigenvalues).max()
+        assert gap <= 1e-12 * want.spectral_range
         assert np.array_equal(spectrum.eigenvectors, want.eigenvectors)
+        assert spectrum.eigenvectors is spectrum.eigenvectors
 
 
 @pytest.fixture
-def make_bipartite_args(monkeypatch):
-    """Arguments of every ``make_bipartite`` call the random builder makes."""
+def diagonalize_args(monkeypatch):
+    """``(h_a, h_b, h_i)`` of every total diagonalization the random builder makes."""
     calls = []
+    real = hamiltonians._diagonalize
 
     def spy(h_a, h_b, h_i):
         calls.append((h_a, h_b, h_i))
-        return make_bipartite(h_a, h_b, h_i)
+        return real(h_a, h_b, h_i)
 
-    monkeypatch.setattr(hamiltonians, "make_bipartite", spy)
+    monkeypatch.setattr(hamiltonians, "_diagonalize", spy)
     return calls
 
 
@@ -227,24 +234,24 @@ def test_haar_orthogonal_column_statistics():
     assert np.allclose(acc / draws, 1.0 / dim, atol=0.01)
 
 
-def test_random_system_interaction_fraction(make_bipartite_args):
+def test_random_system_interaction_fraction(diagonalize_args):
     params = RandomSystemParams(
         sites_a=2, sites_b=5, sites_i=3, interaction_fraction=0.05, seed=3
     )
     build_random_system(params)
-    [(h_a, h_b, h_i)] = make_bipartite_args
+    [(h_a, h_b, h_i)] = diagonalize_args
     h_0 = np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
     ratio = np.linalg.norm(h_i, 2) / np.linalg.norm(h_0, 2)
     assert ratio == pytest.approx(0.05, rel=1e-10)
 
 
-def test_random_system_determinism_and_a_scale(make_bipartite_args):
+def test_random_system_determinism_and_a_scale(diagonalize_args):
     params = RandomSystemParams(
         sites_a=2, sites_b=4, sites_i=2, interaction_fraction=0.02, seed=11
     )
     s1 = build_random_system(params)
     s2 = build_random_system(params)
-    assert np.array_equal(make_bipartite_args[0][2], make_bipartite_args[1][2])
+    assert np.array_equal(diagonalize_args[0][2], diagonalize_args[1][2])
     assert np.array_equal(s1.spectrum_t.eigenvalues, s2.spectrum_t.eigenvalues)
     assert np.array_equal(s1.spectrum_t.eigenvectors, s2.spectrum_t.eigenvectors)
     wide = build_random_system(
@@ -262,7 +269,7 @@ def test_random_system_determinism_and_a_scale(make_bipartite_args):
     )
 
 
-def test_random_system_warm_build_equals_cold(make_bipartite_args):
+def test_random_system_warm_build_equals_cold(diagonalize_args):
     # A cached total spectrum skips the interaction: the warm build neither
     # draws nor builds it, and still reproduces every spectrum and
     # <alpha|H_I^2|alpha> bit for bit.
@@ -271,7 +278,7 @@ def test_random_system_warm_build_equals_cold(make_bipartite_args):
     )
     cold = build_random_system(params)
     warm = build_random_system(params, spectrum_t=cold.spectrum_t)
-    assert len(make_bipartite_args) == 1
+    assert len(diagonalize_args) == 1
     for name in ("spectrum_a", "spectrum_b", "spectrum_t"):
         a, b = getattr(cold, name), getattr(warm, name)
         assert np.array_equal(a.eigenvalues, b.eigenvalues), name
@@ -279,21 +286,26 @@ def test_random_system_warm_build_equals_cold(make_bipartite_args):
     assert np.array_equal(cold.interaction_sq, warm.interaction_sq)
 
 
-def test_random_system_cold_build_is_bitwise_the_plain_sum(make_bipartite_args):
+def test_random_system_cold_build_is_bitwise_the_plain_sum(diagonalize_args):
     # H_T is summed in place; the oracle diagonalizes the plain expression
     # of the same draw, and <alpha|H_I^2|alpha> follows from its spectrum.
     params = RandomSystemParams(
         sites_a=2, sites_b=5, sites_i=3, interaction_fraction=0.05, seed=3
     )
     system = build_random_system(params)
-    [(h_a, h_b, h_i)] = make_bipartite_args
+    [(h_a, h_b, h_i)] = diagonalize_args
     ident_a = np.eye(h_a.shape[0])
     ident_b = np.eye(h_b.shape[0])
     want = eig_sym(np.kron(h_a, ident_b) + np.kron(ident_a, h_b) + h_i)
     assert np.array_equal(system.spectrum_t.eigenvalues, want.eigenvalues)
     assert np.array_equal(system.spectrum_t.eigenvectors, want.eigenvectors)
-    oracle = hamiltonians._split_system(h_a, h_b, want)
+    oracle = hamiltonians._split_system(lambda: h_a, lambda: h_b, want)
     assert np.array_equal(system.interaction_sq, oracle.interaction_sq)
+    # The subsystems, rebuilt from their sorted diagonals, give the diagonal
+    # back as eigenvalues and the identity as eigenvectors, bit for bit.
+    for spectrum, h in ((system.spectrum_a, h_a), (system.spectrum_b, h_b)):
+        assert np.array_equal(spectrum.eigenvalues, np.diagonal(h))
+        assert np.array_equal(spectrum.eigenvectors, np.eye(h.shape[0]))
 
 
 def test_random_system_cold_build_array_peak():

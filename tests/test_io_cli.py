@@ -425,20 +425,25 @@ def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
 
 
 def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monkeypatch):
-    # A chain build diagonalizes both fragments before it reads the total
-    # spectrum from the cache, so a fragment's eigh never runs beside the
-    # loaded eigenvectors.  A cold build diagonalizes each matrix once; a
-    # forbidden miss still exits 4 before any dataset is written.
+    # A chain build solves both fragments' eigenvalues before it reads the
+    # total spectrum from the cache, so a fragment's solve never runs beside
+    # the loaded eigenvectors.  A cold build runs one eig_sym, on the total;
+    # a forbidden miss still exits 4 before any dataset is written.
     import ethlab.cli
     import ethlab.hamiltonians
     import ethlab.io
 
     events = []
     real_eig, real_load = ethlab.hamiltonians.eig_sym, ethlab.io.load_spectrum
+    real_vals = ethlab.hamiltonians.eigvals_sym
 
     def eig(matrix, **kwargs):
         events.append(("eig", np.shape(matrix)[0]))
         return real_eig(matrix, **kwargs)
+
+    def vals(matrix, **kwargs):
+        events.append(("eigvals", np.shape(matrix)[0]))
+        return real_vals(matrix, **kwargs)
 
     def load(*args):
         hit = real_load(*args)
@@ -446,6 +451,7 @@ def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monke
         return hit
 
     monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
+    monkeypatch.setattr(ethlab.hamiltonians, "eigvals_sym", vals)
     monkeypatch.setattr(ethlab.io, "load_spectrum", load)
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_CHAIN)
@@ -459,9 +465,51 @@ def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monke
     assert run("forbid") == 4
     assert not list(out.glob("*.csv"))
     assert run("use") == 0
-    assert events == [("eig", 8), ("eig", 32), ("load", False), ("eig", 256)]
+    assert events == [("eigvals", 8), ("eigvals", 32), ("load", False), ("eig", 256)]
     assert run("use") == 0
-    assert events == [("eig", 8), ("eig", 32), ("load", True)]
+    assert events == [("eigvals", 8), ("eigvals", 32), ("load", True)]
+
+
+def test_fragment_eigenvectors_are_solved_only_where_read(tmp_path, monkeypatch):
+    # Warm runs that read the subsystem spectra only through their levels
+    # run no eig_sym at all and leave every fragment's eigenvectors
+    # unsolved; the coefficient runs solve each fragment's exactly once.
+    import ethlab.hamiltonians
+    from ethlab.cli import main
+
+    eig_dims, fragments = [], []
+    real_eig, real_fragment = ethlab.hamiltonians.eig_sym, ethlab.hamiltonians._fragment
+
+    def eig(matrix, **kwargs):
+        eig_dims.append(np.shape(matrix)[0])
+        return real_eig(matrix, **kwargs)
+
+    def fragment(build):
+        spectrum = real_fragment(build)
+        fragments.append(spectrum)
+        return spectrum
+
+    monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
+    monkeypatch.setattr(ethlab.hamiltonians, "_fragment", fragment)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nsites = 8\nsites_b = 6\n\n[ensemble]\ncount = 2\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    for argv in (["predict"], ["reproduce", "appB"]):
+        assert main([*argv, *common]) == 0, argv  # fills the cache
+    for argv in (["reproduce", "fig2"], ["reproduce", "fig3"], ["spin-chain"],
+                 ["predict"], ["reproduce", "appB"]):
+        eig_dims.clear()
+        fragments.clear()
+        assert main([*argv, *common]) == 0, argv
+        assert eig_dims == [], argv
+        assert len(fragments) == (8 if argv[-1] == "fig2" else 2), argv
+        assert all(spectrum._vectors is None for spectrum in fragments), argv
+    for argv in (["coeffs"], ["reproduce", "fig1"]):
+        eig_dims.clear()
+        fragments.clear()
+        assert main([*argv, *common]) == 0, argv
+        assert eig_dims == [8, 32], argv
+        assert [spectrum._vectors.shape[0] for spectrum in fragments] == [8, 32]
 
 
 NEGATIVE_SYSTEM_SEED = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ethlab.linalg
-from ethlab.ansatz import density_autocorrelation
+from ethlab.ansatz import _density, density_autocorrelation
 from ethlab.errors import DimensionError, QuadratureError, ValidationError
 from ethlab.hamiltonians import SpinChainParams, build_spin_chain
 from ethlab.linalg import (
@@ -12,6 +12,7 @@ from ethlab.linalg import (
     Spectrum,
     density_of_states,
     eig_sym,
+    eigvals_sym,
     integrate_adaptive,
 )
 
@@ -152,6 +153,46 @@ def test_density_of_states_integral_is_exact():
         assert dens.integral() == pytest.approx(n, rel=1e-12)
         assert dens.normalized().integral() == pytest.approx(1.0, rel=1e-12)
         assert np.all(dens.values >= 0)
+
+
+def _bin_counts(density, bins):
+    # Histogram counts behind a density: its values at the bin centres (every
+    # fourth grid point after the first knot) times the bin width.
+    lo, hi = density.support
+    return np.rint(density.values[4:-4:4] * (hi - lo) / bins).astype(int)
+
+
+def test_density_of_states_counts_a_level_on_an_edge_above_it():
+    # Levels 0..8 in 4 bins put 2, 4 and 6 on the interior edges.  A level
+    # moved a few ulps to either side of an edge keeps the bin above it; one
+    # moved by far more than the tolerance crosses into the bin below.
+    levels = np.arange(9.0)
+    want = [2, 2, 2, 3]
+    assert _bin_counts(density_of_states(levels, bins=4), 4).tolist() == want
+    for ulps in (-3, -1, 1, 3):
+        moved = levels.copy()
+        for k in (2, 4, 6):
+            for _ in range(abs(ulps)):
+                moved[k] = np.nextafter(moved[k], np.sign(ulps) * np.inf)
+        got = _bin_counts(density_of_states(moved, bins=4), 4)
+        assert got.tolist() == want, ulps
+    moved = levels.copy()
+    moved[4] -= 1e-9
+    assert _bin_counts(density_of_states(moved, bins=4), 4).tolist() == [2, 3, 1, 3]
+
+
+@pytest.mark.parametrize("sites", [8, 10, 12])
+def test_equal_cut_sum_density_is_solver_independent(sites):
+    # At cut = sites/2 both fragments are one chain, so E_0 + E_max lies on
+    # n_0's centre edge in exact arithmetic; the sums from eig_sym's and from
+    # the eigenvalue-only solve's energies fill the same bins.
+    h = build_spin_chain(SpinChainParams(sites // 2))
+    counts = []
+    for levels in (eig_sym(h).eigenvalues, eigvals_sym(h)):
+        sums = np.add.outer(levels, levels).ravel()
+        density = _density(sums)
+        counts.append(_bin_counts(density, (density.grid.size - 1) // 4 - 1))
+    assert np.array_equal(counts[0], counts[1])
 
 
 def test_density_of_states_flat_spectrum():
