@@ -128,7 +128,7 @@ def _operator_from_args(args) -> np.ndarray:
         else:
             op = np.loadtxt(path, delimiter=",", ndmin=2)
         return np.asarray(op, dtype=float)
-    except ValueError as exc:
+    except (ValueError, EOFError) as exc:
         raise ValidationError(f"cannot read operator file {path}: {exc}") from None
 
 

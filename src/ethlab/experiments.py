@@ -9,10 +9,10 @@ evaluation is restricted to tiles that follow the requested mean-energy band,
 so the cost per operator scales with the band area rather than the full
 matrix, and a band holds only per-eigenstate arrays: each tile derives its
 pairs when it runs.  The grouped engine bins each tile with one
-``bincount`` per moment; the direct engine applies each operator only to
-the eigenvector rows its band's tiles read and adds each tile into bins
-carried across the band in band order, bitwise the one ``bincount`` over the
-whole band's elements that :func:`bin_offdiagonal` makes.  Its one level of
+``bincount`` per moment; the direct engine applies each operator to one
+tile's alpha rows at a time and adds each tile into bins carried across the
+band in band order, bitwise the one ``bincount`` over the whole band's
+elements that :func:`bin_offdiagonal` makes.  Its one level of
 parallelism is the BLAS library's threads under the matrix products: tiles
 and operators run in a fixed order on the calling thread, so the statistics
 are bitwise reproducible run to run.
@@ -131,8 +131,8 @@ def band_matrix_elements(
     """Elements of ``op_a (x) identity`` for the pairs of ``band``, in band order.
 
     Entry ``p`` is ``O[rows[p], cols[p]]`` for ``rows, cols, _ =
-    band.pairs()``; only the band's tiles are evaluated, one product per
-    tile as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
+    band.pairs()`` and a symmetric ``op_a``, evaluated on the band's tiles
+    as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
     _check_operator(system, op_a)
     tiles = band._direct_tiles(system.spectrum_t.rows, op_a)
@@ -247,14 +247,14 @@ class PairBand:
       it.  Beyond the eigenvectors it holds one tile-product buffer of at
       most ``_TILE_BYTES``, one block of values and the indices, bins and
       two floats per pair of the current tile;
-    - the direct engine applies one operator to the rows ``[min b0, max
-      b1)`` its tiles read, evaluates the operator's elements with one
-      matrix product per tile of ``_DIRECT_BATCH`` alphas and adds their
-      squares and fourth powers into the bins tile after tile, in band
-      order (:meth:`accumulate_from_factors`; used when the A factor is the
-      larger one).  Beyond the eigenvectors it holds that applied span,
-      one tile product and the indices, bin and element of each pair of
-      the current tile.
+    - the direct engine evaluates one operator's elements with one matrix
+      product per tile of ``_DIRECT_BATCH`` alphas, the operator applied
+      to the tile's alpha rows times the beta rows ``b0:b1``, and adds
+      their squares and fourth powers into the bins tile after tile, in
+      band order (:meth:`accumulate_from_factors`; used when the A factor
+      is the larger one).  Beyond the eigenvectors it holds one tile's
+      applied rows (``_DIRECT_BATCH x total``), its product and the
+      indices, bin and element of each pair of the tile.
 
     Tiles and blocks run in a fixed order on the calling thread, so the
     results are bit-reproducible.
@@ -404,17 +404,16 @@ class PairBand:
             accumulate_grouped(out, r2[d0:d1], r4[d0:d1])
         return self.bin_sums(r2, bins), self.bin_sums(r4, bins)
 
-    def accumulate_grouped_all(self, v3, ops_flat):
+    def accumulate_grouped_all(self, v3, ops_flat, buf):
         """Grouped-engine accumulation over the whole band.
 
         ``v3`` is as in :meth:`accumulate_grouped_batch`; the tiles are
-        :meth:`_grouped_tiles`.  Every tile product goes into one buffer
-        sized for the largest tile, so large products do not each map fresh
-        pages.  Per-tile partial sums merge in tile order.
+        :meth:`_grouped_tiles`.  Every tile product goes into the one
+        buffer ``buf``, at least ``_largest_tile(tiles) * dim_a**2`` long,
+        so large products do not each map fresh pages.  Per-tile partial
+        sums merge in tile order.
         """
-        dim_a = v3.shape[1]
-        tiles = self._grouped_tiles(dim_a)
-        buf = np.empty(_largest_tile(tiles) * dim_a * dim_a)
+        tiles = self._grouped_tiles(v3.shape[1])
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
         for tile in tiles:
@@ -427,17 +426,13 @@ class PairBand:
 
     def _direct_tiles(self, vecs, op_a):
         # Per tile of _DIRECT_BATCH alphas: the slice s0:s1 of the band
-        # order, one operator's elements of its pairs from one product
-        # vecs[a0:a1] @ applied[b0:b1].T, and their bins.  (op_a (x) 1) is
-        # applied once, only to the rows u0:u1 the tiles read; row beta of
-        # that span is row beta of the whole applied array, bit for bit.
-        tiles = self._alpha_batches(_DIRECT_BATCH)
-        u0 = min(b0 for _, _, b0, *_ in tiles)
-        u1 = max(b1 for _, _, _, b1, *_ in tiles)
-        applied = _apply_a_factor(op_a, vecs[u0:u1])
-        for a0, a1, b0, b1, s0, s1 in tiles:
+        # order, one operator's elements of its pairs and their bins.  op_a
+        # is symmetric, so each tile applies it to its own alpha rows
+        # (bitwise those rows of the whole applied array) and takes one
+        # product with its partners' rows b0:b1.
+        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
             lens, cols, bins = self._partners(a0, a1)
-            sub = vecs[a0:a1] @ applied[b0 - u0 : b1 - u0].T
+            sub = _apply_a_factor(op_a, vecs[a0:a1]) @ vecs[b0:b1].T
             # Flat offset of pair (alpha, beta) in sub: alpha's row start,
             # then beta - b0.
             starts = np.arange(a1 - a0) * (b1 - b0) - b0
@@ -458,16 +453,15 @@ class PairBand:
     def accumulate_from_factors(self, vecs, op_a):
         """Direct engine: per-bin sums of squares and fourth powers of one operator.
 
-        ``vecs`` holds the eigenvectors as rows and ``op_a`` is the operator
-        on the A factor.  ``(op_a (x) 1)`` is applied once, to the rows
-        ``[min b0, max b1)`` the tiles read, and each tile of
-        ``_DIRECT_BATCH`` alphas is one product ``vecs[a0:a1] @
-        applied[b0:b1].T``.  Its elements are squared in place twice and
-        added into the bins after each squaring with one ``np.add.at``,
-        carried across the tiles in band order: the same additions in the
-        same order as one ``bincount`` over the whole band, so the sums are
-        bitwise :meth:`element_moments` of :func:`band_matrix_elements`,
-        without a band-length buffer.
+        ``vecs`` holds the eigenvectors as rows and ``op_a`` is the
+        symmetric operator on the A factor, so ``<alpha|O|beta> = <O
+        alpha|beta>``: each tile of ``_DIRECT_BATCH`` alphas is one product
+        ``_apply_a_factor(op_a, vecs[a0:a1]) @ vecs[b0:b1].T``.  Its elements
+        are squared in place twice and added into the bins after each
+        squaring with one ``np.add.at``, carried across the tiles in band
+        order: the same additions in the same order as one ``bincount`` over
+        the whole band, so the sums are bitwise :meth:`element_moments` of
+        :func:`band_matrix_elements`, without a band-length buffer.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
@@ -535,26 +529,26 @@ def run_ensemble(
     Both engines walk each window's band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
     band evaluation over all operators at once, reading its panels as views
-    of the eigenvector rows; otherwise each operator is applied, once per
-    window, to the eigenvector rows that window's tiles read, and its
-    elements are evaluated with one matrix product per band tile and added
-    into the bins tile after tile, in band order.  The BLAS library's
-    threads are the only parallelism: tiles and operators run in a fixed
-    order on the calling thread, so the results are bitwise reproducible.
+    of the eigenvector rows; otherwise each operator, applied to one tile's
+    alpha rows at a time, gives its elements with one matrix product per
+    band tile, added into the bins tile after tile, in band order.  The
+    BLAS library's threads are the only parallelism: tiles and operators
+    run in a fixed order on the calling thread, so the results are bitwise
+    reproducible.
 
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return):
     every window's band holds a few integers per eigenstate and per omega
-    bin, not per pair.  The grouped engine holds one tile-product buffer of
-    at most ``_TILE_BYTES`` (more only when one alpha's tile exceeds it),
-    one streamed block of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs
-    by ``count`` operators) and the indices, bin and two floats of each
-    pair of the current tile; the direct engine holds one operator (drawn
-    when it is applied), its applied form on one band's span of rows
-    ``[min b0, max b1)`` (about half of ``total x total`` for the fig2
-    windows), one product of ``_DIRECT_BATCH`` eigenstates by the tile's
-    partners, and the indices, bin and element of each pair of the current
-    tile.
+    bin, not per pair.  The grouped engine holds one tile-product buffer,
+    shared by all windows and sized for the largest tile of any (at most
+    ``_TILE_BYTES`` unless one alpha's tile exceeds it), one streamed block
+    of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
+    operators) and the indices, bin and two floats of each pair of the
+    current tile; the direct engine holds one operator (drawn when it is
+    applied), its applied form on one tile's ``_DIRECT_BATCH`` rows, their
+    product with the tile's partners, and the indices, bin and element of
+    each pair of the current tile.  So warm 12-site runs peak in a grouped
+    engine's tile buffer (see ``MAX_CHAIN_SITES``).
     """
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
@@ -569,7 +563,9 @@ def run_ensemble(
             axis=1,
         )
         v3 = rows.reshape(-1, dim_a, system.dim_b)
-        partials = [band.accumulate_grouped_all(v3, ops_flat) for band in bands]
+        largest = max(_largest_tile(band._grouped_tiles(dim_a)) for band in bands)
+        buf = np.empty(largest * dim_a * dim_a)
+        partials = [band.accumulate_grouped_all(v3, ops_flat, buf) for band in bands]
     else:
         partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]
         for k in range(ens.count):

@@ -51,15 +51,15 @@ __all__ = [
 # at 684 MB, against 716 MB when the 11-site fragment's were kept.  The
 # eigenvector rows are copied out of eigh's result only after its workspace
 # is freed, below that peak.  The ensemble reads the rows in place; the
-# direct engine adds one operator applied to the rows one window's tiles
-# read (53% of them in the 13-site fig2 windows).  Each window's pair band
-# holds a few integers per eigenstate and per omega bin, and per-pair
-# indices live only for one band tile.  Warm at 13 sites on 2 cores,
-# `reproduce fig3` measured 594 MB peak RSS and 14-16 s, and `reproduce
-# fig2` with 4 operators 852 MB (at cut 7) and 70 s.  Its cut-1 build, the
-# 12-site fragment's eigenvalue solve and then the load, took 7.3 s and
-# reached 549 MB in-process, against 13.0 s and 683 MB when that fragment
-# ran a full eig_sym.
+# direct engine adds one operator applied to one 64-row tile at a time
+# (4 MiB at 13 sites).  Each window's pair band holds a few integers per
+# eigenstate and per omega bin, and per-pair indices live only for one band
+# tile.  Warm runs peak in a grouped engine, the eigenvectors plus one tile
+# buffer of at most 32 MiB.  On 2 cores at 12 sites `reproduce fig3` peaks
+# at 198 MB and `reproduce fig2` with 4 operators at 207 MB (cut 5); at 13
+# sites fig3 measured 581 MB and 17 s, and fig2 608 MB (cut 3) and 78 s.
+# fig2's cut-1 build, the 12-site fragment's eigenvalue solve and then the
+# load, took 7.3-8.8 s and reached 549 MB.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.

@@ -218,6 +218,13 @@ def _center_band(system, center=0.0):
     return PairBand(system.spectrum_t.eigenvalues, center, 0.5, width)
 
 
+def _grouped_all(band, v3, ops_flat):
+    # One window's grouped engine with its own buffer for its largest tile.
+    dim_a = v3.shape[1]
+    buf = np.empty(_largest_tile(band._grouped_tiles(dim_a)) * dim_a * dim_a)
+    return band.accumulate_grouped_all(v3, ops_flat, buf)
+
+
 def test_band_tiles_cover_the_band_in_order(chain10):
     # Direct-engine and grouped-engine tiles: consecutive pair slices that
     # cover the band in order, each inside its rectangle.
@@ -249,30 +256,35 @@ def test_ensemble_engines_match_dense_oracle(chain10):
     rows = system.spectrum_t.rows
     v3 = rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
+    dense = [matrix_elements_total_basis(system, op) for op in ops]
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
         band_rows, band_cols, _ = band.pairs()
-        dense = [
-            band.element_moments(
-                matrix_elements_total_basis(system, op)[band_rows, band_cols]
+
+        def oracle(matrices):
+            moments = [
+                band.element_moments(m[band_rows, band_cols]) for m in matrices
+            ]
+            return band.statistics(
+                sum(s for s, _ in moments), sum(q for _, q in moments), spec.count
             )
-            for op in ops
-        ]
+
         per_op = [band.accumulate_from_factors(rows, op) for op in ops]
-        want = band.statistics(
-            sum(s for s, _ in dense), sum(q for _, q in dense), spec.count
-        )
         grouped = band.statistics(
-            *band.accumulate_grouped_all(v3, ops_flat), spec.count
+            *_grouped_all(band, v3, ops_flat), spec.count
         )
         direct = band.statistics(
             sum(s for s, _ in per_op), sum(q for _, q in per_op), spec.count
         )
         # The grouped engine contracts through transfer matrices, which
         # leaves roundoff of about eps * sqrt(max / mean_sq) relative on a
-        # bin (3.5e-11 at 1e-12 * max); the direct engine evaluates the same
-        # dot products as the dense oracle.
-        for got, floor in ((grouped, 1e-8), (direct, 1e-12)):
+        # bin (3.5e-11 at 1e-12 * max).  The direct engine evaluates the dot
+        # products <(O (x) 1) alpha|beta>, which the dense oracle's
+        # transpose holds at (alpha, beta).
+        for got, want, floor in (
+            (grouped, oracle(dense), 1e-8),
+            (direct, oracle(m.T for m in dense), 1e-12),
+        ):
             assert np.array_equal(got.count, want.count)
             big = want.mean_sq > floor * want.mean_sq.max()
             assert np.allclose(
@@ -538,7 +550,7 @@ def test_grouped_engine_reused_buffer_is_bitwise_fresh_products(chain10, cut):
             s, q = _fresh_tile_batch(band, v3, ops_flat, tile)
             want[0] += s
             want[1] += q
-        got = band.accumulate_grouped_all(v3, ops_flat)
+        got = _grouped_all(band, v3, ops_flat)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -564,33 +576,51 @@ def test_grouped_panels_are_views_of_the_transposed_stack(chain10, cut):
 
 def test_grouped_tile_budget(chain10, monkeypatch):
     # A small _TILE_BYTES halves the alpha batch until the largest tile
-    # product fits; the buffer stays within it and the statistics agree
-    # with the default tiles to 1e-13.
+    # product fits, and the statistics agree with the default tiles to
+    # 1e-13.  run_ensemble passes one buffer to every tile of every window,
+    # sized for the largest tile of any window and within the budget; its
+    # statistics are bitwise those of per-window calls that each allocate
+    # their own buffer.
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=4, seed=0)
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
     want = run_ensemble(system, spec, centers, BinningParams())
     budget = 4 << 20
     monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
-    for center in centers:
-        band = _center_band(system, center)
+    bands = [_center_band(system, center) for center in centers]
+    largest = []
+    for band in bands:
         tiles = band._grouped_tiles(32)
         assert len(tiles) > len(band._alpha_batches(16))
-        assert 8 * 32 * 32 * _largest_tile(tiles) <= budget
+        largest.append(8 * 32 * 32 * _largest_tile(tiles))
+    assert len(set(largest)) == len(bands) and max(largest) <= budget
+    v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
+    ops_flat = np.stack(
+        [sample_local_operator(spec, 32, k).ravel() for k in range(spec.count)],
+        axis=1,
+    )
+    per_window = [
+        band.statistics(*_grouped_all(band, v3, ops_flat), spec.count)
+        for band in bands
+    ]
     buffers = []
     batch = PairBand.accumulate_grouped_batch
 
     def recorded(self, v3, ops_flat, tile, buf, *args):
-        buffers.append(buf.nbytes)
+        buffers.append(buf)
         return batch(self, v3, ops_flat, tile, buf, *args)
 
     monkeypatch.setattr(PairBand, "accumulate_grouped_batch", recorded)
     got = run_ensemble(system, spec, centers, BinningParams())
-    assert buffers and max(buffers) <= budget
-    for g, w in zip(got, want):
+    assert len(buffers) == sum(len(band._grouped_tiles(32)) for band in bands)
+    assert all(buf is buffers[0] for buf in buffers)
+    assert buffers[0].nbytes == max(largest)
+    for g, w, alone in zip(got, want, per_window):
         assert np.array_equal(g.count, w.count)
         assert np.allclose(g.mean_sq, w.mean_sq, rtol=1e-13, atol=0.0)
         assert np.allclose(g.std_err, w.std_err, rtol=1e-13, atol=0.0)
+        assert np.array_equal(g.mean_sq, alone.mean_sq)
+        assert np.array_equal(g.std_err, alone.std_err)
 
 
 def _traced_peak(fn):
@@ -615,36 +645,28 @@ def test_grouped_engine_copies_no_eigenvectors(chain10):
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
 
 
-def _band_span(band):
-    # Rows [min b0, max b1) the band's direct tiles read.
-    tiles = band._alpha_batches(ethlab.experiments._DIRECT_BATCH)
-    return min(t[2] for t in tiles), max(t[3] for t in tiles)
-
-
 @pytest.mark.parametrize("count", [3, 32])
-def test_direct_engine_applies_one_operator_to_its_band_span(chain10, count):
-    # At cut 7 (dim_a > dim_b) each operator is applied only to the rows
-    # its band's tiles read: 545 of 1024 eigenvector rows (4.5 MB) in the
-    # centre window, where applying it to every row takes 8.4 MB.  Bands,
-    # tiles and one operator add about 1 MB, so neither the whole applied
-    # array, nor two operators' spans alive at once, nor 32 operators
-    # (131 kB each) drawn up front fit under the span plus a quarter of
-    # the eigenvectors.
+def test_direct_engine_applies_one_operator_to_one_tile(chain10, count):
+    # At cut 7 (dim_a > dim_b) each operator is applied to one tile of
+    # _DIRECT_BATCH eigenvector rows at a time (0.5 MB).  The traced peak
+    # measured 1.28 MB at both counts, under a quarter of the eigenvectors'
+    # 8.4 MB.  Applying an operator to the 545 rows the centre window's
+    # tiles read (4.5 MB) or to every row (8.4 MB), or drawing 32 operators
+    # (131 kB each) up front, would not fit.
     system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=count, seed=0)
-    u0, u1 = _band_span(_center_band(system))
-    span_bytes = 8 * (u1 - u0) * system.total_dim
     peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
-    assert peak < span_bytes + 0.25 * system.spectrum_t.eigenvectors.nbytes
+    assert peak < 0.25 * system.spectrum_t.eigenvectors.nbytes
 
 
 @pytest.mark.parametrize("cut", [6, 7, 8, 9])
-def test_span_apply_is_the_full_apply_bitwise(chain10, cut):
-    # Applying each operator to the band's span of rows gives the elements
-    # and sums of applying it to every row, bit for bit: each row is its own
-    # small product, and every tile product keeps its shape and layout.
-    # The oracle applies the operator to all rows in one stacked matmul and
-    # evaluates each tile as rows[a0:a1] @ applied[b0:b1].T.
+def test_alpha_side_tiles_are_the_full_apply_bitwise(chain10, cut):
+    # The direct engine evaluates <(O (x) 1) alpha|beta>: each tile's
+    # elements are, bit for bit, the rows a0:a1 of the operator applied to
+    # every row in one stacked matmul, times the eigenvector rows b0:b1, at
+    # the band's pairs (each row is its own small product, so applying it
+    # per tile changes no bit).  band_matrix_elements concatenates the
+    # tiles, and the direct engine's sums are their element_moments.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     assert system.dim_a > system.dim_b
     rows = system.spectrum_t.rows
@@ -655,25 +677,18 @@ def test_span_apply_is_the_full_apply_bitwise(chain10, cut):
     ).reshape(rows.shape)
     for fraction in (0.0, 0.25, 0.5):
         band = _center_band(system, float(fraction * energies[0]) + 0.0)
-        assert _band_span(band) != (0, system.total_dim)
         elements = []
-        sums = np.zeros(band.n_bins)
-        sumsqs = np.zeros(band.n_bins)
         for a0, a1, b0, b1, *_ in band._alpha_batches(
             ethlab.experiments._DIRECT_BATCH
         ):
-            alphas, betas, bins = band.pairs(a0, a1)
-            values = (rows[a0:a1] @ applied[b0:b1].T)[alphas - a0, betas - b0]
-            elements.append(values.copy())
-            np.multiply(values, values, out=values)
-            np.add.at(sums, bins, values)
-            np.multiply(values, values, out=values)
-            np.add.at(sumsqs, bins, values)
+            alphas, betas, _ = band.pairs(a0, a1)
+            sub = applied[a0:a1] @ rows[b0:b1].T
+            elements.append(sub[alphas - a0, betas - b0])
         got = band_matrix_elements(system, op, band)
         assert np.array_equal(got, np.concatenate(elements))
-        got_sums, got_sumsqs = band.accumulate_from_factors(rows, op)
-        assert np.array_equal(got_sums, sums)
-        assert np.array_equal(got_sumsqs, sumsqs)
+        direct = band.accumulate_from_factors(rows, op)
+        for g, w in zip(direct, band.element_moments(got)):
+            assert np.array_equal(g, w)
 
 
 def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):

@@ -383,11 +383,15 @@ def test_cli_localize_rejects_bad_letters(letters):
 
 @pytest.mark.parametrize(
     "name, content",
-    [("bad.csv", b"a,b\n1,2\n"), ("bad.npy", b"not an npy file\n")],
+    [
+        ("bad.csv", b"a,b\n1,2\n"),
+        ("bad.npy", b"not an npy file\n"),
+        ("empty.npy", b""),
+    ],
 )
 def test_cli_localize_rejects_malformed_matrix_file(tmp_path, name, content):
-    # A non-numeric CSV cell, or a .npy that numpy reads as pickled data, is
-    # a configuration error naming the file, not a traceback.
+    # A non-numeric CSV cell, a .npy that numpy reads as pickled data, or an
+    # empty .npy is a configuration error naming the file, not a traceback.
     path = tmp_path / name
     path.write_bytes(content)
     proc = run_cli("localize", "--matrix", str(path))
