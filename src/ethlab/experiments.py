@@ -193,9 +193,9 @@ class BinnedStatistics:
 # with the operators.
 _STREAM_BYTES = 256 * 1024
 
-# Budget of the grouped engine's one tile-product buffer: tiles shrink until
-# the band's largest fits (unless a single alpha's tile is larger).
-_TILE_BYTES = 32 * 1024 * 1024
+# Budget of the grouped engine's one tile-product buffer: every tile product
+# fits it.
+_TILE_BYTES = 8 * 1024 * 1024
 
 # Alphas per band tile of the direct engine.
 _DIRECT_BATCH = 64
@@ -216,11 +216,6 @@ def accumulate_grouped(values, r2, r4):
     np.einsum("ij,ij->i", values, values, out=r4)
 
 
-def _largest_tile(tiles) -> int:
-    # Most (alpha, beta) cells in one band tile (a0, a1, b0, b1, s0, s1).
-    return max((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, _, _ in tiles)
-
-
 class PairBand:
     """Unordered-pair structure for one mean-energy window.
 
@@ -229,30 +224,33 @@ class PairBand:
     only per-eigenstate arrays (that range and each alpha's offset into the
     alpha-major pair order) plus the per-bin pair counts: its memory is
     ``O(total + n_bins)`` whatever the number of pairs.  Both evaluation
-    engines walk the band in tiles: a tile is a batch of consecutive alphas
-    times the contiguous beta range their pairs span, and its pairs, one
-    slice ``s0:s1`` of the band order, are derived on the fly
-    (:meth:`pairs`) and dropped with the tile.  Because the window fixes the
-    mean energy, the tiles follow the anti-diagonal band instead of covering
-    it with rectangles.
+    engines walk the band in tiles of consecutive alphas times a contiguous
+    beta range, whose pairs are derived on the fly (:meth:`pairs`) and
+    dropped with the tile.  Because the window fixes the mean energy, the
+    tiles follow the anti-diagonal band instead of covering it with
+    rectangles.
 
-    - the grouped engine forms, per tile, the operator-independent transfer
-      matrices ``T[p, q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its
-      pairs in one matrix product, then streams the pairs through cache in
-      blocks of ``_STREAM_BYTES`` of transfer rows: one matrix product per
-      block gives the elements of every ensemble operator, reduced at once
-      to per-pair moments (worthwhile when ``dim_a <= dim_b``).  ``V3`` is
-      the eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of
-      an eigenstate-major spectrum, and both panels of a tile are views of
-      it.  Beyond the eigenvectors it holds one tile-product buffer of at
-      most ``_TILE_BYTES``, one block of values and the indices, bins and
-      two floats per pair of the current tile;
+    - the grouped engine cuts each batch of alphas' beta range into chunks
+      so that every tile product fits ``_TILE_BYTES``, and keeps per tile
+      the alphas with partners in its chunk (:meth:`_grouped_tiles`).  It
+      forms, per tile, the operator-independent transfer matrices ``T[p,
+      q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its pairs in one
+      matrix product, then streams the pairs through cache in blocks of
+      ``_STREAM_BYTES`` of transfer rows: one matrix product per block
+      gives the elements of every ensemble operator, reduced at once to
+      per-pair moments (worthwhile when ``dim_a <= dim_b``).  ``V3`` is the
+      eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of an
+      eigenstate-major spectrum, and both panels of a tile are views of
+      it.  Beyond the eigenvectors it holds one tile-product buffer of
+      ``_TILE_BYTES``, one block of values and the indices, bins and two
+      floats per pair of the current tile;
     - the direct engine evaluates one operator's elements with one matrix
       product per tile of ``_DIRECT_BATCH`` alphas, the operator applied
-      to the tile's alpha rows times the beta rows ``b0:b1``, and adds
-      their squares and fourth powers into the bins tile after tile, in
-      band order (:meth:`accumulate_from_factors`; used when the A factor
-      is the larger one).  Beyond the eigenvectors it holds one tile's
+      to the tile's alpha rows times the beta rows ``b0:b1`` their pairs
+      span, and adds their squares and fourth powers into the bins tile
+      after tile, in band order: a tile's pairs are one slice ``s0:s1`` of
+      it (:meth:`accumulate_from_factors`; used when the A factor is the
+      larger one).  Beyond the eigenvectors it holds one tile's
       applied rows (``_DIRECT_BATCH x total``), its product and the
       indices, bin and element of each pair of the tile.
 
@@ -303,26 +301,35 @@ class PairBand:
             bins = self._partners(a0, a1)[2]
             self.pair_counts += np.bincount(bins, minlength=self.n_bins)
 
-    def _partners(self, a0: int, a1: int):
+    def _partners(self, a0: int, a1: int, c0: int = 0, c1: Optional[int] = None):
         # Per-alpha pair counts, then the partners and omega bins of alphas
-        # a0..a1 in band order: alpha's pairs are one run of consecutive betas.
-        lens = self._lens[a0:a1]
-        s0 = self._alpha_start[a0]
-        shift = self._lo[a0:a1] - (self._alpha_start[a0:a1] - s0)
-        cols = np.arange(self._alpha_start[a1] - s0) + np.repeat(shift, lens)
+        # a0..a1 in band order: alpha's pairs are one run of consecutive
+        # betas, here clipped to the betas c0..c1 (all of them by default).
+        c1 = self.energies.size if c1 is None else c1
+        lo = np.clip(self._lo[a0:a1], c0, c1)
+        lens = np.clip(self._lo[a0:a1] + self._lens[a0:a1], c0, c1) - lo
+        starts = np.cumsum(lens) - lens
+        cols = np.arange(lens.sum()) + np.repeat(lo - starts, lens)
         e = self.energies
         bins = ((e[cols] - np.repeat(e[a0:a1], lens)) * self._inv).astype(np.int64)
         return lens, cols, bins
 
-    def pairs(self, a0: int = 0, a1: Optional[int] = None):
+    def pairs(
+        self,
+        a0: int = 0,
+        a1: Optional[int] = None,
+        c0: int = 0,
+        c1: Optional[int] = None,
+    ):
         """``(rows, cols, bins)`` of the pairs of alphas ``a0 .. a1``, in band order.
 
         ``rows`` and ``cols`` are the eigenstate indices ``alpha < beta`` and
-        ``bins`` their omega bins; the default is the whole band.  Derived on
+        ``bins`` their omega bins; the default is the whole band, and
+        ``c0, c1`` keep only the partners ``c0 <= beta < c1``.  Derived on
         each call, so the caller holds them only while it needs them.
         """
         a1 = self.energies.size if a1 is None else a1
-        lens, cols, bins = self._partners(a0, a1)
+        lens, cols, bins = self._partners(a0, a1, c0, c1)
         return np.repeat(np.arange(a0, a1), lens), cols, bins
 
     def _alpha_batches(self, batch: int):
@@ -352,18 +359,28 @@ class PairBand:
     # -- grouped engine ----------------------------------------------------
 
     def _grouped_tiles(self, dim_a: int):
-        """Band tiles of the grouped engine for an A factor of ``dim_a``.
+        """Grouped-engine band tiles ``(a0, a1, c0, c1)`` for an A factor of ``dim_a``.
 
-        ``max(4, 512 // dim_a)`` alphas per tile so the transfer panels stay
-        small, halved until the largest tile product fits ``_TILE_BYTES``
-        (a one-alpha tile is used whatever its size).
+        Batches of ``max(4, 512 // dim_a)`` consecutive alphas, so the
+        transfer panels stay small; each batch's beta range is cut into
+        chunks ``c0:c1`` narrow enough that a full batch's tile product
+        fits ``_TILE_BYTES``.  One beta of a full batch takes at most 256 KiB
+        when ``dim_a <= 64``, as ``dim_a <= dim_b`` gives every system up to
+        ``MAX_CHAIN_SITES``.  A tile keeps the alphas ``a0:a1`` with
+        partners in its chunk; its pairs are ``pairs(a0, a1, c0, c1)``.
+        Chunks without pairs are skipped, and tiles are yielded one at a
+        time.
         """
         batch = max(4, 512 // dim_a)
-        tiles = self._alpha_batches(batch)
-        while batch > 1 and 8 * dim_a * dim_a * _largest_tile(tiles) > _TILE_BYTES:
-            batch //= 2
-            tiles = self._alpha_batches(batch)
-        return tiles
+        width = _TILE_BYTES // (8 * dim_a * dim_a * batch)
+        for a0, a1, b0, b1, _, _ in self._alpha_batches(batch):
+            lo = self._lo[a0:a1]
+            hi = lo + self._lens[a0:a1]
+            for c0 in range(b0, b1, width):
+                c1 = min(c0 + width, b1)
+                inside = np.flatnonzero((lo < np.minimum(hi, c1)) & (hi > c0))
+                if inside.size:
+                    yield a0 + int(inside[0]), a0 + int(inside[-1]) + 1, c0, c1
 
     def accumulate_grouped_batch(self, v3, ops_flat, tile, buf):
         """Per-bin sums of squares and fourth powers of one band tile.
@@ -371,27 +388,28 @@ class PairBand:
         ``v3`` holds the eigenvectors as rows reshaped to
         ``(total, dim_a, dim_b)``, ``v3[alpha, p, j] = V3[alpha, p, j]``; both
         transfer panels are views of it.  ``ops_flat`` holds one flattened
-        operator per column.  One panel product, written into the 1-d float
-        scratch ``buf`` (at least ``(a1 - a0) * (b1 - b0) * dim_a**2`` long),
-        gives the transfer matrices of the whole tile.  Its pairs then stream
-        through cache ``_STREAM_BYTES // (8 * dim_a**2)`` at a time: each
-        block is gathered, multiplied by ``ops_flat`` into one block of
-        values and reduced by :func:`accumulate_grouped` to per-pair moments
-        (two floats per pair of the tile), which one ``bincount`` per moment
-        sums into bins.  Besides ``buf``, one block of values, the tile's
-        pairs and those two per-pair arrays are all the memory it holds.
+        operator per column.  One panel product of the tile ``(a0, a1, c0,
+        c1)``, written into the 1-d float scratch ``buf`` (at least ``(a1 -
+        a0) * (c1 - c0) * dim_a**2`` long), gives the transfer matrices of
+        all its pairs.  They then stream through cache ``_STREAM_BYTES //
+        (8 * dim_a**2)`` at a time: each block is gathered, multiplied by
+        ``ops_flat`` into one block of values and reduced by
+        :func:`accumulate_grouped` to per-pair moments (two floats per pair
+        of the tile), which one ``bincount`` per moment sums into bins.
+        Besides ``buf``, one block of values, the tile's pairs and those two
+        per-pair arrays are all the memory it holds.
         """
-        a0, a1, b0, b1, s0, s1 = tile
+        a0, a1, c0, c1 = tile
         dim_a, dim_b = v3.shape[1:]
         a_panel = v3[a0:a1].reshape(-1, dim_b)
-        b_panel = v3[b0:b1].reshape(-1, dim_b).T
+        b_panel = v3[c0:c1].reshape(-1, dim_b).T
         rect = buf[: a_panel.shape[0] * b_panel.shape[1]].reshape(a_panel.shape[0], -1)
         np.matmul(a_panel, b_panel, out=rect)
-        rect = rect.reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-        rows, cols, bins = self.pairs(a0, a1)
+        rect = rect.reshape(a1 - a0, dim_a, c1 - c0, dim_a)
+        rows, cols, bins = self.pairs(a0, a1, c0, c1)
         rows -= a0
-        cols -= b0
-        n = s1 - s0
+        cols -= c0
+        n = rows.size
         block = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
         values = np.empty((min(block, n), ops_flat.shape[1]))
         r2 = np.empty(n)
@@ -409,14 +427,13 @@ class PairBand:
 
         ``v3`` is as in :meth:`accumulate_grouped_batch`; the tiles are
         :meth:`_grouped_tiles`.  Every tile product goes into the one
-        buffer ``buf``, at least ``_largest_tile(tiles) * dim_a**2`` long,
-        so large products do not each map fresh pages.  Per-tile partial
-        sums merge in tile order.
+        buffer ``buf``, at least ``_TILE_BYTES // 8`` long, so large
+        products do not each map fresh pages.  Per-tile partial sums merge
+        in tile order.
         """
-        tiles = self._grouped_tiles(v3.shape[1])
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for tile in tiles:
+        for tile in self._grouped_tiles(v3.shape[1]):
             s, q = self.accumulate_grouped_batch(v3, ops_flat, tile, buf)
             sums += s
             sumsqs += q
@@ -539,16 +556,17 @@ def run_ensemble(
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return):
     every window's band holds a few integers per eigenstate and per omega
-    bin, not per pair.  The grouped engine holds one tile-product buffer,
-    shared by all windows and sized for the largest tile of any (at most
-    ``_TILE_BYTES`` unless one alpha's tile exceeds it), one streamed block
-    of values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
+    bin, not per pair.  The grouped engine holds one tile-product buffer
+    of ``_TILE_BYTES``, shared by all windows and allocated without a
+    tiling pass (every tile's product fits it), one streamed block of
+    values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
     operators) and the indices, bin and two floats of each pair of the
     current tile; the direct engine holds one operator (drawn when it is
     applied), its applied form on one tile's ``_DIRECT_BATCH`` rows, their
     product with the tile's partners, and the indices, bin and element of
-    each pair of the current tile.  So warm 12-site runs peak in a grouped
-    engine's tile buffer (see ``MAX_CHAIN_SITES``).
+    each pair of the current tile.  So warm 12- and 13-site runs peak in a
+    grouped engine, its tile buffer and its largest tile's pairs beside the
+    eigenvectors (see ``MAX_CHAIN_SITES``).
     """
     rows = system.spectrum_t.rows
     width = params.resolve_width(system.spectrum_t.spectral_range)
@@ -563,8 +581,7 @@ def run_ensemble(
             axis=1,
         )
         v3 = rows.reshape(-1, dim_a, system.dim_b)
-        largest = max(_largest_tile(band._grouped_tiles(dim_a)) for band in bands)
-        buf = np.empty(largest * dim_a * dim_a)
+        buf = np.empty(_TILE_BYTES // 8)
         partials = [band.accumulate_grouped_all(v3, ops_flat, buf) for band in bands]
     else:
         partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]

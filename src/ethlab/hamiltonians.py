@@ -54,12 +54,13 @@ __all__ = [
 # direct engine adds one operator applied to one 64-row tile at a time
 # (4 MiB at 13 sites).  Each window's pair band holds a few integers per
 # eigenstate and per omega bin, and per-pair indices live only for one band
-# tile.  Warm runs peak in a grouped engine, the eigenvectors plus one tile
-# buffer of at most 32 MiB.  On 2 cores at 12 sites `reproduce fig3` peaks
-# at 198 MB and `reproduce fig2` with 4 operators at 207 MB (cut 5); at 13
-# sites fig3 measured 581 MB and 17 s, and fig2 608 MB (cut 3) and 78 s.
-# fig2's cut-1 build, the 12-site fragment's eigenvalue solve and then the
-# load, took 7.3-8.8 s and reached 549 MB.
+# tile.  Warm runs peak in a grouped engine, the eigenvectors plus one 8 MiB
+# tile buffer and the per-pair arrays of one tile.  On 2 cores at 12 sites
+# `reproduce fig3` peaks at 179 MB (cut 3) and `reproduce fig2` with 4
+# operators at 183 MB (cut 1); at 13 sites fig3 measured 566 MB and 17 s,
+# and fig2 571 MB (cut 1) and 57 s.  fig2's cut-1 build, the 12-site
+# fragment's eigenvalue solve and then the load, took 6.3-8.8 s and reached
+# 549 MB.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -177,11 +178,15 @@ class BipartiteSystem:
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
 
 
-def _fragment(build: Callable[[], np.ndarray]) -> Spectrum:
+def _fragment(build: Callable[[], np.ndarray], *, check: bool = True) -> Spectrum:
     # Spectrum of the fragment Hamiltonian ``build()``: eigenvalues from one
     # eigenvalue-only solve now, eigenvectors from eig_sym of a fresh build
     # on first read.  Until then it holds neither them nor the matrix.
-    return Spectrum(eigvals_sym(build()), solve=lambda: eig_sym(build()).eigenvectors)
+    # ``check`` validates each build, as eig_sym does.
+    return Spectrum(
+        eigvals_sym(build(), check=check),
+        solve=lambda: eig_sym(build(), check=check).eigenvectors,
+    )
 
 
 def _split_system(
@@ -275,9 +280,14 @@ def decompose_chain(
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
-    spectrum_a = _fragment(partial(build_spin_chain, replace(params, sites=cut)))
+    # Chains are exactly symmetric and finite: the fragments' solves skip
+    # the check, as the total's does.
+    spectrum_a = _fragment(
+        partial(build_spin_chain, replace(params, sites=cut)), check=False
+    )
     spectrum_b = _fragment(
-        partial(build_spin_chain, replace(params, sites=params.sites - cut))
+        partial(build_spin_chain, replace(params, sites=params.sites - cut)),
+        check=False,
     )
 
     def compute():

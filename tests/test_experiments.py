@@ -19,7 +19,6 @@ from ethlab.experiments import (
     BinningParams,
     OperatorEnsembleSpec,
     PairBand,
-    _largest_tile,
     _prominent_peaks,
     accumulate_grouped,
     band_matrix_elements,
@@ -218,11 +217,14 @@ def _center_band(system, center=0.0):
     return PairBand(system.spectrum_t.eigenvalues, center, 0.5, width)
 
 
+def _tile_buffer():
+    # A grouped-engine tile-product buffer of the budget, as run_ensemble's.
+    return np.empty(ethlab.experiments._TILE_BYTES // 8)
+
+
 def _grouped_all(band, v3, ops_flat):
-    # One window's grouped engine with its own buffer for its largest tile.
-    dim_a = v3.shape[1]
-    buf = np.empty(_largest_tile(band._grouped_tiles(dim_a)) * dim_a * dim_a)
-    return band.accumulate_grouped_all(v3, ops_flat, buf)
+    # One window's grouped engine with its own tile buffer.
+    return band.accumulate_grouped_all(v3, ops_flat, _tile_buffer())
 
 
 def test_band_tiles_cover_the_band_in_order(chain10):
@@ -372,10 +374,12 @@ def _flat_band_oracle(energies, ebar_center, ebar_halfwidth, bin_width):
 
 @pytest.mark.parametrize("cut", [3, 5, 7])
 def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
-    # Each tile derives its pairs on the fly; concatenated in tile order
-    # they are the whole-band flat arrays, bit for bit, for both engines'
-    # tilings and fig3's three windows.  The tile-wise direct engine equals
-    # one bincount over the band's elements, bit for bit.
+    # Each direct-engine tile derives its pairs on the fly; concatenated in
+    # tile order they are the whole-band flat arrays, bit for bit, for
+    # fig3's three windows (the grouped tiles hold each pair once, but not
+    # in band order: test_grouped_tiles_hold_every_pair_once).  The
+    # tile-wise direct engine equals one bincount over the band's elements,
+    # bit for bit.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     energies = system.spectrum_t.eigenvalues
     width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
@@ -387,13 +391,10 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
         want = _flat_band_oracle(energies, center, 0.5, width)
         assert band.n_bins == want[3]
         assert np.array_equal(band.pair_counts, want[4])
-        for tiles in (
-            band._alpha_batches(ethlab.experiments._DIRECT_BATCH),
-            band._grouped_tiles(system.dim_a),
-        ):
-            parts = [band.pairs(a0, a1) for a0, a1, *_ in tiles]
-            for k in range(3):
-                assert np.array_equal(np.concatenate([p[k] for p in parts]), want[k])
+        tiles = band._alpha_batches(ethlab.experiments._DIRECT_BATCH)
+        parts = [band.pairs(a0, a1) for a0, a1, *_ in tiles]
+        for k in range(3):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), want[k])
         for got, whole in zip(band.pairs(), want):
             assert np.array_equal(got, whole)
         direct = band.accumulate_from_factors(rows, op)
@@ -441,14 +442,14 @@ def test_tiny_bin_width_is_a_validation_error():
 
 def _panels(v3, tile):
     # Transfer panels of a tile as views of the (total, dim_a, dim_b) rows.
-    a0, a1, b0, b1, _, _ = tile
+    a0, a1, c0, c1 = tile
     dim_b = v3.shape[2]
-    return v3[a0:a1].reshape(-1, dim_b), v3[b0:b1].reshape(-1, dim_b).T
+    return v3[a0:a1].reshape(-1, dim_b), v3[c0:c1].reshape(-1, dim_b).T
 
 
 def _binned_moments(band, tile, r2, r4):
     # Per-bin sums of a tile's per-pair moments.
-    bins = band.pairs(tile[0], tile[1])[2]
+    bins = band.pairs(*tile)[2]
     return (
         np.bincount(bins, weights=r2, minlength=band.n_bins),
         np.bincount(bins, weights=r4, minlength=band.n_bins),
@@ -458,16 +459,14 @@ def _binned_moments(band, tile, r2, r4):
 def _tile_wide_batch(band, v3, ops_flat, tile):
     # The grouped engine before streaming: gather every transfer row of the
     # tile at once, then one product and one accumulate_grouped for all pairs.
-    a0, a1, b0, b1, s0, s1 = tile
+    a0, a1, c0, c1 = tile
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
-    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-    rows, cols, _ = band.pairs(a0, a1)
-    transfer = rect[rows - a0, :, cols - b0, :].reshape(
-        s1 - s0, dim_a * dim_a
-    )
-    r2 = np.empty(s1 - s0)
-    r4 = np.empty(s1 - s0)
+    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, c1 - c0, dim_a)
+    rows, cols, _ = band.pairs(*tile)
+    transfer = rect[rows - a0, :, cols - c0, :].reshape(rows.size, dim_a * dim_a)
+    r2 = np.empty(rows.size)
+    r4 = np.empty(rows.size)
     accumulate_grouped(transfer @ ops_flat, r2, r4)
     return _binned_moments(band, tile, r2, r4)
 
@@ -487,11 +486,10 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
     )
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
-        tiles = band._grouped_tiles(system.dim_a)
-        buf = np.empty(_largest_tile(tiles) * system.dim_a**2)
+        buf = _tile_buffer()
         want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
         got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-        for tile in tiles:
+        for tile in band._grouped_tiles(system.dim_a):
             for acc, part in (
                 (want, _tile_wide_batch(band, v3, ops_flat, tile)),
                 (got, band.accumulate_grouped_batch(v3, ops_flat, tile, buf)),
@@ -511,18 +509,19 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
 def _fresh_tile_batch(band, v3, ops_flat, tile):
     # The streamed grouped engine with a freshly allocated tile product and
     # fresh values per block.
-    a0, a1, b0, b1, s0, s1 = tile
+    a0, a1, c0, c1 = tile
     dim_a = v3.shape[1]
     a_panel, b_panel = _panels(v3, tile)
-    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, b1 - b0, dim_a)
-    rows, cols, _ = band.pairs(a0, a1)
+    rect = (a_panel @ b_panel).reshape(a1 - a0, dim_a, c1 - c0, dim_a)
+    rows, cols, _ = band.pairs(*tile)
     rows = rows - a0
-    cols = cols - b0
+    cols = cols - c0
+    n = rows.size
     block = max(1, ethlab.experiments._STREAM_BYTES // (8 * dim_a * dim_a))
-    r2 = np.empty(s1 - s0)
-    r4 = np.empty(s1 - s0)
-    for d0 in range(0, s1 - s0, block):
-        d1 = min(d0 + block, s1 - s0)
+    r2 = np.empty(n)
+    r4 = np.empty(n)
+    for d0 in range(0, n, block):
+        d1 = min(d0 + block, n)
         transfer = rect[rows[d0:d1], :, cols[d0:d1], :]
         values = transfer.reshape(d1 - d0, dim_a * dim_a) @ ops_flat
         accumulate_grouped(values, r2[d0:d1], r4[d0:d1])
@@ -565,35 +564,36 @@ def test_grouped_panels_are_views_of_the_transposed_stack(chain10, cut):
     v3 = rows.reshape(-1, dim_a, dim_b)
     w = np.ascontiguousarray(v3.transpose(2, 0, 1)).reshape(dim_b, -1)
     for tile in _center_band(system)._grouped_tiles(dim_a):
-        a0, a1, b0, b1, _, _ = tile
+        a0, a1, c0, c1 = tile
         a_panel, b_panel = _panels(v3, tile)
         assert np.shares_memory(a_panel, rows) and np.shares_memory(b_panel, rows)
         assert np.array_equal(a_panel, w[:, a0 * dim_a : a1 * dim_a].T)
-        assert np.array_equal(b_panel, w[:, b0 * dim_a : b1 * dim_a])
-        want = w[:, a0 * dim_a : a1 * dim_a].T @ w[:, b0 * dim_a : b1 * dim_a]
+        assert np.array_equal(b_panel, w[:, c0 * dim_a : c1 * dim_a])
+        want = w[:, a0 * dim_a : a1 * dim_a].T @ w[:, c0 * dim_a : c1 * dim_a]
         assert np.allclose(a_panel @ b_panel, want, rtol=0.0, atol=1e-15)
 
 
 def test_grouped_tile_budget(chain10, monkeypatch):
-    # A small _TILE_BYTES halves the alpha batch until the largest tile
-    # product fits, and the statistics agree with the default tiles to
-    # 1e-13.  run_ensemble passes one buffer to every tile of every window,
-    # sized for the largest tile of any window and within the budget; its
-    # statistics are bitwise those of per-window calls that each allocate
-    # their own buffer.
+    # A small _TILE_BYTES narrows the beta chunks, never the alpha batch
+    # (16 at cut 5): every tile's alphas lie in one batch of 16, every tile
+    # product fits the budget, and the statistics agree with the default
+    # tiles to 1e-13.  run_ensemble passes one buffer of the budget to every
+    # tile of every window; its statistics are bitwise those of per-window
+    # calls that each allocate their own buffer.
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=4, seed=0)
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
     want = run_ensemble(system, spec, centers, BinningParams())
-    budget = 4 << 20
-    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
     bands = [_center_band(system, center) for center in centers]
-    largest = []
-    for band in bands:
-        tiles = band._grouped_tiles(32)
-        assert len(tiles) > len(band._alpha_batches(16))
-        largest.append(8 * 32 * 32 * _largest_tile(tiles))
-    assert len(set(largest)) == len(bands) and max(largest) <= budget
+    default = [len(list(band._grouped_tiles(32))) for band in bands]
+    budget = 256 << 10
+    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
+    for band, n_default in zip(bands, default):
+        tiles = list(band._grouped_tiles(32))
+        assert len(tiles) > n_default
+        for a0, a1, c0, c1 in tiles:
+            assert a0 // 16 == (a1 - 1) // 16
+            assert 8 * 32 * 32 * (a1 - a0) * (c1 - c0) <= budget
     v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack(
         [sample_local_operator(spec, 32, k).ravel() for k in range(spec.count)],
@@ -612,15 +612,65 @@ def test_grouped_tile_budget(chain10, monkeypatch):
 
     monkeypatch.setattr(PairBand, "accumulate_grouped_batch", recorded)
     got = run_ensemble(system, spec, centers, BinningParams())
-    assert len(buffers) == sum(len(band._grouped_tiles(32)) for band in bands)
+    assert len(buffers) == sum(len(list(band._grouped_tiles(32))) for band in bands)
     assert all(buf is buffers[0] for buf in buffers)
-    assert buffers[0].nbytes == max(largest)
+    assert buffers[0].nbytes == budget
     for g, w, alone in zip(got, want, per_window):
         assert np.array_equal(g.count, w.count)
         assert np.allclose(g.mean_sq, w.mean_sq, rtol=1e-13, atol=0.0)
         assert np.allclose(g.std_err, w.std_err, rtol=1e-13, atol=0.0)
         assert np.array_equal(g.mean_sq, alone.mean_sq)
         assert np.array_equal(g.std_err, alone.std_err)
+
+
+@pytest.mark.parametrize("budget", [None, 256 << 10])
+def test_grouped_tiles_hold_every_pair_once(chain10, monkeypatch, budget):
+    # The grouped tiles' pairs, each tile's alphas clipped to its beta
+    # chunk, are the band's (row, col, bin) triples, each exactly once, at
+    # cuts 1-5, both fig2 windows and the default or a small budget.  A tile
+    # starts and ends with an alpha that has partners in its chunk, and
+    # its product fits the budget.
+    if budget is not None:
+        monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
+    for cut in range(1, 6):
+        system = decompose_chain(
+            SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t
+        )
+        dim_a = system.dim_a
+        for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
+            band = _center_band(system, center)
+            parts = []
+            for a0, a1, c0, c1 in band._grouped_tiles(dim_a):
+                assert 8 * dim_a * dim_a * (a1 - a0) * (c1 - c0) <= (
+                    ethlab.experiments._TILE_BYTES
+                )
+                rows, cols, bins = band.pairs(a0, a1, c0, c1)
+                assert rows[0] == a0 and rows[-1] == a1 - 1
+                assert c0 <= cols.min() and cols.max() < c1
+                parts.append(np.stack([rows, cols, bins]))
+            got = np.concatenate(parts, axis=1)
+            want = np.stack(band.pairs())
+            assert got.shape == want.shape
+            order = np.lexsort(got[1::-1])
+            assert np.array_equal(got[:, order], want)
+
+
+def test_run_ensemble_tiles_each_window_once(chain10, monkeypatch):
+    # run_ensemble needs no tiling pass to size its buffer: each window is
+    # tiled once, by its own accumulation.
+    spec = OperatorEnsembleSpec(count=2, seed=0)
+    centers = [0.0, 0.5 * chain10.spectrum_t.eigenvalues[0], 0.0]
+    calls = []
+    tiles = PairBand._grouped_tiles
+
+    def counted(self, dim_a):
+        calls.append(self)
+        return tiles(self, dim_a)
+
+    monkeypatch.setattr(PairBand, "_grouped_tiles", counted)
+    run_ensemble(chain10, spec, centers, BinningParams())
+    assert len(calls) == len(centers)
+    assert len(set(map(id, calls))) == len(centers)
 
 
 def _traced_peak(fn):
@@ -634,15 +684,44 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_grouped_engine_copies_no_eigenvectors(chain10):
+def test_grouped_engine_copies_no_eigenvectors(chain10, monkeypatch):
     # The grouped engine reads its panels from the eigenvector rows in
-    # place: its whole traced peak stays below the eigenvectors' 8.4 MB.  The
-    # window half-width 0.25 keeps the band's largest tile product at 4.6 MB;
-    # with 250 operators one streamed block of values is 1 MB.
+    # place: its whole traced peak stays below the eigenvectors' 8.4 MB.  Its
+    # tile buffer is allocated at the budget, which is set to 4 MiB here (an
+    # 8 MiB buffer alone is the size of the 10-site eigenvectors); with 250
+    # operators one streamed block of values is 1 MB.  Measured: 6.2 MB.
+    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", 4 << 20)
     spec = OperatorEnsembleSpec(count=250, seed=0)
-    params = BinningParams(ebar_halfwidth=0.25)
+    params = BinningParams()
     peak = _traced_peak(lambda: run_ensemble(chain10, spec, [0.0], params))
     assert peak < chain10.spectrum_t.eigenvectors.nbytes
+
+
+def test_grouped_engine_holds_one_budget_buffer(chain10, monkeypatch):
+    # At cut 5 with a 256 KiB budget the grouped engine's traced peak is its
+    # tile buffer, one streamed block (its gathered transfer rows and its
+    # values), the operators, the per-pair arrays of the largest tile and
+    # a few arrays per eigenstate and per bin: 656 kB measured at 4
+    # operators.  Sizing the buffer for a one-alpha tile (1.4 MB), as a
+    # tiling that shrinks only the alpha batch must, would not fit: such a
+    # tiling peaked at 2.1 MB.
+    budget = 256 << 10
+    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
+    system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(count=4, seed=0)
+    band = _center_band(system)
+    largest = max(band.pairs(*tile)[0].size for tile in band._grouped_tiles(32))
+    block = ethlab.experiments._STREAM_BYTES // (8 * 32 * 32)
+    bound = (
+        budget
+        + ethlab.experiments._STREAM_BYTES
+        + 8 * block * spec.count
+        + 8 * 32 * 32 * spec.count
+        + 8 * 8 * largest
+        + 8 * 8 * (system.total_dim + band.n_bins)
+    )
+    peak = _traced_peak(lambda: run_ensemble(system, spec, [0.0], BinningParams()))
+    assert peak < bound
 
 
 @pytest.mark.parametrize("count", [3, 32])

@@ -112,6 +112,16 @@ def test_chain_two_site_analytic_entries():
     assert np.array_equal(h, expected)
 
 
+def test_chain_is_exactly_symmetric_and_finite():
+    # decompose_chain solves the fragments and the total without eig_sym's
+    # symmetry and finiteness check: every chain it builds must pass it
+    # exactly.
+    for sites in range(1, 13):
+        h = build_spin_chain(SpinChainParams(sites))
+        assert np.array_equal(h, h.T)
+        assert np.isfinite(h).all()
+
+
 def test_chain_params_validation():
     with pytest.raises(ValidationError):
         SpinChainParams(0)

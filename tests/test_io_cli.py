@@ -488,8 +488,8 @@ def test_fragment_eigenvectors_are_solved_only_where_read(tmp_path, monkeypatch)
         eig_dims.append(np.shape(matrix)[0])
         return real_eig(matrix, **kwargs)
 
-    def fragment(build):
-        spectrum = real_fragment(build)
+    def fragment(build, **kwargs):
+        spectrum = real_fragment(build, **kwargs)
         fragments.append(spectrum)
         return spectrum
 
