@@ -1,11 +1,12 @@
 """Analytic predictions for matrix-element statistics.
 
 The approximation ladder runs from exact discrete sums over subsystem spectra
-(microcanonical window counts, smooth profile sums) down to closed-form
-continuum limits (narrow scrambling, small-A autocorrelation, flat-spectrum
-forms).  Every rung predicts the variance of off-diagonal matrix elements of
-a local operator between eigenstates at mean energy ``Ebar`` and half
-splitting ``omega``; the Gibbs form predicts the diagonal.
+(profile-weighted sums, of which the microcanonical window counts are the
+closed flat window's) down to closed-form continuum limits (narrow
+scrambling, small-A autocorrelation, flat-spectrum forms).  Every rung
+predicts the variance of off-diagonal matrix elements of a local operator
+between eigenstates at mean energy ``Ebar`` and half splitting ``omega``;
+the Gibbs form predicts the diagonal.
 
 Conventions: ``sigma_a`` is the spectral range of the subsystem Hamiltonian,
 ``sigma_s`` the scrambling width, ``o2bar`` the mean squared operator
@@ -18,11 +19,13 @@ normalization and report an entropic factor of one.
 Each rung is one function (``f_microcanonical_exact``, ``f_narrow``, ...)
 that takes ``(..., ebar, omega)`` (``ebar`` only where the rung depends on
 it), ``omega`` a scalar or a 1-d grid, and returns a 1-d array of ``f`` over
-the grid.  The exact-sum rungs do their omega-independent work once per call
-(the level sums, ``|O_ij|^2``, the window sizes of every omega) and one dense
-sum per omega; the continuum rungs integrate the whole grid in one batched
-quadrature (:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose
-values are bitwise those of one-omega calls.  The small-A rungs take the
+the grid.  Both exact-sum rungs are one kernel, :func:`f_smooth_sums`: it
+does its omega-independent work once per call (the level sums and
+``|O_ij|^2``) and one dense sum per omega, and the microcanonical rung is
+that kernel with the closed flat window.  The continuum rungs integrate the
+whole grid in one batched quadrature
+(:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
+bitwise those of one-omega calls.  The small-A rungs take the
 tabulated autocorrelation :func:`density_autocorrelation` of the normalized
 subsystem density, itself one batched quadrature over its tabulation grid.
 Every quadrature of the ladder works to the one tolerance ``_TOL``.
@@ -31,7 +34,8 @@ alone: it derives the subsystem densities and ``sigma_a`` from the spectra
 the system carries.  :meth:`AnsatzModel.evaluate` calls the rung of its kind
 through one kind-keyed table, once per mean energy; it first drops the omegas
 the rung cannot evaluate (pair energies outside the support of ``n_0`` for
-the narrow rung, an empty window for the microcanonical one).
+the narrow rung, a window with a zero normalization for the microcanonical
+one).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .errors import (
 )
 from .hamiltonians import BipartiteSystem
 from .linalg import GridFunction, SpectralDensity, density_of_states, integrate_adaptive
-from .scrambling import SQRT2, SQRT3, exp_profile
+from .scrambling import SQRT2, SQRT3, exp_profile, flat_profile
 
 __all__ = [
     "AnsatzKind",
@@ -167,22 +171,12 @@ def _squared_elements(
     return rotated**2
 
 
-def _window_counts(sorted_vals, lows, highs):
-    # Sorted values inside each closed window [lows[k], highs[k]]; windows
-    # with highs[k] < lows[k] count zero.
-    lo_idx = np.searchsorted(sorted_vals, lows, side="left")
-    hi_idx = np.searchsorted(sorted_vals, highs, side="right")
-    return np.maximum(hi_idx - lo_idx, 0)
-
-
-def _window_sizes(system: BipartiteSystem, delta: float, ebar: float,
-                  omegas: np.ndarray) -> np.ndarray:
-    # Levels E_i + E_j in the noninteracting windows [E - delta/2,
-    # E + delta/2] at E = Ebar + omega (row 0) and E = Ebar - omega (row 1).
-    sums = np.sort(system.sum_energies().ravel())
-    half = 0.5 * delta
-    energies = np.concatenate((ebar + omegas, ebar - omegas))
-    return _window_counts(sums, energies - half, energies + half).reshape(2, -1)
+def _window_weights(h: Callable, sums: np.ndarray, ebar: float, w):
+    # Profile weights h(E - E_i - E_j) at E = Ebar + w and Ebar - w, and
+    # their normalizations Z(E) = sum_ij h(E - E_i - E_j).
+    p = np.asarray(h(ebar + w - sums), dtype=float)
+    q = np.asarray(h(ebar - w - sums), dtype=float)
+    return p, q, float(p.sum()), float(q.sum())
 
 
 def f_microcanonical_exact(
@@ -196,10 +190,12 @@ def f_microcanonical_exact(
 ) -> np.ndarray:
     """Off-diagonal standard deviation from literal microcanonical counts.
 
-    Every microcanonical window is a closed interval ``[E - delta/2,
-    E + delta/2]`` and window sizes are literal eigenvalue counts.  The
-    entropic suppression is carried implicitly by the discrete normalization,
-    so the return value is the full predicted standard deviation.
+    The smooth sums (:func:`f_smooth_sums`) with the closed-window indicator
+    ``flat_profile(delta)``: every microcanonical window is a closed
+    interval ``[E - delta/2, E + delta/2]`` and window sizes are literal
+    eigenvalue counts.  The entropic suppression is carried implicitly by
+    the discrete normalization, so the return value is the full predicted
+    standard deviation.
 
     Parameters
     ----------
@@ -219,28 +215,7 @@ def f_microcanonical_exact(
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    omegas = _omegas(omega)
-    z_a, z_b = _window_sizes(system, delta, ebar, omegas)
-    empty = (z_a == 0) | (z_b == 0)
-    if empty.any():
-        raise DegenerateWindowError(
-            f"empty noninteracting window at E={ebar} +/- "
-            f"{abs(omegas[empty][0])} (delta={delta})"
-        )
-    e_a = system.spectrum_a.eigenvalues
-    e_b = system.spectrum_b.eigenvalues
-    half = 0.5 * delta
-    m_sq = _squared_elements(system, op_a, o2bar)
-    f = np.empty(omegas.shape)
-    for k, w in enumerate(omegas):
-        e_alpha, e_beta = ebar + w, ebar - w
-        # Intersection of the two B-side windows for every (i, j) pair.
-        lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
-        hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
-        counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
-        f2 = float((counts * m_sq).sum()) / (float(z_a[k]) * float(z_b[k]))
-        f[k] = np.sqrt(f2)
-    return f
+    return f_smooth_sums(system, op_a, flat_profile(delta), ebar, omega, o2bar=o2bar)
 
 
 def f_smooth_sums(
@@ -257,22 +232,22 @@ def f_smooth_sums(
     Evaluates ``sum_ijk h(Ea - E_i - E_k) h(Eb - E_j - E_k) |O_ij|^2 /
     (Z(Ea) Z(Eb))`` with ``Z(E) = sum_ij h(E - E_i - E_j)`` over the literal
     subsystem spectra at ``Ea, Eb = Ebar +/- omega`` for every omega given,
-    and returns the square root.  Entropic suppression is implicit, as in
-    :func:`f_microcanonical_exact`.
+    and returns the square root.  Entropic suppression is implicit in the
+    normalization.  A zero ``Z`` at any pair energy (an empty window of a
+    flat profile, or a smooth profile underflowing far outside the
+    spectrum) raises :class:`DegenerateWindowError`.
     """
     omegas = _omegas(omega)
     sums = system.sum_energies()  # (dim_a, dim_b)
     m_sq = _squared_elements(system, op_a, o2bar)
     f = np.empty(omegas.shape)
     for k, w in enumerate(omegas):
-        p = np.asarray(h(ebar + w - sums), dtype=float)
-        q = np.asarray(h(ebar - w - sums), dtype=float)
-        z_a = float(p.sum())
-        z_b = float(q.sum())
+        p, q, z_a, z_b = _window_weights(h, sums, ebar, w)
         if z_a <= 0.0 or z_b <= 0.0:
             raise DegenerateWindowError(
-                "profile normalization underflowed to zero; energies are too "
-                "far outside the spectrum for this profile"
+                f"profile normalization is zero at E={ebar} +/- {abs(w)}: an "
+                "empty window, or energies too far outside the spectrum for "
+                "this profile"
             )
         kernel = p @ q.T  # (i, j) sums over the B factor
         f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
@@ -607,9 +582,10 @@ class AnsatzModel:
         quadrature.  Two kinds drop the omegas their rung cannot evaluate:
         the narrow kind those whose pair energies ``Ebar +/- omega`` leave the
         support of ``n_0`` (where ``f_narrow`` raises
-        :class:`OutOfSupportError`), the microcanonical kind those with an
-        empty noninteracting window at either pair energy (where
-        ``f_microcanonical_exact`` raises :class:`DegenerateWindowError`).
+        :class:`OutOfSupportError`), the microcanonical kind those whose
+        closed flat window holds no level ``E_i + E_j`` at either pair
+        energy: the zero normalization on which ``f_smooth_sums`` raises
+        :class:`DegenerateWindowError`.
         """
         omegas = np.array(omegas, dtype=float)
         kind = self.kind
@@ -619,8 +595,9 @@ class AnsatzModel:
         if kind is AnsatzKind.NARROW_SCRAMBLING:
             omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
         elif kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-            sizes = _window_sizes(self.system, self.delta, ebar, omegas)
-            omegas = omegas[(sizes > 0).all(axis=0)]
+            h, sums = flat_profile(self.delta), self.system.sum_energies()
+            live = [min(_window_weights(h, sums, ebar, w)[2:]) > 0.0 for w in omegas]
+            omegas = omegas[np.array(live, dtype=bool)]
         f_vals = _RUNGS[kind](self, ebar, omegas)
         return Prediction(
             kind=kind.value,

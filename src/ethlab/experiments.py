@@ -136,7 +136,7 @@ def band_matrix_elements(
     """
     _check_operator(system, op_a)
     tiles = band._direct_tiles(system.spectrum_t.rows, op_a)
-    return np.concatenate([values for _, _, values, _ in tiles])
+    return np.concatenate([values for values, _ in tiles])
 
 
 @dataclass(frozen=True)
@@ -248,11 +248,10 @@ class PairBand:
       product per tile of ``_DIRECT_BATCH`` alphas, the operator applied
       to the tile's alpha rows times the beta rows ``b0:b1`` their pairs
       span, and adds their squares and fourth powers into the bins tile
-      after tile, in band order: a tile's pairs are one slice ``s0:s1`` of
-      it (:meth:`accumulate_from_factors`; used when the A factor is the
-      larger one).  Beyond the eigenvectors it holds one tile's
-      applied rows (``_DIRECT_BATCH x total``), its product and the
-      indices, bin and element of each pair of the tile.
+      after tile, in band order (:meth:`accumulate_from_factors`; used when
+      the A factor is the larger one).  Beyond the eigenvectors it holds
+      one tile's applied rows (``_DIRECT_BATCH x total``), its product and
+      the indices, bin and element of each pair of the tile.
 
     Tiles and blocks run in a fixed order on the calling thread, so the
     results are bit-reproducible.
@@ -280,8 +279,6 @@ class PairBand:
         self._inv = 1.0 / (2.0 * bin_width)
         self._lo = lo
         self._lens = lens
-        # Pair-slice boundaries per alpha, for tile scheduling.
-        self._alpha_start = np.concatenate(([0], np.cumsum(lens)))
 
         # An alpha's widest pair is its last partner (omega grows with beta),
         # so the largest bin is known before any per-pair array exists.
@@ -298,21 +295,8 @@ class PairBand:
         self.n_bins = int(top) + 1
         self.pair_counts = np.zeros(self.n_bins, dtype=np.int64)
         for a0, a1, *_ in self._alpha_batches(_DIRECT_BATCH):
-            bins = self._partners(a0, a1)[2]
+            bins = self.pairs(a0, a1)[2]
             self.pair_counts += np.bincount(bins, minlength=self.n_bins)
-
-    def _partners(self, a0: int, a1: int, c0: int = 0, c1: Optional[int] = None):
-        # Per-alpha pair counts, then the partners and omega bins of alphas
-        # a0..a1 in band order: alpha's pairs are one run of consecutive
-        # betas, here clipped to the betas c0..c1 (all of them by default).
-        c1 = self.energies.size if c1 is None else c1
-        lo = np.clip(self._lo[a0:a1], c0, c1)
-        lens = np.clip(self._lo[a0:a1] + self._lens[a0:a1], c0, c1) - lo
-        starts = np.cumsum(lens) - lens
-        cols = np.arange(lens.sum()) + np.repeat(lo - starts, lens)
-        e = self.energies
-        bins = ((e[cols] - np.repeat(e[a0:a1], lens)) * self._inv).astype(np.int64)
-        return lens, cols, bins
 
     def pairs(
         self,
@@ -328,28 +312,35 @@ class PairBand:
         ``c0, c1`` keep only the partners ``c0 <= beta < c1``.  Derived on
         each call, so the caller holds them only while it needs them.
         """
-        a1 = self.energies.size if a1 is None else a1
-        lens, cols, bins = self._partners(a0, a1, c0, c1)
-        return np.repeat(np.arange(a0, a1), lens), cols, bins
+        n = self.energies.size
+        a1 = n if a1 is None else a1
+        c1 = n if c1 is None else c1
+        # Alpha's pairs are one run of consecutive betas, clipped to c0..c1.
+        lo = np.clip(self._lo[a0:a1], c0, c1)
+        lens = np.clip(self._lo[a0:a1] + self._lens[a0:a1], c0, c1) - lo
+        starts = np.cumsum(lens) - lens
+        rows = np.repeat(np.arange(a0, a1), lens)
+        cols = np.arange(lens.sum()) + np.repeat(lo - starts, lens)
+        e = self.energies
+        bins = ((e[cols] - e[rows]) * self._inv).astype(np.int64)
+        return rows, cols, bins
 
     def _alpha_batches(self, batch: int):
-        """Band tiles ``(a0, a1, b0, b1, s0, s1)`` of ``batch`` alphas each.
+        """Band tiles ``(a0, a1, b0, b1)`` of ``batch`` alphas each.
 
-        A tile's pairs are ``pairs(a0, a1)``, the slice ``s0:s1`` of the band
-        order; they lie inside ``[a0, a1) x [b0, b1)``.  Tiles without pairs
-        are skipped.
+        A tile's pairs are ``pairs(a0, a1)``, and ``[b0, b1)`` is the
+        narrowest beta range that holds them.  Tiles without pairs are
+        skipped.
         """
         n = self.energies.size
         out = []
         for a0 in range(0, n, batch):
             a1 = min(a0 + batch, n)
-            s0 = int(self._alpha_start[a0])
-            s1 = int(self._alpha_start[a1])
-            if s1 > s0:
-                some = self._lens[a0:a1] > 0
-                lo = self._lo[a0:a1][some]
-                hi = lo + self._lens[a0:a1][some]
-                out.append((a0, a1, int(lo.min()), int(hi.max()), s0, s1))
+            lens = self._lens[a0:a1]
+            if lens.any():
+                lo = self._lo[a0:a1][lens > 0]
+                hi = lo + lens[lens > 0]
+                out.append((a0, a1, int(lo.min()), int(hi.max())))
         return out
 
     def bin_sums(self, values, bins):
@@ -373,7 +364,7 @@ class PairBand:
         """
         batch = max(4, 512 // dim_a)
         width = _TILE_BYTES // (8 * dim_a * dim_a * batch)
-        for a0, a1, b0, b1, _, _ in self._alpha_batches(batch):
+        for a0, a1, b0, b1 in self._alpha_batches(batch):
             lo = self._lo[a0:a1]
             hi = lo + self._lens[a0:a1]
             for c0 in range(b0, b1, width):
@@ -442,18 +433,15 @@ class PairBand:
     # -- direct engine -----------------------------------------------------
 
     def _direct_tiles(self, vecs, op_a):
-        # Per tile of _DIRECT_BATCH alphas: the slice s0:s1 of the band
-        # order, one operator's elements of its pairs and their bins.  op_a
-        # is symmetric, so each tile applies it to its own alpha rows
-        # (bitwise those rows of the whole applied array) and takes one
-        # product with its partners' rows b0:b1.
-        for a0, a1, b0, b1, s0, s1 in self._alpha_batches(_DIRECT_BATCH):
-            lens, cols, bins = self._partners(a0, a1)
+        # Per tile of _DIRECT_BATCH alphas, in band order: one operator's
+        # elements of its pairs and their bins.  op_a is symmetric, so each
+        # tile applies it to its own alpha rows (bitwise those rows of the
+        # whole applied array) and takes one product with its partners'
+        # rows b0:b1.
+        for a0, a1, b0, b1 in self._alpha_batches(_DIRECT_BATCH):
+            rows, cols, bins = self.pairs(a0, a1)
             sub = _apply_a_factor(op_a, vecs[a0:a1]) @ vecs[b0:b1].T
-            # Flat offset of pair (alpha, beta) in sub: alpha's row start,
-            # then beta - b0.
-            starts = np.arange(a1 - a0) * (b1 - b0) - b0
-            yield s0, s1, sub.ravel()[cols + np.repeat(starts, lens)], bins
+            yield sub.ravel()[(rows - a0) * (b1 - b0) + cols - b0], bins
 
     def element_moments(self, elements):
         """Per-bin sums of squares and fourth powers of band-order elements.
@@ -461,7 +449,7 @@ class PairBand:
         ``elements`` (one per pair, as :func:`band_matrix_elements` returns)
         is squared in place twice, and binned after each squaring.
         """
-        bins = self._partners(0, self.energies.size)[2]
+        bins = self.pairs()[2]
         np.multiply(elements, elements, out=elements)
         sums = self.bin_sums(elements, bins)
         np.multiply(elements, elements, out=elements)
@@ -482,7 +470,7 @@ class PairBand:
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for _, _, values, bins in self._direct_tiles(vecs, op_a):
+        for values, bins in self._direct_tiles(vecs, op_a):
             np.multiply(values, values, out=values)
             np.add.at(sums, bins, values)
             np.multiply(values, values, out=values)

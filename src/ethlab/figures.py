@@ -54,24 +54,15 @@ _SCAN_KINDS = ("smooth_general_sums", "exp_decay_flat_A")
 def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use"):
     """Construct the configured system, caching the total diagonalization.
 
-    A chain's fragment eigenvalues are solved before its total spectrum is
-    loaded or computed (see :func:`ethlab.hamiltonians.decompose_chain`).
+    Both builders take the cache lookup as their ``fetch(compute)``.  A
+    chain's fragment eigenvalues are solved before its total spectrum is
+    loaded or computed (see :func:`ethlab.hamiltonians.decompose_chain`);
+    the random family draws and builds its interaction only on a miss.
     """
-    key = config_cache_key(config)
+    fetch = partial(cached_spectrum, config_cache_key(config), cache_dir, policy)
     if config.chain is not None:
-        fetch = partial(cached_spectrum, key, cache_dir, policy)
         return decompose_chain(config.chain, config.cut, spectrum_t=fetch)
-    built = None
-
-    def compute():
-        nonlocal built
-        built = build_random_system(config.random)
-        return built.spectrum_t
-
-    spectrum = cached_spectrum(key, cache_dir, policy, compute)
-    if built is not None:
-        return built
-    return build_random_system(config.random, spectrum_t=spectrum)
+    return build_random_system(config.random, spectrum_t=fetch)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,14 @@ def _fragment(build: Callable[[], np.ndarray], *, check: bool = True) -> Spectru
     )
 
 
+def _total_spectrum(spectrum_t, compute: Callable[[], Spectrum]) -> Spectrum:
+    # A builder's ``spectrum_t``: the total spectrum itself, a function
+    # ``fetch(compute)`` that returns it, or None to compute it here.
+    if spectrum_t is None:
+        return compute()
+    return spectrum_t(compute) if callable(spectrum_t) else spectrum_t
+
+
 def _split_system(
     build_a: Callable[[], np.ndarray],
     build_b: Callable[[], np.ndarray],
@@ -293,10 +301,7 @@ def decompose_chain(
     def compute():
         return eig_sym(build_spin_chain(params), check=False)
 
-    if spectrum_t is None:
-        spectrum_t = compute()
-    elif callable(spectrum_t):
-        spectrum_t = spectrum_t(compute)
+    spectrum_t = _total_spectrum(spectrum_t, compute)
     rows = spectrum_t.rows
     return BipartiteSystem(
         spectrum_a=spectrum_a,
@@ -374,7 +379,7 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 def build_random_system(
     params: RandomSystemParams,
     *,
-    spectrum_t: Optional[Spectrum] = None,
+    spectrum_t: Optional[Spectrum | Callable] = None,
 ) -> BipartiteSystem:
     """Build the random bipartite family from a single seed.
 
@@ -383,9 +388,10 @@ def build_random_system(
     Haar rotations.  ``H_A`` and ``H_B`` are diagonal with sorted spectra; the
     interaction is a diagonal random spectrum on the straddling qubits rotated
     by independent Haar orthogonals on each side and rescaled to the requested
-    relative spectral norm.  The interaction enters only the diagonalization,
-    so with ``spectrum_t`` given (e.g. from the cache) it is never drawn or
-    built.
+    relative spectral norm.  ``spectrum_t`` is the total spectrum, a function
+    ``fetch(compute)`` that returns it, or ``None``, as in
+    :func:`decompose_chain`.  The interaction enters only the
+    diagonalization, so it is drawn and built only when ``compute`` runs.
     """
     rng = np.random.default_rng(params.seed)
     dim_a = 2**params.sites_a
@@ -396,13 +402,15 @@ def build_random_system(
     # whose eigenvalue-only solve gives the diagonal back bit for bit.
     build_a = partial(np.diag, spec_a)
     build_b = partial(np.diag, spec_b)
-    if spectrum_t is None:
+
+    def compute():
         # The interaction is passed on as a temporary: _diagonalize frees it
         # before the diagonalization.
-        spectrum_t = _diagonalize(
+        return _diagonalize(
             build_a(), build_b(), _random_interaction(params, spec_a, spec_b, rng)
         )
-    return _split_system(build_a, build_b, spectrum_t)
+
+    return _split_system(build_a, build_b, _total_spectrum(spectrum_t, compute))
 
 
 def _random_interaction(params, spec_a, spec_b, rng) -> np.ndarray:

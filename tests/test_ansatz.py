@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from ethlab.ansatz import (
     AnsatzKind,
     AnsatzModel,
-    _window_counts,
     density_autocorrelation,
     entropic_factor,
     exp_autocorrelation,
@@ -129,22 +128,6 @@ def test_f_smooth_sums_matches_brute_force():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_flat_profile_sums_equal_microcanonical():
-    # A flat profile of width delta makes the smooth sums literally count
-    # the same closed windows as the microcanonical form.
-    system = toy_system(seed=2)
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal((4, 4))
-    op = 0.5 * (g + g.T)
-    delta = 1.7
-    h = flat_profile(delta)
-    for e_alpha, e_beta in ((0.2, -0.4), (1.1, 0.9), (-0.8, -0.8)):
-        ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
-        (a,) = f_microcanonical_exact(system, op, delta, ebar, omega)
-        (b,) = f_smooth_sums(system, op, h, ebar, omega)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_exact_sums_o2bar_scaling_and_errors():
     # Pair energies (0.1, -0.3), (200, 0) and (300, 0), given as (Ebar, omega).
     system = toy_system(seed=3)
@@ -153,14 +136,15 @@ def test_exact_sums_o2bar_scaling_and_errors():
     assert quad == pytest.approx(2.0 * base, rel=1e-12)
     with pytest.raises(ValidationError):
         f_microcanonical_exact(system, None, 0.0, -0.1, 0.2)
-    with pytest.raises(DegenerateWindowError):
+    # The message names the mean energy and the omega.
+    with pytest.raises(DegenerateWindowError, match=r"E=100.0 \+/- 100.0"):
         f_microcanonical_exact(system, None, 0.1, 100.0, 100.0)
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DegenerateWindowError, match=r"E=150.0 \+/- 150.0"):
         f_smooth_sums(system, None, flat_profile(0.5), 150.0, 150.0)
     # One such omega in a grid is enough.
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DegenerateWindowError, match=r"E=0.0 \+/- 200.0"):
         f_microcanonical_exact(system, None, 1.5, 0.0, np.array([0.2, 200.0]))
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DegenerateWindowError, match=r"E=0.0 \+/- 300.0"):
         f_smooth_sums(system, None, flat_profile(0.5), 0.0, np.array([0.2, 300.0]))
 
 
@@ -447,6 +431,42 @@ def test_microcanonical_model_drops_empty_windows():
     assert np.array_equal(pred.f, vals)
 
 
+def test_microcanonical_model_keeps_a_closed_window_edge():
+    # Dyadic levels make every sum exact.  With delta = 1, Ebar = 2.5 and
+    # omega = 2 the windows are [4, 5] and [0, 1], and every level sum
+    # E_i + E_j inside them (0, 1, 4, 5) lies on an edge.  A closed window
+    # counts them: the model keeps that omega, matches the brute-force
+    # counts, and no DegenerateWindowError escapes.
+    e_a = np.array([0.0, 4.0])
+    e_b = np.array([0.0, 1.0])
+    system = make_bipartite(np.diag(e_a), np.diag(e_b), np.zeros((4, 4)))
+    delta = 1.0
+    model = AnsatzModel(
+        AnsatzKind.MICROCANONICAL_EXACT_SUMS, system, delta / (2.0 * np.sqrt(3.0))
+    )
+    assert model.delta == delta
+    ebar, omega = 2.5, 2.0
+    half = 0.5 * delta
+    sums = np.add.outer(e_a, e_b)
+    for e in (ebar + omega, ebar - omega):
+        inside = np.abs(e - sums) <= half
+        assert inside.any() and np.all(np.abs(e - sums[inside]) == half)
+    pred = model.evaluate(ebar, np.array([omega, 9.0]))
+    assert pred.omega.tolist() == [omega]
+    e_alpha, e_beta = ebar + omega, ebar - omega
+    num = 0.0
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                in_a = abs(e_alpha - e_a[i] - e_b[k]) <= half
+                in_b = abs(e_beta - e_a[j] - e_b[k]) <= half
+                num += 0.5 * (in_a and in_b)
+    z_a = np.count_nonzero(np.abs(e_alpha - sums) <= half)
+    z_b = np.count_nonzero(np.abs(e_beta - sums) <= half)
+    assert (num, z_a, z_b) == (1.0, 2, 2)
+    assert pred.f[0] == np.sqrt(num / (z_a * z_b))
+
+
 def test_ansatz_model_validation():
     system = toy_system(seed=1)
     kind = AnsatzKind.EXP_DECAY_FLAT_A
@@ -577,7 +597,9 @@ def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
 
 def _per_omega_exact_sums(kind, system, sigma_s, o2bar, ebar, omegas):
     # The exact sums one (E_alpha, E_beta) = (Ebar + w, Ebar - w) at a time,
-    # omitting the omegas with an empty microcanonical window.
+    # omitting the omegas with an empty microcanonical window.  The
+    # microcanonical counts are searchsorted counts of sorted levels in
+    # closed windows, independent of the profile-weighted kernel.
     e_a = system.spectrum_a.eigenvalues
     e_b = system.spectrum_b.eigenvalues
     m_sq = np.full((system.dim_a, system.dim_a), float(o2bar) / system.dim_a)
@@ -585,11 +607,18 @@ def _per_omega_exact_sums(kind, system, sigma_s, o2bar, ebar, omegas):
     half = 0.5 * delta
     h = exp_profile(sigma_s)
     kept, vals = [], []
+
+    def window_counts(sorted_vals, lows, highs):
+        # Sorted values inside each closed window [lows[k], highs[k]].
+        lo_idx = np.searchsorted(sorted_vals, lows, side="left")
+        hi_idx = np.searchsorted(sorted_vals, highs, side="right")
+        return np.maximum(hi_idx - lo_idx, 0)
+
     for w in omegas.tolist():
         e_alpha, e_beta = ebar + w, ebar - w
         if kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
             sums = np.sort(system.sum_energies().ravel())
-            z_a, z_b = _window_counts(
+            z_a, z_b = window_counts(
                 sums,
                 np.array([e_alpha - half, e_beta - half]),
                 np.array([e_alpha + half, e_beta + half]),
@@ -598,7 +627,7 @@ def _per_omega_exact_sums(kind, system, sigma_s, o2bar, ebar, omegas):
                 continue
             lo = np.maximum.outer(e_alpha - e_a, e_beta - e_a) - half
             hi = np.minimum.outer(e_alpha - e_a, e_beta - e_a) + half
-            counts = _window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
+            counts = window_counts(e_b, lo.ravel(), hi.ravel()).reshape(lo.shape)
             f2 = float((counts * m_sq).sum()) / (float(z_a) * float(z_b))
             vals.append(float(np.sqrt(f2)))
         else:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import ethlab.experiments
-from ethlab.ansatz import _window_counts
 from ethlab.errors import (
     DimensionError,
     EmptyWindowError,
@@ -228,18 +227,25 @@ def _grouped_all(band, v3, ops_flat):
 
 
 def test_band_tiles_cover_the_band_in_order(chain10):
-    # Direct-engine and grouped-engine tiles: consecutive pair slices that
-    # cover the band in order, each inside its rectangle.
+    # Alpha-batch tiles in increasing alpha order: each tile's pairs lie in
+    # its rectangle [a0, a1) x [b0, b1), the narrowest one, and the tiles
+    # hold every pair of the band.  Only the alpha batches without pairs are
+    # skipped.  (Band order: test_tile_pairs_are_the_flat_band_bitwise.)
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
-        rows, cols, _ = band.pairs()
+        rows = band.pairs()[0]
         for batch in (ethlab.experiments._DIRECT_BATCH, 5):
             tiles = band._alpha_batches(batch)
-            assert [t[4] for t in tiles[1:]] == [t[5] for t in tiles[:-1]]
-            assert tiles[0][4] == 0 and tiles[-1][5] == band.n_pairs
-            for a0, a1, b0, b1, s0, s1 in tiles:
-                assert a0 <= rows[s0:s1].min() and rows[s0:s1].max() < a1
-                assert b0 <= cols[s0:s1].min() and cols[s0:s1].max() < b1
+            starts = [a0 for a0, *_ in tiles]
+            assert starts == np.unique(rows // batch * batch).tolist()
+            held = 0
+            for a0, a1, b0, b1 in tiles:
+                assert a1 == min(a0 + batch, band.energies.size)
+                alphas, betas, _ = band.pairs(a0, a1)
+                assert a0 <= alphas.min() and alphas.max() < a1
+                assert betas.min() == b0 and betas.max() == b1 - 1
+                held += alphas.size
+            assert held == band.n_pairs
 
 
 def test_band_tiles_follow_the_band(chain10):
@@ -882,16 +888,6 @@ def test_kernels_match_per_row_loop_oracle():
     want = oracle(values, np.arange(200), 200)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-13, atol=0.0)
-
-    vals = np.sort(rng.standard_normal(300))
-    lows = rng.uniform(-2.0, 1.0, 40)
-    highs = lows + rng.uniform(-0.5, 2.0, 40)
-    counts = _window_counts(vals, lows, highs)
-    want = [int(np.sum((vals >= lo) & (vals <= hi))) for lo, hi in zip(lows, highs)]
-    assert np.array_equal(counts, want)
-    inverted = highs < lows
-    assert inverted.any()
-    assert np.all(counts[inverted] == 0)
 
 
 def test_accumulate_grouped_blocks_are_bitwise_whole_chunk():

@@ -8,6 +8,8 @@ import pytest
 
 from ethlab import hamiltonians
 from ethlab.errors import DimensionError, ValidationError
+from ethlab.experiments import BinningParams, OperatorEnsembleSpec
+from ethlab.figures import build_system
 from ethlab.hamiltonians import (
     MAX_CHAIN_SITES,
     RandomSystemParams,
@@ -21,6 +23,7 @@ from ethlab.hamiltonians import (
     sample_goe,
     site_operator,
 )
+from ethlab.io import RunConfig, cached_spectrum, config_cache_key
 from ethlab.linalg import eig_sym, eigvals_sym
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
@@ -294,6 +297,47 @@ def test_random_system_warm_build_equals_cold(diagonalize_args):
         assert np.array_equal(a.eigenvalues, b.eigenvalues), name
         assert np.array_equal(a.eigenvectors, b.eigenvectors), name
     assert np.array_equal(cold.interaction_sq, warm.interaction_sq)
+
+
+def test_random_system_cache_hit_never_computes(
+    diagonalize_args, tmp_path, monkeypatch
+):
+    # build_system hands the random builder a fetch(compute) over the cache,
+    # as it does the chain: a miss computes once, a hit never calls compute
+    # (so the interaction is neither drawn nor diagonalized) and equals the
+    # cold build bit for bit.
+    params = RandomSystemParams(
+        sites_a=2, sites_b=5, sites_i=4, interaction_fraction=0.05, seed=5
+    )
+    draws = []
+    real = hamiltonians._random_interaction
+
+    def spy(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hamiltonians, "_random_interaction", spy)
+    config = RunConfig(
+        chain=None, cut=0, random=params, ensemble=OperatorEnsembleSpec(),
+        binning=BinningParams(), predict_kinds=(),
+    )
+    cold = build_system(config, cache_dir=tmp_path)
+    assert len(diagonalize_args) == 1
+    computes = []
+
+    def fetch(compute):
+        computes.append(compute)
+        return cached_spectrum(config_cache_key(config), tmp_path, "forbid", compute)
+
+    for warm in (build_system(config, cache_dir=tmp_path, policy="forbid"),
+                 build_random_system(params, spectrum_t=fetch)):
+        for name in ("spectrum_a", "spectrum_b", "spectrum_t"):
+            a, b = getattr(cold, name), getattr(warm, name)
+            assert np.array_equal(a.eigenvalues, b.eigenvalues), name
+            assert np.array_equal(a.eigenvectors, b.eigenvectors), name
+        assert np.array_equal(cold.interaction_sq, warm.interaction_sq)
+    assert len(computes) == 1
+    assert len(diagonalize_args) == len(draws) == 1
 
 
 def test_random_system_cold_build_is_bitwise_the_plain_sum(diagonalize_args):
