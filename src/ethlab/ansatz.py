@@ -31,11 +31,11 @@ subsystem density, itself one batched quadrature over its tabulation grid.
 Every quadrature of the ladder works to the one tolerance ``_TOL``.
 :class:`AnsatzModel` builds one rung from a system and its scrambling width
 alone: it derives the subsystem densities and ``sigma_a`` from the spectra
-the system carries.  :meth:`AnsatzModel.evaluate` calls the rung of its kind
-through one kind-keyed table, once per mean energy; it first drops the omegas
-the rung cannot evaluate (pair energies outside the support of ``n_0`` for
-the narrow rung, a window with a zero normalization for the microcanonical
-one).
+the system carries.  :meth:`AnsatzModel.evaluate` runs its kind once per mean
+energy, through one kind-keyed table or, for the microcanonical kind, the
+exact-sum kernel itself, and drops the omegas the rung cannot evaluate: pair
+energies outside the support of ``n_0`` for the narrow rung, dropped first,
+and windows with a zero normalization, which the kernel's one pass reports.
 """
 
 from __future__ import annotations
@@ -171,14 +171,6 @@ def _squared_elements(
     return rotated**2
 
 
-def _window_weights(h: Callable, sums: np.ndarray, ebar: float, w):
-    # Profile weights h(E - E_i - E_j) at E = Ebar + w and Ebar - w, and
-    # their normalizations Z(E) = sum_ij h(E - E_i - E_j).
-    p = np.asarray(h(ebar + w - sums), dtype=float)
-    q = np.asarray(h(ebar - w - sums), dtype=float)
-    return p, q, float(p.sum()), float(q.sum())
-
-
 def f_microcanonical_exact(
     system: BipartiteSystem,
     op_a: Optional[np.ndarray],
@@ -209,7 +201,7 @@ def f_microcanonical_exact(
     omega : float or 1-d array
         The pair energies are ``Ebar +/- omega``.  An empty window at any of
         them raises :class:`DegenerateWindowError`;
-        :meth:`AnsatzModel.evaluate` drops such omegas from its grid first.
+        :meth:`AnsatzModel.evaluate` drops such omegas from its grid instead.
     o2bar : float
         Mean squared operator spectrum for the typical mode.
     """
@@ -238,21 +230,35 @@ def f_smooth_sums(
     spectrum) raises :class:`DegenerateWindowError`.
     """
     omegas = _omegas(omega)
+    f, live = _smooth_sums(system, op_a, h, ebar, omegas, o2bar)
+    if not live.all():
+        raise DegenerateWindowError(
+            f"profile normalization is zero at E={ebar} +/- "
+            f"{abs(omegas[~live][0])}: an empty window, or energies too far "
+            "outside the spectrum for this profile"
+        )
+    return f
+
+
+def _smooth_sums(system, op_a, h, ebar, omegas, o2bar):
+    # f of f_smooth_sums on the grid omegas, and the mask of the live omegas,
+    # those where both normalizations are positive; f is 0 at the others.
     sums = system.sum_energies()  # (dim_a, dim_b)
     m_sq = _squared_elements(system, op_a, o2bar)
-    f = np.empty(omegas.shape)
+    f = np.zeros(omegas.shape)
+    live = np.zeros(omegas.shape, dtype=bool)
     for k, w in enumerate(omegas):
-        p, q, z_a, z_b = _window_weights(h, sums, ebar, w)
-        if z_a <= 0.0 or z_b <= 0.0:
-            raise DegenerateWindowError(
-                f"profile normalization is zero at E={ebar} +/- {abs(w)}: an "
-                "empty window, or energies too far outside the spectrum for "
-                "this profile"
-            )
-        kernel = p @ q.T  # (i, j) sums over the B factor
-        f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
-        f[k] = np.sqrt(max(f2, 0.0))
-    return f
+        # Profile weights h(E - E_i - E_j) at E = Ebar + w and Ebar - w, and
+        # their normalizations Z(E) = sum_ij h(E - E_i - E_j).
+        p = np.asarray(h(ebar + w - sums), dtype=float)
+        q = np.asarray(h(ebar - w - sums), dtype=float)
+        z_a, z_b = float(p.sum()), float(q.sum())
+        live[k] = z_a > 0.0 and z_b > 0.0
+        if live[k]:
+            kernel = p @ q.T  # (i, j) sums over the B factor
+            f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
+            f[k] = np.sqrt(max(f2, 0.0))
+    return f, live
 
 
 def _scaled_tol(fn, lo, hi) -> np.ndarray:
@@ -582,23 +588,24 @@ class AnsatzModel:
         quadrature.  Two kinds drop the omegas their rung cannot evaluate:
         the narrow kind those whose pair energies ``Ebar +/- omega`` leave the
         support of ``n_0`` (where ``f_narrow`` raises
-        :class:`OutOfSupportError`), the microcanonical kind those whose
-        closed flat window holds no level ``E_i + E_j`` at either pair
-        energy: the zero normalization on which ``f_smooth_sums`` raises
-        :class:`DegenerateWindowError`.
+        :class:`OutOfSupportError`), the microcanonical kind, in its kernel's
+        one pass, those whose closed flat window holds no level ``E_i + E_j``
+        at either pair energy (where ``f_smooth_sums`` raises
+        :class:`DegenerateWindowError`).
         """
         omegas = np.array(omegas, dtype=float)
         kind = self.kind
         ent = 1.0
         if kind not in _EXACT_SUMS:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
-        if kind is AnsatzKind.NARROW_SCRAMBLING:
-            omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
-        elif kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-            h, sums = flat_profile(self.delta), self.system.sum_energies()
-            live = [min(_window_weights(h, sums, ebar, w)[2:]) > 0.0 for w in omegas]
-            omegas = omegas[np.array(live, dtype=bool)]
-        f_vals = _RUNGS[kind](self, ebar, omegas)
+        if kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
+            h = flat_profile(self.delta)
+            f_vals, live = _smooth_sums(self.system, None, h, ebar, omegas, self.o2bar)
+            omegas, f_vals = omegas[live], f_vals[live]
+        else:
+            if kind is AnsatzKind.NARROW_SCRAMBLING:
+                omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
+            f_vals = _RUNGS[kind](self, ebar, omegas)
         return Prediction(
             kind=kind.value,
             ebar=float(ebar),
@@ -613,11 +620,8 @@ class AnsatzModel:
 # every other rung reports it separately.
 _EXACT_SUMS = (AnsatzKind.MICROCANONICAL_EXACT_SUMS, AnsatzKind.SMOOTH_GENERAL_SUMS)
 
-# Kind -> rung (model, ebar, omegas) -> f on the grid.
+# Every kind but the microcanonical one -> rung (model, ebar, omegas) -> f.
 _RUNGS = {
-    AnsatzKind.MICROCANONICAL_EXACT_SUMS: lambda m, ebar, w: f_microcanonical_exact(
-        m.system, None, m.delta, ebar, w, o2bar=m.o2bar
-    ),
     AnsatzKind.SMOOTH_GENERAL_SUMS: lambda m, ebar, w: f_smooth_sums(
         m.system, None, exp_profile(m.sigma_s), ebar, w, o2bar=m.o2bar
     ),

@@ -135,8 +135,9 @@ def band_matrix_elements(
     as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
     _check_operator(system, op_a)
-    tiles = band._direct_tiles(system.spectrum_t.rows, op_a)
-    return np.concatenate([values for values, _ in tiles])
+    rows = system.spectrum_t.rows
+    tiles = band._tiles(_DIRECT_BATCH)
+    return np.concatenate([band._tile_elements(rows, op_a, t)[0] for t in tiles])
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ _STREAM_BYTES = 256 * 1024
 # fits it.
 _TILE_BYTES = 8 * 1024 * 1024
 
-# Alphas per band tile of the direct engine.
+# Alphas per whole-batch band tile: the direct engine's and the pair counts'.
 _DIRECT_BATCH = 64
 
 
@@ -225,18 +226,18 @@ class PairBand:
     alpha-major pair order) plus the per-bin pair counts: its memory is
     ``O(total + n_bins)`` whatever the number of pairs.  Both evaluation
     engines walk the band in tiles of consecutive alphas times a contiguous
-    beta range, whose pairs are derived on the fly (:meth:`pairs`) and
-    dropped with the tile.  Because the window fixes the mean energy, the
-    tiles follow the anti-diagonal band instead of covering it with
-    rectangles.
+    beta range (:meth:`_tiles`), whose pairs are derived on the fly
+    (:meth:`pairs`) and dropped with the tile.  Because the window fixes
+    the mean energy, the tiles follow the anti-diagonal band instead of
+    covering it with rectangles.
 
     - the grouped engine cuts each batch of alphas' beta range into chunks
       so that every tile product fits ``_TILE_BYTES``, and keeps per tile
-      the alphas with partners in its chunk (:meth:`_grouped_tiles`).  It
-      forms, per tile, the operator-independent transfer matrices ``T[p,
-      q] = sum_j V3[alpha, p, j] V3[beta, q, j]`` of all its pairs in one
-      matrix product, then streams the pairs through cache in blocks of
-      ``_STREAM_BYTES`` of transfer rows: one matrix product per block
+      the alphas with partners in its chunk.  It forms, per tile, the
+      operator-independent transfer matrices ``T[p, q] = sum_j V3[alpha,
+      p, j] V3[beta, q, j]`` of all its pairs in one matrix product, then
+      streams the pairs through cache in blocks of ``_STREAM_BYTES`` of
+      transfer rows: one matrix product per block
       gives the elements of every ensemble operator, reduced at once to
       per-pair moments (worthwhile when ``dim_a <= dim_b``).  ``V3`` is the
       eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of an
@@ -245,11 +246,11 @@ class PairBand:
       ``_TILE_BYTES``, one block of values and the indices, bins and two
       floats per pair of the current tile;
     - the direct engine evaluates one operator's elements with one matrix
-      product per tile of ``_DIRECT_BATCH`` alphas, the operator applied
-      to the tile's alpha rows times the beta rows ``b0:b1`` their pairs
-      span, and adds their squares and fourth powers into the bins tile
-      after tile, in band order (:meth:`accumulate_from_factors`; used when
-      the A factor is the larger one).  Beyond the eigenvectors it holds
+      product per whole batch of ``_DIRECT_BATCH`` alphas, the operator
+      applied to the tile's alpha rows times the beta rows ``c0:c1`` their
+      pairs span, and adds their squares and fourth powers into the bins
+      tile after tile, in band order (:meth:`accumulate_from_factors`; used
+      when the A factor is the larger one).  Beyond the eigenvectors it holds
       one tile's applied rows (``_DIRECT_BATCH x total``), its product and
       the indices, bin and element of each pair of the tile.
 
@@ -294,8 +295,8 @@ class PairBand:
             )
         self.n_bins = int(top) + 1
         self.pair_counts = np.zeros(self.n_bins, dtype=np.int64)
-        for a0, a1, *_ in self._alpha_batches(_DIRECT_BATCH):
-            bins = self.pairs(a0, a1)[2]
+        for tile in self._tiles(_DIRECT_BATCH):
+            bins = self.pairs(*tile)[2]
             self.pair_counts += np.bincount(bins, minlength=self.n_bins)
 
     def pairs(
@@ -325,53 +326,42 @@ class PairBand:
         bins = ((e[cols] - e[rows]) * self._inv).astype(np.int64)
         return rows, cols, bins
 
-    def _alpha_batches(self, batch: int):
-        """Band tiles ``(a0, a1, b0, b1)`` of ``batch`` alphas each.
+    def _tiles(self, batch: int, width: Optional[int] = None):
+        """Band tiles ``(a0, a1, c0, c1)`` whose pairs are ``pairs(a0, a1, c0, c1)``.
 
-        A tile's pairs are ``pairs(a0, a1)``, and ``[b0, b1)`` is the
-        narrowest beta range that holds them.  Tiles without pairs are
+        With no ``width`` a tile is a whole batch of ``batch`` alphas times
+        the narrowest beta range that holds the batch's pairs; a ``width``
+        cuts that range into chunks of ``width`` betas, each tile keeping
+        the alphas with partners in its chunk.  Tiles come one at a time, in
+        increasing alpha order, and batches or chunks without pairs are
         skipped.
         """
         n = self.energies.size
-        out = []
         for a0 in range(0, n, batch):
             a1 = min(a0 + batch, n)
-            lens = self._lens[a0:a1]
-            if lens.any():
-                lo = self._lo[a0:a1][lens > 0]
-                hi = lo + lens[lens > 0]
-                out.append((a0, a1, int(lo.min()), int(hi.max())))
-        return out
+            lo = self._lo[a0:a1]
+            hi = lo + self._lens[a0:a1]
+            live = hi > lo
+            if not live.any():
+                continue
+            b0, b1 = int(lo[live].min()), int(hi[live].max())
+            if width is None:
+                # Untrimmed: BLAS picks its kernels by product shape, so
+                # trimming would move bits of the direct engine's elements,
+                # as not trimming would move the grouped engine's bins.
+                yield a0, a1, b0, b1
+                continue
+            for c0 in range(b0, b1, width):
+                c1 = min(c0 + width, b1)
+                inside = np.flatnonzero((lo < np.minimum(hi, c1)) & (hi > c0))
+                if inside.size:
+                    yield a0 + int(inside[0]), a0 + int(inside[-1]) + 1, c0, c1
 
     def bin_sums(self, values, bins):
         """Per-bin sums of ``values``, one value per pair with omega bin ``bins``."""
         return np.bincount(bins, weights=values, minlength=self.n_bins)
 
     # -- grouped engine ----------------------------------------------------
-
-    def _grouped_tiles(self, dim_a: int):
-        """Grouped-engine band tiles ``(a0, a1, c0, c1)`` for an A factor of ``dim_a``.
-
-        Batches of ``max(4, 512 // dim_a)`` consecutive alphas, so the
-        transfer panels stay small; each batch's beta range is cut into
-        chunks ``c0:c1`` narrow enough that a full batch's tile product
-        fits ``_TILE_BYTES``.  One beta of a full batch takes at most 256 KiB
-        when ``dim_a <= 64``, as ``dim_a <= dim_b`` gives every system up to
-        ``MAX_CHAIN_SITES``.  A tile keeps the alphas ``a0:a1`` with
-        partners in its chunk; its pairs are ``pairs(a0, a1, c0, c1)``.
-        Chunks without pairs are skipped, and tiles are yielded one at a
-        time.
-        """
-        batch = max(4, 512 // dim_a)
-        width = _TILE_BYTES // (8 * dim_a * dim_a * batch)
-        for a0, a1, b0, b1 in self._alpha_batches(batch):
-            lo = self._lo[a0:a1]
-            hi = lo + self._lens[a0:a1]
-            for c0 in range(b0, b1, width):
-                c1 = min(c0 + width, b1)
-                inside = np.flatnonzero((lo < np.minimum(hi, c1)) & (hi > c0))
-                if inside.size:
-                    yield a0 + int(inside[0]), a0 + int(inside[-1]) + 1, c0, c1
 
     def accumulate_grouped_batch(self, v3, ops_flat, tile, buf):
         """Per-bin sums of squares and fourth powers of one band tile.
@@ -417,14 +407,19 @@ class PairBand:
         """Grouped-engine accumulation over the whole band.
 
         ``v3`` is as in :meth:`accumulate_grouped_batch`; the tiles are
-        :meth:`_grouped_tiles`.  Every tile product goes into the one
-        buffer ``buf``, at least ``_TILE_BYTES // 8`` long, so large
-        products do not each map fresh pages.  Per-tile partial sums merge
-        in tile order.
+        :meth:`_tiles` in batches of ``max(4, 512 // dim_a)`` alphas, cut
+        into beta chunks whose full-batch product fits ``_TILE_BYTES`` (a
+        beta takes at most 256 KiB, as ``dim_a <= 64`` up to
+        ``MAX_CHAIN_SITES``).  Every tile product goes into the one buffer
+        ``buf``, at least ``_TILE_BYTES // 8`` long, so large products do
+        not each map fresh pages.  Per-tile partial sums merge in tile order.
         """
+        dim_a = v3.shape[1]
+        batch = max(4, 512 // dim_a)
+        width = _TILE_BYTES // (8 * dim_a * dim_a * batch)
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for tile in self._grouped_tiles(v3.shape[1]):
+        for tile in self._tiles(batch, width):
             s, q = self.accumulate_grouped_batch(v3, ops_flat, tile, buf)
             sums += s
             sumsqs += q
@@ -432,16 +427,15 @@ class PairBand:
 
     # -- direct engine -----------------------------------------------------
 
-    def _direct_tiles(self, vecs, op_a):
-        # Per tile of _DIRECT_BATCH alphas, in band order: one operator's
-        # elements of its pairs and their bins.  op_a is symmetric, so each
-        # tile applies it to its own alpha rows (bitwise those rows of the
-        # whole applied array) and takes one product with its partners'
-        # rows b0:b1.
-        for a0, a1, b0, b1 in self._alpha_batches(_DIRECT_BATCH):
-            rows, cols, bins = self.pairs(a0, a1)
-            sub = _apply_a_factor(op_a, vecs[a0:a1]) @ vecs[b0:b1].T
-            yield sub.ravel()[(rows - a0) * (b1 - b0) + cols - b0], bins
+    def _tile_elements(self, vecs, op_a, tile):
+        # One operator's elements of the pairs of one direct tile, in band
+        # order, and their bins.  op_a is symmetric, so the tile applies it
+        # to its own alpha rows (bitwise those rows of the whole applied
+        # array) and takes one product with its partners' rows c0:c1.
+        a0, a1, c0, c1 = tile
+        rows, cols, bins = self.pairs(*tile)
+        sub = _apply_a_factor(op_a, vecs[a0:a1]) @ vecs[c0:c1].T
+        return sub.ravel()[(rows - a0) * (c1 - c0) + cols - c0], bins
 
     def element_moments(self, elements):
         """Per-bin sums of squares and fourth powers of band-order elements.
@@ -461,7 +455,7 @@ class PairBand:
         ``vecs`` holds the eigenvectors as rows and ``op_a`` is the
         symmetric operator on the A factor, so ``<alpha|O|beta> = <O
         alpha|beta>``: each tile of ``_DIRECT_BATCH`` alphas is one product
-        ``_apply_a_factor(op_a, vecs[a0:a1]) @ vecs[b0:b1].T``.  Its elements
+        ``_apply_a_factor(op_a, vecs[a0:a1]) @ vecs[c0:c1].T``.  Its elements
         are squared in place twice and added into the bins after each
         squaring with one ``np.add.at``, carried across the tiles in band
         order: the same additions in the same order as one ``bincount`` over
@@ -470,7 +464,8 @@ class PairBand:
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for values, bins in self._direct_tiles(vecs, op_a):
+        for tile in self._tiles(_DIRECT_BATCH):
+            values, bins = self._tile_elements(vecs, op_a, tile)
             np.multiply(values, values, out=values)
             np.add.at(sums, bins, values)
             np.multiply(values, values, out=values)
@@ -521,6 +516,12 @@ def bin_offdiagonal(
     return band.statistics(sums, sumsqs, 1)
 
 
+def _operator_columns(ens: OperatorEnsembleSpec, dim_a: int) -> np.ndarray:
+    # Every ensemble operator flattened into one column: (dim_a**2, count).
+    ops = [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)]
+    return np.stack(ops, axis=1)
+
+
 def run_ensemble(
     system: BipartiteSystem,
     ens: OperatorEnsembleSpec,
@@ -532,11 +533,11 @@ def run_ensemble(
     Returns one :class:`BinnedStatistics` per window center, in order.
 
     Both engines walk each window's band in tiles (see :class:`PairBand`).
-    When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes the
-    band evaluation over all operators at once, reading its panels as views
-    of the eigenvector rows; otherwise each operator, applied to one tile's
-    alpha rows at a time, gives its elements with one matrix product per
-    band tile, added into the bins tile after tile, in band order.  The
+    When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes
+    each window's band over all operators at once, reading its panels as
+    views of the eigenvector rows; otherwise each operator in turn, applied
+    to one tile's alpha rows at a time, gives its elements in every window
+    with one matrix product per tile, added into the bins in band order.  The
     BLAS library's threads are the only parallelism: tiles and operators
     run in a fixed order on the calling thread, so the results are bitwise
     reproducible.
@@ -564,10 +565,7 @@ def run_ensemble(
     ]
     dim_a = system.dim_a
     if dim_a <= system.dim_b:
-        ops_flat = np.stack(
-            [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)],
-            axis=1,
-        )
+        ops_flat = _operator_columns(ens, dim_a)
         v3 = rows.reshape(-1, dim_a, system.dim_b)
         buf = np.empty(_TILE_BYTES // 8)
         partials = [band.accumulate_grouped_all(v3, ops_flat, buf) for band in bands]
@@ -598,10 +596,7 @@ def operator_diagonals(
     """
     dim_a, total = system.dim_a, system.total_dim
     rows = system.spectrum_t.rows
-    ops_flat = np.stack(
-        [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)],
-        axis=1,
-    )
+    ops_flat = _operator_columns(ens, dim_a)
     out = np.empty((ens.count, total))
     step = max(1, _STREAM_BYTES // (8 * dim_a * dim_a))
     for a0 in range(0, total, step):

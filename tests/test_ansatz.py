@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ethlab.ansatz
 from ethlab.ansatz import (
     AnsatzKind,
     AnsatzModel,
@@ -429,6 +430,30 @@ def test_microcanonical_model_drops_empty_windows():
     pred = model.evaluate(0.0, omegas)
     assert pred.omega.tolist() == kept
     assert np.array_equal(pred.f, vals)
+
+
+def test_microcanonical_model_evaluates_each_window_once(monkeypatch):
+    # evaluate finds the empty windows in the same pass that evaluates the
+    # others: two profile calls per omega, dropped or kept (a separate drop
+    # pass makes four per kept omega).
+    calls = []
+
+    def counted_profile(delta):
+        h = flat_profile(delta)
+
+        def counted(energy):
+            calls.append(delta)
+            return h(energy)
+
+        return counted
+
+    monkeypatch.setattr(ethlab.ansatz, "flat_profile", counted_profile)
+    system = decompose_chain(SpinChainParams(6), 2)
+    model = AnsatzModel(AnsatzKind.MICROCANONICAL_EXACT_SUMS, system, 0.2)
+    omegas = np.linspace(0.0, 9.0, 37)
+    pred = model.evaluate(0.0, omegas)
+    assert 0 < pred.omega.size < omegas.size
+    assert calls == [model.delta] * (2 * omegas.size)
 
 
 def test_microcanonical_model_keeps_a_closed_window_edge():

@@ -226,16 +226,29 @@ def _grouped_all(band, v3, ops_flat):
     return band.accumulate_grouped_all(v3, ops_flat, _tile_buffer())
 
 
+def _grouped_tiles(band, dim_a):
+    # The grouped engine's tiles: batches of max(4, 512 // dim_a) alphas, cut
+    # into beta chunks whose full-batch product fits the current budget.
+    batch = max(4, 512 // dim_a)
+    width = ethlab.experiments._TILE_BYTES // (8 * dim_a * dim_a * batch)
+    return band._tiles(batch, width)
+
+
 def test_band_tiles_cover_the_band_in_order(chain10):
-    # Alpha-batch tiles in increasing alpha order: each tile's pairs lie in
+    # Whole-batch tiles in increasing alpha order: each tile's pairs lie in
     # its rectangle [a0, a1) x [b0, b1), the narrowest one, and the tiles
     # hold every pair of the band.  Only the alpha batches without pairs are
     # skipped.  (Band order: test_tile_pairs_are_the_flat_band_bitwise.)
+    # Both tile kinds of one batch size: a direct tile keeps its whole
+    # batch, even where the batch's edge alphas have no partners (some here
+    # do), while a chunked tile starts and ends at alphas with partners in
+    # its chunk (some here are trimmed).
+    direct = ethlab.experiments._DIRECT_BATCH
     for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
         band = _center_band(chain10, center)
         rows = band.pairs()[0]
-        for batch in (ethlab.experiments._DIRECT_BATCH, 5):
-            tiles = band._alpha_batches(batch)
+        for batch in (direct, 5):
+            tiles = list(band._tiles(batch))
             starts = [a0 for a0, *_ in tiles]
             assert starts == np.unique(rows // batch * batch).tolist()
             held = 0
@@ -246,13 +259,25 @@ def test_band_tiles_cover_the_band_in_order(chain10):
                 assert betas.min() == b0 and betas.max() == b1 - 1
                 held += alphas.size
             assert held == band.n_pairs
+        ragged = 0
+        for a0, a1, b0, b1 in band._tiles(direct):
+            alphas = band.pairs(a0, a1, b0, b1)[0]
+            ragged += alphas[0] > a0 or alphas[-1] < a1 - 1
+        assert ragged > 0
+        trimmed = 0
+        for a0, a1, c0, c1 in band._tiles(direct, 32):
+            alphas = band.pairs(a0, a1, c0, c1)[0]
+            assert alphas[0] == a0 and alphas[-1] == a1 - 1
+            batch_end = min(a0 - a0 % direct + direct, band.energies.size)
+            trimmed += a0 % direct > 0 or a1 < batch_end
+        assert trimmed > 0
 
 
 def test_band_tiles_follow_the_band(chain10):
     # Tiles follow the anti-diagonal band: most computed elements are used.
     band = _center_band(chain10)
-    area = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1, *_ in
-               band._alpha_batches(ethlab.experiments._DIRECT_BATCH))
+    area = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in
+               band._tiles(ethlab.experiments._DIRECT_BATCH))
     assert band.n_pairs / area >= 0.5
 
 
@@ -397,8 +422,8 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
         want = _flat_band_oracle(energies, center, 0.5, width)
         assert band.n_bins == want[3]
         assert np.array_equal(band.pair_counts, want[4])
-        tiles = band._alpha_batches(ethlab.experiments._DIRECT_BATCH)
-        parts = [band.pairs(a0, a1) for a0, a1, *_ in tiles]
+        tiles = band._tiles(ethlab.experiments._DIRECT_BATCH)
+        parts = [band.pairs(*tile) for tile in tiles]
         for k in range(3):
             assert np.array_equal(np.concatenate([p[k] for p in parts]), want[k])
         for got, whole in zip(band.pairs(), want):
@@ -495,7 +520,7 @@ def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
         buf = _tile_buffer()
         want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
         got = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-        for tile in band._grouped_tiles(system.dim_a):
+        for tile in _grouped_tiles(band, system.dim_a):
             for acc, part in (
                 (want, _tile_wide_batch(band, v3, ops_flat, tile)),
                 (got, band.accumulate_grouped_batch(v3, ops_flat, tile, buf)),
@@ -551,7 +576,7 @@ def test_grouped_engine_reused_buffer_is_bitwise_fresh_products(chain10, cut):
     for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
         band = _center_band(system, center)
         want = [np.zeros(band.n_bins), np.zeros(band.n_bins)]
-        for tile in band._grouped_tiles(system.dim_a):
+        for tile in _grouped_tiles(band, system.dim_a):
             s, q = _fresh_tile_batch(band, v3, ops_flat, tile)
             want[0] += s
             want[1] += q
@@ -569,7 +594,7 @@ def test_grouped_panels_are_views_of_the_transposed_stack(chain10, cut):
     rows = system.spectrum_t.rows
     v3 = rows.reshape(-1, dim_a, dim_b)
     w = np.ascontiguousarray(v3.transpose(2, 0, 1)).reshape(dim_b, -1)
-    for tile in _center_band(system)._grouped_tiles(dim_a):
+    for tile in _grouped_tiles(_center_band(system), dim_a):
         a0, a1, c0, c1 = tile
         a_panel, b_panel = _panels(v3, tile)
         assert np.shares_memory(a_panel, rows) and np.shares_memory(b_panel, rows)
@@ -591,11 +616,11 @@ def test_grouped_tile_budget(chain10, monkeypatch):
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
     want = run_ensemble(system, spec, centers, BinningParams())
     bands = [_center_band(system, center) for center in centers]
-    default = [len(list(band._grouped_tiles(32))) for band in bands]
+    default = [len(list(_grouped_tiles(band, 32))) for band in bands]
     budget = 256 << 10
     monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
     for band, n_default in zip(bands, default):
-        tiles = list(band._grouped_tiles(32))
+        tiles = list(_grouped_tiles(band, 32))
         assert len(tiles) > n_default
         for a0, a1, c0, c1 in tiles:
             assert a0 // 16 == (a1 - 1) // 16
@@ -618,7 +643,7 @@ def test_grouped_tile_budget(chain10, monkeypatch):
 
     monkeypatch.setattr(PairBand, "accumulate_grouped_batch", recorded)
     got = run_ensemble(system, spec, centers, BinningParams())
-    assert len(buffers) == sum(len(list(band._grouped_tiles(32))) for band in bands)
+    assert len(buffers) == sum(len(list(_grouped_tiles(band, 32))) for band in bands)
     assert all(buf is buffers[0] for buf in buffers)
     assert buffers[0].nbytes == budget
     for g, w, alone in zip(got, want, per_window):
@@ -646,7 +671,7 @@ def test_grouped_tiles_hold_every_pair_once(chain10, monkeypatch, budget):
         for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
             band = _center_band(system, center)
             parts = []
-            for a0, a1, c0, c1 in band._grouped_tiles(dim_a):
+            for a0, a1, c0, c1 in _grouped_tiles(band, dim_a):
                 assert 8 * dim_a * dim_a * (a1 - a0) * (c1 - c0) <= (
                     ethlab.experiments._TILE_BYTES
                 )
@@ -663,20 +688,27 @@ def test_grouped_tiles_hold_every_pair_once(chain10, monkeypatch, budget):
 
 def test_run_ensemble_tiles_each_window_once(chain10, monkeypatch):
     # run_ensemble needs no tiling pass to size its buffer: each window is
-    # tiled once, by its own accumulation.
+    # tiled once, by its own accumulation, in the grouped engine's chunks.
+    # A band's pair-count walk in __init__ takes whole batches (no width)
+    # and is not counted.
     spec = OperatorEnsembleSpec(count=2, seed=0)
     centers = [0.0, 0.5 * chain10.spectrum_t.eigenvalues[0], 0.0]
     calls = []
-    tiles = PairBand._grouped_tiles
+    tiles = PairBand._tiles
 
-    def counted(self, dim_a):
-        calls.append(self)
-        return tiles(self, dim_a)
+    def counted(self, batch, width=None):
+        if width is not None:
+            calls.append((self, batch, width))
+        return tiles(self, batch, width)
 
-    monkeypatch.setattr(PairBand, "_grouped_tiles", counted)
+    monkeypatch.setattr(PairBand, "_tiles", counted)
     run_ensemble(chain10, spec, centers, BinningParams())
     assert len(calls) == len(centers)
-    assert len(set(map(id, calls))) == len(centers)
+    assert len(set(id(band) for band, *_ in calls)) == len(centers)
+    monkeypatch.undo()
+    for band, batch, width in calls:
+        got = list(band._tiles(batch, width))
+        assert got == list(_grouped_tiles(band, chain10.dim_a))
 
 
 def _traced_peak(fn):
@@ -716,7 +748,7 @@ def test_grouped_engine_holds_one_budget_buffer(chain10, monkeypatch):
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=4, seed=0)
     band = _center_band(system)
-    largest = max(band.pairs(*tile)[0].size for tile in band._grouped_tiles(32))
+    largest = max(band.pairs(*tile)[0].size for tile in _grouped_tiles(band, 32))
     block = ethlab.experiments._STREAM_BYTES // (8 * 32 * 32)
     bound = (
         budget
@@ -763,9 +795,7 @@ def test_alpha_side_tiles_are_the_full_apply_bitwise(chain10, cut):
     for fraction in (0.0, 0.25, 0.5):
         band = _center_band(system, float(fraction * energies[0]) + 0.0)
         elements = []
-        for a0, a1, b0, b1, *_ in band._alpha_batches(
-            ethlab.experiments._DIRECT_BATCH
-        ):
+        for a0, a1, b0, b1 in band._tiles(ethlab.experiments._DIRECT_BATCH):
             alphas, betas, _ = band.pairs(a0, a1)
             sub = applied[a0:a1] @ rows[b0:b1].T
             elements.append(sub[alphas - a0, betas - b0])
