@@ -45,10 +45,8 @@ from .experiments import (
     BinnedStatistics,
     BinningParams,
     OperatorEnsembleSpec,
-    bin_offdiagonal,
     default_bin_width,
     detect_bands,
-    matrix_elements_total_basis,
     operator_diagonals,
     run_ensemble,
     sample_local_operator,
@@ -66,7 +64,6 @@ from .hamiltonians import (
     make_bipartite,
     pauli,
     sample_goe,
-    site_operator,
 )
 from .io import (
     RunConfig,
@@ -139,7 +136,6 @@ __all__ = [
     "make_bipartite",
     "build_random_system",
     "pauli",
-    "site_operator",
     "sample_goe",
     "haar_orthogonal",
     # localizability
@@ -177,8 +173,6 @@ __all__ = [
     "BinnedStatistics",
     "BandReport",
     "sample_local_operator",
-    "matrix_elements_total_basis",
-    "bin_offdiagonal",
     "run_ensemble",
     "operator_diagonals",
     "detect_bands",

@@ -128,7 +128,9 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
     its exact support ``[lo - hi, hi - lo]``; every point is integrated over
     the overlap of the two supports in one batched
     :func:`~ethlab.linalg.integrate_adaptive` call at absolute tolerance
-    ``_TOL``.
+    ``_TOL``, split at the knots of ``rho(y)`` and ``rho(x + y)``.  Between
+    knots the integrand is a quadratic, which Simpson's rule integrates
+    exactly.
     """
     total = rho.integral()
     if abs(total - 1.0) > 0.01:
@@ -150,8 +152,12 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
         # hi, where rho reads 0 and the last panel never converges.
         return rho(y) * rho(np.clip(x[rows] + y, lo, hi))
 
+    knots = rho.grid
+    kinks = [np.concatenate((knots, knots - shift)) for shift in x]
     out = np.zeros_like(xs)
-    out[live] = integrate_adaptive(integrand, ylo[live], yhi[live], tol=_TOL)
+    out[live] = integrate_adaptive(
+        integrand, ylo[live], yhi[live], tol=_TOL, kinks=kinks
+    )
     return GridFunction(grid=xs, values=out)
 
 

@@ -209,6 +209,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"ethlab: configuration error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # An output or cache path that cannot be written, such as a file
+        # standing where a directory must be; the message names the path.
+        print(f"ethlab: configuration error: {exc}", file=sys.stderr)
+        return 2
     except CacheMissError as exc:
         print(f"ethlab: cache policy failure: {exc}", file=sys.stderr)
         return 4

@@ -11,11 +11,10 @@ matrix, and a band holds only per-eigenstate arrays: each tile derives its
 pairs when it runs.  The grouped engine bins each tile with one
 ``bincount`` per moment; the direct engine applies each operator to one
 tile's alpha rows at a time and adds each tile into bins carried across the
-band in band order, bitwise the one ``bincount`` over the whole band's
-elements that :func:`bin_offdiagonal` makes.  Its one level of
-parallelism is the BLAS library's threads under the matrix products: tiles
-and operators run in a fixed order on the calling thread, so the statistics
-are bitwise reproducible run to run.
+band in band order, bitwise one ``bincount`` over the whole band's
+elements.  Its one level of parallelism is the BLAS library's threads under
+the matrix products: tiles and operators run in a fixed order on the
+calling thread, so the statistics are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .hamiltonians import BipartiteSystem, haar_orthogonal
-from .linalg import Spectrum
 
 __all__ = [
     "OperatorEnsembleSpec",
@@ -42,9 +40,7 @@ __all__ = [
     "BandReport",
     "REFERENCE_SPECTRAL_RANGE",
     "sample_local_operator",
-    "matrix_elements_total_basis",
     "band_matrix_elements",
-    "bin_offdiagonal",
     "run_ensemble",
     "operator_diagonals",
     "detect_bands",
@@ -109,22 +105,6 @@ def _apply_a_factor(op_a: np.ndarray, rows: np.ndarray):
     return np.matmul(op_a, v3).reshape(rows.shape)
 
 
-def _check_operator(system: BipartiteSystem, op_a: np.ndarray):
-    if op_a.shape != (system.dim_a, system.dim_a):
-        raise DimensionError(
-            f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
-        )
-
-
-def matrix_elements_total_basis(
-    system: BipartiteSystem, op_a: np.ndarray
-) -> np.ndarray:
-    """All matrix elements of ``op_a (x) identity`` between total eigenstates."""
-    _check_operator(system, op_a)
-    rows = system.spectrum_t.rows
-    return rows @ _apply_a_factor(op_a, rows).T
-
-
 def band_matrix_elements(
     system: BipartiteSystem, op_a: np.ndarray, band: PairBand
 ) -> np.ndarray:
@@ -134,7 +114,10 @@ def band_matrix_elements(
     band.pairs()`` and a symmetric ``op_a``, evaluated on the band's tiles
     as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
-    _check_operator(system, op_a)
+    if op_a.shape != (system.dim_a, system.dim_a):
+        raise DimensionError(
+            f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
+        )
     rows = system.spectrum_t.rows
     tiles = band._tiles(_DIRECT_BATCH)
     return np.concatenate([band._tile_elements(rows, op_a, t)[0] for t in tiles])
@@ -267,8 +250,7 @@ class PairBand:
         hi = np.searchsorted(energies, hi_sum - energies, side="right")
         lo = np.maximum(lo, np.arange(1, n + 1))  # unordered pairs once: beta > alpha
         lens = np.maximum(hi, lo) - lo
-        total_pairs = int(lens.sum())
-        if total_pairs == 0:
+        if not lens.any():
             raise EmptyWindowError(
                 f"no eigenstate pairs with mean energy in "
                 f"[{ebar_center - ebar_halfwidth}, {ebar_center + ebar_halfwidth}]"
@@ -276,7 +258,6 @@ class PairBand:
         self.energies = energies
         self.ebar_center = float(ebar_center)
         self.bin_width = float(bin_width)
-        self.n_pairs = total_pairs
         self._inv = 1.0 / (2.0 * bin_width)
         self._lo = lo
         self._lens = lens
@@ -357,10 +338,6 @@ class PairBand:
                 if inside.size:
                     yield a0 + int(inside[0]), a0 + int(inside[-1]) + 1, c0, c1
 
-    def bin_sums(self, values, bins):
-        """Per-bin sums of ``values``, one value per pair with omega bin ``bins``."""
-        return np.bincount(bins, weights=values, minlength=self.n_bins)
-
     # -- grouped engine ----------------------------------------------------
 
     def accumulate_grouped_batch(self, v3, ops_flat, tile, buf):
@@ -401,7 +378,10 @@ class PairBand:
             out = values[: d1 - d0]
             np.matmul(transfer.reshape(d1 - d0, dim_a * dim_a), ops_flat, out=out)
             accumulate_grouped(out, r2[d0:d1], r4[d0:d1])
-        return self.bin_sums(r2, bins), self.bin_sums(r4, bins)
+        return (
+            np.bincount(bins, weights=r2, minlength=self.n_bins),
+            np.bincount(bins, weights=r4, minlength=self.n_bins),
+        )
 
     def accumulate_grouped_all(self, v3, ops_flat, buf):
         """Grouped-engine accumulation over the whole band.
@@ -437,18 +417,6 @@ class PairBand:
         sub = _apply_a_factor(op_a, vecs[a0:a1]) @ vecs[c0:c1].T
         return sub.ravel()[(rows - a0) * (c1 - c0) + cols - c0], bins
 
-    def element_moments(self, elements):
-        """Per-bin sums of squares and fourth powers of band-order elements.
-
-        ``elements`` (one per pair, as :func:`band_matrix_elements` returns)
-        is squared in place twice, and binned after each squaring.
-        """
-        bins = self.pairs()[2]
-        np.multiply(elements, elements, out=elements)
-        sums = self.bin_sums(elements, bins)
-        np.multiply(elements, elements, out=elements)
-        return sums, self.bin_sums(elements, bins)
-
     def accumulate_from_factors(self, vecs, op_a):
         """Direct engine: per-bin sums of squares and fourth powers of one operator.
 
@@ -458,9 +426,10 @@ class PairBand:
         ``_apply_a_factor(op_a, vecs[a0:a1]) @ vecs[c0:c1].T``.  Its elements
         are squared in place twice and added into the bins after each
         squaring with one ``np.add.at``, carried across the tiles in band
-        order: the same additions in the same order as one ``bincount`` over
-        the whole band, so the sums are bitwise :meth:`element_moments` of
-        :func:`band_matrix_elements`, without a band-length buffer.
+        order: the same additions in the same order as one ``bincount`` of
+        the squares, and one of the fourth powers, of
+        :func:`band_matrix_elements` over the band's bins, without a
+        band-length buffer.
         """
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
@@ -490,30 +459,6 @@ class PairBand:
             count=counts[keep],
             std_err=std_err,
         )
-
-
-def bin_offdiagonal(
-    elements: np.ndarray,
-    spectrum: Spectrum,
-    ebar_center: float,
-    params: BinningParams = BinningParams(),
-) -> BinnedStatistics:
-    """Binned mean squared off-diagonal elements of one dense matrix.
-
-    Pairs with mean energy inside the closed window accumulate ``|O_ab|^2``
-    into bins of ``|omega| = |E_a - E_b| / 2``; each unordered pair counts
-    once and the diagonal is excluded.
-    """
-    n = spectrum.dim
-    if elements.shape != (n, n):
-        raise DimensionError(
-            f"elements shape {elements.shape} does not match spectrum dim {n}"
-        )
-    width = params.resolve_width(spectrum.spectral_range)
-    band = PairBand(spectrum.eigenvalues, ebar_center, params.ebar_halfwidth, width)
-    rows, cols, _ = band.pairs()
-    sums, sumsqs = band.element_moments(elements[rows, cols])
-    return band.statistics(sums, sumsqs, 1)
 
 
 def _operator_columns(ens: OperatorEnsembleSpec, dim_a: int) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "sample_goe",
     "haar_orthogonal",
     "pauli",
-    "site_operator",
 ]
 
 # Dense diagonalization guard: 2^13 x 2^13 is the largest total dimension the
@@ -48,19 +47,17 @@ __all__ = [
 # before it loads or computes the total, and a fragment's eigenvectors only
 # when they are read (see decompose_chain), so a cold build holds no
 # fragment eigenvectors through the total's eigh: a cold 12-site fig2 peaked
-# at 684 MB, against 716 MB when the 11-site fragment's were kept.  The
-# eigenvector rows are copied out of eigh's result only after its workspace
-# is freed, below that peak.  The ensemble reads the rows in place; the
-# direct engine adds one operator applied to one 64-row tile at a time
-# (4 MiB at 13 sites).  Each window's pair band holds a few integers per
+# at 684 MB.  The eigenvector rows are copied out of eigh's result only after
+# its workspace is freed, below that peak.  The ensemble reads the rows in
+# place; the direct engine adds one operator applied to one 64-row tile at a
+# time (4 MiB at 13 sites).  Each window's pair band holds a few integers per
 # eigenstate and per omega bin, and per-pair indices live only for one band
 # tile.  Warm runs peak in a grouped engine, the eigenvectors plus one 8 MiB
 # tile buffer and the per-pair arrays of one tile.  On 2 cores at 12 sites
 # `reproduce fig3` peaks at 179 MB (cut 3) and `reproduce fig2` with 4
-# operators at 183 MB (cut 1); at 13 sites fig3 measured 566 MB and 17 s,
-# and fig2 571 MB (cut 1) and 57 s.  fig2's cut-1 build, the 12-site
-# fragment's eigenvalue solve and then the load, took 6.3-8.8 s and reached
-# 549 MB.
+# operators at 183 MB (cut 1); at 13 sites fig3 measured 566 MB and 17 s, and
+# fig2 571 MB (cut 1) and 57 s.  fig2's cut-1 build, the 12-site fragment's
+# eigenvalue solve and then the load, took 6.3-8.8 s and reached 549 MB.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -77,15 +74,6 @@ def pauli(name: str) -> np.ndarray:
     if key not in ("i", "x", "z"):
         raise ValidationError(f"unsupported Pauli label {name!r} (use i, x, z)")
     return PAULI[key].copy()
-
-
-def site_operator(op: np.ndarray, site: int, sites: int) -> np.ndarray:
-    """Embed a single-site operator at ``site`` (1-based) into ``sites`` qubits."""
-    if not 1 <= site <= sites:
-        raise ValidationError(f"site {site} outside 1..{sites}")
-    left = np.eye(2 ** (site - 1))
-    right = np.eye(2 ** (sites - site))
-    return np.kron(np.kron(left, op), right)
 
 
 @dataclass(frozen=True)

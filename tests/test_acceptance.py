@@ -32,7 +32,6 @@ from ethlab.ansatz import (
 from ethlab.experiments import (
     OperatorEnsembleSpec,
     detect_bands,
-    matrix_elements_total_basis,
     operator_diagonals,
     sample_local_operator,
     subsystem_gap_omegas,
@@ -44,11 +43,11 @@ from ethlab.hamiltonians import (
     make_bipartite,
     pauli,
     sample_goe,
-    site_operator,
 )
 from ethlab.linalg import GridFunction, integrate_adaptive
 from ethlab.localize import localizability, localizing_basis
 from ethlab.scrambling import exp_profile, profile
+from oracles import dense_elements, embed
 
 
 def verdict(name, ok, detail):
@@ -168,8 +167,8 @@ def test_a03_exact_identities(coeffs12, chain10, profile12):
     sum_rule = 0.0
     for k in range(spec.count):
         op = sample_local_operator(spec, chain10.dim_a, k)
-        rows = (matrix_elements_total_basis(chain10, op) ** 2).sum(axis=1)
-        exact = np.diag(matrix_elements_total_basis(chain10, op @ op))
+        rows = (dense_elements(chain10, op) ** 2).sum(axis=1)
+        exact = np.diag(dense_elements(chain10, op @ op))
         sum_rule = max(sum_rule, np.abs(rows - exact).max())
 
     # kron(H_A, 1) + kron(1, H_B) + J sz_3 sz_4 against the full chain, with
@@ -180,7 +179,7 @@ def test_a03_exact_identities(coeffs12, chain10, profile12):
         h_a = build_spin_chain(SpinChainParams(3))
         h_b = build_spin_chain(SpinChainParams(sites - 3))
         bond = params.coupling * np.kron(
-            site_operator(pauli("z"), 3, 3), site_operator(pauli("z"), 1, sites - 3)
+            embed({2: pauli("z")}, 3), embed({0: pauli("z")}, sites - 3)
         )
         h_0 = np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
         total = h_0 + bond
@@ -295,22 +294,16 @@ def test_a07_localizability():
     sz = np.diag([1.0, -1.0])
     paulis = (sx, sy, sz)
     sites = 4
-
-    def embed(op, site):
-        m = np.array([[1.0]])
-        for r in range(sites):
-            m = np.kron(m, op if r == site else np.eye(2))
-        return m
-
     dims = []
     for site in range(sites):
         for p in paulis:
-            dims.append(localizability(np.linalg.eigvalsh(embed(p, site))).local_dim)
+            vals = np.linalg.eigvalsh(embed({site: p}, sites))
+            dims.append(localizability(vals).local_dim)
     for s1 in range(sites):
         for s2 in range(s1 + 1, sites):
             for p1 in paulis:
                 for p2 in paulis:
-                    op = embed(p1, s1) @ embed(p2, s2)
+                    op = embed({s1: p1, s2: p2}, sites)
                     vals = np.linalg.eigvalsh(op)
                     dims.append(localizability(vals).local_dim)
     all_two = all(d == 2 for d in dims)
@@ -321,9 +314,9 @@ def test_a07_localizability():
     roundtrip = 0.0
     syy = np.real(np.kron(sy, sy))
     for op in (
-        embed(sx, 1),
-        embed(sz, 0) @ embed(sz, 2),
-        embed(sx, 1) @ embed(sz, 2),
+        embed({1: sx}, sites),
+        embed({0: sz, 2: sz}, sites),
+        embed({1: sx, 2: sz}, sites),
         np.kron(syy, np.eye(4)),
     ):
         basis, block = localizing_basis(op)

@@ -21,18 +21,22 @@ from ethlab.experiments import (
     _prominent_peaks,
     accumulate_grouped,
     band_matrix_elements,
-    bin_offdiagonal,
     default_bin_width,
     detect_bands,
-    matrix_elements_total_basis,
     operator_diagonals,
     run_ensemble,
     sample_local_operator,
     subsystem_gap_omegas,
 )
 from ethlab.figures import quantile_states
-from ethlab.hamiltonians import SpinChainParams, decompose_chain, make_bipartite
+from ethlab.hamiltonians import (
+    BipartiteSystem,
+    SpinChainParams,
+    decompose_chain,
+    make_bipartite,
+)
 from ethlab.linalg import Spectrum
+from oracles import dense_elements, flat_band, moments
 
 
 def test_sample_local_operator_normalization():
@@ -44,6 +48,22 @@ def test_sample_local_operator_normalization():
         assert abs(vals.mean()) < 1e-12
         assert (vals**2).mean() == pytest.approx(1.0, rel=1e-12)
         assert abs(np.trace(op)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_sample_local_operator_exact_second_moments(d):
+    # tr O = 0, tr O^2 = d and Haar conjugation fix E O_ij^2: d / ((d - 1)
+    # (d + 2)) off the diagonal and 2 / (d + 2) on it.  Each draw's mean
+    # square over either set of entries is one sample; the typical-operator
+    # value 1/d lies more than 20 standard errors from both.
+    spec = OperatorEnsembleSpec(count=4000, seed=0)
+    ops = np.stack([sample_local_operator(spec, d, k) for k in range(spec.count)])
+    off = ~np.eye(d, dtype=bool)
+    for entries, want in ((off, d / ((d - 1) * (d + 2))), (~off, 2 / (d + 2))):
+        per_draw = (ops[:, entries] ** 2).mean(axis=1)
+        se = per_draw.std(ddof=1) / np.sqrt(spec.count)
+        assert abs(per_draw.mean() - want) < 4.0 * se
+        assert abs(per_draw.mean() - 1.0 / d) > 20.0 * se
 
 
 def test_sample_local_operator_determinism_and_streams():
@@ -68,22 +88,31 @@ def test_sample_local_operator_validation():
         sample_local_operator(spec, 1, 0)
 
 
+def _whole_band(system):
+    # One window, in five omega bins, that holds every pair of eigenstates.
+    energies = system.spectrum_t.eigenvalues
+    span = float(energies[-1] - energies[0])
+    return PairBand(energies, float(energies.mean()), span, span / 8.0)
+
+
 def test_matrix_elements_identity_and_invariants():
     system = decompose_chain(SpinChainParams(6), 2)
+    band = _whole_band(system)
+    assert band.pair_counts.sum() == 64 * 63 // 2
     # The identity on A embeds to the identity in any basis.
-    ident = matrix_elements_total_basis(system, np.eye(4))
-    assert np.abs(ident - np.eye(64)).max() < 1e-12
+    ident = band_matrix_elements(system, np.eye(4), band)
+    assert np.abs(ident).max() < 1e-12
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4))
     op = 0.5 * (g + g.T)
-    el = matrix_elements_total_basis(system, op)
-    # Orthogonal conjugation preserves the Frobenius norm and the trace.
-    assert np.linalg.norm(el) == pytest.approx(
-        np.sqrt(16.0) * np.linalg.norm(op), rel=1e-12
-    )
-    assert np.trace(el) == pytest.approx(16.0 * np.trace(op), rel=1e-10)
-    with pytest.raises(DimensionError):
-        matrix_elements_total_basis(system, np.eye(3))
+    off = band_matrix_elements(system, op, band)
+    v3 = system.spectrum_t.rows.reshape(-1, 4, 16)
+    diag = np.einsum("apj,pq,aqj->a", v3, op, v3)
+    # Orthogonal conjugation preserves the Frobenius norm and the trace:
+    # every off-diagonal element appears twice in the norm.
+    norm_sq = 2.0 * (off**2).sum() + (diag**2).sum()
+    assert norm_sq == pytest.approx(16.0 * (op**2).sum(), rel=1e-12)
+    assert diag.sum() == pytest.approx(16.0 * np.trace(op), rel=1e-10)
 
 
 def test_matrix_elements_noninteracting_selection_rule():
@@ -95,12 +124,16 @@ def test_matrix_elements_noninteracting_selection_rule():
     system = make_bipartite(h_a, h_b, np.zeros((16, 16)))
     g = rng.standard_normal((4, 4))
     op = 0.5 * (g + g.T)
-    el = matrix_elements_total_basis(system, op)
+    band = _whole_band(system)
+    el = band_matrix_elements(system, op, band)
+    rows, cols, _ = band.pairs()
     e_t = system.spectrum_t.eigenvalues
     # B label of each total eigenstate from its energy decade.
     b_label = np.round(e_t / 10.0 - 0.2).astype(int)
-    cross = b_label[:, None] != b_label[None, :]
+    cross = b_label[rows] != b_label[cols]
+    assert cross.sum() > cross.size // 2
     assert np.abs(el[cross]).max() < 1e-12
+    assert np.abs(el[~cross]).max() > 0.1
 
 
 def test_default_bin_width_reference():
@@ -123,92 +156,110 @@ def test_binning_params_validation():
             BinningParams(omega_bin_width=bad)
 
 
+def _basis_system(energies, dim_a):
+    # A system whose total eigenstates are the basis states, with the A
+    # factor of dimension dim_a: an operator's elements are its entries
+    # (tensored with the identity on B), and both engines evaluate them
+    # exactly.
+    n = energies.size
+
+    def flat(dim):
+        return Spectrum(eigenvalues=np.arange(float(dim)), eigenvectors=np.eye(dim))
+
+    return BipartiteSystem(
+        spectrum_a=flat(dim_a),
+        spectrum_b=flat(n // dim_a),
+        spectrum_t=Spectrum(eigenvalues=energies, eigenvectors=np.eye(n)),
+        interaction_sq=np.zeros(n),
+    )
+
+
+def _both_engines(band, system, op):
+    # Per-bin sums of squares and fourth powers of one operator's band
+    # elements from each engine: the direct one and the grouped one.
+    rows = system.spectrum_t.rows
+    v3 = rows.reshape(-1, system.dim_a, system.dim_b)
+    return (
+        band.accumulate_from_factors(rows, op),
+        band.accumulate_grouped_all(v3, op.reshape(-1, 1), _tile_buffer()),
+    )
+
+
 def test_bin_offdiagonal_identity_elements_are_zero():
-    spectrum = Spectrum(
-        eigenvalues=np.linspace(-1.0, 1.0, 32), eigenvectors=np.eye(32)
-    )
-    stats = bin_offdiagonal(
-        np.eye(32), spectrum, 0.0, BinningParams(omega_bin_width=0.05)
-    )
-    assert stats.n_samples > 0
-    assert np.all(stats.mean_sq == 0.0)
-    assert np.all(stats.std_err == 0.0)
+    system = _basis_system(np.linspace(-1.0, 1.0, 32), 4)
+    band = PairBand(system.spectrum_t.eigenvalues, 0.0, 0.5, 0.05)
+    for sums in _both_engines(band, system, np.eye(4)):
+        stats = band.statistics(*sums, 1)
+        assert stats.n_samples > 0
+        assert np.all(stats.mean_sq == 0.0)
+        assert np.all(stats.std_err == 0.0)
 
 
 def test_bin_offdiagonal_single_pair():
-    spectrum = Spectrum(
-        eigenvalues=np.array([-1.0, 1.0]), eigenvectors=np.eye(2)
-    )
-    elements = np.array([[0.3, 0.5], [0.5, -0.2]])
-    stats = bin_offdiagonal(
-        elements, spectrum, 0.0, BinningParams(omega_bin_width=0.4)
-    )
-    # One unordered pair at omega = 1, |O|^2 = 0.25; the diagonal is excluded.
-    assert stats.omega_mid.shape == (1,)
-    assert stats.omega_mid[0] == pytest.approx(1.0)
-    assert stats.mean_sq[0] == pytest.approx(0.25, rel=1e-14)
-    assert stats.count[0] == 1
-    assert stats.std_err[0] == 0.0
-    assert stats.n_samples == 1
+    system = _basis_system(np.array([-1.0, 1.0]), 2)
+    op = np.array([[0.3, 0.5], [0.5, -0.2]])
+    band = PairBand(system.spectrum_t.eigenvalues, 0.0, 0.5, 0.4)
+    for sums in _both_engines(band, system, op):
+        stats = band.statistics(*sums, 1)
+        # One unordered pair at omega = 1, |O|^2 = 0.25; the diagonal is
+        # excluded.
+        assert stats.omega_mid.shape == (1,)
+        assert stats.omega_mid[0] == pytest.approx(1.0)
+        assert stats.mean_sq[0] == pytest.approx(0.25, rel=1e-14)
+        assert stats.count[0] == 1
+        assert stats.std_err[0] == 0.0
+        assert stats.n_samples == 1
 
 
 def test_bin_offdiagonal_window_is_closed():
-    spectrum = Spectrum(
-        eigenvalues=np.array([-1.0, 3.0]), eigenvectors=np.eye(2)
-    )
-    elements = np.full((2, 2), 0.5)
-    # Pair mean energy is exactly at the window edge: 1.0 = 0.5 + 0.5.
-    stats = bin_offdiagonal(
-        elements, spectrum, 0.5, BinningParams(omega_bin_width=1.0)
-    )
-    assert stats.n_samples == 1
+    # The pair's mean energy 1.0 lies exactly on the window's upper edge
+    # (0.5 + 0.5), then on its lower edge (1.5 - 0.5): counted both times.
+    system = _basis_system(np.array([-1.0, 3.0]), 2)
+    spec = OperatorEnsembleSpec(count=2, seed=0)
+    params = BinningParams(ebar_halfwidth=0.5, omega_bin_width=1.0)
+    for center in (0.5, 1.5):
+        band = PairBand(system.spectrum_t.eigenvalues, center, 0.5, 1.0)
+        assert band.pair_counts.sum() == 1
+        (stats,) = run_ensemble(system, spec, [center], params)
+        assert stats.n_samples == spec.count
     with pytest.raises(EmptyWindowError):
-        bin_offdiagonal(
-            elements, spectrum, 10.0, BinningParams(omega_bin_width=1.0)
-        )
+        PairBand(system.spectrum_t.eigenvalues, 10.0, 0.5, 1.0)
+    with pytest.raises(EmptyWindowError):
+        run_ensemble(system, spec, [10.0], params)
 
 
 def test_bin_offdiagonal_matches_brute_force():
     rng = np.random.default_rng(12)
     n = 40
     e = np.sort(rng.uniform(-3.0, 3.0, n))
-    spectrum = Spectrum(eigenvalues=e, eigenvectors=np.eye(n))
+    system = _basis_system(e, n)
     g = rng.standard_normal((n, n))
     elements = 0.5 * (g + g.T)
     width = 0.13
     center, hw = 0.2, 0.9
-    stats = bin_offdiagonal(
-        elements, spectrum, center,
-        BinningParams(ebar_halfwidth=hw, omega_bin_width=width),
-    )
+    band = PairBand(e, center, hw, width)
     sums = {}
     for a in range(n):
         for b in range(a + 1, n):
             if abs(0.5 * (e[a] + e[b]) - center) <= hw:
                 idx = int((e[b] - e[a]) / (2.0 * width))
                 sums.setdefault(idx, []).append(elements[a, b] ** 2)
-    assert stats.omega_mid.tolist() == [
-        (k + 0.5) * width for k in sorted(sums)
-    ]
-    for mid, mean, count, se in zip(
-        stats.omega_mid, stats.mean_sq, stats.count, stats.std_err
-    ):
-        vals = np.array(sums[int(mid / width)])
-        assert count == vals.size
-        assert mean == pytest.approx(vals.mean(), rel=1e-12)
-        if vals.size > 1:
-            expected_se = vals.std(ddof=1) / np.sqrt(vals.size)
-            assert se == pytest.approx(expected_se, rel=1e-10)
-        else:
-            assert se == 0.0
-
-
-def test_bin_offdiagonal_shape_mismatch():
-    spectrum = Spectrum(
-        eigenvalues=np.array([-1.0, 1.0]), eigenvectors=np.eye(2)
-    )
-    with pytest.raises(DimensionError):
-        bin_offdiagonal(np.eye(3), spectrum, 0.0)
+    for moments_ in _both_engines(band, system, elements):
+        stats = band.statistics(*moments_, 1)
+        assert stats.omega_mid.tolist() == [
+            (k + 0.5) * width for k in sorted(sums)
+        ]
+        for mid, mean, count, se in zip(
+            stats.omega_mid, stats.mean_sq, stats.count, stats.std_err
+        ):
+            vals = np.array(sums[int(mid / width)])
+            assert count == vals.size
+            assert mean == pytest.approx(vals.mean(), rel=1e-12)
+            if vals.size > 1:
+                expected_se = vals.std(ddof=1) / np.sqrt(vals.size)
+                assert se == pytest.approx(expected_se, rel=1e-10)
+            else:
+                assert se == 0.0
 
 
 def _center_band(system, center=0.0):
@@ -258,7 +309,7 @@ def test_band_tiles_cover_the_band_in_order(chain10):
                 assert a0 <= alphas.min() and alphas.max() < a1
                 assert betas.min() == b0 and betas.max() == b1 - 1
                 held += alphas.size
-            assert held == band.n_pairs
+            assert held == band.pair_counts.sum()
         ragged = 0
         for a0, a1, b0, b1 in band._tiles(direct):
             alphas = band.pairs(a0, a1, b0, b1)[0]
@@ -278,28 +329,34 @@ def test_band_tiles_follow_the_band(chain10):
     band = _center_band(chain10)
     area = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in
                band._tiles(ethlab.experiments._DIRECT_BATCH))
-    assert band.n_pairs / area >= 0.5
+    assert band.pair_counts.sum() / area >= 0.5
 
 
 def test_ensemble_engines_match_dense_oracle(chain10):
-    # Both engines against dense matrix_elements_total_basis accumulation.
+    # Both engines against the dense Kronecker-product oracle, binned over
+    # the oracle's own flat band.
     system = chain10
     spec = OperatorEnsembleSpec(count=3, seed=2)
     ops = [sample_local_operator(spec, system.dim_a, k) for k in range(spec.count)]
     rows = system.spectrum_t.rows
     v3 = rows.reshape(-1, system.dim_a, system.dim_b)
     ops_flat = np.stack([op.ravel() for op in ops], axis=1)
-    dense = [matrix_elements_total_basis(system, op) for op in ops]
-    for center in (0.0, 0.5 * system.spectrum_t.eigenvalues[0]):
+    dense = [dense_elements(system, op) for op in ops]
+    vt = system.spectrum_t.eigenvectors.reshape(system.dim_a, system.dim_b, -1)
+    factored = [np.einsum("pja,pq,qjb->ab", vt, op, vt, optimize=True) for op in ops]
+    energies = system.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
+    for center in (0.0, 0.5 * energies[0]):
         band = _center_band(system, center)
-        band_rows, band_cols, _ = band.pairs()
+        band_rows, band_cols, bins, n_bins, _ = flat_band(
+            energies, center, 0.5, width
+        )
+        assert n_bins == band.n_bins
 
         def oracle(matrices):
-            moments = [
-                band.element_moments(m[band_rows, band_cols]) for m in matrices
-            ]
+            parts = [moments(m[band_rows, band_cols], bins, n_bins) for m in matrices]
             return band.statistics(
-                sum(s for s, _ in moments), sum(q for _, q in moments), spec.count
+                sum(s for s, _ in parts), sum(q for _, q in parts), spec.count
             )
 
         per_op = [band.accumulate_from_factors(rows, op) for op in ops]
@@ -309,14 +366,15 @@ def test_ensemble_engines_match_dense_oracle(chain10):
         direct = band.statistics(
             sum(s for s, _ in per_op), sum(q for _, q in per_op), spec.count
         )
-        # The grouped engine contracts through transfer matrices, which
-        # leaves roundoff of about eps * sqrt(max / mean_sq) relative on a
-        # bin (3.5e-11 at 1e-12 * max).  The direct engine evaluates the dot
-        # products <(O (x) 1) alpha|beta>, which the dense oracle's
-        # transpose holds at (alpha, beta).
+        # Against the Kronecker product, both engines leave roundoff of
+        # about eps * sqrt(max / mean_sq) relative on a bin (3.5e-11 at
+        # 1e-12 * max).  The direct engine evaluates the dot products
+        # <(O (x) 1) alpha|beta>, which an einsum over the A index takes
+        # too, to 4e-15 relative.
         for got, want, floor in (
             (grouped, oracle(dense), 1e-8),
-            (direct, oracle(m.T for m in dense), 1e-12),
+            (direct, oracle(dense), 1e-8),
+            (direct, oracle(factored), 1e-12),
         ):
             assert np.array_equal(got.count, want.count)
             big = want.mean_sq > floor * want.mean_sq.max()
@@ -335,12 +393,14 @@ def test_band_matrix_elements_match_dense(chain10):
     # matrix's entries at the band's (rows, cols), in band order.
     spec = OperatorEnsembleSpec(count=1, seed=3)
     op = sample_local_operator(spec, chain10.dim_a, 0)
-    dense = matrix_elements_total_basis(chain10, op)
-    for center in (0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]):
+    dense = dense_elements(chain10, op)
+    energies = chain10.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(chain10.spectrum_t.spectral_range)
+    for center in (0.0, 0.5 * energies[0]):
         band = _center_band(chain10, center)
         got = band_matrix_elements(chain10, op, band)
-        rows, cols, _ = band.pairs()
-        assert got.shape == (band.n_pairs,)
+        rows, cols = flat_band(energies, center, 0.5, width)[:2]
+        assert got.shape == (band.pair_counts.sum(),)
         assert np.abs(got - dense[rows, cols]).max() < 1e-13
     with pytest.raises(DimensionError):
         band_matrix_elements(chain10, np.eye(3), band)
@@ -355,15 +415,18 @@ def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=3, seed=0)
     ops = [sample_local_operator(spec, system.dim_a, k) for k in range(spec.count)]
-    centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
+    energies = system.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
+    centers = [0.0, 0.5 * energies[0]]
     got = run_ensemble(system, spec, centers, BinningParams())
     for center, stats in zip(centers, got):
         band = _center_band(system, center)
+        bins, n_bins = flat_band(energies, center, 0.5, width)[2:4]
         attributes = set(vars(band))
-        sums = np.zeros(band.n_bins)
-        sumsqs = np.zeros(band.n_bins)
+        sums = np.zeros(n_bins)
+        sumsqs = np.zeros(n_bins)
         for op in ops:
-            s, q = band.element_moments(band_matrix_elements(system, op, band))
+            s, q = moments(band_matrix_elements(system, op, band), bins, n_bins)
             sums += s
             sumsqs += q
         want = band.statistics(sums, sumsqs, spec.count)
@@ -371,36 +434,6 @@ def test_direct_engine_bins_band_elements_bitwise(chain10, cut):
         assert np.array_equal(stats.count, want.count)
         assert np.array_equal(stats.mean_sq, want.mean_sq)
         assert np.array_equal(stats.std_err, want.std_err)
-
-
-def _flat_band_oracle(energies, ebar_center, ebar_halfwidth, bin_width):
-    # Whole-band flat (rows, cols, bins), n_bins and pair counts, built at
-    # once from the partner ranges as a band stored them when it kept one
-    # row, column and bin per pair.
-    n = energies.size
-    lo_sum = 2.0 * (ebar_center - ebar_halfwidth)
-    hi_sum = 2.0 * (ebar_center + ebar_halfwidth)
-    lo = np.searchsorted(energies, lo_sum - energies, side="left")
-    hi = np.searchsorted(energies, hi_sum - energies, side="right")
-    ar = np.arange(n)
-    lo = np.maximum(lo, ar + 1)
-    hi = np.maximum(hi, lo)
-    lens = hi - lo
-    total_pairs = int(lens.sum())
-    rows = np.repeat(ar, lens)
-    base = np.repeat(lo, lens)
-    within = np.arange(total_pairs) - np.repeat(np.cumsum(lens) - lens, lens)
-    cols = base + within
-    inv = 1.0 / (2.0 * bin_width)
-    bins = ((energies[cols] - energies[rows]) * inv).astype(np.int64)
-    n_bins = int(bins.max()) + 1
-    return (
-        rows.astype(np.int32),
-        cols.astype(np.int32),
-        bins,
-        n_bins,
-        np.bincount(bins, minlength=n_bins),
-    )
 
 
 @pytest.mark.parametrize("cut", [3, 5, 7])
@@ -419,7 +452,7 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
     for fraction in (0.0, 0.25, 0.5):
         center = float(fraction * energies[0]) + 0.0
         band = PairBand(energies, center, 0.5, width)
-        want = _flat_band_oracle(energies, center, 0.5, width)
+        want = flat_band(energies, center, 0.5, width)
         assert band.n_bins == want[3]
         assert np.array_equal(band.pair_counts, want[4])
         tiles = band._tiles(ethlab.experiments._DIRECT_BATCH)
@@ -429,7 +462,8 @@ def test_tile_pairs_are_the_flat_band_bitwise(chain10, cut):
         for got, whole in zip(band.pairs(), want):
             assert np.array_equal(got, whole)
         direct = band.accumulate_from_factors(rows, op)
-        oracle = band.element_moments(band_matrix_elements(system, op, band))
+        elements = band_matrix_elements(system, op, band)
+        oracle = moments(elements, want[2], want[3])
         for got, whole in zip(direct, oracle):
             assert np.array_equal(got, whole)
 
@@ -446,7 +480,7 @@ def test_band_memory_is_independent_of_the_pair_count(chain10):
             v.nbytes for v in vars(band).values() if isinstance(v, np.ndarray)
         )
         assert held <= 8 * (4 * (energies.size + 1) + band.n_bins)
-        pairs.append(band.n_pairs)
+        pairs.append(band.pair_counts.sum())
     assert pairs[-1] > 7 * pairs[0]
 
 
@@ -783,7 +817,7 @@ def test_alpha_side_tiles_are_the_full_apply_bitwise(chain10, cut):
     # every row in one stacked matmul, times the eigenvector rows b0:b1, at
     # the band's pairs (each row is its own small product, so applying it
     # per tile changes no bit).  band_matrix_elements concatenates the
-    # tiles, and the direct engine's sums are their element_moments.
+    # tiles, and the direct engine's sums are their oracle moments.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     assert system.dim_a > system.dim_b
     rows = system.spectrum_t.rows
@@ -802,7 +836,7 @@ def test_alpha_side_tiles_are_the_full_apply_bitwise(chain10, cut):
         got = band_matrix_elements(system, op, band)
         assert np.array_equal(got, np.concatenate(elements))
         direct = band.accumulate_from_factors(rows, op)
-        for g, w in zip(direct, band.element_moments(got)):
+        for g, w in zip(direct, moments(got, band.pairs()[2], band.n_bins)):
             assert np.array_equal(g, w)
 
 
@@ -823,13 +857,13 @@ def test_run_ensemble_sum_rule_and_diagonals(monkeypatch):
         sums = sumsqs = 0.0
         for k in range(spec.count):
             op = sample_local_operator(spec, system.dim_a, k)
-            el = matrix_elements_total_basis(system, op)
+            el = dense_elements(system, op)
             # Global sum rule: row sums of squares equal the diagonal of O^2.
-            sq_diag = np.diag(matrix_elements_total_basis(system, op @ op))
+            sq_diag = np.diag(dense_elements(system, op @ op))
             assert np.abs((el**2).sum(axis=1) - sq_diag).max() < 1e-8
             assert np.abs(diagonals[k] - np.diag(el)).max() < 1e-12
-            rows, cols, _ = band.pairs()
-            s, q = band.element_moments(el[rows, cols])
+            rows, cols, bins = band.pairs()
+            s, q = moments(el[rows, cols], bins, band.n_bins)
             sums, sumsqs = sums + s, sumsqs + q
         want = band.statistics(sums, sumsqs, spec.count)
         assert np.array_equal(stats.count, want.count)
@@ -856,7 +890,7 @@ def test_run_ensemble_signed_means_are_unbiased():
     cnt = np.zeros(nb)
     for k in range(spec.count):
         op = sample_local_operator(spec, system.dim_a, k)
-        el = matrix_elements_total_basis(system, op)
+        el = dense_elements(system, op)
         v = el[a_idx, b_idx]
         ssum += np.bincount(bins, weights=v, minlength=nb)
         ssq += np.bincount(bins, weights=v * v, minlength=nb)
@@ -889,27 +923,23 @@ def test_kernels_match_per_row_loop_oracle():
                 sumsqs[b] += x**4
         return np.array(sums), np.array(sumsqs)
 
-    # The band's one reducer on a band of two level clusters: omega bins 0-2
+    # Both engines' binning on a band of two level clusters: omega bins 0-2
     # (pairs inside a cluster) and 12-17 (across), so bins 3-11 stay empty.
+    # The total eigenstates are the basis states, so an operator's elements
+    # are its entries, exactly.
     energies = np.sort(
         np.concatenate([rng.uniform(0.0, 0.5, 20), rng.uniform(3.0, 3.5, 20)])
     )
     band = PairBand(energies, 1.75, 2.0, 0.1)
-    assert band.n_pairs == 780
-    values = rng.standard_normal(band.n_pairs)
-    got = band.element_moments(values.copy())
-    bins = band.pairs()[2]
-    want = oracle(values[:, None], bins, band.n_bins)
-    for g, w in zip(got, want):
-        assert np.allclose(g, w, rtol=1e-13, atol=0.0)
-        assert np.all(g[3:12] == 0.0)
-    # Over a pair slice, as the grouped engine bins one tile.
-    s0, s1 = 100, 400
-    want = np.zeros(band.n_bins)
-    for x, b in zip(values[s0:s1], bins[s0:s1]):
-        want[b] += x
-    got = band.bin_sums(values[s0:s1], bins[s0:s1])
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert band.pair_counts.sum() == 780
+    g = rng.standard_normal((40, 40))
+    op = 0.5 * (g + g.T)
+    rows, cols, bins = flat_band(energies, 1.75, 2.0, 0.1)[:3]
+    want = oracle(op[rows, cols][:, None], bins, band.n_bins)
+    for got in _both_engines(band, _basis_system(energies, 40), op):
+        for x, w in zip(got, want):
+            assert np.allclose(x, w, rtol=1e-13, atol=0.0)
+            assert np.all(x[3:12] == 0.0)
 
     # accumulate_grouped: per-row moments, as the oracle with one bin a row.
     values = rng.standard_normal((200, 16))

@@ -21,10 +21,10 @@ from ethlab.hamiltonians import (
     make_bipartite,
     pauli,
     sample_goe,
-    site_operator,
 )
 from ethlab.io import RunConfig, cached_spectrum, config_cache_key
 from ethlab.linalg import eig_sym, eigvals_sym
+from oracles import embed
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
 # diagonalization (independent builds agree to every printed digit).
@@ -36,12 +36,11 @@ def _chain_by_hand(params):
     # Independent construction from explicit Kronecker products.
     n = params.sites
     h = np.zeros((2**n, 2**n))
-    for r in range(1, n + 1):
-        h += params.field_x * site_operator(pauli("x"), r, n)
-        h += params.field_z * site_operator(pauli("z"), r, n)
-    for r in range(1, n):
-        zz = site_operator(pauli("z"), r, n) @ site_operator(pauli("z"), r + 1, n)
-        h += params.coupling * zz
+    for r in range(n):
+        h += params.field_x * embed({r: pauli("x")}, n)
+        h += params.field_z * embed({r: pauli("z")}, n)
+    for r in range(n - 1):
+        h += params.coupling * embed({r: pauli("z"), r + 1: pauli("z")}, n)
     return h
 
 
@@ -56,8 +55,8 @@ def _reassembled(params, cut):
     # site operators on each fragment.
     h_a, h_b = _fragments(params, cut)
     bond = params.coupling * np.kron(
-        site_operator(pauli("z"), cut, cut),
-        site_operator(pauli("z"), 1, params.sites - cut),
+        embed({cut - 1: pauli("z")}, cut),
+        embed({0: pauli("z")}, params.sites - cut),
     )
     h_0 = np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
     return h_0 + bond
@@ -136,11 +135,7 @@ def test_chain_params_validation():
         SpinChainParams(MAX_CHAIN_SITES + 1)
 
 
-def test_site_operator_bounds():
-    with pytest.raises(ValidationError):
-        site_operator(pauli("x"), 0, 3)
-    with pytest.raises(ValidationError):
-        site_operator(pauli("x"), 4, 3)
+def test_pauli_rejects_unsupported_labels():
     with pytest.raises(ValidationError):
         pauli("y")
 

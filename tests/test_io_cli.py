@@ -598,6 +598,24 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 
+def test_cli_unusable_out_dir_is_a_config_error(tmp_path):
+    # A file standing where the output directory, or its cache directory,
+    # must go exits 2 with a message that names the path, not a traceback.
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cache").write_text("")
+    for target, named in ((blocker / "out", blocker / "out"), (out, out / "cache")):
+        proc = run_cli("spin-chain", "--config", str(cfg), "--out", str(target))
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert str(named) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_tiny_bin_width_is_a_config_error(tmp_path):
     # A bin width that would need more omega bins than the eigenvector
     # matrix has entries exits 2 with a message, not a numpy traceback.

@@ -334,11 +334,32 @@ def test_density_autocorrelation_of_box_is_triangle():
 def test_density_autocorrelation_total_mass():
     # The integral of the autocorrelation is the squared integral, 1.  A ramp
     # has no interior knot, so the quadrature is exact and the check bounds
-    # the tabulation; integrands with interior kinks are not split there.
+    # the tabulation.
     rho = GridFunction(np.array([-1.0, 1.0]), np.array([0.2, 0.8]))
     assert rho.integral() == pytest.approx(1.0, abs=1e-15)
     c = density_autocorrelation(rho, n_grid=2049)
     assert c.integral() == pytest.approx(1.0, rel=1e-5)
+
+
+def test_density_autocorrelation_of_triangle_matches_quad():
+    # A unit triangle on [-1, 1]: split at the knots of both factors, every
+    # piece of rho(y) rho(x + y) is a quadratic, so each of the 2049 points
+    # matches scipy's quad, given the same knots, to roundoff of the 2/3 peak.
+    quad = pytest.importorskip("scipy.integrate").quad
+    knots = np.array([-1.0, 0.0, 1.0])
+    rho = GridFunction(knots, np.array([0.0, 1.0, 0.0]))
+    corr = density_autocorrelation(rho, n_grid=2049)
+    want = np.zeros(corr.grid.size)
+    for k, x in enumerate(corr.grid[1:-1], 1):
+        a, b = max(-1.0, -1.0 - x), min(1.0, 1.0 - x)
+        points = [p for p in np.concatenate((knots, knots - x)) if a < p < b]
+        want[k] = quad(
+            lambda y: rho(y) * rho(x + y), a, b,
+            points=points or None, epsabs=1e-13, epsrel=1e-13,
+        )[0]
+    peak = 2.0 / 3.0
+    assert corr(0.0) == pytest.approx(peak, rel=1e-12)
+    assert np.abs(corr.values - want).max() < 1e-12 * peak
 
 
 def test_density_autocorrelation_converges_on_ulp_moved_spectra():

@@ -6,19 +6,12 @@ import pytest
 from ethlab.errors import DimensionError, LocalizationError, ValidationError
 from ethlab.hamiltonians import haar_orthogonal
 from ethlab.localize import localizability, localizing_basis
+from oracles import embed
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULIS = {"x": SX, "y": SY, "z": SZ}
-
-
-def embed(ops_by_site, sites):
-    """Kronecker product with ``ops_by_site[site]`` (0-based) at each slot."""
-    m = np.array([[1.0 + 0.0j]])
-    for r in range(sites):
-        m = np.kron(m, ops_by_site.get(r, np.eye(2)))
-    return m
 
 
 def test_single_site_paulis_are_qubit_local():
