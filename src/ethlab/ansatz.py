@@ -153,7 +153,9 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
         return rho(y) * rho(np.clip(x[rows] + y, lo, hi))
 
     knots = rho.grid
-    kinks = [np.concatenate((knots, knots - shift)) for shift in x]
+    kinks = np.concatenate(
+        (np.broadcast_to(knots, (x.size, knots.size)), knots - x[:, None]), axis=1
+    )
     out = np.zeros_like(xs)
     out[live] = integrate_adaptive(
         integrand, ylo[live], yhi[live], tol=_TOL, kinks=kinks

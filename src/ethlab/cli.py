@@ -30,7 +30,7 @@ from . import __version__
 from .errors import CacheMissError, EthlabError, ValidationError
 from .figures import FIGURES, run_figure
 from .io import RunConfig, parse_config, resolve_out_dir, write_manifest
-from .hamiltonians import PAULI, pauli
+from .hamiltonians import MAX_CHAIN_SITES, PAULI, pauli
 from .localize import localizability
 from .linalg import eig_sym
 
@@ -114,6 +114,11 @@ def _operator_from_args(args) -> np.ndarray:
         if bad:
             raise ValidationError(
                 f"unknown Pauli letters {sorted(bad)}; use i, x, z"
+            )
+        if len(letters) > MAX_CHAIN_SITES:
+            raise ValidationError(
+                f"--pauli takes at most {MAX_CHAIN_SITES} letters, the "
+                f"dense-diagonalization guard; got {len(letters)}"
             )
         op = np.array([[1.0]])
         for letter in letters:

@@ -132,6 +132,8 @@ def parse_config(
     """
     parser = configparser.ConfigParser(interpolation=None)
     if text is None:
+        if path is None:
+            raise ValidationError("parse_config needs a config path or text")
         path = Path(path)
         if not path.is_file():
             raise ValidationError(f"config file not found: {path}")
@@ -338,7 +340,9 @@ def cached_spectrum(key: str, cache_dir: str | Path, policy: str, compute):
 
     ``use`` reads the cache and computes (then stores) on a miss;
     ``recompute`` ignores any cached entry and overwrites it; ``forbid``
-    never computes and raises :class:`CacheMissError` on a miss.
+    never computes and raises :class:`CacheMissError` on a miss.  Before
+    computing, ``cache_dir`` is made, so a cache that cannot be written
+    fails before the solve, not after it.
     """
     if policy not in ("use", "recompute", "forbid"):
         raise ValidationError(f"unknown cache policy {policy!r}")
@@ -352,6 +356,7 @@ def cached_spectrum(key: str, cache_dir: str | Path, policy: str, compute):
                 "and --cache forbid disallows computing one; rerun with "
                 "--cache use or --cache recompute"
             )
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
     spectrum = compute()
     save_spectrum(spectrum, key, cache_dir)
     return spectrum

@@ -3,8 +3,8 @@
 Symmetric eigendecompositions with a fixed sign convention, interpolated
 densities of states, and adaptive quadrature that knows about kinks.  The
 quadrature advances many integrals together, breadth first, with one
-vectorized integrand call per subdivision level, and is bitwise equal to the
-depth-first recursive Simpson rule it replaced.  Everything downstream
+vectorized integrand call per subdivision level, and adds each panel to its
+integral's total on the level where it converges.  Everything downstream
 (scrambling statistics, ansatz predictions) is built on these three
 primitives.
 """
@@ -222,8 +222,8 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
     spectrum; bin heights (counts per unit energy) are attached to bin centers
     and extended constantly into the two half-bins at the spectrum edges, so
     the trapezoidal integral of the interpolant reproduces the eigenvalue
-    count exactly.  The tabulation grid refines every knot interval four-fold,
-    giving at least ``4 * bins`` points.
+    count exactly.  The density is tabulated on its ``bins + 2`` knots: the
+    lowest level, the bin centers and the highest level.
 
     A level on an interior bin edge counts in the bin above it, and so does
     a level less than ``_EDGE_TOL`` times the spectral range below one: a
@@ -261,35 +261,26 @@ def density_of_states(eigenvalues: np.ndarray, bins: int = 64) -> SpectralDensit
     width = (hi - lo) / bins
     centers = 0.5 * (edges[:-1] + edges[1:])
     knots = np.concatenate(([lo], centers, [hi]))
-    knot_vals = np.concatenate(([counts[0]], counts, [counts[-1]])) / width
-    # Refine each knot interval 4x; sampling a piecewise-linear function at a
-    # superset of its knots keeps the trapezoidal integral exact.
-    pieces = [np.linspace(knots[i], knots[i + 1], 5)[:-1] for i in range(knots.size - 1)]
-    grid = np.concatenate(pieces + [knots[-1:]])
-    values = np.interp(grid, knots, knot_vals)
-    return SpectralDensity(
-        grid=grid,
-        values=values,
-        total=float(e.size),
-    )
+    values = np.concatenate(([counts[0]], counts, [counts[-1]])) / width
+    return SpectralDensity(grid=knots, values=values, total=float(e.size))
 
 
 # Subdivision limit per segment of integrate_adaptive.
 _MAX_DEPTH = 48
 
 
-def integrate_adaptive(f: Callable, a, b, *, tol, kinks=()) -> np.ndarray:
+def integrate_adaptive(f: Callable, a, b, *, tol, kinks=None) -> np.ndarray:
     """Adaptive Simpson quadrature of many integrals at once.
 
-    Every interval is split at each distinct kink strictly inside ``(a, b)``
-    before the adaptive subdivision starts, so integrands with isolated slope
-    discontinuities converge at the smooth-integrand rate.  The subdivision
-    runs breadth first over all integrals together: each level evaluates the
-    integrand once, on the quarter points of every unconverged panel.  The
-    subdivision tree, the tolerances and the order of every addition are
-    those of the depth-first recursion (children summed as ``left + right``
-    bottom-up, segments summed in kink order from ``0.0``), so the results
-    are bitwise equal to it.
+    Every interval is split at its kinks before the adaptive subdivision
+    starts, so integrands with isolated slope discontinuities converge at
+    the smooth-integrand rate.  The subdivision runs breadth first over the
+    segments of all integrals together: each level evaluates the integrand
+    once, on the quarter points of every unconverged panel, and adds the
+    panels that converge on it to their integrals' totals.  An integral's
+    panels enter its total in the same order whichever other integrals
+    share the call, so one call over many integrals is bitwise the calls
+    over each alone.
 
     Parameters
     ----------
@@ -301,9 +292,10 @@ def integrate_adaptive(f: Callable, a, b, *, tol, kinks=()) -> np.ndarray:
     tol : float or 1-d array
         Absolute tolerance for each whole integral, shared across its
         segments in proportion to their width.
-    kinks : one sequence of float per integral, or empty
-        Abscissae where the integrand is continuous but not smooth; values
-        outside ``(a, b)`` and repeats are ignored.
+    kinks : array of shape ``(n, k)``, or None
+        Row ``i`` holds the abscissae where integral ``i``'s integrand is
+        continuous but not smooth, all finite; values outside ``(a, b)`` and
+        repeats are ignored.
 
     Returns
     -------
@@ -324,11 +316,15 @@ def integrate_adaptive(f: Callable, a, b, *, tol, kinks=()) -> np.ndarray:
     if np.any(b < a):
         raise ValidationError("integration limits must satisfy a <= b")
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
-    if len(kinks) == 0:
-        kinks = [()] * a.size
-    if len(kinks) != a.size:
-        raise DimensionError("kinks must hold one sequence per integral")
-    totals, ok = _adaptive_simpson(f, a, b, tol, kinks)
+    inner = np.empty((a.size, 0))
+    if kinks is not None:
+        kinks = np.asarray(kinks, dtype=float)
+        if kinks.ndim != 2 or kinks.shape[0] != a.size:
+            raise DimensionError("kinks must be an (n, k) array, one row per integral")
+        if not np.all(np.isfinite(kinks)):
+            raise ValidationError("kinks must be finite")
+        inner = np.sort(np.clip(kinks, a[:, None], b[:, None]), axis=1)
+    totals, ok = _adaptive_simpson(f, a, b, tol, np.column_stack((a, inner, b)))
     if not ok.all():
         raise QuadratureError(
             f"adaptive quadrature did not reach tol within depth {_MAX_DEPTH} "
@@ -342,89 +338,53 @@ def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_simpson(f, a, b, tol, kinks):
-    # Breadth-first adaptive Simpson over every segment of every integral.
-    # Returns the per-integral totals and a per-integral convergence flag.
-    seg_row, seg_l, seg_r = [], [], []
-    for i, (ai, bi, ki) in enumerate(zip(a.tolist(), b.tolist(), kinks)):
-        if ai == bi:
-            continue
-        cuts = [ai] + sorted(k for k in set(float(k) for k in ki) if ai < k < bi)
-        cuts.append(bi)
-        seg_row.extend([i] * (len(cuts) - 1))
-        seg_l.extend(cuts[:-1])
-        seg_r.extend(cuts[1:])
+def _adaptive_simpson(f, a, b, tol, cuts):
+    # Breadth-first adaptive Simpson over the nonempty segments between
+    # consecutive cuts of each row.  Returns the per-integral totals and a
+    # per-integral convergence flag.
+    totals = np.zeros(a.size)
     ok = np.ones(a.size, dtype=bool)
-    if not seg_row:
-        return np.zeros(a.size), ok
-    row = np.array(seg_row)
-    lo = np.array(seg_l)
-    hi = np.array(seg_r)
-    width = b[row] - a[row]
-    seg_tol = np.maximum(tol[row] * (hi - lo) / width, 1e-300)
-
-    mid = 0.5 * (lo + hi)
-    k = row.size
-    fvals = f(np.concatenate((lo, mid, hi)), np.concatenate((row, row, row)))
+    l, r = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    rw = np.repeat(np.arange(a.size), cuts.shape[1] - 1)
+    keep = r > l
+    l, r, rw = l[keep], r[keep], rw[keep]
+    if not rw.size:
+        return totals, ok
+    t = np.maximum(tol[rw] * (r - l) / (b[rw] - a[rw]), 1e-300)
+    k = rw.size
+    fvals = f(np.concatenate((l, 0.5 * (l + r), r)), np.concatenate((rw, rw, rw)))
     fa, fm, fb = fvals[:k], fvals[k : 2 * k], fvals[2 * k :]
-    whole = _simpson(fa, fm, fb, hi - lo)
-
-    # One entry per level: node values (leaves filled now, split nodes when
-    # folding) and the mask of split nodes, whose children sit interleaved
-    # (left, right) on the next level.
-    levels = []
-    nodes = (lo, hi, fa, fm, fb, whole, seg_tol, row)
+    whole = _simpson(fa, fm, fb, r - l)
     depth = _MAX_DEPTH
     while True:
-        l, r, fa, fm, fb, whole, t, rw = nodes
         m = 0.5 * (l + r)
-        lm = 0.5 * (l + m)
-        rm = 0.5 * (m + r)
         k = rw.size
-        fq = f(np.concatenate((lm, rm)), np.concatenate((rw, rw)))
+        fq = f(np.concatenate((0.5 * (l + m), 0.5 * (m + r))), np.concatenate((rw, rw)))
         flm, frm = fq[:k], fq[k:]
         left = _simpson(fa, flm, fm, m - l)
         right = _simpson(fm, frm, fb, r - m)
         delta = left + right - whole
         done = np.abs(delta) <= 15.0 * t
-        values = left + right + delta / 15.0
         if depth <= 0:
+            # Out of depth: every panel left gives its best estimate.
             ok[rw[~done]] = False
-            levels.append((values, None))
-            break
-        split = ~done
-        levels.append((values, split))
-        if not split.any():
-            break
-        s = np.flatnonzero(split)
-        half = 0.5 * t[s]
-        nodes = tuple(
-            _interleave(x, y)
-            for x, y in (
+            done[:] = True
+        totals += np.bincount(rw[done], weights=(left + right + delta / 15.0)[done],
+                              minlength=a.size)
+        s = np.flatnonzero(~done)
+        if not s.size:
+            return totals, ok
+        l, r, fa, fm, fb, whole, t, rw = (
+            np.concatenate(halves)
+            for halves in (
                 (l[s], m[s]),
                 (m[s], r[s]),
                 (fa[s], fm[s]),
                 (flm[s], frm[s]),
                 (fm[s], fb[s]),
                 (left[s], right[s]),
-                (half, half),
+                (0.5 * t[s], 0.5 * t[s]),
                 (rw[s], rw[s]),
             )
         )
         depth -= 1
-
-    values = levels[-1][0]
-    for parent, split in reversed(levels[:-1]):
-        parent[split] = values[0::2] + values[1::2]
-        values = parent
-
-    # Segments in kink order per integral, summed from 0.0 as a running total.
-    return np.bincount(row, weights=values, minlength=a.size), ok
-
-
-def _interleave(x, y):
-    out = np.empty(2 * x.size, dtype=x.dtype)
-    out[0::2] = x
-    out[1::2] = y
-    return out
-

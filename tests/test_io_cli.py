@@ -124,6 +124,8 @@ def test_config_validation_errors():
         parse_config(None, text="[system]\nsites = 8\ncut = 8\n")
     with pytest.raises(ValidationError):
         parse_config("/no/such/file.ini")
+    with pytest.raises(ValidationError, match="path or text"):
+        parse_config(None)
 
 
 def test_cache_key_ignores_cut_and_tracks_parameters():
@@ -381,6 +383,26 @@ def test_cli_localize_rejects_bad_letters(letters):
     assert "configuration error" in proc.stderr
 
 
+def test_cli_localize_pauli_letters_within_the_guard(monkeypatch, capsys):
+    # More letters than MAX_CHAIN_SITES exit 2 before any Kronecker product
+    # (14 letters would build a 2 GiB matrix); MAX_CHAIN_SITES letters pass
+    # the check and reach the first product.
+    import ethlab.cli
+    from ethlab.hamiltonians import MAX_CHAIN_SITES
+
+    class Reached(Exception):
+        pass
+
+    def kron(*args):
+        raise Reached
+
+    monkeypatch.setattr(np, "kron", kron)
+    assert ethlab.cli.main(["localize", "--pauli", "z" * (MAX_CHAIN_SITES + 1)]) == 2
+    assert f"at most {MAX_CHAIN_SITES} letters" in capsys.readouterr().err
+    with pytest.raises(Reached):
+        ethlab.cli.main(["localize", "--pauli", "z" * MAX_CHAIN_SITES])
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -614,6 +636,31 @@ def test_cli_unusable_out_dir_is_a_config_error(tmp_path):
         assert "configuration error" in proc.stderr
         assert str(named) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_unusable_cache_dir_fails_before_the_solve(tmp_path, monkeypatch):
+    # A file standing where the cache directory must go exits 2 before the
+    # total spectrum is computed, under both policies that compute.
+    import ethlab.cli
+    import ethlab.hamiltonians
+
+    calls = []
+    real = ethlab.hamiltonians.eig_sym
+
+    def eig(matrix, **kwargs):
+        calls.append(np.shape(matrix))
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cache").write_text("")
+    for policy in ("use", "recompute"):
+        argv = ["spin-chain", "--config", str(cfg), "--out", str(out), "--cache", policy]
+        assert ethlab.cli.main(argv) == 2, policy
+        assert calls == [], policy
 
 
 def test_cli_tiny_bin_width_is_a_config_error(tmp_path):

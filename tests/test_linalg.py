@@ -155,11 +155,20 @@ def test_density_of_states_integral_is_exact():
         assert np.all(dens.values >= 0)
 
 
-def _bin_counts(density, bins):
+def test_density_of_states_grid_is_its_knots():
+    # The lowest level, the bin centres and the highest level, nothing else.
+    levels = np.array([0.0, 0.5, 3.0, 7.0, 8.0])
+    dens = density_of_states(levels, bins=4)
+    assert dens.grid.tolist() == [0.0, 1.0, 3.0, 5.0, 7.0, 8.0]
+    assert (dens.values * 2.0).tolist() == [2, 2, 1, 0, 2, 2]
+
+
+def _bin_counts(density):
     # Histogram counts behind a density: its values at the bin centres (every
-    # fourth grid point after the first knot) times the bin width.
+    # knot but the two ends) times the bin width.
     lo, hi = density.support
-    return np.rint(density.values[4:-4:4] * (hi - lo) / bins).astype(int)
+    bins = density.grid.size - 2
+    return np.rint(density.values[1:-1] * (hi - lo) / bins).astype(int)
 
 
 def test_density_of_states_counts_a_level_on_an_edge_above_it():
@@ -168,17 +177,17 @@ def test_density_of_states_counts_a_level_on_an_edge_above_it():
     # moved by far more than the tolerance crosses into the bin below.
     levels = np.arange(9.0)
     want = [2, 2, 2, 3]
-    assert _bin_counts(density_of_states(levels, bins=4), 4).tolist() == want
+    assert _bin_counts(density_of_states(levels, bins=4)).tolist() == want
     for ulps in (-3, -1, 1, 3):
         moved = levels.copy()
         for k in (2, 4, 6):
             for _ in range(abs(ulps)):
                 moved[k] = np.nextafter(moved[k], np.sign(ulps) * np.inf)
-        got = _bin_counts(density_of_states(moved, bins=4), 4)
+        got = _bin_counts(density_of_states(moved, bins=4))
         assert got.tolist() == want, ulps
     moved = levels.copy()
     moved[4] -= 1e-9
-    assert _bin_counts(density_of_states(moved, bins=4), 4).tolist() == [2, 3, 1, 3]
+    assert _bin_counts(density_of_states(moved, bins=4)).tolist() == [2, 3, 1, 3]
 
 
 @pytest.mark.parametrize("sites", [8, 10, 12])
@@ -190,8 +199,7 @@ def test_equal_cut_sum_density_is_solver_independent(sites):
     counts = []
     for levels in (eig_sym(h).eigenvalues, eigvals_sym(h)):
         sums = np.add.outer(levels, levels).ravel()
-        density = _density(sums)
-        counts.append(_bin_counts(density, (density.grid.size - 1) // 4 - 1))
+        counts.append(_bin_counts(_density(sums)))
     assert np.array_equal(counts[0], counts[1])
 
 
@@ -235,10 +243,18 @@ def test_integrate_adaptive_validation():
         integrate_adaptive(
             lambda x, rows: x, np.zeros(2), np.array([1.0, -1.0]), tol=1e-8
         )
-    with pytest.raises(DimensionError):
-        integrate_adaptive(
-            lambda x, rows: x, np.zeros(2), np.ones(2), tol=1e-8, kinks=[(0.5,)]
-        )
+    # kinks are one row per integral, all finite.
+    for kinks in ([(0.5,)], np.array([0.5, 0.5]), np.zeros((2, 1, 1))):
+        with pytest.raises(DimensionError):
+            integrate_adaptive(
+                lambda x, rows: x, np.zeros(2), np.ones(2), tol=1e-8, kinks=kinks
+            )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            integrate_adaptive(
+                lambda x, rows: x, np.zeros(2), np.ones(2), tol=1e-8,
+                kinks=[(0.5,), (bad,)],
+            )
     with pytest.raises(DimensionError):  # scalar limits are not accepted
         integrate_adaptive(lambda x, rows: x, 0.0, 1.0, tol=1e-8)
 
@@ -277,7 +293,10 @@ def _kinked(x, c):
     )
 
 
-def test_integrate_adaptive_batch_is_bitwise_the_recursion():
+def test_integrate_adaptive_batch_matches_the_recursion():
+    # The breadth-first loop sums each level's converged panels as it goes,
+    # where the recursion sums children bottom-up: the panels and the
+    # converged set are the same, the totals agree to roundoff.
     rng = np.random.default_rng(17)
     n = 120
     a = rng.uniform(-2.0, 1.0, n)
@@ -300,13 +319,13 @@ def test_integrate_adaptive_batch_is_bitwise_the_recursion():
         integrate_adaptive(
             lambda x, rows: _kinked(x, c[rows]), a, b, tol=tol, kinks=kinks
         )
-    assert np.array_equal(err.value.best_estimate, values)
+    np.testing.assert_allclose(err.value.best_estimate, values, rtol=2e-15, atol=0)
     c_ok = c[converged]
     got = integrate_adaptive(
         lambda x, rows: _kinked(x, c_ok[rows]),
         a[converged], b[converged], tol=tol[converged], kinks=kinks[converged],
     )
-    assert np.array_equal(got, values[converged])
+    np.testing.assert_allclose(got, values[converged], rtol=2e-15, atol=0)
 
 
 def test_integrate_adaptive_depth_exhaustion_keeps_best_estimate(monkeypatch):
