@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CacheMissError, EthlabError, ValidationError
-from .figures import FIGURES, run_figure
+from .figures import _EXPERIMENTS, FIGURES, run_figure
 from .io import RunConfig, parse_config, resolve_out_dir, write_manifest
 from .hamiltonians import MAX_CHAIN_SITES, PAULI, pauli
 from .localize import localizability
@@ -132,9 +132,12 @@ def _operator_from_args(args) -> np.ndarray:
             op = np.load(path)
         else:
             op = np.loadtxt(path, delimiter=",", ndmin=2)
-        return np.asarray(op, dtype=float)
+        real = np.asarray(np.real(op), dtype=float)
     except (ValueError, EOFError) as exc:
         raise ValidationError(f"cannot read operator file {path}: {exc}") from None
+    if np.iscomplexobj(op) and np.any(op.imag):
+        raise ValidationError(f"operator in {path} has a nonzero imaginary part")
+    return real
 
 
 def _run_localize(args) -> int:
@@ -170,22 +173,15 @@ def _run_localize(args) -> int:
     return 0
 
 
-# Compute subcommand -> (run_figure experiment, forced system kind).
-_COMPUTE = {
-    "spin-chain": ("spin_chain", "spin_chain"),
-    "random-system": ("random", "random"),
-    "coeffs": ("coeffs", None),
-    "predict": ("predict", None),
-}
+# Compute subcommand -> run_figure experiment; reproduce runs its figure.
+_COMPUTE = {"spin-chain": "spin_chain", "random-system": "random",
+            "coeffs": "coeffs", "predict": "predict"}
 
 
 def _run(args) -> int:
-    if args.command == "reproduce":
-        experiment = args.figure
-        force_kind = "random" if experiment == "appB" else "spin_chain"
-    else:
-        experiment, force_kind = _COMPUTE[args.command]
-    config = _load_config(args, force_kind=force_kind)
+    experiment = args.figure if args.command == "reproduce" else _COMPUTE[args.command]
+    # The config is read as the family the experiment runs on, if it has one.
+    config = _load_config(args, force_kind=_EXPERIMENTS[experiment][3])
     out_dir = resolve_out_dir(args.out)
     # The subcommand's own flags are run_figure's per-experiment keywords.
     options = {key: getattr(args, key) for key in ("centers", "ebar", "omega_max")

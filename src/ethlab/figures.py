@@ -78,19 +78,19 @@ class _RunContext:
         return build_system(config, cache_dir=self.cache_dir, policy=self.cache_policy)
 
 
+def _family(config: RunConfig) -> str:
+    return "spin_chain" if config.chain is not None else "random"
+
+
 def _config_echo(config: RunConfig, kinds) -> dict:
-    echo = {
+    params = config.chain if config.chain is not None else config.random
+    return {
         "cut": config.cut,
         "ensemble": asdict(config.ensemble),
         "binning": asdict(config.binning),
         "predict_kinds": list(kinds),
-        "o2bar": config.o2bar,
+        "system": {"kind": _family(config), **asdict(params)},
     }
-    if config.chain is not None:
-        echo["system"] = {"kind": "spin_chain", **asdict(config.chain)}
-    else:
-        echo["system"] = {"kind": "random", **asdict(config.random)}
-    return echo
 
 
 def _plot_window(path, stats, preds, title):
@@ -176,21 +176,17 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
             f"{points:.4g} omega points, more than total_dim**2 = {system.total_dim**2}"
         )
     omegas = np.arange(0.5 * width, omega_max, width)
-    models = [AnsatzModel(kind, system, prof.sigma_s, config.o2bar) for kind in kinds]
+    models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     preds = [model.evaluate(ebar, omegas) for model in models]
     path = emit_dataset(prediction_rows(preds), "prediction",
                         ctx.out_dir / "predict.csv")
     return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, [path]
 
 
-def _window_centers(e_min: float, fractions) -> list[float]:
-    return [float(f * e_min) + 0.0 for f in fractions]
-
-
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """Shared measurement + prediction flow for the scans."""
     prof = profile(system)
-    models = [AnsatzModel(kind, system, prof.sigma_s, config.o2bar) for kind in kinds]
+    models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     binned = run_ensemble(system, config.ensemble, centers, config.binning)
     files = []
     all_binned = []
@@ -224,7 +220,7 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
         "window_centers": centers,
         "windows": [
             {"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
-             "pairs": stats.n_samples}
+             "pairs": stats.n_samples // config.ensemble.count}
             for stats in binned
         ],
     }
@@ -239,10 +235,10 @@ def _scan(config, kinds, ctx, *, centers=None):
     return info, files
 
 
-def _fig2(config, kinds, ctx):
-    if config.chain is None:
-        raise ValidationError("fig2 requires a spin-chain system")
-    cuts = [c for c in (1, 3, 5, 7) if c < config.chain.sites]
+def _cut_scan(config, kinds, ctx, *, stem, cuts, fractions):
+    """Windows at ``fractions`` of the ground-state energy at each of ``cuts``
+    below the chain's length (None: the configured cut), in order."""
+    cuts = [c for c in cuts or (config.cut,) if c < config.chain.sites]
     manifest = {"cuts": cuts, "systems": {}}
     files = []
     spectrum_t = None
@@ -254,10 +250,10 @@ def _fig2(config, kinds, ctx):
         else:
             # Every cut splits the same total Hamiltonian: reuse its spectrum.
             system = decompose_chain(sub.chain, cut, spectrum_t=spectrum_t)
-        e_min = float(system.spectrum_t.eigenvalues[0])
-        centers = _window_centers(e_min, (0.0, 0.5))
+        e_min = float(spectrum_t.eigenvalues[0])
+        centers = [float(f * e_min) + 0.0 for f in fractions]
         info, new_files, _ = _ensemble_windows(
-            sub, system, kinds, ctx, f"fig2_LA{cut}", centers
+            sub, system, kinds, ctx, f"{stem}_LA{cut}", centers
         )
         info["e_min"] = e_min
         manifest["systems"][f"LA{cut}"] = info
@@ -265,22 +261,7 @@ def _fig2(config, kinds, ctx):
     return manifest, files
 
 
-def _fig3(config, kinds, ctx):
-    if config.chain is None:
-        raise ValidationError("fig3 requires a spin-chain system")
-    system = ctx.system(config)
-    e_min = float(system.spectrum_t.eigenvalues[0])
-    centers = _window_centers(e_min, (0.0, 0.25, 0.5))
-    info, files, _ = _ensemble_windows(
-        config, system, kinds, ctx, f"fig3_LA{config.cut}", centers
-    )
-    info["e_min"] = e_min
-    return {"systems": {f"LA{config.cut}": info}}, files
-
-
 def _appb(config, kinds, ctx):
-    if config.random is None:
-        raise ValidationError("appB requires a random system")
     system = ctx.system(config)
     info, files, binned = _ensemble_windows(
         config, system, kinds, ctx, "appB", [0.0]
@@ -316,18 +297,21 @@ def _appb(config, kinds, ctx):
     return {"systems": {"appB": info}}, files
 
 
-# name: (runner, manifest stem, curves drawn when predict.kinds is "auto",
-# None for an experiment that draws none).  runner(config, kinds, ctx,
-# **options) returns the experiment's manifest fields and the files it wrote.
+# name: (runner, manifest stem, curves drawn when predict.kinds is "auto"
+# (None for an experiment that draws none), the system family it runs on
+# (None for either)).  runner(config, kinds, ctx, **options) returns the
+# experiment's manifest fields and the files it wrote.
 _EXPERIMENTS = {
-    "spin_chain": (_scan, "run", _SCAN_KINDS),
-    "random": (_scan, "run", _SCAN_KINDS),
-    "coeffs": (partial(_coefficients, stem="coeffs"), "coeffs", None),
-    "predict": (_predict, "predict", _SCAN_KINDS),
-    "fig1": (partial(_coefficients, stem="fig1_coeffs"), "fig1", None),
-    "fig2": (_fig2, "fig2", _SCAN_KINDS),
-    "fig3": (_fig3, "fig3", ("exp_decay_flat_A", "narrow_scrambling")),
-    "appB": (_appb, "appB", ()),
+    "spin_chain": (_scan, "run", _SCAN_KINDS, "spin_chain"),
+    "random": (_scan, "run", _SCAN_KINDS, "random"),
+    "coeffs": (partial(_coefficients, stem="coeffs"), "coeffs", None, None),
+    "predict": (_predict, "predict", _SCAN_KINDS, None),
+    "fig1": (partial(_coefficients, stem="fig1_coeffs"), "fig1", None, "spin_chain"),
+    "fig2": (partial(_cut_scan, stem="fig2", cuts=(1, 3, 5, 7), fractions=(0.0, 0.5)),
+             "fig2", _SCAN_KINDS, "spin_chain"),
+    "fig3": (partial(_cut_scan, stem="fig3", cuts=None, fractions=(0.0, 0.25, 0.5)),
+             "fig3", ("exp_decay_flat_A", "narrow_scrambling"), "spin_chain"),
+    "appB": (_appb, "appB", (), "random"),
 }
 
 
@@ -359,7 +343,14 @@ def run_figure(
     - ``coeffs``: scrambling coefficients of representative states;
     - ``predict``: prediction curves alone; keywords ``ebar`` (default 0)
       and ``omega_max`` (default 0.75 of the A spectral range);
-    - ``fig1``, ``fig2``, ``fig3``, ``appB``: the bundled datasets.
+    - ``fig1``, ``fig2``, ``fig3``, ``appB``: the bundled datasets; fig2
+      and fig3 scan the chain cuts in the manifest's ``cuts`` (1, 3, 5, 7
+      below the chain's length for fig2, the configured cut for fig3).
+
+    ``spin_chain`` and fig1-3 run on the spin-chain family, ``random`` and
+    appB on the random family: a config of the other family raises
+    :class:`ValidationError` before anything is built or written.  A scan
+    window's ``pairs`` counts the eigenstate pairs in its band.
 
     The keyword values must be finite.  The spectrum cache lives in
     ``out_dir/cache``.  The manifest holds the experiment's own fields plus
@@ -376,7 +367,11 @@ def run_figure(
     for key, value in options.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise ValidationError(f"{key} must be finite, got {value}")
-    runner, stem, auto_kinds = _EXPERIMENTS[experiment]
+    runner, stem, auto_kinds, family = _EXPERIMENTS[experiment]
+    if family not in (None, _family(config)):
+        raise ValidationError(
+            f"{experiment} runs on the {family} family, got a {_family(config)} config"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = _RunContext(

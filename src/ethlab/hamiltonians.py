@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import Spectrum, eig_sym, eigvals_sym
+from .linalg import Spectrum, _symmetric, eig_sym, eigvals_sym
 
 __all__ = [
     "MAX_CHAIN_SITES",
@@ -166,14 +166,15 @@ class BipartiteSystem:
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
 
 
-def _fragment(build: Callable[[], np.ndarray], *, check: bool = True) -> Spectrum:
+def _fragment(build: Callable[[], np.ndarray]) -> Spectrum:
     # Spectrum of the fragment Hamiltonian ``build()``: eigenvalues from one
     # eigenvalue-only solve now, eigenvectors from eig_sym of a fresh build
-    # on first read.  Until then it holds neither them nor the matrix.
-    # ``check`` validates each build, as eig_sym does.
+    # on first read.  Until then it holds neither them nor the matrix.  No
+    # solve checks a build: chains and the random family's diagonals are
+    # exactly symmetric and finite, and make_bipartite checks its pieces.
     return Spectrum(
-        eigvals_sym(build(), check=check),
-        solve=lambda: eig_sym(build(), check=check).eigenvectors,
+        eigvals_sym(build(), check=False),
+        solve=lambda: eig_sym(build(), check=False).eigenvectors,
     )
 
 
@@ -236,11 +237,15 @@ def make_bipartite(
 ) -> BipartiteSystem:
     """Diagonalize a bipartite system given as its three pieces.
 
-    ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is assembled, diagonalized
-    and freed.  ``<alpha|H_I^2|alpha>`` follows from the eigenvectors
-    without ``H_I``.  The subsystem spectra keep ``h_a`` and ``h_b`` to
-    solve for their eigenvectors on first read (see :func:`decompose_chain`).
+    The three pieces are checked as :func:`ethlab.linalg.eig_sym` checks its
+    input (``eigh`` would read only one triangle of an asymmetric
+    ``H_T``).  Then ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is
+    assembled, diagonalized and freed.  ``<alpha|H_I^2|alpha>`` follows
+    from the eigenvectors without ``H_I``.  The subsystem spectra keep
+    ``h_a`` and ``h_b`` to solve for their eigenvectors on first read (see
+    :func:`decompose_chain`).
     """
+    h_a, h_b, h_i = (_symmetric(h, check=True) for h in (h_a, h_b, h_i))
     return _split_system(lambda: h_a, lambda: h_b, _diagonalize(h_a, h_b, h_i))
 
 
@@ -276,14 +281,9 @@ def decompose_chain(
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
-    # Chains are exactly symmetric and finite: the fragments' solves skip
-    # the check, as the total's does.
-    spectrum_a = _fragment(
-        partial(build_spin_chain, replace(params, sites=cut)), check=False
-    )
+    spectrum_a = _fragment(partial(build_spin_chain, replace(params, sites=cut)))
     spectrum_b = _fragment(
-        partial(build_spin_chain, replace(params, sites=params.sites - cut)),
-        check=False,
+        partial(build_spin_chain, replace(params, sites=params.sites - cut))
     )
 
     def compute():

@@ -68,7 +68,6 @@ class RunConfig:
     ensemble: OperatorEnsembleSpec
     binning: BinningParams
     predict_kinds: tuple[str, ...]
-    o2bar: float = 1.0
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=seed))
@@ -91,7 +90,7 @@ _DEFAULTS = {
     },
     "ensemble": {"count": "250", "seed": "0"},
     "binning": {"ebar_halfwidth": "0.5", "omega_bin_width": "auto"},
-    "predict": {"kinds": "auto", "o2bar": "1"},
+    "predict": {"kinds": "auto"},
 }
 
 
@@ -215,7 +214,6 @@ def parse_config(
                 raise ValidationError(
                     f"predict.kinds: unknown ansatz kind {k!r} (valid: {valid})"
                 ) from None
-    o2bar = _get_float(predict_section, "o2bar", positive=True)
 
     return RunConfig(
         chain=chain,
@@ -224,7 +222,6 @@ def parse_config(
         ensemble=ensemble,
         binning=binning,
         predict_kinds=kinds,
-        o2bar=o2bar,
     )
 
 

@@ -195,6 +195,29 @@ def test_make_bipartite_validation():
         make_bipartite(np.array([[0.0, 1.0], [0.5, 0.0]]), h2, np.eye(4))
 
 
+def test_make_bipartite_rejects_a_bad_interaction_before_any_solve(monkeypatch):
+    # eigh reads one triangle: with h_a = h_b = diag(0, 1), an h_i whose
+    # only entry is above the diagonal would be dropped, giving [0, 1, 1, 2];
+    # a NaN entry would give a NaN eigenvalue.
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("reached a solver")
+
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    h = np.diag([0.0, 1.0])
+    upper = np.zeros((4, 4))
+    upper[0, 3] = 0.5
+    nan = np.zeros((4, 4))
+    nan[1, 1] = np.nan
+    for h_i, message in ((upper, "not symmetric"), (nan, "non-finite")):
+        with pytest.raises(ValidationError, match=message):
+            make_bipartite(h, h, h_i)
+    assert calls == []
+
+
 def test_sum_energies_outer_sum():
     system = decompose_chain(SpinChainParams(5), 2)
     sums = system.sum_energies()

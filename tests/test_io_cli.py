@@ -6,6 +6,7 @@ import math
 import struct
 import subprocess
 import sys
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -72,7 +73,6 @@ def test_empty_config_gives_reference_defaults():
     assert config.ensemble.count == 250
     assert config.binning.ebar_halfwidth == 0.5
     assert config.binning.omega_bin_width is None
-    assert config.o2bar == 1.0
 
 
 def test_config_overrides(tmp_path):
@@ -311,6 +311,104 @@ def test_fig2_loads_one_spectrum_for_all_cuts(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+TINY_RANDOM_CONFIG = "[system]\nkind = random\nsites_a = 2\nsites_b = 4\nsites_i = 2\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, text",
+    [
+        ("fig1", TINY_RANDOM_CONFIG),
+        ("fig2", TINY_RANDOM_CONFIG),
+        ("fig3", TINY_RANDOM_CONFIG),
+        ("spin_chain", TINY_RANDOM_CONFIG),
+        ("appB", TINY_CHAIN),
+        ("random", TINY_CHAIN),
+    ],
+)
+def test_run_figure_rejects_the_other_family_before_any_build(
+    tmp_path, monkeypatch, experiment, text
+):
+    import ethlab.figures
+
+    def build(*args, **kwargs):
+        raise AssertionError("built a system")
+
+    monkeypatch.setattr(ethlab.figures, "build_system", build)
+    monkeypatch.setattr(ethlab.figures, "decompose_chain", build)
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="family"):
+        ethlab.figures.run_figure(experiment, parse_config(None, text=text), out)
+    assert not out.exists()
+
+
+def test_fig3_scans_the_configured_cut_and_counts_eigenstate_pairs(tmp_path):
+    # A window's pairs times the ensemble's 8 operators is its summed count.
+    import ethlab.figures
+
+    config = parse_config(None, text=TINY_CHAIN)
+    manifest = ethlab.figures.run_figure("fig3", config, tmp_path)
+    assert manifest["cuts"] == [3]
+    windows = manifest["systems"]["LA3"]["windows"]
+    assert len(windows) == 3
+    # The CSV prints each window's center to 9 digits, windows in order.
+    counts = defaultdict(int)
+    for row in (tmp_path / "fig3_LA3_binned.csv").read_text().splitlines()[1:]:
+        center, _, _, count, _ = row.split(",")
+        counts[center] += int(count)
+    assert len(counts) == 3
+    for window, total in zip(windows, counts.values()):
+        assert window["pairs"] > 0
+        assert window["pairs"] * 8 == total
+
+
+def test_cli_reproduce_fig1_reads_a_random_config_as_the_chain(tmp_path):
+    import ethlab.cli
+
+    cfg = tmp_path / "random.ini"
+    cfg.write_text("[system]\nkind = random\nsites = 6\ncut = 2\n")
+    out = tmp_path / "out"
+    assert ethlab.cli.main(["reproduce", "fig1", "--config", str(cfg),
+                            "--out", str(out)]) == 0
+    system = json.loads((out / "fig1_manifest.json").read_text())["config"]["system"]
+    assert system["kind"] == "spin_chain" and system["sites"] == 6
+
+
+def test_every_cli_run_forces_its_experiments_family(tmp_path, monkeypatch):
+    # Each compute subcommand and each reproduce target names one entry of
+    # the experiment table, and the CLI reads either config as that entry's
+    # family (or leaves the config's own family when the entry has none).
+    import argparse
+
+    import ethlab.cli
+    from ethlab.figures import _EXPERIMENTS, FIGURES
+
+    (subparsers,) = [a for a in ethlab.cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == {*ethlab.cli._COMPUTE, "localize", "reproduce"}
+    runs = [([command], experiment) for command, experiment in ethlab.cli._COMPUTE.items()]
+    runs += [(["reproduce", figure], figure) for figure in FIGURES]
+    assert {experiment for _, experiment in runs} == set(_EXPERIMENTS)
+
+    seen = []
+
+    def record(experiment, config, out_dir, **kwargs):
+        seen.append((experiment, config))
+        return {"files": []}
+
+    monkeypatch.setattr(ethlab.cli, "run_figure", record)
+    for kind, text in (("spin_chain", TINY_CHAIN), ("random", TINY_RANDOM_CONFIG)):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text)
+        for argv, experiment in runs:
+            seen.clear()
+            assert ethlab.cli.main([*argv, "--config", str(cfg),
+                                    "--out", str(tmp_path / "out")]) == 0
+            ((ran, config),) = seen
+            family = _EXPERIMENTS[experiment][3]
+            assert ran == experiment
+            assert ("spin_chain" if config.chain else "random") == (family or kind)
+
+
 # -- dataset emission ---------------------------------------------------------
 
 
@@ -421,6 +519,27 @@ def test_cli_localize_rejects_malformed_matrix_file(tmp_path, name, content):
     assert "configuration error" in proc.stderr
     assert name in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_localize_rejects_a_complex_matrix(tmp_path, capsys):
+    import ethlab.cli
+
+    # kron(sigma_y, 1) has classes +-1, each twice; dropping its imaginary
+    # part would report one class 0 (x4).  A complex dtype with a zero
+    # imaginary part (here kron(sigma_x, 1)) is a real operator.
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    path = tmp_path / "sy.npy"
+    np.save(path, np.kron(sigma_y, np.eye(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ethlab.cli.main(["localize", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "imaginary" in err
+    np.save(path, np.kron(np.abs(sigma_y), np.eye(2)).astype(complex))
+    assert ethlab.cli.main(["localize", "--matrix", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "local_dim     = 2" in out
+    assert "classes       = -1 (x2), 1 (x2)" in out
 
 
 def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
@@ -566,7 +685,6 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
         (("spin-chain",), TINY_CHAIN + "[binning]\nomega_bin_width = inf\n"),
         (("spin-chain",), TINY_CHAIN + "[binning]\nebar_halfwidth = nan\n"),
         (("spin-chain",), TINY_CHAIN + "[binning]\nebar_halfwidth = inf\n"),
-        (("predict",), TINY_CHAIN + "[predict]\no2bar = nan\n"),
         (("spin-chain", "--ebar", "nan"), TINY_CHAIN),
         (("predict", "--ebar", "nan"), TINY_CHAIN),
         # More omega points than the 256**2 eigenvector entries.
@@ -576,7 +694,7 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
     ids=["seed-flag", "seed-key", "system-seed", "omega-max-0", "omega-max-neg",
          "omega-max-half-bin", "omega-max-nan", "omega-max-0-forbid",
          "omega-max-nan-forbid", "bin-width-nan", "bin-width-inf", "halfwidth-nan",
-         "halfwidth-inf", "o2bar-nan", "spin-chain-ebar-nan", "predict-ebar-nan",
+         "halfwidth-inf", "spin-chain-ebar-nan", "predict-ebar-nan",
          "predict-bin-width-tiny", "predict-omega-max-huge"],
 )
 def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
