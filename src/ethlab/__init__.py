@@ -18,7 +18,6 @@ from .ansatz import (
     f_exp_decay,
     f_flat_a,
     f_mc_finite_width,
-    f_microcanonical_exact,
     f_narrow,
     f_small_a,
     f_smooth_small_a,
@@ -157,7 +156,6 @@ __all__ = [
     "rmt_variance",
     "exp_autocorrelation",
     "density_autocorrelation",
-    "f_microcanonical_exact",
     "f_smooth_sums",
     "f_narrow",
     "f_small_a",

@@ -16,26 +16,29 @@ amplitude ``f`` with the entropic factor ``(sigma_s n_0(Ebar))**-1/2``
 reported separately; exact-sum kinds absorb the suppression into their
 normalization and report an entropic factor of one.
 
-Each rung is one function (``f_microcanonical_exact``, ``f_narrow``, ...)
-that takes ``(..., ebar, omega)`` (``ebar`` only where the rung depends on
-it), ``omega`` a scalar or a 1-d grid, and returns a 1-d array of ``f`` over
-the grid.  Both exact-sum rungs are one kernel, :func:`f_smooth_sums`: it
-does its omega-independent work once per call (the level sums and
-``|O_ij|^2``) and one dense sum per omega, and the microcanonical rung is
-that kernel with the closed flat window.  The continuum rungs integrate the
-whole grid in one batched quadrature
+Each rung is one function (``f_smooth_sums``, ``f_narrow``, ...) that takes
+``(..., ebar, omega)`` (``ebar`` only where the rung depends on it),
+``omega`` a scalar or a 1-d grid, and returns a 1-d array of ``f`` over the
+grid.  Both exact-sum rungs are one kernel, :func:`f_smooth_sums`, which
+takes the scrambling profile as an argument: it does its omega-independent
+work once per call (the level sums and ``|O_ij|^2``) and one dense sum per
+omega.  The microcanonical rung is that kernel with the closed flat window
+``flat_profile(delta)``, the smooth rung with ``exp_profile(sigma_s)``.
+The continuum rungs integrate the whole grid in one batched quadrature
 (:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
-bitwise those of one-omega calls.  The small-A rungs take the
-tabulated autocorrelation :func:`density_autocorrelation` of the normalized
+bitwise those of one-omega calls.  The small-A rungs take the tabulated
+autocorrelation :func:`density_autocorrelation` of the normalized
 subsystem density, itself one batched quadrature over its tabulation grid.
 Every quadrature of the ladder works to the one tolerance ``_TOL``.
 :class:`AnsatzModel` builds one rung from a system and its scrambling width
 alone: it derives the subsystem densities and ``sigma_a`` from the spectra
 the system carries.  :meth:`AnsatzModel.evaluate` runs its kind once per mean
-energy, through one kind-keyed table or, for the microcanonical kind, the
-exact-sum kernel itself, and drops the omegas the rung cannot evaluate: pair
-energies outside the support of ``n_0`` for the narrow rung, dropped first,
-and windows with a zero normalization, which the kernel's one pass reports.
+energy: an exact-sum kind through the kernel with the profile its table
+``_PROFILES`` names, every other kind through the rung its table ``_RUNGS``
+names.  It drops the omegas the rung cannot evaluate: pair energies outside
+the support of ``n_0`` for the narrow rung, dropped first, and, for both
+exact-sum kinds, omegas whose normalizations multiply to zero, which the
+kernel's one pass reports.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "entropic_factor",
     "exp_autocorrelation",
     "density_autocorrelation",
-    "f_microcanonical_exact",
     "f_smooth_sums",
     "f_narrow",
     "f_small_a",
@@ -179,45 +181,6 @@ def _squared_elements(
     return rotated**2
 
 
-def f_microcanonical_exact(
-    system: BipartiteSystem,
-    op_a: Optional[np.ndarray],
-    delta: float,
-    ebar: float,
-    omega,
-    *,
-    o2bar: float = 1.0,
-) -> np.ndarray:
-    """Off-diagonal standard deviation from literal microcanonical counts.
-
-    The smooth sums (:func:`f_smooth_sums`) with the closed-window indicator
-    ``flat_profile(delta)``: every microcanonical window is a closed
-    interval ``[E - delta/2, E + delta/2]`` and window sizes are literal
-    eigenvalue counts.  The entropic suppression is carried implicitly by
-    the discrete normalization, so the return value is the full predicted
-    standard deviation.
-
-    Parameters
-    ----------
-    system : BipartiteSystem
-    op_a : ndarray or None
-        Operator on the A factor (computational basis).  ``None`` selects the
-        typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``.
-    delta : float
-        Scrambling window full width, positive.
-    ebar : float
-    omega : float or 1-d array
-        The pair energies are ``Ebar +/- omega``.  An empty window at any of
-        them raises :class:`DegenerateWindowError`;
-        :meth:`AnsatzModel.evaluate` drops such omegas from its grid instead.
-    o2bar : float
-        Mean squared operator spectrum for the typical mode.
-    """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    return f_smooth_sums(system, op_a, flat_profile(delta), ebar, omega, o2bar=o2bar)
-
-
 def f_smooth_sums(
     system: BipartiteSystem,
     op_a: Optional[np.ndarray],
@@ -233,15 +196,21 @@ def f_smooth_sums(
     (Z(Ea) Z(Eb))`` with ``Z(E) = sum_ij h(E - E_i - E_j)`` over the literal
     subsystem spectra at ``Ea, Eb = Ebar +/- omega`` for every omega given,
     and returns the square root.  Entropic suppression is implicit in the
-    normalization.  A zero ``Z`` at any pair energy (an empty window of a
-    flat profile, or a smooth profile underflowing far outside the
-    spectrum) raises :class:`DegenerateWindowError`.
+    normalization.  The flat profile ``flat_profile(delta)`` gives the
+    literal microcanonical counts: closed windows ``[E - delta/2, E +
+    delta/2]``.
+
+    An omega is live when ``Z(Ea) * Z(Eb) > 0``.  At any other omega (an
+    empty window of a flat profile, or a smooth profile far outside the
+    spectrum, where one ``Z`` or their product underflows to zero) this
+    raises :class:`DegenerateWindowError`; :meth:`AnsatzModel.evaluate`
+    drops such omegas from its grid instead.
     """
     omegas = _omegas(omega)
     f, live = _smooth_sums(system, op_a, h, ebar, omegas, o2bar)
     if not live.all():
         raise DegenerateWindowError(
-            f"profile normalization is zero at E={ebar} +/- "
+            f"product of the profile normalizations is zero at E={ebar} +/- "
             f"{abs(omegas[~live][0])}: an empty window, or energies too far "
             "outside the spectrum for this profile"
         )
@@ -250,7 +219,8 @@ def f_smooth_sums(
 
 def _smooth_sums(system, op_a, h, ebar, omegas, o2bar):
     # f of f_smooth_sums on the grid omegas, and the mask of the live omegas,
-    # those where both normalizations are positive; f is 0 at the others.
+    # those where the product of the two normalizations is positive (it can
+    # underflow to 0 when both are tiny); f is 0 at the others.
     sums = system.sum_energies()  # (dim_a, dim_b)
     m_sq = _squared_elements(system, op_a, o2bar)
     f = np.zeros(omegas.shape)
@@ -261,10 +231,11 @@ def _smooth_sums(system, op_a, h, ebar, omegas, o2bar):
         p = np.asarray(h(ebar + w - sums), dtype=float)
         q = np.asarray(h(ebar - w - sums), dtype=float)
         z_a, z_b = float(p.sum()), float(q.sum())
-        live[k] = z_a > 0.0 and z_b > 0.0
+        z = z_a * z_b
+        live[k] = z > 0.0
         if live[k]:
             kernel = p @ q.T  # (i, j) sums over the B factor
-            f2 = float((kernel * m_sq).sum()) / (z_a * z_b)
+            f2 = float((kernel * m_sq).sum()) / z
             f[k] = np.sqrt(max(f2, 0.0))
     return f, live
 
@@ -593,24 +564,26 @@ class AnsatzModel:
         """Evaluate the model on an omega grid at fixed mean energy.
 
         Continuum kinds integrate every omega of the grid in one batched
-        quadrature.  Two kinds drop the omegas their rung cannot evaluate:
-        the narrow kind those whose pair energies ``Ebar +/- omega`` leave the
-        support of ``n_0`` (where ``f_narrow`` raises
-        :class:`OutOfSupportError`), the microcanonical kind, in its kernel's
-        one pass, those whose closed flat window holds no level ``E_i + E_j``
-        at either pair energy (where ``f_smooth_sums`` raises
+        quadrature.  The two exact-sum kinds run the kernel of
+        :func:`f_smooth_sums` with their profile (``_PROFILES``): the flat
+        window of width ``delta`` for the microcanonical kind, the
+        exponential profile for the smooth kind.  Three kinds drop the omegas
+        their rung cannot evaluate: the narrow kind those whose pair energies
+        ``Ebar +/- omega`` leave the support of ``n_0`` (where ``f_narrow``
+        raises :class:`OutOfSupportError`), and both exact-sum kinds, in the
+        kernel's one pass, those that are not live, where ``Z(Ea) * Z(Eb)``
+        is zero (where ``f_smooth_sums`` raises
         :class:`DegenerateWindowError`).
         """
         omegas = np.array(omegas, dtype=float)
         kind = self.kind
         ent = 1.0
-        if kind not in _EXACT_SUMS:
-            ent = entropic_factor(self.n_0, ebar, self.sigma_s)
-        if kind is AnsatzKind.MICROCANONICAL_EXACT_SUMS:
-            h = flat_profile(self.delta)
+        if kind in _PROFILES:
+            h = _PROFILES[kind](self)
             f_vals, live = _smooth_sums(self.system, None, h, ebar, omegas, self.o2bar)
             omegas, f_vals = omegas[live], f_vals[live]
         else:
+            ent = entropic_factor(self.n_0, ebar, self.sigma_s)
             if kind is AnsatzKind.NARROW_SCRAMBLING:
                 omegas = omegas[_pair_support(self.n_0, ebar, omegas)]
             f_vals = _RUNGS[kind](self, ebar, omegas)
@@ -624,15 +597,16 @@ class AnsatzModel:
         )
 
 
-# The kinds whose rung folds the entropic factor into its normalization;
-# every other rung reports it separately.
-_EXACT_SUMS = (AnsatzKind.MICROCANONICAL_EXACT_SUMS, AnsatzKind.SMOOTH_GENERAL_SUMS)
+# Exact-sum kind -> its scrambling profile.  These rungs fold the entropic
+# factor into their normalization and share the kernel _smooth_sums.
+_PROFILES = {
+    AnsatzKind.MICROCANONICAL_EXACT_SUMS: lambda m: flat_profile(m.delta),
+    AnsatzKind.SMOOTH_GENERAL_SUMS: lambda m: exp_profile(m.sigma_s),
+}
 
-# Every kind but the microcanonical one -> rung (model, ebar, omegas) -> f.
+# Every other kind -> rung (model, ebar, omegas) -> f; each reports the
+# entropic factor separately.
 _RUNGS = {
-    AnsatzKind.SMOOTH_GENERAL_SUMS: lambda m, ebar, w: f_smooth_sums(
-        m.system, None, exp_profile(m.sigma_s), ebar, w, o2bar=m.o2bar
-    ),
     AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: f_narrow(
         m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
     ),

@@ -38,11 +38,13 @@ __all__ = ["main", "entry", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # localize takes only --out; every other subcommand also takes the rest.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR",
+                     help="output directory (default $ETHLAB_OUT or ./ethlab-out)")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument("--seed", type=int, help="override the ensemble seed")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (default $ETHLAB_OUT or ./ethlab-out)")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: the BLAS library's threads "
                              "are the only parallelism")
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--omega-max", type=float, default=None,
                       help="grid upper edge (default 0.75 of the A range)")
 
-    loc = sub.add_parser("localize", parents=[common],
+    loc = sub.add_parser("localize", parents=[out],
                          help="operator localizability report")
     spec_group = loc.add_mutually_exclusive_group(required=True)
     spec_group.add_argument(

@@ -214,6 +214,8 @@ def parse_config(
                 raise ValidationError(
                     f"predict.kinds: unknown ansatz kind {k!r} (valid: {valid})"
                 ) from None
+            if kinds.count(k) > 1:
+                raise ValidationError(f"predict.kinds: {k!r} is listed more than once")
 
     return RunConfig(
         chain=chain,

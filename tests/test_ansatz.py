@@ -14,7 +14,6 @@ from ethlab.ansatz import (
     f_exp_decay,
     f_flat_a,
     f_mc_finite_width,
-    f_microcanonical_exact,
     f_narrow,
     f_small_a,
     f_smooth_small_a,
@@ -31,10 +30,12 @@ from ethlab.errors import (
 from ethlab.experiments import BinningParams, OperatorEnsembleSpec, run_ensemble
 from ethlab.hamiltonians import (
     SpinChainParams,
+    build_random_system,
     decompose_chain,
     make_bipartite,
     sample_goe,
 )
+from ethlab.io import parse_config
 from ethlab.linalg import (
     GridFunction,
     SpectralDensity,
@@ -74,7 +75,9 @@ def test_exp_autocorrelation_closed_form_vs_quadrature():
             assert abs(hh(e) - numeric) < 1e-6
 
 
-def test_f_microcanonical_exact_matches_brute_force():
+def test_f_smooth_sums_flat_profile_matches_microcanonical_counts():
+    # With the closed flat window the profile-weighted sums are the literal
+    # microcanonical eigenvalue counts.
     system = toy_system()
     rng = np.random.default_rng(5)
     g = rng.standard_normal((4, 4))
@@ -102,7 +105,7 @@ def test_f_microcanonical_exact_matches_brute_force():
         z_b = np.count_nonzero(np.abs(e_beta - sums) <= half)
         expected = np.sqrt(num / (z_a * z_b))
         ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
-        (got,) = f_microcanonical_exact(system, op, delta, ebar, omega)
+        (got,) = f_smooth_sums(system, op, flat_profile(delta), ebar, omega)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -132,21 +135,37 @@ def test_f_smooth_sums_matches_brute_force():
 def test_exact_sums_o2bar_scaling_and_errors():
     # Pair energies (0.1, -0.3), (200, 0) and (300, 0), given as (Ebar, omega).
     system = toy_system(seed=3)
-    (base,) = f_microcanonical_exact(system, None, 1.5, -0.1, 0.2)
-    (quad,) = f_microcanonical_exact(system, None, 1.5, -0.1, 0.2, o2bar=4.0)
+    h = flat_profile(1.5)
+    (base,) = f_smooth_sums(system, None, h, -0.1, 0.2)
+    (quad,) = f_smooth_sums(system, None, h, -0.1, 0.2, o2bar=4.0)
     assert quad == pytest.approx(2.0 * base, rel=1e-12)
-    with pytest.raises(ValidationError):
-        f_microcanonical_exact(system, None, 0.0, -0.1, 0.2)
     # The message names the mean energy and the omega.
     with pytest.raises(DegenerateWindowError, match=r"E=100.0 \+/- 100.0"):
-        f_microcanonical_exact(system, None, 0.1, 100.0, 100.0)
+        f_smooth_sums(system, None, flat_profile(0.1), 100.0, 100.0)
     with pytest.raises(DegenerateWindowError, match=r"E=150.0 \+/- 150.0"):
         f_smooth_sums(system, None, flat_profile(0.5), 150.0, 150.0)
     # One such omega in a grid is enough.
     with pytest.raises(DegenerateWindowError, match=r"E=0.0 \+/- 200.0"):
-        f_microcanonical_exact(system, None, 1.5, 0.0, np.array([0.2, 200.0]))
+        f_smooth_sums(system, None, h, 0.0, np.array([0.2, 200.0]))
     with pytest.raises(DegenerateWindowError, match=r"E=0.0 \+/- 300.0"):
         f_smooth_sums(system, None, flat_profile(0.5), 0.0, np.array([0.2, 300.0]))
+
+
+def test_f_smooth_sums_rejects_an_underflowing_normalization():
+    # Far outside the spectrum both exponential normalizations are positive
+    # but their product underflows to zero: that omega is not live, and the
+    # wrapper raises DegenerateWindowError rather than dividing by zero.
+    system = toy_system(seed=3)
+    h = exp_profile(1.0)
+    sums = system.sum_energies()
+    z_a, z_b = h(300.0 - sums).sum(), h(-300.0 - sums).sum()
+    assert z_a > 0.0 and z_b > 0.0 and z_a * z_b == 0.0
+    with pytest.raises(DegenerateWindowError, match=r"E=0.0 \+/- 300.0"):
+        f_smooth_sums(system, None, h, 0.0, 300.0)
+    model = AnsatzModel(AnsatzKind.SMOOTH_GENERAL_SUMS, system, 1.0)
+    pred = model.evaluate(0.0, np.array([0.2, 300.0]))
+    assert pred.omega.tolist() == [0.2]
+    assert np.array_equal(pred.f, f_smooth_sums(system, None, h, 0.0, 0.2))
 
 
 def test_f_small_a_flat_density_closed_form():
@@ -377,6 +396,34 @@ def test_ansatz_model_exact_kinds_carry_no_entropic_factor():
         assert np.allclose(pred.variance, pred.f**2)
 
 
+def test_every_kind_has_exactly_one_ladder_entry():
+    # An exact-sum kind names its profile, every other kind its rung.
+    profiles, rungs = set(ethlab.ansatz._PROFILES), set(ethlab.ansatz._RUNGS)
+    assert not profiles & rungs
+    assert profiles | rungs == set(AnsatzKind)
+
+
+def test_every_kind_stays_finite_past_the_spectrum():
+    # The 2+6-site random system, whose level sums lie in [-11.9, 11.4], on a
+    # grid out to omega = 40: each kind drops what it cannot evaluate and
+    # every value it keeps is finite.
+    params = parse_config(
+        None, text="[system]\nkind = random\nsites_a = 2\nsites_b = 6\nsites_i = 2\n"
+    ).random
+    system = build_random_system(params)
+    sigma_s = profile(system).sigma_s
+    omegas = np.linspace(0.0, 40.0, 401)
+    kept = {}
+    for kind in AnsatzKind:
+        pred = AnsatzModel(kind, system, sigma_s).evaluate(0.0, omegas)
+        assert np.isin(pred.omega, omegas).all(), kind
+        assert np.isfinite(pred.entropic_factor), kind
+        assert np.isfinite(pred.f).all() and np.isfinite(pred.variance).all(), kind
+        kept[kind] = pred.omega.size
+    assert kept[AnsatzKind.SMOOTH_GENERAL_SUMS] < omegas.size
+    assert kept[AnsatzKind.MICROCANONICAL_EXACT_SUMS] < omegas.size
+
+
 def test_ansatz_model_continuum_evaluation():
     # The model derives its inputs from the system: sigma_a is the A spectral
     # range, and n_0 the histogram of the 64 sums E_i + E_j in round(sqrt(64))
@@ -412,16 +459,16 @@ def test_ansatz_model_skips_out_of_support_grid_points():
 
 def test_microcanonical_model_drops_empty_windows():
     # An omega whose window at Ebar + omega or Ebar - omega holds no level
-    # (f_microcanonical_exact raises there) is dropped from the scan; every
+    # (f_smooth_sums raises there) is dropped from the scan; every
     # other value is the single call's.
     system = decompose_chain(SpinChainParams(6), 2)
     sigma_s = 0.2
-    delta = 2.0 * np.sqrt(3.0) * sigma_s
+    h = flat_profile(2.0 * np.sqrt(3.0) * sigma_s)
     omegas = np.linspace(0.0, 9.0, 37)
     kept, vals = [], []
     for w in omegas.tolist():
         try:
-            vals.append(f_microcanonical_exact(system, None, delta, 0.0, w).item())
+            vals.append(f_smooth_sums(system, None, h, 0.0, w).item())
         except DegenerateWindowError:
             continue
         kept.append(w)

@@ -122,6 +122,12 @@ def test_config_validation_errors():
         parse_config(None, text="sites = 12\n")  # key before any section
     with pytest.raises(ValidationError, match="cut"):
         parse_config(None, text="[system]\nsites = 8\ncut = 8\n")
+    with pytest.raises(ValidationError, match="'exp_decay_flat_A' is listed more"):
+        parse_config(
+            None,
+            text="[predict]\nkinds = exp_decay_flat_A, narrow_scrambling, "
+            "exp_decay_flat_A\n",
+        )
     with pytest.raises(ValidationError):
         parse_config("/no/such/file.ini")
     with pytest.raises(ValidationError, match="path or text"):
@@ -481,6 +487,17 @@ def test_cli_localize_rejects_bad_letters(letters):
     assert "configuration error" in proc.stderr
 
 
+def test_cli_localize_takes_no_run_flags():
+    # localize reads no config, seed, cache or plot setting: passing one is a
+    # usage error, not a flag silently ignored.
+    proc = run_cli(
+        "localize", "--pauli", "zi", "--config", "/nonexistent.ini",
+        "--cache", "forbid", "--seed", "3", "--plot",
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
 def test_cli_localize_pauli_letters_within_the_guard(monkeypatch, capsys):
     # More letters than MAX_CHAIN_SITES exit 2 before any Kronecker product
     # (14 letters would build a 2 GiB matrix); MAX_CHAIN_SITES letters pass
@@ -725,6 +742,28 @@ def test_cli_random_microcanonical_scan_drops_empty_windows(tmp_path):
     assert len(binned) == 1172
     assert len(rows) == 1170
     assert all(r.startswith("microcanonical_exact_sums,") for r in rows)
+
+
+def test_cli_predict_drops_underflowing_smooth_windows(tmp_path):
+    # Far outside the spectrum the two exponential normalizations of the
+    # smooth exact sums can each be positive while their product underflows
+    # to zero; the scan drops those omegas instead of dividing by zero.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nkind = random\nsites_a = 2\nsites_b = 6\nsites_i = 2\n")
+    out = tmp_path / "out"
+    proc = run_cli(
+        "predict", "--omega-max", "40", "--config", str(cfg), "--out", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "predict.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    models = defaultdict(int)
+    for row in rows[1:]:
+        record = dict(zip(header, row.split(",")))
+        models[record["model"]] += 1
+        for key in ("f", "variance", "entropic_factor"):
+            assert math.isfinite(float(record[key])), row
+    assert models["smooth_general_sums"] < models["exp_decay_flat_A"]
 
 
 def test_cli_config_error_exit_code(tmp_path):
