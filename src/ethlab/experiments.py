@@ -13,7 +13,7 @@ pairs when it runs.  The grouped engine bins each tile with one
 tile's alpha rows at a time and adds each tile into bins carried across the
 band in band order, bitwise one ``bincount`` over the whole band's
 elements.  Its one level of parallelism is the BLAS library's threads under
-the matrix products: tiles and operators run in a fixed order on the
+the matrix products: windows, tiles and operators run in a fixed order on the
 calling thread, so the statistics are bitwise reproducible run to run.
 """
 
@@ -477,15 +477,17 @@ def run_ensemble(
 
     Returns one :class:`BinnedStatistics` per window center, in order.
 
-    Both engines walk each window's band in tiles (see :class:`PairBand`).
+    Every window's band is built before any engine runs, so an empty window
+    raises before any work; then each window is measured whole before the
+    next.  Both engines walk its band in tiles (see :class:`PairBand`).
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes
-    each window's band over all operators at once, reading its panels as
-    views of the eigenvector rows; otherwise each operator in turn, applied
-    to one tile's alpha rows at a time, gives its elements in every window
-    with one matrix product per tile, added into the bins in band order.  The
-    BLAS library's threads are the only parallelism: tiles and operators
-    run in a fixed order on the calling thread, so the results are bitwise
-    reproducible.
+    the band over all operators at once, reading its panels as views of the
+    eigenvector rows; otherwise each operator in turn, drawn again for each
+    window, gives its elements with one matrix product per tile of alpha
+    rows, added into the bins in band order.  The BLAS library's threads
+    are the only parallelism: windows, tiles and operators run in a fixed
+    order on the calling thread, so each window's results are bitwise
+    reproducible, and bitwise those of the window measured alone.
 
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return):
@@ -509,24 +511,25 @@ def run_ensemble(
         for c in ebar_centers
     ]
     dim_a = system.dim_a
-    if dim_a <= system.dim_b:
+    grouped = dim_a <= system.dim_b
+    if grouped:
         ops_flat = _operator_columns(ens, dim_a)
         v3 = rows.reshape(-1, dim_a, system.dim_b)
         buf = np.empty(_TILE_BYTES // 8)
-        partials = [band.accumulate_grouped_all(v3, ops_flat, buf) for band in bands]
-    else:
-        partials = [(np.zeros(band.n_bins), np.zeros(band.n_bins)) for band in bands]
-        for k in range(ens.count):
-            # Drawn only when applied: one operator is alive at a time.
-            op = sample_local_operator(ens, dim_a, k)
-            for band, (sums, sumsqs) in zip(bands, partials):
+    results = []
+    for band in bands:
+        if grouped:
+            sums, sumsqs = band.accumulate_grouped_all(v3, ops_flat, buf)
+        else:
+            sums, sumsqs = np.zeros(band.n_bins), np.zeros(band.n_bins)
+            for k in range(ens.count):
+                # Drawn only when applied: one operator is alive at a time.
+                op = sample_local_operator(ens, dim_a, k)
                 s, q = band.accumulate_from_factors(rows, op)
                 sums += s
                 sumsqs += q
-    return tuple(
-        band.statistics(sums, sumsqs, ens.count)
-        for band, (sums, sumsqs) in zip(bands, partials)
-    )
+        results.append(band.statistics(sums, sumsqs, ens.count))
+    return tuple(results)
 
 
 def operator_diagonals(
@@ -567,7 +570,6 @@ class BandReport:
     """Detected off-diagonal banding peaks matched against subsystem gaps."""
 
     peak_omegas: np.ndarray
-    gaps: np.ndarray
     matched: np.ndarray  # per peak: within 2 sigma_s of some gap
     gap_matched: np.ndarray  # per gap: some peak within 2 sigma_s
 
@@ -579,7 +581,7 @@ class BandReport:
 
     @property
     def gap_coverage(self) -> float:
-        if self.gaps.size == 0:
+        if self.gap_matched.size == 0:
             return 0.0
         return float(self.gap_matched.mean())
 
@@ -660,7 +662,6 @@ def detect_bands(
         gap_matched = np.zeros(gaps.size, dtype=bool)
     return BandReport(
         peak_omegas=omegas,
-        gaps=gaps,
         matched=matched,
         gap_matched=gap_matched,
     )

@@ -93,22 +93,14 @@ def _config_echo(config: RunConfig, kinds) -> dict:
     }
 
 
-def _plot_window(path, stats, preds, title):
-    curves = [
-        {
-            "x": stats.omega_mid,
-            "y": stats.mean_sq,
-            "label": "measured",
-        }
+def _plot_window(path, preds, title, stats=None):
+    # The prediction curves, over the measured points when stats is given.
+    curves = [] if stats is None else [
+        {"x": stats.omega_mid, "y": stats.mean_sq, "label": "measured"}
     ]
     for pred in preds:
         curves.append(
-            {
-                "x": pred.omega,
-                "y": pred.variance,
-                "label": pred.kind,
-                "line": True,
-            }
+            {"x": pred.omega, "y": pred.variance, "label": pred.kind, "line": True}
         )
     return write_svg(curves, path, title=title, xlabel="omega",
                      ylabel="mean squared element")
@@ -178,51 +170,43 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
     omegas = np.arange(0.5 * width, omega_max, width)
     models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     preds = [model.evaluate(ebar, omegas) for model in models]
-    path = emit_dataset(prediction_rows(preds), "prediction",
-                        ctx.out_dir / "predict.csv")
-    return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, [path]
+    files = [emit_dataset(prediction_rows(preds), "prediction",
+                          ctx.out_dir / "predict.csv")]
+    if ctx.plot:
+        files.append(_plot_window(ctx.out_dir / "predict.svg", preds,
+                                  f"predictions at Ebar={ebar:.4g}"))
+    return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, files
 
 
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
-    """Shared measurement + prediction flow for the scans."""
+    """The scans' shared flow: each window is predicted, tabulated, plotted
+    and described in one pass, and the CSVs are written after the last."""
     prof = profile(system)
     models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     binned = run_ensemble(system, config.ensemble, centers, config.binning)
     files = []
     all_binned = []
-    all_preds = []
-    for stats in binned:
-        all_binned.extend(binned_rows(stats))
-    files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
+    all_predicted = []
+    windows = []
     for center, stats in zip(centers, binned):
         preds = [model.evaluate(center, stats.omega_mid) for model in models]
-        all_preds.extend(preds)
+        all_binned.extend(binned_rows(stats))
+        all_predicted.extend(prediction_rows(preds))
         if ctx.plot:
             tag = f"{center:.4g}".replace("-", "m")
-            files.append(
-                _plot_window(
-                    ctx.out_dir / f"{stem}_E{tag}.svg",
-                    stats,
-                    preds,
-                    f"{stem} at Ebar={center:.4g}",
-                )
-            )
+            files.append(_plot_window(ctx.out_dir / f"{stem}_E{tag}.svg", preds,
+                                      f"{stem} at Ebar={center:.4g}", stats))
+        windows.append({"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
+                        "pairs": stats.n_samples // config.ensemble.count})
+    files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
     if kinds:
-        files.append(
-            emit_dataset(
-                prediction_rows(all_preds), "prediction",
-                ctx.out_dir / f"{stem}_predict.csv",
-            )
-        )
+        files.append(emit_dataset(all_predicted, "prediction",
+                                  ctx.out_dir / f"{stem}_predict.csv"))
     info = {
         "sigma_s": prof.sigma_s,
         "delta": prof.delta,
         "window_centers": centers,
-        "windows": [
-            {"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
-             "pairs": stats.n_samples // config.ensemble.count}
-            for stats in binned
-        ],
+        "windows": windows,
     }
     return info, files, binned
 

@@ -136,8 +136,9 @@ class BipartiteSystem:
 
     Holds the three spectra every measurement reads and
     ``interaction_sq[alpha] = <alpha|H_I^2|alpha>`` for every total
-    eigenstate (the scrambling width's only input).  The dimensions are
-    those of the spectra.  The Hamiltonians are built only to be
+    eigenstate (the scrambling width's only input; exactly ``J^2`` for a
+    chain, read from no eigenvector).  The dimensions are those of the
+    spectra.  The Hamiltonians are built only to be
     diagonalized and are not kept.  Eigenvector matrices
     follow the sign convention of :func:`ethlab.linalg.eig_sym`; the
     subsystem spectra solve for theirs on first read (see
@@ -260,8 +261,9 @@ def decompose_chain(
     ``H_A`` and ``H_B`` are the chain Hamiltonians of the two fragments
     (bonds interior to each side, all fields); the interaction is the single
     coupling ``J sz_cut sz_{cut+1}`` across the cut.  It squares to ``J^2``
-    times the identity, so ``<alpha|H_I^2|alpha>`` is ``J^2`` times each
-    eigenvector's squared norm and the interaction is never built.
+    times the identity and every eigenvector has unit norm, so
+    ``<alpha|H_I^2|alpha>`` is exactly ``J^2`` for every eigenstate: the
+    interaction is never built and the build reads no total eigenvector.
 
     Each fragment's eigenvalues come from one eigenvalue-only solve
     (:func:`ethlab.linalg.eigvals_sym`), whether or not its eigenvectors
@@ -290,12 +292,11 @@ def decompose_chain(
         return eig_sym(build_spin_chain(params), check=False)
 
     spectrum_t = _total_spectrum(spectrum_t, compute)
-    rows = spectrum_t.rows
     return BipartiteSystem(
         spectrum_a=spectrum_a,
         spectrum_b=spectrum_b,
         spectrum_t=spectrum_t,
-        interaction_sq=params.coupling**2 * np.einsum("ij,ij->i", rows, rows),
+        interaction_sq=np.full(spectrum_t.dim, params.coupling**2),
     )
 
 

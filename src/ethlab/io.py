@@ -206,6 +206,10 @@ def parse_config(
         kinds = ()
     else:
         kinds = tuple(k.strip() for k in raw_kinds.split(",") if k.strip())
+        if not kinds:
+            raise ValidationError(
+                "predict.kinds lists no kind; use auto or name at least one"
+            )
         for k in kinds:
             try:
                 AnsatzKind(k)

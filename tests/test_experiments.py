@@ -745,6 +745,30 @@ def test_run_ensemble_tiles_each_window_once(chain10, monkeypatch):
         assert got == list(_grouped_tiles(band, chain10.dim_a))
 
 
+def test_run_ensemble_finishes_each_window_before_the_next(chain10, monkeypatch):
+    # At cut 7 (dim_a > dim_b, the direct engine) every operator runs on the
+    # first window before any runs on the second, and each window's
+    # statistics are bitwise those of the window measured alone.
+    system = decompose_chain(SpinChainParams(10), 7, spectrum_t=chain10.spectrum_t)
+    spec = OperatorEnsembleSpec(count=3, seed=0)
+    centers = [0.0, 0.5 * chain10.spectrum_t.eigenvalues[0]]
+    alone = [run_ensemble(system, spec, [c], BinningParams())[0] for c in centers]
+    calls = []
+    direct = PairBand.accumulate_from_factors
+
+    def counted(self, vecs, op_a):
+        calls.append(self.ebar_center)
+        return direct(self, vecs, op_a)
+
+    monkeypatch.setattr(PairBand, "accumulate_from_factors", counted)
+    got = run_ensemble(system, spec, centers, BinningParams())
+    assert calls == [centers[0]] * 3 + [centers[1]] * 3
+    for stats, want in zip(got, alone):
+        assert stats.ebar_center == want.ebar_center
+        for name in ("omega_mid", "mean_sq", "count", "std_err"):
+            assert np.array_equal(getattr(stats, name), getattr(want, name)), name
+
+
 def _traced_peak(fn):
     # Peak bytes traced while fn runs, after one untraced warm-up call.
     fn()

@@ -23,7 +23,7 @@ from ethlab.hamiltonians import (
     sample_goe,
 )
 from ethlab.io import RunConfig, cached_spectrum, config_cache_key
-from ethlab.linalg import eig_sym, eigvals_sym
+from ethlab.linalg import Spectrum, eig_sym, eigvals_sym
 from oracles import embed
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
@@ -185,6 +185,21 @@ def test_decompose_chain_cut_validation():
         decompose_chain(SpinChainParams(6), 0)
     with pytest.raises(ValidationError):
         decompose_chain(SpinChainParams(6), 6)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_decompose_chain_reads_no_total_eigenvector(coupling):
+    # H_I = J sz sz squares to J^2 times the identity and every eigenvector
+    # has unit norm, so <alpha|H_I^2|alpha> is J^2 without any eigenvector.
+    params = SpinChainParams(6, coupling=coupling)
+
+    def solve():
+        raise AssertionError("the chain build read the total eigenvectors")
+
+    eigenvalues = eigvals_sym(build_spin_chain(params))
+    system = decompose_chain(params, 2, spectrum_t=Spectrum(eigenvalues, solve=solve))
+    assert system.interaction_sq.shape == eigenvalues.shape
+    assert np.all(system.interaction_sq == coupling**2)
 
 
 def test_make_bipartite_validation():

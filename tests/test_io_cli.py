@@ -128,6 +128,10 @@ def test_config_validation_errors():
             text="[predict]\nkinds = exp_decay_flat_A, narrow_scrambling, "
             "exp_decay_flat_A\n",
         )
+    for empty in ("", ","):
+        # A list that names no kind is rejected, not read as auto.
+        with pytest.raises(ValidationError, match="predict.kinds lists no kind"):
+            parse_config(None, text=f"[predict]\nkinds = {empty}\n")
     with pytest.raises(ValidationError):
         parse_config("/no/such/file.ini")
     with pytest.raises(ValidationError, match="path or text"):
@@ -890,18 +894,21 @@ seed = 0
 
 
 @pytest.mark.parametrize(
-    "argv, config, stem",
+    "argv, config, stem, plot",
     [
-        (("spin-chain",), TINY_CHAIN, "run"),
-        (("random-system",), TINY_RANDOM, "run"),
-        (("coeffs",), TINY_CHAIN, "coeffs"),
-        (("predict",), TINY_CHAIN, "predict"),
-        (("reproduce", "fig1"), TINY_CHAIN, "fig1"),
+        (("spin-chain",), TINY_CHAIN, "run", "run_E0.svg"),
+        (("random-system",), TINY_RANDOM, "run", "run_E0.svg"),
+        (("coeffs",), TINY_CHAIN, "coeffs", "coeffs.svg"),
+        (("predict",), TINY_CHAIN, "predict", "predict.svg"),
+        (("reproduce", "fig1"), TINY_CHAIN, "fig1", "fig1_coeffs.svg"),
     ],
     ids=["spin-chain", "random-system", "coeffs", "predict", "reproduce-fig1"],
 )
-def test_cli_compute_subcommand_manifest_lists_its_files(tmp_path, argv, config, stem):
-    # The manifest's `files` is the contract readers use to find the datasets.
+def test_cli_compute_subcommand_manifest_lists_its_files(
+    tmp_path, argv, config, stem, plot
+):
+    # The manifest's `files` is the contract readers use to find the datasets;
+    # --plot writes each subcommand's plot beside them.
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(config)
     out = tmp_path / "out"
@@ -912,7 +919,7 @@ def test_cli_compute_subcommand_manifest_lists_its_files(tmp_path, argv, config,
     assert "config" in manifest
     assert manifest["peak_rss_mb"] > 0
     written = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".svg"))
-    assert written
+    assert plot in written
     assert manifest["files"] == written
 
 
