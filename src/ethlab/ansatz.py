@@ -9,21 +9,24 @@ between eigenstates at mean energy ``Ebar`` and half splitting ``omega``;
 the Gibbs form predicts the diagonal.
 
 Conventions: ``sigma_a`` is the spectral range of the subsystem Hamiltonian,
-``sigma_s`` the scrambling width, ``o2bar`` the mean squared operator
-spectrum.  The flat scrambling window equivalent to a width ``sigma_s`` is
-``delta = 2 sqrt(3) sigma_s``.  Smooth continuum kinds return the suppressed
-amplitude ``f`` with the entropic factor ``(sigma_s n_0(Ebar))**-1/2``
-reported separately; exact-sum kinds absorb the suppression into their
-normalization and report an entropic factor of one.
+``sigma_s`` the scrambling width.  Every prediction is for operators of unit
+mean square ``tr O**2 / dim_a``, as the ensemble samples them; for mean
+square ``O2`` the variance scales by ``O2``.  The flat scrambling window
+equivalent to a width ``sigma_s`` is ``delta = 2 sqrt(3) sigma_s``.  Smooth
+continuum kinds return the suppressed amplitude ``f`` with the entropic
+factor ``(sigma_s n_0(Ebar))**-1/2`` reported separately; exact-sum kinds
+absorb the suppression into their normalization and report an entropic
+factor of one.
 
 Each rung is one function (``f_smooth_sums``, ``f_narrow``, ...) that takes
-``(..., ebar, omega)`` (``ebar`` only where the rung depends on it),
-``omega`` a scalar or a 1-d grid, and returns a 1-d array of ``f`` over the
-grid.  Both exact-sum rungs are one kernel, :func:`f_smooth_sums`, which
-takes the scrambling profile as an argument: it does its omega-independent
-work once per call (the level sums and ``|O_ij|^2``) and one dense sum per
-omega.  The microcanonical rung is that kernel with the closed flat window
-``flat_profile(delta)``, the smooth rung with ``exp_profile(sigma_s)``.
+its spectral inputs, then ``sigma_a``, ``sigma_s`` and ``ebar`` (each only
+where the rung uses it), then ``omega``, a scalar or a 1-d grid, and returns
+a 1-d array of ``f`` over the grid.  Both exact-sum rungs are one kernel,
+:func:`f_smooth_sums`, which takes the scrambling profile as an argument: it
+does its omega-independent work once per call (the level sums and
+``|O_ij|^2``) and one dense sum per omega.  The microcanonical rung is that
+kernel with the closed flat window ``flat_profile(delta)``, the smooth rung
+with ``exp_profile(sigma_s)``.
 The continuum rungs integrate the whole grid in one batched quadrature
 (:func:`~ethlab.linalg.integrate_adaptive` over all omegas) whose values are
 bitwise those of one-omega calls.  The small-A rungs take the tabulated
@@ -98,11 +101,11 @@ def entropic_factor(n_0, ebar: float, sigma_s: float) -> float:
     return float(1.0 / np.sqrt(sigma_s * val))
 
 
-def rmt_variance(o2bar: float, total_dim: int) -> float:
-    """Structureless random-matrix variance ``o2bar / total_dim``."""
+def rmt_variance(total_dim: int) -> float:
+    """Structureless random-matrix variance ``1 / total_dim``."""
     if total_dim < 1:
         raise ValidationError("total_dim must be >= 1")
-    return float(o2bar) / float(total_dim)
+    return 1.0 / float(total_dim)
 
 
 def exp_autocorrelation(sigma_s: float) -> Callable:
@@ -166,12 +169,12 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
 
 
 def _squared_elements(
-    system: BipartiteSystem, op_a: Optional[np.ndarray], o2bar: float
+    system: BipartiteSystem, op_a: Optional[np.ndarray]
 ) -> np.ndarray:
     # |O_ij|^2 in the A eigenbasis; None selects the typical-operator value.
     dim_a = system.dim_a
     if op_a is None:
-        return np.full((dim_a, dim_a), float(o2bar) / dim_a)
+        return np.full((dim_a, dim_a), 1.0 / dim_a)
     if op_a.shape != (dim_a, dim_a):
         raise DimensionError(
             f"operator shape {op_a.shape} does not match dim_a={dim_a}"
@@ -182,13 +185,7 @@ def _squared_elements(
 
 
 def f_smooth_sums(
-    system: BipartiteSystem,
-    op_a: Optional[np.ndarray],
-    h: Callable,
-    ebar: float,
-    omega,
-    *,
-    o2bar: float = 1.0,
+    system: BipartiteSystem, op_a: Optional[np.ndarray], h: Callable, ebar: float, omega
 ) -> np.ndarray:
     """Off-diagonal standard deviation from exact profile-weighted sums.
 
@@ -207,7 +204,7 @@ def f_smooth_sums(
     drops such omegas from its grid instead.
     """
     omegas = _omegas(omega)
-    f, live = _smooth_sums(system, op_a, h, ebar, omegas, o2bar)
+    f, live = _smooth_sums(system, op_a, h, ebar, omegas)
     if not live.all():
         raise DegenerateWindowError(
             f"product of the profile normalizations is zero at E={ebar} +/- "
@@ -217,12 +214,12 @@ def f_smooth_sums(
     return f
 
 
-def _smooth_sums(system, op_a, h, ebar, omegas, o2bar):
+def _smooth_sums(system, op_a, h, ebar, omegas):
     # f of f_smooth_sums on the grid omegas, and the mask of the live omegas,
     # those where the product of the two normalizations is positive (it can
     # underflow to 0 when both are tiny); f is 0 at the others.
     sums = system.sum_energies()  # (dim_a, dim_b)
-    m_sq = _squared_elements(system, op_a, o2bar)
+    m_sq = _squared_elements(system, op_a)
     f = np.zeros(omegas.shape)
     live = np.zeros(omegas.shape, dtype=bool)
     for k, w in enumerate(omegas):
@@ -267,10 +264,10 @@ def _pair_support(n_0, ebar: float, omegas: np.ndarray) -> np.ndarray:
     return kept
 
 
-def f_narrow(n_a, n_b, n_0, o2bar: float, sigma_s: float, ebar: float, omega):
+def f_narrow(n_a, n_b, n_0, sigma_s: float, ebar: float, omega):
     """Narrow-scrambling continuum prediction.
 
-    ``f**2 = (o2bar / |H_A|) sigma_s n_0(Ebar) / (n_0(Ebar+w) n_0(Ebar-w)) *
+    ``f**2 = (1 / |H_A|) sigma_s n_0(Ebar) / (n_0(Ebar+w) n_0(Ebar-w)) *
     integral de n_a(e+w) n_a(e-w) n_b(Ebar-e)`` with the integral taken over
     the exact support intersection; ``f`` is zero where that intersection is
     empty.  ``n_a`` must be a :class:`~ethlab.linalg.SpectralDensity` (its
@@ -309,7 +306,7 @@ def f_narrow(n_a, n_b, n_0, o2bar: float, sigma_s: float, ebar: float, omega):
 
     val = integrate_adaptive(integrand, lo, hi, tol=_scaled_tol(integrand, lo, hi))
     f2 = (
-        o2bar
+        1.0
         / n_a.total
         * sigma_s
         * float(n_0(ebar))
@@ -321,21 +318,21 @@ def f_narrow(n_a, n_b, n_0, o2bar: float, sigma_s: float, ebar: float, omega):
     return f
 
 
-def f_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
+def f_small_a(rho_rho, sigma_s: float, omega):
     """Small-subsystem narrow-scrambling form.
 
-    ``f = sqrt(o2bar * sigma_s * [rho_a * rho_a](2 omega))`` with
+    ``f = sqrt(sigma_s * [rho_a * rho_a](2 omega))`` with
     ``rho_rho`` the tabulated autocorrelation of the normalized subsystem
     density of states, as :func:`density_autocorrelation` returns it.
     """
     val = rho_rho(2.0 * _omegas(omega))
-    return np.sqrt(np.maximum(o2bar * sigma_s * val, 0.0))
+    return np.sqrt(np.maximum(sigma_s * val, 0.0))
 
 
-def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
+def f_flat_a(sigma_a: float, sigma_s: float, omega):
     """Closed-form small-A prediction for a flat subsystem spectrum.
 
-    ``f**2 = o2bar (sigma_s / sigma_a) (1 - 2|omega|/sigma_a)`` inside
+    ``f**2 = (sigma_s / sigma_a) (1 - 2|omega|/sigma_a)`` inside
     ``|omega| <= sigma_a / 2`` and zero outside.
     """
     if sigma_a <= 0:
@@ -343,14 +340,14 @@ def f_flat_a(sigma_a: float, o2bar: float, sigma_s: float, omega):
     x = 1.0 - 2.0 * np.abs(_omegas(omega)) / sigma_a
     inside = x > 0.0
     f = np.zeros(x.shape)
-    f[inside] = np.sqrt(o2bar * sigma_s / sigma_a * x[inside])
+    f[inside] = np.sqrt(sigma_s / sigma_a * x[inside])
     return f
 
 
-def f_smooth_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
+def f_smooth_small_a(rho_rho, sigma_s: float, omega):
     """Small-subsystem form with the finite-width exponential profile.
 
-    ``f**2 = 2 o2bar sigma_s / N_h**2 * integral dw' [rho_a * rho_a](2w')
+    ``f**2 = 2 sigma_s / N_h**2 * integral dw' [rho_a * rho_a](2w')
     [h * h](2(omega - w'))`` with ``rho_rho`` the tabulated
     ``[rho_a * rho_a]`` (:func:`density_autocorrelation`) and the
     exponential profile's closed-form autocorrelation.
@@ -369,14 +366,14 @@ def f_smooth_small_a(rho_rho, o2bar: float, sigma_s: float, omega):
     val = integrate_adaptive(
         integrand, lo_w, hi_w, tol=abs_tol, kinks=omegas[:, None]
     )
-    f2 = 2.0 * o2bar * sigma_s / n_h**2 * val
+    f2 = 2.0 * sigma_s / n_h**2 * val
     return np.sqrt(np.maximum(f2, 0.0))
 
 
-def f_exp_decay(sigma_a: float, sigma_s: float, o2bar: float, omega):
+def f_exp_decay(sigma_a: float, sigma_s: float, omega):
     """Closed-form prediction: flat subsystem spectrum, exponential profile.
 
-    ``f**2 = o2bar / (2 sqrt(2)) * integral_{-1}^{1} dx (1 - |x|)
+    ``f**2 = 1 / (2 sqrt(2)) * integral_{-1}^{1} dx (1 - |x|)
     (1 + sqrt(2)|2 omega - x sigma_a| / sigma_s)
     exp(-sqrt(2)|2 omega - x sigma_a| / sigma_s)``.
     """
@@ -392,14 +389,14 @@ def f_exp_decay(sigma_a: float, sigma_s: float, o2bar: float, omega):
     ends = np.ones(omegas.shape)
     kinks = np.column_stack((np.zeros(omegas.shape), 2.0 * omegas / sigma_a))
     val = integrate_adaptive(integrand, -ends, ends, tol=_TOL, kinks=kinks)
-    f2 = o2bar / (2.0 * SQRT2) * val
+    f2 = 1.0 / (2.0 * SQRT2) * val
     return np.sqrt(np.maximum(f2, 0.0))
 
 
-def f_mc_finite_width(rho_rho, o2bar: float, sigma_a: float, sigma_s: float, omega):
+def f_mc_finite_width(rho_rho, sigma_a: float, sigma_s: float, omega):
     """Finite-width flat-window prediction with a general subsystem density.
 
-    ``f**2 = o2bar sigma_a / (2 sqrt(3)) * integral_{-1}^{1} dx
+    ``f**2 = sigma_a / (2 sqrt(3)) * integral_{-1}^{1} dx
     [rho_a * rho_a](x sigma_a) ramp(1 - |omega - x sigma_a / 2| /
     (sqrt(3) sigma_s))`` where ``ramp`` clips at zero and ``rho_rho`` is the
     tabulated ``[rho_a * rho_a]`` (:func:`density_autocorrelation`).
@@ -422,7 +419,7 @@ def f_mc_finite_width(rho_rho, o2bar: float, sigma_a: float, sigma_s: float, ome
     ends = np.ones(omegas.shape)
     abs_tol = _scaled_tol(integrand, -ends, ends)
     val = integrate_adaptive(integrand, -ends, ends, tol=abs_tol, kinks=kinks)
-    f2 = o2bar * sigma_a / (2.0 * SQRT3) * val
+    f2 = sigma_a / (2.0 * SQRT3) * val
     return np.sqrt(np.maximum(f2, 0.0))
 
 
@@ -444,12 +441,7 @@ def inverse_temperature(n_b, energy: float, step: float) -> float:
 
 
 def gibbs_diagonal(
-    system: BipartiteSystem,
-    op_a: np.ndarray,
-    e_alpha: float,
-    *,
-    n_b=None,
-    bins: int = 64,
+    system: BipartiteSystem, op_a: np.ndarray, e_alpha: float, *, n_b=None
 ) -> float:
     """Gibbs prediction for diagonal matrix elements of a local operator.
 
@@ -461,7 +453,7 @@ def gibbs_diagonal(
     """
     e_a = system.spectrum_a.eigenvalues
     if n_b is None:
-        n_b = density_of_states(system.spectrum_b.eigenvalues, bins=bins)
+        n_b = density_of_states(system.spectrum_b.eigenvalues)
     sigma_0 = system.spectrum_a.spectral_range + system.spectrum_b.spectral_range
     step = sigma_0 / 200.0
     beta = inverse_temperature(n_b, e_alpha - float(e_a.mean()), step)
@@ -514,7 +506,7 @@ class AnsatzModel:
 
     Every input of a rung derives from ``system`` and ``sigma_s``.  The
     exact-sum kinds read the literal subsystem spectra and use the
-    typical-operator substitution ``|O_ij|^2 -> o2bar / dim_a``.  The
+    typical-operator substitution ``|O_ij|^2 -> 1 / dim_a``.  The
     continuum kinds read the histogram densities ``n_a``, ``n_b`` (the A and
     B spectra) and ``n_0`` (the noninteracting sums ``E_i + E_j``), each
     with ``round(sqrt(n))`` bins for ``n`` levels, clipped to 4..64, and
@@ -527,13 +519,11 @@ class AnsatzModel:
     kind: AnsatzKind
     system: BipartiteSystem
     sigma_s: float
-    o2bar: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma_s", "o2bar"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive: {value}")
+        sigma_s = self.sigma_s
+        if not (np.isfinite(sigma_s) and sigma_s > 0):
+            raise ValidationError(f"sigma_s must be finite and positive: {sigma_s}")
         object.__setattr__(self, "kind", AnsatzKind(self.kind))
 
     @cached_property
@@ -580,7 +570,7 @@ class AnsatzModel:
         ent = 1.0
         if kind in _PROFILES:
             h = _PROFILES[kind](self)
-            f_vals, live = _smooth_sums(self.system, None, h, ebar, omegas, self.o2bar)
+            f_vals, live = _smooth_sums(self.system, None, h, ebar, omegas)
             omegas, f_vals = omegas[live], f_vals[live]
         else:
             ent = entropic_factor(self.n_0, ebar, self.sigma_s)
@@ -608,21 +598,21 @@ _PROFILES = {
 # entropic factor separately.
 _RUNGS = {
     AnsatzKind.NARROW_SCRAMBLING: lambda m, ebar, w: f_narrow(
-        m.n_a, m.n_b, m.n_0, m.o2bar, m.sigma_s, ebar, w
+        m.n_a, m.n_b, m.n_0, m.sigma_s, ebar, w
     ),
     AnsatzKind.SMALL_A_NARROW: lambda m, ebar, w: f_small_a(
-        m.rho_rho, m.o2bar, m.sigma_s, w
+        m.rho_rho, m.sigma_s, w
     ),
     AnsatzKind.FLAT_A_NARROW: lambda m, ebar, w: f_flat_a(
-        m.sigma_a, m.o2bar, m.sigma_s, w
+        m.sigma_a, m.sigma_s, w
     ),
     AnsatzKind.SMOOTH_SMALL_A: lambda m, ebar, w: f_smooth_small_a(
-        m.rho_rho, m.o2bar, m.sigma_s, w
+        m.rho_rho, m.sigma_s, w
     ),
     AnsatzKind.EXP_DECAY_FLAT_A: lambda m, ebar, w: f_exp_decay(
-        m.sigma_a, m.sigma_s, m.o2bar, w
+        m.sigma_a, m.sigma_s, w
     ),
     AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda m, ebar, w: f_mc_finite_width(
-        m.rho_rho, m.o2bar, m.sigma_a, m.sigma_s, w
+        m.rho_rho, m.sigma_a, m.sigma_s, w
     ),
 }

@@ -146,6 +146,11 @@ def _run_localize(args) -> int:
     op = _operator_from_args(args)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValidationError(f"operator must be square, got shape {op.shape}")
+    if op.shape[0] > 2**MAX_CHAIN_SITES:
+        raise ValidationError(
+            f"--matrix takes at most dimension 2**{MAX_CHAIN_SITES}, the "
+            f"dense-diagonalization guard; got {op.shape[0]}"
+        )
     report = localizability(eig_sym(op).eigenvalues)
     print(f"total_dim     = {report.total_dim}")
     print(f"local_dim     = {report.local_dim}")

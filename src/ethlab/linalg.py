@@ -134,7 +134,7 @@ class SpectralDensity(GridFunction):
     ``grid`` equals ``total`` (the eigenvalue count) by construction.
     """
 
-    total: float = 0.0
+    total: float
 
     def normalized(self) -> GridFunction:
         """The same shape rescaled to unit integral (a probability density)."""

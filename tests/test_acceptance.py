@@ -27,6 +27,7 @@ from ethlab.ansatz import (
     f_small_a,
     f_smooth_sums,
     gibbs_diagonal,
+    rmt_variance,
 )
 from ethlab.experiments import (
     OperatorEnsembleSpec,
@@ -100,7 +101,7 @@ def test_a02_offdiagonal_exp_decay_envelope(
         x = 2.0 * stats.omega_mid / sigma_a
         band = (x >= 0.5) & (x <= 1.2)
         w = stats.omega_mid[band]
-        pred = (ent * f_exp_decay(sigma_a, prof.sigma_s, 1.0, w)) ** 2
+        pred = (ent * f_exp_decay(sigma_a, prof.sigma_s, w)) ** 2
         ratio = stats.mean_sq[band] / pred
         in_band = ratio.min() >= 0.5 and ratio.max() <= 2.0
         peak = int(np.argmax(stats.mean_sq))
@@ -227,11 +228,12 @@ def test_a04_rmt_limit(goe256):
         total += float((g[off] ** 2).sum())
         n += int(off.sum())
     mean_sq = total / n
-    rel = abs(mean_sq * dim - 1.0)
+    target = rmt_variance(dim)
+    rel = abs(mean_sq / target - 1.0)
     verdict(
         "A4 random-matrix limit",
         rel <= 0.10,
-        f"mean off-diagonal square {mean_sq:.4e} vs 1/{dim}={1 / dim:.4e}, "
+        f"mean off-diagonal square {mean_sq:.4e} vs 1/{dim}={target:.4e}, "
         f"relative deviation {rel:.4f} (need <=0.10)",
     )
 
@@ -274,9 +276,9 @@ def test_a06_model_ladder_agreement():
     )
     auto = density_autocorrelation(flat)
     w = np.linspace(0.0, 0.45 * sigma_a, 24)
-    ref = f_small_a(auto, 1.0, sigma_s, w)
-    fe = f_exp_decay(sigma_a, sigma_s, 1.0, w)
-    fm = f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, w)
+    ref = f_small_a(auto, sigma_s, w)
+    fe = f_exp_decay(sigma_a, sigma_s, w)
+    fm = f_mc_finite_width(auto, sigma_a, sigma_s, w)
     worst_exp = float(np.abs(fe / ref - 1.0).max())
     worst_mc = float(np.abs(fm / ref - 1.0).max())
     ok = worst_exp <= 0.02 and worst_mc <= 0.02

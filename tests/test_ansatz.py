@@ -1,5 +1,8 @@
 """Prediction ladder: exact sums, continuum forms, Gibbs diagonals."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -115,8 +118,8 @@ def test_f_smooth_sums_matches_brute_force():
     e_a = system.spectrum_a.eigenvalues
     e_b = system.spectrum_b.eigenvalues
     e_alpha, e_beta = 0.6, -0.9
-    # Typical-operator substitution: |O_ij|^2 -> o2bar / dim_a.
-    m_sq = np.full((4, 4), 2.0 / 4.0)
+    # Typical-operator substitution: |O_ij|^2 -> 1 / dim_a.
+    m_sq = np.full((4, 4), 1.0 / 4.0)
     num = sum(
         h(e_alpha - e_a[i] - e_b[k]) * h(e_beta - e_a[j] - e_b[k]) * m_sq[i, j]
         for i in range(4)
@@ -128,17 +131,15 @@ def test_f_smooth_sums_matches_brute_force():
     z_b = h(e_beta - sums).sum()
     expected = np.sqrt(num / (z_a * z_b))
     ebar, omega = (e_alpha + e_beta) / 2, (e_alpha - e_beta) / 2
-    (got,) = f_smooth_sums(system, None, h, ebar, omega, o2bar=2.0)
+    (got,) = f_smooth_sums(system, None, h, ebar, omega)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_exact_sums_o2bar_scaling_and_errors():
-    # Pair energies (0.1, -0.3), (200, 0) and (300, 0), given as (Ebar, omega).
+def test_exact_sums_errors_name_the_empty_window():
+    # Each call puts a pair energy far above the spectrum, where the flat
+    # window is empty.
     system = toy_system(seed=3)
     h = flat_profile(1.5)
-    (base,) = f_smooth_sums(system, None, h, -0.1, 0.2)
-    (quad,) = f_smooth_sums(system, None, h, -0.1, 0.2, o2bar=4.0)
-    assert quad == pytest.approx(2.0 * base, rel=1e-12)
     # The message names the mean energy and the omega.
     with pytest.raises(DegenerateWindowError, match=r"E=100.0 \+/- 100.0"):
         f_smooth_sums(system, None, flat_profile(0.1), 100.0, 100.0)
@@ -173,10 +174,10 @@ def test_f_small_a_flat_density_closed_form():
     # closed-form triangle, f(0) = sqrt(sigma_s / sigma_a).
     sigma_a, sigma_s = 4.0, 1.0
     auto = density_autocorrelation(flat_density(sigma_a))
-    assert f_small_a(auto, 1.0, sigma_s, 0.0) == pytest.approx(0.5, abs=1e-9)
+    assert f_small_a(auto, sigma_s, 0.0) == pytest.approx(0.5, abs=1e-9)
     for omega in np.linspace(-2.4, 2.4, 25):
-        closed = f_flat_a(sigma_a, 1.0, sigma_s, float(omega))
-        general = f_small_a(auto, 1.0, sigma_s, float(omega))
+        closed = f_flat_a(sigma_a, sigma_s, float(omega))
+        general = f_small_a(auto, sigma_s, float(omega))
         assert general == pytest.approx(closed, abs=1e-8)
 
 
@@ -186,19 +187,19 @@ def test_f_small_a_flat_density_closed_form():
     ids=["flat", "tilted"],
 )
 def test_f_small_a_matches_independent_quadrature(values, rel):
-    # f**2 = o2bar sigma_s integral dy rho(y) rho(2 omega + y), here by scipy
+    # f**2 = sigma_s integral dy rho(y) rho(2 omega + y), here by scipy
     # quad on the density itself rather than on its tabulated autocorrelation.
     # The tilted density's autocorrelation is cubic, so its linear
     # interpolation between the 1025 tabulation points costs about 1e-6.
     rho = GridFunction(np.array([-1.5, 1.5]), np.array(values))
     auto = density_autocorrelation(rho)
-    o2bar, sigma_s = 1.3, 0.7
+    sigma_s = 0.7
     for omega in (0.0, 0.4, -0.9, 1.2, 1.45):
         x = 2.0 * omega
         lo, hi = max(-1.5, -1.5 - x), min(1.5, 1.5 - x)
         val, _ = quad(lambda y: rho(y) * rho(x + y), lo, hi, epsabs=0.0, epsrel=1e-13)
-        expected = np.sqrt(o2bar * sigma_s * val)
-        assert f_small_a(auto, o2bar, sigma_s, omega) == pytest.approx(
+        expected = np.sqrt(sigma_s * val)
+        assert f_small_a(auto, sigma_s, omega) == pytest.approx(
             expected, rel=rel
         )
 
@@ -210,38 +211,38 @@ def test_unnormalized_density_is_rejected():
 
 
 def test_f_flat_a_support_edge():
-    assert f_flat_a(2.0, 1.0, 0.5, 1.0) == 0.0
-    assert f_flat_a(2.0, 1.0, 0.5, 5.0) == 0.0
-    assert f_flat_a(2.0, 1.0, 0.5, 0.999) > 0.0
+    assert f_flat_a(2.0, 0.5, 1.0) == 0.0
+    assert f_flat_a(2.0, 0.5, 5.0) == 0.0
+    assert f_flat_a(2.0, 0.5, 0.999) > 0.0
     with pytest.raises(ValidationError):
-        f_flat_a(0.0, 1.0, 0.5, 0.1)
+        f_flat_a(0.0, 0.5, 0.1)
 
 
 def test_continuum_forms_are_even_in_omega():
     sigma_a, sigma_s = 3.0, 0.4
     auto = density_autocorrelation(flat_density(sigma_a))
     for w in (0.1, 0.7, 1.3):
-        assert f_exp_decay(sigma_a, sigma_s, 1.0, w) == pytest.approx(
-            f_exp_decay(sigma_a, sigma_s, 1.0, -w), rel=1e-10
+        assert f_exp_decay(sigma_a, sigma_s, w) == pytest.approx(
+            f_exp_decay(sigma_a, sigma_s, -w), rel=1e-10
         )
-        assert f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, w) == pytest.approx(
-            f_mc_finite_width(auto, 1.0, sigma_a, sigma_s, -w), rel=1e-8
+        assert f_mc_finite_width(auto, sigma_a, sigma_s, w) == pytest.approx(
+            f_mc_finite_width(auto, sigma_a, sigma_s, -w), rel=1e-8
         )
-        assert f_smooth_small_a(auto, 1.0, sigma_s, w) == pytest.approx(
-            f_smooth_small_a(auto, 1.0, sigma_s, -w), rel=1e-8
+        assert f_smooth_small_a(auto, sigma_s, w) == pytest.approx(
+            f_smooth_small_a(auto, sigma_s, -w), rel=1e-8
         )
 
 
 def test_f_exp_decay_quadrature_oracle():
     # Trapezoid evaluation of the same integrand on a dense grid.
-    sigma_a, sigma_s, o2bar = 5.0, 0.6, 1.3
+    sigma_a, sigma_s = 5.0, 0.6
     xs = np.linspace(-1.0, 1.0, 400001)
     for omega in (0.0, 0.8, 2.0, 3.1):
         u = np.abs(2.0 * omega - xs * sigma_a)
         rate = SQRT2 / sigma_s
         vals = (1.0 - np.abs(xs)) * (1.0 + rate * u) * np.exp(-rate * u)
-        expected = np.sqrt(o2bar / (2.0 * SQRT2) * np.trapezoid(vals, xs))
-        assert f_exp_decay(sigma_a, sigma_s, o2bar, omega) == pytest.approx(
+        expected = np.sqrt(np.trapezoid(vals, xs) / (2.0 * SQRT2))
+        assert f_exp_decay(sigma_a, sigma_s, omega) == pytest.approx(
             expected, rel=1e-6
         )
 
@@ -251,8 +252,8 @@ def test_f_exp_decay_narrow_profile_limit():
     # triangle is recovered.
     sigma_a = 4.0
     for omega in (0.0, 0.5, 1.2):
-        tight = f_exp_decay(sigma_a, sigma_a * 1e-4, 1.0, omega)
-        limit = f_flat_a(sigma_a, 1.0, sigma_a * 1e-4, omega)
+        tight = f_exp_decay(sigma_a, sigma_a * 1e-4, omega)
+        limit = f_flat_a(sigma_a, sigma_a * 1e-4, omega)
         assert tight == pytest.approx(limit, rel=1e-3)
 
 
@@ -263,12 +264,12 @@ def test_approximation_ladder_converges_to_small_a():
     sigma_s = sigma_a / 100.0
     auto = density_autocorrelation(flat_density(sigma_a))
     for omega in np.linspace(0.0, 0.45 * sigma_a, 12):
-        ref = f_small_a(auto, 1.0, sigma_s, float(omega))
-        assert f_exp_decay(sigma_a, sigma_s, 1.0, float(omega)) == pytest.approx(
+        ref = f_small_a(auto, sigma_s, float(omega))
+        assert f_exp_decay(sigma_a, sigma_s, float(omega)) == pytest.approx(
             ref, rel=0.02
         )
         assert f_mc_finite_width(
-            auto, 1.0, sigma_a, sigma_s, float(omega)
+            auto, sigma_a, sigma_s, float(omega)
         ) == pytest.approx(ref, rel=0.02)
 
 
@@ -276,27 +277,27 @@ def test_f_smooth_small_a_matches_exp_decay_for_flat_density():
     sigma_a, sigma_s = 4.0, 0.5
     auto = density_autocorrelation(flat_density(sigma_a), n_grid=4097)
     for omega in (0.0, 0.6, 1.4, 2.2):
-        a = f_smooth_small_a(auto, 1.0, sigma_s, omega)
-        b = f_exp_decay(sigma_a, sigma_s, 1.0, omega)
+        a = f_smooth_small_a(auto, sigma_s, omega)
+        b = f_exp_decay(sigma_a, sigma_s, omega)
         assert a == pytest.approx(b, rel=1e-4)
 
 
 def test_f_narrow_flat_density_oracle():
     # Flat n_a (2 states per unit on [-1, 1], 4 states), flat n_b, flat n_0:
-    # f^2 = 2 o2bar sigma_s c_b (1 - |omega|) / c_0.
+    # f^2 = 2 sigma_s c_b (1 - |omega|) / c_0.
     n_a = SpectralDensity(
         np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0
     )
     c_b, c_0 = 12.0, 50.0
     n_b = GridFunction(np.array([-20.0, 20.0]), np.array([c_b, c_b]))
     n_0 = GridFunction(np.array([-21.0, 21.0]), np.array([c_0, c_0]))
-    sigma_s, o2bar = 0.3, 1.7
+    sigma_s = 0.3
     for omega in (0.0, 0.25, 0.6, 0.95):
-        expected = np.sqrt(2.0 * o2bar * sigma_s * c_b * (1.0 - omega) / c_0)
-        got = f_narrow(n_a, n_b, n_0, o2bar, sigma_s, 0.0, omega)
+        expected = np.sqrt(2.0 * sigma_s * c_b * (1.0 - omega) / c_0)
+        got = f_narrow(n_a, n_b, n_0, sigma_s, 0.0, omega)
         assert got == pytest.approx(expected, rel=1e-6)
     # Support exhausted in the A factor: zero, not an error.
-    assert f_narrow(n_a, n_b, n_0, o2bar, sigma_s, 0.0, 1.5) == 0.0
+    assert f_narrow(n_a, n_b, n_0, sigma_s, 0.0, 1.5) == 0.0
 
 
 def test_f_narrow_out_of_support():
@@ -307,10 +308,10 @@ def test_f_narrow_out_of_support():
     n_0 = GridFunction(np.array([-3.0, 3.0]), np.array([1.0, 1.0]))
     with pytest.raises(OutOfSupportError):
         # E_alpha = ebar + omega leaves the sum-density support.
-        f_narrow(n_a, n_b, n_0, 1.0, 0.5, 2.0, 1.5)
+        f_narrow(n_a, n_b, n_0, 0.5, 2.0, 1.5)
     with pytest.raises(OutOfSupportError):
         # One such omega in a grid is enough.
-        f_narrow(n_a, n_b, n_0, 1.0, 0.5, 2.0, np.array([0.0, 0.5, 1.5]))
+        f_narrow(n_a, n_b, n_0, 0.5, 2.0, np.array([0.0, 0.5, 1.5]))
 
 
 def test_entropic_factor_value_and_errors():
@@ -375,10 +376,9 @@ def test_gibbs_diagonal_infinite_temperature_is_exact_trace_mean():
 
 
 def test_rmt_variance():
-    assert rmt_variance(1.0, 256) == 1.0 / 256.0
-    assert rmt_variance(3.0, 10) == pytest.approx(0.3)
+    assert rmt_variance(256) == 1.0 / 256.0
     with pytest.raises(ValidationError):
-        rmt_variance(1.0, 0)
+        rmt_variance(0)
 
 
 def test_ansatz_model_exact_kinds_carry_no_entropic_factor():
@@ -439,7 +439,7 @@ def test_ansatz_model_continuum_evaluation():
     ent = entropic_factor(n_0, 0.0, sigma_s)
     assert pred.entropic_factor == pytest.approx(ent, rel=1e-12)
     for i, w in enumerate(omegas):
-        f = f_exp_decay(sigma_a, sigma_s, 1.0, float(w))
+        f = f_exp_decay(sigma_a, sigma_s, float(w))
         assert pred.f[i] == pytest.approx(f, rel=1e-10)
         assert pred.variance[i] == pytest.approx((ent * f) ** 2, rel=1e-10)
 
@@ -542,44 +542,51 @@ def test_microcanonical_model_keeps_a_closed_window_edge():
 def test_ansatz_model_validation():
     system = toy_system(seed=1)
     kind = AnsatzKind.EXP_DECAY_FLAT_A
-    for sigma_s, o2bar in ((-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                           (0.5, 0.0), (0.5, -2.0), (0.5, np.nan)):
+    for sigma_s in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError):
-            AnsatzModel(kind, system, sigma_s, o2bar)
+            AnsatzModel(kind, system, sigma_s)
     with pytest.raises(ValueError):
         AnsatzModel("no_such_rung", system, 0.5)
 
 
-def _chain_model_inputs(sites, cut, o2bar=1.0):
+def test_ladder_predicts_for_unit_mean_square_operators_only():
+    # Operators have unit mean square: no rung, no model field and no other
+    # public callable takes an operator scale, and a density must carry its
+    # state count |H| (f_narrow divides by it).
+    for name in ethlab.ansatz.__all__:
+        obj = getattr(ethlab.ansatz, name)
+        if callable(obj):
+            assert "o2bar" not in inspect.signature(obj).parameters, name
+    assert "o2bar" not in [f.name for f in dataclasses.fields(AnsatzModel)]
+    with pytest.raises(TypeError):
+        SpectralDensity(np.array([-1.0, 1.0]), np.array([2.0, 2.0]))
+
+
+def _chain_model_inputs(sites, cut):
     # A chain, its scrambling width, and a model whose derived inputs
     # (n_a, n_b, n_0, sigma_a) the scalar forms take.
     system = decompose_chain(SpinChainParams(sites), cut)
     sigma_s = profile(system).sigma_s
-    model = AnsatzModel(AnsatzKind.NARROW_SCRAMBLING, system, sigma_s, o2bar)
+    model = AnsatzModel(AnsatzKind.NARROW_SCRAMBLING, system, sigma_s)
     return system, sigma_s, model
 
 
 def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
     # evaluate integrates the whole omega grid at once; every value must be
     # bitwise the scalar form's, and the same out-of-support omegas dropped.
-    o2bar = 1.3
-    system, sigma_s, dens = _chain_model_inputs(8, 3, o2bar)
+    system, sigma_s, dens = _chain_model_inputs(8, 3)
     sigma_a = dens.sigma_a
     auto = density_autocorrelation(dens.n_a.normalized())
     scalar = {
         AnsatzKind.NARROW_SCRAMBLING: lambda e, w: f_narrow(
-            dens.n_a, dens.n_b, dens.n_0, o2bar, sigma_s, e, w
+            dens.n_a, dens.n_b, dens.n_0, sigma_s, e, w
         ),
-        AnsatzKind.SMALL_A_NARROW: lambda e, w: f_small_a(auto, o2bar, sigma_s, w),
-        AnsatzKind.FLAT_A_NARROW: lambda e, w: f_flat_a(sigma_a, o2bar, sigma_s, w),
-        AnsatzKind.SMOOTH_SMALL_A: lambda e, w: f_smooth_small_a(
-            auto, o2bar, sigma_s, w
-        ),
-        AnsatzKind.EXP_DECAY_FLAT_A: lambda e, w: f_exp_decay(
-            sigma_a, sigma_s, o2bar, w
-        ),
+        AnsatzKind.SMALL_A_NARROW: lambda e, w: f_small_a(auto, sigma_s, w),
+        AnsatzKind.FLAT_A_NARROW: lambda e, w: f_flat_a(sigma_a, sigma_s, w),
+        AnsatzKind.SMOOTH_SMALL_A: lambda e, w: f_smooth_small_a(auto, sigma_s, w),
+        AnsatzKind.EXP_DECAY_FLAT_A: lambda e, w: f_exp_decay(sigma_a, sigma_s, w),
         AnsatzKind.MC_FINITE_WIDTH_FLAT_A: lambda e, w: f_mc_finite_width(
-            auto, o2bar, sigma_a, sigma_s, w
+            auto, sigma_a, sigma_s, w
         ),
     }
     e_min = float(system.spectrum_t.eigenvalues[0])
@@ -587,7 +594,7 @@ def test_grid_evaluation_equals_scalar_forms_on_8_site_chain():
     dropped = 0
     for ebar in (0.0, 0.5 * e_min):
         for kind, one in scalar.items():
-            pred = AnsatzModel(kind, system, sigma_s, o2bar).evaluate(ebar, omegas)
+            pred = AnsatzModel(kind, system, sigma_s).evaluate(ebar, omegas)
             kept, vals = [], []
             for w in omegas.tolist():
                 try:
@@ -643,20 +650,19 @@ def test_small_a_model_derives_its_autocorrelation_once(monkeypatch):
 def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
     # One function per rung: a grid returns an array whose every value is
     # bitwise the scalar call's, and a scalar returns a one-value array.
-    o2bar = 1.3
-    system, sigma_s, dens = _chain_model_inputs(8, 3, o2bar)
+    system, sigma_s, dens = _chain_model_inputs(8, 3)
     sigma_a = dens.sigma_a
     auto = density_autocorrelation(dens.n_a.normalized())
     one = {
         "narrow": lambda w: f_narrow(
-            dens.n_a, dens.n_b, dens.n_0, o2bar, sigma_s, 0.0, w
+            dens.n_a, dens.n_b, dens.n_0, sigma_s, 0.0, w
         ),
-        "small_a": lambda w: f_small_a(auto, o2bar, sigma_s, w),
-        "flat_a": lambda w: f_flat_a(sigma_a, o2bar, sigma_s, w),
-        "smooth_small_a": lambda w: f_smooth_small_a(auto, o2bar, sigma_s, w),
-        "exp_decay": lambda w: f_exp_decay(sigma_a, sigma_s, o2bar, w),
+        "small_a": lambda w: f_small_a(auto, sigma_s, w),
+        "flat_a": lambda w: f_flat_a(sigma_a, sigma_s, w),
+        "smooth_small_a": lambda w: f_smooth_small_a(auto, sigma_s, w),
+        "exp_decay": lambda w: f_exp_decay(sigma_a, sigma_s, w),
         "mc_finite_width": lambda w: f_mc_finite_width(
-            auto, o2bar, sigma_a, sigma_s, w
+            auto, sigma_a, sigma_s, w
         ),
     }[rung]
     omegas = np.linspace(-0.6 * sigma_a, 0.6 * sigma_a, 23)
@@ -667,14 +673,14 @@ def test_continuum_rung_on_a_grid_is_bitwise_its_scalar_calls(rung):
     assert np.array_equal(grid, np.concatenate(scalars))
 
 
-def _per_omega_exact_sums(kind, system, sigma_s, o2bar, ebar, omegas):
+def _per_omega_exact_sums(kind, system, sigma_s, ebar, omegas):
     # The exact sums one (E_alpha, E_beta) = (Ebar + w, Ebar - w) at a time,
     # omitting the omegas with an empty microcanonical window.  The
     # microcanonical counts are searchsorted counts of sorted levels in
     # closed windows, independent of the profile-weighted kernel.
     e_a = system.spectrum_a.eigenvalues
     e_b = system.spectrum_b.eigenvalues
-    m_sq = np.full((system.dim_a, system.dim_a), float(o2bar) / system.dim_a)
+    m_sq = np.full((system.dim_a, system.dim_a), 1.0 / system.dim_a)
     delta = 2.0 * np.sqrt(3.0) * sigma_s
     half = 0.5 * delta
     h = exp_profile(sigma_s)
@@ -720,17 +726,14 @@ def test_exact_sum_grid_rungs_are_the_per_omega_sums(chain10, cut):
     # bitwise the one-pair sum, and the same empty-window omegas dropped.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     sigma_s = profile(system).sigma_s
-    o2bar = 1.3
     e_min = float(system.spectrum_t.eigenvalues[0])
     omegas = np.linspace(0.0, 0.8 * abs(e_min), 61)
     dropped = 0
     for ebar in (0.0, 0.5 * e_min):
         for kind in (AnsatzKind.MICROCANONICAL_EXACT_SUMS,
                      AnsatzKind.SMOOTH_GENERAL_SUMS):
-            pred = AnsatzModel(kind, system, sigma_s, o2bar).evaluate(ebar, omegas)
-            kept, vals = _per_omega_exact_sums(
-                kind, system, sigma_s, o2bar, ebar, omegas
-            )
+            pred = AnsatzModel(kind, system, sigma_s).evaluate(ebar, omegas)
+            kept, vals = _per_omega_exact_sums(kind, system, sigma_s, ebar, omegas)
             assert np.array_equal(pred.omega, kept), kind
             assert np.array_equal(pred.f, vals), kind
             dropped += omegas.size - len(kept)

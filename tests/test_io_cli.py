@@ -522,6 +522,26 @@ def test_cli_localize_pauli_letters_within_the_guard(monkeypatch, capsys):
         ethlab.cli.main(["localize", "--pauli", "z" * MAX_CHAIN_SITES])
 
 
+def test_cli_localize_rejects_a_matrix_above_the_guard(tmp_path, monkeypatch, capsys):
+    # A matrix file above 2**MAX_CHAIN_SITES rows exits 2 before any
+    # diagonalization.  The loaded matrix is a zero-stride view, so the test
+    # holds no 2**13 x 2**13 array.
+    import ethlab.cli
+    from ethlab.hamiltonians import MAX_CHAIN_SITES
+
+    def eig(*args, **kwargs):
+        raise AssertionError("diagonalized a matrix above the guard")
+
+    dim = 2**MAX_CHAIN_SITES + 1
+    monkeypatch.setattr(np, "load", lambda path: np.broadcast_to(0.0, (dim, dim)))
+    monkeypatch.setattr(ethlab.cli, "eig_sym", eig)
+    path = tmp_path / "x.npy"
+    path.write_bytes(b"")
+    assert ethlab.cli.main(["localize", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "dense-diagonalization guard" in err and str(dim) in err
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
