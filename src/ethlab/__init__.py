@@ -33,7 +33,6 @@ from .errors import (
     EmptyWindowError,
     EthlabError,
     InsufficientDataError,
-    LocalizationError,
     OutOfSupportError,
     QuadratureError,
     ValidationError,
@@ -115,7 +114,6 @@ __all__ = [
     "OutOfSupportError",
     "DegenerateWindowError",
     "EmptyWindowError",
-    "LocalizationError",
     "InsufficientDataError",
     "CacheMissError",
     # linear algebra

@@ -124,12 +124,16 @@ def exp_autocorrelation(sigma_s: float) -> Callable:
     return hh
 
 
-def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFunction:
+# Tabulation points of density_autocorrelation over its support.
+_AUTOCORR_POINTS = 1025
+
+
+def density_autocorrelation(rho: GridFunction) -> GridFunction:
     """Tabulated autocorrelation ``[rho * rho](x) = integral dy rho(y) rho(x + y)``.
 
     This is the density input of the small-A rungs.  ``rho`` must have unit
     integral (to 1%); :meth:`~ethlab.linalg.SpectralDensity.normalized` gives
-    one.  The result is tabulated on ``n_grid`` points (at least 3) covering
+    one.  The result is tabulated on ``_AUTOCORR_POINTS`` points covering
     its exact support ``[lo - hi, hi - lo]``; every point is integrated over
     the overlap of the two supports in one batched
     :func:`~ethlab.linalg.integrate_adaptive` call at absolute tolerance
@@ -143,10 +147,8 @@ def density_autocorrelation(rho: GridFunction, n_grid: int = 1025) -> GridFuncti
             f"rho must be normalized to unit integral (got {total:.6g}); "
             "use SpectralDensity.normalized()"
         )
-    if n_grid < 3:
-        raise ValidationError("n_grid must be at least 3")
     lo, hi = rho.support
-    xs = np.linspace(lo - hi, hi - lo, n_grid)
+    xs = np.linspace(lo - hi, hi - lo, _AUTOCORR_POINTS)
     ylo = np.maximum(lo, lo - xs)
     yhi = np.minimum(hi, hi - xs)
     live = yhi > ylo
@@ -524,7 +526,14 @@ class AnsatzModel:
         sigma_s = self.sigma_s
         if not (np.isfinite(sigma_s) and sigma_s > 0):
             raise ValidationError(f"sigma_s must be finite and positive: {sigma_s}")
-        object.__setattr__(self, "kind", AnsatzKind(self.kind))
+        try:
+            kind = AnsatzKind(self.kind)
+        except ValueError:
+            valid = ", ".join(m.value for m in AnsatzKind)
+            raise ValidationError(
+                f"unknown ansatz kind {self.kind!r} (valid: {valid})"
+            ) from None
+        object.__setattr__(self, "kind", kind)
 
     @cached_property
     def n_a(self) -> SpectralDensity:

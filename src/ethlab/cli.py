@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +134,15 @@ def _operator_from_args(args) -> np.ndarray:
         if path.suffix == ".npy":
             op = np.load(path)
         else:
-            op = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # A file with no data is rejected below, without numpy's warning.
+                warnings.simplefilter("ignore", UserWarning)
+                op = np.loadtxt(path, delimiter=",", ndmin=2)
         real = np.asarray(np.real(op), dtype=float)
     except (ValueError, EOFError) as exc:
         raise ValidationError(f"cannot read operator file {path}: {exc}") from None
+    if real.size == 0:
+        raise ValidationError(f"operator file {path} holds no data")
     if np.iscomplexobj(op) and np.any(op.imag):
         raise ValidationError(f"operator in {path} has a nonzero imaginary part")
     return real
@@ -167,13 +173,9 @@ def _run_localize(args) -> int:
             "local_dim": report.local_dim,
             "gcd": report.multiplicity_gcd,
             "classes": [[float(v), int(m)] for v, m in report.classes],
-            # The diagonal of localizing_basis(op)'s block, without a second
-            # diagonalization: each class value, multiplicity / gcd times.
-            "local_block_diag": [
-                value
-                for value, mult in report.classes
-                for _ in range(mult // report.multiplicity_gcd)
-            ],
+            # The diagonal of localizing_basis(op)'s block, from the one
+            # diagonalization above.
+            "local_block_diag": report.block_values,
         }
         write_manifest(manifest, out_dir / "localize_manifest.json")
         print(f"wrote {out_dir / 'localize_manifest.json'}")

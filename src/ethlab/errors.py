@@ -45,10 +45,6 @@ class EmptyWindowError(EthlabError):
     """An energy window selects no eigenstates."""
 
 
-class LocalizationError(EthlabError):
-    """Operator spectrum cannot be tiled into the requested local block structure."""
-
-
 class InsufficientDataError(EthlabError):
     """Not enough binned data to run the requested analysis."""
 

@@ -106,9 +106,9 @@ def _plot_window(path, preds, title, stats=None):
                      ylabel="mean squared element")
 
 
-def quantile_states(total_dim: int, count: int = 7) -> np.ndarray:
-    """Indices of eigenstates at evenly spaced spectral quantiles."""
-    fractions = (np.arange(count) + 1.0) / (count + 1.0)
+def quantile_states(total_dim: int) -> np.ndarray:
+    """Indices of the eigenstates at the seven spectral quantiles k/8."""
+    fractions = (np.arange(7) + 1.0) / 8.0
     return np.unique(np.round(fractions * (total_dim - 1)).astype(int))
 
 

@@ -125,11 +125,11 @@ def parse_config(
 
     Missing keys take the reference-chain defaults (J=1, h_x=1.05, h_z=0.5,
     12 sites, 250 operators, half-width 0.5, auto bin width).  Unknown
-    sections or keys raise; so do out-of-range values, naming the field.
+    sections (``[DEFAULT]`` among them) or keys raise; so do out-of-range
+    values, naming the field.
     ``force_kind`` overrides ``system.kind`` (used by the CLI subcommands
     that imply a system family).
     """
-    parser = configparser.ConfigParser(interpolation=None)
     if text is None:
         if path is None:
             raise ValidationError("parse_config needs a config path or text")
@@ -137,6 +137,9 @@ def parse_config(
         if not path.is_file():
             raise ValidationError(f"config file not found: {path}")
         text = path.read_text()
+    # With no default section, a [DEFAULT] header is one more unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.read_dict(_DEFAULTS)
     try:
         parser.read_string(text, source=str(path) if path else "<config>")
     except configparser.Error as exc:
@@ -149,11 +152,7 @@ def parse_config(
             if key not in _DEFAULTS[name]:
                 raise ValidationError(f"unknown key {key!r} in section [{name}]")
 
-    merged = configparser.ConfigParser(interpolation=None)
-    merged.read_dict(_DEFAULTS)
-    merged.read_string(text)
-
-    system = merged["system"]
+    system = parser["system"]
     kind = (force_kind or system["kind"]).strip().lower().replace("-", "_")
     chain = None
     random = None
@@ -182,13 +181,13 @@ def parse_config(
     else:
         raise ValidationError(f"system.kind must be spin_chain or random, got {kind!r}")
 
-    ens_section = merged["ensemble"]
+    ens_section = parser["ensemble"]
     ensemble = OperatorEnsembleSpec(
         count=_get_int(ens_section, "count"),
         seed=_get_int(ens_section, "seed"),
     )
 
-    binning_section = merged["binning"]
+    binning_section = parser["binning"]
     raw_width = binning_section["omega_bin_width"].strip().lower()
     if raw_width == "auto":
         width = None
@@ -199,7 +198,7 @@ def parse_config(
         omega_bin_width=width,
     )
 
-    predict_section = merged["predict"]
+    predict_section = parser["predict"]
     raw_kinds = predict_section["kinds"].strip()
     if raw_kinds.lower() == "auto":
         # Empty tuple means "let each experiment pick its usual curves".

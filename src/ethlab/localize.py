@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LocalizationError, ValidationError
+from .errors import DimensionError, ValidationError
 from .linalg import eig_sym
 
 __all__ = ["LocalizabilityReport", "localizability", "localizing_basis"]
+
+# Degeneracy tolerance, relative to the spectral range.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,42 +32,47 @@ class LocalizabilityReport:
     local_dim: int
     total_dim: int
 
+    @property
+    def block_values(self) -> tuple[float, ...]:
+        """Diagonal of the local block: each class value, multiplicity / gcd times."""
+        return tuple(
+            value
+            for value, mult in self.classes
+            for _ in range(mult // self.multiplicity_gcd)
+        )
 
-def _cluster(values: np.ndarray, tol: float):
-    # Group sorted values whose consecutive gaps stay within tol * range.
+
+def _cluster(values: np.ndarray):
+    # Group sorted values whose consecutive gaps stay within _TOL * range.
     srt = np.sort(values)
     spread = float(srt[-1] - srt[0])
     if spread == 0.0:
         return [(float(srt.mean()), srt.size)]
-    threshold = tol * spread
+    threshold = _TOL * spread
     breaks = np.nonzero(np.diff(srt) > threshold)[0]
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks + 1, [srt.size]))
     return [(float(srt[s:e].mean()), int(e - s)) for s, e in zip(starts, ends)]
 
 
-def localizability(eigenvalues: np.ndarray, tol: float = 1e-9) -> LocalizabilityReport:
+def localizability(eigenvalues: np.ndarray) -> LocalizabilityReport:
     """Degeneracy analysis of a spectrum.
 
-    Eigenvalues are clustered with a relative tolerance ``tol`` (scaled by the
-    spectral range); the local dimension is ``total / gcd`` of the class
-    multiplicities.
+    Sorted eigenvalues whose consecutive gaps stay within ``_TOL`` times the
+    spectral range form one class; the local dimension is ``total / gcd`` of
+    the class multiplicities.
 
     Parameters
     ----------
     eigenvalues : ndarray
         Non-empty, finite.
-    tol : float
-        Relative degeneracy tolerance, ``>= 0``.
     """
     vals = np.asarray(eigenvalues, dtype=float).ravel()
     if vals.size == 0:
         raise DimensionError("empty spectrum")
     if not np.all(np.isfinite(vals)):
         raise ValidationError("eigenvalues contain non-finite entries")
-    if tol < 0:
-        raise ValidationError("tol must be >= 0")
-    classes = _cluster(vals, tol)
+    classes = _cluster(vals)
     g = 0
     for _, mult in classes:
         g = math.gcd(g, mult)
@@ -76,53 +84,17 @@ def localizability(eigenvalues: np.ndarray, tol: float = 1e-9) -> Localizability
     )
 
 
-def localizing_basis(
-    operator: np.ndarray,
-    tol: float = 1e-9,
-    *,
-    block_dim: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def localizing_basis(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal basis exhibiting the operator's local structure.
 
     Returns ``(basis, local_block)`` with ``basis.T @ operator @ basis ==
     kron(local_block, identity)`` up to the clustering tolerance, where
-    ``local_block`` is diagonal with the distinct class values sorted
-    ascending, each repeated ``multiplicity / gcd`` times.
-
-    Parameters
-    ----------
-    operator : ndarray
-        Real symmetric.
-    tol : float
-        Relative degeneracy tolerance passed to :func:`localizability`.
-    block_dim : int, optional
-        Expected local dimension.  When given, the clustered multiplicity
-        structure must tile into blocks of ``total_dim / block_dim`` copies;
-        a class that cannot be tiled raises :class:`LocalizationError` naming
-        it.  Default: use the gcd-derived local dimension, which always tiles.
+    ``local_block`` is ``np.diag`` of the report's
+    :attr:`~LocalizabilityReport.block_values`, whose size is the
+    gcd-derived local dimension.  ``operator`` is real symmetric.
     """
     spec = eig_sym(operator)
-    report = localizability(spec.eigenvalues, tol)
-    total = report.total_dim
-    if block_dim is None:
-        copies = report.multiplicity_gcd
-    else:
-        if block_dim < 1 or total % block_dim != 0:
-            raise LocalizationError(
-                f"block_dim={block_dim} does not divide total dimension {total}"
-            )
-        copies = total // block_dim
-        for value, mult in report.classes:
-            if mult % copies != 0:
-                raise LocalizationError(
-                    f"eigenvalue class {value:.12g} has multiplicity {mult}, "
-                    f"not a multiple of {copies}; the spectrum cannot tile "
-                    f"into a {block_dim}-dimensional local block"
-                )
-    block_vals = np.concatenate(
-        [np.full(mult // copies, value) for value, mult in report.classes]
-    )
-    local_block = np.diag(block_vals)
+    report = localizability(spec.eigenvalues)
     # eig_sym returns ascending eigenvalues, which is exactly the column order
     # matching kron(local_block, identity_copies).
-    return spec.eigenvectors, local_block
+    return spec.eigenvectors, np.diag(report.block_values)

@@ -35,6 +35,9 @@ __all__ = [
 SQRT2 = float(np.sqrt(2.0))
 SQRT3 = float(np.sqrt(3.0))
 
+# Fraction of the total spectral range, centered, whose eigenstates set sigma_S.
+_CENTER_FRACTION = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class ScramblingCoefficients:
@@ -122,26 +125,19 @@ def flat_profile(delta: float):
     return h
 
 
-def profile(system: BipartiteSystem, center_fraction: float = 0.5) -> ScramblingProfile:
+def profile(system: BipartiteSystem) -> ScramblingProfile:
     """Scrambling width of a system in its central spectral window.
 
-    ``sigma_S**2`` is the window mean of ``system.interaction_sq``: by
-    ``(E_alpha - H_0)|alpha> = H_I|alpha>``, each eigenstate's
-    ``c**2``-weighted second moment of ``E_alpha - E_i - E_j`` equals
-    ``<alpha|H_I^2|alpha>``, and its weights sum to 1.
-
-    Parameters
-    ----------
-    system : BipartiteSystem
-    center_fraction : float
-        Fraction of the total spectral range (centered) whose eigenstates
-        enter the statistics; in (0, 1].
+    The window is the central half of the total spectral range
+    (``_CENTER_FRACTION``).  ``sigma_S**2`` is the window mean of
+    ``system.interaction_sq``: by ``(E_alpha - H_0)|alpha> = H_I|alpha>``,
+    each eigenstate's ``c**2``-weighted second moment of
+    ``E_alpha - E_i - E_j`` equals ``<alpha|H_I^2|alpha>``, and its weights
+    sum to 1.
     """
-    if not 0 < center_fraction <= 1:
-        raise ValidationError("center_fraction must be in (0, 1]")
     e_t = system.spectrum_t.eigenvalues
     lo_e, hi_e = float(e_t[0]), float(e_t[-1])
-    margin = 0.5 * (1.0 - center_fraction) * (hi_e - lo_e)
+    margin = 0.5 * (1.0 - _CENTER_FRACTION) * (hi_e - lo_e)
     window = (lo_e + margin, hi_e - margin)
     inside = (e_t >= window[0]) & (e_t <= window[1])
     if not inside.any():

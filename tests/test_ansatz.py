@@ -273,9 +273,10 @@ def test_approximation_ladder_converges_to_small_a():
         ) == pytest.approx(ref, rel=0.02)
 
 
-def test_f_smooth_small_a_matches_exp_decay_for_flat_density():
+def test_f_smooth_small_a_matches_exp_decay_for_flat_density(monkeypatch):
     sigma_a, sigma_s = 4.0, 0.5
-    auto = density_autocorrelation(flat_density(sigma_a), n_grid=4097)
+    monkeypatch.setattr(ethlab.ansatz, "_AUTOCORR_POINTS", 4097)
+    auto = density_autocorrelation(flat_density(sigma_a))
     for omega in (0.0, 0.6, 1.4, 2.2):
         a = f_smooth_small_a(auto, sigma_s, omega)
         b = f_exp_decay(sigma_a, sigma_s, omega)
@@ -545,7 +546,7 @@ def test_ansatz_model_validation():
     for sigma_s in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError):
             AnsatzModel(kind, system, sigma_s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="no_such_rung.*exp_decay_flat_A"):
         AnsatzModel("no_such_rung", system, 0.5)
 
 

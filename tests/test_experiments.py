@@ -1095,4 +1095,5 @@ def test_quantile_states_spread():
     assert states.shape == (7,)
     assert states[0] > 0 and states[-1] < 4095
     assert np.all(np.diff(states) > 0)
-    assert np.array_equal(quantile_states(9, count=3), [2, 4, 6])
+    # The seven quantiles k/8: on nine states, every state but the two ends.
+    assert np.array_equal(quantile_states(9), np.arange(1, 8))

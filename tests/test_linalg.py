@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ethlab.ansatz
 import ethlab.linalg
 from ethlab.ansatz import _density, density_autocorrelation
 from ethlab.errors import DimensionError, QuadratureError, ValidationError
@@ -350,24 +351,26 @@ def test_density_autocorrelation_of_box_is_triangle():
     assert np.allclose(tri(xs), 1.0 - np.abs(xs), atol=1e-6)
 
 
-def test_density_autocorrelation_total_mass():
+def test_density_autocorrelation_total_mass(monkeypatch):
     # The integral of the autocorrelation is the squared integral, 1.  A ramp
     # has no interior knot, so the quadrature is exact and the check bounds
     # the tabulation.
     rho = GridFunction(np.array([-1.0, 1.0]), np.array([0.2, 0.8]))
     assert rho.integral() == pytest.approx(1.0, abs=1e-15)
-    c = density_autocorrelation(rho, n_grid=2049)
+    monkeypatch.setattr(ethlab.ansatz, "_AUTOCORR_POINTS", 2049)
+    c = density_autocorrelation(rho)
     assert c.integral() == pytest.approx(1.0, rel=1e-5)
 
 
-def test_density_autocorrelation_of_triangle_matches_quad():
+def test_density_autocorrelation_of_triangle_matches_quad(monkeypatch):
     # A unit triangle on [-1, 1]: split at the knots of both factors, every
     # piece of rho(y) rho(x + y) is a quadratic, so each of the 2049 points
     # matches scipy's quad, given the same knots, to roundoff of the 2/3 peak.
     quad = pytest.importorskip("scipy.integrate").quad
     knots = np.array([-1.0, 0.0, 1.0])
     rho = GridFunction(knots, np.array([0.0, 1.0, 0.0]))
-    corr = density_autocorrelation(rho, n_grid=2049)
+    monkeypatch.setattr(ethlab.ansatz, "_AUTOCORR_POINTS", 2049)
+    corr = density_autocorrelation(rho)
     want = np.zeros(corr.grid.size)
     for k, x in enumerate(corr.grid[1:-1], 1):
         a, b = max(-1.0, -1.0 - x), min(1.0, 1.0 - x)
@@ -391,5 +394,5 @@ def test_density_autocorrelation_converges_on_ulp_moved_spectra():
     for _ in range(40):
         moved = levels + rng.integers(-8, 9, size=levels.size) * np.spacing(levels)
         rho = density_of_states(moved, bins=4).normalized()
-        corr = density_autocorrelation(rho, n_grid=1025)
+        corr = density_autocorrelation(rho)
         assert corr.integral() == pytest.approx(1.0, rel=1e-3)

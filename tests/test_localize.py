@@ -1,10 +1,19 @@
 """Degeneracy classes and localizing bases of symmetric operators."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from ethlab.errors import DimensionError, LocalizationError, ValidationError
+import ethlab
+import ethlab.ansatz
+import ethlab.errors
+import ethlab.figures
+import ethlab.localize
+import ethlab.scrambling
+from ethlab.errors import DimensionError, ValidationError
 from ethlab.hamiltonians import haar_orthogonal
+from ethlab.linalg import eig_sym
 from ethlab.localize import localizability, localizing_basis
 from oracles import embed
 
@@ -54,12 +63,13 @@ def test_multiplicity_gcd_oracle():
     assert report.local_dim == 6
 
 
-def test_clustering_tolerance():
+def test_clustering_tolerance(monkeypatch):
     vals = np.array([0.0, 1e-12, 1.0, 1.0 + 1e-12])
-    assert localizability(vals, tol=1e-9).local_dim == 2
-    assert localizability(vals, tol=1e-14).local_dim == 4
+    assert localizability(vals).local_dim == 2
     # Fully degenerate spectrum: one class, local dimension 1.
     assert localizability(np.full(8, 3.0)).local_dim == 1
+    monkeypatch.setattr(ethlab.localize, "_TOL", 1e-14)
+    assert localizability(vals).local_dim == 4
 
 
 def test_localizability_validation():
@@ -67,8 +77,6 @@ def test_localizability_validation():
         localizability(np.array([]))
     with pytest.raises(ValidationError):
         localizability(np.array([0.0, np.nan]))
-    with pytest.raises(ValidationError):
-        localizability(np.array([0.0, 1.0]), tol=-1.0)
 
 
 def _roundtrip_error(op):
@@ -113,16 +121,34 @@ def test_localizing_basis_nondegenerate_identity_block():
     assert np.abs(basis @ block @ basis.T - op).max() <= 1e-12
 
 
-def test_localizing_basis_block_dim_override():
-    op = embed({0: SZ}, 3).real
-    # Explicit block_dim consistent with the degeneracy structure.
-    basis, block = localizing_basis(op, block_dim=4)
-    assert block.shape == (4, 4)
-    copies = 2
-    recon = basis @ np.kron(block, np.eye(copies)) @ basis.T
-    assert np.abs(recon - op).max() <= 1e-9
-    with pytest.raises(LocalizationError):
-        localizing_basis(op, block_dim=3)
-    with pytest.raises(LocalizationError):
-        # Multiplicities (4, 4) cannot tile into 8 copies.
-        localizing_basis(op, block_dim=1)
+def test_localizing_basis_block_is_the_report_block():
+    # localizing_basis is eig_sym, then localizability, then the report's
+    # block values on a diagonal: one rule for the local block.
+    rng = np.random.default_rng(2)
+    q = haar_orthogonal(12, rng)
+    op = q @ np.kron(np.diag([-1.0, 0.5, 3.0]), np.eye(4)) @ q.T
+    op = 0.5 * (op + op.T)
+    for case in (op, embed({0: SZ, 2: SX}, 3).real):
+        report = localizability(eig_sym(case).eigenvalues)
+        assert np.array_equal(localizing_basis(case)[1], np.diag(report.block_values))
+        assert len(report.block_values) == report.local_dim
+    report = localizability(np.array([2.0, 2.0, -1.0, -1.0, -1.0, -1.0]))
+    assert report.block_values == (-1.0, -1.0, 2.0)
+
+
+def test_no_setting_without_a_caller():
+    # The degeneracy tolerance, the profile window, the autocorrelation grid
+    # and the quantile count are module constants, not parameters; the only
+    # block size is the gcd-derived one, so nothing raises a tiling error.
+    for func, name in (
+        (ethlab.localize.localizability, "tol"),
+        (ethlab.localize.localizing_basis, "tol"),
+        (ethlab.localize.localizing_basis, "block_dim"),
+        (ethlab.scrambling.profile, "center_fraction"),
+        (ethlab.ansatz.density_autocorrelation, "n_grid"),
+        (ethlab.figures.quantile_states, "count"),
+    ):
+        assert name not in inspect.signature(func).parameters, (func, name)
+    assert not hasattr(ethlab, "LocalizationError")
+    assert not hasattr(ethlab.errors, "LocalizationError")
+    assert "LocalizationError" not in ethlab.__all__

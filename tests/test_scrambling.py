@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ethlab.scrambling
 from ethlab.errors import EmptyWindowError, ValidationError
 from ethlab.hamiltonians import (
     RandomSystemParams,
@@ -62,7 +63,7 @@ def test_double_stochasticity_small_chains():
         assert np.abs(per_pair - 1.0).max() < 1e-9
 
 
-def test_noninteracting_system_has_zero_width():
+def test_noninteracting_system_has_zero_width(monkeypatch):
     # With H_I = 0 every eigenstate is a product state, so the width
     # vanishes.  The total and subsystem eigendecompositions round
     # independently, which leaves the estimator at the machine-noise floor
@@ -75,11 +76,12 @@ def test_noninteracting_system_has_zero_width():
     offs = coeffs.energies_total[:, None, None] - system.sum_energies()[None]
     live = np.abs(coeffs.tensor) > 1e-12
     assert np.abs(offs[live]).max() < 1e-10
-    prof = profile(system, center_fraction=1.0)
+    monkeypatch.setattr(ethlab.scrambling, "_CENTER_FRACTION", 1.0)
+    prof = profile(system)
     assert prof.sigma_s < 1e-10
 
 
-def test_cut_bond_width_equals_coupling():
+def test_cut_bond_width_equals_coupling(monkeypatch):
     # The cut-bond interaction squares to J^2 times the identity, so the
     # coefficient-weighted offset width is |J| exactly, in any window.
     for sites, cut, coupling, fraction in (
@@ -90,7 +92,8 @@ def test_cut_bond_width_equals_coupling():
         (8, 3, 2.0, 1.0),
     ):
         system = decompose_chain(SpinChainParams(sites, coupling=coupling), cut)
-        prof = profile(system, center_fraction=fraction)
+        monkeypatch.setattr(ethlab.scrambling, "_CENTER_FRACTION", fraction)
+        prof = profile(system)
         assert prof.sigma_s == pytest.approx(abs(coupling), abs=1e-8)
         assert tensor_width(system, fraction) == pytest.approx(abs(coupling), abs=1e-8)
 
@@ -102,17 +105,18 @@ def test_cut_bond_width_equals_coupling():
      SpinChainParams(10, coupling=0.7, field_x=0.3, field_z=-1.3)],
     ids=["8", "10", "8-tilted", "10-tilted"],
 )
-def test_chain_width_matches_tensor_second_moment_at_every_cut(params):
+def test_chain_width_matches_tensor_second_moment_at_every_cut(params, monkeypatch):
     spectrum = eig_sym(build_spin_chain(params), check=False)
     for cut in range(1, params.sites):
         system = decompose_chain(params, cut, spectrum_t=spectrum)
         for fraction in (1.0, 0.5):
-            assert profile(system, fraction).sigma_s == pytest.approx(
+            monkeypatch.setattr(ethlab.scrambling, "_CENTER_FRACTION", fraction)
+            assert profile(system).sigma_s == pytest.approx(
                 tensor_width(system, fraction), rel=1e-12
             )
 
 
-def test_general_width_matches_tensor_second_moment():
+def test_general_width_matches_tensor_second_moment(monkeypatch):
     # Dense subsystem Hamiltonians (the A5 toy) and the diagonal random family:
     # <alpha|H_I^2|alpha> from (E_alpha - H_0)|alpha> against the tensor.
     rng = np.random.default_rng(1)
@@ -126,12 +130,13 @@ def test_general_width_matches_tensor_second_moment():
     )
     for system in (toy, random):
         for fraction in (1.0, 0.5):
-            assert profile(system, fraction).sigma_s == pytest.approx(
+            monkeypatch.setattr(ethlab.scrambling, "_CENTER_FRACTION", fraction)
+            assert profile(system).sigma_s == pytest.approx(
                 tensor_width(system, fraction), rel=1e-12
             )
 
 
-def test_profile_window_bookkeeping():
+def test_profile_window_bookkeeping(monkeypatch):
     # sigma_S is the root mean of <alpha|H_I^2|alpha> over the window's
     # states.  A random system, because a chain cut has <alpha|H_I^2|alpha>
     # = J^2 for every state and no window would show.
@@ -142,17 +147,18 @@ def test_profile_window_bookkeeping():
     )
     e_t = system.spectrum_t.eigenvalues
     spread = e_t[-1] - e_t[0]
-    prof_full = profile(system, center_fraction=1.0)
-    assert prof_full.sigma_s == pytest.approx(
-        np.sqrt(system.interaction_sq.mean()), rel=1e-12
-    )
-    prof_half = profile(system, center_fraction=0.5)
+    prof_half = profile(system)
     lo = e_t[0] + 0.25 * spread
     hi = e_t[-1] - 0.25 * spread
     inside = (e_t >= lo) & (e_t <= hi)
     assert 0 < inside.sum() < e_t.size
     assert prof_half.sigma_s == pytest.approx(
         np.sqrt(system.interaction_sq[inside].mean()), rel=1e-12
+    )
+    monkeypatch.setattr(ethlab.scrambling, "_CENTER_FRACTION", 1.0)
+    prof_full = profile(system)
+    assert prof_full.sigma_s == pytest.approx(
+        np.sqrt(system.interaction_sq.mean()), rel=1e-12
     )
     assert prof_half.sigma_s != prof_full.sigma_s
 
@@ -180,11 +186,6 @@ def test_profile_shapes_carry_matched_second_moment():
 
 
 def test_profile_validation():
-    system = decompose_chain(SpinChainParams(4), 2)
-    with pytest.raises(ValidationError):
-        profile(system, center_fraction=0.0)
-    with pytest.raises(ValidationError):
-        profile(system, center_fraction=1.5)
     with pytest.raises(ValidationError):
         exp_profile(0.0)
     with pytest.raises(ValidationError):
@@ -192,10 +193,11 @@ def test_profile_validation():
 
 
 def test_empty_window_error():
-    # A window so narrow it misses every eigenstate must say so.
+    # A spectrum whose central half falls in a gap (levels near +-9 and
+    # +-11) leaves the window empty, and the error must say so.
     rng = np.random.default_rng(3)
     h_a = np.diag([-1.0, 1.0])
     h_b = np.diag([-10.0, 10.0])
     system = make_bipartite(h_a, h_b, 1e-3 * sample_goe(4, rng))
     with pytest.raises(EmptyWindowError):
-        profile(system, center_fraction=1e-9)
+        profile(system)
