@@ -484,6 +484,16 @@ class AnsatzKind(str, Enum):
     MC_FINITE_WIDTH_FLAT_A = "mc_finite_width_flat_A"
 
 
+def _ansatz_kind(name) -> AnsatzKind:
+    # The one rule for a kind's name: an AnsatzKind value, else an error
+    # naming the valid kinds.
+    try:
+        return AnsatzKind(name)
+    except ValueError:
+        valid = ", ".join(m.value for m in AnsatzKind)
+        raise ValidationError(f"unknown ansatz kind {name!r} (valid: {valid})") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """One evaluated prediction curve at fixed ``Ebar``."""
@@ -526,14 +536,7 @@ class AnsatzModel:
         sigma_s = self.sigma_s
         if not (np.isfinite(sigma_s) and sigma_s > 0):
             raise ValidationError(f"sigma_s must be finite and positive: {sigma_s}")
-        try:
-            kind = AnsatzKind(self.kind)
-        except ValueError:
-            valid = ", ".join(m.value for m in AnsatzKind)
-            raise ValidationError(
-                f"unknown ansatz kind {self.kind!r} (valid: {valid})"
-            ) from None
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", _ansatz_kind(self.kind))
 
     @cached_property
     def n_a(self) -> SpectralDensity:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import __version__
 from .errors import CacheMissError, EthlabError, ValidationError
 from .figures import _EXPERIMENTS, FIGURES, run_figure
 from .io import RunConfig, parse_config, resolve_out_dir, write_manifest
-from .hamiltonians import MAX_CHAIN_SITES, PAULI, pauli
+from .hamiltonians import MAX_CHAIN_SITES, pauli
 from .localize import localizability
 from .linalg import eig_sym
 
@@ -109,24 +110,18 @@ def _load_config(args, force_kind=None) -> RunConfig:
 
 
 def _operator_from_args(args) -> np.ndarray:
+    # The checks that need the arguments or the file, all before any
+    # Kronecker product or solve; pauli and eig_sym check the rest.
     if args.pauli is not None:
         letters = args.pauli.strip().lower()
         if not letters:
             raise ValidationError("--pauli needs at least one letter of i, x, z")
-        bad = set(letters) - set(PAULI)
-        if bad:
-            raise ValidationError(
-                f"unknown Pauli letters {sorted(bad)}; use i, x, z"
-            )
         if len(letters) > MAX_CHAIN_SITES:
             raise ValidationError(
                 f"--pauli takes at most {MAX_CHAIN_SITES} letters, the "
                 f"dense-diagonalization guard; got {len(letters)}"
             )
-        op = np.array([[1.0]])
-        for letter in letters:
-            op = np.kron(op, pauli(letter))
-        return op
+        return reduce(np.kron, [pauli(letter) for letter in letters])
     path = Path(args.matrix)
     if not path.is_file():
         raise ValidationError(f"operator file not found: {path}")
@@ -145,19 +140,22 @@ def _operator_from_args(args) -> np.ndarray:
         raise ValidationError(f"operator file {path} holds no data")
     if np.iscomplexobj(op) and np.any(op.imag):
         raise ValidationError(f"operator in {path} has a nonzero imaginary part")
+    if max(real.shape, default=0) > 2**MAX_CHAIN_SITES:
+        raise ValidationError(
+            f"--matrix takes at most dimension 2**{MAX_CHAIN_SITES}, the "
+            f"dense-diagonalization guard; got shape {real.shape}"
+        )
     return real
 
 
 def _run_localize(args) -> int:
     op = _operator_from_args(args)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValidationError(f"operator must be square, got shape {op.shape}")
-    if op.shape[0] > 2**MAX_CHAIN_SITES:
-        raise ValidationError(
-            f"--matrix takes at most dimension 2**{MAX_CHAIN_SITES}, the "
-            f"dense-diagonalization guard; got {op.shape[0]}"
-        )
-    report = localizability(eig_sym(op).eigenvalues)
+    try:
+        spectrum = eig_sym(op)
+    except ValidationError as exc:
+        # Only a --matrix operator can be non-square, non-finite or asymmetric.
+        raise ValidationError(f"operator in {args.matrix}: {exc}") from None
+    report = localizability(spectrum.eigenvalues)
     print(f"total_dim     = {report.total_dim}")
     print(f"local_dim     = {report.local_dim}")
     print(f"gcd           = {report.multiplicity_gcd}")

@@ -561,8 +561,8 @@ def subsystem_gap_omegas(energies_a: np.ndarray) -> np.ndarray:
     expected when the scrambling width is below the subsystem gaps.
     """
     e = np.sort(np.asarray(energies_a, dtype=float))
-    diffs = [0.5 * (e[i] - e[j]) for j in range(e.size) for i in range(j + 1, e.size)]
-    return np.unique(np.round(diffs, 12))
+    lower, upper = np.triu_indices(e.size, 1)
+    return np.unique(np.round(0.5 * (e[upper] - e[lower]), 12))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import AnsatzModel
-from .errors import ValidationError
+from .errors import OutOfSupportError, ValidationError
 from .experiments import (
     PairBand,
     band_matrix_elements,
@@ -30,7 +30,7 @@ from .experiments import (
     detect_bands,
     subsystem_gap_omegas,
 )
-from .hamiltonians import build_random_system, decompose_chain
+from .hamiltonians import SpinChainParams, build_random_system, decompose_chain
 from .io import (
     RunConfig,
     binned_rows,
@@ -60,9 +60,9 @@ def build_system(config: RunConfig, *, cache_dir: str | Path, policy: str = "use
     the random family draws and builds its interaction only on a miss.
     """
     fetch = partial(cached_spectrum, config_cache_key(config), cache_dir, policy)
-    if config.chain is not None:
-        return decompose_chain(config.chain, config.cut, spectrum_t=fetch)
-    return build_random_system(config.random, spectrum_t=fetch)
+    if isinstance(config.system, SpinChainParams):
+        return decompose_chain(config.system, config.cut, spectrum_t=fetch)
+    return build_random_system(config.system, spectrum_t=fetch)
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,16 @@ class _RunContext:
 
 
 def _family(config: RunConfig) -> str:
-    return "spin_chain" if config.chain is not None else "random"
+    return "spin_chain" if isinstance(config.system, SpinChainParams) else "random"
 
 
 def _config_echo(config: RunConfig, kinds) -> dict:
-    params = config.chain if config.chain is not None else config.random
     return {
         "cut": config.cut,
         "ensemble": asdict(config.ensemble),
         "binning": asdict(config.binning),
         "predict_kinds": list(kinds),
-        "system": {"kind": _family(config), **asdict(params)},
+        "system": {"kind": _family(config), **asdict(config.system)},
     }
 
 
@@ -170,12 +169,23 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
     omegas = np.arange(0.5 * width, omega_max, width)
     models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     preds = [model.evaluate(ebar, omegas) for model in models]
+    for pred in preds:
+        if pred.omega.size == 0:
+            raise OutOfSupportError(
+                f"{pred.kind} keeps no omega of the grid at Ebar={ebar:g}: "
+                "it cannot evaluate the pair energies Ebar +/- omega there"
+            )
     files = [emit_dataset(prediction_rows(preds), "prediction",
                           ctx.out_dir / "predict.csv")]
     if ctx.plot:
         files.append(_plot_window(ctx.out_dir / "predict.svg", preds,
                                   f"predictions at Ebar={ebar:.4g}"))
     return {"ebar": ebar, "sigma_s": prof.sigma_s, "sigma_a": sigma_a}, files
+
+
+def _window_tag(center) -> str:
+    # A window's center to 4 significant digits, which names its plot.
+    return f"{center:.4g}".replace("-", "m")
 
 
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
@@ -193,7 +203,7 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
         all_binned.extend(binned_rows(stats))
         all_predicted.extend(prediction_rows(preds))
         if ctx.plot:
-            tag = f"{center:.4g}".replace("-", "m")
+            tag = _window_tag(center)
             files.append(_plot_window(ctx.out_dir / f"{stem}_E{tag}.svg", preds,
                                       f"{stem} at Ebar={center:.4g}", stats))
         windows.append({"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
@@ -213,6 +223,16 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
 
 def _scan(config, kinds, ctx, *, centers=None):
     centers = list(centers) if centers else [0.0]
+    # Each window has its own rows, and under --plot its own plot.
+    for k, center in enumerate(centers):
+        for other in centers[:k]:
+            if other == center:
+                raise ValidationError(f"window center {center} is given twice")
+            if ctx.plot and _window_tag(other) == _window_tag(center):
+                raise ValidationError(
+                    f"window centers {other} and {center} would both plot to "
+                    f"run_E{_window_tag(center)}.svg"
+                )
     info, files, _ = _ensemble_windows(
         config, ctx.system(config), kinds, ctx, "run", centers
     )
@@ -222,7 +242,7 @@ def _scan(config, kinds, ctx, *, centers=None):
 def _cut_scan(config, kinds, ctx, *, stem, cuts, fractions):
     """Windows at ``fractions`` of the ground-state energy at each of ``cuts``
     below the chain's length (None: the configured cut), in order."""
-    cuts = [c for c in cuts or (config.cut,) if c < config.chain.sites]
+    cuts = [c for c in cuts or (config.cut,) if c < config.system.sites]
     manifest = {"cuts": cuts, "systems": {}}
     files = []
     spectrum_t = None
@@ -233,7 +253,7 @@ def _cut_scan(config, kinds, ctx, *, stem, cuts, fractions):
             spectrum_t = system.spectrum_t
         else:
             # Every cut splits the same total Hamiltonian: reuse its spectrum.
-            system = decompose_chain(sub.chain, cut, spectrum_t=spectrum_t)
+            system = decompose_chain(sub.system, cut, spectrum_t=spectrum_t)
         e_min = float(spectrum_t.eigenvalues[0])
         centers = [float(f * e_min) + 0.0 for f in fractions]
         info, new_files, _ = _ensemble_windows(

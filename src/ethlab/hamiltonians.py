@@ -71,7 +71,7 @@ PAULI = {
 def pauli(name: str) -> np.ndarray:
     """2x2 Pauli matrix (real symmetric subset: ``i``, ``x``, ``z``)."""
     key = name.lower()
-    if key not in ("i", "x", "z"):
+    if key not in PAULI:
         raise ValidationError(f"unsupported Pauli label {name!r} (use i, x, z)")
     return PAULI[key].copy()
 

@@ -2,10 +2,10 @@
 
 Config files are INI-style with sections [system], [ensemble], [binning] and
 [predict]; unknown sections or keys are errors so typos fail loudly before
-any heavy compute, and so are numbers that are not finite.  The cache stores
-eigendecompositions in a small binary format (versioned magic, key echo,
-little-endian float64 payload, SHA-256 checksum); anything that fails
-validation is treated as absent.
+any heavy compute, and so are the values the parameter classes reject.  The
+cache stores eigendecompositions in a small binary format (versioned magic,
+key echo, little-endian float64 payload, SHA-256 checksum); anything that
+fails validation is treated as absent.
 Format v2 stores the eigenvectors eigenstate-major (one eigenvector after
 another, as ``Spectrum.rows``), so a load hands them out without a copy; a
 v1 file (eigenvector columns) fails the magic check and reads as a miss.
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzKind, Prediction
+from .ansatz import Prediction, _ansatz_kind
 from .errors import CacheMissError, ValidationError
 from .experiments import BinnedStatistics, BinningParams, OperatorEnsembleSpec
 from .hamiltonians import RandomSystemParams, SpinChainParams
@@ -57,17 +57,21 @@ _CACHE_MAGIC = b"ETHSPEC\x02"
 class RunConfig:
     """Validated parameters for one run.
 
-    Exactly one of ``chain``/``random`` is set.  ``cut`` is the number of
-    chain sites in the A factor (chain systems only).  ``predict_kinds`` are
-    the ansatz variants evaluated alongside measured curves.
+    ``system`` is the system, and its type is the family.  ``cut`` is the
+    number of sites in the A factor: the chain's cut, or a random system's
+    ``sites_a``.  ``predict_kinds`` are the ansatz variants evaluated
+    alongside measured curves.
     """
 
-    chain: Optional[SpinChainParams]
+    system: SpinChainParams | RandomSystemParams
     cut: int
-    random: Optional[RandomSystemParams]
     ensemble: OperatorEnsembleSpec
     binning: BinningParams
     predict_kinds: tuple[str, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.system, (SpinChainParams, RandomSystemParams)):
+            raise ValidationError(f"system is of no family: {self.system!r}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=seed))
@@ -94,17 +98,13 @@ _DEFAULTS = {
 }
 
 
-def _get_float(section, key, *, positive=False) -> float:
+def _get_float(section, key) -> float:
+    # Parses only: the parameter class that takes the value checks its range.
     raw = section[key]
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ValidationError(f"{section.name}.{key}: not a number: {raw!r}") from None
-    if not np.isfinite(value):
-        raise ValidationError(f"{section.name}.{key} must be finite, got {raw}")
-    if positive and value <= 0:
-        raise ValidationError(f"{section.name}.{key} must be positive, got {raw}")
-    return value
 
 
 def _get_int(section, key) -> int:
@@ -124,9 +124,11 @@ def parse_config(
     """Parse an INI config into a validated :class:`RunConfig`.
 
     Missing keys take the reference-chain defaults (J=1, h_x=1.05, h_z=0.5,
-    12 sites, 250 operators, half-width 0.5, auto bin width).  Unknown
-    sections (``[DEFAULT]`` among them) or keys raise; so do out-of-range
-    values, naming the field.
+    12 sites, 250 operators, half-width 0.5, auto bin width).  It raises on
+    unknown sections (``[DEFAULT]`` among them) or keys, numbers that do not
+    parse, an unknown family, a chain cut outside ``1..sites-1`` and an
+    empty or repeating kinds list; the parameter classes and the ansatz's
+    kind rule reject every other bad value, naming the field or kind.
     ``force_kind`` overrides ``system.kind`` (used by the CLI subcommands
     that imply a system family).
     """
@@ -152,32 +154,30 @@ def parse_config(
             if key not in _DEFAULTS[name]:
                 raise ValidationError(f"unknown key {key!r} in section [{name}]")
 
-    system = parser["system"]
-    kind = (force_kind or system["kind"]).strip().lower().replace("-", "_")
-    chain = None
-    random = None
+    section = parser["system"]
+    kind = (force_kind or section["kind"]).strip().lower().replace("-", "_")
     if kind == "spin_chain":
-        chain = SpinChainParams(
-            sites=_get_int(system, "sites"),
-            coupling=_get_float(system, "coupling"),
-            field_x=_get_float(system, "field_x"),
-            field_z=_get_float(system, "field_z"),
+        system = SpinChainParams(
+            sites=_get_int(section, "sites"),
+            coupling=_get_float(section, "coupling"),
+            field_x=_get_float(section, "field_x"),
+            field_z=_get_float(section, "field_z"),
         )
-        cut = _get_int(system, "cut")
-        if not 1 <= cut < chain.sites:
+        cut = _get_int(section, "cut")
+        if not 1 <= cut < system.sites:
             raise ValidationError(
-                f"system.cut must be in 1..{chain.sites - 1}, got {cut}"
+                f"system.cut must be in 1..{system.sites - 1}, got {cut}"
             )
     elif kind == "random":
-        random = RandomSystemParams(
-            sites_a=_get_int(system, "sites_a"),
-            sites_b=_get_int(system, "sites_b"),
-            sites_i=_get_int(system, "sites_i"),
-            interaction_fraction=_get_float(system, "interaction_fraction"),
-            seed=_get_int(system, "system_seed"),
-            a_scale=_get_float(system, "a_scale"),
+        system = RandomSystemParams(
+            sites_a=_get_int(section, "sites_a"),
+            sites_b=_get_int(section, "sites_b"),
+            sites_i=_get_int(section, "sites_i"),
+            interaction_fraction=_get_float(section, "interaction_fraction"),
+            seed=_get_int(section, "system_seed"),
+            a_scale=_get_float(section, "a_scale"),
         )
-        cut = random.sites_a
+        cut = system.sites_a
     else:
         raise ValidationError(f"system.kind must be spin_chain or random, got {kind!r}")
 
@@ -189,13 +189,12 @@ def parse_config(
 
     binning_section = parser["binning"]
     raw_width = binning_section["omega_bin_width"].strip().lower()
-    if raw_width == "auto":
-        width = None
-    else:
-        width = _get_float(binning_section, "omega_bin_width", positive=True)
     binning = BinningParams(
-        ebar_halfwidth=_get_float(binning_section, "ebar_halfwidth", positive=True),
-        omega_bin_width=width,
+        ebar_halfwidth=_get_float(binning_section, "ebar_halfwidth"),
+        omega_bin_width=(
+            None if raw_width == "auto"
+            else _get_float(binning_section, "omega_bin_width")
+        ),
     )
 
     predict_section = parser["predict"]
@@ -211,19 +210,15 @@ def parse_config(
             )
         for k in kinds:
             try:
-                AnsatzKind(k)
-            except ValueError:
-                valid = ", ".join(m.value for m in AnsatzKind)
-                raise ValidationError(
-                    f"predict.kinds: unknown ansatz kind {k!r} (valid: {valid})"
-                ) from None
+                _ansatz_kind(k)
+            except ValidationError as exc:
+                raise ValidationError(f"predict.kinds: {exc}") from None
             if kinds.count(k) > 1:
                 raise ValidationError(f"predict.kinds: {k!r} is listed more than once")
 
     return RunConfig(
-        chain=chain,
+        system=system,
         cut=cut,
-        random=random,
         ensemble=ensemble,
         binning=binning,
         predict_kinds=kinds,
@@ -242,8 +237,8 @@ def config_cache_key(config: RunConfig) -> str:
     Hamiltonian is diagonalized whatever the cut, so one eigendecomposition
     serves all of them.
     """
-    if config.chain is not None:
-        p = config.chain
+    p = config.system
+    if isinstance(p, SpinChainParams):
         fields = (
             "spin_chain",
             p.sites,
@@ -252,7 +247,6 @@ def config_cache_key(config: RunConfig) -> str:
             float(p.field_z).hex(),
         )
     else:
-        p = config.random
         fields = (
             "random",
             p.sites_a,

@@ -410,7 +410,7 @@ def test_every_kind_stays_finite_past_the_spectrum():
     # every value it keeps is finite.
     params = parse_config(
         None, text="[system]\nkind = random\nsites_a = 2\nsites_b = 6\nsites_i = 2\n"
-    ).random
+    ).system
     system = build_random_system(params)
     sigma_s = profile(system).sigma_s
     omegas = np.linspace(0.0, 40.0, 401)

@@ -1002,6 +1002,14 @@ def test_subsystem_gap_omegas_oracle():
     # Degenerate differences are deduplicated.
     gaps = subsystem_gap_omegas(np.array([0.0, 1.0, 2.0]))
     assert np.allclose(gaps, [0.5, 1.0])
+    # Bitwise the pair loop, over unsorted spectra of 1 to 300 levels.
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3, 17, 300):
+        e = rng.standard_normal(n) * 4.0
+        s = np.sort(e)
+        loop = [0.5 * (s[i] - s[j]) for j in range(n) for i in range(j + 1, n)]
+        want = np.unique(np.round(np.array(loop, dtype=float), 12))
+        assert subsystem_gap_omegas(e).tobytes() == want.tobytes(), n
 
 
 def _synthetic_binned(omega, mean_sq, std_err):

@@ -351,7 +351,7 @@ def test_random_system_cache_hit_never_computes(
 
     monkeypatch.setattr(hamiltonians, "_random_interaction", spy)
     config = RunConfig(
-        chain=None, cut=0, random=params, ensemble=OperatorEnsembleSpec(),
+        system=params, cut=0, ensemble=OperatorEnsembleSpec(),
         binning=BinningParams(), predict_kinds=(),
     )
     cold = build_system(config, cache_dir=tmp_path)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from collections import defaultdict
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from ethlab.ansatz import Prediction
 from ethlab.errors import CacheMissError, ValidationError
-from ethlab.hamiltonians import sample_goe
+from ethlab.hamiltonians import RandomSystemParams, sample_goe
 from ethlab.io import (
     _cache_path,
     cached_spectrum,
@@ -65,10 +66,10 @@ seed = 0
 def test_empty_config_gives_reference_defaults():
     config = parse_config(None, text="")
     assert config == default_config()
-    assert config.chain.sites == 12
-    assert config.chain.coupling == 1.0
-    assert config.chain.field_x == 1.05
-    assert config.chain.field_z == 0.5
+    assert config.system.sites == 12
+    assert config.system.coupling == 1.0
+    assert config.system.field_x == 1.05
+    assert config.system.field_z == 0.5
     assert config.cut == 3
     assert config.ensemble.count == 250
     assert config.binning.ebar_halfwidth == 0.5
@@ -83,8 +84,8 @@ def test_config_overrides(tmp_path):
         "[binning]\nomega_bin_width = 0.02\n"
     )
     config = parse_config(path)
-    assert config.chain.sites == 10
-    assert config.chain.field_z == 0.3
+    assert config.system.sites == 10
+    assert config.system.field_z == 0.3
     assert config.cut == 4
     assert config.ensemble.count == 31
     assert config.ensemble.seed == 9
@@ -94,14 +95,14 @@ def test_config_overrides(tmp_path):
 
 def test_config_random_kind():
     config = parse_config(None, text="[system]\nkind = random\n")
-    assert config.chain is None
-    assert config.random.sites_a == 2
-    assert config.random.sites_b == 9
-    assert config.random.sites_i == 4
-    assert config.random.interaction_fraction == 0.01
-    assert config.random.seed == 7
+    assert isinstance(config.system, RandomSystemParams)
+    assert config.system.sites_a == 2
+    assert config.system.sites_b == 9
+    assert config.system.sites_i == 4
+    assert config.system.interaction_fraction == 0.01
+    assert config.system.seed == 7
     forced = parse_config(None, text="", force_kind="random")
-    assert forced.random is not None and forced.chain is None
+    assert isinstance(forced.system, RandomSystemParams)
 
 
 def test_config_validation_errors():
@@ -131,6 +132,20 @@ def test_config_validation_errors():
             text="[predict]\nkinds = exp_decay_flat_A, narrow_scrambling, "
             "exp_decay_flat_A\n",
         )
+    with pytest.raises(
+        ValidationError, match=r"predict.kinds: unknown ansatz kind 'nonsense' \(valid: "
+    ):
+        parse_config(None, text="[predict]\nkinds = exp_decay_flat_A, nonsense\n")
+    # The parameter classes own the range of each number the reader parses.
+    for text, field in (
+        ("[system]\ncoupling = inf\n", "coupling"),
+        ("[system]\nkind = random\na_scale = 0\n", "a_scale"),
+        ("[system]\nkind = random\ninteraction_fraction = nan\n", "interaction_fraction"),
+        ("[binning]\nebar_halfwidth = nan\n", "ebar_halfwidth"),
+        ("[binning]\nomega_bin_width = 0\n", "omega_bin_width"),
+    ):
+        with pytest.raises(ValidationError, match=field):
+            parse_config(None, text=text)
     for empty in ("", ","):
         # A list that names no kind is rejected, not read as auto.
         with pytest.raises(ValidationError, match="predict.kinds lists no kind"):
@@ -141,6 +156,30 @@ def test_config_validation_errors():
         parse_config(None)
 
 
+def test_run_config_holds_one_system():
+    # The family is the type of the one system field; a value of neither
+    # family is rejected when the config is made, not deep in a build.
+    from dataclasses import fields, replace
+
+    from ethlab.io import RunConfig
+
+    assert [f.name for f in fields(RunConfig)] == [
+        "system", "cut", "ensemble", "binning", "predict_kinds"
+    ]
+    with pytest.raises(ValidationError, match="no family"):
+        replace(default_config(), system=None)
+
+
+def test_cache_keys_of_the_default_configs_are_pinned():
+    # A key that changed would make every cache filled before it a miss.
+    assert config_cache_key(default_config()) == (
+        "spin_chain:12:0x1.0000000000000p+0:0x1.0cccccccccccdp+0:0x1.0000000000000p-1"
+    )
+    assert config_cache_key(parse_config(None, text="", force_kind="random")) == (
+        "random:2:9:4:0x1.47ae147ae147bp-7:0x1.0000000000000p+0:7"
+    )
+
+
 def test_cache_key_ignores_cut_and_tracks_parameters():
     from dataclasses import replace
 
@@ -148,7 +187,7 @@ def test_cache_key_ignores_cut_and_tracks_parameters():
     cut5 = replace(config, cut=5)
     # One total Hamiltonian serves every cut position.
     assert config_cache_key(config) == config_cache_key(cut5)
-    stiff = replace(config, chain=replace(config.chain, coupling=1.5))
+    stiff = replace(config, system=replace(config.system, coupling=1.5))
     assert config_cache_key(stiff) != config_cache_key(config)
     rand = parse_config(None, text="[system]\nkind = random\n")
     assert config_cache_key(rand) != config_cache_key(config)
@@ -419,7 +458,8 @@ def test_every_cli_run_forces_its_experiments_family(tmp_path, monkeypatch):
             ((ran, config),) = seen
             family = _EXPERIMENTS[experiment][3]
             assert ran == experiment
-            assert ("spin_chain" if config.chain else "random") == (family or kind)
+            assert ("random" if isinstance(config.system, RandomSystemParams)
+                    else "spin_chain") == (family or kind)
 
 
 # -- dataset emission ---------------------------------------------------------
@@ -545,6 +585,12 @@ def test_cli_localize_rejects_a_matrix_above_the_guard(tmp_path, monkeypatch, ca
     assert "dense-diagonalization guard" in err and str(dim) in err
 
 
+def _npy_bytes(array) -> bytes:
+    buffer = BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -552,12 +598,17 @@ def test_cli_localize_rejects_a_matrix_above_the_guard(tmp_path, monkeypatch, ca
         ("bad.npy", b"not an npy file\n"),
         ("empty.npy", b""),
         ("empty.csv", b""),
+        ("nan.csv", b"nan,1\n1,0\n"),
+        ("asym.csv", b"0,1\n0,0\n"),
+        ("rect.csv", b"1,0,0\n0,1,0\n"),
+        pytest.param("scalar.npy", _npy_bytes(np.float64(1.0)), id="scalar.npy"),
     ],
 )
 def test_cli_localize_rejects_malformed_matrix_file(tmp_path, name, content):
-    # A non-numeric CSV cell, a .npy that numpy reads as pickled data, or an
-    # empty file is a configuration error naming the file, not a traceback
-    # or a numpy warning.
+    # A non-numeric CSV cell, a .npy that numpy reads as pickled data, an
+    # empty file, or a matrix that is not finite, symmetric and square is a
+    # configuration error naming the file, not a traceback or a numpy
+    # warning.
     path = tmp_path / name
     path.write_bytes(content)
     proc = run_cli("localize", "--matrix", str(path))
@@ -794,6 +845,49 @@ def test_cli_predict_drops_underflowing_smooth_windows(tmp_path):
         for key in ("f", "variance", "entropic_factor"):
             assert math.isfinite(float(record[key])), row
     assert models["smooth_general_sums"] < models["exp_decay_flat_A"]
+
+
+def test_cli_predict_fails_when_a_kind_keeps_no_omega(tmp_path):
+    # At Ebar = 1000, far above the 8-site chain's spectrum, the smooth exact
+    # sums drop every omega: a compute error naming the kind and Ebar, and
+    # no header-only CSV.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(TINY_CHAIN + "[predict]\nkinds = smooth_general_sums\n")
+    out = tmp_path / "out"
+    proc = run_cli("predict", "--ebar", "1000", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "smooth_general_sums" in proc.stderr and "Ebar=1000" in proc.stderr
+    assert not (out / "predict.csv").exists()
+
+
+def test_cli_scan_rejects_window_centers_that_collide(tmp_path, capsys):
+    # A center given twice would repeat its window's rows; under --plot two
+    # centers with one 4-digit name would write one plot over the other.
+    # Both exit 2 before the build, naming the centers, and write no dataset.
+    import ethlab.cli
+    import ethlab.figures
+
+    def build(*args, **kwargs):
+        raise AssertionError("built the system")
+
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    out = tmp_path / "out"
+    common = ["--config", str(cfg), "--out", str(out)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ethlab.figures, "build_system", build)
+        assert ethlab.cli.main(["spin-chain", "--ebar", "0", "--ebar", "0", *common]) == 2
+        assert "window center 0.0 is given twice" in capsys.readouterr().err
+        argv = ["spin-chain", "--ebar", "1.00001", "--ebar", "1.00002", *common]
+        assert ethlab.cli.main([*argv, "--plot"]) == 2
+        err = capsys.readouterr().err
+        assert "1.00001 and 1.00002" in err and "run_E1.svg" in err
+    assert not list(out.glob("*.csv"))
+    # Without --plot the two windows have rows of their own.
+    assert ethlab.cli.main(argv) == 0
+    centers = {line.split(",")[0]
+               for line in (out / "run_binned.csv").read_text().splitlines()[1:]}
+    assert centers == {"1.00001", "1.00002"}
 
 
 def test_cli_config_error_exit_code(tmp_path):
