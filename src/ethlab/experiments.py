@@ -41,6 +41,8 @@ __all__ = [
     "REFERENCE_SPECTRAL_RANGE",
     "sample_local_operator",
     "band_matrix_elements",
+    "omega_grid",
+    "window_band",
     "run_ensemble",
     "operator_diagonals",
     "detect_bands",
@@ -200,6 +202,17 @@ def accumulate_grouped(values, r2, r4):
     np.einsum("ij,ij->i", values, values, out=r4)
 
 
+def _bin_count(top: float, width: float, n: int) -> int:
+    # Omega bins 0..top, refused before any per-bin array when they would
+    # outnumber the n**2 entries of the eigenvector matrix.
+    if not top < float(n) * n:
+        raise ValidationError(
+            f"binning.omega_bin_width = {width} gives {top + 1:.4g} omega bins, "
+            f"more than the {n * n} entries of the eigenvector matrix"
+        )
+    return int(top) + 1
+
+
 class PairBand:
     """Unordered-pair structure for one mean-energy window.
 
@@ -265,16 +278,8 @@ class PairBand:
         # An alpha's widest pair is its last partner (omega grows with beta),
         # so the largest bin is known before any per-pair array exists.
         some = lens > 0
-        top = float(
-            ((energies[(lo + lens - 1)[some]] - energies[some]) * self._inv).max()
-        )
-        if not top < float(n) * n:
-            raise ValidationError(
-                f"binning.omega_bin_width = {bin_width} gives "
-                f"{top + 1:.4g} omega bins, more than the {n * n} entries of "
-                "the eigenvector matrix"
-            )
-        self.n_bins = int(top) + 1
+        top = ((energies[(lo + lens - 1)[some]] - energies[some]) * self._inv).max()
+        self.n_bins = _bin_count(top, bin_width, n)
         self.pair_counts = np.zeros(self.n_bins, dtype=np.int64)
         for tile in self._tiles(_DIRECT_BATCH):
             bins = self.pairs(*tile)[2]
@@ -461,6 +466,26 @@ class PairBand:
         )
 
 
+def window_band(system: BipartiteSystem, center: float, binning: BinningParams):
+    """The :class:`PairBand` of the window at ``center``, at ``binning``'s width."""
+    width = binning.resolve_width(system.spectrum_t.spectral_range)
+    energies = system.spectrum_t.eigenvalues
+    return PairBand(energies, center, binning.ebar_halfwidth, width)
+
+
+def omega_grid(system: BipartiteSystem, binning: BinningParams, omega_max: float):
+    """The bin midpoints ``(k + 0.5) * width`` below ``omega_max``: bitwise the
+    ``omega_mid`` of :meth:`PairBand.statistics`, under the band's bin cap."""
+    width = binning.resolve_width(system.spectrum_t.spectral_range)
+    if not omega_max > 0.5 * width:
+        raise ValidationError(
+            f"omega_max must exceed half the bin width "
+            f"({0.5 * width:g}) to leave a grid point, got {omega_max:g}"
+        )
+    top = np.ceil((omega_max - 0.5 * width) / width) - 1.0  # the last such k
+    return (np.arange(_bin_count(top, width, system.total_dim)) + 0.5) * width
+
+
 def _operator_columns(ens: OperatorEnsembleSpec, dim_a: int) -> np.ndarray:
     # Every ensemble operator flattened into one column: (dim_a**2, count).
     ops = [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)]
@@ -477,9 +502,10 @@ def run_ensemble(
 
     Returns one :class:`BinnedStatistics` per window center, in order.
 
-    Every window's band is built before any engine runs, so an empty window
-    raises before any work; then each window is measured whole before the
-    next.  Both engines walk its band in tiles (see :class:`PairBand`).
+    Every window's band is made by :func:`window_band` before any engine
+    runs, so an empty window or too many bins raises before any work; then
+    each window is measured whole before the next, its bins reported at the
+    points of :func:`omega_grid`.  Both engines walk its band in tiles.
     When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes
     the band over all operators at once, reading its panels as views of the
     eigenvector rows; otherwise each operator in turn, drawn again for each
@@ -505,11 +531,7 @@ def run_ensemble(
     eigenvectors (see ``MAX_CHAIN_SITES``).
     """
     rows = system.spectrum_t.rows
-    width = params.resolve_width(system.spectrum_t.spectral_range)
-    bands = [
-        PairBand(system.spectrum_t.eigenvalues, c, params.ebar_halfwidth, width)
-        for c in ebar_centers
-    ]
+    bands = [window_band(system, c, params) for c in ebar_centers]
     dim_a = system.dim_a
     grouped = dim_a <= system.dim_b
     if grouped:

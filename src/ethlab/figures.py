@@ -23,12 +23,13 @@ import numpy as np
 from .ansatz import AnsatzModel
 from .errors import OutOfSupportError, ValidationError
 from .experiments import (
-    PairBand,
     band_matrix_elements,
+    omega_grid,
     run_ensemble,
     sample_local_operator,
     detect_bands,
     subsystem_gap_omegas,
+    window_band,
 )
 from .hamiltonians import SpinChainParams, build_random_system, decompose_chain
 from .io import (
@@ -146,27 +147,15 @@ def _coefficients(config, kinds, ctx, *, stem):
 
 
 def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
+    """Prediction curves at ``ebar`` on the scans' bin midpoints (omega_grid)."""
     if omega_max is not None and not omega_max > 0:
         raise ValidationError(f"omega_max must be positive, got {omega_max:g}")
     system = ctx.system(config)
     prof = profile(system)
     sigma_a = system.spectrum_a.spectral_range
-    width = config.binning.resolve_width(system.spectrum_t.spectral_range)
     if omega_max is None:
         omega_max = 0.75 * sigma_a
-    if not omega_max > 0.5 * width:
-        raise ValidationError(
-            f"omega_max must exceed half the bin width "
-            f"({0.5 * width:g}) to leave a grid point, got {omega_max:g}"
-        )
-    # Sized before it is allocated, by the rule PairBand applies to bins.
-    points = np.ceil((omega_max - 0.5 * width) / width)
-    if not points <= system.total_dim**2:
-        raise ValidationError(
-            f"binning.omega_bin_width = {width:g} and omega_max = {omega_max:g} give "
-            f"{points:.4g} omega points, more than total_dim**2 = {system.total_dim**2}"
-        )
-    omegas = np.arange(0.5 * width, omega_max, width)
+    omegas = omega_grid(system, config.binning, omega_max)
     models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     preds = [model.evaluate(ebar, omegas) for model in models]
     for pred in preds:
@@ -191,6 +180,7 @@ def _window_tag(center) -> str:
 def _ensemble_windows(config, system, kinds, ctx, stem, centers):
     """The scans' shared flow: each window is predicted, tabulated, plotted
     and described in one pass, and the CSVs are written after the last."""
+    centers = [c + 0.0 for c in centers]  # -0.0 is the window at 0.0
     prof = profile(system)
     models = [AnsatzModel(kind, system, prof.sigma_s) for kind in kinds]
     binned = run_ensemble(system, config.ensemble, centers, config.binning)
@@ -255,7 +245,7 @@ def _cut_scan(config, kinds, ctx, *, stem, cuts, fractions):
             # Every cut splits the same total Hamiltonian: reuse its spectrum.
             system = decompose_chain(sub.system, cut, spectrum_t=spectrum_t)
         e_min = float(spectrum_t.eigenvalues[0])
-        centers = [float(f * e_min) + 0.0 for f in fractions]
+        centers = [f * e_min for f in fractions]
         info, new_files, _ = _ensemble_windows(
             sub, system, kinds, ctx, f"{stem}_LA{cut}", centers
         )
@@ -267,9 +257,7 @@ def _cut_scan(config, kinds, ctx, *, stem, cuts, fractions):
 
 def _appb(config, kinds, ctx):
     system = ctx.system(config)
-    info, files, binned = _ensemble_windows(
-        config, system, kinds, ctx, "appB", [0.0]
-    )
+    info, files, binned = _ensemble_windows(config, system, kinds, ctx, "appB", [0.0])
 
     gaps = subsystem_gap_omegas(system.spectrum_a.eigenvalues)
 
@@ -277,13 +265,10 @@ def _appb(config, kinds, ctx):
     # (alpha < beta, alpha-major), evaluated on the band's tiles only.
     op0 = sample_local_operator(config.ensemble, system.dim_a, 0)
     e_t = system.spectrum_t.eigenvalues
-    width = config.binning.resolve_width(system.spectrum_t.spectral_range)
-    band = PairBand(e_t, 0.0, config.binning.ebar_halfwidth, width)
+    band = window_band(system, 0.0, config.binning)
     elements = band_matrix_elements(system, op0, band)
     rows, cols, _ = band.pairs()
-    triplets = np.column_stack(
-        (e_t[rows], e_t[cols], np.abs(elements))
-    ).tolist()
+    triplets = np.column_stack((e_t[rows], e_t[cols], np.abs(elements))).tolist()
     files.append(emit_dataset(triplets, "banding", ctx.out_dir / "appB_banding.csv"))
 
     report = detect_bands(binned[0], gaps, info["sigma_s"])

@@ -89,7 +89,6 @@ _DEFAULTS = {
         "sites_b": "9",
         "sites_i": "4",
         "interaction_fraction": "0.01",
-        "a_scale": "1",
         "system_seed": "7",
     },
     "ensemble": {"count": "250", "seed": "0"},
@@ -175,7 +174,6 @@ def parse_config(
             sites_i=_get_int(section, "sites_i"),
             interaction_fraction=_get_float(section, "interaction_fraction"),
             seed=_get_int(section, "system_seed"),
-            a_scale=_get_float(section, "a_scale"),
         )
         cut = system.sites_a
     else:
@@ -253,7 +251,6 @@ def config_cache_key(config: RunConfig) -> str:
             p.sites_b,
             p.sites_i,
             float(p.interaction_fraction).hex(),
-            float(p.a_scale).hex(),
             p.seed,
         )
     return ":".join(str(f) for f in fields)

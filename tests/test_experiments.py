@@ -23,6 +23,7 @@ from ethlab.experiments import (
     band_matrix_elements,
     default_bin_width,
     detect_bands,
+    omega_grid,
     operator_diagonals,
     run_ensemble,
     sample_local_operator,
@@ -504,6 +505,24 @@ def test_tiny_bin_width_is_a_validation_error():
             [0.0],
             BinningParams(omega_bin_width=1e-12),
         )
+
+
+@pytest.mark.parametrize("cut", [3, 7])
+def test_omega_grid_is_the_scans_bin_midpoints_bitwise(chain10, cut):
+    # predict's omega axis is the scans': at every bin a scan reports, by
+    # the grouped engine (cut 3) and the direct one (cut 7), omega_grid
+    # holds the same midpoint bit for bit.
+    system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+    binning = BinningParams()
+    width = binning.resolve_width(system.spectrum_t.spectral_range)
+    assert (system.dim_a <= system.dim_b) == (cut == 3)
+    ens = OperatorEnsembleSpec(count=1, seed=0)
+    for stats in run_ensemble(system, ens, [0.0, -4.0], binning):
+        mids = stats.omega_mid
+        grid = omega_grid(system, binning, mids[-1] + width)
+        assert grid.size == np.rint(mids[-1] / width + 0.5)
+        assert np.array_equal(grid[np.rint(mids / width - 0.5).astype(int)], mids)
+
 
 def _panels(v3, tile):
     # Transfer panels of a tile as views of the (total, dim_a, dim_b) rows.

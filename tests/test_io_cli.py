@@ -126,6 +126,8 @@ def test_config_validation_errors():
         parse_config(None, text="sites = 12\n")  # key before any section
     with pytest.raises(ValidationError, match="cut"):
         parse_config(None, text="[system]\nsites = 8\ncut = 8\n")
+    with pytest.raises(ValidationError, match="unknown key 'a_scale' in section"):
+        parse_config(None, text="[system]\nkind = random\na_scale = 1\n")
     with pytest.raises(ValidationError, match="'exp_decay_flat_A' is listed more"):
         parse_config(
             None,
@@ -139,8 +141,8 @@ def test_config_validation_errors():
     # The parameter classes own the range of each number the reader parses.
     for text, field in (
         ("[system]\ncoupling = inf\n", "coupling"),
-        ("[system]\nkind = random\na_scale = 0\n", "a_scale"),
         ("[system]\nkind = random\ninteraction_fraction = nan\n", "interaction_fraction"),
+        ("[system]\nkind = random\ninteraction_fraction = 0\n", "interaction_fraction"),
         ("[binning]\nebar_halfwidth = nan\n", "ebar_halfwidth"),
         ("[binning]\nomega_bin_width = 0\n", "omega_bin_width"),
     ):
@@ -176,7 +178,7 @@ def test_cache_keys_of_the_default_configs_are_pinned():
         "spin_chain:12:0x1.0000000000000p+0:0x1.0cccccccccccdp+0:0x1.0000000000000p-1"
     )
     assert config_cache_key(parse_config(None, text="", force_kind="random")) == (
-        "random:2:9:4:0x1.47ae147ae147bp-7:0x1.0000000000000p+0:7"
+        "random:2:9:4:0x1.47ae147ae147bp-7:7"
     )
 
 
@@ -763,6 +765,7 @@ sites_b = 4
 sites_i = 2
 system_seed = -3
 """
+NO_INTERACTION = TINY_RANDOM_CONFIG + "interaction_fraction = 0\n"
 TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
 
 
@@ -772,6 +775,10 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
         (("spin-chain", "--seed", "-1"), TINY_CHAIN),
         (("spin-chain",), TINY_CHAIN.replace("seed = 0", "seed = -1")),
         (("random-system",), NEGATIVE_SYSTEM_SEED),
+        # No interaction leaves a roundoff sigma_S that no rung can integrate.
+        (("random-system",), NO_INTERACTION),
+        (("predict",), NO_INTERACTION),
+        (("reproduce", "appB"), NO_INTERACTION),
         (("predict", "--omega-max", "0"), TINY_WIDTH),
         (("predict", "--omega-max", "-1"), TINY_WIDTH),
         (("predict", "--omega-max", "0.05"), TINY_WIDTH),
@@ -789,16 +796,18 @@ TINY_WIDTH = TINY_CHAIN + "\n[binning]\nomega_bin_width = 0.1\n"
         (("predict",), TINY_CHAIN + "[binning]\nomega_bin_width = 1e-12\n"),
         (("predict", "--omega-max", "1e13"), TINY_CHAIN),
     ],
-    ids=["seed-flag", "seed-key", "system-seed", "omega-max-0", "omega-max-neg",
-         "omega-max-half-bin", "omega-max-nan", "omega-max-0-forbid",
+    ids=["seed-flag", "seed-key", "system-seed", "no-interaction-random",
+         "no-interaction-predict", "no-interaction-appB", "omega-max-0",
+         "omega-max-neg", "omega-max-half-bin", "omega-max-nan", "omega-max-0-forbid",
          "omega-max-nan-forbid", "bin-width-nan", "bin-width-inf", "halfwidth-nan",
          "halfwidth-inf", "spin-chain-ebar-nan", "predict-ebar-nan",
          "predict-bin-width-tiny", "predict-omega-max-huge"],
 )
 def test_cli_rejects_bad_numeric_inputs(tmp_path, argv, config):
-    # A negative seed, an omega_max that leaves an empty or undefined grid
-    # (0.05 is half the 0.1 bin width), or a number that is not finite (NaN
-    # passes a "<= 0" test) is a configuration error.
+    # A negative seed, a random system with no interaction, an omega_max
+    # that leaves an empty or undefined grid (0.05 is half the 0.1 bin
+    # width), or a number that is not finite (NaN passes a "<= 0" test) is a
+    # configuration error.
     cfg = tmp_path / "run.ini"
     cfg.write_text(config)
     out = tmp_path / "out"
@@ -888,6 +897,41 @@ def test_cli_scan_rejects_window_centers_that_collide(tmp_path, capsys):
     centers = {line.split(",")[0]
                for line in (out / "run_binned.csv").read_text().splitlines()[1:]}
     assert centers == {"1.00001", "1.00002"}
+
+
+def test_cli_scan_reads_minus_zero_as_the_window_at_zero(tmp_path):
+    # -0 and 0 name one window: the same rows, byte for byte, and the same
+    # plot name.
+    import ethlab.cli
+
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CHAIN)
+    written = {}
+    for ebar in ("0", "-0"):
+        out = tmp_path / f"out{ebar}"
+        argv = ["spin-chain", "--ebar", ebar, "--plot", "--config", str(cfg)]
+        assert ethlab.cli.main([*argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.svg")) == ["run_E0.svg"]
+        written[ebar] = [(out / name).read_bytes()
+                         for name in ("run_binned.csv", "run_predict.csv")]
+    assert written["-0"] == written["0"]
+
+
+def test_too_many_bins_is_one_error_for_scans_and_predict(tmp_path):
+    # A scan's band and predict's grid count their bins by one rule, so a
+    # bin width too fine for the 8-site chain is one message on both paths.
+    from dataclasses import replace
+
+    import ethlab.figures
+    from ethlab.experiments import BinningParams
+
+    config = parse_config(None, text=TINY_CHAIN)
+    config = replace(config, binning=BinningParams(omega_bin_width=1e-12))
+    message = (r"^binning\.omega_bin_width = 1e-12 gives \S+ omega bins, more than "
+               r"the 65536 entries of the eigenvector matrix$")
+    for experiment in ("spin_chain", "predict"):
+        with pytest.raises(ValidationError, match=message):
+            ethlab.figures.run_figure(experiment, config, tmp_path)
 
 
 def test_cli_config_error_exit_code(tmp_path):
