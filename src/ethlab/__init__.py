@@ -23,7 +23,6 @@ from .ansatz import (
     f_smooth_small_a,
     f_smooth_sums,
     gibbs_diagonal,
-    inverse_temperature,
     rmt_variance,
 )
 from .errors import (
@@ -161,7 +160,6 @@ __all__ = [
     "f_smooth_small_a",
     "f_exp_decay",
     "f_mc_finite_width",
-    "inverse_temperature",
     "gibbs_diagonal",
     # experiments
     "OperatorEnsembleSpec",

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ethlab.ansatz
 from ethlab.ansatz import (
     AnsatzKind,
     AnsatzModel,
@@ -336,7 +337,7 @@ def test_a07_localizability():
     )
 
 
-def test_a08_diagonal_gibbs_match(chain12, config12):
+def test_a08_diagonal_gibbs_match(chain12, config12, monkeypatch):
     spec = config12.ensemble
     ops = [sample_local_operator(spec, chain12.dim_a, k) for k in range(spec.count)]
     diagonals = operator_diagonals(chain12, spec)
@@ -353,27 +354,35 @@ def test_a08_diagonal_gibbs_match(chain12, config12):
         se = diff.std(ddof=1) / np.sqrt(diff.size)
         z = abs(diff.mean()) / se
         ok = ok and z <= 5.0
-        parts.append(f"Ebar={ebar:+.2f}: |mean|/SE={z:.2f}")
+        parts.append(f"Ebar={ebar:+.2f}: |mean|/SE={z:.2f} (need <=5)")
 
-    # Infinite temperature: a flat environment density makes the weights
-    # uniform, so exactly traceless operators must give exactly zero.
-    grid = np.linspace(-40.0, 40.0, 9)
-    flat_nb = GridFunction(grid, np.full(9, 7.0))
+    # The z-test cannot fail: the ensemble is isotropic and traceless, so the
+    # mean difference is zero for any prediction.  The rms difference over
+    # operators can: at the cold window, the loop's last, it must be a small
+    # part of the rms diagonal itself, which a wrong temperature is not.
+    ratio = np.sqrt(np.mean(diff**2) / np.mean(measured**2))
+    ok = ok and ratio <= 0.4
+    parts.append(
+        f"Ebar={ebar:+.2f}: rms(measured - Gibbs)/rms(measured)={ratio:.3f} "
+        "(need <=0.4)"
+    )
+
+    # Infinite temperature: uniform weights, so exactly traceless operators
+    # must give exactly zero.
+    monkeypatch.setattr(ethlab.ansatz, "_canonical_beta", lambda e, ebar: 0.0)
     hollow = np.zeros((8, 8))
     hollow[0, 3] = hollow[3, 0] = 1.4
     exact = []
     for op in (np.diag([1.0, -1.0] * 4), hollow):
-        exact.append(gibbs_diagonal(chain12, op, 0.3, n_b=flat_nb))
-    ident = gibbs_diagonal(chain12, np.eye(8), 0.3, n_b=flat_nb)
+        exact.append(gibbs_diagonal(chain12, op, 0.3))
+    ident = gibbs_diagonal(chain12, np.eye(8), 0.3)
     zeros_ok = exact == [0.0, 0.0] and ident == 1.0
     ok = ok and zeros_ok
     parts.append(
-        f"flat-environment traceless values {exact} (need exactly 0.0), "
+        f"beta=0 traceless values {exact} (need exactly 0.0), "
         f"identity {ident} (need exactly 1.0)"
     )
-    verdict(
-        "A8 diagonal thermal match", ok, "; ".join(parts) + " (need z<=5)"
-    )
+    verdict("A8 diagonal thermal match", ok, "; ".join(parts))
 
 
 def test_a09_band_detection(appb_system, appb_profile, appb_ensemble):

@@ -6,6 +6,7 @@ import inspect
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import ethlab.ansatz
 from ethlab.ansatz import (
@@ -22,11 +23,11 @@ from ethlab.ansatz import (
     f_smooth_small_a,
     f_smooth_sums,
     gibbs_diagonal,
-    inverse_temperature,
     rmt_variance,
 )
 from ethlab.errors import (
     DegenerateWindowError,
+    DimensionError,
     OutOfSupportError,
     ValidationError,
 )
@@ -45,7 +46,7 @@ from ethlab.linalg import (
     density_of_states,
     integrate_adaptive,
 )
-from ethlab.scrambling import exp_profile, flat_profile, profile
+from ethlab.scrambling import ScramblingProfile, exp_profile, flat_profile, profile
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -328,52 +329,76 @@ def test_entropic_factor_value_and_errors():
         entropic_factor(n_0, -2.0, 0.5)  # density vanishes at the edge
 
 
-def test_inverse_temperature_linear_log_density():
-    grid = np.linspace(-10.0, 10.0, 20001)
-    beta = 0.37
-    n_b = GridFunction(grid, np.exp(2.0 + beta * grid))
-    got = inverse_temperature(n_b, 1.3, 0.05)
-    assert got == pytest.approx(beta, abs=1e-5)
-    with pytest.raises(ValidationError):
-        inverse_temperature(n_b, 0.0, 0.0)
-    with pytest.raises(OutOfSupportError):
-        inverse_temperature(n_b, 9.99, 0.05)
-
-
 def test_gibbs_diagonal_weighting_oracle():
+    # Oracle: scipy's brentq solves <H_T>_beta = E_alpha over the total
+    # levels, and the Gibbs average of the A-basis diagonal follows.
     system = toy_system(seed=4)
     rng = np.random.default_rng(9)
     g = rng.standard_normal((4, 4))
     op = 0.5 * (g + g.T)
-    grid = np.linspace(-30.0, 30.0, 4001)
-    n_b = GridFunction(grid, np.exp(0.4 * grid))
-    e_alpha = 1.1
-    got = gibbs_diagonal(system, op, e_alpha, n_b=n_b)
-    # Independent evaluation of the same statistical model.
+    e_t = system.spectrum_t.eigenvalues
     e_a = system.spectrum_a.eigenvalues
     v_a = system.spectrum_a.eigenvectors
-    sigma_0 = (
-        system.spectrum_a.spectral_range + system.spectrum_b.spectral_range
-    )
-    beta = inverse_temperature(n_b, e_alpha - e_a.mean(), sigma_0 / 200.0)
-    w = np.exp(-beta * (e_a - e_a.min()))
     diag = np.diag(v_a.T @ op @ v_a)
-    expected = float((w * diag).sum() / w.sum())
-    assert got == pytest.approx(expected, rel=1e-10)
-    assert beta == pytest.approx(0.4, abs=1e-3)
+
+    def mean_energy(beta, levels):
+        x = -beta * levels
+        w = np.exp(x - x.max())
+        return (w * levels).sum() / w.sum()
+
+    for e_alpha in (0.5 * e_t[0], -0.3, 0.4, 0.8 * e_t[-1]):
+        beta = brentq(
+            lambda b: mean_energy(b, e_t) - e_alpha, -50.0, 50.0, xtol=1e-14
+        )
+        w = np.exp(-beta * (e_a - e_a.min()))
+        expected = float((w * diag).sum() / w.sum())
+        assert gibbs_diagonal(system, op, e_alpha) == pytest.approx(
+            expected, rel=1e-10
+        )
 
 
-def test_gibbs_diagonal_infinite_temperature_is_exact_trace_mean():
-    # A flat B density means beta = 0: uniform weights, so exactly the
-    # trace mean, which is exactly zero for traceless operators.
+def test_gibbs_diagonal_infinite_temperature_is_exact_trace_mean(monkeypatch):
+    # At beta = 0 the weights are uniform, so the value is exactly the trace
+    # mean, which is exactly zero for traceless operators.
+    monkeypatch.setattr(ethlab.ansatz, "_canonical_beta", lambda e, ebar: 0.0)
     system = toy_system(seed=6)
-    n_b = GridFunction(np.array([-40.0, 40.0]), np.array([7.0, 7.0]))
     sz = np.diag([1.0, -1.0, 1.0, -1.0])
-    assert gibbs_diagonal(system, sz, 0.5, n_b=n_b) == 0.0
+    assert gibbs_diagonal(system, sz, 0.5) == 0.0
     sx_like = np.zeros((4, 4))
     sx_like[0, 1] = sx_like[1, 0] = 1.0
-    assert gibbs_diagonal(system, sx_like, -0.2, n_b=n_b) == 0.0
-    assert gibbs_diagonal(system, np.eye(4), 0.1, n_b=n_b) == 1.0
+    assert gibbs_diagonal(system, sx_like, -0.2) == 0.0
+    assert gibbs_diagonal(system, np.eye(4), 0.1) == 1.0
+
+
+@pytest.mark.parametrize("sites, cut", [(8, 3), (10, 5)])
+def test_gibbs_diagonal_is_finite_across_the_spectrum(chain10, sites, cut):
+    # Every one of 40 evenly spaced interior energies has a temperature; a
+    # histogram slope of ln n_B had none at 30 of them on both chains.
+    params = SpinChainParams(sites)
+    spectrum_t = chain10.spectrum_t if sites == 10 else None
+    system = decompose_chain(params, cut, spectrum_t=spectrum_t)
+    e_t = system.spectrum_t.eigenvalues
+    op = np.diag(np.linspace(-1.0, 1.0, system.dim_a))
+    values = [
+        gibbs_diagonal(system, op, e) for e in np.linspace(e_t[0], e_t[-1], 42)[1:-1]
+    ]
+    assert np.isfinite(values).all()
+
+
+def test_gibbs_diagonal_rejects_energies_outside_the_open_spectrum():
+    system = toy_system(seed=4)
+    e_t = system.spectrum_t.eigenvalues
+    op = np.eye(4)
+    for e in (e_t[0], e_t[0] - 1.0, e_t[-1], e_t[-1] + 1.0, np.nan):
+        with pytest.raises(OutOfSupportError):
+            gibbs_diagonal(system, op, e)
+
+
+def test_gibbs_diagonal_rejects_an_operator_of_the_wrong_shape():
+    system = toy_system(seed=4)
+    for op in (np.eye(3), np.eye(64), np.ones(4)):
+        with pytest.raises(DimensionError, match="dim_a=4"):
+            gibbs_diagonal(system, op, 0.0)
 
 
 def test_rmt_variance():
@@ -501,7 +526,7 @@ def test_microcanonical_model_evaluates_each_window_once(monkeypatch):
     omegas = np.linspace(0.0, 9.0, 37)
     pred = model.evaluate(0.0, omegas)
     assert 0 < pred.omega.size < omegas.size
-    assert calls == [model.delta] * (2 * omegas.size)
+    assert calls == [ScramblingProfile(model.sigma_s).delta] * (2 * omegas.size)
 
 
 def test_microcanonical_model_keeps_a_closed_window_edge():
@@ -517,7 +542,7 @@ def test_microcanonical_model_keeps_a_closed_window_edge():
     model = AnsatzModel(
         AnsatzKind.MICROCANONICAL_EXACT_SUMS, system, delta / (2.0 * np.sqrt(3.0))
     )
-    assert model.delta == delta
+    assert ScramblingProfile(model.sigma_s).delta == delta
     ebar, omega = 2.5, 2.0
     half = 0.5 * delta
     sums = np.add.outer(e_a, e_b)
