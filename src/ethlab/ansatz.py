@@ -17,7 +17,8 @@ equivalent to a width ``sigma_s`` is ``delta = 2 sqrt(3) sigma_s``.  Smooth
 continuum kinds return the suppressed amplitude ``f`` with the entropic
 factor ``(sigma_s n_0(Ebar))**-1/2`` reported separately; exact-sum kinds
 absorb the suppression into their normalization and report an entropic
-factor of one.
+factor of one.  Every width must be finite and positive, the one rule of
+``errors._positive``: else :class:`ValidationError` names it.
 
 Each rung is one function (``f_smooth_sums``, ``f_narrow``, ...) that takes
 its spectral inputs, then ``sigma_a``, ``sigma_s`` and ``ebar`` (each only
@@ -56,11 +57,11 @@ import numpy as np
 
 from .errors import (
     DegenerateWindowError,
-    DimensionError,
     OutOfSupportError,
     ValidationError,
+    _positive,
 )
-from .hamiltonians import BipartiteSystem
+from .hamiltonians import BipartiteSystem, _check_a_operator
 from .linalg import GridFunction, SpectralDensity, density_of_states, integrate_adaptive
 from .scrambling import SQRT2, SQRT3, ScramblingProfile, exp_profile, flat_profile
 
@@ -90,8 +91,7 @@ _TOL = 1e-8
 
 def entropic_factor(n_0, ebar: float, sigma_s: float) -> float:
     """Entropic suppression ``(sigma_s * n_0(Ebar))**-1/2``."""
-    if sigma_s <= 0:
-        raise ValidationError("sigma_s must be positive")
+    _positive(sigma_s=sigma_s)
     lo, hi = n_0.support
     if not lo <= ebar <= hi:
         raise OutOfSupportError(f"Ebar={ebar} outside density support [{lo}, {hi}]")
@@ -113,8 +113,7 @@ def exp_autocorrelation(sigma_s: float) -> Callable:
 
     ``[h * h](E) = (sigma_s / sqrt(2) + |E|) exp(-sqrt(2) |E| / sigma_s)``.
     """
-    if sigma_s <= 0:
-        raise ValidationError("sigma_s must be positive")
+    _positive(sigma_s=sigma_s)
     rate = SQRT2 / sigma_s
 
     def hh(energy):
@@ -171,12 +170,8 @@ def density_autocorrelation(rho: GridFunction) -> GridFunction:
 
 
 def _a_basis(system: BipartiteSystem, op_a: np.ndarray) -> np.ndarray:
-    # The one rule for an A operator: dim_a x dim_a, read in the A eigenbasis.
-    dim_a = system.dim_a
-    if op_a.shape != (dim_a, dim_a):
-        raise DimensionError(
-            f"operator shape {op_a.shape} does not match dim_a={dim_a}"
-        )
+    # An A operator, of the shape _check_a_operator allows, in the A eigenbasis.
+    _check_a_operator(system, op_a)
     v_a = system.spectrum_a.eigenvectors
     return v_a.T @ op_a @ v_a
 
@@ -280,6 +275,7 @@ def f_narrow(n_a, n_b, n_0, sigma_s: float, ebar: float, omega):
     omega`` leaves the support of ``n_0`` for any omega given;
     :meth:`AnsatzModel.evaluate` drops such omegas from its grid first.
     """
+    _positive(sigma_s=sigma_s)
     omegas = _omegas(omega)
     kept = _pair_support(n_0, ebar, omegas)
     if not kept.all():
@@ -329,6 +325,7 @@ def f_small_a(rho_rho, sigma_s: float, omega):
     ``rho_rho`` the tabulated autocorrelation of the normalized subsystem
     density of states, as :func:`density_autocorrelation` returns it.
     """
+    _positive(sigma_s=sigma_s)
     val = rho_rho(2.0 * _omegas(omega))
     return np.sqrt(np.maximum(sigma_s * val, 0.0))
 
@@ -339,8 +336,7 @@ def f_flat_a(sigma_a: float, sigma_s: float, omega):
     ``f**2 = (sigma_s / sigma_a) (1 - 2|omega|/sigma_a)`` inside
     ``|omega| <= sigma_a / 2`` and zero outside.
     """
-    if sigma_a <= 0:
-        raise ValidationError("sigma_a must be positive")
+    _positive(sigma_a=sigma_a, sigma_s=sigma_s)
     x = 1.0 - 2.0 * np.abs(_omegas(omega)) / sigma_a
     inside = x > 0.0
     f = np.zeros(x.shape)
@@ -381,8 +377,7 @@ def f_exp_decay(sigma_a: float, sigma_s: float, omega):
     (1 + sqrt(2)|2 omega - x sigma_a| / sigma_s)
     exp(-sqrt(2)|2 omega - x sigma_a| / sigma_s)``.
     """
-    if sigma_a <= 0 or sigma_s <= 0:
-        raise ValidationError("sigma_a and sigma_s must be positive")
+    _positive(sigma_a=sigma_a, sigma_s=sigma_s)
     omegas = _omegas(omega)
     rate = SQRT2 / sigma_s
 
@@ -405,8 +400,7 @@ def f_mc_finite_width(rho_rho, sigma_a: float, sigma_s: float, omega):
     (sqrt(3) sigma_s))`` where ``ramp`` clips at zero and ``rho_rho`` is the
     tabulated ``[rho_a * rho_a]`` (:func:`density_autocorrelation`).
     """
-    if sigma_a <= 0 or sigma_s <= 0:
-        raise ValidationError("sigma_a and sigma_s must be positive")
+    _positive(sigma_a=sigma_a, sigma_s=sigma_s)
     omegas = _omegas(omega)
     width = SQRT3 * sigma_s
 
@@ -535,9 +529,7 @@ class AnsatzModel:
     sigma_s: float
 
     def __post_init__(self):
-        sigma_s = self.sigma_s
-        if not (np.isfinite(sigma_s) and sigma_s > 0):
-            raise ValidationError(f"sigma_s must be finite and positive: {sigma_s}")
+        _positive(sigma_s=self.sigma_s)
         object.__setattr__(self, "kind", _ansatz_kind(self.kind))
 
     @cached_property

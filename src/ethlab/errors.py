@@ -4,6 +4,8 @@ Every error raised by the package derives from :class:`EthlabError` so callers
 (and the CLI exit-code mapping) can distinguish our failures from genuine bugs.
 """
 
+import numpy as np
+
 
 class EthlabError(Exception):
     """Base class for all package errors."""
@@ -11,6 +13,13 @@ class EthlabError(Exception):
 
 class ValidationError(EthlabError):
     """Invalid user input: parameters, configuration files, malformed values."""
+
+
+def _positive(**values) -> None:
+    # The one width rule: each value, a scalar or an array, is finite and > 0.
+    for name, value in values.items():
+        if not np.all((np.asarray(value, dtype=float) > 0) & np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 class DimensionError(ValidationError):

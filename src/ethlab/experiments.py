@@ -24,13 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EmptyWindowError,
-    InsufficientDataError,
-    ValidationError,
-)
-from .hamiltonians import BipartiteSystem, haar_orthogonal
+from .errors import EmptyWindowError, InsufficientDataError, ValidationError, _positive
+from .hamiltonians import BipartiteSystem, _check_a_operator, haar_orthogonal
 
 __all__ = [
     "OperatorEnsembleSpec",
@@ -116,10 +111,7 @@ def band_matrix_elements(
     band.pairs()`` and a symmetric ``op_a``, evaluated on the band's tiles
     as in the direct engine (:meth:`PairBand.accumulate_from_factors`).
     """
-    if op_a.shape != (system.dim_a, system.dim_a):
-        raise DimensionError(
-            f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
-        )
+    _check_a_operator(system, op_a)
     rows = system.spectrum_t.rows
     tiles = band._tiles(_DIRECT_BATCH)
     return np.concatenate([band._tile_elements(rows, op_a, t)[0] for t in tiles])
@@ -137,11 +129,9 @@ class BinningParams:
     omega_bin_width: Optional[float] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.ebar_halfwidth) and self.ebar_halfwidth > 0):
-            raise ValidationError("ebar_halfwidth must be finite and positive")
-        width = self.omega_bin_width
-        if width is not None and not (np.isfinite(width) and width > 0):
-            raise ValidationError("omega_bin_width must be finite and positive")
+        _positive(ebar_halfwidth=self.ebar_halfwidth)
+        if self.omega_bin_width is not None:
+            _positive(omega_bin_width=self.omega_bin_width)
 
     def resolve_width(self, spectral_range: float) -> float:
         if self.omega_bin_width is not None:
@@ -207,8 +197,8 @@ def _bin_count(top: float, width: float, n: int) -> int:
     # outnumber the n**2 entries of the eigenvector matrix.
     if not top < float(n) * n:
         raise ValidationError(
-            f"binning.omega_bin_width = {width} gives {top + 1:.4g} omega bins, "
-            f"more than the {n * n} entries of the eigenvector matrix"
+            f"binning.omega_bin_width = {width} gives {np.floor(top) + 1:.0f} "
+            f"omega bins, more than the {n * n} entries of the eigenvector matrix"
         )
     return int(top) + 1
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import AnsatzModel
-from .errors import OutOfSupportError, ValidationError
+from .errors import OutOfSupportError, ValidationError, _positive
 from .experiments import (
     band_matrix_elements,
     omega_grid,
@@ -148,8 +148,8 @@ def _coefficients(config, kinds, ctx, *, stem):
 
 def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
     """Prediction curves at ``ebar`` on the scans' bin midpoints (omega_grid)."""
-    if omega_max is not None and not omega_max > 0:
-        raise ValidationError(f"omega_max must be positive, got {omega_max:g}")
+    if omega_max is not None:
+        _positive(omega_max=omega_max)
     system = ctx.system(config)
     prof = profile(system)
     sigma_a = system.spectrum_a.spectral_range

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, _positive
 from .linalg import Spectrum, _symmetric, eig_sym, eigvals_sym
 
 __all__ = [
@@ -165,6 +165,14 @@ class BipartiteSystem:
     def sum_energies(self) -> np.ndarray:
         """Noninteracting eigenvalues ``E_i^A + E_j^B`` as a (dim_a, dim_b) grid."""
         return np.add.outer(self.spectrum_a.eigenvalues, self.spectrum_b.eigenvalues)
+
+
+def _check_a_operator(system: BipartiteSystem, op_a: np.ndarray) -> None:
+    # The one shape rule for an operator on the A factor: dim_a x dim_a.
+    if op_a.shape != (system.dim_a, system.dim_a):
+        raise DimensionError(
+            f"operator shape {op_a.shape} does not match dim_a={system.dim_a}"
+        )
 
 
 def _fragment(build: Callable[[], np.ndarray]) -> Spectrum:
@@ -335,8 +343,7 @@ class RandomSystemParams:
                 "interaction qubits do not fit the bipartition: need "
                 "floor(sites_i/2) <= sites_a and ceil(sites_i/2) <= sites_b"
             )
-        if not 0 < self.interaction_fraction < np.inf:
-            raise ValidationError("interaction_fraction must be finite and > 0")
+        _positive(interaction_fraction=self.interaction_fraction)
 
 
 def sample_goe(dim: int, rng: np.random.Generator) -> np.ndarray:

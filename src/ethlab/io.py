@@ -58,9 +58,9 @@ class RunConfig:
     """Validated parameters for one run.
 
     ``system`` is the system, and its type is the family.  ``cut`` is the
-    number of sites in the A factor: the chain's cut, or a random system's
-    ``sites_a``.  ``predict_kinds`` are the ansatz variants evaluated
-    alongside measured curves.
+    number of sites in the A factor: the chain's cut in ``1..sites-1``, or a
+    random system's ``sites_a``.  ``predict_kinds`` are the ansatz variants
+    evaluated alongside measured curves, each named once.
     """
 
     system: SpinChainParams | RandomSystemParams
@@ -70,8 +70,24 @@ class RunConfig:
     predict_kinds: tuple[str, ...]
 
     def __post_init__(self):
-        if not isinstance(self.system, (SpinChainParams, RandomSystemParams)):
-            raise ValidationError(f"system is of no family: {self.system!r}")
+        system = self.system
+        if isinstance(system, SpinChainParams):
+            cuts = range(1, system.sites)
+        elif isinstance(system, RandomSystemParams):
+            cuts = range(system.sites_a, system.sites_a + 1)  # its sites_a alone
+        else:
+            raise ValidationError(f"system is of no family: {system!r}")
+        if self.cut not in cuts:
+            raise ValidationError(
+                f"system.cut must be in {cuts[0]}..{cuts[-1]}, got {self.cut}"
+            )
+        for k in self.predict_kinds:
+            try:
+                _ansatz_kind(k)
+            except ValidationError as exc:
+                raise ValidationError(f"predict.kinds: {exc}") from None
+            if self.predict_kinds.count(k) > 1:
+                raise ValidationError(f"predict.kinds: {k!r} is listed more than once")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=seed))
@@ -125,9 +141,9 @@ def parse_config(
     Missing keys take the reference-chain defaults (J=1, h_x=1.05, h_z=0.5,
     12 sites, 250 operators, half-width 0.5, auto bin width).  It raises on
     unknown sections (``[DEFAULT]`` among them) or keys, numbers that do not
-    parse, an unknown family, a chain cut outside ``1..sites-1`` and an
-    empty or repeating kinds list; the parameter classes and the ansatz's
-    kind rule reject every other bad value, naming the field or kind.
+    parse, an unknown family and a kinds list that names no kind; the
+    parameter classes and :class:`RunConfig` reject every other bad value,
+    naming the field or kind.
     ``force_kind`` overrides ``system.kind`` (used by the CLI subcommands
     that imply a system family).
     """
@@ -163,10 +179,6 @@ def parse_config(
             field_z=_get_float(section, "field_z"),
         )
         cut = _get_int(section, "cut")
-        if not 1 <= cut < system.sites:
-            raise ValidationError(
-                f"system.cut must be in 1..{system.sites - 1}, got {cut}"
-            )
     elif kind == "random":
         system = RandomSystemParams(
             sites_a=_get_int(section, "sites_a"),
@@ -195,8 +207,7 @@ def parse_config(
         ),
     )
 
-    predict_section = parser["predict"]
-    raw_kinds = predict_section["kinds"].strip()
+    raw_kinds = parser["predict"]["kinds"].strip()
     if raw_kinds.lower() == "auto":
         # Empty tuple means "let each experiment pick its usual curves".
         kinds = ()
@@ -206,13 +217,6 @@ def parse_config(
             raise ValidationError(
                 "predict.kinds lists no kind; use auto or name at least one"
             )
-        for k in kinds:
-            try:
-                _ansatz_kind(k)
-            except ValidationError as exc:
-                raise ValidationError(f"predict.kinds: {exc}") from None
-            if kinds.count(k) > 1:
-                raise ValidationError(f"predict.kinds: {k!r} is listed more than once")
 
     return RunConfig(
         system=system,

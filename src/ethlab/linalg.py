@@ -21,6 +21,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
     ZeroWidthSpectrumError,
+    _positive,
 )
 
 __all__ = [
@@ -290,8 +291,8 @@ def integrate_adaptive(f: Callable, a, b, *, tol, kinks=None) -> np.ndarray:
     a, b : 1-d array
         Integration limits, finite, ``a <= b`` elementwise.
     tol : float or 1-d array
-        Absolute tolerance for each whole integral, shared across its
-        segments in proportion to their width.
+        Absolute tolerance for each whole integral, finite and positive,
+        shared across its segments in proportion to their width.
     kinks : array of shape ``(n, k)``, or None
         Row ``i`` holds the abscissae where integral ``i``'s integrand is
         continuous but not smooth, all finite; values outside ``(a, b)`` and
@@ -304,8 +305,9 @@ def integrate_adaptive(f: Callable, a, b, *, tol, kinks=None) -> np.ndarray:
     Raises
     ------
     QuadratureError
-        When a segment does not converge within ``_MAX_DEPTH`` subdivisions;
-        it carries the array of best estimates accumulated so far.
+        When a segment does not converge within ``_MAX_DEPTH`` subdivisions,
+        or at the first value of ``f`` that is not finite (a panel holding
+        one never converges); it carries the best estimates so far.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -315,6 +317,7 @@ def integrate_adaptive(f: Callable, a, b, *, tol, kinks=None) -> np.ndarray:
         raise ValidationError("integration limits must be finite")
     if np.any(b < a):
         raise ValidationError("integration limits must satisfy a <= b")
+    _positive(tol=tol)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
     inner = np.empty((a.size, 0))
     if kinks is not None:
@@ -344,6 +347,13 @@ def _adaptive_simpson(f, a, b, tol, cuts):
     # per-integral convergence flag.
     totals = np.zeros(a.size)
     ok = np.ones(a.size, dtype=bool)
+
+    def values(x, rows):  # f, refused at its first value that is not finite
+        v = f(x, rows)
+        if not np.isfinite(v).all():
+            raise QuadratureError("the integrand is not finite", best_estimate=totals)
+        return v
+
     l, r = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
     rw = np.repeat(np.arange(a.size), cuts.shape[1] - 1)
     keep = r > l
@@ -352,14 +362,14 @@ def _adaptive_simpson(f, a, b, tol, cuts):
         return totals, ok
     t = np.maximum(tol[rw] * (r - l) / (b[rw] - a[rw]), 1e-300)
     k = rw.size
-    fvals = f(np.concatenate((l, 0.5 * (l + r), r)), np.concatenate((rw, rw, rw)))
+    fvals = values(np.concatenate((l, 0.5 * (l + r), r)), np.tile(rw, 3))
     fa, fm, fb = fvals[:k], fvals[k : 2 * k], fvals[2 * k :]
     whole = _simpson(fa, fm, fb, r - l)
     depth = _MAX_DEPTH
     while True:
         m = 0.5 * (l + r)
         k = rw.size
-        fq = f(np.concatenate((0.5 * (l + m), 0.5 * (m + r))), np.concatenate((rw, rw)))
+        fq = values(np.concatenate((0.5 * (l + m), 0.5 * (m + r))), np.tile(rw, 2))
         flm, frm = fq[:k], fq[k:]
         left = _simpson(fa, flm, fm, m - l)
         right = _simpson(fm, frm, fb, r - m)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindowError, ValidationError
+from .errors import EmptyWindowError, _positive
 from .hamiltonians import BipartiteSystem
 
 __all__ = [
@@ -103,8 +103,7 @@ class ScramblingProfile:
 
 def exp_profile(sigma_s: float):
     """Exponential scrambling profile ``exp(-sqrt(2)|E|/sigma_s)``."""
-    if sigma_s <= 0:
-        raise ValidationError("sigma_s must be positive for the exponential profile")
+    _positive(sigma_s=sigma_s)
     rate = SQRT2 / sigma_s
 
     def h(energy):
@@ -114,9 +113,8 @@ def exp_profile(sigma_s: float):
 
 
 def flat_profile(delta: float):
-    """Indicator profile of full width ``delta`` (closed window)."""
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
+    """Indicator profile of full width ``delta > 0`` (closed window)."""
+    _positive(delta=delta)
     half = 0.5 * delta
 
     def h(energy):

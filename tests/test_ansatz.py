@@ -2,6 +2,10 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import ethlab.ansatz
+import ethlab.linalg
 from ethlab.ansatz import (
     AnsatzKind,
     AnsatzModel,
@@ -29,6 +34,7 @@ from ethlab.errors import (
     DegenerateWindowError,
     DimensionError,
     OutOfSupportError,
+    QuadratureError,
     ValidationError,
 )
 from ethlab.experiments import BinningParams, OperatorEnsembleSpec, run_ensemble
@@ -573,6 +579,105 @@ def test_ansatz_model_validation():
             AnsatzModel(kind, system, sigma_s)
     with pytest.raises(ValidationError, match="no_such_rung.*exp_decay_flat_A"):
         AnsatzModel("no_such_rung", system, 0.5)
+
+
+def _width_calls():
+    # Every public callable that takes a width: (the width it must name, a
+    # call with that width set to s).
+    n_a = SpectralDensity(np.array([-1.0, 1.0]), np.array([2.0, 2.0]), total=4.0)
+    n_b = GridFunction(np.array([-2.0, 2.0]), np.array([1.0, 1.0]))
+    n_0 = GridFunction(np.array([-3.0, 3.0]), np.array([1.0, 1.0]))
+    rr = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+    system = toy_system()
+    kind = AnsatzKind.EXP_DECAY_FLAT_A
+    return [
+        ("sigma_s", lambda s: entropic_factor(n_0, 0.0, s)),
+        ("sigma_s", exp_autocorrelation),
+        ("sigma_s", lambda s: f_narrow(n_a, n_b, n_0, s, 0.0, 0.1)),
+        ("sigma_s", lambda s: f_small_a(rr, s, 0.1)),
+        ("sigma_a", lambda s: f_flat_a(s, 0.5, 0.1)),
+        ("sigma_s", lambda s: f_flat_a(2.0, s, 0.1)),
+        ("sigma_s", lambda s: f_smooth_small_a(rr, s, 0.1)),
+        ("sigma_a", lambda s: f_exp_decay(s, 0.5, 0.1)),
+        ("sigma_s", lambda s: f_exp_decay(2.0, s, 0.1)),
+        ("sigma_a", lambda s: f_mc_finite_width(rr, s, 0.5, 0.1)),
+        ("sigma_s", lambda s: f_mc_finite_width(rr, 2.0, s, 0.1)),
+        ("sigma_s", exp_profile),
+        ("delta", flat_profile),
+        ("sigma_s", lambda s: AnsatzModel(kind, system, s)),
+    ]
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_every_width_must_be_finite_and_positive(monkeypatch, width):
+    # One rule for every width of the ladder: a ValidationError naming it,
+    # raised before any quadrature, never a NaN curve.  The shallow depth
+    # bounds the memory of a rung that would integrate a NaN width instead.
+    calls = _width_calls()
+    for _, call in calls:
+        call(0.5)  # each call runs at a good width
+    monkeypatch.setattr(ethlab.linalg, "_MAX_DEPTH", 16)
+    for name, call in calls:
+        with pytest.raises(ValidationError, match=f"{name} must be finite and pos"):
+            call(width)
+
+
+# Address-space cap of the child processes that reproduce calls which, without
+# a finiteness rule, subdivide until memory runs out.
+_CAP_BYTES = 1536 * 1024 * 1024
+
+
+def _run_capped(setup: str, call: str) -> tuple[str, float]:
+    """Run ``call`` after ``setup`` in a child under ``RLIMIT_AS = _CAP_BYTES``.
+
+    Returns the name of the exception ``call`` raised (``"None"`` for none)
+    and the seconds it took.  A runaway allocation meets ``MemoryError`` at the
+    cap instead of exhausting the host.
+    """
+    path = [str(Path(ethlab.ansatz.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    code = "\n".join([
+        "import resource, time",
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_CAP_BYTES}, {_CAP_BYTES}))",
+        "import numpy as np",
+        "from ethlab.ansatz import *",
+        "from ethlab.linalg import GridFunction, integrate_adaptive",
+        setup,
+        "start, name = time.perf_counter(), None",
+        "try:",
+        f"    {call}",
+        "except Exception as exc:",
+        "    name = type(exc).__name__",
+        "print(name, time.perf_counter() - start)",
+    ])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    name, seconds = proc.stdout.split()
+    return name, float(seconds)
+
+
+@pytest.mark.parametrize(
+    "setup, call",
+    [
+        ("", "f_exp_decay(2.0, np.nan, 0.1)"),
+        ("rr = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))",
+         "f_smooth_small_a(rr, np.nan, 0.1)"),
+        ("rho = GridFunction(np.linspace(-1.0, 1.0, 5), [0.5, 0.5, np.nan, 0.5, 0.5])",
+         "density_autocorrelation(rho)"),
+        ("", "integrate_adaptive(lambda x, rows: np.sin(x), np.zeros(1), np.ones(1), "
+             "tol=np.nan)"),
+    ],
+    ids=["f_exp_decay-nan-sigma_s", "f_smooth_small_a-nan-sigma_s",
+         "density_autocorrelation-nan-value", "integrate_adaptive-nan-tol"],
+)
+def test_nan_inputs_fail_fast_instead_of_subdividing(setup, call):
+    # A NaN never converges: each call once subdivided breadth first, its
+    # panel count doubling per level, until memory ran out.
+    name, seconds = _run_capped(setup, call)
+    assert name in ("ValidationError", "QuadratureError"), name
+    assert seconds < 1.0
 
 
 def test_ladder_predicts_for_unit_mean_square_operators_only():

@@ -507,6 +507,28 @@ def test_tiny_bin_width_is_a_validation_error():
         )
 
 
+def test_a_refused_bin_count_is_the_count_of_bins():
+    # At the auto width the 4-site chain at cut 2 would need more bins than
+    # its 16**2 eigenvector entries.  The scans' band and predict's grid both
+    # name the whole count they refuse: the band's bins 0..floor(top).
+    system = decompose_chain(SpinChainParams(4), 2)
+    binning = BinningParams()
+    width = binning.resolve_width(system.spectrum_t.spectral_range)
+    e = system.spectrum_t.eigenvalues
+    i, j = np.triu_indices(e.size, 1)
+    inside = np.abs(0.5 * (e[i] + e[j])) <= binning.ebar_halfwidth
+    widest = (e[j] - e[i])[inside].max()
+    band_bins = int(widest * (1.0 / (2.0 * width))) + 1
+    grid_bins = int(np.ceil((100.0 - 0.5 * width) / width))
+    for call, count in (
+        (lambda: run_ensemble(system, OperatorEnsembleSpec(count=1), [0.0], binning),
+         band_bins),
+        (lambda: omega_grid(system, binning, 100.0), grid_bins),
+    ):
+        with pytest.raises(ValidationError, match=f" gives {count} omega bins, more "):
+            call()
+
+
 @pytest.mark.parametrize("cut", [3, 7])
 def test_omega_grid_is_the_scans_bin_midpoints_bitwise(chain10, cut):
     # predict's omega axis is the scans': at every bin a scan reports, by

@@ -338,7 +338,7 @@ def test_random_system_cache_hit_never_computes(
 
     monkeypatch.setattr(hamiltonians, "_random_interaction", spy)
     config = RunConfig(
-        system=params, cut=0, ensemble=OperatorEnsembleSpec(),
+        system=params, cut=params.sites_a, ensemble=OperatorEnsembleSpec(),
         binning=BinningParams(), predict_kinds=(),
     )
     cold = build_system(config, cache_dir=tmp_path)

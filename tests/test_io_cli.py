@@ -182,6 +182,27 @@ def test_cache_keys_of_the_default_configs_are_pinned():
     )
 
 
+def test_run_config_owns_its_cut_and_kinds_rules():
+    # A config made without the reader, as replace() makes one, meets the
+    # same rules as a parsed one: the cut fits the family, and each kind is
+    # known and listed once.
+    from dataclasses import replace
+
+    chain = default_config()
+    rand = parse_config(None, text="[system]\nkind = random\n")
+    for config, changes, message in (
+        (chain, {"cut": 0}, r"system\.cut must be in 1\.\.11, got 0"),
+        (chain, {"cut": 12}, r"system\.cut must be in 1\.\.11, got 12"),
+        (rand, {"cut": 5}, r"system\.cut must be in 2\.\.2, got 5"),
+        (rand, {"predict_kinds": ("exp_decay_flat_A",) * 2},
+         "'exp_decay_flat_A' is listed more than once"),
+        (chain, {"predict_kinds": ("nonsense",)}, "predict.kinds: unknown ansatz kind"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            replace(config, **changes)
+    assert replace(rand, predict_kinds=("exp_decay_flat_A",)).cut == 2
+
+
 def test_cache_key_ignores_cut_and_tracks_parameters():
     from dataclasses import replace
 

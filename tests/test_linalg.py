@@ -237,7 +237,7 @@ def test_integrate_adaptive_kinked_integrand():
     assert val == pytest.approx(exact, abs=1e-11)
 
 
-def test_integrate_adaptive_validation():
+def test_integrate_adaptive_validation(monkeypatch):
     with pytest.raises(ValidationError):
         _one(np.sin, 1.0, 0.0, tol=1e-8)
     with pytest.raises(ValidationError):
@@ -258,6 +258,12 @@ def test_integrate_adaptive_validation():
             )
     with pytest.raises(DimensionError):  # scalar limits are not accepted
         integrate_adaptive(lambda x, rows: x, 0.0, 1.0, tol=1e-8)
+    # tol is finite and positive.  The shallow depth bounds the memory of a
+    # quadrature that would subdivide under a NaN tolerance instead.
+    monkeypatch.setattr(ethlab.linalg, "_MAX_DEPTH", 16)
+    for tol in (0.0, -1e-8, np.nan, np.inf, [1e-8, np.nan]):
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            integrate_adaptive(lambda x, rows: x, np.zeros(2), np.ones(2), tol=tol)
 
 
 def _recursive_simpson(f, a, b, tol, kinks, max_depth=48):
@@ -340,6 +346,25 @@ def test_integrate_adaptive_depth_exhaustion_keeps_best_estimate(monkeypatch):
     with pytest.raises(QuadratureError) as err:
         _one(jump, 0.0, 1.0, tol=1e-10)
     assert np.array_equal(err.value.best_estimate, [want])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_adaptive_refuses_a_non_finite_integrand(monkeypatch, bad):
+    # A panel with a non-finite value can never converge: the first such
+    # value raises, with the totals accumulated so far, before any panel is
+    # split.  The shallow depth bounds the memory of a quadrature that would
+    # subdivide such a panel instead.
+    monkeypatch.setattr(ethlab.linalg, "_MAX_DEPTH", 16)
+    calls = []
+
+    def f(x, rows):
+        calls.append(x.size)
+        return np.where((rows == 1) & (x > 0.5), bad, np.sin(x))
+
+    with pytest.raises(QuadratureError, match="integrand is not finite") as err:
+        integrate_adaptive(f, np.zeros(2), np.ones(2), tol=1e-10)
+    assert calls == [6]  # the ends and midpoints of both integrals
+    assert np.array_equal(err.value.best_estimate, [0.0, 0.0])
 
 
 def test_density_autocorrelation_of_box_is_triangle():
