@@ -18,7 +18,8 @@ continuum kinds return the suppressed amplitude ``f`` with the entropic
 factor ``(sigma_s n_0(Ebar))**-1/2`` reported separately; exact-sum kinds
 absorb the suppression into their normalization and report an entropic
 factor of one.  Every width must be finite and positive, the one rule of
-``errors._positive``: else :class:`ValidationError` names it.
+``errors._positive``, and a tabulated autocorrelation, and the density it
+is made from, hold finite values: else :class:`ValidationError` names it.
 
 Each rung is one function (``f_smooth_sums``, ``f_narrow``, ...) that takes
 its spectral inputs, then ``sigma_a``, ``sigma_s`` and ``ebar`` (each only
@@ -141,7 +142,7 @@ def density_autocorrelation(rho: GridFunction) -> GridFunction:
     exactly.
     """
     total = rho.integral()
-    if abs(total - 1.0) > 0.01:
+    if not abs(total - 1.0) <= 0.01:  # a NaN in rho fails here too
         raise ValidationError(
             f"rho must be normalized to unit integral (got {total:.6g}); "
             "use SpectralDensity.normalized()"
@@ -236,6 +237,17 @@ def _smooth_sums(system, op_a, h, ebar, omegas):
     return f, live
 
 
+def _check_autocorrelation(rho_rho: GridFunction) -> None:
+    # A rung's tabulated [rho_a * rho_a] holds finite values: a NaN would
+    # become a NaN curve, or a NaN tolerance in _scaled_tol.
+    bad = ~np.isfinite(rho_rho.values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"rho_rho must be finite, got {rho_rho.values[k]} at {rho_rho.grid[k]}"
+        )
+
+
 def _scaled_tol(fn, lo, hi) -> np.ndarray:
     # Absolute quadrature tolerance per integral, scaled to a coarse estimate
     # of the integral's magnitude, so _TOL acts relatively for large densities.
@@ -326,6 +338,7 @@ def f_small_a(rho_rho, sigma_s: float, omega):
     density of states, as :func:`density_autocorrelation` returns it.
     """
     _positive(sigma_s=sigma_s)
+    _check_autocorrelation(rho_rho)
     val = rho_rho(2.0 * _omegas(omega))
     return np.sqrt(np.maximum(sigma_s * val, 0.0))
 
@@ -354,6 +367,7 @@ def f_smooth_small_a(rho_rho, sigma_s: float, omega):
     """
     omegas = _omegas(omega)
     hh = exp_autocorrelation(sigma_s)
+    _check_autocorrelation(rho_rho)
     n_h = SQRT2 * sigma_s
     lo, hi = rho_rho.support  # support of [rho*rho](2w') in 2w'
 
@@ -401,6 +415,7 @@ def f_mc_finite_width(rho_rho, sigma_a: float, sigma_s: float, omega):
     tabulated ``[rho_a * rho_a]`` (:func:`density_autocorrelation`).
     """
     _positive(sigma_a=sigma_a, sigma_s=sigma_s)
+    _check_autocorrelation(rho_rho)
     omegas = _omegas(omega)
     width = SQRT3 * sigma_s
 

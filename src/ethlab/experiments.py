@@ -245,6 +245,7 @@ class PairBand:
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
+        _positive(ebar_halfwidth=ebar_halfwidth, bin_width=bin_width)
         energies = np.asarray(energies, dtype=float)
         n = energies.size
         lo_sum = 2.0 * (ebar_center - ebar_halfwidth)

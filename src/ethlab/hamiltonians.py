@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, ValidationError, _positive
-from .linalg import Spectrum, _symmetric, eig_sym, eigvals_sym
+from .linalg import Spectrum, _fix_signs, _symmetric, eig_sym, eigvals_sym
 
 __all__ = [
     "MAX_CHAIN_SITES",
@@ -39,20 +39,22 @@ __all__ = [
 # Dense diagonalization guard: 2^13 x 2^13 is the largest total dimension the
 # desk-scale memory budget tolerates.  The one dim x dim array a system holds
 # is its total eigenvector matrix, stored eigenstate-major (see
-# linalg.Spectrum): 8 * 4^13 bytes = 512 MiB at 13 sites.  The build peaks
-# inside eigh, which holds H_T, its working copy, the eigenvectors and 2 dim^2
-# of workspace: measured peak RSS at 13 sites is 2.6 GB for the chain
-# (2607 MB at cut 3) and 2.7 GB for the random family (2656 MB at sites_a=2,
-# sites_b=11).  A chain solves its two fragments for their eigenvalues alone
-# before it loads or computes the total, and a fragment's eigenvectors only
-# when they are read (see decompose_chain), so a cold build holds no
-# fragment eigenvectors through the total's eigh: a cold 12-site fig2 peaked
-# at 684 MB.  The eigenvector rows are copied out of eigh's result only after
-# its workspace is freed, below that peak.  The ensemble reads the rows in
-# place; the direct engine adds one operator applied to one 64-row tile at a
-# time (4 MiB at 13 sites).  Each window's pair band holds a few integers per
-# eigenstate and per omega bin, and per-pair indices live only for one band
-# tile.  Warm runs peak in a grouped engine, the eigenvectors plus one 8 MiB
+# linalg.Spectrum): 8 * 4^13 bytes = 512 MiB at 13 sites.  The random
+# family's build peaks inside eigh, which holds H_T, its working copy, the
+# eigenvectors and 2 dim^2 of workspace: 2656 MB at sites_a=2, sites_b=11.
+# The chain solves its two bit-reversal sectors instead, each about half the
+# dimension, and peaks where it writes their eigenvectors into that one
+# array (see _chain_spectrum).  A cold chain build at cut 3 on 2 cores took
+# 2.5 s and peaked at 266 MB RSS at 12 sites, and 17.5 s and 851 MB at 13;
+# one eigh of the whole chain took 8.4 s and 684 MB, and 102 s and 2611 MB.
+# A chain solves its two fragments for their eigenvalues alone before it
+# loads or computes the total, and a fragment's eigenvectors only when they
+# are read (see decompose_chain), so a cold build holds no fragment
+# eigenvectors through the total's solve: a cold 12-site fig2 peaked at
+# 267 MB.  The ensemble reads the rows in place; the direct engine adds one
+# operator applied to one 64-row tile at a time (4 MiB at 13 sites).  Each
+# window's pair band holds a few integers per eigenstate and per omega bin,
+# and per-pair indices live only for one band tile.  Warm runs peak in a grouped engine, the eigenvectors plus one 8 MiB
 # tile buffer and the per-pair arrays of one tile.  On 2 cores at 12 sites
 # `reproduce fig3` peaks at 179 MB (cut 3) and `reproduce fig2` with 4
 # operators at 183 MB (cut 1); at 13 sites fig3 measured 566 MB and 17 s, and
@@ -113,21 +115,105 @@ def _sz_table(sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def _chain_diagonal(params: SpinChainParams) -> np.ndarray:
+    # The chain's diagonal in the computational basis: fields and bonds.
+    sz = _sz_table(params.sites)
+    diag = params.field_z * sz.sum(axis=0)
+    if params.sites > 1:
+        diag = diag + params.coupling * (sz[:-1] * sz[1:]).sum(axis=0)
+    return diag
+
+
 def build_spin_chain(params: SpinChainParams) -> np.ndarray:
     """Dense Hamiltonian of the mixed-field Ising chain."""
     n = params.sites
     dim = params.dim
-    sz = _sz_table(n)
-    diag = params.field_z * sz.sum(axis=0)
-    if n > 1:
-        diag = diag + params.coupling * (sz[:-1] * sz[1:]).sum(axis=0)
     h = np.zeros((dim, dim))
-    np.fill_diagonal(h, diag)
+    np.fill_diagonal(h, _chain_diagonal(params))
     idx = np.arange(dim)
     for r in range(n):
         flipped = idx ^ (1 << (n - 1 - r))
         h[idx, flipped] += params.field_x
     return h
+
+
+def _bit_reversal(sites: int) -> np.ndarray:
+    # R s for every basis index s: the bit of site r moved to site sites-1-r.
+    idx = np.arange(2**sites)
+    rev = np.zeros_like(idx)
+    for r in range(sites):
+        rev |= ((idx >> r) & 1) << (sites - 1 - r)
+    return rev
+
+
+# Eigenvector rows scattered into the full basis per batch in
+# _chain_spectrum: 256 rows of 2^13 states are 16 MiB of scratch.
+_SCATTER_ROWS = 256
+
+
+def _chain_spectrum(params: SpinChainParams) -> Spectrum:
+    # Spectrum of build_spin_chain(params), solved per sector of the
+    # bit-reversal reflection R, which maps the open uniform chain onto
+    # itself.  The even sector holds e_s for every palindrome s = Rs and
+    # (e_s + e_Rs)/sqrt(2) for every pair s < Rs, the odd sector
+    # (e_s - e_Rs)/sqrt(2).  Each block is built from the chain's diagonal
+    # and its field_x flips, with no dense 2^n x 2^n H, and solved by
+    # eig_sym.  A flip never joins s to Rs (they differ in an even number of
+    # bits), so a block's diagonal is the chain's, and an off-diagonal entry
+    # sums at most four terms of one magnitude, in whatever order: the
+    # blocks are exactly symmetric.  The sectors' eigenvalues merge by a
+    # stable sort (the even sector first on an exact tie), and each embedded
+    # vector is written once into the (dim, dim) row array.  The sign rule
+    # is eig_sym's on the full-basis row: s and Rs tie exactly, and the
+    # lower index wins.
+    n, dim = params.sites, params.dim
+    idx = np.arange(dim)
+    rev = _bit_reversal(n)
+    palindrome = idx == rev
+    diag = _chain_diagonal(params)
+    flips = idx[:, None] ^ (1 << np.arange(n))
+    size = np.where(palindrome, 1.0, 2.0)
+    spectra, embeddings = [], []
+    for parity in (1.0, -1.0):
+        # Each state's sector column and its weight in that column's basis
+        # vector: sign / sqrt(orbit size), where the sign is 1 on the lower
+        # state of a pair, the parity on its mirror, and on a palindrome 1
+        # in the even sector and 0 (outside) in the odd one.
+        reps = idx[(idx < rev) | (palindrome & (parity > 0))]
+        k = reps.size
+        if k == 0:
+            continue
+        col = np.zeros(dim, dtype=np.intp)
+        col[reps] = col[rev[reps]] = np.arange(k)
+        sign = np.where(idx < rev, 1.0, parity)
+        sign[palindrome] = parity > 0
+        inside = sign != 0
+        src = np.repeat(idx[inside], n)
+        dst = flips[inside].ravel()
+        src, dst = src[inside[dst]], dst[inside[dst]]
+        weights = (sign[src] * sign[dst]) * params.field_x / np.sqrt(size[src] * size[dst])
+        # bincount of no weights is an integer array: a 2-site odd sector.
+        block = np.bincount(col[src] * k + col[dst], weights, k * k)
+        block = block.astype(float, copy=False).reshape(k, k)
+        block[np.diag_indices(k)] += diag[reps]
+        spectra.append(eig_sym(block, check=False))
+        del block
+        embeddings.append((col, sign / np.sqrt(size)))
+    values = np.concatenate([spectrum.eigenvalues for spectrum in spectra])
+    order = np.argsort(values, kind="stable")
+    position = np.empty(dim, dtype=np.intp)
+    position[order] = idx
+    rows = np.zeros((dim, dim))
+    start = 0
+    for spectrum, (col, weight) in zip(spectra, embeddings):
+        for lo in range(0, spectrum.dim, _SCATTER_ROWS):
+            batch = np.take(spectrum.rows[lo : lo + _SCATTER_ROWS], col, axis=1)
+            batch *= weight
+            batch[:, weight == 0] = 0.0  # not -0.0 where a component is negative
+            _fix_signs(batch)
+            rows[position[start + lo : start + lo + batch.shape[0]]] = batch
+        start += spectrum.dim
+    return Spectrum(eigenvalues=values[order], eigenvectors=rows.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +374,16 @@ def decompose_chain(
     key, say); or ``None`` to diagonalize the full chain here.  Both
     fragments' eigenvalues are solved first, so their solves never run
     beside a total spectrum fetched or computed here.
+
+    The full chain is diagonalized per sector of the bit-reversal
+    reflection, which maps every open uniform chain onto itself: two blocks
+    of about half the dimension (2080 and 2016 states at 12 sites), built
+    without the dense chain.  At 12 sites its eigenvalues match one
+    ``eigh`` of the whole chain to 6.5e-16 of the range, and every
+    eigenvector is an exact reflection eigenstate.  A cold build at cut 3 on
+    2 cores took 2.5 s and peaked at 266 MB RSS at 12 sites, and 17.5 s and
+    851 MB at 13, against 8.4 s and 684 MB, and 102 s and 2611 MB, for the
+    one ``eigh``.
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
@@ -296,10 +392,7 @@ def decompose_chain(
         partial(build_spin_chain, replace(params, sites=params.sites - cut))
     )
 
-    def compute():
-        return eig_sym(build_spin_chain(params), check=False)
-
-    spectrum_t = _total_spectrum(spectrum_t, compute)
+    spectrum_t = _total_spectrum(spectrum_t, partial(_chain_spectrum, params))
     return BipartiteSystem(
         spectrum_a=spectrum_a,
         spectrum_b=spectrum_b,

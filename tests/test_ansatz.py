@@ -627,12 +627,12 @@ def test_every_width_must_be_finite_and_positive(monkeypatch, width):
 _CAP_BYTES = 1536 * 1024 * 1024
 
 
-def _run_capped(setup: str, call: str) -> tuple[str, float]:
+def _run_capped(setup: str, call: str) -> tuple[str, float, str]:
     """Run ``call`` after ``setup`` in a child under ``RLIMIT_AS = _CAP_BYTES``.
 
-    Returns the name of the exception ``call`` raised (``"None"`` for none)
-    and the seconds it took.  A runaway allocation meets ``MemoryError`` at the
-    cap instead of exhausting the host.
+    Returns the name of the exception ``call`` raised (``"None"`` for none),
+    the seconds it took and the exception's message.  A runaway allocation
+    meets ``MemoryError`` at the cap instead of exhausting the host.
     """
     path = [str(Path(ethlab.ansatz.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     code = "\n".join([
@@ -642,42 +642,67 @@ def _run_capped(setup: str, call: str) -> tuple[str, float]:
         "from ethlab.ansatz import *",
         "from ethlab.linalg import GridFunction, integrate_adaptive",
         setup,
-        "start, name = time.perf_counter(), None",
+        "start, name, message = time.perf_counter(), None, ''",
         "try:",
         f"    {call}",
         "except Exception as exc:",
-        "    name = type(exc).__name__",
-        "print(name, time.perf_counter() - start)",
+        "    name, message = type(exc).__name__, exc",
+        "print(name, time.perf_counter() - start, message)",
     ])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    name, seconds = proc.stdout.split()
-    return name, float(seconds)
+    name, seconds, message = (proc.stdout.strip() + " ").split(" ", 2)
+    return name, float(seconds), message.strip()
+
+
+_NAN_RHO_RHO = "rr = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([0.0, np.nan, 0.0]))"
 
 
 @pytest.mark.parametrize(
-    "setup, call",
+    "setup, call, named",
     [
-        ("", "f_exp_decay(2.0, np.nan, 0.1)"),
+        ("", "f_exp_decay(2.0, np.nan, 0.1)", "sigma_s"),
         ("rr = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))",
-         "f_smooth_small_a(rr, np.nan, 0.1)"),
+         "f_smooth_small_a(rr, np.nan, 0.1)", "sigma_s"),
         ("rho = GridFunction(np.linspace(-1.0, 1.0, 5), [0.5, 0.5, np.nan, 0.5, 0.5])",
-         "density_autocorrelation(rho)"),
+         "density_autocorrelation(rho)", "rho"),
         ("", "integrate_adaptive(lambda x, rows: np.sin(x), np.zeros(1), np.ones(1), "
-             "tol=np.nan)"),
+             "tol=np.nan)", "tol"),
+        (_NAN_RHO_RHO, "f_smooth_small_a(rr, 0.5, 0.1)", "rho_rho"),
+        (_NAN_RHO_RHO, "f_mc_finite_width(rr, 2.0, 0.5, 0.1)", "rho_rho"),
     ],
     ids=["f_exp_decay-nan-sigma_s", "f_smooth_small_a-nan-sigma_s",
-         "density_autocorrelation-nan-value", "integrate_adaptive-nan-tol"],
+         "density_autocorrelation-nan-value", "integrate_adaptive-nan-tol",
+         "f_smooth_small_a-nan-rho_rho", "f_mc_finite_width-nan-rho_rho"],
 )
-def test_nan_inputs_fail_fast_instead_of_subdividing(setup, call):
+def test_nan_inputs_fail_fast_instead_of_subdividing(setup, call, named):
     # A NaN never converges: each call once subdivided breadth first, its
-    # panel count doubling per level, until memory ran out.
-    name, seconds = _run_capped(setup, call)
-    assert name in ("ValidationError", "QuadratureError"), name
+    # panel count doubling per level, until memory ran out.  Each now fails
+    # as a ValidationError that names the input holding the NaN.
+    name, seconds, message = _run_capped(setup, call)
+    assert name == "ValidationError", (name, message)
+    assert message.startswith(f"{named} must be"), message
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_autocorrelation_rungs_refuse_a_non_finite_table(monkeypatch, value):
+    # Every rung that reads a tabulated [rho_a * rho_a] names it when it
+    # holds a non-finite value: f_small_a once printed a NaN curve, the other
+    # two blamed a tolerance the caller never passed.  The shallow depth
+    # bounds the memory of a rung that would integrate it instead.
+    monkeypatch.setattr(ethlab.linalg, "_MAX_DEPTH", 16)
+    rr = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([0.0, value, 0.0]))
+    for call in (
+        lambda: f_small_a(rr, 0.5, 0.1),
+        lambda: f_smooth_small_a(rr, 0.5, 0.1),
+        lambda: f_mc_finite_width(rr, 2.0, 0.5, 0.1),
+    ):
+        with pytest.raises(ValidationError, match="rho_rho must be finite"):
+            call()
 
 
 def test_ladder_predicts_for_unit_mean_square_operators_only():

@@ -485,6 +485,17 @@ def test_band_memory_is_independent_of_the_pair_count(chain10):
     assert pairs[-1] > 7 * pairs[0]
 
 
+@pytest.mark.parametrize("width", [0.0, -0.01, np.nan])
+@pytest.mark.parametrize("name", ["ebar_halfwidth", "bin_width"])
+def test_pair_band_widths_must_be_finite_and_positive(name, width):
+    # The one width rule, before any array is built: a zero bin width once
+    # divided by zero, a negative one asked numpy for negative dimensions.
+    widths = {"ebar_halfwidth": 0.5, "bin_width": 0.1, name: width}
+    energies = np.linspace(-1.0, 1.0, 16)
+    with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+        PairBand(energies, 0.0, **widths)
+
+
 def test_tiny_bin_width_is_a_validation_error():
     # Too many omega bins is refused before any per-pair or per-bin array
     # is allocated; the message names the setting and the bin count.

@@ -24,7 +24,7 @@ from ethlab.hamiltonians import (
 )
 from ethlab.io import RunConfig, cached_spectrum, config_cache_key
 from ethlab.linalg import Spectrum, eig_sym, eigvals_sym
-from oracles import embed
+from oracles import dense_elements, embed
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
 # diagonalization (independent builds agree to every printed digit).
@@ -115,9 +115,9 @@ def test_chain_two_site_analytic_entries():
 
 
 def test_chain_is_exactly_symmetric_and_finite():
-    # decompose_chain solves the fragments and the total without eig_sym's
-    # symmetry and finiteness check: every chain it builds must pass it
-    # exactly.
+    # decompose_chain solves the fragments without eig_sym's symmetry and
+    # finiteness check: every chain it builds must pass it exactly.  (The
+    # total's sector blocks are checked in the sector-solve test.)
     for sites in range(1, 13):
         h = build_spin_chain(SpinChainParams(sites))
         assert np.array_equal(h, h.T)
@@ -200,6 +200,74 @@ def test_decompose_chain_reads_no_total_eigenvector(coupling):
     system = decompose_chain(params, 2, spectrum_t=Spectrum(eigenvalues, solve=solve))
     assert system.interaction_sq.shape == eigenvalues.shape
     assert np.all(system.interaction_sq == coupling**2)
+
+
+SECTOR_COUPLINGS = {
+    "default": {},
+    "tilted": dict(coupling=0.7, field_x=0.3, field_z=-1.3),
+}
+
+
+@pytest.mark.parametrize("couplings", SECTOR_COUPLINGS.values(), ids=SECTOR_COUPLINGS)
+@pytest.mark.parametrize("sites", [1, 2, 3, 8, 9, 10, 11])
+def test_chain_sector_solve_matches_the_full_solve(sites, couplings, monkeypatch):
+    # The bit-reversal reflection R maps every chain onto itself bitwise, so
+    # the per-sector solve is the full solve: eigenvalues to 1e-12 of the
+    # range, orthonormal rows that are each an exact R eigenstate with the
+    # sign rule on the full row, the even sector first on an exact tie,
+    # exactly symmetric blocks, and the full solve's eigenspaces.  The full
+    # solve mixes levels closer than its roundoff resolves (the tilted
+    # chains have exact cross-sector degeneracies from 8 sites on), so
+    # levels within 1e-5 of the range of each other are compared as one
+    # eigenspace.
+    params = SpinChainParams(sites, **couplings)
+    h = build_spin_chain(params)
+    rev = hamiltonians._bit_reversal(sites)
+    assert np.array_equal(h[rev][:, rev], h)
+    blocks = []
+    real_eig = hamiltonians.eig_sym
+
+    def eig(block, **kwargs):
+        blocks.append(block.copy())
+        return real_eig(block, **kwargs)
+
+    monkeypatch.setattr(hamiltonians, "eig_sym", eig)
+    got = hamiltonians._chain_spectrum(params)
+    want = eig_sym(h)
+    assert [b.shape[0] for b in blocks] == [
+        n for n in ((2**sites + 2 ** ((sites + 1) // 2)) // 2,
+                    (2**sites - 2 ** ((sites + 1) // 2)) // 2) if n
+    ]
+    assert all(np.array_equal(b, b.T) for b in blocks)
+    scale = want.spectral_range
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * scale
+    rows = got.rows
+    assert np.abs(rows @ rows.T - np.eye(params.dim)).max() <= 1e-12
+    mirrored = rows[:, rev]
+    parity = np.sign(np.einsum("ij,ij->i", mirrored, rows))
+    assert np.all(np.linalg.norm(mirrored - parity[:, None] * rows, axis=1) <= 1e-12)
+    ties = np.flatnonzero(np.diff(got.eigenvalues) == 0)
+    assert np.all(parity[ties] >= parity[ties + 1])
+    lead = np.argmax(np.abs(rows), axis=1)
+    assert np.all(rows[np.arange(params.dim), lead] > 0)
+    levels = want.eigenvalues
+    breaks = np.flatnonzero(np.diff(levels) > 1e-5 * scale) + 1
+    for space in np.split(np.arange(params.dim), breaks):
+        ours, theirs = rows[space], want.rows[space]
+        assert np.abs(ours - (ours @ theirs.T) @ theirs).max() <= 1e-10
+
+
+def test_chain_sector_solve_gives_the_full_solve_elements():
+    # Dense |O_ab|^2 of the 10-site chain at cut 3, from the sector solve
+    # (decompose_chain's own) and from the full solve passed in.
+    params = SpinChainParams(10)
+    got = decompose_chain(params, 3)
+    want = decompose_chain(params, 3, spectrum_t=eig_sym(build_spin_chain(params)))
+    g = np.random.default_rng(0).standard_normal((8, 8))
+    for op_a in (embed({0: pauli("x")}, 3), embed({2: pauli("z")}, 3), g + g.T):
+        ours = dense_elements(got, op_a) ** 2
+        theirs = dense_elements(want, op_a) ** 2
+        assert np.abs(ours - theirs).max() <= 1e-10 * np.abs(theirs).max()
 
 
 def test_make_bipartite_validation():

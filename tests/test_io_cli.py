@@ -693,8 +693,10 @@ def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
 def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monkeypatch):
     # A chain build solves both fragments' eigenvalues before it reads the
     # total spectrum from the cache, so a fragment's solve never runs beside
-    # the loaded eigenvectors.  A cold build runs one eig_sym, on the total;
-    # a forbidden miss still exits 4 before any dataset is written.
+    # the loaded eigenvectors.  A cold build then runs one eig_sym per
+    # bit-reversal sector of the total, the even (136 states at 8 sites)
+    # before the odd (120); a forbidden miss still exits 4 before any
+    # dataset is written.
     import ethlab.cli
     import ethlab.hamiltonians
     import ethlab.io
@@ -731,7 +733,9 @@ def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monke
     assert run("forbid") == 4
     assert not list(out.glob("*.csv"))
     assert run("use") == 0
-    assert events == [("eigvals", 8), ("eigvals", 32), ("load", False), ("eig", 256)]
+    assert events == [
+        ("eigvals", 8), ("eigvals", 32), ("load", False), ("eig", 136), ("eig", 120)
+    ]
     assert run("use") == 0
     assert events == [("eigvals", 8), ("eigvals", 32), ("load", True)]
 
@@ -1335,7 +1339,7 @@ def test_reproduce_across_blas_thread_counts(tmp_path):
     # diagonalizes cold, and the difference enters through eigh, not through
     # the ensemble's summation order: warm runs that share one cache write
     # the same bytes at 1 and 2 threads.  With OpenBLAS the 10-site binned
-    # CSV differs between 1 and 2 threads (72 mean_sq cells, all under
+    # CSV differs between 1 and 2 threads (75 mean_sq cells, all under
     # 1e-18 of the window peak), so the bound is exercised, not vacuous.
     cfg = tmp_path / "run.ini"
     cfg.write_text(
