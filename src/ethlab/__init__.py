@@ -80,7 +80,6 @@ from .linalg import (
     Spectrum,
     density_of_states,
     eig_sym,
-    eigvals_sym,
     integrate_adaptive,
 )
 from .localize import LocalizabilityReport, localizability, localizing_basis
@@ -120,7 +119,6 @@ __all__ = [
     "GridFunction",
     "SpectralDensity",
     "eig_sym",
-    "eigvals_sym",
     "density_of_states",
     "integrate_adaptive",
     # systems

@@ -60,6 +60,7 @@ from .errors import (
     DegenerateWindowError,
     OutOfSupportError,
     ValidationError,
+    ZeroWidthSpectrumError,
     _positive,
 )
 from .hamiltonians import BipartiteSystem, _check_a_operator
@@ -523,6 +524,17 @@ def _density(levels: np.ndarray) -> SpectralDensity:
     return density_of_states(levels, bins=bins)
 
 
+def _sigma_a(system: BipartiteSystem) -> float:
+    # The A spectral range, which the flat-A rungs and predict's default
+    # omega_max scale by; an A spectrum of one level has none.
+    sigma_a = system.spectrum_a.spectral_range
+    if not sigma_a > 0:
+        raise ZeroWidthSpectrumError(
+            f"the A spectrum has zero width: its {system.dim_a} levels are equal"
+        )
+    return sigma_a
+
+
 @dataclass(frozen=True, eq=False)
 class AnsatzModel:
     """One rung of the ladder for one system and scrambling width.
@@ -565,7 +577,7 @@ class AnsatzModel:
 
     @property
     def sigma_a(self) -> float:
-        return self.system.spectrum_a.spectral_range
+        return _sigma_a(self.system)
 
     def evaluate(self, ebar: float, omegas: np.ndarray) -> Prediction:
         """Evaluate the model on an omega grid at fixed mean energy.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import AnsatzModel
+from .ansatz import AnsatzModel, _sigma_a
 from .errors import OutOfSupportError, ValidationError, _positive
 from .experiments import (
     band_matrix_elements,
@@ -152,7 +152,7 @@ def _predict(config, kinds, ctx, *, ebar=0.0, omega_max=None):
         _positive(omega_max=omega_max)
     system = ctx.system(config)
     prof = profile(system)
-    sigma_a = system.spectrum_a.spectral_range
+    sigma_a = _sigma_a(system)
     if omega_max is None:
         omega_max = 0.75 * sigma_a
     omegas = omega_grid(system, config.binning, omega_max)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, ValidationError, _positive
-from .linalg import Spectrum, _fix_signs, _symmetric, eig_sym, eigvals_sym
+from .linalg import Spectrum, _fix_signs, _symmetric, eig_sym
 
 __all__ = [
     "MAX_CHAIN_SITES",
@@ -47,19 +47,20 @@ __all__ = [
 # array (see _chain_spectrum).  A cold chain build at cut 3 on 2 cores took
 # 2.5 s and peaked at 266 MB RSS at 12 sites, and 17.5 s and 851 MB at 13;
 # one eigh of the whole chain took 8.4 s and 684 MB, and 102 s and 2611 MB.
-# A chain solves its two fragments for their eigenvalues alone before it
-# loads or computes the total, and a fragment's eigenvectors only when they
-# are read (see decompose_chain), so a cold build holds no fragment
-# eigenvectors through the total's solve: a cold 12-site fig2 peaked at
-# 267 MB.  The ensemble reads the rows in place; the direct engine adds one
-# operator applied to one 64-row tile at a time (4 MiB at 13 sites).  Each
-# window's pair band holds a few integers per eigenstate and per omega bin,
-# and per-pair indices live only for one band tile.  Warm runs peak in a grouped engine, the eigenvectors plus one 8 MiB
-# tile buffer and the per-pair arrays of one tile.  On 2 cores at 12 sites
-# `reproduce fig3` peaks at 179 MB (cut 3) and `reproduce fig2` with 4
-# operators at 183 MB (cut 1); at 13 sites fig3 measured 566 MB and 17 s, and
-# fig2 571 MB (cut 1) and 57 s.  fig2's cut-1 build, the 12-site fragment's
-# eigenvalue solve and then the load, took 6.3-8.8 s and reached 549 MB.
+# Each fragment is solved the same way before the total is loaded or
+# computed, and keeps only its eigenvalues until its eigenvectors are read
+# (see decompose_chain), so a cold build holds no fragment eigenvectors
+# through the total's solve: a cold 12-site fig2 peaked at 266 MB.  The
+# ensemble reads the rows in place; the direct engine adds one operator
+# applied to one 64-row tile at a time (4 MiB at 13 sites).  Each window's
+# pair band holds a few integers per eigenstate and per omega bin, and
+# per-pair indices live only for one band tile.  Warm runs peak in a grouped
+# engine, the eigenvectors plus one 8 MiB tile buffer and the per-pair
+# arrays of one tile.  On 2 cores at 12 sites `reproduce fig3` peaks at
+# 180 MB (cut 3) and `reproduce fig2` with 4 operators at 188 MB (cut 1); at
+# 13 sites fig3 measured 566 MB and 14-15 s, and fig2 577 MB and 46 s.
+# fig2's 13-site cut-1 build, the 12-site fragment's sector solve and then
+# the load, took 3.6 s and reached 554 MB.
 MAX_CHAIN_SITES = 13
 
 # Real symmetric subset only; sigma_y is complex and never needed here.
@@ -261,16 +262,12 @@ def _check_a_operator(system: BipartiteSystem, op_a: np.ndarray) -> None:
         )
 
 
-def _fragment(build: Callable[[], np.ndarray]) -> Spectrum:
-    # Spectrum of the fragment Hamiltonian ``build()``: eigenvalues from one
-    # eigenvalue-only solve now, eigenvectors from eig_sym of a fresh build
-    # on first read.  Until then it holds neither them nor the matrix.  No
-    # solve checks a build: chains and the random family's diagonals are
-    # exactly symmetric and finite, and make_bipartite checks its pieces.
-    return Spectrum(
-        eigvals_sym(build(), check=False),
-        solve=lambda: eig_sym(build(), check=False).eigenvectors,
-    )
+def _fragment(solve: Callable[[], Spectrum]) -> Spectrum:
+    # Spectrum of one subsystem from one deterministic solver: its
+    # eigenvalues now, its eigenvectors from the same solve run again on
+    # first read, so they match the eigenvalues bit for bit.  Until then it
+    # holds neither them nor the matrix.
+    return Spectrum(solve().eigenvalues, solve=lambda: solve().eigenvectors)
 
 
 def _total_spectrum(spectrum_t, compute: Callable[[], Spectrum]) -> Spectrum:
@@ -282,18 +279,14 @@ def _total_spectrum(spectrum_t, compute: Callable[[], Spectrum]) -> Spectrum:
 
 
 def _split_system(
-    build_a: Callable[[], np.ndarray],
-    build_b: Callable[[], np.ndarray],
-    spectrum_t: Spectrum,
+    spectrum_a: Spectrum, spectrum_b: Spectrum, spectrum_t: Spectrum,
+    h_a: np.ndarray, h_b: np.ndarray,
 ) -> BipartiteSystem:
-    # ``build_a`` and ``build_b`` return the subsystem Hamiltonians afresh.
     # <alpha|H_I^2|alpha> = |(E_alpha - H_0)|alpha>|^2 needs no H_I: H_0
     # acts factor-wise on each eigenvector row reshaped to (dim_a, dim_b),
     # 2 total^2 (dim_a + dim_b) flops instead of 2 total^3 for h_i @ V.
     # H_B (symmetric) acts on the last axis, so one product covers every
     # row; H_A acts on the middle axis, one small product per row.
-    spectrum_a, spectrum_b = _fragment(build_a), _fragment(build_b)
-    h_a, h_b = build_a(), build_b()
     rows = spectrum_t.rows
     v3 = rows.reshape(-1, spectrum_a.dim, spectrum_b.dim)
     applied = v3 * spectrum_t.eigenvalues[:, None, None]
@@ -336,12 +329,15 @@ def make_bipartite(
     input (``eigh`` would read only one triangle of an asymmetric
     ``H_T``).  Then ``H_T = kron(H_A, 1) + kron(1, H_B) + H_I`` is
     assembled, diagonalized and freed.  ``<alpha|H_I^2|alpha>`` follows
-    from the eigenvectors without ``H_I``.  The subsystem spectra keep
-    ``h_a`` and ``h_b`` to solve for their eigenvectors on first read (see
-    :func:`decompose_chain`).
+    from the eigenvectors without ``H_I``.  Each subsystem spectrum keeps
+    its Hamiltonian and solves it with :func:`ethlab.linalg.eig_sym` again
+    on the first read of its eigenvectors (see :func:`decompose_chain`).
     """
     h_a, h_b, h_i = (_symmetric(h, check=True) for h in (h_a, h_b, h_i))
-    return _split_system(lambda: h_a, lambda: h_b, _diagonalize(h_a, h_b, h_i))
+    spectrum_a, spectrum_b = (
+        _fragment(partial(eig_sym, h, check=False)) for h in (h_a, h_b)
+    )
+    return _split_system(spectrum_a, spectrum_b, _diagonalize(h_a, h_b, h_i), h_a, h_b)
 
 
 def decompose_chain(
@@ -359,13 +355,12 @@ def decompose_chain(
     ``<alpha|H_I^2|alpha>`` is exactly ``J^2`` for every eigenstate: the
     interaction is never built and the build reads no total eigenvector.
 
-    Each fragment's eigenvalues come from one eigenvalue-only solve
-    (:func:`ethlab.linalg.eigvals_sym`), whether or not its eigenvectors
-    are ever read.  Those are solved with :func:`ethlab.linalg.eig_sym` of
-    a freshly built fragment on the first read of ``eigenvectors`` or
-    ``rows`` and then kept; eigenvector ``k`` belongs to eigenvalue ``k``
-    up to the two solvers' roundoff (at most 3.5e-13 at 11 sites).  Only
-    the scrambling coefficients and the specific-operator rungs read them.
+    Each fragment is itself an open chain, solved like the full chain
+    below.  Its eigenvalues are taken from that solve whether or not its
+    eigenvectors are ever read; the eigenvectors come from the same solve,
+    run again on the first read of ``eigenvectors`` or ``rows``, and are
+    then kept.  Only the scrambling coefficients and the specific-operator
+    rungs read them.
 
     The cut only splits the full chain ``build_spin_chain(params)``, so the
     total spectrum is the same for every cut.  ``spectrum_t`` is that
@@ -387,11 +382,10 @@ def decompose_chain(
     """
     if not 1 <= cut <= params.sites - 1:
         raise ValidationError(f"cut={cut} outside 1..{params.sites - 1}")
-    spectrum_a = _fragment(partial(build_spin_chain, replace(params, sites=cut)))
-    spectrum_b = _fragment(
-        partial(build_spin_chain, replace(params, sites=params.sites - cut))
+    spectrum_a, spectrum_b = (
+        _fragment(partial(_chain_spectrum, replace(params, sites=n)))
+        for n in (cut, params.sites - cut)
     )
-
     spectrum_t = _total_spectrum(spectrum_t, partial(_chain_spectrum, params))
     return BipartiteSystem(
         spectrum_a=spectrum_a,
@@ -472,10 +466,12 @@ def build_random_system(
 
     Sampling order (fixed for reproducibility): GOE spectrum for ``H_A``, GOE
     spectrum for ``H_B``, GOE spectrum for the interaction block, then the two
-    Haar rotations.  ``H_A`` and ``H_B`` are diagonal with sorted spectra; the
-    interaction is a diagonal random spectrum on the straddling qubits rotated
-    by independent Haar orthogonals on each side and rescaled to the requested
-    relative spectral norm.  ``spectrum_t`` is the total spectrum, a function
+    Haar rotations.  ``H_A`` and ``H_B`` are diagonal with sorted spectra,
+    which are the subsystem spectra as drawn (their eigenvectors, the
+    identity, are made on first read); the interaction is a diagonal random
+    spectrum on the straddling qubits rotated by independent Haar
+    orthogonals on each side and rescaled to the requested relative
+    spectral norm.  ``spectrum_t`` is the total spectrum, a function
     ``fetch(compute)`` that returns it, or ``None``, as in
     :func:`decompose_chain`.  The interaction enters only the
     diagonalization, so it is drawn and built only when ``compute`` runs.
@@ -485,19 +481,18 @@ def build_random_system(
     dim_b = 2**params.sites_b
     spec_a = np.sort(np.linalg.eigvalsh(sample_goe(dim_a, rng)))
     spec_b = np.sort(np.linalg.eigvalsh(sample_goe(dim_b, rng)))
-    # The subsystem Hamiltonians are rebuilt from their sorted diagonals,
-    # whose eigenvalue-only solve gives the diagonal back bit for bit.
-    build_a = partial(np.diag, spec_a)
-    build_b = partial(np.diag, spec_b)
+    h_a, h_b = np.diag(spec_a), np.diag(spec_b)
 
     def compute():
         # The interaction is passed on as a temporary: _diagonalize frees it
         # before the diagonalization.
-        return _diagonalize(
-            build_a(), build_b(), _random_interaction(params, spec_a, spec_b, rng)
-        )
+        return _diagonalize(h_a, h_b, _random_interaction(params, spec_a, spec_b, rng))
 
-    return _split_system(build_a, build_b, _total_spectrum(spectrum_t, compute))
+    return _split_system(
+        Spectrum(spec_a, solve=partial(np.eye, dim_a)),
+        Spectrum(spec_b, solve=partial(np.eye, dim_b)),
+        _total_spectrum(spectrum_t, compute), h_a, h_b,
+    )
 
 
 def _random_interaction(params, spec_a, spec_b, rng) -> np.ndarray:

@@ -72,6 +72,8 @@ class RunConfig:
     def __post_init__(self):
         system = self.system
         if isinstance(system, SpinChainParams):
+            if system.sites == 1:
+                raise ValidationError("system.sites: a 1-site chain has no cut")
             cuts = range(1, system.sites)
         elif isinstance(system, RandomSystemParams):
             cuts = range(system.sites_a, system.sites_a + 1)  # its sites_a alone

@@ -29,7 +29,6 @@ __all__ = [
     "GridFunction",
     "SpectralDensity",
     "eig_sym",
-    "eigvals_sym",
     "density_of_states",
     "integrate_adaptive",
 ]
@@ -53,11 +52,9 @@ class Spectrum:
 
     A spectrum made with ``solve`` instead of ``eigenvectors`` holds only its
     eigenvalues until ``eigenvectors`` or ``rows`` is first read; that read
-    takes the eigenvector matrix from ``solve()`` and keeps it.  The
-    eigenvalues never change, so when they come from another solver than
-    the eigenvectors (:func:`eigvals_sym` against :func:`eig_sym`), column
-    ``k`` belongs to ``eigenvalues[k]`` up to the two solvers' roundoff
-    (at most 3.5e-13 for the 11-site chain).
+    takes the eigenvector matrix from ``solve()`` and keeps it, and drops
+    ``solve``.  ``solve`` must give the eigenvectors of the solver that gave
+    the eigenvalues.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors=None, *, solve=None):
@@ -170,18 +167,6 @@ def eig_sym(matrix: np.ndarray, *, check: bool = True) -> Spectrum:
     del vecs
     _fix_signs(rows)
     return Spectrum(eigenvalues=vals, eigenvectors=rows.T)
-
-
-def eigvals_sym(matrix: np.ndarray, *, check: bool = True) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix, without eigenvectors.
-
-    Takes the input :func:`eig_sym` takes, and solves for the eigenvalues
-    alone (LAPACK's eigenvalue-only driver), with no ``dim x dim`` result:
-    on the 11-site chain (2048 x 2048, 2 cores) 0.68-0.77 s against
-    1.3-2.0 s for :func:`eig_sym`.  The values agree with
-    :func:`eig_sym`'s to roundoff, not bitwise.
-    """
-    return np.linalg.eigvalsh(_symmetric(matrix, check))
 
 
 def _symmetric(matrix, check: bool) -> np.ndarray:

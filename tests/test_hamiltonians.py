@@ -23,7 +23,7 @@ from ethlab.hamiltonians import (
     sample_goe,
 )
 from ethlab.io import RunConfig, cached_spectrum, config_cache_key
-from ethlab.linalg import Spectrum, eig_sym, eigvals_sym
+from ethlab.linalg import Spectrum, eig_sym
 from oracles import dense_elements, embed
 
 # Ground-state energy of the 12-site default chain, frozen from the dense
@@ -63,18 +63,24 @@ def _reassembled(params, cut):
 
 
 def _assert_fragment_spectra(system, params, cut):
-    # The subsystem eigenvalues are bitwise the fragment chains' eigenvalue-
-    # only solve, and eig_sym's to roundoff; the eigenvectors, solved on
-    # first read (which may have come before: the fixtures are shared), are
-    # bitwise eig_sym's and then kept.
+    # Each subsystem spectrum is bitwise the sector solve of its fragment
+    # chain, eigenvalues and eigenvectors (solved on first read, which may
+    # have come before: the fixtures are shared, and then kept), and the
+    # dense eig_sym's within roundoff: the eigenvalues to 1e-13 of the
+    # range, each eigenvector up to its sign (s and Rs tie in magnitude, so
+    # the dense solve's sign rule can pick either).
     spectra = (system.spectrum_a, system.spectrum_b)
     for spectrum, h in zip(spectra, _fragments(params, cut)):
-        want = eig_sym(h)
-        assert np.array_equal(spectrum.eigenvalues, eigvals_sym(h))
-        gap = np.abs(spectrum.eigenvalues - want.eigenvalues).max()
-        assert gap <= 1e-12 * want.spectral_range
-        assert np.array_equal(spectrum.eigenvectors, want.eigenvectors)
+        n = int(np.log2(h.shape[0]))
+        got = hamiltonians._chain_spectrum(replace(params, sites=n))
+        assert np.array_equal(spectrum.eigenvalues, got.eigenvalues)
+        assert np.array_equal(spectrum.eigenvectors, got.eigenvectors)
         assert spectrum.eigenvectors is spectrum.eigenvectors
+        want = eig_sym(h)
+        gap = np.abs(spectrum.eigenvalues - want.eigenvalues).max()
+        assert gap <= 1e-13 * want.spectral_range
+        overlaps = np.einsum("ij,ij->i", spectrum.rows, want.rows)
+        assert np.all(np.abs(overlaps) >= 1.0 - 1e-12)
 
 
 @pytest.fixture
@@ -115,9 +121,10 @@ def test_chain_two_site_analytic_entries():
 
 
 def test_chain_is_exactly_symmetric_and_finite():
-    # decompose_chain solves the fragments without eig_sym's symmetry and
-    # finiteness check: every chain it builds must pass it exactly.  (The
-    # total's sector blocks are checked in the sector-solve test.)
+    # The dense chain, the tests' oracle for every sector solve, passes
+    # eig_sym's symmetry and finiteness check exactly.  (The sector blocks,
+    # which decompose_chain solves unchecked, are checked in the
+    # sector-solve test.)
     for sites in range(1, 13):
         h = build_spin_chain(SpinChainParams(sites))
         assert np.array_equal(h, h.T)
@@ -180,6 +187,49 @@ def test_decompose_chain_fragments_are_chains():
     assert np.array_equal(_reassembled(params, 2), build_spin_chain(params))
 
 
+def test_fragment_resolve_is_bitwise_its_first_solve(monkeypatch):
+    # A subsystem's eigenvectors come from its own solver run again on
+    # first read: that run's eigenvalues are bitwise the ones the spectrum
+    # took from the first, and its eigenvectors are the ones kept.  For a
+    # chain the solver is the fragment's sector solve, for make_bipartite
+    # eig_sym of the piece it was given.
+    chain, dense = [], []
+    real_chain, real_eig = hamiltonians._chain_spectrum, hamiltonians.eig_sym
+
+    def chain_spy(params):
+        chain.append(real_chain(params))
+        return chain[-1]
+
+    def eig_spy(matrix, **kwargs):
+        dense.append(real_eig(matrix, **kwargs))
+        return dense[-1]
+
+    monkeypatch.setattr(hamiltonians, "_chain_spectrum", chain_spy)
+    monkeypatch.setattr(hamiltonians, "eig_sym", eig_spy)
+    params = SpinChainParams(9, coupling=0.7, field_x=0.3, field_z=-1.3)
+    total = real_eig(build_spin_chain(params))
+    system = decompose_chain(params, 4, spectrum_t=total)
+    assert [s.dim for s in chain] == [16, 32]
+    dense.clear()  # the sector solves' own eig_sym calls
+    rng = np.random.default_rng(3)
+    h_a, h_b = sample_goe(4, rng), sample_goe(8, rng)
+    pieces = make_bipartite(h_a, h_b, 0.1 * sample_goe(32, rng))
+    assert [s.dim for s in dense] == [4, 8, 32]
+    for spectrum, first, solves in (
+        (system.spectrum_a, chain[0], chain),
+        (system.spectrum_b, chain[1], chain),
+        (pieces.spectrum_a, dense[0], dense),
+        (pieces.spectrum_b, dense[1], dense),
+    ):
+        assert spectrum.eigenvalues is first.eigenvalues
+        calls = len(solves)
+        vectors = spectrum.eigenvectors
+        assert len(solves) == calls + 1
+        again = solves[-1]
+        assert np.array_equal(again.eigenvalues, spectrum.eigenvalues)
+        assert np.array_equal(vectors, again.eigenvectors)
+
+
 def test_decompose_chain_cut_validation():
     with pytest.raises(ValidationError):
         decompose_chain(SpinChainParams(6), 0)
@@ -196,7 +246,7 @@ def test_decompose_chain_reads_no_total_eigenvector(coupling):
     def solve():
         raise AssertionError("the chain build read the total eigenvectors")
 
-    eigenvalues = eigvals_sym(build_spin_chain(params))
+    eigenvalues = eig_sym(build_spin_chain(params)).eigenvalues
     system = decompose_chain(params, 2, spectrum_t=Spectrum(eigenvalues, solve=solve))
     assert system.interaction_sq.shape == eigenvalues.shape
     assert np.all(system.interaction_sq == coupling**2)
@@ -441,10 +491,12 @@ def test_random_system_cold_build_is_bitwise_the_plain_sum(diagonalize_args):
     want = eig_sym(np.kron(h_a, ident_b) + np.kron(ident_a, h_b) + h_i)
     assert np.array_equal(system.spectrum_t.eigenvalues, want.eigenvalues)
     assert np.array_equal(system.spectrum_t.eigenvectors, want.eigenvectors)
-    oracle = hamiltonians._split_system(lambda: h_a, lambda: h_b, want)
+    oracle = hamiltonians._split_system(
+        system.spectrum_a, system.spectrum_b, want, h_a, h_b
+    )
     assert np.array_equal(system.interaction_sq, oracle.interaction_sq)
-    # The subsystems, rebuilt from their sorted diagonals, give the diagonal
-    # back as eigenvalues and the identity as eigenvectors, bit for bit.
+    # The subsystem spectra are the sorted diagonals as drawn, with the
+    # identity as eigenvectors, bit for bit.
     for spectrum, h in ((system.spectrum_a, h_a), (system.spectrum_b, h_b)):
         assert np.array_equal(spectrum.eigenvalues, np.diagonal(h))
         assert np.array_equal(spectrum.eigenvectors, np.eye(h.shape[0]))

@@ -690,28 +690,34 @@ def test_cli_localize_diagonalizes_once(tmp_path, monkeypatch):
     assert manifest["local_block_diag"] == np.diag(block).tolist()
 
 
+def _sector_dims(*sites):
+    # The eig_sym calls of the sector solves of chains of these lengths, in
+    # order: each chain's even bit-reversal sector, then its odd one (a
+    # chain of one site has no odd sector).
+    dims = []
+    for n in sites:
+        mirror = 2 ** ((n + 1) // 2)  # palindromes, all in the even sector
+        dims += [d for d in ((2**n + mirror) // 2, (2**n - mirror) // 2) if d]
+    return dims
+
+
 def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monkeypatch):
-    # A chain build solves both fragments' eigenvalues before it reads the
-    # total spectrum from the cache, so a fragment's solve never runs beside
-    # the loaded eigenvectors.  A cold build then runs one eig_sym per
-    # bit-reversal sector of the total, the even (136 states at 8 sites)
-    # before the odd (120); a forbidden miss still exits 4 before any
-    # dataset is written.
+    # A chain build solves both fragments (3 and 5 sites at cut 3) before
+    # it reads the total spectrum from the cache, so a fragment's solve
+    # never runs beside the loaded eigenvectors.  Each is a sector solve,
+    # one eig_sym per bit-reversal sector; a cold build then runs the
+    # total's, the even (136 states at 8 sites) before the odd (120).  A
+    # forbidden miss still exits 4 before any dataset is written.
     import ethlab.cli
     import ethlab.hamiltonians
     import ethlab.io
 
     events = []
     real_eig, real_load = ethlab.hamiltonians.eig_sym, ethlab.io.load_spectrum
-    real_vals = ethlab.hamiltonians.eigvals_sym
 
     def eig(matrix, **kwargs):
         events.append(("eig", np.shape(matrix)[0]))
         return real_eig(matrix, **kwargs)
-
-    def vals(matrix, **kwargs):
-        events.append(("eigvals", np.shape(matrix)[0]))
-        return real_vals(matrix, **kwargs)
 
     def load(*args):
         hit = real_load(*args)
@@ -719,7 +725,6 @@ def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monke
         return hit
 
     monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
-    monkeypatch.setattr(ethlab.hamiltonians, "eigvals_sym", vals)
     monkeypatch.setattr(ethlab.io, "load_spectrum", load)
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(TINY_CHAIN)
@@ -730,56 +735,133 @@ def test_cli_chain_build_diagonalizes_fragments_before_the_total(tmp_path, monke
         argv = ["spin-chain", "--config", str(cfg), "--out", str(out), "--cache", policy]
         return ethlab.cli.main(argv)
 
+    fragments = [("eig", d) for d in _sector_dims(3, 5)]
+    assert fragments == [("eig", 6), ("eig", 2), ("eig", 20), ("eig", 12)]
     assert run("forbid") == 4
+    assert events == [*fragments, ("load", False)]
     assert not list(out.glob("*.csv"))
     assert run("use") == 0
-    assert events == [
-        ("eigvals", 8), ("eigvals", 32), ("load", False), ("eig", 136), ("eig", 120)
-    ]
+    assert events == [*fragments, ("load", False), ("eig", 136), ("eig", 120)]
     assert run("use") == 0
-    assert events == [("eigvals", 8), ("eigvals", 32), ("load", True)]
+    assert events == [*fragments, ("load", True)]
 
 
 def test_fragment_eigenvectors_are_solved_only_where_read(tmp_path, monkeypatch):
     # Warm runs that read the subsystem spectra only through their levels
-    # run no eig_sym at all and leave every fragment's eigenvectors
-    # unsolved; the coefficient runs solve each fragment's exactly once.
+    # solve each chain fragment once, for those levels, and keep no
+    # subsystem eigenvectors (the random family solves nothing); the
+    # coefficient runs solve each fragment a second time, on the first
+    # read of its eigenvectors.
     import ethlab.hamiltonians
     from ethlab.cli import main
 
-    eig_dims, fragments = [], []
-    real_eig, real_fragment = ethlab.hamiltonians.eig_sym, ethlab.hamiltonians._fragment
+    eig_dims, systems = [], []
+    real_eig = ethlab.hamiltonians.eig_sym
+    real_system = ethlab.hamiltonians.BipartiteSystem
 
     def eig(matrix, **kwargs):
         eig_dims.append(np.shape(matrix)[0])
         return real_eig(matrix, **kwargs)
 
-    def fragment(build, **kwargs):
-        spectrum = real_fragment(build, **kwargs)
-        fragments.append(spectrum)
-        return spectrum
+    def system(**kwargs):
+        systems.append(real_system(**kwargs))
+        return systems[-1]
 
     monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
-    monkeypatch.setattr(ethlab.hamiltonians, "_fragment", fragment)
+    monkeypatch.setattr(ethlab.hamiltonians, "BipartiteSystem", system)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[system]\nsites = 8\nsites_b = 6\n\n[ensemble]\ncount = 2\n")
     common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
     for argv in (["predict"], ["reproduce", "appB"]):
         assert main([*argv, *common]) == 0, argv  # fills the cache
-    for argv in (["reproduce", "fig2"], ["reproduce", "fig3"], ["spin-chain"],
-                 ["predict"], ["reproduce", "appB"]):
+    fig2 = [n for cut in (1, 3, 5, 7) for n in (cut, 8 - cut)]
+    runs = ((["reproduce", "fig2"], fig2), (["reproduce", "fig3"], [3, 5]),
+            (["spin-chain"], [3, 5]), (["predict"], [3, 5]), (["reproduce", "appB"], []))
+    for argv, fragments in runs:
         eig_dims.clear()
-        fragments.clear()
+        systems.clear()
         assert main([*argv, *common]) == 0, argv
-        assert eig_dims == [], argv
-        assert len(fragments) == (8 if argv[-1] == "fig2" else 2), argv
-        assert all(spectrum._vectors is None for spectrum in fragments), argv
+        assert eig_dims == _sector_dims(*fragments), argv
+        assert len(systems) == (4 if argv[-1] == "fig2" else 1), argv
+        assert all(s.spectrum_a._vectors is None and s.spectrum_b._vectors is None
+                   for s in systems), argv
     for argv in (["coeffs"], ["reproduce", "fig1"]):
         eig_dims.clear()
-        fragments.clear()
+        systems.clear()
         assert main([*argv, *common]) == 0, argv
-        assert eig_dims == [8, 32], argv
-        assert [spectrum._vectors.shape[0] for spectrum in fragments] == [8, 32]
+        assert eig_dims == _sector_dims(3, 5, 3, 5), argv
+        [built] = systems
+        assert (built.spectrum_a._vectors.shape[0],
+                built.spectrum_b._vectors.shape[0]) == (8, 32)
+
+
+def test_no_run_builds_the_dense_chain(tmp_path, monkeypatch):
+    # Every chain spectrum, fragments and total, is a sector solve: with
+    # build_spin_chain raising, a cold fig3 and warm fig2, fig3 and fig1
+    # still succeed.
+    import ethlab.hamiltonians
+    from ethlab.cli import main
+
+    def build(params):
+        raise AssertionError("built the dense chain")
+
+    monkeypatch.setattr(ethlab.hamiltonians, "build_spin_chain", build)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nsites = 8\n\n[ensemble]\ncount = 2\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    for figure, policy in (("fig3", "use"), ("fig2", "forbid"), ("fig3", "forbid"),
+                           ("fig1", "forbid")):
+        assert main(["reproduce", figure, "--cache", policy, *common]) == 0, figure
+
+
+@pytest.mark.parametrize("command", ["spin-chain", "predict"])
+def test_cli_one_site_chain_has_no_cut(tmp_path, command, capsys):
+    from ethlab.cli import main
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nsites = 1\ncut = 1\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: system.sites: a 1-site chain has no cut" in err
+
+
+# With no fields a 1-site A fragment is H_A = 0: one level, twice over.
+ONE_LEVEL_A = """
+[system]
+sites = 6
+cut = 1
+field_x = 0
+field_z = 0
+
+[ensemble]
+count = 4
+
+[binning]
+omega_bin_width = 0.5
+"""
+
+
+@pytest.mark.parametrize("command, experiment", [("spin-chain", "spin_chain"),
+                                                 ("predict", "predict")])
+def test_one_level_a_spectrum_is_a_zero_width_error(tmp_path, command, experiment,
+                                                   capsys):
+    # sigma_a, the A spectral range, is zero: both commands name the A
+    # spectrum with exit 3, and blame neither an omega_max nor a sigma_a
+    # the user never set.
+    import ethlab.figures
+    from ethlab.cli import main
+    from ethlab.errors import ZeroWidthSpectrumError
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ONE_LEVEL_A)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "compute error: the A spectrum has zero width: its 2 levels are equal" in err
+    assert "omega_max" not in err and "sigma_a" not in err
+    with pytest.raises(ZeroWidthSpectrumError, match="the A spectrum"):
+        ethlab.figures.run_figure(experiment, parse_config(cfg), out)
+    assert not list(out.glob("*.csv"))
 
 
 NEGATIVE_SYSTEM_SEED = """
@@ -990,7 +1072,8 @@ def test_cli_unusable_out_dir_is_a_config_error(tmp_path):
 
 def test_cli_unusable_cache_dir_fails_before_the_solve(tmp_path, monkeypatch):
     # A file standing where the cache directory must go exits 2 before the
-    # total spectrum is computed, under both policies that compute.
+    # total spectrum is computed, under both policies that compute: only
+    # the fragments' sector solves (3 and 5 sites at cut 3) have run.
     import ethlab.cli
     import ethlab.hamiltonians
 
@@ -998,7 +1081,7 @@ def test_cli_unusable_cache_dir_fails_before_the_solve(tmp_path, monkeypatch):
     real = ethlab.hamiltonians.eig_sym
 
     def eig(matrix, **kwargs):
-        calls.append(np.shape(matrix))
+        calls.append(np.shape(matrix)[0])
         return real(matrix, **kwargs)
 
     monkeypatch.setattr(ethlab.hamiltonians, "eig_sym", eig)
@@ -1008,9 +1091,10 @@ def test_cli_unusable_cache_dir_fails_before_the_solve(tmp_path, monkeypatch):
     out.mkdir()
     (out / "cache").write_text("")
     for policy in ("use", "recompute"):
+        calls.clear()
         argv = ["spin-chain", "--config", str(cfg), "--out", str(out), "--cache", policy]
         assert ethlab.cli.main(argv) == 2, policy
-        assert calls == [], policy
+        assert calls == _sector_dims(3, 5), policy
 
 
 def test_cli_tiny_bin_width_is_a_config_error(tmp_path):

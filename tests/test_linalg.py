@@ -7,13 +7,12 @@ import ethlab.ansatz
 import ethlab.linalg
 from ethlab.ansatz import _density, density_autocorrelation
 from ethlab.errors import DimensionError, QuadratureError, ValidationError
-from ethlab.hamiltonians import SpinChainParams, build_spin_chain
+from ethlab.hamiltonians import SpinChainParams, _chain_spectrum, build_spin_chain
 from ethlab.linalg import (
     GridFunction,
     Spectrum,
     density_of_states,
     eig_sym,
-    eigvals_sym,
     integrate_adaptive,
 )
 
@@ -105,6 +104,34 @@ def test_spectrum_rows_in_any_layout():
     assert np.shares_memory(major.rows, fortran)
 
 
+def test_spectrum_takes_eigenvectors_or_solve_exactly_one():
+    values = np.zeros(2)
+    for kwargs in ({}, {"eigenvectors": np.eye(2), "solve": lambda: np.eye(2)}):
+        with pytest.raises(ValidationError, match="exactly one"):
+            Spectrum(values, **kwargs)
+
+
+def test_spectrum_first_read_solves_once_and_keeps_the_vectors():
+    # Nothing is solved until the eigenvectors are read; the first read of
+    # rows or eigenvectors calls solve once, keeps its matrix (eigenstate-
+    # major) and drops solve, and every later read returns the kept matrix.
+    calls = []
+
+    def solve():
+        calls.append(1)
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    spec = Spectrum(np.array([-1.0, 1.0]), solve=solve)
+    assert spec.dim == 2 and spec.spectral_range == 2.0
+    assert calls == [] and spec._vectors is None
+    rows = spec.rows
+    assert calls == [1] and spec._solve is None
+    assert rows.flags.c_contiguous
+    assert np.array_equal(spec.eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.shares_memory(spec.rows, rows)
+    assert calls == [1]
+
+
 def test_eig_sym_rejects_bad_input():
     with pytest.raises(DimensionError):
         eig_sym(np.zeros((2, 3)))
@@ -194,14 +221,18 @@ def test_density_of_states_counts_a_level_on_an_edge_above_it():
 @pytest.mark.parametrize("sites", [8, 10, 12])
 def test_equal_cut_sum_density_is_solver_independent(sites):
     # At cut = sites/2 both fragments are one chain, so E_0 + E_max lies on
-    # n_0's centre edge in exact arithmetic; the sums from eig_sym's and from
-    # the eigenvalue-only solve's energies fill the same bins.
-    h = build_spin_chain(SpinChainParams(sites // 2))
+    # n_0's centre edge in exact arithmetic; the sums from the sector
+    # solve's energies (the lab's own), from eig_sym's of the dense chain
+    # and from numpy's eigenvalue-only solve of it fill the same bins.
+    params = SpinChainParams(sites // 2)
+    h = build_spin_chain(params)
     counts = []
-    for levels in (eig_sym(h).eigenvalues, eigvals_sym(h)):
+    for levels in (_chain_spectrum(params).eigenvalues, eig_sym(h).eigenvalues,
+                   np.linalg.eigvalsh(h)):
         sums = np.add.outer(levels, levels).ravel()
         counts.append(_bin_counts(_density(sums)))
     assert np.array_equal(counts[0], counts[1])
+    assert np.array_equal(counts[0], counts[2])
 
 
 def test_density_of_states_flat_spectrum():
