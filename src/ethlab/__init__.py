@@ -41,6 +41,7 @@ from .experiments import (
     BandReport,
     BinnedStatistics,
     BinningParams,
+    EngineCosts,
     OperatorEnsembleSpec,
     default_bin_width,
     detect_bands,
@@ -163,6 +164,7 @@ __all__ = [
     "OperatorEnsembleSpec",
     "BinningParams",
     "BinnedStatistics",
+    "EngineCosts",
     "BandReport",
     "sample_local_operator",
     "run_ensemble",

@@ -518,10 +518,16 @@ class Prediction:
     variance: np.ndarray
 
 
-def _density(levels: np.ndarray) -> SpectralDensity:
-    # Histogram density of a level set, round(sqrt(n)) bins clipped to 4..64.
+def _density(levels: np.ndarray, name: str) -> SpectralDensity:
+    # Histogram density of a level set, round(sqrt(n)) bins clipped to 4..64;
+    # a spectrum of one level has none, and the error names it.
     bins = max(4, min(64, int(round(np.sqrt(levels.size)))))
-    return density_of_states(levels, bins=bins)
+    try:
+        return density_of_states(levels, bins=bins)
+    except ZeroWidthSpectrumError:
+        raise ZeroWidthSpectrumError(
+            f"the {name} has zero width: its {levels.size} levels are equal"
+        ) from None
 
 
 def _sigma_a(system: BipartiteSystem) -> float:
@@ -561,15 +567,16 @@ class AnsatzModel:
 
     @cached_property
     def n_a(self) -> SpectralDensity:
-        return _density(self.system.spectrum_a.eigenvalues)
+        return _density(self.system.spectrum_a.eigenvalues, "A spectrum")
 
     @cached_property
     def n_b(self) -> SpectralDensity:
-        return _density(self.system.spectrum_b.eigenvalues)
+        return _density(self.system.spectrum_b.eigenvalues, "B spectrum")
 
     @cached_property
     def n_0(self) -> SpectralDensity:
-        return _density(self.system.sum_energies().ravel())
+        return _density(self.system.sum_energies().ravel(),
+                        "noninteracting spectrum E_i + E_j")
 
     @cached_property
     def rho_rho(self) -> GridFunction:

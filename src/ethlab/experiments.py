@@ -12,14 +12,17 @@ pairs when it runs.  The grouped engine bins each tile with one
 ``bincount`` per moment; the direct engine applies each operator to one
 tile's alpha rows at a time and adds each tile into bins carried across the
 band in band order, bitwise one ``bincount`` over the whole band's
-elements.  Its one level of parallelism is the BLAS library's threads under
-the matrix products: windows, tiles and operators run in a fixed order on the
-calling thread, so the statistics are bitwise reproducible run to run.
+elements.  Each window runs on the engine with the fewer modelled
+floating-point operations for its band, dimensions and operator count
+(``_engine_costs``); the grouped engine only where its tiles fit the tile
+budget.  The one level of parallelism is the BLAS library's threads under
+the matrix products: windows, tiles and operators run in a fixed order on
+the calling thread, so the statistics are bitwise reproducible run to run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +34,7 @@ __all__ = [
     "OperatorEnsembleSpec",
     "BinningParams",
     "BinnedStatistics",
+    "EngineCosts",
     "PairBand",
     "BandReport",
     "REFERENCE_SPECTRAL_RANGE",
@@ -144,13 +148,28 @@ def default_bin_width(spectral_range: float) -> float:
     return 0.015 * spectral_range / REFERENCE_SPECTRAL_RANGE
 
 
+@dataclass(frozen=True)
+class EngineCosts:
+    """The ensemble engine of one window and both engines' modelled cost.
+
+    ``engine`` is ``"grouped"`` or ``"direct"``; ``grouped_gflop`` and
+    ``direct_gflop`` are the floating-point operations, in units of 1e9,
+    of each engine's matrix products on the window (see ``_engine_costs``).
+    """
+
+    engine: str
+    grouped_gflop: float
+    direct_gflop: float
+
+
 @dataclass(frozen=True, eq=False)
 class BinnedStatistics:
     """Binned mean squared off-diagonal elements in one mean-energy window.
 
     Only bins with at least one pair are reported; ``omega_mid`` is the bin
     center, ``std_err`` the standard error of the per-sample mean (zero for
-    single-sample bins).
+    single-sample bins).  ``costs`` is the engine :func:`run_ensemble`
+    measured the window with (None for statistics made outside it).
     """
 
     ebar_center: float
@@ -158,6 +177,7 @@ class BinnedStatistics:
     mean_sq: np.ndarray
     count: np.ndarray
     std_err: np.ndarray
+    costs: Optional[EngineCosts] = None
 
     @property
     def n_samples(self) -> int:
@@ -225,7 +245,8 @@ class PairBand:
       streams the pairs through cache in blocks of ``_STREAM_BYTES`` of
       transfer rows: one matrix product per block
       gives the elements of every ensemble operator, reduced at once to
-      per-pair moments (worthwhile when ``dim_a <= dim_b``).  ``V3`` is the
+      per-pair moments: its tile products do not depend on the operators,
+      so it pays off when they are many or ``dim_a`` is small.  ``V3`` is the
       eigenvector rows reshaped to ``(total, dim_a, dim_b)``, a view of an
       eigenstate-major spectrum, and both panels of a tile are views of
       it.  Beyond the eigenvectors it holds one tile-product buffer of
@@ -235,13 +256,14 @@ class PairBand:
       product per whole batch of ``_DIRECT_BATCH`` alphas, the operator
       applied to the tile's alpha rows times the beta rows ``c0:c1`` their
       pairs span, and adds their squares and fourth powers into the bins
-      tile after tile, in band order (:meth:`accumulate_from_factors`; used
-      when the A factor is the larger one).  Beyond the eigenvectors it holds
+      tile after tile, in band order (:meth:`accumulate_from_factors`),
+      so its cost grows with the operators.  Beyond the eigenvectors it holds
       one tile's applied rows (``_DIRECT_BATCH x total``), its product and
       the indices, bin and element of each pair of the tile.
 
-    Tiles and blocks run in a fixed order on the calling thread, so the
-    results are bit-reproducible.
+    :func:`run_ensemble` picks one engine per window by their modelled
+    cost (``_engine_costs``).  Tiles and blocks run in a fixed order on
+    the calling thread, so the results are bit-reproducible.
     """
 
     def __init__(self, energies, ebar_center, ebar_halfwidth, bin_width):
@@ -384,18 +406,15 @@ class PairBand:
 
         ``v3`` is as in :meth:`accumulate_grouped_batch`; the tiles are
         :meth:`_tiles` in batches of ``max(4, 512 // dim_a)`` alphas, cut
-        into beta chunks whose full-batch product fits ``_TILE_BYTES`` (a
-        beta takes at most 256 KiB, as ``dim_a <= 64`` up to
-        ``MAX_CHAIN_SITES``).  Every tile product goes into the one buffer
+        into beta chunks whose full-batch product fits ``_TILE_BYTES``
+        (:func:`run_ensemble` runs it only where one beta of a full batch
+        fits).  Every tile product goes into the one buffer
         ``buf``, at least ``_TILE_BYTES // 8`` long, so large products do
         not each map fresh pages.  Per-tile partial sums merge in tile order.
         """
-        dim_a = v3.shape[1]
-        batch = max(4, 512 // dim_a)
-        width = _TILE_BYTES // (8 * dim_a * dim_a * batch)
         sums = np.zeros(self.n_bins)
         sumsqs = np.zeros(self.n_bins)
-        for tile in self._tiles(batch, width):
+        for tile in self._tiles(*_grouped_tiling(v3.shape[1])):
             s, q = self.accumulate_grouped_batch(v3, ops_flat, tile, buf)
             sums += s
             sumsqs += q
@@ -477,6 +496,34 @@ def omega_grid(system: BipartiteSystem, binning: BinningParams, omega_max: float
     return (np.arange(_bin_count(top, width, system.total_dim)) + 0.5) * width
 
 
+def _grouped_tiling(dim_a: int) -> tuple[int, int]:
+    # The grouped engine's tiles: batches of max(4, 512 // dim_a) alphas,
+    # each cut into chunks of the betas whose full-batch product fits
+    # _TILE_BYTES (0 when not even one beta fits).
+    batch = max(4, 512 // dim_a)
+    return batch, _TILE_BYTES // (8 * dim_a * dim_a * batch)
+
+
+def _engine_costs(system: BipartiteSystem, band: PairBand, count: int) -> EngineCosts:
+    # The one engine rule.  Modelled FLOPs of each engine's matrix products
+    # on the window: the grouped engine makes one tile product (2 dim_a
+    # total per pair, its cells taken as its pairs) and one product with
+    # every operator (2 count dim_a**2 per pair); the direct engine, per
+    # operator and whole-batch tile, applies the operator to the alpha rows
+    # (2 dim_a total per row) and multiplies them by the partners' rows.
+    # The grouped engine runs when it costs no more and its tiles fit.
+    dim_a, total = system.dim_a, system.total_dim
+    pairs = int(band.pair_counts.sum())
+    grouped = pairs * (2 * dim_a * total + 2 * count * dim_a * dim_a)
+    direct = count * sum(
+        2 * dim_a * total * (a1 - a0) + 2 * total * (a1 - a0) * (c1 - c0)
+        for a0, a1, c0, c1 in band._tiles(_DIRECT_BATCH)
+    )
+    fits = _grouped_tiling(dim_a)[1] > 0
+    engine = "grouped" if fits and grouped <= direct else "direct"
+    return EngineCosts(engine, grouped / 1e9, direct / 1e9)
+
+
 def _operator_columns(ens: OperatorEnsembleSpec, dim_a: int) -> np.ndarray:
     # Every ensemble operator flattened into one column: (dim_a**2, count).
     ops = [sample_local_operator(ens, dim_a, k).ravel() for k in range(ens.count)]
@@ -497,11 +544,17 @@ def run_ensemble(
     runs, so an empty window or too many bins raises before any work; then
     each window is measured whole before the next, its bins reported at the
     points of :func:`omega_grid`.  Both engines walk its band in tiles.
-    When ``dim_a <= dim_b`` (the usual case) the grouped engine amortizes
-    the band over all operators at once, reading its panels as views of the
-    eigenvector rows; otherwise each operator in turn, drawn again for each
-    window, gives its elements with one matrix product per tile of alpha
-    rows, added into the bins in band order.  The BLAS library's threads
+    The grouped engine amortizes one product per tile over all operators
+    at once, reading its panels as views of the eigenvector rows; the
+    direct engine takes each operator in turn, drawn again for each
+    window, and gives its elements with one matrix product per tile of
+    alpha rows, added into the bins in band order.  Each window runs on
+    the engine whose modelled floating-point operations are fewer, the
+    grouped one on a tie and only where a whole batch's beta fits
+    ``_TILE_BYTES``: the grouped engine costs ``pairs * (2 dim_a total +
+    2 count dim_a**2)``, the direct one ``count`` times the sum over its
+    tiles of ``2 dim_a total (a1 - a0) + 2 total (a1 - a0) (c1 - c0)``.
+    Each result's ``costs`` records the choice.  The BLAS library's threads
     are the only parallelism: windows, tiles and operators run in a fixed
     order on the calling thread, so each window's results are bitwise
     reproducible, and bitwise those of the window measured alone.
@@ -509,9 +562,10 @@ def run_ensemble(
     Memory beyond the system's eigenvectors (for an eigenstate-major
     spectrum, which :func:`ethlab.linalg.eig_sym` and the cache return):
     every window's band holds a few integers per eigenstate and per omega
-    bin, not per pair.  The grouped engine holds one tile-product buffer
-    of ``_TILE_BYTES``, shared by all windows and allocated without a
-    tiling pass (every tile's product fits it), one streamed block of
+    bin, not per pair.  The grouped engine holds the operators, one
+    tile-product buffer of ``_TILE_BYTES``, shared by all windows and
+    allocated without a tiling pass (every tile's product fits it) and only
+    when some window runs grouped, one streamed block of
     values (``_STREAM_BYTES // (8 * dim_a**2)`` pairs by ``count``
     operators) and the indices, bin and two floats of each pair of the
     current tile; the direct engine holds one operator (drawn when it is
@@ -524,14 +578,14 @@ def run_ensemble(
     rows = system.spectrum_t.rows
     bands = [window_band(system, c, params) for c in ebar_centers]
     dim_a = system.dim_a
-    grouped = dim_a <= system.dim_b
-    if grouped:
+    costs = [_engine_costs(system, band, ens.count) for band in bands]
+    if any(c.engine == "grouped" for c in costs):
         ops_flat = _operator_columns(ens, dim_a)
         v3 = rows.reshape(-1, dim_a, system.dim_b)
         buf = np.empty(_TILE_BYTES // 8)
     results = []
-    for band in bands:
-        if grouped:
+    for band, cost in zip(bands, costs):
+        if cost.engine == "grouped":
             sums, sumsqs = band.accumulate_grouped_all(v3, ops_flat, buf)
         else:
             sums, sumsqs = np.zeros(band.n_bins), np.zeros(band.n_bins)
@@ -541,7 +595,8 @@ def run_ensemble(
                 s, q = band.accumulate_from_factors(rows, op)
                 sums += s
                 sumsqs += q
-        results.append(band.statistics(sums, sumsqs, ens.count))
+        stats = band.statistics(sums, sumsqs, ens.count)
+        results.append(replace(stats, costs=cost))
     return tuple(results)
 
 

@@ -197,7 +197,8 @@ def _ensemble_windows(config, system, kinds, ctx, stem, centers):
             files.append(_plot_window(ctx.out_dir / f"{stem}_E{tag}.svg", preds,
                                       f"{stem} at Ebar={center:.4g}", stats))
         windows.append({"center": stats.ebar_center, "bins": int(stats.omega_mid.size),
-                        "pairs": stats.n_samples // config.ensemble.count})
+                        "pairs": stats.n_samples // config.ensemble.count,
+                        **asdict(stats.costs)})
     files.append(emit_dataset(all_binned, "binned", ctx.out_dir / f"{stem}_binned.csv"))
     if kinds:
         files.append(emit_dataset(all_predicted, "prediction",
@@ -339,7 +340,10 @@ def run_figure(
     ``spin_chain`` and fig1-3 run on the spin-chain family, ``random`` and
     appB on the random family: a config of the other family raises
     :class:`ValidationError` before anything is built or written.  A scan
-    window's ``pairs`` counts the eigenstate pairs in its band.
+    window's ``pairs`` counts the eigenstate pairs in its band; its
+    ``engine`` (``"grouped"`` or ``"direct"``), ``grouped_gflop`` and
+    ``direct_gflop`` are the ensemble engine it ran on and both engines'
+    modelled cost (:class:`ethlab.experiments.EngineCosts`).
 
     The keyword values must be finite.  The spectrum cache lives in
     ``out_dir/cache``.  The manifest holds the experiment's own fields plus

@@ -1,6 +1,8 @@
 """Operator ensembles, off-diagonal binning, band detection."""
 
 import tracemalloc
+from dataclasses import replace
+from itertools import count as counting
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ethlab.experiments import (
     BinningParams,
     OperatorEnsembleSpec,
     PairBand,
+    _engine_costs,
     _prominent_peaks,
     accumulate_grouped,
     band_matrix_elements,
@@ -286,6 +289,17 @@ def _grouped_tiles(band, dim_a):
     return band._tiles(batch, width)
 
 
+def _run_on(monkeypatch, engine):
+    # Make run_ensemble measure every window on ``engine``, whatever the
+    # cost model picks; each result still records both modelled costs.
+    costs = ethlab.experiments._engine_costs
+
+    def forced(system, band, count):
+        return replace(costs(system, band, count), engine=engine)
+
+    monkeypatch.setattr(ethlab.experiments, "_engine_costs", forced)
+
+
 def test_band_tiles_cover_the_band_in_order(chain10):
     # Whole-batch tiles in increasing alpha order: each tile's pairs lie in
     # its rectangle [a0, a1) x [b0, b1), the narrowest one, and the tiles
@@ -372,21 +386,139 @@ def test_ensemble_engines_match_dense_oracle(chain10):
         # 1e-12 * max).  The direct engine evaluates the dot products
         # <(O (x) 1) alpha|beta>, which an einsum over the A index takes
         # too, to 4e-15 relative.
-        for got, want, floor in (
-            (grouped, oracle(dense), 1e-8),
-            (direct, oracle(dense), 1e-8),
-            (direct, oracle(factored), 1e-12),
-        ):
-            assert np.array_equal(got.count, want.count)
-            big = want.mean_sq > floor * want.mean_sq.max()
-            assert np.allclose(
-                got.mean_sq[big], want.mean_sq[big], rtol=1e-12, atol=0.0
+        _assert_matches_oracle(grouped, oracle(dense), 1e-8)
+        _assert_matches_oracle(direct, oracle(dense), 1e-8)
+        _assert_matches_oracle(direct, oracle(factored), 1e-12)
+
+
+def _dense_oracle(system, spec, center):
+    # One window's statistics from the dense Kronecker-product elements of
+    # every operator, binned over the oracle's own flat band.
+    energies = system.spectrum_t.eigenvalues
+    width = BinningParams().resolve_width(system.spectrum_t.spectral_range)
+    band = _center_band(system, center)
+    rows, cols, bins, n_bins, _ = flat_band(energies, center, 0.5, width)
+    assert n_bins == band.n_bins
+    sums = np.zeros(n_bins)
+    sumsqs = np.zeros(n_bins)
+    for k in range(spec.count):
+        op = sample_local_operator(spec, system.dim_a, k)
+        s, q = moments(dense_elements(system, op)[rows, cols], bins, n_bins)
+        sums += s
+        sumsqs += q
+    return band.statistics(sums, sumsqs, spec.count)
+
+
+def _assert_matches_oracle(got, want, floor):
+    # Equal counts; mean squares within 1e-12 relative above floor * the
+    # window's peak and within 1e-12 * the peak everywhere; standard errors
+    # within 1e-8 relative.
+    assert np.array_equal(got.count, want.count)
+    big = want.mean_sq > floor * want.mean_sq.max()
+    assert np.allclose(got.mean_sq[big], want.mean_sq[big], rtol=1e-12, atol=0.0)
+    assert np.abs(got.mean_sq - want.mean_sq).max() < 1e-12 * want.mean_sq.max()
+    assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
+
+
+def _assert_within_floor_rule(a, b):
+    # |a - b| <= 1e-8 max(|a|, |b|) + 1e-12 * the window's peak, per column.
+    assert np.array_equal(a.count, b.count)
+    for name in ("mean_sq", "std_err"):
+        x, y = getattr(a, name), getattr(b, name)
+        peak = max(np.abs(x).max(), np.abs(y).max())
+        bound = 1e-8 * np.maximum(np.abs(x), np.abs(y)) + 1e-12 * peak
+        assert np.all(np.abs(x - y) <= bound), name
+
+
+def test_engine_cost_model_picks_by_flops(chain10):
+    # Each engine's modelled cost: the grouped engine's tile product and
+    # operator product per pair, the direct engine's apply and product per
+    # tile and operator.  At 10 sites the model runs cut 3 grouped at 250
+    # operators, cut 5 direct at 4 and cut 7 direct at any count, on every
+    # fig3 window.
+    for cut, counts, engine in (
+        (3, (250,), "grouped"),
+        (5, (4,), "direct"),
+        (7, (1, 4, 250, 10**6), "direct"),
+    ):
+        system = decompose_chain(
+            SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t
+        )
+        dim_a, total = system.dim_a, system.total_dim
+        e_min = float(system.spectrum_t.eigenvalues[0])
+        for fraction in (0.0, 0.25, 0.5):
+            band = _center_band(system, fraction * e_min)
+            pairs = int(band.pair_counts.sum())
+            per_op = sum(
+                2 * total * (a1 - a0) * (dim_a + c1 - c0)
+                for a0, a1, c0, c1 in band._tiles(ethlab.experiments._DIRECT_BATCH)
             )
-            assert (
-                np.abs(got.mean_sq - want.mean_sq).max()
-                < 1e-12 * want.mean_sq.max()
-            )
-            assert np.allclose(got.std_err, want.std_err, rtol=1e-8, atol=1e-18)
+            for count in counts:
+                costs = _engine_costs(system, band, count)
+                assert costs.engine == engine, (cut, fraction, count)
+                grouped = pairs * (2 * dim_a * total + 2 * count * dim_a * dim_a)
+                assert costs.grouped_gflop == grouped / 1e9
+                assert costs.direct_gflop == count * per_op / 1e9
+
+
+def test_engine_cost_model_keeps_grouped_tiles_in_the_budget(chain10, monkeypatch):
+    # Where one beta of a full alpha batch does not fit _TILE_BYTES the
+    # grouped engine has no tile to run: the model never picks it there,
+    # whatever its cost, at any cut and budget.  At cut 3 (alpha batches
+    # of 64, 8 x 8 per pair) the grouped choice at 16 operators holds at
+    # 32 KiB and gives way below it, where run_ensemble runs direct.
+    spec = OperatorEnsembleSpec(count=16, seed=0)
+    systems = [
+        decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
+        for cut in range(1, 10)
+    ]
+    bands = [_center_band(system) for system in systems]
+    edge = 8 * 8 * 8 * 64
+    for budget in (None, edge, edge - 1, 256 << 10, 1 << 14):
+        if budget is not None:
+            monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
+        for system, band in zip(systems, bands):
+            dim_a = system.dim_a
+            for count in (1, 4, 250):
+                if _engine_costs(system, band, count).engine == "grouped":
+                    batch = max(4, 512 // dim_a)
+                    assert 8 * dim_a * dim_a * batch <= ethlab.experiments._TILE_BYTES
+        fits = budget is None or budget >= edge
+        assert (_engine_costs(chain10, bands[2], spec.count).engine
+                == ("grouped" if fits else "direct"))
+    grouped = PairBand.accumulate_grouped_all
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self)
+        return grouped(self, *args)
+
+    monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", edge - 1)
+    monkeypatch.setattr(PairBand, "accumulate_grouped_all", counted)
+    (stats,) = run_ensemble(chain10, spec, [0.0], BinningParams())
+    assert stats.costs.engine == "direct" and calls == []
+
+
+def test_engine_choice_flip_matches_the_dense_oracle(chain10, monkeypatch):
+    # Cut 3's centre window runs direct at a few operators and grouped from
+    # some count on.  On both sides of that count run_ensemble matches the
+    # dense oracle at the bounds of test_ensemble_engines_match_dense_oracle,
+    # and the engine the model passed over within the floor rule.
+    band = _center_band(chain10)
+    flip = next(k for k in counting(1)
+                if _engine_costs(chain10, band, k).engine == "grouped")
+    assert flip > 1
+    for count, engine, other in ((flip - 1, "direct", "grouped"),
+                                 (flip, "grouped", "direct")):
+        spec = OperatorEnsembleSpec(count=count, seed=2)
+        (got,) = run_ensemble(chain10, spec, [0.0], BinningParams())
+        assert got.costs.engine == engine
+        _assert_matches_oracle(got, _dense_oracle(chain10, spec, 0.0), 1e-8)
+        with monkeypatch.context() as m:
+            _run_on(m, other)
+            (passed_over,) = run_ensemble(chain10, spec, [0.0], BinningParams())
+        assert passed_over.costs == replace(got.costs, engine=other)
+        _assert_within_floor_rule(got, passed_over)
 
 
 def test_band_matrix_elements_match_dense(chain10):
@@ -543,18 +675,21 @@ def test_a_refused_bin_count_is_the_count_of_bins():
 @pytest.mark.parametrize("cut", [3, 7])
 def test_omega_grid_is_the_scans_bin_midpoints_bitwise(chain10, cut):
     # predict's omega axis is the scans': at every bin a scan reports, by
-    # the grouped engine (cut 3) and the direct one (cut 7), omega_grid
-    # holds the same midpoint bit for bit.
+    # the grouped engine (cut 3 at 250 operators) and the direct one (cut 3
+    # at one operator, cut 7), omega_grid holds the same midpoint bit for
+    # bit.
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     binning = BinningParams()
     width = binning.resolve_width(system.spectrum_t.spectral_range)
-    assert (system.dim_a <= system.dim_b) == (cut == 3)
-    ens = OperatorEnsembleSpec(count=1, seed=0)
-    for stats in run_ensemble(system, ens, [0.0, -4.0], binning):
-        mids = stats.omega_mid
-        grid = omega_grid(system, binning, mids[-1] + width)
-        assert grid.size == np.rint(mids[-1] / width + 0.5)
-        assert np.array_equal(grid[np.rint(mids / width - 0.5).astype(int)], mids)
+    runs = {3: ((250, "grouped"), (1, "direct")), 7: ((1, "direct"),)}[cut]
+    for count, engine in runs:
+        ens = OperatorEnsembleSpec(count=count, seed=0)
+        for stats in run_ensemble(system, ens, [0.0, -4.0], binning):
+            assert stats.costs.engine == engine
+            mids = stats.omega_mid
+            grid = omega_grid(system, binning, mids[-1] + width)
+            assert grid.size == np.rint(mids[-1] / width + 0.5)
+            assert np.array_equal(grid[np.rint(mids / width - 0.5).astype(int)], mids)
 
 
 def _panels(v3, tile):
@@ -589,11 +724,15 @@ def _tile_wide_batch(band, v3, ops_flat, tile):
 
 
 @pytest.mark.parametrize("cut, count", [(3, 250), (5, 4)])
-def test_streamed_grouped_engine_matches_tile_wide_oracle(chain10, cut, count):
+def test_streamed_grouped_engine_matches_tile_wide_oracle(
+    chain10, monkeypatch, cut, count
+):
     # The streamed blocks multiply fewer rows per matrix product than the
     # oracle's one product per tile, and BLAS picks its kernels by shape, so
     # the elements agree to roundoff rather than bitwise (3.5e-15 relative
-    # at 12 sites).
+    # at 12 sites).  run_ensemble is held to the grouped engine, which the
+    # cost model passes over at cut 5 with 4 operators.
+    _run_on(monkeypatch, "grouped")
     system = decompose_chain(SpinChainParams(10), cut, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=count, seed=0)
     v3 = system.spectrum_t.rows.reshape(-1, system.dim_a, system.dim_b)
@@ -694,9 +833,11 @@ def test_grouped_tile_budget(chain10, monkeypatch):
     # A small _TILE_BYTES narrows the beta chunks, never the alpha batch
     # (16 at cut 5): every tile's alphas lie in one batch of 16, every tile
     # product fits the budget, and the statistics agree with the default
-    # tiles to 1e-13.  run_ensemble passes one buffer of the budget to every
-    # tile of every window; its statistics are bitwise those of per-window
-    # calls that each allocate their own buffer.
+    # tiles to 1e-13.  run_ensemble, held to the grouped engine (the cost
+    # model runs these windows direct), passes one buffer of the budget to
+    # every tile of every window; its statistics are bitwise those of
+    # per-window calls that each allocate their own buffer.
+    _run_on(monkeypatch, "grouped")
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)
     spec = OperatorEnsembleSpec(count=4, seed=0)
     centers = [0.0, 0.5 * system.spectrum_t.eigenvalues[0]]
@@ -775,8 +916,10 @@ def test_grouped_tiles_hold_every_pair_once(chain10, monkeypatch, budget):
 def test_run_ensemble_tiles_each_window_once(chain10, monkeypatch):
     # run_ensemble needs no tiling pass to size its buffer: each window is
     # tiled once, by its own accumulation, in the grouped engine's chunks.
-    # A band's pair-count walk in __init__ takes whole batches (no width)
-    # and is not counted.
+    # A band's pair-count walk in __init__ and the cost model's walk take
+    # whole batches (no width) and are not counted.  The grouped engine is
+    # held, as the model runs these windows direct at 2 operators.
+    _run_on(monkeypatch, "grouped")
     spec = OperatorEnsembleSpec(count=2, seed=0)
     centers = [0.0, 0.5 * chain10.spectrum_t.eigenvalues[0], 0.0]
     calls = []
@@ -852,7 +995,9 @@ def test_grouped_engine_holds_one_budget_buffer(chain10, monkeypatch):
     # a few arrays per eigenstate and per bin: 656 kB measured at 4
     # operators.  Sizing the buffer for a one-alpha tile (1.4 MB), as a
     # tiling that shrinks only the alpha batch must, would not fit: such a
-    # tiling peaked at 2.1 MB.
+    # tiling peaked at 2.1 MB.  The grouped engine is held: the cost model
+    # runs this window direct.
+    _run_on(monkeypatch, "grouped")
     budget = 256 << 10
     monkeypatch.setattr(ethlab.experiments, "_TILE_BYTES", budget)
     system = decompose_chain(SpinChainParams(10), 5, spectrum_t=chain10.spectrum_t)

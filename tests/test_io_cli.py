@@ -418,13 +418,28 @@ def test_run_figure_rejects_the_other_family_before_any_build(
 
 def test_fig3_scans_the_configured_cut_and_counts_eigenstate_pairs(tmp_path):
     # A window's pairs times the ensemble's 8 operators is its summed count.
+    # Each window records the engine it ran on and both engines' modelled
+    # GFLOP, the model's own numbers for the window's band.
     import ethlab.figures
+    from ethlab.experiments import _engine_costs, window_band
 
     config = parse_config(None, text=TINY_CHAIN)
     manifest = ethlab.figures.run_figure("fig3", config, tmp_path)
     assert manifest["cuts"] == [3]
     windows = manifest["systems"]["LA3"]["windows"]
     assert len(windows) == 3
+    system = ethlab.figures.build_system(config, cache_dir=tmp_path / "cache")
+    for window in windows:
+        assert set(window) == {"center", "bins", "pairs", "engine",
+                               "grouped_gflop", "direct_gflop"}
+        assert window["engine"] in ("grouped", "direct")
+        band = window_band(system, window["center"], config.binning)
+        costs = _engine_costs(system, band, config.ensemble.count)
+        assert window["engine"] == costs.engine
+        assert window["grouped_gflop"] == costs.grouped_gflop > 0
+        assert window["direct_gflop"] == costs.direct_gflop > 0
+    on_disk = json.loads((tmp_path / "fig3_manifest.json").read_text())
+    assert on_disk["systems"]["LA3"]["windows"] == windows
     # The CSV prints each window's center to 9 digits, windows in order.
     counts = defaultdict(int)
     for row in (tmp_path / "fig3_LA3_binned.csv").read_text().splitlines()[1:]:
@@ -841,19 +856,25 @@ omega_bin_width = 0.5
 """
 
 
-@pytest.mark.parametrize("command, experiment", [("spin-chain", "spin_chain"),
-                                                 ("predict", "predict")])
+@pytest.mark.parametrize(
+    "command, experiment, kinds",
+    [("spin-chain", "spin_chain", None), ("predict", "predict", None),
+     ("spin-chain", "spin_chain", "narrow_scrambling")],
+    ids=["spin-chain-spin_chain", "predict-predict", "spin-chain-narrow_scrambling"],
+)
 def test_one_level_a_spectrum_is_a_zero_width_error(tmp_path, command, experiment,
-                                                   capsys):
+                                                   kinds, capsys):
     # sigma_a, the A spectral range, is zero: both commands name the A
     # spectrum with exit 3, and blame neither an omega_max nor a sigma_a
-    # the user never set.
+    # the user never set.  The narrow kind reads the A density instead of
+    # sigma_a, and its error names the A spectrum too.
     import ethlab.figures
     from ethlab.cli import main
     from ethlab.errors import ZeroWidthSpectrumError
 
     cfg = tmp_path / "run.ini"
-    cfg.write_text(ONE_LEVEL_A)
+    predict = "" if kinds is None else f"\n[predict]\nkinds = {kinds}\n"
+    cfg.write_text(ONE_LEVEL_A + predict)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err

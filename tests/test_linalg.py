@@ -230,7 +230,7 @@ def test_equal_cut_sum_density_is_solver_independent(sites):
     for levels in (_chain_spectrum(params).eigenvalues, eig_sym(h).eigenvalues,
                    np.linalg.eigvalsh(h)):
         sums = np.add.outer(levels, levels).ravel()
-        counts.append(_bin_counts(_density(sums)))
+        counts.append(_bin_counts(_density(sums, "sum spectrum")))
     assert np.array_equal(counts[0], counts[1])
     assert np.array_equal(counts[0], counts[2])
 
